@@ -1,5 +1,6 @@
 //! Criterion microbenches of the compiler substrates.
 use criterion::{criterion_group, criterion_main, Criterion};
+use dhpf_core::exec::node::run_node_program;
 use dhpf_iset::{Constraint, LinExpr, Set};
 use dhpf_spmd::machine::{Machine, MachineConfig};
 use std::hint::black_box;
@@ -51,6 +52,15 @@ fn bench_machine(c: &mut Criterion) {
                 }
             });
             black_box(r.virtual_time)
+        })
+    });
+    // the node-program interpreter alone: lowering plus execution of a
+    // precompiled BT class S program on one rank (no messages)
+    let bt = dhpf_nas::bt::compile_dhpf(dhpf_nas::Class::S, 1, None);
+    c.bench_function("interp_bt_class_s_1proc", |b| {
+        b.iter(|| {
+            let r = run_node_program(&bt.program, MachineConfig::sp2(1)).unwrap();
+            black_box(r.run.virtual_time)
         })
     });
 }

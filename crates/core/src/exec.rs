@@ -10,10 +10,12 @@
 //! * [`node`] — executes a [`crate::codegen::NodeProgram`] on
 //!   [`dhpf_spmd`], one thread per simulated processor, charging virtual
 //!   compute time per executed statement instance and virtual
-//!   communication per message.
+//!   communication per message. Each rank first lowers the program to
+//!   the linear code of the private `tape` module and runs that.
 
 pub mod node;
 pub mod serial;
+mod tape;
 
 pub use node::{run_node_program, ExecError, ExecResult};
 pub use serial::{run_serial, SerialResult};

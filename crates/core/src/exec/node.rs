@@ -1,14 +1,16 @@
 //! The SPMD node-program interpreter: executes a compiled
 //! [`NodeProgram`] on the virtual machine, one host thread per simulated
 //! processor, with real numerics and virtual-time charging.
+//!
+//! Each rank lowers the program once to linear code (`exec::tape`)
+//! specialised to what it owns, then runs that tape; the
+//! communication ops keep their message logic here and run their nests
+//! as tape ranges.
 
-use crate::codegen::{
-    CExpr, CMsg, CompiledUnit, FormalSlot, Guard, GuardAtom, HaloCheck, NodeOp, NodeProgram,
-    PipeArray, PipeLevel, INTRINSIC_NAMES,
-};
-use crate::exec::serial::{eval_intrinsic, ArrayValue};
-use dhpf_fortran::ast::BinOp;
-use dhpf_spmd::array::LocalArray;
+use crate::codegen::{CMsg, NodeProgram, PipeArray};
+use crate::exec::serial::ArrayValue;
+use crate::exec::tape::{lower_program, unbound_dummy, Comm, Ins, Pipe, Site, Tape, UNBOUND};
+use dhpf_spmd::array::{section_len, LocalArray};
 use dhpf_spmd::machine::{Machine, MachineConfig, Proc, RunResult};
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -23,7 +25,7 @@ pub struct ExecError(pub String);
 /// Abort this rank's execution with a structured [`ExecError`]. The
 /// payload unwinds through the virtual machine — which wakes the peer
 /// ranks — and is caught by [`run_node_program`] and returned as `Err`.
-fn exec_fail(msg: String) -> ! {
+pub(super) fn exec_fail(msg: String) -> ! {
     std::panic::panic_any(ExecError(msg))
 }
 
@@ -56,16 +58,25 @@ pub fn run_node_program(
             machine.nprocs
         )));
     }
-    let finals: Mutex<BTreeMap<usize, Vec<Option<LocalArray>>>> = Mutex::new(BTreeMap::new());
+    // Every rank's storage is allocated here, on the calling thread, and
+    // lent to the rank's thread for the run. Allocated on the short-lived
+    // rank threads, the arrays would come from one malloc arena per thread,
+    // and those arenas keep the freed arrays resident run after run.
+    let states: Vec<Mutex<Option<ProcState>>> = (0..nprocs)
+        .map(|rank| Mutex::new(Some(ProcState::new(prog, rank))))
+        .collect();
 
     let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         Machine::run(machine, |proc| {
-            let mut st = ProcState::new(prog, proc.rank());
-            let main = &prog.units[prog.main];
+            let slot = &states[proc.rank()];
+            let taken = slot.lock().expect("no rank panics holding its slot").take();
+            let mut st = taken.expect("the machine runs each rank once");
+            let tapes = lower_program(&st);
+            let main = &tapes[0];
             let mut frame = Frame::new(main);
-            st.bind_static_arrays(main, &mut frame);
-            st.exec_ops(proc, main, &main.ops, &mut frame);
-            finals.lock().unwrap().insert(proc.rank(), st.storage);
+            let whole = (0, main.code.len());
+            st.run(proc, &tapes, main, &mut frame.ints, &mut frame.regs, whole);
+            *slot.lock().expect("no rank panics holding its slot") = Some(st);
         })
     }));
     let run = match run {
@@ -79,7 +90,13 @@ pub fn run_node_program(
     };
 
     // stitch global arrays back together
-    let finals = finals.into_inner().unwrap();
+    let finals: Vec<Vec<Option<LocalArray>>> = states
+        .into_iter()
+        .map(|slot| {
+            let st = slot.into_inner().expect("no rank panics holding its slot");
+            st.expect("every rank returned its state").storage
+        })
+        .collect();
     let mut arrays = BTreeMap::new();
     for (g, ga) in prog.arrays.iter().enumerate() {
         let lo: Vec<i64> = ga.bounds.iter().map(|b| b.0).collect();
@@ -87,13 +104,13 @@ pub fn run_node_program(
         let mut out = ArrayValue::new(lo.clone(), hi.clone());
         match &ga.dist {
             None => {
-                if let Some(Some(local)) = finals.get(&0).map(|s| &s[g]) {
+                if let Some(local) = &finals[0][g] {
                     copy_box(local, &mut out, &lo, &hi);
                 }
             }
             Some(dist) => {
-                for (rank, storage) in &finals {
-                    let coords = prog.grid.coords(*rank as i64);
+                for (rank, storage) in finals.iter().enumerate() {
+                    let coords = prog.grid.coords(rank as i64);
                     let Some(owned) = dist.owned_box(&coords) else {
                         continue;
                     };
@@ -148,40 +165,44 @@ fn copy_box(src: &LocalArray, dst: &mut ArrayValue, lo: &[i64], hi: &[i64]) {
 
 /// Per-call frame.
 struct Frame {
+    /// Integer scalar slots, then the tape's hidden slots.
     ints: Vec<i64>,
-    floats: Vec<f64>,
-    /// Local array slot → global array id (usize::MAX = unbound dummy).
-    arrays: Vec<usize>,
+    /// Float scalar slots, then the tape's constants, then temporaries.
+    regs: Vec<f64>,
 }
 
 impl Frame {
-    fn new(unit: &CompiledUnit) -> Self {
-        let arrays = unit
-            .array_global
-            .iter()
-            .map(|g| g.unwrap_or(usize::MAX))
-            .collect();
+    fn new(tape: &Tape) -> Self {
+        let mut regs = Vec::with_capacity(tape.n_regs);
+        regs.resize(tape.unit.n_floats, 0.0);
+        regs.extend_from_slice(&tape.consts);
+        regs.resize(tape.n_regs, 0.0);
         Frame {
-            ints: vec![0; unit.n_ints],
-            floats: vec![0.0; unit.n_floats],
-            arrays,
+            ints: vec![0; tape.n_ints],
+            regs,
         }
     }
 }
 
+/// Whether a `do` loop at value `v` still has a trip to run.
+#[inline]
+fn in_range(v: i64, hi: i64, step: i64) -> bool {
+    (step > 0 && v <= hi) || (step < 0 && v >= hi)
+}
+
 /// Per-processor interpreter state.
-struct ProcState<'p> {
-    prog: &'p NodeProgram,
-    rank: usize,
-    coords: Vec<i64>,
-    storage: Vec<Option<LocalArray>>,
+pub(super) struct ProcState<'p> {
+    pub prog: &'p NodeProgram,
+    pub rank: usize,
+    pub coords: Vec<i64>,
+    pub storage: Vec<Option<LocalArray>>,
     /// Owned range per global array per dim (serial dims: full bounds;
     /// empty ownership: `(1, 0)`).
-    owned: Vec<Vec<(i64, i64)>>,
+    pub owned: Vec<Vec<(i64, i64)>>,
 }
 
 impl<'p> ProcState<'p> {
-    fn new(prog: &'p NodeProgram, rank: usize) -> Self {
+    pub fn new(prog: &'p NodeProgram, rank: usize) -> Self {
         let coords = prog.grid.coords(rank as i64);
         let mut storage = Vec::with_capacity(prog.arrays.len());
         let mut owned = Vec::with_capacity(prog.arrays.len());
@@ -216,357 +237,273 @@ impl<'p> ProcState<'p> {
         }
     }
 
-    fn bind_static_arrays(&self, _unit: &CompiledUnit, _frame: &mut Frame) {
-        // static bindings are already baked into Frame::new via
-        // `array_global`; dummies stay unbound until a call.
-    }
-
     /// Resolve a unit-local array slot to its global array id, failing
-    /// with a structured error when the slot is an unbound dummy
-    /// (`usize::MAX`) — previously an out-of-bounds indexing panic.
-    #[inline]
-    fn global_of(&self, frame: &Frame, arr: usize) -> usize {
-        let g = frame.arrays[arr];
-        if g == usize::MAX {
-            exec_fail(format!(
-                "rank {}: array dummy (local slot {arr}) is referenced but was never \
-                 bound to an actual argument",
-                self.rank
-            ));
+    /// with a structured error when the slot is an unbound dummy.
+    fn global_of(&self, binding: &[usize], arr: usize) -> usize {
+        let g = binding[arr];
+        if g == UNBOUND {
+            exec_fail(unbound_dummy(self.rank, arr));
         }
         g
     }
 
+    /// The data an access site reads or writes. Accesses to storage this
+    /// rank does not allocate were lowered to `Fail`, never to a site.
     #[inline]
-    fn guard_passes(&self, guard: &Option<Guard>, frame: &Frame) -> bool {
-        let Some(g) = guard else { return true };
-        g.terms.iter().any(|atoms| {
-            atoms.iter().all(|a| match a {
-                GuardAtom::In { arr, dim, sub } => {
-                    let g = frame.arrays[*arr];
-                    if g == usize::MAX {
-                        return true;
-                    }
-                    let (lo, hi) = self.owned[g][*dim];
-                    let v = sub.eval(&frame.ints);
-                    v >= lo && v <= hi
-                }
-                GuardAtom::Overlap { arr, dim, lo, hi } => {
-                    let g = frame.arrays[*arr];
-                    if g == usize::MAX {
-                        return true;
-                    }
-                    let (olo, ohi) = self.owned[g][*dim];
-                    hi.eval(&frame.ints) >= olo && lo.eval(&frame.ints) <= ohi
-                }
-            })
-        })
+    fn local(&self, s: &Site) -> &LocalArray {
+        self.storage[s.arr]
+            .as_ref()
+            .expect("access sites name allocated arrays")
     }
 
-    fn eval(&self, e: &CExpr, frame: &Frame) -> f64 {
-        match e {
-            CExpr::Const(v) => *v,
-            CExpr::Int(ci) => ci.eval(&frame.ints) as f64,
-            CExpr::LoadF(slot) => frame.floats[*slot],
-            CExpr::Load { arr, subs } => {
-                let g = self.global_of(frame, *arr);
-                let local = self.storage[g].as_ref().unwrap_or_else(|| {
-                    exec_fail(format!(
-                        "rank {}: read of unowned array {}",
-                        self.rank, self.prog.arrays[g].name
-                    ))
-                });
-                let idx: Vec<i64> = subs.iter().map(|s| s.eval(&frame.ints)).collect();
-                debug_assert!(
-                    local.in_window(&idx),
-                    "rank {} reads {}{idx:?} outside window [{:?}..{:?}]",
-                    self.rank,
-                    self.prog.arrays[g].name,
-                    local.alloc_lo(),
-                    local.alloc_hi()
-                );
-                local.get(&idx)
-            }
-            CExpr::Bin(op, a, b) => {
-                let x = self.eval(a, frame);
-                match op {
-                    BinOp::And if x == 0.0 => return 0.0,
-                    BinOp::Or if x != 0.0 => return 1.0,
-                    _ => {}
-                }
-                let y = self.eval(b, frame);
-                match op {
-                    BinOp::Add => x + y,
-                    BinOp::Sub => x - y,
-                    BinOp::Mul => x * y,
-                    BinOp::Div => x / y,
-                    BinOp::Pow => x.powf(y),
-                    BinOp::Lt => f64::from(x < y),
-                    BinOp::Le => f64::from(x <= y),
-                    BinOp::Gt => f64::from(x > y),
-                    BinOp::Ge => f64::from(x >= y),
-                    BinOp::Eq => f64::from(x == y),
-                    BinOp::Ne => f64::from(x != y),
-                    BinOp::And | BinOp::Or => f64::from(y != 0.0),
-                }
-            }
-            CExpr::Neg(a) => -self.eval(a, frame),
-            CExpr::Intr(idx, args) => {
-                let vals: Vec<f64> = args.iter().map(|a| self.eval(a, frame)).collect();
-                eval_intrinsic(INTRINSIC_NAMES[*idx], &vals)
-                    .unwrap_or_else(|e| exec_fail(format!("rank {}: {e}", self.rank)))
-            }
+    /// Debug builds re-check every subscript of an access against the
+    /// allocated window: a folded offset can stay inside the data slice
+    /// while a subscript is outside its dimension.
+    #[inline]
+    fn check_window(&self, s: &Site, ints: &[i64], verb: &str) {
+        if !cfg!(debug_assertions) {
+            return;
         }
+        let local = self.local(s);
+        let inside = s.subs.len() == local.rank()
+            && (s.subs.iter().enumerate()).all(|(d, sub)| local.dim_in_window(d, sub.eval(ints)));
+        assert!(
+            inside,
+            "rank {} {verb} {}{:?} outside window [{:?}..{:?}]",
+            self.rank,
+            self.prog.arrays[s.arr].name,
+            s.subs.iter().map(|sub| sub.eval(ints)).collect::<Vec<_>>(),
+            local.alloc_lo(),
+            local.alloc_hi()
+        );
     }
 
-    fn exec_ops(
+    /// Execute `t.code[range]` on one frame. Statement instances run in
+    /// program order, each charging its flops with one `work()` call
+    /// after its store, and every float operation is applied in the
+    /// order the expression tree prescribes: virtual time and numerics
+    /// do not depend on how the program was lowered.
+    fn run(
         &mut self,
         proc: &mut Proc,
-        unit: &'p CompiledUnit,
-        ops: &'p [NodeOp],
-        frame: &mut Frame,
+        tapes: &[Tape<'p>],
+        t: &Tape<'p>,
+        ints: &mut [i64],
+        regs: &mut [f64],
+        (start, end): (usize, usize),
     ) {
-        for op in ops {
-            self.exec_op(proc, unit, op, frame);
+        macro_rules! r {
+            ($i:expr) => {
+                regs[$i as usize]
+            };
         }
-    }
-
-    fn exec_op(
-        &mut self,
-        proc: &mut Proc,
-        unit: &'p CompiledUnit,
-        op: &'p NodeOp,
-        frame: &mut Frame,
-    ) {
-        match op {
-            NodeOp::Loop {
-                var,
-                lo,
-                hi,
-                step,
-                body,
-            } => {
-                let lo = lo.eval(&frame.ints);
-                let hi = hi.eval(&frame.ints);
-                let step = *step;
-                let mut v = lo;
-                while (step > 0 && v <= hi) || (step < 0 && v >= hi) {
-                    frame.ints[*var] = v;
-                    self.exec_ops(proc, unit, body, frame);
-                    v += step;
-                }
-            }
-            NodeOp::Assign {
-                guard,
-                arr,
-                subs,
-                value,
-                flops,
-            } => {
-                if !self.guard_passes(guard, frame) {
-                    return;
-                }
-                let v = self.eval(value, frame);
-                let g = self.global_of(frame, *arr);
-                let idx: Vec<i64> = subs.iter().map(|s| s.eval(&frame.ints)).collect();
-                let rank = self.rank;
-                let local = self.storage[g].as_mut().unwrap_or_else(|| {
-                    exec_fail(format!(
-                        "rank {rank}: write to unowned array {}",
-                        unit.array_names[*arr]
-                    ))
-                });
-                debug_assert!(
-                    local.in_window(&idx),
-                    "rank {} writes {}{idx:?} outside window [{:?}..{:?}]",
-                    self.rank,
-                    unit.array_names[*arr],
-                    local.alloc_lo(),
-                    local.alloc_hi()
-                );
-                local.set(&idx, v);
-                proc.work(*flops as f64);
-            }
-            NodeOp::AssignF {
-                guard,
-                slot,
-                value,
-                flops,
-            } => {
-                if !self.guard_passes(guard, frame) {
-                    return;
-                }
-                frame.floats[*slot] = self.eval(value, frame);
-                proc.work(*flops as f64);
-            }
-            NodeOp::AssignI {
-                guard,
-                slot,
-                value,
-                flops,
-            } => {
-                if !self.guard_passes(guard, frame) {
-                    return;
-                }
-                frame.ints[*slot] = self.eval(value, frame) as i64;
-                proc.work(*flops as f64);
-            }
-            NodeOp::If { arms } => {
-                for (cond, body) in arms {
-                    let take = match cond {
-                        Some(c) => self.eval(c, frame) != 0.0,
-                        None => true,
-                    };
-                    if take {
-                        self.exec_ops(proc, unit, body, frame);
-                        return;
+        let code = &t.code[..end];
+        let mut pc = start;
+        while let Some(ins) = code.get(pc) {
+            pc += 1;
+            match *ins {
+                Ins::Add(d, a, b) => r!(d) = r!(a) + r!(b),
+                Ins::Sub(d, a, b) => r!(d) = r!(a) - r!(b),
+                Ins::Mul(d, a, b) => r!(d) = r!(a) * r!(b),
+                Ins::Div(d, a, b) => r!(d) = r!(a) / r!(b),
+                Ins::Pow(d, a, b) => r!(d) = r!(a).powf(r!(b)),
+                Ins::Lt(d, a, b) => r!(d) = f64::from(r!(a) < r!(b)),
+                Ins::Le(d, a, b) => r!(d) = f64::from(r!(a) <= r!(b)),
+                Ins::Gt(d, a, b) => r!(d) = f64::from(r!(a) > r!(b)),
+                Ins::Ge(d, a, b) => r!(d) = f64::from(r!(a) >= r!(b)),
+                Ins::Eq(d, a, b) => r!(d) = f64::from(r!(a) == r!(b)),
+                Ins::Ne(d, a, b) => r!(d) = f64::from(r!(a) != r!(b)),
+                Ins::Min(d, a, b) => r!(d) = r!(a).min(r!(b)),
+                Ins::Max(d, a, b) => r!(d) = r!(a).max(r!(b)),
+                Ins::Mod(d, a, b) => r!(d) = r!(a) % r!(b),
+                Ins::Sign(d, a, b) => r!(d) = r!(a).abs() * r!(b).signum(),
+                Ins::Neg(d, a) => r!(d) = -r!(a),
+                Ins::Abs(d, a) => r!(d) = r!(a).abs(),
+                Ins::Sqrt(d, a) => r!(d) = r!(a).sqrt(),
+                Ins::Exp(d, a) => r!(d) = r!(a).exp(),
+                Ins::Trunc(d, a) => r!(d) = r!(a).trunc(),
+                Ins::Sin(d, a) => r!(d) = r!(a).sin(),
+                Ins::Cos(d, a) => r!(d) = r!(a).cos(),
+                Ins::Truth { d, a } => r!(d) = f64::from(r!(a) != 0.0),
+                Ins::AndSkip { d, a, to } => {
+                    if r!(a) == 0.0 {
+                        r!(d) = 0.0;
+                        pc = to as usize;
                     }
                 }
-            }
-            NodeOp::Call {
-                unit: u,
-                int_args,
-                float_args,
-                array_args,
-            } => {
-                let callee = &self.prog.units[*u];
-                let mut f2 = Frame::new(callee);
-                for (pos, e) in int_args {
-                    if let FormalSlot::Int(slot) = callee.formals[*pos] {
-                        if slot != usize::MAX {
-                            f2.ints[slot] = self.eval(e, frame) as i64;
-                        }
+                Ins::OrSkip { d, a, to } => {
+                    if r!(a) != 0.0 {
+                        r!(d) = 1.0;
+                        pc = to as usize;
                     }
                 }
-                for (pos, e) in float_args {
-                    if let FormalSlot::Float(slot) = callee.formals[*pos] {
-                        if slot != usize::MAX {
-                            f2.floats[slot] = self.eval(e, frame);
-                        }
+                Ins::IntToF { d, aff } => r!(d) = t.eval(aff, ints) as f64,
+                Ins::Load { d, site } => {
+                    let s = &t.sites[site as usize];
+                    self.check_window(s, ints, "reads");
+                    r!(d) = self.local(s).data()[t.eval(s.off, ints) as usize];
+                }
+                Ins::Store { site, src, flops } => {
+                    let s = &t.sites[site as usize];
+                    self.check_window(s, ints, "writes");
+                    let local = self.storage[s.arr]
+                        .as_mut()
+                        .expect("access sites name allocated arrays");
+                    local.data_mut()[t.eval(s.off, ints) as usize] = r!(src);
+                    proc.work(flops);
+                }
+                Ins::StoreF { slot, src, flops } => {
+                    r!(slot) = r!(src);
+                    proc.work(flops);
+                }
+                Ins::StoreI { slot, src, flops } => {
+                    ints[slot as usize] = r!(src) as i64;
+                    proc.work(flops);
+                }
+                Ins::Test { first, end, to } => {
+                    let holds = t.tests[first as usize..end as usize].iter().all(|c| {
+                        let v = t.eval(c.aff, ints);
+                        c.lo <= v && v <= c.hi
+                    });
+                    if !holds {
+                        pc = to as usize;
                     }
                 }
-                for (pos, caller_slot) in array_args {
-                    if let FormalSlot::Array(slot) = callee.formals[*pos] {
-                        if slot != usize::MAX {
-                            f2.arrays[slot] = frame.arrays[*caller_slot];
-                        }
+                Ins::Jump { to } => pc = to as usize,
+                Ins::JumpIfZero { a, to } => {
+                    if r!(a) == 0.0 {
+                        pc = to as usize;
                     }
                 }
-                proc.phase(&callee.name);
-                self.exec_ops(proc, callee, &callee.ops, &mut f2);
-            }
-            NodeOp::Exchange { msgs, tag, plan } => {
-                proc.set_provenance(Some(*plan));
-                self.exchange(proc, frame, msgs, *tag);
-                proc.set_provenance(None);
-            }
-            NodeOp::OverlapNest {
-                msgs,
-                tag,
-                levels,
-                body,
-                halo,
-                plan,
-            } => {
-                // the whole fused op — posts, interior compute, waits,
-                // boundary — is attributed to the overlapped nest
-                proc.set_provenance(Some(*plan));
-                self.overlap_nest(proc, unit, frame, msgs, *tag, levels, body, halo);
-                proc.set_provenance(None);
-            }
-            NodeOp::Pipeline {
-                levels,
-                body,
-                sweep_level,
-                strip_level,
-                granularity,
-                forward,
-                pdim,
-                read_depth,
-                write_depth,
-                arrays,
-                tag,
-                aggregate,
-                plan,
-            } => {
-                proc.set_provenance(Some(*plan));
-                self.pipeline(
-                    proc,
-                    unit,
-                    frame,
-                    levels,
-                    body,
-                    *sweep_level,
-                    *strip_level,
-                    *granularity,
-                    *forward,
-                    *pdim,
-                    *read_depth,
-                    *write_depth,
-                    arrays,
-                    *tag,
-                    *aggregate,
-                );
-                proc.set_provenance(None);
+                Ins::LoopEnter { l, to } => {
+                    let lp = &t.loops[l as usize];
+                    let (mut lo, mut hi) = (t.eval(lp.lo, ints), t.eval(lp.hi, ints));
+                    if let Some(c) = lp.clamp {
+                        lo = lo.max(ints[c as usize]);
+                        hi = hi.min(ints[c as usize + 1]);
+                    }
+                    ints[lp.ctr as usize] = lo;
+                    ints[lp.ctr as usize + 1] = hi;
+                    if in_range(lo, hi, lp.step) {
+                        ints[lp.var as usize] = lo;
+                    } else {
+                        pc = to as usize;
+                    }
+                }
+                Ins::LoopNext { l, body } => {
+                    let lp = &t.loops[l as usize];
+                    let v = ints[lp.ctr as usize] + lp.step;
+                    ints[lp.ctr as usize] = v;
+                    if in_range(v, ints[lp.ctr as usize + 1], lp.step) {
+                        ints[lp.var as usize] = v;
+                        pc = body as usize;
+                    }
+                }
+                Ins::Interior { split, to } => {
+                    let sp = &t.splits[split as usize];
+                    let inside = sp.bounds.iter().all(|&(slot, lo, hi)| {
+                        let v = ints[slot as usize];
+                        v >= lo && v <= hi
+                    });
+                    if inside != (ints[sp.want as usize] != 0) {
+                        pc = to as usize;
+                    }
+                }
+                Ins::Call { call } => {
+                    let site = &t.calls[call as usize];
+                    let callee = &tapes[site.tape];
+                    let mut frame = Frame::new(callee);
+                    for &(slot, src) in &site.ints {
+                        frame.ints[slot as usize] = r!(src) as i64;
+                    }
+                    for &(slot, src) in &site.floats {
+                        frame.regs[slot as usize] = r!(src);
+                    }
+                    proc.phase(&callee.unit.name);
+                    let whole = (0, callee.code.len());
+                    self.run(proc, tapes, callee, &mut frame.ints, &mut frame.regs, whole);
+                }
+                Ins::Comm { comm } => match &t.comms[comm as usize] {
+                    Comm::Exchange { msgs, tag, plan } => {
+                        proc.set_provenance(Some(*plan));
+                        self.exchange(proc, &t.binding, msgs, *tag);
+                        proc.set_provenance(None);
+                    }
+                    Comm::Overlap {
+                        msgs,
+                        tag,
+                        plan,
+                        split,
+                        nest,
+                    } => {
+                        // the whole fused op — posts, interior compute,
+                        // waits, boundary — is attributed to the
+                        // overlapped nest
+                        proc.set_provenance(Some(*plan));
+                        let want = t.splits[*split as usize].want as usize;
+                        let mut pass = |st: &mut Self, proc: &mut Proc, interior: bool| {
+                            ints[want] = i64::from(interior);
+                            st.run(proc, tapes, t, ints, regs, *nest);
+                        };
+                        self.overlap_nest(proc, &t.binding, msgs, *tag, &mut pass);
+                        proc.set_provenance(None);
+                        pc = nest.1;
+                    }
+                    Comm::Pipeline(p) => {
+                        proc.set_provenance(Some(p.plan));
+                        self.pipeline(proc, tapes, t, ints, regs, p);
+                        proc.set_provenance(None);
+                        pc = p.nest.1;
+                    }
+                },
+                Ins::Fail { msg } => exec_fail(t.fails[msg as usize].clone()),
             }
         }
     }
 
-    fn exchange(&mut self, proc: &mut Proc, frame: &Frame, msgs: &[CMsg], tag: u64) {
+    fn exchange(&mut self, proc: &mut Proc, binding: &[usize], msgs: &[CMsg], tag: u64) {
         // sends first (non-blocking), then receives; each message packs
         // its segments back-to-back into one physical transfer
-        for m in msgs {
-            if m.from != self.rank {
-                continue;
-            }
-            let buf = self.pack_segments(frame, m);
-            proc.send_parts(m.to, tag, buf, m.segs.len() as u32);
-        }
+        self.send_all(proc, binding, msgs, tag);
         for m in msgs {
             if m.to != self.rank {
                 continue;
             }
             let buf = proc.recv(m.from, tag);
-            self.unpack_segments(frame, m, &buf);
+            self.unpack_segments(binding, m, &buf);
         }
     }
 
-    /// Pack every segment of `m` into one buffer, in segment order.
-    fn pack_segments(&mut self, frame: &Frame, m: &CMsg) -> Vec<f64> {
-        let mut buf = Vec::new();
-        for s in &m.segs {
-            let g = self.global_of(frame, s.arr);
-            let (lo, hi) = self.clip_to_window(g, &s.lo, &s.hi);
-            if let Some(local) = &self.storage[g] {
-                buf.extend_from_slice(&local.pack(&lo, &hi));
+    /// Send every message of `msgs` this rank is the source of.
+    fn send_all(&mut self, proc: &mut Proc, binding: &[usize], msgs: &[CMsg], tag: u64) {
+        for m in msgs {
+            if m.from != self.rank {
+                continue;
             }
+            // pack every segment into one buffer, in segment order
+            let mut buf = Vec::with_capacity(m.elems());
+            for s in &m.segs {
+                let g = self.global_of(binding, s.arr);
+                if let Some(local) = &self.storage[g] {
+                    local.pack_into(&s.lo, &s.hi, &mut buf);
+                }
+            }
+            proc.send_parts(m.to, tag, buf, m.segs.len() as u32);
         }
-        buf
     }
 
     /// Unpack a received buffer segment by segment: each ghost region
     /// takes the next `section_len` elements of the packed payload.
-    fn unpack_segments(&mut self, frame: &Frame, m: &CMsg, buf: &[f64]) {
+    fn unpack_segments(&mut self, binding: &[usize], m: &CMsg, buf: &[f64]) {
         let mut off = 0usize;
         for s in &m.segs {
-            let g = self.global_of(frame, s.arr);
-            let (lo, hi) = self.clip_to_window(g, &s.lo, &s.hi);
-            if self.storage[g].is_some() {
-                let n = dhpf_spmd::array::section_len(&lo, &hi);
-                if let Some(local) = self.storage[g].as_mut() {
-                    local.unpack(&lo, &hi, &buf[off..off + n]);
-                }
+            let g = self.global_of(binding, s.arr);
+            if let Some(local) = self.storage[g].as_mut() {
+                let n = section_len(&s.lo, &s.hi);
+                local.unpack(&s.lo, &s.hi, &buf[off..off + n]);
                 off += n;
             }
         }
-    }
-
-    /// Clip a region to this proc's allocated window (keeps pack/unpack
-    /// symmetric because both sides store owned+ghost supersets of the
-    /// planned regions; if a side lacks cells the plan was wrong and the
-    /// size check in `unpack` fires).
-    fn clip_to_window(&self, _g: usize, lo: &[i64], hi: &[i64]) -> (Vec<i64>, Vec<i64>) {
-        (lo.to_vec(), hi.to_vec())
     }
 
     /// Execute an overlapped halo exchange: send, post receives, run the
@@ -576,25 +513,15 @@ impl<'p> ProcState<'p> {
     /// lands in one pass by the interior membership test), so numerics
     /// and charged flops are identical — only the virtual-time placement
     /// of the communication changes.
-    #[allow(clippy::too_many_arguments)]
     fn overlap_nest(
         &mut self,
         proc: &mut Proc,
-        unit: &'p CompiledUnit,
-        frame: &mut Frame,
-        msgs: &'p [CMsg],
+        binding: &[usize],
+        msgs: &[CMsg],
         tag: u64,
-        levels: &'p [PipeLevel],
-        body: &'p [NodeOp],
-        halo: &'p [HaloCheck],
+        pass: &mut dyn FnMut(&mut Self, &mut Proc, bool),
     ) {
-        for m in msgs {
-            if m.from != self.rank {
-                continue;
-            }
-            let buf = self.pack_segments(frame, m);
-            proc.send_parts(m.to, tag, buf, m.segs.len() as u32);
-        }
+        self.send_all(proc, binding, msgs, tag);
         // post in plan order: FIFO per (source, tag) matches each wait
         // below to the same message the blocking exchange would recv.
         // One irecv per peer message, however many segments it carries.
@@ -605,261 +532,183 @@ impl<'p> ProcState<'p> {
             }
             posted.push((m, proc.irecv(m.from, tag)));
         }
-        // interior bounds per loop-var slot: intersect the owned range
-        // shifted by each halo read of that variable
-        let mut interior: BTreeMap<usize, (i64, i64)> = BTreeMap::new();
-        for h in halo {
-            let g = frame.arrays[h.arr];
-            let (lo, hi) = if g == usize::MAX {
-                (1, 0) // unbound dummy: no provable interior
-            } else {
-                let (olo, ohi) = self.owned[g][h.dim];
-                (olo - h.shift, ohi - h.shift)
-            };
-            interior
-                .entry(h.var)
-                .and_modify(|(l, u)| {
-                    *l = (*l).max(lo);
-                    *u = (*u).min(hi);
-                })
-                .or_insert((lo, hi));
-        }
-        self.run_split_nest(proc, unit, frame, levels, body, 0, &interior, true);
+        pass(self, proc, true);
         for (m, req) in posted {
             let buf = proc.wait(req);
-            self.unpack_segments(frame, m, &buf);
+            self.unpack_segments(binding, m, &buf);
         }
-        self.run_split_nest(proc, unit, frame, levels, body, 0, &interior, false);
+        pass(self, proc, false);
     }
 
-    /// Run the single-chain nest executing only the iterations whose
-    /// interior membership equals `want_interior`.
-    #[allow(clippy::too_many_arguments)]
-    fn run_split_nest(
-        &mut self,
-        proc: &mut Proc,
-        unit: &'p CompiledUnit,
-        frame: &mut Frame,
-        levels: &'p [PipeLevel],
-        body: &'p [NodeOp],
-        depth: usize,
-        interior: &BTreeMap<usize, (i64, i64)>,
-        want_interior: bool,
-    ) {
-        if depth == levels.len() {
-            let in_interior = interior.iter().all(|(slot, (lo, hi))| {
-                let v = frame.ints[*slot];
-                v >= *lo && v <= *hi
-            });
-            if in_interior == want_interior {
-                self.exec_ops(proc, unit, body, frame);
-            }
-            return;
-        }
-        let lv = &levels[depth];
-        let (lo, hi) = (lv.lo.eval(&frame.ints), lv.hi.eval(&frame.ints));
-        let step = lv.step;
-        let mut v = lo;
-        while (step > 0 && v <= hi) || (step < 0 && v >= hi) {
-            frame.ints[lv.var] = v;
-            self.run_split_nest(
-                proc,
-                unit,
-                frame,
-                levels,
-                body,
-                depth + 1,
-                interior,
-                want_interior,
-            );
-            v += step;
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
     fn pipeline(
         &mut self,
         proc: &mut Proc,
-        unit: &'p CompiledUnit,
-        frame: &mut Frame,
-        levels: &'p [PipeLevel],
-        body: &'p [NodeOp],
-        sweep_level: usize,
-        strip_level: Option<usize>,
-        granularity: i64,
-        forward: bool,
-        pdim: usize,
-        read_depth: i64,
-        write_depth: i64,
-        arrays: &'p [PipeArray],
-        tag: u64,
-        aggregate: bool,
+        tapes: &[Tape<'p>],
+        t: &Tape<'p>,
+        ints: &mut [i64],
+        regs: &mut [f64],
+        p: &Pipe<'p>,
     ) {
-        let dir: i64 = if forward { 1 } else { -1 };
-        let c = self.coords[pdim];
-        let np = self.prog.grid.extents[pdim];
-        let neighbor = |cc: i64| -> Option<usize> {
-            (0..np).contains(&cc).then(|| {
-                let mut co = self.coords.clone();
-                co[pdim] = cc;
-                self.prog.grid.rank(&co) as usize
-            })
-        };
-        let pred = neighbor(c - dir);
-        let succ = neighbor(c + dir);
-        let (rd, wd) = if read_depth == 0 && write_depth == 0 {
-            (1, 0) // a sweep always moves at least one boundary plane
-        } else {
-            (read_depth, write_depth)
-        };
-
         // strip chunks over the strip level's range, clamped to this
         // processor's owned range of the strip dimension (iterating other
         // processors' strips would only exchange empty boundary planes)
-        let chunks: Vec<(i64, i64)> = match strip_level {
-            None => vec![(0, 0)], // single pass, no strip restriction
-            Some(l) => {
-                let mut lo = levels[l].lo.eval(&frame.ints);
-                let mut hi = levels[l].hi.eval(&frame.ints);
-                let strip = arrays.iter().find_map(|pa| pa.strip_dim.map(|sd| (pa, sd)));
-                if let Some((pa, sd)) = strip {
-                    // an unbound dummy has no owned range to clamp to:
-                    // keep the full strip range (same fallback the
-                    // region computation uses)
-                    let g = frame.arrays[pa.arr];
-                    if g != usize::MAX {
-                        let Some(&(olo, ohi)) = self.owned[g].get(sd) else {
-                            exec_fail(format!(
-                                "rank {}: pipeline strip dimension {sd} is out of range \
-                                 for array {} ({} dimension(s))",
-                                self.rank,
-                                self.prog.arrays[g].name,
-                                self.owned[g].len()
-                            ));
-                        };
-                        lo = lo.max(olo);
-                        hi = hi.min(ohi);
-                    }
-                }
-                let mut out = Vec::new();
-                let mut v = lo;
-                while v <= hi {
-                    out.push((v, (v + granularity - 1).min(hi)));
-                    v += granularity;
-                }
-                if out.is_empty() {
-                    out.push((lo, hi));
-                }
-                out
-            }
+        let Some((level, _)) = p.strip else {
+            // single pass, no strip restriction
+            return self.pipe_chunk(proc, tapes, t, ints, regs, p, None);
         };
+        let mut lo = p.levels[level].lo.eval(ints);
+        let mut hi = p.levels[level].hi.eval(ints);
+        let strip = (p.arrays.iter()).find_map(|pa| pa.strip_dim.map(|sd| (pa, sd)));
+        if let Some((pa, sd)) = strip {
+            // an unbound dummy has no owned range to clamp to: keep the
+            // full strip range (same fallback the region computation
+            // uses)
+            let g = t.binding[pa.arr];
+            if g != UNBOUND {
+                let Some(&(olo, ohi)) = self.owned[g].get(sd) else {
+                    exec_fail(format!(
+                        "rank {}: pipeline strip dimension {sd} is out of range \
+                         for array {} ({} dimension(s))",
+                        self.rank,
+                        self.prog.arrays[g].name,
+                        self.owned[g].len()
+                    ));
+                };
+                lo = lo.max(olo);
+                hi = hi.min(ohi);
+            }
+        }
+        if lo > hi {
+            // nothing of the strip is here: one empty pass still relays
+            // the boundary messages down the pipeline
+            return self.pipe_chunk(proc, tapes, t, ints, regs, p, Some((lo, hi)));
+        }
+        let mut v = lo;
+        while v <= hi {
+            let chunk = (v, (v + p.granularity - 1).min(hi));
+            self.pipe_chunk(proc, tapes, t, ints, regs, p, Some(chunk));
+            v += p.granularity;
+        }
+    }
 
-        for (chunk_lo, chunk_hi) in chunks {
-            let strip = strip_level.map(|_| (chunk_lo, chunk_hi));
-            // receive the predecessor's boundary for this strip: one
-            // aggregated message covering every swept array, or one
-            // message per array with aggregation off
-            if let Some(p) = pred {
-                if aggregate {
-                    let buf = proc.recv(p, tag);
-                    let mut off = 0usize;
-                    for pa in arrays {
-                        let Some((lo, hi)) = self.pipe_region(frame, pa, true, dir, rd, wd, strip)
-                        else {
-                            continue;
-                        };
-                        let g = frame.arrays[pa.arr];
-                        let need = dhpf_spmd::array::section_len(&lo, &hi);
-                        if off + need > buf.len() {
-                            exec_fail(format!(
-                                "pipeline recv mismatch on rank {} (coords {:?}) from {p}:                                  array {} region {lo:?}..{hi:?} needs {need} at offset {off} \
-                                 but the packed payload holds {}                                  (tag {tag}, chunk {chunk_lo}..{chunk_hi}, rd {rd} wd {wd}, dir {dir})",
-                                self.rank,
-                                self.coords,
+    /// One strip chunk of a pipelined sweep: receive the predecessor's
+    /// boundary, run the nest restricted to the chunk, forward this
+    /// rank's boundary to the successor.
+    #[allow(clippy::too_many_arguments)]
+    fn pipe_chunk(
+        &mut self,
+        proc: &mut Proc,
+        tapes: &[Tape<'p>],
+        t: &Tape<'p>,
+        ints: &mut [i64],
+        regs: &mut [f64],
+        p: &Pipe<'p>,
+        strip: Option<(i64, i64)>,
+    ) {
+        let (dir, tag) = (p.dir, p.tag);
+        let (rd, wd) = if p.read_depth == 0 && p.write_depth == 0 {
+            (1, 0) // a sweep always moves at least one boundary plane
+        } else {
+            (p.read_depth, p.write_depth)
+        };
+        let (chunk_lo, chunk_hi) = strip.unwrap_or((0, 0));
+        let region = |st: &Self, pa: &PipeArray, recv: bool| {
+            st.pipe_region(&t.binding, pa, recv, dir, rd, wd, strip)
+        };
+        // receive the predecessor's boundary for this strip: one
+        // aggregated message covering every swept array, or one message
+        // per array with aggregation off
+        if let Some(pred) = p.pred {
+            let mismatch = |st: &Self, detail: String| -> ! {
+                exec_fail(format!(
+                    "pipeline recv mismatch on rank {} (coords {:?}) from {pred}: {detail} \
+                     (tag {tag}, chunk {chunk_lo}..{chunk_hi}, rd {rd} wd {wd}, dir {dir})",
+                    st.rank, st.coords
+                ))
+            };
+            if p.aggregate {
+                let buf = proc.recv(pred, tag);
+                let mut off = 0usize;
+                for pa in p.arrays {
+                    let Some((lo, hi)) = region(self, pa, true) else {
+                        continue;
+                    };
+                    let g = t.binding[pa.arr];
+                    let need = section_len(&lo, &hi);
+                    if off + need > buf.len() {
+                        mismatch(
+                            self,
+                            format!(
+                                "array {} region {lo:?}..{hi:?} needs {need} at offset {off} \
+                                 but the packed payload holds {}",
                                 self.prog.arrays[g].name,
                                 buf.len()
-                            ));
-                        }
-                        if let Some(local) = self.storage[g].as_mut() {
-                            local.unpack(&lo, &hi, &buf[off..off + need]);
-                        }
-                        off += need;
+                            ),
+                        );
                     }
-                    if off != buf.len() {
-                        exec_fail(format!(
-                            "pipeline recv mismatch on rank {} (coords {:?}) from {p}:                              unpacked {off} of {} packed elements                              (tag {tag}, chunk {chunk_lo}..{chunk_hi}, rd {rd} wd {wd}, dir {dir})",
-                            self.rank,
-                            self.coords,
-                            buf.len()
-                        ));
+                    if let Some(local) = self.storage[g].as_mut() {
+                        local.unpack(&lo, &hi, &buf[off..off + need]);
                     }
-                } else {
-                    for pa in arrays {
-                        let region = self.pipe_region(frame, pa, true, dir, rd, wd, strip);
-                        let buf = proc.recv(p, tag);
-                        if let Some((lo, hi)) = region {
-                            let g = frame.arrays[pa.arr];
-                            let need = dhpf_spmd::array::section_len(&lo, &hi);
-                            if need != buf.len() {
-                                exec_fail(format!(
-                                    "pipeline recv mismatch on rank {} (coords {:?}) from {p}:                                      array {} region {lo:?}..{hi:?} needs {need} but got {}                                      (tag {tag}, chunk {chunk_lo}..{chunk_hi}, rd {rd} wd {wd}, dir {dir})",
-                                    self.rank,
-                                    self.coords,
+                    off += need;
+                }
+                if off != buf.len() {
+                    let detail = format!("unpacked {off} of {} packed elements", buf.len());
+                    mismatch(self, detail);
+                }
+            } else {
+                for pa in p.arrays {
+                    let region = region(self, pa, true);
+                    let buf = proc.recv(pred, tag);
+                    if let Some((lo, hi)) = region {
+                        let g = t.binding[pa.arr];
+                        let need = section_len(&lo, &hi);
+                        if need != buf.len() {
+                            mismatch(
+                                self,
+                                format!(
+                                    "array {} region {lo:?}..{hi:?} needs {need} but got {}",
                                     self.prog.arrays[g].name,
                                     buf.len()
-                                ));
-                            }
-                            if let Some(local) = self.storage[g].as_mut() {
-                                local.unpack(&lo, &hi, &buf);
-                            }
+                                ),
+                            );
+                        }
+                        if let Some(local) = self.storage[g].as_mut() {
+                            local.unpack(&lo, &hi, &buf);
                         }
                     }
                 }
             }
-            // execute the nest with the strip restricted
-            self.run_pipe_nest(
-                proc,
-                unit,
-                frame,
-                levels,
-                body,
-                0,
-                strip_level,
-                (chunk_lo, chunk_hi),
-                sweep_level,
-            );
-            // forward my boundary to the successor
-            if let Some(s) = succ {
-                if aggregate {
+        }
+        // execute the nest with the strip level clamped to the chunk
+        if let Some((_, slots)) = p.strip {
+            ints[slots as usize] = chunk_lo;
+            ints[slots as usize + 1] = chunk_hi;
+        }
+        self.run(proc, tapes, t, ints, regs, p.nest);
+        // forward my boundary to the successor
+        if let Some(succ) = p.succ {
+            if p.aggregate {
+                let mut buf = Vec::new();
+                let mut parts = 0u32;
+                for pa in p.arrays {
+                    let Some((lo, hi)) = region(self, pa, false) else {
+                        continue;
+                    };
+                    if let Some(local) = &self.storage[t.binding[pa.arr]] {
+                        local.pack_into(&lo, &hi, &mut buf);
+                        parts += 1;
+                    }
+                }
+                proc.send_parts(succ, tag, buf, parts.max(1));
+            } else {
+                for pa in p.arrays {
                     let mut buf = Vec::new();
-                    let mut parts = 0u32;
-                    for pa in arrays {
-                        let Some((lo, hi)) = self.pipe_region(frame, pa, false, dir, rd, wd, strip)
-                        else {
-                            continue;
-                        };
-                        let g = frame.arrays[pa.arr];
-                        if let Some(local) = &self.storage[g] {
-                            buf.extend_from_slice(&local.pack(&lo, &hi));
-                            parts += 1;
+                    if let Some((lo, hi)) = region(self, pa, false) {
+                        if let Some(local) = &self.storage[t.binding[pa.arr]] {
+                            local.pack_into(&lo, &hi, &mut buf);
                         }
                     }
-                    proc.send_parts(s, tag, buf, parts.max(1));
-                } else {
-                    for pa in arrays {
-                        let region = self.pipe_region(frame, pa, false, dir, rd, wd, strip);
-                        let buf = match &region {
-                            Some((lo, hi)) => {
-                                let g = frame.arrays[pa.arr];
-                                match &self.storage[g] {
-                                    Some(local) => local.pack(lo, hi),
-                                    None => Vec::new(),
-                                }
-                            }
-                            None => Vec::new(),
-                        };
-                        proc.send(s, tag, buf);
-                    }
+                    proc.send(succ, tag, buf);
                 }
             }
         }
@@ -871,7 +720,7 @@ impl<'p> ProcState<'p> {
     #[allow(clippy::too_many_arguments)]
     fn pipe_region(
         &self,
-        frame: &Frame,
+        binding: &[usize],
         pa: &PipeArray,
         recv: bool,
         dir: i64,
@@ -879,7 +728,7 @@ impl<'p> ProcState<'p> {
         wd: i64,
         strip: Option<(i64, i64)>,
     ) -> Option<(Vec<i64>, Vec<i64>)> {
-        let g = self.global_of(frame, pa.arr);
+        let g = self.global_of(binding, pa.arr);
         let ga = &self.prog.arrays[g];
         let local = self.storage[g].as_ref()?;
         let (mlo, mhi) = self.owned[g][pa.dim];
@@ -918,56 +767,436 @@ impl<'p> ProcState<'p> {
         }
         Some((lo, hi))
     }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_pipe_nest(
-        &mut self,
-        proc: &mut Proc,
-        unit: &'p CompiledUnit,
-        frame: &mut Frame,
-        levels: &'p [PipeLevel],
-        body: &'p [NodeOp],
-        depth: usize,
-        strip_level: Option<usize>,
-        chunk: (i64, i64),
-        _sweep_level: usize,
-    ) {
-        if depth == levels.len() {
-            self.exec_ops(proc, unit, body, frame);
-            return;
-        }
-        let lv = &levels[depth];
-        // Fortran `do v = lo, hi, step`: for negative steps `lo` is the
-        // (larger) starting value — same convention as NodeOp::Loop.
-        let (mut lo, mut hi) = (lv.lo.eval(&frame.ints), lv.hi.eval(&frame.ints));
-        if Some(depth) == strip_level {
-            // strip loops are ascending in our nests
-            lo = lo.max(chunk.0);
-            hi = hi.min(chunk.1);
-        }
-        let step = lv.step;
-        let mut v = lo;
-        while (step > 0 && v <= hi) || (step < 0 && v >= hi) {
-            frame.ints[lv.var] = v;
-            self.run_pipe_nest(
-                proc,
-                unit,
-                frame,
-                levels,
-                body,
-                depth + 1,
-                strip_level,
-                chunk,
-                _sweep_level,
-            );
-            v += step;
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
-    // integration-style tests for the node interpreter live in the
-    // driver module (which wires parsing, analysis, planning and codegen
-    // together) and in the workspace-level `tests/` directory.
+    use super::*;
+    use crate::codegen::{
+        CExpr, CIdx, CompiledUnit, GlobalArray, Guard, GuardAtom, NodeOp, INTRINSIC_NAMES,
+    };
+    use crate::distrib::{ArrayDist, DimMap, ProcGrid};
+    use crate::driver::{compile, CompileOptions};
+    use crate::exec::serial::{eval_intrinsic, run_serial};
+    use dhpf_fortran::ast::BinOp;
+    use proptest::prelude::*;
+
+    /// The tree-walking evaluator the tape replaced, kept as the bitwise
+    /// reference: same operations in the same order, straight off the
+    /// `CExpr`/`Guard` trees.
+    struct Tree<'a> {
+        st: &'a ProcState<'a>,
+        binding: &'a [usize],
+        ints: &'a [i64],
+        floats: &'a [f64],
+    }
+
+    impl Tree<'_> {
+        fn guard_passes(&self, guard: &Option<Guard>) -> bool {
+            let Some(g) = guard else { return true };
+            g.terms.iter().any(|atoms| {
+                atoms.iter().all(|a| match a {
+                    GuardAtom::In { arr, dim, sub } => {
+                        let g = self.binding[*arr];
+                        if g == UNBOUND {
+                            return true;
+                        }
+                        let (lo, hi) = self.st.owned[g][*dim];
+                        let v = sub.eval(self.ints);
+                        v >= lo && v <= hi
+                    }
+                    GuardAtom::Overlap { arr, dim, lo, hi } => {
+                        let g = self.binding[*arr];
+                        if g == UNBOUND {
+                            return true;
+                        }
+                        let (olo, ohi) = self.st.owned[g][*dim];
+                        hi.eval(self.ints) >= olo && lo.eval(self.ints) <= ohi
+                    }
+                })
+            })
+        }
+
+        fn eval(&self, e: &CExpr) -> f64 {
+            match e {
+                CExpr::Const(v) => *v,
+                CExpr::Int(ci) => ci.eval(self.ints) as f64,
+                CExpr::LoadF(slot) => self.floats[*slot],
+                CExpr::Load { arr, subs } => {
+                    let local = self.st.storage[self.binding[*arr]].as_ref().unwrap();
+                    let idx: Vec<i64> = subs.iter().map(|s| s.eval(self.ints)).collect();
+                    local.get(&idx)
+                }
+                CExpr::Bin(op, a, b) => {
+                    let x = self.eval(a);
+                    match op {
+                        BinOp::And if x == 0.0 => return 0.0,
+                        BinOp::Or if x != 0.0 => return 1.0,
+                        _ => {}
+                    }
+                    let y = self.eval(b);
+                    match op {
+                        BinOp::Add => x + y,
+                        BinOp::Sub => x - y,
+                        BinOp::Mul => x * y,
+                        BinOp::Div => x / y,
+                        BinOp::Pow => x.powf(y),
+                        BinOp::Lt => f64::from(x < y),
+                        BinOp::Le => f64::from(x <= y),
+                        BinOp::Gt => f64::from(x > y),
+                        BinOp::Ge => f64::from(x >= y),
+                        BinOp::Eq => f64::from(x == y),
+                        BinOp::Ne => f64::from(x != y),
+                        BinOp::And | BinOp::Or => f64::from(y != 0.0),
+                    }
+                }
+                CExpr::Neg(a) => -self.eval(a),
+                CExpr::Intr(idx, args) => {
+                    let vals: Vec<f64> = args.iter().map(|a| self.eval(a)).collect();
+                    eval_intrinsic(INTRINSIC_NAMES[*idx], &vals).unwrap()
+                }
+            }
+        }
+    }
+
+    // Frame of the property test: three int slots with values in 0..=3,
+    // three float slots, and three array slots — `a`, a serial 4×4 array;
+    // `b`, block-distributed over two ranks, of which rank 1 (the one
+    // under test) owns 5..=8 plus one ghost cell either side; and `d`,
+    // an array dummy nothing is bound to.
+    const A: usize = 0;
+    const B: usize = 1;
+    const D: usize = 2;
+
+    fn program(ops: Vec<NodeOp>) -> NodeProgram {
+        let arrays = vec![
+            GlobalArray {
+                name: "a".into(),
+                bounds: vec![(0, 3), (0, 3)],
+                dist: None,
+                ghost: vec![0, 0],
+            },
+            GlobalArray {
+                name: "b".into(),
+                bounds: vec![(1, 8)],
+                dist: Some(ArrayDist {
+                    array: "b".into(),
+                    bounds: vec![(1, 8)],
+                    dims: vec![DimMap::Block {
+                        pdim: 0,
+                        block: 4,
+                        align_offset: 0,
+                        nproc: 2,
+                    }],
+                }),
+                ghost: vec![1],
+            },
+        ];
+        let unit = CompiledUnit {
+            name: "main".into(),
+            n_ints: 3,
+            n_floats: 3,
+            n_arrays: 3,
+            array_global: vec![Some(0), Some(1), None],
+            array_names: vec!["a".into(), "b".into(), "d".into()],
+            ops,
+            ..Default::default()
+        };
+        NodeProgram {
+            grid: ProcGrid {
+                name: "p".into(),
+                extents: vec![2],
+            },
+            arrays,
+            unit_index: [("main".to_string(), 0)].into(),
+            units: vec![unit],
+            main: 0,
+            provenance: vec![],
+        }
+    }
+
+    /// Rank 1's state with every array cell holding a distinct value,
+    /// a NaN, an infinity and a negative zero among them.
+    fn filled_state(prog: &NodeProgram) -> ProcState<'_> {
+        let mut st = ProcState::new(prog, 1);
+        for local in st.storage.iter_mut().flatten() {
+            for (i, v) in local.data_mut().iter_mut().enumerate() {
+                *v = match i % 7 {
+                    3 => f64::NAN,
+                    5 => -0.0,
+                    6 => f64::NEG_INFINITY,
+                    _ => 0.375 * i as f64 - 1.5,
+                };
+            }
+        }
+        st
+    }
+
+    fn special_f64() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            Just(0.0),
+            Just(-0.0),
+            Just(1.0),
+            Just(-2.5),
+            Just(3.7),
+            Just(1.0e300),
+            Just(-4.9e-324),
+            Just(f64::NAN),
+            Just(f64::INFINITY),
+            Just(f64::NEG_INFINITY),
+            (-6i64..=6).prop_map(|v| v as f64),
+            (0u64..u64::MAX).prop_map(f64::from_bits),
+        ]
+    }
+
+    /// Affine form over the int slots with small coefficients.
+    fn arb_cidx() -> impl Strategy<Value = CIdx> {
+        (
+            prop::collection::vec((0usize..3, -2i64..=2), 0..=3),
+            -3i64..=10,
+        )
+            .prop_map(|(terms, cst)| CIdx { terms, cst })
+    }
+
+    /// A subscript that stays in `lo..=lo + 3` for every frame.
+    fn arb_sub(lo: i64) -> impl Strategy<Value = CIdx> {
+        prop_oneof![
+            (0i64..=3).prop_map(move |c| CIdx::cst(lo + c)),
+            (0usize..3).prop_map(move |slot| CIdx {
+                terms: vec![(slot, 1)],
+                cst: lo
+            }),
+            (0usize..3).prop_map(move |slot| CIdx {
+                terms: vec![(slot, -1)],
+                cst: lo + 3
+            }),
+        ]
+    }
+
+    fn intr(name: &str) -> usize {
+        INTRINSIC_NAMES.iter().position(|n| *n == name).unwrap()
+    }
+
+    fn arb_expr() -> impl Strategy<Value = CExpr> {
+        let leaf = prop_oneof![
+            special_f64().prop_map(CExpr::Const),
+            (0usize..3).prop_map(CExpr::LoadF),
+            arb_cidx().prop_map(CExpr::Int),
+            (arb_sub(0), arb_sub(0)).prop_map(|(i, j)| CExpr::Load {
+                arr: A,
+                subs: vec![i, j]
+            }),
+            arb_sub(5).prop_map(|i| CExpr::Load {
+                arr: B,
+                subs: vec![i]
+            }),
+        ];
+        leaf.prop_recursive(4, 32, 4, |inner| {
+            let bin = prop_oneof![
+                Just(BinOp::Add),
+                Just(BinOp::Sub),
+                Just(BinOp::Mul),
+                Just(BinOp::Div),
+                Just(BinOp::Pow),
+                Just(BinOp::Lt),
+                Just(BinOp::Le),
+                Just(BinOp::Gt),
+                Just(BinOp::Ge),
+                Just(BinOp::Eq),
+                Just(BinOp::Ne),
+                Just(BinOp::And),
+                Just(BinOp::Or),
+            ];
+            let unary = prop_oneof![
+                Just("abs"),
+                Just("sqrt"),
+                Just("exp"),
+                Just("dble"),
+                Just("int"),
+                Just("sin"),
+                Just("cos"),
+            ];
+            prop_oneof![
+                (bin, inner.clone(), inner.clone()).prop_map(|(op, a, b)| CExpr::Bin(
+                    op,
+                    Box::new(a),
+                    Box::new(b)
+                )),
+                inner.clone().prop_map(|a| CExpr::Neg(Box::new(a))),
+                (unary, inner.clone()).prop_map(|(f, a)| CExpr::Intr(intr(f), vec![a])),
+                (
+                    prop_oneof![Just("mod"), Just("sign")],
+                    inner.clone(),
+                    inner.clone()
+                )
+                    .prop_map(|(f, a, b)| CExpr::Intr(intr(f), vec![a, b])),
+                (
+                    prop_oneof![Just("min"), Just("max")],
+                    prop::collection::vec(inner, 1..=4)
+                )
+                    .prop_map(|(f, args)| CExpr::Intr(intr(f), args)),
+            ]
+        })
+    }
+
+    fn arb_guard() -> impl Strategy<Value = Option<Guard>> {
+        let atom = prop_oneof![
+            (prop_oneof![Just(B), Just(D)], arb_cidx()).prop_map(|(arr, sub)| GuardAtom::In {
+                arr,
+                dim: 0,
+                sub
+            }),
+            (0usize..2, arb_cidx()).prop_map(|(dim, sub)| GuardAtom::In { arr: A, dim, sub }),
+            (arb_cidx(), arb_cidx()).prop_map(|(lo, hi)| GuardAtom::Overlap {
+                arr: B,
+                dim: 0,
+                lo,
+                hi
+            }),
+        ];
+        let terms = prop::collection::vec(prop::collection::vec(atom, 0..=3), 0..=3);
+        prop_oneof![Just(None), terms.prop_map(|terms| Some(Guard { terms })),]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        #[test]
+        fn tape_matches_tree_reference(
+            guard_f in arb_guard(),
+            guard_a in arb_guard(),
+            value in arb_expr(),
+            sub in (arb_sub(0), arb_sub(0)),
+            ints in prop::collection::vec(0i64..=3, 3),
+            floats in prop::collection::vec(special_f64(), 3),
+        ) {
+            // guarded float-scalar and array assignments, then an integer
+            // assignment (last, because it may store any i64 into a slot
+            // that subscripts read)
+            let prog = program(vec![
+                NodeOp::AssignF { guard: guard_f.clone(), slot: 1, value: value.clone(), flops: 3 },
+                NodeOp::Assign {
+                    guard: guard_a.clone(),
+                    arr: A,
+                    subs: vec![sub.0.clone(), sub.1.clone()],
+                    value: value.clone(),
+                    flops: 2,
+                },
+                NodeOp::AssignI { guard: None, slot: 0, value: value.clone(), flops: 1 },
+            ]);
+
+            // the reference, statement by statement
+            let mut want = filled_state(&prog);
+            let binding = [0, 1, UNBOUND];
+            let (mut want_ints, mut want_floats) = (ints.clone(), floats.clone());
+            let tree = |st: &ProcState, ints: &[i64], floats: &[f64], guard: &Option<Guard>| {
+                let t = Tree { st, binding: &binding, ints, floats };
+                t.guard_passes(guard).then(|| t.eval(&value))
+            };
+            // virtual clock: one charge per passing statement, in order
+            let per_flop = MachineConfig::sp2(1).seconds_per_flop;
+            let mut want_clock = 0.0;
+            if let Some(v) = tree(&want, &want_ints, &want_floats, &guard_f) {
+                want_floats[1] = v;
+                want_clock += 3.0 * per_flop;
+            }
+            if let Some(v) = tree(&want, &want_ints, &want_floats, &guard_a) {
+                let at = [sub.0.eval(&want_ints), sub.1.eval(&want_ints)];
+                want.storage[0].as_mut().unwrap().set(&at, v);
+                want_clock += 2.0 * per_flop;
+            }
+            want_ints[0] = tree(&want, &want_ints, &want_floats, &None).unwrap() as i64;
+            want_clock += 1.0 * per_flop;
+
+            // the tape, on a one-processor machine standing in for rank 1
+            let got = Mutex::new(None);
+            let run = Machine::run(MachineConfig::sp2(1), |proc| {
+                let mut st = filled_state(&prog);
+                let tapes = lower_program(&st);
+                let mut frame = Frame::new(&tapes[0]);
+                frame.ints[..3].copy_from_slice(&ints);
+                frame.regs[..3].copy_from_slice(&floats);
+                let whole = (0, tapes[0].code.len());
+                st.run(proc, &tapes, &tapes[0], &mut frame.ints, &mut frame.regs, whole);
+                frame.ints.truncate(3);
+                frame.regs.truncate(3);
+                *got.lock().unwrap() = Some((st.storage, frame));
+            });
+            let (storage, frame) = got.into_inner().unwrap().unwrap();
+
+            prop_assert_eq!(&frame.ints, &want_ints);
+            for (g, w) in frame.regs.iter().zip(&want_floats) {
+                prop_assert!(g.to_bits() == w.to_bits(), "float slot: tape {g:e}, tree {w:e}");
+            }
+            for (g, w) in storage.iter().flatten().zip(want.storage.iter().flatten()) {
+                for (g, w) in g.data().iter().zip(w.data()) {
+                    prop_assert!(g.to_bits() == w.to_bits(), "array cell: tape {g:e}, tree {w:e}");
+                }
+            }
+            prop_assert_eq!(run.virtual_time.to_bits(), want_clock.to_bits());
+        }
+    }
+
+    /// One callee reached with two different bindings of its array
+    /// dummies is lowered once per binding, and runs right.
+    #[test]
+    fn callee_is_specialised_per_array_binding() {
+        let src = "
+      program two
+      parameter (n = 16)
+      integer np1, i
+      double precision a(n), b(n)
+!hpf$ processors p(np1)
+!hpf$ distribute (block) onto p :: a, b
+      do i = 1, n
+         a(i) = 0.5d0 + 0.01d0 * i
+         b(i) = 0.75d0 + 0.02d0 * i
+      enddo
+      call relax(a, b)
+      call relax(b, a)
+      call relax(a, b)
+      end
+
+      subroutine relax(x, y)
+      parameter (n = 16)
+      integer np1, i
+      double precision x(n), y(n)
+!hpf$ processors p(np1)
+!hpf$ distribute (block) onto p :: x, y
+      do i = 1, n
+         x(i) = 0.25d0 * y(i) + 0.5d0 * x(i)
+      enddo
+      end
+";
+        let program = dhpf_fortran::parse(src).expect("parses");
+        let compiled = compile(&program, &CompileOptions::new().bind("np1", 4)).expect("compiles");
+        let prog = &compiled.program;
+
+        let st = ProcState::new(prog, 2);
+        let tapes = lower_program(&st);
+        let relax = prog.unit_index["relax"];
+        let mut bindings: Vec<&[usize]> = tapes
+            .iter()
+            .filter(|t| std::ptr::eq(t.unit, &prog.units[relax]))
+            .map(|t| &t.binding[..])
+            .collect();
+        bindings.sort();
+        assert_eq!(bindings.len(), 2, "three calls, two distinct bindings");
+        let (first, second) = (bindings[0], bindings[1]);
+        assert!(first.iter().all(|g| *g != UNBOUND));
+        assert_eq!(
+            first.iter().rev().collect::<Vec<_>>(),
+            second.iter().collect::<Vec<_>>()
+        );
+
+        let serial = run_serial(&program, &Default::default()).expect("serial run");
+        let par = run_node_program(prog, MachineConfig::sp2(4)).expect("parallel run");
+        for name in ["a", "b"] {
+            let (s, p) = (&serial.arrays[name].data, &par.arrays[name].data);
+            assert_eq!(s.len(), p.len());
+            for (s, p) in s.iter().zip(p) {
+                assert_eq!(s.to_bits(), p.to_bits(), "array {name}");
+            }
+        }
+    }
 }

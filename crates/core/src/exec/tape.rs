@@ -1,0 +1,988 @@
+//! The tape: one rank's lowering of a [`CompiledUnit`] to linear code.
+//!
+//! [`lower_program`] runs once per rank, before execution, and turns
+//! every unit reachable from the main program — once per distinct
+//! binding of its array dummies — into a [`Tape`]: expressions become
+//! three-address code over a float register file (float scalar slots,
+//! then the unit's constants, then temporaries), `.and.`/`.or.` become
+//! jumps, every array access becomes one affine form
+//! `c0 + Σ cₖ·ints[k]` that indexes the rank's local data slice
+//! directly, and every CP guard atom becomes a range test against
+//! constants of this rank. What an access or a guard needs to know about
+//! the rank (slot → global array → window base → strides → owned range)
+//! is folded here and never looked at again while the program runs.
+//!
+//! The lowering borrows the [`NodeProgram`](crate::codegen::NodeProgram):
+//! message lists, pipeline levels and subscripts are referenced, not
+//! copied.
+
+use super::node::ProcState;
+use super::serial::eval_intrinsic;
+use crate::codegen::{
+    CExpr, CIdx, CMsg, CompiledUnit, FormalSlot, Guard, GuardAtom, HaloCheck, NodeOp, PipeArray,
+    PipeLevel, INTRINSIC_NAMES,
+};
+use dhpf_fortran::ast::BinOp;
+use std::collections::BTreeMap;
+
+/// Binding of an array dummy no actual argument was bound to.
+pub(super) const UNBOUND: usize = usize::MAX;
+
+/// One tape instruction. `d`, `a`, `b` and `src` are float registers —
+/// the arithmetic instructions are `(d, a, b)`: `d = a op b`, or
+/// `(d, a)`: `d = op a` — `to` and `body` are tape positions, and the
+/// other fields index the tables of the [`Tape`] the instruction
+/// belongs to.
+#[derive(Clone, Copy, Debug)]
+pub(super) enum Ins {
+    Add(u32, u32, u32),
+    Sub(u32, u32, u32),
+    Mul(u32, u32, u32),
+    Div(u32, u32, u32),
+    Pow(u32, u32, u32),
+    Lt(u32, u32, u32),
+    Le(u32, u32, u32),
+    Gt(u32, u32, u32),
+    Ge(u32, u32, u32),
+    Eq(u32, u32, u32),
+    Ne(u32, u32, u32),
+    Min(u32, u32, u32),
+    Max(u32, u32, u32),
+    Mod(u32, u32, u32),
+    Sign(u32, u32, u32),
+    Neg(u32, u32),
+    Abs(u32, u32),
+    Sqrt(u32, u32),
+    Exp(u32, u32),
+    Trunc(u32, u32),
+    Sin(u32, u32),
+    Cos(u32, u32),
+    /// `d = (a != 0) as f64`: the value of `.and.`/`.or.` when the left
+    /// operand did not decide it.
+    Truth {
+        d: u32,
+        a: u32,
+    },
+    /// `.and.`: if `a == 0` then `d = 0` and jump over the right operand.
+    AndSkip {
+        d: u32,
+        a: u32,
+        to: u32,
+    },
+    /// `.or.`: if `a != 0` then `d = 1` and jump over the right operand.
+    OrSkip {
+        d: u32,
+        a: u32,
+        to: u32,
+    },
+    /// `d = aff as f64`.
+    IntToF {
+        d: u32,
+        aff: Aff,
+    },
+    /// `d = data[sites[site]]`.
+    Load {
+        d: u32,
+        site: u32,
+    },
+    /// `data[sites[site]] = src`, then charge `flops`.
+    Store {
+        site: u32,
+        src: u32,
+        flops: f64,
+    },
+    /// Float scalar slot (a register) `= src`, then charge `flops`.
+    StoreF {
+        slot: u32,
+        src: u32,
+        flops: f64,
+    },
+    /// Integer scalar slot `= src` truncated, then charge `flops`.
+    StoreI {
+        slot: u32,
+        src: u32,
+        flops: f64,
+    },
+    /// One AND-term of a CP guard: jump unless every range test of
+    /// `tests[first..end]` holds.
+    Test {
+        first: u32,
+        end: u32,
+        to: u32,
+    },
+    Jump {
+        to: u32,
+    },
+    JumpIfZero {
+        a: u32,
+        to: u32,
+    },
+    /// Evaluate the bounds of `loops[l]`; write the loop variable and
+    /// fall into the body, or jump past the loop when it runs no trip.
+    LoopEnter {
+        l: u32,
+        to: u32,
+    },
+    /// Advance `loops[l]`; write the loop variable and jump back to
+    /// `body`, or fall out of the loop.
+    LoopNext {
+        l: u32,
+        body: u32,
+    },
+    /// Innermost test of an overlapped nest: jump unless the iteration's
+    /// interior membership is the one the current pass of `splits[split]`
+    /// wants.
+    Interior {
+        split: u32,
+        to: u32,
+    },
+    Call {
+        call: u32,
+    },
+    /// Communication op `comms[comm]`; its nest, if any, follows inline.
+    Comm {
+        comm: u32,
+    },
+    /// Raise `fails[msg]` as an [`ExecError`](super::node::ExecError).
+    Fail {
+        msg: u32,
+    },
+}
+
+// the tape of a NAS solver is a few thousand instructions: keep them
+// small enough that it stays in the first-level cache
+const _: () = assert!(std::mem::size_of::<Ins>() <= 24);
+
+impl Ins {
+    /// The jump target of a branching instruction, for back-patching.
+    fn target_mut(&mut self) -> &mut u32 {
+        match self {
+            Ins::AndSkip { to, .. }
+            | Ins::OrSkip { to, .. }
+            | Ins::Test { to, .. }
+            | Ins::Jump { to }
+            | Ins::JumpIfZero { to, .. }
+            | Ins::LoopEnter { to, .. }
+            | Ins::Interior { to, .. } => to,
+            other => unreachable!("{other:?} has no jump target"),
+        }
+    }
+}
+
+/// Affine integer form `c0 + Σ coef·ints[slot]` over a run of the
+/// tape's term pool, like terms merged.
+#[derive(Clone, Copy, Debug)]
+pub(super) struct Aff {
+    c0: i64,
+    terms: (u32, u32),
+}
+
+#[derive(Clone, Copy, Debug)]
+struct Term {
+    slot: u32,
+    coef: i64,
+}
+
+/// One array access: flat offset into the data of global array `arr`.
+pub(super) struct Site<'p> {
+    pub arr: usize,
+    pub off: Aff,
+    /// The unfolded subscripts, for the debug-build window check.
+    pub subs: &'p [CIdx],
+}
+
+pub(super) struct RangeTest {
+    pub aff: Aff,
+    pub lo: i64,
+    pub hi: i64,
+}
+
+pub(super) struct LoopDesc {
+    pub var: u32,
+    /// Hidden int slots `ctr` (current value) and `ctr + 1` (upper
+    /// bound), so that a body assigning the loop variable cannot change
+    /// the trip count.
+    pub ctr: u32,
+    pub lo: Aff,
+    pub hi: Aff,
+    pub step: i64,
+    /// Hidden int slots `(lo, hi)` the bounds are clamped to (the strip
+    /// level of a pipelined nest).
+    pub clamp: Option<u32>,
+}
+
+/// Interior/boundary split of an overlapped nest.
+pub(super) struct Split {
+    /// Hidden int slot: nonzero while the interior pass runs.
+    pub want: u32,
+    /// Interior range per loop-variable slot.
+    pub bounds: Vec<(u32, i64, i64)>,
+}
+
+pub(super) struct CallSite {
+    pub tape: usize,
+    /// (callee int slot, caller register holding the actual)
+    pub ints: Vec<(u32, u32)>,
+    /// (callee float register, caller register holding the actual)
+    pub floats: Vec<(u32, u32)>,
+}
+
+pub(super) enum Comm<'p> {
+    Exchange {
+        msgs: &'p [CMsg],
+        tag: u64,
+        plan: u32,
+    },
+    Overlap {
+        msgs: &'p [CMsg],
+        tag: u64,
+        plan: u32,
+        split: u32,
+        /// Tape range of the nest.
+        nest: (usize, usize),
+    },
+    Pipeline(Pipe<'p>),
+}
+
+pub(super) struct Pipe<'p> {
+    pub levels: &'p [PipeLevel],
+    /// Strip level and the hidden int slots `(lo, hi)` its loop is
+    /// clamped to.
+    pub strip: Option<(usize, u32)>,
+    pub granularity: i64,
+    pub dir: i64,
+    pub read_depth: i64,
+    pub write_depth: i64,
+    pub arrays: &'p [PipeArray],
+    pub tag: u64,
+    pub aggregate: bool,
+    pub plan: u32,
+    pub pred: Option<usize>,
+    pub succ: Option<usize>,
+    /// Tape range of the nest.
+    pub nest: (usize, usize),
+}
+
+/// One unit lowered for one rank and one binding of its array slots.
+pub(super) struct Tape<'p> {
+    pub unit: &'p CompiledUnit,
+    /// Local array slot → global array id ([`UNBOUND`] for a dummy no
+    /// actual was passed for).
+    pub binding: Vec<usize>,
+    pub code: Vec<Ins>,
+    terms: Vec<Term>,
+    pub sites: Vec<Site<'p>>,
+    pub tests: Vec<RangeTest>,
+    pub loops: Vec<LoopDesc>,
+    pub splits: Vec<Split>,
+    pub calls: Vec<CallSite>,
+    pub comms: Vec<Comm<'p>>,
+    pub fails: Vec<String>,
+    /// Constants, preloaded into registers `n_floats..`.
+    pub consts: Vec<f64>,
+    /// Int slots including the hidden ones.
+    pub n_ints: usize,
+    /// Float registers: scalar slots, constants, temporaries.
+    pub n_regs: usize,
+}
+
+impl Tape<'_> {
+    #[inline]
+    pub fn eval(&self, a: Aff, ints: &[i64]) -> i64 {
+        self.terms[a.terms.0 as usize..a.terms.1 as usize]
+            .iter()
+            .fold(a.c0, |acc, t| acc + ints[t.slot as usize] * t.coef)
+    }
+}
+
+/// Lower the main unit and, transitively, every callee specialisation.
+/// Tape 0 is the main unit.
+pub(super) fn lower_program<'p>(st: &ProcState<'p>) -> Vec<Tape<'p>> {
+    let prog = st.prog;
+    // (unit, binding) of every specialisation discovered so far, in tape
+    // order; lowering a call site appends the ones it is first to need
+    let mut specs = vec![(prog.main, static_binding(&prog.units[prog.main]))];
+    let mut tapes = Vec::new();
+    while let Some((unit, binding)) = specs.get(tapes.len()).cloned() {
+        tapes.push(Lower::unit(st, &mut specs, &prog.units[unit], binding));
+    }
+    tapes
+}
+
+/// A unit's array slots before any actual is bound to a dummy.
+fn static_binding(unit: &CompiledUnit) -> Vec<usize> {
+    let globals = unit.array_global.iter();
+    globals.map(|g| g.unwrap_or(UNBOUND)).collect()
+}
+
+fn idx(i: usize) -> u32 {
+    u32::try_from(i).expect("tape index fits in 32 bits")
+}
+
+struct Lower<'a, 'p> {
+    st: &'a ProcState<'p>,
+    specs: &'a mut Vec<(usize, Vec<usize>)>,
+    tape: Tape<'p>,
+    /// First temporary register.
+    tmp0: u32,
+}
+
+impl<'a, 'p> Lower<'a, 'p> {
+    fn unit(
+        st: &'a ProcState<'p>,
+        specs: &'a mut Vec<(usize, Vec<usize>)>,
+        unit: &'p CompiledUnit,
+        binding: Vec<usize>,
+    ) -> Tape<'p> {
+        // register numbers of temporaries depend on the constant count,
+        // so constants are collected before any code is emitted
+        let mut consts = Vec::new();
+        collect_consts(&unit.ops, &mut consts);
+        let tmp0 = unit.n_floats + consts.len();
+        let mut lw = Lower {
+            st,
+            specs,
+            tmp0: idx(tmp0),
+            tape: Tape {
+                unit,
+                binding,
+                code: Vec::new(),
+                terms: Vec::new(),
+                sites: Vec::new(),
+                tests: Vec::new(),
+                loops: Vec::new(),
+                splits: Vec::new(),
+                calls: Vec::new(),
+                comms: Vec::new(),
+                fails: Vec::new(),
+                consts,
+                n_ints: unit.n_ints,
+                n_regs: tmp0,
+            },
+        };
+        lw.ops(&unit.ops);
+        lw.tape
+    }
+
+    fn pc(&self) -> u32 {
+        idx(self.tape.code.len())
+    }
+
+    /// Emit an instruction; returns its position.
+    fn emit(&mut self, ins: Ins) -> usize {
+        self.tape.code.push(ins);
+        self.tape.code.len() - 1
+    }
+
+    /// Point the branches at `at` to the current position.
+    fn land(&mut self, at: impl IntoIterator<Item = usize>) {
+        let here = self.pc();
+        for i in at {
+            *self.tape.code[i].target_mut() = here;
+        }
+    }
+
+    fn fail(&mut self, msg: String) {
+        self.tape.fails.push(msg);
+        let msg = idx(self.tape.fails.len() - 1);
+        self.emit(Ins::Fail { msg });
+    }
+
+    fn hidden_ints(&mut self, n: usize) -> u32 {
+        let first = idx(self.tape.n_ints);
+        self.tape.n_ints += n;
+        first
+    }
+
+    /// Claim temporary register `t` as a destination.
+    fn tmp(&mut self, t: u32) -> u32 {
+        self.tape.n_regs = self.tape.n_regs.max(t as usize + 1);
+        t
+    }
+
+    fn const_reg(&self, v: f64) -> u32 {
+        let at = self
+            .tape
+            .consts
+            .iter()
+            .position(|c| c.to_bits() == v.to_bits())
+            .expect("collect_consts saw every constant of the unit");
+        idx(self.tape.unit.n_floats + at)
+    }
+
+    /// `c0 + Σ coef·slot` with like terms merged and zero terms dropped.
+    fn aff(&mut self, c0: i64, terms: impl IntoIterator<Item = (usize, i64)>) -> Aff {
+        let mut merged: BTreeMap<usize, i64> = BTreeMap::new();
+        for (slot, coef) in terms {
+            *merged.entry(slot).or_insert(0) += coef;
+        }
+        let first = idx(self.tape.terms.len());
+        let merged = merged.into_iter().filter(|(_, coef)| *coef != 0);
+        self.tape.terms.extend(merged.map(|(slot, coef)| Term {
+            slot: idx(slot),
+            coef,
+        }));
+        Aff {
+            c0,
+            terms: (first, idx(self.tape.terms.len())),
+        }
+    }
+
+    fn cidx(&mut self, c: &CIdx) -> Aff {
+        self.aff(c.cst, c.terms.iter().copied())
+    }
+
+    /// Fold an access to local array slot `arr` into one offset form, or
+    /// return the error the access raises when executed.
+    fn site(&mut self, arr: usize, subs: &'p [CIdx], write: bool) -> Result<u32, String> {
+        let rank = self.st.rank;
+        let g = self.tape.binding[arr];
+        if g == UNBOUND {
+            return Err(unbound_dummy(rank, arr));
+        }
+        let Some(local) = &self.st.storage[g] else {
+            return Err(if write {
+                let name = &self.tape.unit.array_names[arr];
+                format!("rank {rank}: write to unowned array {name}")
+            } else {
+                let name = &self.st.prog.arrays[g].name;
+                format!("rank {rank}: read of unowned array {name}")
+            });
+        };
+        // Σ_d stride_d · (sub_d − window_lo_d)
+        let dims = || subs.iter().zip(local.strides()).zip(local.alloc_lo());
+        let c0 = dims()
+            .map(|((sub, stride), lo)| *stride as i64 * (sub.cst - lo))
+            .sum();
+        let terms: Vec<(usize, i64)> = dims()
+            .flat_map(|((sub, stride), _)| {
+                sub.terms
+                    .iter()
+                    .map(move |(slot, coef)| (*slot, *stride as i64 * coef))
+            })
+            .collect();
+        let off = self.aff(c0, terms);
+        self.tape.sites.push(Site { arr: g, off, subs });
+        Ok(idx(self.tape.sites.len() - 1))
+    }
+
+    /// Lower `e`; `t` is the first free temporary. Returns the register
+    /// holding the value: `t`, a scalar slot or a constant.
+    fn expr(&mut self, e: &'p CExpr, t: u32) -> u32 {
+        match e {
+            CExpr::Const(v) => self.const_reg(*v),
+            CExpr::LoadF(slot) => idx(*slot),
+            CExpr::Int(ci) => {
+                let aff = self.cidx(ci);
+                let d = self.tmp(t);
+                self.emit(Ins::IntToF { d, aff });
+                d
+            }
+            CExpr::Load { arr, subs } => {
+                let d = self.tmp(t);
+                match self.site(*arr, subs, false) {
+                    Ok(site) => {
+                        self.emit(Ins::Load { d, site });
+                    }
+                    Err(msg) => self.fail(msg),
+                }
+                d
+            }
+            CExpr::Bin(op @ (BinOp::And | BinOp::Or), x, y) => {
+                let a = self.expr(x, t);
+                let d = self.tmp(t);
+                let skip = self.emit(match op {
+                    BinOp::And => Ins::AndSkip { d, a, to: 0 },
+                    _ => Ins::OrSkip { d, a, to: 0 },
+                });
+                let a = self.expr(y, t);
+                self.emit(Ins::Truth { d, a });
+                self.land([skip]);
+                d
+            }
+            CExpr::Bin(op, x, y) => {
+                let a = self.expr(x, t);
+                let b = self.expr(y, if a == t { t + 1 } else { t });
+                let d = self.tmp(t);
+                self.emit(match op {
+                    BinOp::Add => Ins::Add(d, a, b),
+                    BinOp::Sub => Ins::Sub(d, a, b),
+                    BinOp::Mul => Ins::Mul(d, a, b),
+                    BinOp::Div => Ins::Div(d, a, b),
+                    BinOp::Pow => Ins::Pow(d, a, b),
+                    BinOp::Lt => Ins::Lt(d, a, b),
+                    BinOp::Le => Ins::Le(d, a, b),
+                    BinOp::Gt => Ins::Gt(d, a, b),
+                    BinOp::Ge => Ins::Ge(d, a, b),
+                    BinOp::Eq => Ins::Eq(d, a, b),
+                    BinOp::Ne => Ins::Ne(d, a, b),
+                    BinOp::And | BinOp::Or => unreachable!("lowered to jumps above"),
+                });
+                d
+            }
+            CExpr::Neg(x) => {
+                let a = self.expr(x, t);
+                let d = self.tmp(t);
+                self.emit(Ins::Neg(d, a));
+                d
+            }
+            CExpr::Intr(i, args) => self.intrinsic(*i, args, t),
+        }
+    }
+
+    /// An intrinsic call: every argument is evaluated, in order, into a
+    /// register of its own; then the function is applied.
+    fn intrinsic(&mut self, i: usize, args: &'p [CExpr], t: u32) -> u32 {
+        let regs: Vec<u32> = (t..).zip(args).map(|(t, a)| self.expr(a, t)).collect();
+        let name = INTRINSIC_NAMES.get(i).copied().unwrap_or("?");
+        let d = self.tmp(t);
+        // the serial interpreter's evaluator is the authority on which
+        // names exist and how many arguments each needs
+        if let Err(e) = eval_intrinsic(name, &vec![0.0; args.len()]) {
+            self.fail(format!("rank {}: {e}", self.st.rank));
+            return d;
+        }
+        let a = regs[0];
+        let ins = match name {
+            // a left fold from ±∞ over all arguments, as `eval_intrinsic`
+            "min" | "max" => {
+                let (start, fold): (f64, fn(u32, u32, u32) -> Ins) = if name == "min" {
+                    (f64::INFINITY, Ins::Min)
+                } else {
+                    (f64::NEG_INFINITY, Ins::Max)
+                };
+                let mut acc = self.const_reg(start);
+                for b in regs {
+                    self.emit(fold(d, acc, b));
+                    acc = d;
+                }
+                return d;
+            }
+            "dble" => return a,
+            "mod" => Ins::Mod(d, a, regs[1]),
+            "sign" => Ins::Sign(d, a, regs[1]),
+            "abs" => Ins::Abs(d, a),
+            "sqrt" => Ins::Sqrt(d, a),
+            "exp" => Ins::Exp(d, a),
+            "int" => Ins::Trunc(d, a),
+            "sin" => Ins::Sin(d, a),
+            "cos" => Ins::Cos(d, a),
+            other => unreachable!("intrinsic `{other}` has no lowering"),
+        };
+        self.emit(ins);
+        d
+    }
+
+    /// Lower a CP guard to range tests. Returns the branches that leave
+    /// the statement when the guard fails, to be landed after it.
+    fn guard(&mut self, guard: &'p Option<Guard>) -> Vec<usize> {
+        let Some(g) = guard else { return Vec::new() };
+        // OR over terms of AND over atoms: a failing atom tries the next
+        // term, a passing term jumps to the statement
+        let mut failed: Vec<usize> = Vec::new();
+        let mut passed: Vec<usize> = Vec::new();
+        for (i, atoms) in g.terms.iter().enumerate() {
+            self.land(failed.drain(..));
+            let first = idx(self.tape.tests.len());
+            for atom in atoms {
+                self.atom(atom);
+            }
+            let end = idx(self.tape.tests.len());
+            if first < end {
+                failed.push(self.emit(Ins::Test { first, end, to: 0 }));
+            }
+            if i + 1 < g.terms.len() {
+                passed.push(self.emit(Ins::Jump { to: 0 }));
+            }
+        }
+        if g.terms.is_empty() {
+            failed.push(self.emit(Ins::Jump { to: 0 }));
+        }
+        self.land(passed);
+        failed
+    }
+
+    /// Append the range tests of one guard atom.
+    fn atom(&mut self, atom: &GuardAtom) {
+        let (arr, dim) = match atom {
+            GuardAtom::In { arr, dim, .. } | GuardAtom::Overlap { arr, dim, .. } => (*arr, *dim),
+        };
+        let g = self.tape.binding[arr];
+        if g == UNBOUND {
+            return; // no ownership to test against: the atom holds
+        }
+        let (olo, ohi) = self.st.owned[g][dim];
+        let mut test = |sub: &CIdx, lo: i64, hi: i64| {
+            let aff = self.cidx(sub);
+            self.tape.tests.push(RangeTest { aff, lo, hi });
+        };
+        match atom {
+            GuardAtom::In { sub, .. } => test(sub, olo, ohi),
+            GuardAtom::Overlap { lo, hi, .. } => {
+                test(hi, olo, i64::MAX);
+                test(lo, i64::MIN, ohi);
+            }
+        }
+    }
+
+    /// Open a loop; the returned handle closes it.
+    fn loop_begin(
+        &mut self,
+        var: usize,
+        lo: &CIdx,
+        hi: &CIdx,
+        step: i64,
+        clamp: Option<u32>,
+    ) -> (u32, usize) {
+        let desc = LoopDesc {
+            var: idx(var),
+            ctr: self.hidden_ints(2),
+            lo: self.cidx(lo),
+            hi: self.cidx(hi),
+            step,
+            clamp,
+        };
+        self.tape.loops.push(desc);
+        let l = idx(self.tape.loops.len() - 1);
+        (l, self.emit(Ins::LoopEnter { l, to: 0 }))
+    }
+
+    fn loop_end(&mut self, (l, enter): (u32, usize)) {
+        let body = idx(enter + 1);
+        self.emit(Ins::LoopNext { l, body });
+        self.land([enter]);
+    }
+
+    /// Lower a single-chain nest inline; returns its tape range.
+    fn nest(
+        &mut self,
+        levels: &'p [PipeLevel],
+        strip: Option<(usize, u32)>,
+        split: Option<u32>,
+        body: &'p [NodeOp],
+    ) -> (usize, usize) {
+        let start = self.tape.code.len();
+        let open: Vec<(u32, usize)> = levels
+            .iter()
+            .enumerate()
+            .map(|(depth, lv)| {
+                let clamp = strip.and_then(|(level, slots)| (level == depth).then_some(slots));
+                self.loop_begin(lv.var, &lv.lo, &lv.hi, lv.step, clamp)
+            })
+            .collect();
+        let skip = split.map(|split| self.emit(Ins::Interior { split, to: 0 }));
+        self.ops(body);
+        self.land(skip);
+        for h in open.into_iter().rev() {
+            self.loop_end(h);
+        }
+        (start, self.tape.code.len())
+    }
+
+    fn ops(&mut self, ops: &'p [NodeOp]) {
+        for op in ops {
+            self.op(op);
+        }
+    }
+
+    fn op(&mut self, op: &'p NodeOp) {
+        let t = self.tmp0;
+        match op {
+            NodeOp::Loop {
+                var,
+                lo,
+                hi,
+                step,
+                body,
+            } => {
+                let h = self.loop_begin(*var, lo, hi, *step, None);
+                self.ops(body);
+                self.loop_end(h);
+            }
+            NodeOp::Assign {
+                guard,
+                arr,
+                subs,
+                value,
+                flops,
+            } => {
+                let skip = self.guard(guard);
+                let src = self.expr(value, t);
+                match self.site(*arr, subs, true) {
+                    Ok(site) => {
+                        let flops = *flops as f64;
+                        self.emit(Ins::Store { site, src, flops });
+                    }
+                    Err(msg) => self.fail(msg),
+                }
+                self.land(skip);
+            }
+            NodeOp::AssignF {
+                guard,
+                slot,
+                value,
+                flops,
+            }
+            | NodeOp::AssignI {
+                guard,
+                slot,
+                value,
+                flops,
+            } => {
+                let skip = self.guard(guard);
+                let src = self.expr(value, t);
+                let (slot, flops) = (idx(*slot), *flops as f64);
+                self.emit(if matches!(op, NodeOp::AssignF { .. }) {
+                    Ins::StoreF { slot, src, flops }
+                } else {
+                    Ins::StoreI { slot, src, flops }
+                });
+                self.land(skip);
+            }
+            NodeOp::If { arms } => {
+                let mut done = Vec::new();
+                for (cond, body) in arms {
+                    let next = cond.as_ref().map(|c| {
+                        let a = self.expr(c, t);
+                        self.emit(Ins::JumpIfZero { a, to: 0 })
+                    });
+                    self.ops(body);
+                    done.push(self.emit(Ins::Jump { to: 0 }));
+                    self.land(next);
+                    if cond.is_none() {
+                        break; // arms after an `else` never run
+                    }
+                }
+                self.land(done);
+            }
+            NodeOp::Call {
+                unit,
+                int_args,
+                float_args,
+                array_args,
+            } => self.call(*unit, int_args, float_args, array_args),
+            NodeOp::Exchange { msgs, tag, plan } => {
+                self.tape.comms.push(Comm::Exchange {
+                    msgs,
+                    tag: *tag,
+                    plan: *plan,
+                });
+                let comm = idx(self.tape.comms.len() - 1);
+                self.emit(Ins::Comm { comm });
+            }
+            NodeOp::OverlapNest {
+                msgs,
+                tag,
+                levels,
+                body,
+                halo,
+                plan,
+            } => {
+                let want = self.hidden_ints(1);
+                self.tape.splits.push(Split {
+                    want,
+                    bounds: self.interior(halo),
+                });
+                let split = idx(self.tape.splits.len() - 1);
+                let comm = idx(self.tape.comms.len());
+                self.emit(Ins::Comm { comm });
+                let nest = self.nest(levels, None, Some(split), body);
+                self.tape.comms.push(Comm::Overlap {
+                    msgs,
+                    tag: *tag,
+                    plan: *plan,
+                    split,
+                    nest,
+                });
+            }
+            NodeOp::Pipeline {
+                levels,
+                body,
+                sweep_level: _,
+                strip_level,
+                granularity,
+                forward,
+                pdim,
+                read_depth,
+                write_depth,
+                arrays,
+                tag,
+                aggregate,
+                plan,
+            } => {
+                let dir: i64 = if *forward { 1 } else { -1 };
+                let grid = &self.st.prog.grid;
+                let mut coords = self.st.coords.clone();
+                let here = coords[*pdim];
+                let mut neighbor = |c: i64| {
+                    (0..grid.extents[*pdim]).contains(&c).then(|| {
+                        coords[*pdim] = c;
+                        grid.rank(&coords) as usize
+                    })
+                };
+                let (pred, succ) = (neighbor(here - dir), neighbor(here + dir));
+                let strip = strip_level.map(|level| (level, self.hidden_ints(2)));
+                let comm = idx(self.tape.comms.len());
+                self.emit(Ins::Comm { comm });
+                let nest = self.nest(levels, strip, None, body);
+                self.tape.comms.push(Comm::Pipeline(Pipe {
+                    levels,
+                    strip,
+                    granularity: *granularity,
+                    dir,
+                    read_depth: *read_depth,
+                    write_depth: *write_depth,
+                    arrays,
+                    tag: *tag,
+                    aggregate: *aggregate,
+                    plan: *plan,
+                    pred,
+                    succ,
+                    nest,
+                }));
+            }
+        }
+    }
+
+    /// Interior range per loop variable of an overlapped nest: the owned
+    /// range shifted by each halo read of that variable, intersected.
+    fn interior(&self, halo: &[HaloCheck]) -> Vec<(u32, i64, i64)> {
+        let mut interior: BTreeMap<usize, (i64, i64)> = BTreeMap::new();
+        for h in halo {
+            let g = self.tape.binding[h.arr];
+            let (lo, hi) = if g == UNBOUND {
+                (1, 0) // unbound dummy: no provable interior
+            } else {
+                let (olo, ohi) = self.st.owned[g][h.dim];
+                (olo - h.shift, ohi - h.shift)
+            };
+            interior
+                .entry(h.var)
+                .and_modify(|(l, u)| {
+                    *l = (*l).max(lo);
+                    *u = (*u).min(hi);
+                })
+                .or_insert((lo, hi));
+        }
+        interior
+            .into_iter()
+            .map(|(slot, (lo, hi))| (idx(slot), lo, hi))
+            .collect()
+    }
+
+    fn call(
+        &mut self,
+        unit: usize,
+        int_args: &'p [(usize, CExpr)],
+        float_args: &'p [(usize, CExpr)],
+        array_args: &[(usize, usize)],
+    ) {
+        let callee = &self.st.prog.units[unit];
+        let mut binding = static_binding(callee);
+        for (pos, caller_slot) in array_args {
+            if let FormalSlot::Array(slot) = callee.formals[*pos] {
+                if slot != usize::MAX {
+                    binding[slot] = self.tape.binding[*caller_slot];
+                }
+            }
+        }
+        let spec = (unit, binding);
+        let tape = self
+            .specs
+            .iter()
+            .position(|s| *s == spec)
+            .unwrap_or_else(|| {
+                self.specs.push(spec);
+                self.specs.len() - 1
+            });
+        // scalar actuals: each into a register of its own, ints first
+        let mut t = self.tmp0;
+        let mut actual = |lw: &mut Self, e: &'p CExpr| {
+            let r = lw.expr(e, t);
+            if r == t {
+                t += 1;
+            }
+            r
+        };
+        let mut ints = Vec::new();
+        for (pos, e) in int_args {
+            if let FormalSlot::Int(slot) = callee.formals[*pos] {
+                if slot != usize::MAX {
+                    ints.push((idx(slot), actual(self, e)));
+                }
+            }
+        }
+        let mut floats = Vec::new();
+        for (pos, e) in float_args {
+            if let FormalSlot::Float(slot) = callee.formals[*pos] {
+                if slot != usize::MAX {
+                    floats.push((idx(slot), actual(self, e)));
+                }
+            }
+        }
+        self.tape.calls.push(CallSite { tape, ints, floats });
+        let call = idx(self.tape.calls.len() - 1);
+        self.emit(Ins::Call { call });
+    }
+}
+
+/// The error an access through an unbound array dummy raises.
+pub(super) fn unbound_dummy(rank: usize, arr: usize) -> String {
+    format!(
+        "rank {rank}: array dummy (local slot {arr}) is referenced but was never \
+         bound to an actual argument"
+    )
+}
+
+/// Every constant the lowering of `ops` will ask a register for.
+fn collect_consts(ops: &[NodeOp], out: &mut Vec<f64>) {
+    fn expr(e: &CExpr, out: &mut Vec<f64>) {
+        let mut add = |v: f64| {
+            if !out.iter().any(|c| c.to_bits() == v.to_bits()) {
+                out.push(v);
+            }
+        };
+        match e {
+            CExpr::Const(v) => add(*v),
+            CExpr::Int(_) | CExpr::LoadF(_) | CExpr::Load { .. } => {}
+            CExpr::Bin(_, a, b) => {
+                expr(a, out);
+                expr(b, out);
+            }
+            CExpr::Neg(a) => expr(a, out),
+            CExpr::Intr(i, args) => {
+                match INTRINSIC_NAMES.get(*i) {
+                    Some(&"min") => add(f64::INFINITY),
+                    Some(&"max") => add(f64::NEG_INFINITY),
+                    _ => {}
+                }
+                args.iter().for_each(|a| expr(a, out));
+            }
+        }
+    }
+    for op in ops {
+        match op {
+            NodeOp::Loop { body, .. }
+            | NodeOp::OverlapNest { body, .. }
+            | NodeOp::Pipeline { body, .. } => collect_consts(body, out),
+            NodeOp::Assign { value, .. }
+            | NodeOp::AssignF { value, .. }
+            | NodeOp::AssignI { value, .. } => expr(value, out),
+            NodeOp::If { arms } => {
+                for (cond, body) in arms {
+                    cond.iter().for_each(|c| expr(c, out));
+                    collect_consts(body, out);
+                }
+            }
+            NodeOp::Call {
+                int_args,
+                float_args,
+                ..
+            } => int_args
+                .iter()
+                .chain(float_args)
+                .for_each(|(_, e)| expr(e, out)),
+            NodeOp::Exchange { .. } => {}
+        }
+    }
+}

@@ -132,6 +132,7 @@ mod tests {
 
     #[test]
     fn disabled_recorder_is_inert() {
+        let _serial = rec::serial_test();
         assert!(!is_active());
         let _s = span("nothing");
         decide(|| Decision::new(DecisionKind::EntryCp { cp: "x".into() }));
@@ -140,6 +141,7 @@ mod tests {
 
     #[test]
     fn report_key_excludes_wall_clock() {
+        let _serial = rec::serial_test();
         let epoch = std::time::Instant::now();
         let g1 = install("u", epoch);
         {

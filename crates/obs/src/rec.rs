@@ -241,6 +241,15 @@ pub fn decide(make: impl FnOnce() -> Decision) {
     });
 }
 
+/// `is_active()` answers for the whole process, so tests that install a
+/// recorder or assert on `is_active()` must not overlap: each holds this
+/// lock for its duration.
+#[cfg(test)]
+pub(crate) fn serial_test() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,6 +257,7 @@ mod tests {
 
     #[test]
     fn spans_nest_and_decisions_dedup() {
+        let _serial = serial_test();
         let g = install("unit-x", Instant::now());
         {
             let _outer = span("analyze");
@@ -285,6 +295,7 @@ mod tests {
 
     #[test]
     fn nested_install_restores_outer() {
+        let _serial = serial_test();
         let epoch = Instant::now();
         let outer = install("outer", epoch);
         let _s1 = span("outer-phase");
@@ -303,6 +314,7 @@ mod tests {
 
     #[test]
     fn dropped_guard_discards_and_restores() {
+        let _serial = serial_test();
         let epoch = Instant::now();
         let outer = install("outer", epoch);
         {

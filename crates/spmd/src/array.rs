@@ -84,7 +84,12 @@ impl LocalArray {
             && idx
                 .iter()
                 .enumerate()
-                .all(|(d, &i)| i >= self.alo[d] && i < self.alo[d] + self.shape[d] as i64)
+                .all(|(d, &i)| self.dim_in_window(d, i))
+    }
+
+    /// Whether `i` lies in the allocated window of dimension `d`.
+    pub fn dim_in_window(&self, d: usize, i: i64) -> bool {
+        i >= self.alo[d] && i < self.alo[d] + self.shape[d] as i64
     }
 
     /// Flat offset of a global index (panics outside the window in debug).
@@ -123,32 +128,39 @@ impl LocalArray {
         &mut self.data
     }
 
-    /// Pack the rectangular section `[lo, hi]` (inclusive, global coords)
-    /// into a flat buffer in column-major order.
-    pub fn pack(&self, lo: &[i64], hi: &[i64]) -> Vec<f64> {
-        let mut out = Vec::with_capacity(section_len(lo, hi));
-        self.walk_section(lo, hi, &mut |off| out.push(self.data[off]));
-        out
+    /// Append the rectangular section `[lo, hi]` (inclusive, global
+    /// coords) to `out` in column-major order.
+    pub fn pack_into(&self, lo: &[i64], hi: &[i64], out: &mut Vec<f64>) {
+        out.reserve(section_len(lo, hi));
+        self.for_each_run(lo, hi, |off, len| {
+            out.extend_from_slice(&self.data[off..off + len])
+        });
     }
 
-    /// Unpack a flat buffer (as produced by [`LocalArray::pack`]) into the
-    /// section `[lo, hi]`.
+    /// Unpack a flat buffer (as produced by [`LocalArray::pack_into`])
+    /// into the section `[lo, hi]`.
     pub fn unpack(&mut self, lo: &[i64], hi: &[i64], buf: &[f64]) {
         assert_eq!(
             buf.len(),
             section_len(lo, hi),
             "buffer/section size mismatch"
         );
-        let mut writes: Vec<usize> = Vec::with_capacity(buf.len());
-        self.walk_section(lo, hi, &mut |off| writes.push(off));
-        for (off, &v) in writes.into_iter().zip(buf) {
-            self.data[off] = v;
-        }
+        let mut rest = buf;
+        // the walk reads only the window geometry, so the data can be
+        // written while it runs
+        let mut data = std::mem::take(&mut self.data);
+        self.for_each_run(lo, hi, |off, len| {
+            let (run, tail) = rest.split_at(len);
+            data[off..off + len].copy_from_slice(run);
+            rest = tail;
+        });
+        self.data = data;
     }
 
-    /// Visit flat offsets of a section in column-major order. A section
-    /// that is empty in any dimension visits nothing.
-    fn walk_section(&self, lo: &[i64], hi: &[i64], f: &mut dyn FnMut(usize)) {
+    /// Visit the section's contiguous first-dimension runs as
+    /// `(flat offset, length)` in column-major order. A section that is
+    /// empty in any dimension visits nothing.
+    fn for_each_run(&self, lo: &[i64], hi: &[i64], mut f: impl FnMut(usize, usize)) {
         assert_eq!(lo.len(), self.rank());
         assert_eq!(hi.len(), self.rank());
         if lo.iter().zip(hi).any(|(l, h)| l > h) {
@@ -158,12 +170,15 @@ impl LocalArray {
             self.in_window(lo) && self.in_window(hi),
             "section outside window"
         );
+        let Some(len) = lo.first().map(|l| (hi[0] - l + 1) as usize) else {
+            return f(0, 1); // rank 0: the single element
+        };
         let rank = self.rank();
         let mut idx: Vec<i64> = lo.to_vec();
         loop {
-            f(self.offset(&idx));
-            // column-major increment: first dim fastest
-            let mut d = 0;
+            f(self.offset(&idx), len);
+            // odometer over the outer dimensions, second dim fastest
+            let mut d = 1;
             loop {
                 if d == rank {
                     return;
@@ -228,7 +243,8 @@ mod tests {
                 a.set(&[i, j], (10 * i + j) as f64);
             }
         }
-        let buf = a.pack(&[1, 0], &[2, 3]);
+        let mut buf = Vec::new();
+        a.pack_into(&[1, 0], &[2, 3], &mut buf);
         assert_eq!(buf.len(), 8);
         // column-major: (1,0),(2,0),(1,1),(2,1),...
         assert_eq!(buf[0], 10.0);
@@ -257,12 +273,55 @@ mod tests {
             p1.set(&[i], i as f64);
         }
         // exchange boundary values into ghosts
-        let from0 = p0.pack(&[3], &[3]);
-        let from1 = p1.pack(&[4], &[4]);
+        let (mut from0, mut from1) = (Vec::new(), Vec::new());
+        p0.pack_into(&[3], &[3], &mut from0);
+        p1.pack_into(&[4], &[4], &mut from1);
         p1.unpack(&[3], &[3], &from0);
         p0.unpack(&[4], &[4], &from1);
         assert_eq!(p0.get(&[4]), 4.0);
         assert_eq!(p1.get(&[3]), 3.0);
+    }
+
+    #[test]
+    fn pack_unpack_roundtrip_3d_with_ghost() {
+        // owned 2..=5 x 1..=3 x 0..=2 with ghosts (1, 0, 2): the section
+        // reaches into ghost cells and is appended after earlier payload
+        let mut a = LocalArray::new(&[2, 1, 0], &[5, 3, 2], &[1, 0, 2]);
+        let value = |i: i64, j: i64, k: i64| (100 * i + 10 * j + k) as f64;
+        for k in -2..=4i64 {
+            for j in 1..=3i64 {
+                for i in 1..=6i64 {
+                    a.set(&[i, j, k], value(i, j, k));
+                }
+            }
+        }
+        let (lo, hi) = ([1, 2, -1], [4, 3, 3]);
+        let mut buf = vec![-1.0];
+        a.pack_into(&lo, &hi, &mut buf);
+        assert_eq!(buf.len(), 1 + section_len(&lo, &hi));
+        assert_eq!(buf[0], -1.0, "pack_into appends");
+        // column-major: first dim fastest, then second, then third
+        assert_eq!(&buf[1..6], &[119.0, 219.0, 319.0, 419.0, 129.0]);
+
+        let mut b = LocalArray::new(&[2, 1, 0], &[5, 3, 2], &[1, 0, 2]);
+        b.unpack(&lo, &hi, &buf[1..]);
+        for k in -2..=4i64 {
+            for j in 1..=3i64 {
+                for i in 1..=6i64 {
+                    let inside =
+                        (1..=4).contains(&i) && (2..=3).contains(&j) && (-1..=3).contains(&k);
+                    let want = if inside { value(i, j, k) } else { 0.0 };
+                    assert_eq!(b.get(&[i, j, k]), want, "({i},{j},{k})");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "buffer/section size mismatch")]
+    fn unpack_rejects_wrong_length() {
+        let mut a = LocalArray::dense(&[1, 1], &[4, 4]);
+        a.unpack(&[1, 1], &[2, 2], &[0.0; 3]);
     }
 
     #[test]
@@ -279,8 +338,11 @@ mod empty_section_tests {
     #[test]
     fn empty_section_packs_nothing() {
         let a = LocalArray::dense(&[1, 1], &[4, 4]);
-        assert!(a.pack(&[2, 3], &[4, 2]).is_empty(), "lo > hi in dim 1");
-        assert!(a.pack(&[3, 1], &[2, 4]).is_empty(), "lo > hi in dim 0");
+        let mut buf = Vec::new();
+        a.pack_into(&[2, 3], &[4, 2], &mut buf);
+        assert!(buf.is_empty(), "lo > hi in dim 1");
+        a.pack_into(&[3, 1], &[2, 4], &mut buf);
+        assert!(buf.is_empty(), "lo > hi in dim 0");
     }
 
     #[test]

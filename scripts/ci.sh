@@ -10,6 +10,9 @@
 #   3. build        — release build of every crate and binary
 #   4. test         — the full test suite, including the comm-coverage
 #                     verifier golden/mutation tests (crates/analysis)
+#   4a. benchmark   — the repo benchmark harness (benchmark/) still
+#                     builds against the crates' public API: its own
+#                     tests plus one `run --all --quick` pass (~20 s)
 #   5. dhpf-lint    — the lint/verify binary over examples/hpf/:
 #                     jacobi.f must verify clean; the three seeded
 #                     examples must each produce their expected finding
@@ -91,6 +94,14 @@ for b in doc["benchmarks"]:
         assert isinstance(ms, (int, float)) and ms >= 0.0, (name, ms)
 print(f"bench smoke OK ({len(doc['benchmarks'])} benchmarks)")
 EOF
+
+echo "== repo benchmark harness (benchmark/, a package of its own)"
+# the harness calls run_node_program / ExecResult / MachineConfig and the
+# rest of the API listed in benchmark/README.md directly; its own tests
+# and one quick pass over all five workloads make a signature change
+# that breaks it fail here instead of at the next benchmark run
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
+cargo run --release --offline --manifest-path benchmark/Cargo.toml -- run --all --quick
 
 echo "== dhpf-lint examples"
 LINT=target/release/dhpf-lint

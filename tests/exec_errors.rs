@@ -152,6 +152,80 @@ fn pipeline_over_unbound_dummy_is_a_structured_error() {
     );
 }
 
+/// A backward sweep whose upstream rank owns nothing of the swept array
+/// sends an empty boundary where the downstream rank expects one plane:
+/// the receive-side size check reports it as one readable sentence (the
+/// message once carried runs of ~34 spaces from lost `\` continuations).
+#[test]
+fn pipeline_recv_mismatch_is_a_readable_structured_error() {
+    // 1-element array block-distributed over 2 procs: rank 1 owns nothing.
+    let dist = ArrayDist {
+        array: "a".into(),
+        bounds: vec![(1, 1)],
+        dims: vec![DimMap::Block {
+            pdim: 0,
+            block: 1,
+            align_offset: 0,
+            nproc: 2,
+        }],
+    };
+    let ga = GlobalArray {
+        name: "a".into(),
+        bounds: vec![(1, 1)],
+        dist: Some(dist),
+        ghost: vec![1],
+    };
+    for aggregate in [true, false] {
+        let unit = CompiledUnit {
+            name: "main".into(),
+            n_ints: 1,
+            n_arrays: 1,
+            array_global: vec![Some(0)],
+            array_names: vec!["a".into()],
+            ops: vec![NodeOp::Pipeline {
+                levels: vec![PipeLevel {
+                    var: 0,
+                    lo: CIdx::cst(1),
+                    hi: CIdx::cst(1),
+                    step: 1,
+                }],
+                body: vec![],
+                sweep_level: 0,
+                strip_level: None,
+                granularity: 1,
+                forward: false, // rank 1 is rank 0's predecessor
+                pdim: 0,
+                read_depth: 1,
+                write_depth: 0,
+                arrays: vec![PipeArray {
+                    arr: 0,
+                    dim: 0,
+                    strip_dim: None,
+                }],
+                tag: 11,
+                aggregate,
+                plan: 0,
+            }],
+            ..Default::default()
+        };
+        let prog = program_with(unit, vec![ga.clone()], 2);
+        let err = run_node_program(&prog, MachineConfig::sp2(2))
+            .expect_err("a short boundary payload must not be unpacked");
+        assert!(
+            err.0
+                .starts_with("pipeline recv mismatch on rank 0 (coords [0]) from 1: array a"),
+            "unexpected message: {}",
+            err.0
+        );
+        assert!(
+            err.0.ends_with("(tag 11, chunk 0..0, rd 1 wd 0, dir -1)"),
+            "unexpected message: {}",
+            err.0
+        );
+        assert!(!err.0.contains("  "), "run of spaces in: {}", err.0);
+    }
+}
+
 /// The machine-size mismatch keeps its original structured error.
 #[test]
 fn machine_size_mismatch_is_a_structured_error() {
