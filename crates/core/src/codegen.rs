@@ -1319,7 +1319,7 @@ impl<'a> UnitCx<'a> {
 /// segments within a message by `(arr, lo, hi)`. With `aggregate` every
 /// same-endpoint run becomes one multi-segment message; without it each
 /// segment stays its own physical message.
-fn group_segs(mut flat: Vec<(usize, usize, CSeg)>, aggregate: bool) -> Vec<CMsg> {
+pub(crate) fn group_segs(mut flat: Vec<(usize, usize, CSeg)>, aggregate: bool) -> Vec<CMsg> {
     flat.sort_by(|a, b| {
         (a.0, a.1, a.2.arr, &a.2.lo, &a.2.hi).cmp(&(b.0, b.1, b.2.arr, &b.2.lo, &b.2.hi))
     });

@@ -1,8 +1,8 @@
 //! Human-readable listing of a compiled node program (the moral
 //! equivalent of dHPF's generated-Fortran output; used by golden tests
-//! and `commstats`).
+//! and `dhpf bench plan-stats`).
 
-use super::{CExpr, CompiledUnit, GuardAtom, NodeOp, NodeProgram};
+use super::{CompiledUnit, GuardAtom, NodeOp, NodeProgram};
 use std::fmt::Write;
 
 /// Render the whole program.
@@ -269,10 +269,6 @@ pub fn plan_stats(prog: &NodeProgram) -> PlanStats {
     }
     st
 }
-
-// silence unused-variant lint for CExpr in the listing module
-#[allow(dead_code)]
-fn _touch(_: &CExpr) {}
 
 #[cfg(test)]
 mod tests {

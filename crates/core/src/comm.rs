@@ -178,55 +178,6 @@ impl NestPlan {
     }
 }
 
-/// One *physical* message after per-peer aggregation: every coalesced
-/// [`Msg`] of a phase with the same endpoints, packed back-to-back. The
-/// segment order is deterministic (sorted by array name, then region),
-/// so sender and receiver agree on the packing without negotiation.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct AggMsg {
-    pub from: usize,
-    pub to: usize,
-    pub segments: Vec<(String, Region)>,
-}
-
-impl AggMsg {
-    /// Total elements over all segments.
-    pub fn elems(&self) -> usize {
-        self.segments.iter().map(|(_, r)| r.len()).sum()
-    }
-}
-
-/// Group a phase's coalesced messages into one [`AggMsg`] per `(from,
-/// to)` pair. Deterministic: groups are ordered by endpoints, segments
-/// within a group by `(array, lo, hi)` — the same total order
-/// [`coalesce`] leaves the messages in.
-pub fn aggregate(msgs: &[Msg]) -> Vec<AggMsg> {
-    let mut sorted: Vec<&Msg> = msgs.iter().collect();
-    sorted.sort_by(|a, b| {
-        (a.from, a.to, &a.array, &a.region.lo, &a.region.hi).cmp(&(
-            b.from,
-            b.to,
-            &b.array,
-            &b.region.lo,
-            &b.region.hi,
-        ))
-    });
-    let mut out: Vec<AggMsg> = Vec::new();
-    for m in sorted {
-        match out.last_mut() {
-            Some(g) if g.from == m.from && g.to == m.to => {
-                g.segments.push((m.array.clone(), m.region.clone()));
-            }
-            _ => out.push(AggMsg {
-                from: m.from,
-                to: m.to,
-                segments: vec![(m.array.clone(), m.region.clone())],
-            }),
-        }
-    }
-    out
-}
-
 /// Number of physical messages a phase sends once aggregated: the
 /// count of distinct `(from, to)` pairs.
 pub fn aggregated_message_count(msgs: &[Msg]) -> usize {
@@ -274,7 +225,8 @@ impl Default for CommOptions {
     }
 }
 
-/// Statistics of what the analysis eliminated (for the ablation bench).
+/// Statistics of what the analysis eliminated (the counters of the
+/// `dhpf bench flags` rows).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct CommReport {
     pub reads_examined: usize,
@@ -1511,39 +1463,6 @@ mod tests {
         assert_eq!(msgs[0].region.hi, vec![1, 1]);
     }
 
-    #[test]
-    fn aggregate_packs_per_peer_with_deterministic_segments() {
-        let m = |from: usize, to: usize, array: &str, lo: i64| Msg {
-            from,
-            to,
-            array: array.into(),
-            region: Region {
-                lo: vec![lo],
-                hi: vec![lo],
-            },
-        };
-        let msgs = vec![
-            m(0, 1, "b", 4),
-            m(1, 0, "b", 5),
-            m(0, 1, "a", 4),
-            m(0, 1, "a", 3),
-        ];
-        let agg = aggregate(&msgs);
-        assert_eq!(agg.len(), 2);
-        assert_eq!(aggregated_message_count(&msgs), 2);
-        // groups ordered by endpoints; segments by (array, lo, hi)
-        assert_eq!((agg[0].from, agg[0].to), (0, 1));
-        let segs: Vec<(&str, i64)> = agg[0]
-            .segments
-            .iter()
-            .map(|(a, r)| (a.as_str(), r.lo[0]))
-            .collect();
-        assert_eq!(segs, vec![("a", 3), ("a", 4), ("b", 4)]);
-        assert_eq!(agg[0].elems(), 3);
-        assert_eq!((agg[1].from, agg[1].to), (1, 0));
-        assert_eq!(agg[1].segments.len(), 1);
-    }
-
     /// Two-array stencil: every interior peer pair moves a boundary cell
     /// of both `b` and `c`, so aggregation halves the message count.
     const STENCIL_2ARR: &str = "
@@ -1825,16 +1744,28 @@ mod tests {
             }
 
             // aggregation is a partition: every coalesced message lands
-            // in exactly one per-peer group, bytes are conserved, and
-            // no two groups share endpoints
+            // in exactly one per-peer transfer of the emitted grouping
+            // (`codegen::group_segs`), elements are conserved, and no
+            // two transfers share endpoints
             #[test]
             fn aggregate_partitions_messages(
                 msgs in prop::collection::vec(arb_msg(), 0..12),
             ) {
                 let mut m = msgs;
                 coalesce(&mut m);
-                let agg = aggregate(&m);
-                let segs: usize = agg.iter().map(|g| g.segments.len()).sum();
+                let flat = m
+                    .iter()
+                    .map(|x| {
+                        let seg = crate::codegen::CSeg {
+                            arr: (x.array == "b") as usize,
+                            lo: x.region.lo.clone(),
+                            hi: x.region.hi.clone(),
+                        };
+                        (x.from, x.to, seg)
+                    })
+                    .collect();
+                let agg = crate::codegen::group_segs(flat, true);
+                let segs: usize = agg.iter().map(|g| g.segs.len()).sum();
                 prop_assert_eq!(segs, m.len());
                 let plan_elems: usize = m.iter().map(|x| x.region.len()).sum();
                 let agg_elems: usize = agg.iter().map(|g| g.elems()).sum();

@@ -72,6 +72,35 @@ impl Default for OptFlags {
     }
 }
 
+impl OptFlags {
+    /// The optimization-flag lattice: all-on, each single toggle off,
+    /// and all-off — every paper optimization exercised both ways
+    /// against the same source. The fuzzer's conformance matrix, the
+    /// `dhpf bench flags` study and the equivalence tests share it.
+    pub fn lattice() -> Vec<(&'static str, OptFlags)> {
+        type SwitchOff = fn(&mut OptFlags);
+        let toggles: [(&str, SwitchOff); 7] = [
+            ("no-privatizable-cp", |f| f.privatizable_cp = false),
+            ("no-localize", |f| f.localize = false),
+            ("no-loop-distribution", |f| f.loop_distribution = false),
+            ("no-interproc", |f| f.interproc = false),
+            ("no-data-availability", |f| f.data_availability = false),
+            ("no-overlap", |f| f.overlap = false),
+            ("no-aggregate", |f| f.aggregate = false),
+        ];
+        let mut lattice = vec![("all-on", OptFlags::default())];
+        let mut all_off = OptFlags::default();
+        for (label, switch_off) in toggles {
+            let mut flags = OptFlags::default();
+            switch_off(&mut flags);
+            switch_off(&mut all_off);
+            lattice.push((label, flags));
+        }
+        lattice.push(("all-off", all_off));
+        lattice
+    }
+}
+
 /// Compilation options.
 #[derive(Clone, Debug, Default)]
 pub struct CompileOptions {

@@ -1,6 +1,6 @@
 //! `dhpf` — the command-line front end.
 //!
-//! Three subcommands:
+//! Subcommands:
 //!
 //! * `dhpf explain` — compile with the decision log enabled and print
 //!   every CP choice (§4.1/§5/§6), replication (§4.2), and communication
@@ -21,18 +21,23 @@
 //!   the time, and what each fix would be worth (what-if replay).
 //!   `--json` emits the `dhpf-profile-v1` document; `--perfetto-out`
 //!   overlays the critical path as flow events on the execution trace.
+//! * `dhpf fuzz` — the generative differential campaign (`dhpf-fuzz`).
+//! * `dhpf bench <table|figure|flags|plan-stats|compile>` — the paper's
+//!   evaluation harness (`dhpf-bench`): Tables 8.1/8.2, Figures 8.1–8.4,
+//!   the optimization on/off study (`BENCH_flags.json`), plan statistics
+//!   and the compile-time benchmark (`BENCH_compile.json`).
 //!
 //! Inputs: `--nas sp|bt --class S|W|A|B --nprocs N`, or a Fortran file
 //! with `--bind name=value` for its symbolic sizes.
 
 use dhpf_core::driver::{compile, CompileOptions, Compiled};
-use dhpf_nas::Class;
+use dhpf_nas::{Class, Kernel};
 use dhpf_spmd::machine::MachineConfig;
 use dhpf_spmd::trace::Trace;
 use std::process::ExitCode;
 
 const USAGE: &str = "\
-usage: dhpf <explain|compile|verify-protocol|profile|fuzz> [input] [options]
+usage: dhpf <explain|compile|verify-protocol|profile|fuzz|bench> [input] [options]
 
 input (one of):
   --nas sp|bt            built-in NAS mini-benchmark
@@ -83,11 +88,31 @@ fuzz options (no input file; programs are generated):
   --shrink-budget N      shrink attempts per failure   [64]
   --out FILE             write the dhpf-fuzz-v1 JSON report (- = stdout)
   --corpus-out DIR       write each minimized failing program as .f
+
+bench: the evaluation harness; `dhpf bench` lists its subcommands
+";
+
+const BENCH_USAGE: &str = "\
+usage: dhpf bench <subcommand> [options]
+
+  table --nas sp|bt [--fast]
+        Table 8.1 (sp) / 8.2 (bt): hand-written MPI vs dHPF vs PGI-style,
+        classes A and B; --fast is class W on 1/4/9 processors
+  figure --nas sp|bt --version hand|dhpf|pgi [--nprocs N] [--width W] [--csv]
+        Figures 8.1-8.4: space-time diagram of the last class W timestep
+        [16 processors, 140 columns]; --csv appends the trace events
+  flags [--out FILE]
+        every optimization on/off on SP and BT, classes S and W, 4 ranks,
+        plus the pipeline granularity sweep  [BENCH_flags.json]
+  plan-stats [--listing]
+        communication-plan statistics; --listing adds the node programs
+  compile [--quick] [--out FILE]
+        cold/warm/traced compile wall time  [BENCH_compile.json]
 ";
 
 struct Args {
     cmd: String,
-    nas: Option<String>,
+    nas: Option<Kernel>,
     file: Option<String>,
     class: Class,
     nprocs: usize,
@@ -103,6 +128,26 @@ struct Args {
     decisions_out: Option<String>,
     out: Option<String>,
     top: usize,
+}
+
+/// The value of `flag`: the next argument, parsed.
+fn value<T: std::str::FromStr>(
+    it: &mut dyn Iterator<Item = String>,
+    flag: &str,
+) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    let raw = it.next().ok_or(format!("{flag} needs a value"))?;
+    raw.parse().map_err(|e| format!("{flag}: {e}"))
+}
+
+/// `--nprocs N`: a processor count the compiler can lay a grid over.
+fn nprocs_value(it: &mut dyn Iterator<Item = String>) -> Result<usize, String> {
+    match value(it, "--nprocs")? {
+        0 => Err("--nprocs must be at least 1".to_string()),
+        n => Ok(n),
+    }
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -130,14 +175,11 @@ fn parse_args() -> Result<Args, String> {
         out: None,
         top: 8,
     };
-    let need = |it: &mut dyn Iterator<Item = String>, flag: &str| {
-        it.next().ok_or(format!("{flag} needs a value"))
-    };
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--nas" => a.nas = Some(need(&mut it, "--nas")?),
+            "--nas" => a.nas = Some(value(&mut it, "--nas")?),
             "--class" => {
-                a.class = match need(&mut it, "--class")?.as_str() {
+                a.class = match value::<String>(&mut it, "--class")?.as_str() {
                     "S" | "s" => Class::S,
                     "W" | "w" => Class::W,
                     "A" | "a" => Class::A,
@@ -145,43 +187,27 @@ fn parse_args() -> Result<Args, String> {
                     c => return Err(format!("unknown class {c}")),
                 }
             }
-            "--nprocs" => {
-                a.nprocs = need(&mut it, "--nprocs")?
-                    .parse()
-                    .map_err(|e| format!("--nprocs: {e}"))?
-            }
+            "--nprocs" => a.nprocs = nprocs_value(&mut it)?,
             "--bind" => {
-                let kv = need(&mut it, "--bind")?;
+                let kv: String = value(&mut it, "--bind")?;
                 let (k, v) = kv.split_once('=').ok_or("--bind expects NAME=VALUE")?;
                 a.binds.push((
                     k.to_string(),
                     v.parse().map_err(|e| format!("--bind {k}: {e}"))?,
                 ));
             }
-            "--jobs" => {
-                a.jobs = need(&mut it, "--jobs")?
-                    .parse()
-                    .map_err(|e| format!("--jobs: {e}"))?
-            }
-            "--granularity" => {
-                a.granularity = need(&mut it, "--granularity")?
-                    .parse()
-                    .map_err(|e| format!("--granularity: {e}"))?
-            }
+            "--jobs" => a.jobs = value(&mut it, "--jobs")?,
+            "--granularity" => a.granularity = value(&mut it, "--granularity")?,
             "--no-overlap" => a.overlap = false,
             "--no-aggregate" => a.aggregate = false,
             "--json" => a.json = true,
             "--run" => a.run = true,
-            "--trace-out" => a.trace_out = Some(need(&mut it, "--trace-out")?),
-            "--metrics-out" => a.metrics_out = Some(need(&mut it, "--metrics-out")?),
-            "--decisions-out" => a.decisions_out = Some(need(&mut it, "--decisions-out")?),
-            "--perfetto-out" => a.trace_out = Some(need(&mut it, "--perfetto-out")?),
-            "--out" => a.out = Some(need(&mut it, "--out")?),
-            "--top" => {
-                a.top = need(&mut it, "--top")?
-                    .parse()
-                    .map_err(|e| format!("--top: {e}"))?
-            }
+            "--trace-out" => a.trace_out = Some(value(&mut it, "--trace-out")?),
+            "--metrics-out" => a.metrics_out = Some(value(&mut it, "--metrics-out")?),
+            "--decisions-out" => a.decisions_out = Some(value(&mut it, "--decisions-out")?),
+            "--perfetto-out" => a.trace_out = Some(value(&mut it, "--perfetto-out")?),
+            "--out" => a.out = Some(value(&mut it, "--out")?),
+            "--top" => a.top = value(&mut it, "--top")?,
             f if f.starts_with("--") => return Err(format!("unknown flag {f}\n\n{USAGE}")),
             f => a.file = Some(f.to_string()),
         }
@@ -215,16 +241,8 @@ fn build(a: &Args) -> Result<Compiled, CliError> {
 }
 
 fn build_with_overlap(a: &Args, overlap: bool) -> Result<Compiled, CliError> {
-    let (program, bindings) = match a.nas.as_deref() {
-        Some("sp") => (
-            dhpf_nas::sp::parse(),
-            dhpf_nas::sp::bindings(a.class, a.nprocs),
-        ),
-        Some("bt") => (
-            dhpf_nas::bt::parse(),
-            dhpf_nas::bt::bindings(a.class, a.nprocs),
-        ),
-        Some(other) => return Err(usage_err(format!("unknown benchmark {other} (sp or bt)"))),
+    let (program, bindings) = match a.nas {
+        Some(kernel) => (kernel.parse(), kernel.bindings(a.class, a.nprocs)),
         None => {
             // parse_args rejects a missing input, but keep this a
             // diagnostic rather than a panic if the two ever drift.
@@ -244,34 +262,6 @@ fn build_with_overlap(a: &Args, overlap: bool) -> Result<Compiled, CliError> {
     opts.flags.overlap = overlap;
     opts.flags.aggregate = a.aggregate;
     compile(&program, &opts).map_err(|e| format!("compile failed: {e}").into())
-}
-
-/// Nest ids in `blocking`'s provenance table whose pre-exchanges the
-/// compiler would fuse into overlapped nests with overlap enabled: the
-/// overlap what-if replays exactly those receives in post/compute/wait
-/// form. Empty when the profiled program already overlaps (nothing left
-/// to hypothesize).
-fn overlap_candidates(a: &Args, blocking: &Compiled) -> Result<Vec<u32>, CliError> {
-    if a.overlap {
-        return Ok(Vec::new());
-    }
-    use dhpf_core::codegen::ProvKind;
-    let overlapped = build_with_overlap(a, true)?;
-    let fused: std::collections::BTreeSet<(String, u32)> = overlapped
-        .program
-        .provenance
-        .iter()
-        .filter(|p| p.kind == ProvKind::Overlap)
-        .map(|p| (p.unit.clone(), p.stmt))
-        .collect();
-    Ok(blocking
-        .program
-        .provenance
-        .iter()
-        .enumerate()
-        .filter(|(_, p)| p.kind == ProvKind::Pre && fused.contains(&(p.unit.clone(), p.stmt)))
-        .map(|(i, _)| i as u32)
-        .collect())
 }
 
 fn write_out(path: &str, content: &str) -> Result<(), String> {
@@ -314,39 +304,18 @@ fn parse_fuzz_args(it: &mut dyn Iterator<Item = String>) -> Result<FuzzArgs, Str
         out: None,
         corpus_out: None,
     };
-    let need = |it: &mut dyn Iterator<Item = String>, flag: &str| {
-        it.next().ok_or(format!("{flag} needs a value"))
-    };
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--seed" => {
-                a.cfg.seed = need(it, "--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?
+            "--seed" => a.cfg.seed = value(it, "--seed")?,
+            "--count" => a.cfg.count = value(it, "--count")?,
+            "--geometries" => {
+                a.cfg.geometries = parse_geometries(&value::<String>(it, "--geometries")?)?
             }
-            "--count" => {
-                a.cfg.count = need(it, "--count")?
-                    .parse()
-                    .map_err(|e| format!("--count: {e}"))?
-            }
-            "--geometries" => a.cfg.geometries = parse_geometries(&need(it, "--geometries")?)?,
-            "--max-ulps" => {
-                a.cfg.max_ulps = need(it, "--max-ulps")?
-                    .parse()
-                    .map_err(|e| format!("--max-ulps: {e}"))?
-            }
-            "--mutate" => {
-                a.cfg.mutants = need(it, "--mutate")?
-                    .parse()
-                    .map_err(|e| format!("--mutate: {e}"))?
-            }
-            "--shrink-budget" => {
-                a.cfg.shrink_budget = need(it, "--shrink-budget")?
-                    .parse()
-                    .map_err(|e| format!("--shrink-budget: {e}"))?
-            }
-            "--out" => a.out = Some(need(it, "--out")?),
-            "--corpus-out" => a.corpus_out = Some(need(it, "--corpus-out")?),
+            "--max-ulps" => a.cfg.max_ulps = value(it, "--max-ulps")?,
+            "--mutate" => a.cfg.mutants = value(it, "--mutate")?,
+            "--shrink-budget" => a.cfg.shrink_budget = value(it, "--shrink-budget")?,
+            "--out" => a.out = Some(value(it, "--out")?),
+            "--corpus-out" => a.corpus_out = Some(value(it, "--corpus-out")?),
             f => return Err(format!("unknown fuzz flag {f}\n\n{USAGE}")),
         }
     }
@@ -402,18 +371,130 @@ fn run_fuzz(args: &FuzzArgs) -> Result<(), CliError> {
     }
 }
 
+/// `dhpf bench` arguments: the subcommand and the flags it accepts.
+#[derive(Default)]
+struct BenchArgs {
+    sub: String,
+    nas: Option<Kernel>,
+    version: Option<dhpf_bench::Config>,
+    nprocs: Option<usize>,
+    width: Option<usize>,
+    fast: bool,
+    quick: bool,
+    listing: bool,
+    csv: bool,
+    out: Option<String>,
+}
+
+/// The flags each `dhpf bench` subcommand accepts.
+const BENCH_FLAGS: &[(&str, &[&str])] = &[
+    ("table", &["--nas", "--fast"]),
+    (
+        "figure",
+        &["--nas", "--version", "--nprocs", "--width", "--csv"],
+    ),
+    ("flags", &["--out"]),
+    ("plan-stats", &["--listing"]),
+    ("compile", &["--quick", "--out"]),
+];
+
+fn parse_bench_args(it: &mut dyn Iterator<Item = String>) -> Result<BenchArgs, String> {
+    let sub = it.next().ok_or_else(|| BENCH_USAGE.to_string())?;
+    let (_, accepted) = BENCH_FLAGS
+        .iter()
+        .find(|(name, _)| *name == sub)
+        .ok_or_else(|| format!("unknown bench subcommand {sub}\n\n{BENCH_USAGE}"))?;
+    let mut a = BenchArgs {
+        sub,
+        ..Default::default()
+    };
+    while let Some(arg) = it.next() {
+        if !accepted.contains(&arg.as_str()) {
+            return Err(format!(
+                "bench {} does not take {arg}\n\n{BENCH_USAGE}",
+                a.sub
+            ));
+        }
+        match arg.as_str() {
+            "--nas" => a.nas = Some(value(it, "--nas")?),
+            "--version" => a.version = Some(value(it, "--version")?),
+            "--nprocs" => a.nprocs = Some(nprocs_value(it)?),
+            "--width" => a.width = Some(value(it, "--width")?),
+            "--fast" => a.fast = true,
+            "--quick" => a.quick = true,
+            "--listing" => a.listing = true,
+            "--csv" => a.csv = true,
+            "--out" => a.out = Some(value(it, "--out")?),
+            other => unreachable!("{other} is in BENCH_FLAGS but not parsed"),
+        }
+    }
+    Ok(a)
+}
+
+fn run_bench(a: &BenchArgs) -> Result<(), CliError> {
+    let nas = || {
+        a.nas
+            .ok_or_else(|| usage_err(format!("bench {} needs --nas sp|bt", a.sub)))
+    };
+    let write_doc = |default: &str, study: &str, rows: &[dhpf_bench::Measurement]| {
+        let path = a.out.as_deref().unwrap_or(default);
+        write_out(path, &dhpf_bench::render(study, rows))?;
+        eprintln!("wrote {path}");
+        Ok(())
+    };
+    match a.sub.as_str() {
+        "table" => {
+            dhpf_bench::table(nas()?, a.fast);
+            Ok(())
+        }
+        "figure" => {
+            let version = a.version.as_ref().ok_or_else(|| {
+                usage_err("bench figure needs --version hand|dhpf|pgi".to_string())
+            })?;
+            // a count the version cannot run at is the caller's to fix
+            dhpf_bench::figure(
+                nas()?,
+                version,
+                a.nprocs.unwrap_or(16),
+                a.width.unwrap_or(140),
+                a.csv,
+            )
+            .map_err(|e| usage_err(e.to_string()))
+        }
+        "flags" => {
+            let rows = dhpf_bench::flags::study();
+            dhpf_bench::flags::print(&rows);
+            write_doc("BENCH_flags.json", "flags", &rows)
+        }
+        "plan-stats" => {
+            dhpf_bench::print_plan_stats(a.listing);
+            Ok(())
+        }
+        "compile" => write_doc(
+            "BENCH_compile.json",
+            "compile",
+            &dhpf_bench::compile::study(a.quick)?,
+        ),
+        other => unreachable!("{other} passed parse_bench_args"),
+    }
+}
+
 fn main() -> ExitCode {
-    // `fuzz` has a disjoint flag set; route it before the generic parser
+    // `fuzz` and `bench` have disjoint flag sets; route them before the
+    // generic parser
     let mut raw = std::env::args().skip(1);
-    if raw.next().as_deref() == Some("fuzz") {
-        return match parse_fuzz_args(&mut raw) {
-            Ok(a) => match run_fuzz(&a) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("dhpf: {}", e.msg);
-                    ExitCode::from(e.code)
-                }
-            },
+    let routed = match raw.next().as_deref() {
+        Some("fuzz") => Some(parse_fuzz_args(&mut raw).map(|a| run_fuzz(&a))),
+        Some("bench") => Some(parse_bench_args(&mut raw).map(|a| run_bench(&a))),
+        _ => None,
+    };
+    if let Some(parsed) = routed {
+        return match parsed {
+            Ok(Ok(())) => ExitCode::SUCCESS,
+            Ok(Err(e)) => {
+                eprintln!("dhpf: {}", e.msg);
+                ExitCode::from(e.code)
+            }
             Err(msg) => {
                 eprintln!("{msg}");
                 ExitCode::from(2)
@@ -503,7 +584,7 @@ fn run(args: &Args) -> Result<(), CliError> {
             let input = args
                 .file
                 .clone()
-                .or_else(|| args.nas.as_ref().map(|b| format!("nas:{b}")))
+                .or_else(|| args.nas.map(|k| format!("nas:{}", k.name())))
                 .unwrap_or_default();
             // Record the verdict in the decision log alongside the
             // compiler's own decisions.
@@ -541,9 +622,17 @@ fn run(args: &Args) -> Result<(), CliError> {
             let result =
                 dhpf_core::exec::node::run_node_program(&compiled.program, machine.clone())
                     .map_err(|e| format!("execution failed: {e}"))?;
+            // with --no-overlap, hypothesize the overlap the compiler
+            // would emit; a program that already overlaps leaves nothing
+            let overlap_candidates = if args.overlap {
+                Vec::new()
+            } else {
+                let overlapped = build_with_overlap(args, true)?;
+                dhpf_profile::overlap_candidates(&compiled.program, &overlapped.program)
+            };
             let opts = dhpf_profile::ProfileOptions {
                 top: args.top,
-                overlap_candidates: overlap_candidates(args, &compiled)?,
+                overlap_candidates,
             };
             let prof = dhpf_profile::profile(
                 &compiled.program,

@@ -108,74 +108,6 @@ impl CheckOutcome {
     }
 }
 
-/// The optimization-flag lattice: all-on, all-off, and each single
-/// toggle off — every paper optimization exercised both ways against
-/// the same source.
-pub fn flag_lattice() -> Vec<(&'static str, OptFlags)> {
-    let all_off = OptFlags {
-        privatizable_cp: false,
-        localize: false,
-        loop_distribution: false,
-        interproc: false,
-        data_availability: false,
-        overlap: false,
-        aggregate: false,
-    };
-    vec![
-        ("all-on", OptFlags::default()),
-        (
-            "no-privatizable-cp",
-            OptFlags {
-                privatizable_cp: false,
-                ..OptFlags::default()
-            },
-        ),
-        (
-            "no-localize",
-            OptFlags {
-                localize: false,
-                ..OptFlags::default()
-            },
-        ),
-        (
-            "no-loop-distribution",
-            OptFlags {
-                loop_distribution: false,
-                ..OptFlags::default()
-            },
-        ),
-        (
-            "no-interproc",
-            OptFlags {
-                interproc: false,
-                ..OptFlags::default()
-            },
-        ),
-        (
-            "no-data-availability",
-            OptFlags {
-                data_availability: false,
-                ..OptFlags::default()
-            },
-        ),
-        (
-            "no-overlap",
-            OptFlags {
-                overlap: false,
-                ..OptFlags::default()
-            },
-        ),
-        (
-            "no-aggregate",
-            OptFlags {
-                aggregate: false,
-                ..OptFlags::default()
-            },
-        ),
-        ("all-off", all_off),
-    ]
-}
-
 /// ULP distance between two doubles (0 when bitwise equal or both are
 /// the same zero; `u64::MAX` across signs or for non-finite values).
 pub fn ulp_diff(a: f64, b: f64) -> u64 {
@@ -336,7 +268,7 @@ pub fn check_source(
     for geom in geometries {
         let adapted = adapt_geometry(geom, grid_rank);
         let nprocs: i64 = adapted.iter().product();
-        for (label, flags) in flag_lattice() {
+        for (label, flags) in OptFlags::lattice() {
             let mut opts = CompileOptions::new();
             opts.bindings = grid_bindings(&adapted).into_iter().collect();
             opts.flags = flags;
@@ -515,7 +447,7 @@ mod tests {
 
     #[test]
     fn lattice_covers_every_toggle_both_ways() {
-        let lat = flag_lattice();
+        let lat = OptFlags::lattice();
         assert_eq!(lat.len(), 9);
         // every flag is off in at least one config and on in at least one
         let offs: Vec<[bool; 7]> = lat

@@ -178,6 +178,23 @@ mod tests {
         });
         let j = r.to_json();
         assert!(j.contains("\"schema\": \"dhpf-fuzz-v1\""));
+        for key in [
+            "seed",
+            "count",
+            "geometries",
+            "programs",
+            "compiles",
+            "runs",
+            "messages",
+            "oracles",
+            "failures",
+            "mutation",
+            "wall_ms",
+            "clean",
+        ] {
+            assert!(j.contains(&format!("  \"{key}\": ")), "missing {key}");
+        }
+        assert!(j.contains("\"numeric\": {\"checked\": 16, \"failed\": 1}"));
         assert!(j.contains("\\\"quoted\\\""));
         assert!(j.contains("\"clean\": false"));
         let opens = j.matches('{').count();

@@ -15,5 +15,28 @@ fn pinned_campaign_is_clean() {
     };
     let report = run_campaign(&cfg);
     assert!(report.clean(), "campaign not clean:\n{}", report.to_json());
-    assert!(report.runs > 0 && report.messages > 0);
+    assert_eq!(report.programs, cfg.count);
+    assert!(report.compiles > 0 && report.runs > 0 && report.messages > 0);
+    // every oracle of the matrix must actually have fired: a campaign
+    // that never evaluates an oracle is vacuously clean (`compile` only
+    // ticks when a configuration declines a program, which none of
+    // these twelve provokes)
+    for oracle in [
+        "generate",
+        "roundtrip",
+        "serial",
+        "coverage",
+        "protocol-static",
+        "protocol-dynamic",
+        "numeric",
+        "fingerprint",
+    ] {
+        assert!(
+            report.checked.get(oracle).is_some_and(|&n| n > 0),
+            "oracle {oracle} never ran: {:?}",
+            report.checked
+        );
+    }
+    let mutation = report.mutation.as_ref().expect("one mutant requested");
+    assert!(mutation.planted >= 1 && mutation.caught_twice == mutation.planted);
 }

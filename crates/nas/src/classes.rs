@@ -3,6 +3,8 @@
 //! is 64³ for SP / 64³ for BT and Class B is 102³; the *ratios* between
 //! classes and the processor counts are preserved).
 
+use std::collections::BTreeMap;
+
 /// A problem class: grid size and timestep count.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Class {
@@ -55,6 +57,21 @@ pub fn grid_for(p: usize) -> (usize, usize) {
         npy -= 1;
     }
     (npy.max(1), p / npy.max(1))
+}
+
+/// Symbol bindings of the SP and BT sources (which declare the same
+/// sizes) for a class and processor grid.
+pub fn bindings(class: Class, nprocs: usize) -> BTreeMap<String, i64> {
+    let n = class.n() as i64;
+    let (npy, npz) = grid_for(nprocs);
+    BTreeMap::from([
+        ("nx".to_string(), n),
+        ("ny".to_string(), n),
+        ("nz".to_string(), n),
+        ("niter".to_string(), class.niter() as i64),
+        ("npy".to_string(), npy as i64),
+        ("npz".to_string(), npz as i64),
+    ])
 }
 
 #[cfg(test)]

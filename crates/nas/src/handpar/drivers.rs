@@ -34,6 +34,15 @@ fn span(r: (usize, usize)) -> usize {
     }
 }
 
+/// The multipartitioning of an `n³` grid over `nprocs` processors:
+/// `nprocs` must be a perfect square and every cell non-empty
+/// (ceil-blocks leave trailing cells empty when (q-1)·⌈n/q⌉ ≥ n).
+pub fn multipart_for(n: usize, nprocs: usize) -> Option<MultiPartition> {
+    let mp = MultiPartition::new(nprocs)?;
+    let (lo, hi) = cell_range(n, mp.q, mp.q - 1);
+    (lo <= hi).then_some(mp)
+}
+
 /// Run the multipartitioning version. `nprocs` must be a perfect square
 /// with `q | n`; returns `None` otherwise (the hand-written NPB codes
 /// have the same restriction).
@@ -45,13 +54,8 @@ pub fn run_multipart<S: LineSolver>(
     costs: &PhaseCosts,
     sp_mix: bool,
 ) -> Option<HandResult> {
-    let mp = MultiPartition::new(nprocs)?;
+    let mp = multipart_for(n, nprocs)?;
     let q = mp.q;
-    // every cell must be non-empty (ceil-blocks leave trailing cells
-    // empty when (q-1)·⌈n/q⌉ ≥ n)
-    if cell_range(n, q, q - 1).0 > cell_range(n, q, q - 1).1 {
-        return None;
-    }
     let finals: Mutex<BTreeMap<usize, (Array4, Array4)>> = Mutex::new(BTreeMap::new());
     let costs = costs.clone();
 

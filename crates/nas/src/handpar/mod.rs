@@ -479,7 +479,7 @@ fn cv_triple<S: LineSolver>(
 // (continued in `handpar_drivers.rs`)
 pub mod drivers;
 
-pub use drivers::{run_multipart, run_transpose, HandResult};
+pub use drivers::{multipart_for, run_multipart, run_transpose, HandResult};
 
 pub(crate) fn cv3<S: LineSolver>(
     recip: &Array4,

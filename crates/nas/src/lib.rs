@@ -34,7 +34,9 @@ pub mod bt;
 pub mod classes;
 pub mod cost;
 pub mod handpar;
+pub mod kernel;
 pub mod sp;
 pub mod verify;
 
 pub use classes::Class;
+pub use kernel::{Kernel, Unrunnable};

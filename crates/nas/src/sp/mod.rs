@@ -3,13 +3,12 @@
 pub mod multipart;
 pub mod transpose;
 
-use crate::classes::{grid_for, Class};
+use crate::classes::Class;
 use dhpf_core::driver::{compile, CompileOptions, Compiled};
 use dhpf_core::exec::node::{run_node_program, ExecResult};
 use dhpf_core::exec::serial::{run_serial, SerialResult};
 use dhpf_fortran::Program;
 use dhpf_spmd::machine::MachineConfig;
-use std::collections::BTreeMap;
 
 /// Shared declaration block (the NPB `include` idiom): every unit
 /// re-declares the COMMON fields and the HPF mapping directives.
@@ -298,19 +297,7 @@ pub fn source() -> String {
     )
 }
 
-/// Symbol bindings for a class and processor grid.
-pub fn bindings(class: Class, nprocs: usize) -> BTreeMap<String, i64> {
-    let n = class.n() as i64;
-    let (npy, npz) = grid_for(nprocs);
-    BTreeMap::from([
-        ("nx".to_string(), n),
-        ("ny".to_string(), n),
-        ("nz".to_string(), n),
-        ("niter".to_string(), class.niter() as i64),
-        ("npy".to_string(), npy as i64),
-        ("npz".to_string(), npz as i64),
-    ])
-}
+pub use crate::classes::bindings;
 
 /// Parse the SP source.
 pub fn parse() -> Program {

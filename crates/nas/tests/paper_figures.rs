@@ -82,27 +82,17 @@ fn pipeline_granularity_tradeoff() {
 fn compiled_efficiency_competitive_at_small_counts() {
     let nprocs = 4;
     let class = Class::W;
-    for bench in ["sp", "bt"] {
-        let (hand, dhpf) = match bench {
-            "sp" => (
-                dhpf_nas::sp::multipart::run(class, nprocs, MachineConfig::sp2(nprocs))
-                    .unwrap()
-                    .run
-                    .virtual_time,
-                dhpf_nas::sp::run_dhpf(class, nprocs, MachineConfig::sp2(nprocs))
-                    .run
-                    .virtual_time,
-            ),
-            _ => (
-                dhpf_nas::bt::multipart::run(class, nprocs, MachineConfig::sp2(nprocs))
-                    .unwrap()
-                    .run
-                    .virtual_time,
-                dhpf_nas::bt::run_dhpf(class, nprocs, MachineConfig::sp2(nprocs))
-                    .run
-                    .virtual_time,
-            ),
-        };
+    for kernel in dhpf_nas::Kernel::ALL {
+        let bench = kernel.name();
+        let hand = kernel
+            .hand(class, nprocs, MachineConfig::sp2(nprocs))
+            .unwrap_or_else(|e| panic!("{e}"))
+            .run
+            .virtual_time;
+        let dhpf = kernel
+            .run_dhpf(class, nprocs, MachineConfig::sp2(nprocs))
+            .run
+            .virtual_time;
         let eff = hand / dhpf;
         assert!(
             eff > 0.5,

@@ -58,6 +58,26 @@ pub struct ProfileOptions {
     pub overlap_candidates: Vec<u32>,
 }
 
+/// Nest ids in `blocking`'s provenance table whose pre-exchanges the
+/// compiler fuses into overlapped nests in `overlapped` (the same
+/// program compiled with `OptFlags::overlap` on): the overlap what-if
+/// replays exactly those receives in post/compute/wait form.
+pub fn overlap_candidates(blocking: &NodeProgram, overlapped: &NodeProgram) -> Vec<u32> {
+    let fused: BTreeSet<(&str, u32)> = overlapped
+        .provenance
+        .iter()
+        .filter(|p| p.kind == ProvKind::Overlap)
+        .map(|p| (p.unit.as_str(), p.stmt))
+        .collect();
+    blocking
+        .provenance
+        .iter()
+        .enumerate()
+        .filter(|(_, p)| p.kind == ProvKind::Pre && fused.contains(&(p.unit.as_str(), p.stmt)))
+        .map(|(i, _)| i as u32)
+        .collect()
+}
+
 impl Default for ProfileOptions {
     fn default() -> Self {
         ProfileOptions {

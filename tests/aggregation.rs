@@ -5,7 +5,7 @@
 //! improve the LogGP makespan (every packed transfer saves its peers'
 //! per-message overhead `o` and latency `L` on the critical path).
 
-use dhpf::core::driver::OptFlags;
+use dhpf::nas::Kernel;
 use dhpf::prelude::*;
 
 fn flags(aggregate: bool) -> OptFlags {
@@ -21,12 +21,8 @@ struct Outcome {
     u: Vec<f64>,
 }
 
-fn run(name: &str, aggregate: bool) -> Outcome {
-    let compiled = match name {
-        "sp" => dhpf::nas::sp::compile_dhpf(Class::S, 4, Some(flags(aggregate))),
-        "bt" => dhpf::nas::bt::compile_dhpf(Class::S, 4, Some(flags(aggregate))),
-        other => unreachable!("unknown benchmark {other}"),
-    };
+fn run(kernel: Kernel, aggregate: bool) -> Outcome {
+    let compiled = kernel.compile_dhpf(Class::S, 4, Some(flags(aggregate)));
     let r = run_node_program(&compiled.program, MachineConfig::sp2(4)).unwrap();
     Outcome {
         messages: r.run.stats.messages,
@@ -35,15 +31,12 @@ fn run(name: &str, aggregate: bool) -> Outcome {
     }
 }
 
-fn check(name: &str) {
-    let serial = match name {
-        "sp" => dhpf::nas::sp::run_serial_reference(Class::S),
-        "bt" => dhpf::nas::bt::run_serial_reference(Class::S),
-        other => unreachable!("unknown benchmark {other}"),
-    };
+fn check(kernel: Kernel) {
+    let name = kernel.name();
+    let serial = kernel.run_serial_reference(Class::S);
     let truth = &serial.arrays["u"].data;
-    let off = run(name, false);
-    let on = run(name, true);
+    let off = run(kernel, false);
+    let on = run(kernel, true);
 
     // ≥25% fewer physical messages (the ISSUE acceptance floor).
     let reduction = 100.0 * (off.messages - on.messages) as f64 / off.messages as f64;
@@ -84,12 +77,12 @@ fn check(name: &str) {
 
 #[test]
 fn sp_class_s_aggregation_acceptance() {
-    check("sp");
+    check(Kernel::Sp);
 }
 
 #[test]
 fn bt_class_s_aggregation_acceptance() {
-    check("bt");
+    check(Kernel::Bt);
 }
 
 /// Aggregated plans must stay verifiable end to end: comm-coverage,
@@ -97,16 +90,9 @@ fn bt_class_s_aggregation_acceptance() {
 /// clean on SP and BT class S at 4 ranks with aggregation on.
 #[test]
 fn aggregated_plans_pass_all_verifiers() {
-    for (name, compiled) in [
-        (
-            "sp",
-            dhpf::nas::sp::compile_dhpf(Class::S, 4, Some(flags(true))),
-        ),
-        (
-            "bt",
-            dhpf::nas::bt::compile_dhpf(Class::S, 4, Some(flags(true))),
-        ),
-    ] {
+    for kernel in Kernel::ALL {
+        let name = kernel.name();
+        let compiled = kernel.compile_dhpf(Class::S, 4, Some(flags(true)));
         let cov = dhpf::analysis::verify_compiled(&compiled);
         assert!(
             cov.is_clean(),

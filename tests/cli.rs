@@ -34,6 +34,70 @@ fn unknown_benchmark_is_a_usage_error() {
     assert!(err.contains("unknown benchmark"), "{err}");
 }
 
+/// `dhpf bench figure` at a count the version cannot run at: exit 2 with
+/// the reason and the valid counts, not a panic.
+#[test]
+fn unrunnable_figure_count_is_a_usage_error() {
+    for (version, nprocs, valid) in [
+        ("pgi", "16", "valid counts: 1..=12"),
+        ("hand", "6", "valid counts: 1, 4, 9, 16, 36, 144"),
+    ] {
+        let out = dhpf(&[
+            "bench",
+            "figure",
+            "--nas",
+            "sp",
+            "--version",
+            version,
+            "--nprocs",
+            nprocs,
+        ]);
+        assert_eq!(out.status.code(), Some(2), "{version}: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains("cannot run on") && err.contains(valid),
+            "{err}"
+        );
+        assert!(
+            !err.contains("panicked") && out.stdout.is_empty(),
+            "{out:?}"
+        );
+    }
+}
+
+#[test]
+fn bench_without_or_with_unknown_subcommand_is_a_usage_error() {
+    for args in [&["bench"][..], &["bench", "frobnicate"][..]] {
+        let out = dhpf(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        for sub in ["table", "figure", "flags", "plan-stats", "compile"] {
+            assert!(
+                err.contains(&format!("\n  {sub} ")),
+                "{sub} not listed: {err}"
+            );
+        }
+    }
+    // a flag another subcommand owns is rejected, not ignored; so is a
+    // processor count no grid can be laid over
+    for args in [
+        &["bench", "table", "--nas", "sp", "--quick"][..],
+        &[
+            "bench",
+            "figure",
+            "--nas",
+            "sp",
+            "--version",
+            "dhpf",
+            "--nprocs",
+            "0",
+        ][..],
+    ] {
+        let out = dhpf(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+    }
+}
+
 #[test]
 fn unreadable_file_is_a_runtime_failure_not_usage() {
     let out = dhpf(&["compile", "/nonexistent/input.f"]);

@@ -2,6 +2,7 @@
 //! metrics document, and the Perfetto trace export.
 
 use dhpf::core::driver::{compile, CompileOptions};
+use dhpf::nas::Kernel;
 use dhpf::prelude::*;
 
 fn compile_sp_observed(jobs: usize) -> dhpf::core::driver::Compiled {
@@ -34,18 +35,9 @@ fn sp_class_s_decision_log_matches_golden() {
 /// `dhpf explain` may not emit an unattributed decision.
 #[test]
 fn every_decision_is_anchored_to_a_source_line() {
-    for (name, program, bindings) in [
-        (
-            "sp",
-            dhpf::nas::sp::parse(),
-            dhpf::nas::sp::bindings(Class::S, 4),
-        ),
-        (
-            "bt",
-            dhpf::nas::bt::parse(),
-            dhpf::nas::bt::bindings(Class::S, 4),
-        ),
-    ] {
+    for kernel in Kernel::ALL {
+        let (name, program, bindings) =
+            (kernel.name(), kernel.parse(), kernel.bindings(Class::S, 4));
         let mut opts = CompileOptions::new().observed();
         opts.bindings = bindings;
         opts.granularity = 4;
@@ -68,6 +60,26 @@ fn every_decision_is_anchored_to_a_source_line() {
             log.contains("comm eliminated") && log.contains("comm retained"),
             "{name}: communication attribution missing"
         );
+        // the machine-readable form of the same log
+        let json = compiled.obs.decision_json(&compiled.transformed);
+        assert!(json.contains("\"schema\": \"dhpf-decisions-v1\""));
+        for kind in [
+            "cp-select",
+            "comm-eliminated",
+            "comm-retained",
+            "comm-overlapped",
+        ] {
+            assert!(
+                json.contains(&format!("{{\"kind\":\"{kind}\",")),
+                "{name}: no {kind} decision"
+            );
+        }
+        for record in json.lines().filter(|l| l.contains("{\"kind\":")) {
+            assert!(
+                record.contains("\"unit\":\"") && record.contains("\"line\":"),
+                "{name}: unattributed decision {record}"
+            );
+        }
     }
 }
 
@@ -91,15 +103,76 @@ fn metrics_document_is_consistent_with_comm_report() {
     );
     let nest_pre: usize = m.nests.iter().map(|n| n.pre_messages).sum();
     assert_eq!(nest_pre, compiled.report.pre_messages);
+    assert!(nest_pre > 0, "SP must communicate");
+    assert!(
+        m.nests.iter().any(|n| n.overlapped),
+        "SP should overlap some nests"
+    );
 
     let json = m.render_json();
     assert!(json.contains("\"schema\": \"dhpf-metrics-v1\""));
     assert!(json.contains("\"iset.lookups\""));
+    for key in [
+        "unit",
+        "stmt",
+        "pipelined",
+        "overlapped",
+        "pre_messages",
+        "pre_elems",
+        "post_messages",
+        "post_elems",
+    ] {
+        assert!(json.contains(&format!("\"{key}\":")), "per-nest {key}");
+    }
+}
+
+/// Event-level validity of a Chrome trace as `perfetto::render` lays it
+/// out (one event object per line): a known phase on every event,
+/// non-negative integer `ts`/`dur` on every complete event, and both the
+/// compile (pid 1) and execution (pid 2) processes present. Returns the
+/// event count.
+fn check_trace_events(json: &str) -> usize {
+    let events: Vec<&str> = json
+        .lines()
+        .filter(|l| l.starts_with("{\"ph\":\""))
+        .collect();
+    assert!(!events.is_empty(), "empty trace");
+    for e in &events {
+        let ph = &e[7..8];
+        assert!(matches!(ph, "X" | "i" | "M"), "unknown phase in {e}");
+        if ph == "X" {
+            for key in ["\"ts\":", "\"dur\":"] {
+                let at = e.find(key).unwrap_or_else(|| panic!("no {key} in {e}"));
+                let digits = e[at + key.len()..]
+                    .split(|c: char| !c.is_ascii_digit())
+                    .next()
+                    .unwrap();
+                assert!(digits.parse::<u64>().is_ok(), "bad {key} in {e}");
+            }
+        }
+    }
+    for pid in [1, 2] {
+        let tag = format!("\"pid\":{pid},");
+        assert!(events.iter().any(|e| e.contains(&tag)), "no pid {pid}");
+    }
+    events.len()
+}
+
+/// The checked-in reference trace (README's "open this in Perfetto"
+/// sample) must be a trace the current renderer would accept.
+#[test]
+fn checked_in_reference_trace_is_valid() {
+    let json = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../results/sp_s_trace.json"
+    ))
+    .expect("read results/sp_s_trace.json");
+    assert!(json.contains("\"traceEvents\""));
+    assert!(check_trace_events(&json) > 100);
 }
 
 /// Perfetto export: compile spans land in pid 1, execution events in
-/// pid 2, and the JSON parses as a Chrome trace (sanity-checked here
-/// structurally; the CI stage validates it with a real JSON parser).
+/// pid 2, and the JSON is a structurally valid Chrome trace.
 #[test]
 fn perfetto_export_covers_compile_and_execution() {
     let compiled = compile_sp_observed(0);
@@ -110,6 +183,7 @@ fn perfetto_export_covers_compile_and_execution() {
     assert!(json.contains("\"pid\":1"), "no compile-process events");
     assert!(json.contains("\"pid\":2"), "no execution-process events");
     assert!(json.contains("\"comm-plan\""), "compile span names missing");
+    check_trace_events(&json);
     // balanced braces/brackets as a cheap structural check
     let (mut braces, mut brackets) = (0i64, 0i64);
     let mut in_str = false;

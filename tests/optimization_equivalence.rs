@@ -2,11 +2,11 @@
 //! the paper's optimizations must never change the computed answer —
 //! only the communication behaviour.
 
-use dhpf::core::driver::OptFlags;
+use dhpf::nas::Kernel;
 use dhpf::prelude::*;
 
-fn run_sp_with(flags: OptFlags, nprocs: usize) -> (f64, u64, Vec<f64>) {
-    let compiled = dhpf::nas::sp::compile_dhpf(Class::S, nprocs, Some(flags));
+fn run_with(kernel: Kernel, flags: OptFlags, nprocs: usize) -> (f64, u64, Vec<f64>) {
+    let compiled = kernel.compile_dhpf(Class::S, nprocs, Some(flags));
     let r = run_node_program(&compiled.program, MachineConfig::sp2(nprocs)).unwrap();
     (
         r.run.virtual_time,
@@ -15,98 +15,36 @@ fn run_sp_with(flags: OptFlags, nprocs: usize) -> (f64, u64, Vec<f64>) {
     )
 }
 
+/// The whole flag lattice (all-on, each optimization switched off
+/// individually, all-off) on class S at 4 ranks: every configuration
+/// must leave the stitched solution within NAS epsilon of the serial
+/// interpreter.
+fn every_lattice_configuration_matches_serial(kernel: Kernel) {
+    let serial = kernel.run_serial_reference(Class::S);
+    let truth = &serial.arrays["u"].data;
+    for (label, flags) in OptFlags::lattice() {
+        let (_, _, u) = run_with(kernel, flags, 4);
+        let worst = truth
+            .iter()
+            .zip(&u)
+            .map(|(a, b)| (a - b).abs())
+            .fold(0.0f64, f64::max);
+        assert!(
+            worst < 1e-9,
+            "{} {label}: worst delta {worst:.3e}",
+            kernel.name()
+        );
+    }
+}
+
 #[test]
 fn every_flag_combination_is_semantics_preserving() {
-    let serial = dhpf::nas::sp::run_serial_reference(Class::S);
-    let truth = &serial.arrays["u"].data;
-    let configs = [
-        OptFlags::default(),
-        OptFlags {
-            privatizable_cp: false,
-            ..Default::default()
-        },
-        OptFlags {
-            localize: false,
-            ..Default::default()
-        },
-        OptFlags {
-            loop_distribution: false,
-            ..Default::default()
-        },
-        OptFlags {
-            data_availability: false,
-            ..Default::default()
-        },
-        OptFlags {
-            overlap: false,
-            ..Default::default()
-        },
-        OptFlags {
-            aggregate: false,
-            ..Default::default()
-        },
-        OptFlags {
-            privatizable_cp: false,
-            localize: false,
-            loop_distribution: false,
-            interproc: false,
-            data_availability: false,
-            overlap: false,
-            aggregate: false,
-        },
-    ];
-    for (idx, flags) in configs.iter().enumerate() {
-        let (_, _, u) = run_sp_with(*flags, 4);
-        let worst = truth
-            .iter()
-            .zip(&u)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0f64, f64::max);
-        assert!(worst < 1e-9, "config {idx}: worst delta {worst:.3e}");
-    }
+    every_lattice_configuration_matches_serial(Kernel::Sp);
 }
 
-fn run_bt_with(flags: OptFlags, nprocs: usize) -> Vec<f64> {
-    let compiled = dhpf::nas::bt::compile_dhpf(Class::S, nprocs, Some(flags));
-    let r = run_node_program(&compiled.program, MachineConfig::sp2(nprocs)).unwrap();
-    r.arrays["u"].data.clone()
-}
-
-/// Same per-optimization toggle battery as SP, on BT class S: each of the
-/// four paper optimizations switched off individually must leave the
-/// stitched solution within NAS epsilon of the serial interpreter.
 #[test]
 fn bt_each_optimization_toggle_is_semantics_preserving() {
-    let serial = dhpf::nas::bt::run_serial_reference(Class::S);
-    let truth = &serial.arrays["u"].data;
-    let configs = [
-        OptFlags::default(),
-        OptFlags {
-            privatizable_cp: false,
-            ..Default::default()
-        },
-        OptFlags {
-            localize: false,
-            ..Default::default()
-        },
-        OptFlags {
-            loop_distribution: false,
-            ..Default::default()
-        },
-        OptFlags {
-            data_availability: false,
-            ..Default::default()
-        },
-    ];
-    for (idx, flags) in configs.iter().enumerate() {
-        let u = run_bt_with(*flags, 4);
-        let worst = truth
-            .iter()
-            .zip(&u)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0f64, f64::max);
-        assert!(worst < 1e-9, "BT config {idx}: worst delta {worst:.3e}");
-    }
+    every_lattice_configuration_matches_serial(Kernel::Bt);
 }
 
 /// Compile with the parallel driver (worker threads) and the serial
@@ -118,18 +56,9 @@ fn bt_each_optimization_toggle_is_semantics_preserving() {
 fn parallel_compilation_is_byte_identical_to_serial() {
     use dhpf::core::driver::{compile, CompileOptions};
 
-    for (name, program, bindings) in [
-        (
-            "sp",
-            dhpf::nas::sp::parse(),
-            dhpf::nas::sp::bindings(Class::S, 4),
-        ),
-        (
-            "bt",
-            dhpf::nas::bt::parse(),
-            dhpf::nas::bt::bindings(Class::S, 4),
-        ),
-    ] {
+    for kernel in Kernel::ALL {
+        let (name, program, bindings) =
+            (kernel.name(), kernel.parse(), kernel.bindings(Class::S, 4));
         let mut serial_opts = CompileOptions::new();
         serial_opts.bindings = bindings.clone();
         serial_opts.granularity = 4;
@@ -173,18 +102,9 @@ fn parallel_compilation_is_byte_identical_to_serial() {
 fn observed_parallel_compile_trace_is_deterministic() {
     use dhpf::core::driver::{compile, CompileOptions};
 
-    for (name, program, bindings) in [
-        (
-            "sp",
-            dhpf::nas::sp::parse(),
-            dhpf::nas::sp::bindings(Class::S, 4),
-        ),
-        (
-            "bt",
-            dhpf::nas::bt::parse(),
-            dhpf::nas::bt::bindings(Class::S, 4),
-        ),
-    ] {
+    for kernel in Kernel::ALL {
+        let (name, program, bindings) =
+            (kernel.name(), kernel.parse(), kernel.bindings(Class::S, 4));
         let mut serial_opts = CompileOptions::new().observed();
         serial_opts.bindings = bindings.clone();
         serial_opts.granularity = 4;
@@ -212,20 +132,22 @@ fn observed_parallel_compile_trace_is_deterministic() {
     }
 }
 
+/// The lattice configuration with one optimization switched off.
+fn without(label: &str) -> OptFlags {
+    let (_, flags) = OptFlags::lattice()
+        .into_iter()
+        .find(|(l, _)| *l == label)
+        .unwrap_or_else(|| panic!("no lattice configuration {label}"));
+    flags
+}
+
 /// Per-peer aggregation must be a pure packing transform: identical
 /// numerics with and without it, strictly fewer physical messages with
-/// it (SP class S at 4 ranks has multiple arrays exchanging per nest,
-/// so there is always something to aggregate).
-#[test]
-fn aggregation_preserves_numerics_and_reduces_messages() {
-    let (_, msgs_on, u_on) = run_sp_with(OptFlags::default(), 4);
-    let (_, msgs_off, u_off) = run_sp_with(
-        OptFlags {
-            aggregate: false,
-            ..Default::default()
-        },
-        4,
-    );
+/// it (class S at 4 ranks has multiple arrays exchanging per nest, so
+/// there is always something to aggregate).
+fn aggregation_is_a_pure_packing_transform(kernel: Kernel) {
+    let (_, msgs_on, u_on) = run_with(kernel, OptFlags::default(), 4);
+    let (_, msgs_off, u_off) = run_with(kernel, without("no-aggregate"), 4);
     assert_eq!(
         u_on, u_off,
         "aggregation changed the computed answer (pack/unpack must be lossless)"
@@ -236,27 +158,14 @@ fn aggregation_preserves_numerics_and_reduces_messages() {
     );
 }
 
-/// BT: same aggregation contract at 4 ranks.
+#[test]
+fn aggregation_preserves_numerics_and_reduces_messages() {
+    aggregation_is_a_pure_packing_transform(Kernel::Sp);
+}
+
 #[test]
 fn bt_aggregation_preserves_numerics_and_reduces_messages() {
-    let on = dhpf::nas::bt::compile_dhpf(Class::S, 4, Some(OptFlags::default()));
-    let off = dhpf::nas::bt::compile_dhpf(
-        Class::S,
-        4,
-        Some(OptFlags {
-            aggregate: false,
-            ..Default::default()
-        }),
-    );
-    let r_on = run_node_program(&on.program, MachineConfig::sp2(4)).unwrap();
-    let r_off = run_node_program(&off.program, MachineConfig::sp2(4)).unwrap();
-    assert_eq!(r_on.arrays["u"].data, r_off.arrays["u"].data);
-    assert!(
-        r_on.run.stats.messages < r_off.run.stats.messages,
-        "BT aggregation must send strictly fewer messages: on={} off={}",
-        r_on.run.stats.messages,
-        r_off.run.stats.messages
-    );
+    aggregation_is_a_pure_packing_transform(Kernel::Bt);
 }
 
 #[test]
@@ -264,21 +173,12 @@ fn localize_reduces_messages() {
     // aggregation off in both arms: it packs per peer, so the extra
     // logical transfers localize would eliminate ride in the same
     // physical envelopes and the runtime message count can't see them
-    let (_, with, _) = run_sp_with(
-        OptFlags {
-            aggregate: false,
-            ..Default::default()
-        },
-        4,
-    );
-    let (_, without, _) = run_sp_with(
-        OptFlags {
-            localize: false,
-            aggregate: false,
-            ..Default::default()
-        },
-        4,
-    );
+    let (_, with, _) = run_with(Kernel::Sp, without("no-aggregate"), 4);
+    let neither = OptFlags {
+        localize: false,
+        ..without("no-aggregate")
+    };
+    let (_, without, _) = run_with(Kernel::Sp, neither, 4);
     assert!(
         without > with,
         "partial replication must eliminate messages: with={with} without={without}"
@@ -287,14 +187,8 @@ fn localize_reduces_messages() {
 
 #[test]
 fn availability_reduces_messages() {
-    let (_, with, _) = run_sp_with(OptFlags::default(), 4);
-    let (_, without, _) = run_sp_with(
-        OptFlags {
-            data_availability: false,
-            ..Default::default()
-        },
-        4,
-    );
+    let (_, with, _) = run_with(Kernel::Sp, OptFlags::default(), 4);
+    let (_, without, _) = run_with(Kernel::Sp, without("no-data-availability"), 4);
     assert!(
         without >= with,
         "availability elimination must not add messages: with={with} without={without}"
@@ -305,14 +199,8 @@ fn availability_reduces_messages() {
 fn privatizable_off_increases_time() {
     // the strawman replicates every privatizable computation on every
     // processor: same answer, strictly more virtual compute time
-    let (t_on, _, _) = run_sp_with(OptFlags::default(), 4);
-    let (t_off, _, _) = run_sp_with(
-        OptFlags {
-            privatizable_cp: false,
-            ..Default::default()
-        },
-        4,
-    );
+    let (t_on, _, _) = run_with(Kernel::Sp, OptFlags::default(), 4);
+    let (t_off, _, _) = run_with(Kernel::Sp, without("no-privatizable-cp"), 4);
     assert!(
         t_off > t_on,
         "replicating NEW computations must cost time: on={t_on:.4} off={t_off:.4}"

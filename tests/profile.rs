@@ -4,16 +4,13 @@
 //! agreement between the overlap what-if and the measured
 //! blocking-vs-overlapped delta.
 
-use dhpf::core::driver::{compile, CompileOptions, Compiled};
+use dhpf::core::driver::Compiled;
+use dhpf::nas::Kernel;
 use dhpf::prelude::*;
 use dhpf::profile::{profile, Profile, ProfileOptions};
 
-fn compile_nas(name: &str, overlap: bool) -> Compiled {
-    let (program, bindings) = match name {
-        "sp" => (dhpf::nas::sp::parse(), dhpf::nas::sp::bindings(Class::S, 4)),
-        "bt" => (dhpf::nas::bt::parse(), dhpf::nas::bt::bindings(Class::S, 4)),
-        other => panic!("unknown benchmark {other}"),
-    };
+fn compile_nas(kernel: Kernel, overlap: bool) -> Compiled {
+    let (program, bindings) = (kernel.parse(), kernel.bindings(Class::S, 4));
     let mut opts = CompileOptions::new().observed();
     opts.bindings = bindings;
     opts.granularity = 4;
@@ -21,39 +18,20 @@ fn compile_nas(name: &str, overlap: bool) -> Compiled {
     compile(&program, &opts).expect("compile")
 }
 
-/// Nest ids in the blocking program whose pre-exchanges the compiler
-/// fuses into overlapped nests with overlap on — the same join the CLI
-/// performs for the overlap what-if.
-fn overlap_candidates(blocking: &Compiled, overlapped: &Compiled) -> Vec<u32> {
-    use dhpf::core::codegen::ProvKind;
-    let fused: std::collections::BTreeSet<(String, u32)> = overlapped
-        .program
-        .provenance
-        .iter()
-        .filter(|p| p.kind == ProvKind::Overlap)
-        .map(|p| (p.unit.clone(), p.stmt))
-        .collect();
-    blocking
-        .program
-        .provenance
-        .iter()
-        .enumerate()
-        .filter(|(_, p)| p.kind == ProvKind::Pre && fused.contains(&(p.unit.clone(), p.stmt)))
-        .map(|(i, _)| i as u32)
-        .collect()
-}
-
 /// Replicates `dhpf profile --nas <name> --class S --nprocs 4
 /// --no-overlap`: compile blocking, execute traced, profile with the
 /// overlap candidates the compiler would fuse.
-fn profile_nas(name: &str) -> (Profile, Compiled) {
-    let blocking = compile_nas(name, false);
-    let overlapped = compile_nas(name, true);
+fn profile_nas(kernel: Kernel) -> (Profile, Compiled) {
+    let blocking = compile_nas(kernel, false);
+    let overlapped = compile_nas(kernel, true);
     let machine = MachineConfig::sp2(4).with_trace();
     let result = run_node_program(&blocking.program, machine.clone()).expect("run");
     let opts = ProfileOptions {
         top: 8,
-        overlap_candidates: overlap_candidates(&blocking, &overlapped),
+        overlap_candidates: dhpf::profile::overlap_candidates(
+            &blocking.program,
+            &overlapped.program,
+        ),
     };
     let prof = profile(
         &blocking.program,
@@ -77,7 +55,7 @@ fn profile_nas(name: &str) -> (Profile, Compiled) {
 #[test]
 fn sp_class_s_profile_report_matches_golden() {
     let golden = include_str!("golden/sp_s_profile.txt");
-    let (prof, _) = profile_nas("sp");
+    let (prof, _) = profile_nas(Kernel::Sp);
     let report = dhpf::profile::report::render_human(&prof, 8);
     assert_eq!(
         report, golden,
@@ -89,8 +67,9 @@ fn sp_class_s_profile_report_matches_golden() {
 /// in order, summing to the makespan — on both benchmarks.
 #[test]
 fn critical_path_tiles_the_makespan() {
-    for name in ["sp", "bt"] {
-        let (prof, _) = profile_nas(name);
+    for kernel in Kernel::ALL {
+        let name = kernel.name();
+        let (prof, _) = profile_nas(kernel);
         assert!(prof.makespan > 0.0, "{name}: empty run");
         assert!(!prof.path.is_empty(), "{name}: empty critical path");
         let tol = 1e-12 * prof.makespan.max(1.0);
@@ -124,8 +103,9 @@ fn critical_path_tiles_the_makespan() {
 /// traced makespan.
 #[test]
 fn every_whatif_makespan_is_bounded_by_the_baseline() {
-    for name in ["sp", "bt"] {
-        let (prof, _) = profile_nas(name);
+    for kernel in Kernel::ALL {
+        let name = kernel.name();
+        let (prof, _) = profile_nas(kernel);
         assert!(!prof.whatif.is_empty(), "{name}: no what-if scenarios");
         for w in &prof.whatif {
             assert!(
@@ -145,7 +125,7 @@ fn every_whatif_makespan_is_bounded_by_the_baseline() {
 /// each join at least one decision-log record.
 #[test]
 fn stall_attribution_covers_95_percent_with_decisions() {
-    let (prof, _) = profile_nas("sp");
+    let (prof, _) = profile_nas(Kernel::Sp);
     assert!(prof.total_stall > 0.0, "SP should stall somewhere");
     assert!(
         prof.attribution_coverage() >= 0.95,
@@ -172,8 +152,8 @@ fn stall_attribution_covers_95_percent_with_decisions() {
 /// percentage points of the measured delta.
 #[test]
 fn overlap_whatif_agrees_with_measured_delta() {
-    let (prof, _) = profile_nas("sp");
-    let overlapped = compile_nas("sp", true);
+    let (prof, _) = profile_nas(Kernel::Sp);
+    let overlapped = compile_nas(Kernel::Sp, true);
     let measured = run_node_program(&overlapped.program, MachineConfig::sp2(4))
         .expect("run overlapped")
         .run
@@ -200,7 +180,8 @@ fn overlap_whatif_agrees_with_measured_delta() {
 /// the in-memory profile.
 #[test]
 fn profile_json_carries_schema_and_totals() {
-    let (prof, _) = profile_nas("sp");
+    let (prof, _) = profile_nas(Kernel::Sp);
+    assert_eq!((prof.nprocs, prof.ranks.len()), (4, 4));
     let json = dhpf::profile::report::render_json(&prof);
     assert!(json.contains("\"schema\": \"dhpf-profile-v1\""));
     assert!(json.contains(&format!("\"makespan_s\": {:.9}", prof.makespan)));
@@ -208,7 +189,7 @@ fn profile_json_carries_schema_and_totals() {
     assert!(json.contains("\"whatif\""));
     // per-rank gauges ride along in the metrics document
     let mut m = dhpf::obs::Metrics::default();
-    let blocking = compile_nas("sp", false);
+    let blocking = compile_nas(Kernel::Sp, false);
     let result =
         run_node_program(&blocking.program, MachineConfig::sp2(4).with_trace()).expect("run");
     dhpf::profile::record_exec_gauges(&mut m, &result.run.traces);
