@@ -546,7 +546,7 @@ fn sim_segment(p: &ProtocolProgram, ops: &[ProtoOp], out: &mut Report) {
             ProtoOp::Pipeline {
                 unit,
                 tag,
-                narrays,
+                groups,
                 links,
                 chunks,
                 ..
@@ -560,8 +560,8 @@ fn sim_segment(p: &ProtocolProgram, ops: &[ProtoOp], out: &mut Report) {
                             format!(
                                 "pipeline (tag {tag}) link {s}->{r}: sender produces \
                                  {} boundary message(s) but receiver consumes {}",
-                                cs * narrays,
-                                cr * narrays
+                                cs * groups,
+                                cr * groups
                             ),
                         ));
                     }

@@ -29,26 +29,19 @@ fn check_matched_messages(traces: &[Trace], out: &mut Report) {
     let mut pairs: BTreeMap<(usize, usize), (usize, u64, usize, u64)> = BTreeMap::new();
     for t in traces {
         for e in &t.events {
-            match e.kind {
-                EventKind::Send { to, bytes } => {
-                    let p = pairs.entry((t.rank, to)).or_default();
-                    p.0 += 1;
-                    p.1 += bytes;
-                }
-                // a blocking receive emits Recv (no stall) or RecvWait
-                // (stalled); the wait on a posted irecv emits Wait or
-                // WaitStall — each consumes exactly one message. The
-                // zero-width RecvPost consumes nothing and is covered
-                // by check_wait_coverage instead.
-                EventKind::Recv { from, bytes }
-                | EventKind::RecvWait { from, bytes }
-                | EventKind::Wait { from, bytes, .. }
-                | EventKind::WaitStall { from, bytes, .. } => {
-                    let p = pairs.entry((from, t.rank)).or_default();
-                    p.2 += 1;
-                    p.3 += bytes;
-                }
-                _ => {}
+            if let EventKind::Send { to, bytes } = e.kind {
+                let p = pairs.entry((t.rank, to)).or_default();
+                p.0 += 1;
+                p.1 += bytes;
+            }
+            // every receive completion, blocking or the wait on a posted
+            // irecv, stalled or not, consumes exactly one message. The
+            // zero-width RecvPost consumes nothing and is covered by
+            // check_wait_coverage instead.
+            if let Some((from, bytes, _)) = e.kind.recv_completion() {
+                let p = pairs.entry((from, t.rank)).or_default();
+                p.2 += 1;
+                p.3 += bytes;
             }
         }
     }
@@ -80,7 +73,7 @@ fn check_cyclic_waits(traces: &[Trace], out: &mut Report) {
     let mut edges: BTreeMap<usize, Vec<(usize, f64, f64)>> = BTreeMap::new();
     for t in traces {
         for e in &t.events {
-            if let EventKind::RecvWait { from, .. } | EventKind::WaitStall { from, .. } = e.kind {
+            if let (true, Some((from, ..))) = (e.kind.is_stall(), e.kind.recv_completion()) {
                 edges.entry(t.rank).or_default().push((from, e.t0, e.t1));
             }
         }
@@ -156,12 +149,11 @@ fn check_wait_coverage(traces: &[Trace], out: &mut Report) {
         // req id → (posts, waits); BTreeMap keeps findings ordered
         let mut reqs: BTreeMap<u64, (usize, usize)> = BTreeMap::new();
         for e in &t.events {
-            match e.kind {
-                EventKind::RecvPost { req, .. } => reqs.entry(req).or_default().0 += 1,
-                EventKind::Wait { req, .. } | EventKind::WaitStall { req, .. } => {
-                    reqs.entry(req).or_default().1 += 1
-                }
-                _ => {}
+            if let EventKind::RecvPost { req, .. } = e.kind {
+                reqs.entry(req).or_default().0 += 1;
+            }
+            if let Some((.., Some(req))) = e.kind.recv_completion() {
+                reqs.entry(req).or_default().1 += 1;
             }
         }
         for (req, (posts, waits)) in reqs {

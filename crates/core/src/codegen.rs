@@ -153,6 +153,17 @@ pub struct PipeArray {
     pub strip_dim: Option<usize>,
 }
 
+/// The physical messages of one pipeline hop, as groups of swept
+/// arrays: an aggregated sweep packs every array's boundary planes into
+/// one message per chunk, an unaggregated one sends a message per array.
+pub fn pipe_groups(arrays: &[PipeArray], aggregate: bool) -> Vec<&[PipeArray]> {
+    if aggregate {
+        vec![arrays]
+    } else {
+        arrays.chunks(1).collect()
+    }
+}
+
 /// One interior-membership constraint of an overlapped nest: the
 /// iteration reads `arr[.., value(var) + shift, ..]` on dimension
 /// `dim`, so it may run before the halo exchange completes only when

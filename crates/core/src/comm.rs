@@ -25,6 +25,7 @@
 use crate::avail::{accessed_set, nest_bounds, read_available, Availability};
 use crate::cp::SubTerm;
 use crate::distrib::{DimMap, DistEnv};
+use crate::driver::OptFlags;
 use crate::select::CpAssignment;
 use dhpf_depend::dep::{DepKind, Dependence};
 use dhpf_depend::loops::UnitLoops;
@@ -199,32 +200,6 @@ impl std::fmt::Display for CommError {
 
 impl std::error::Error for CommError {}
 
-/// Options for the analysis.
-#[derive(Clone, Copy, Debug)]
-pub struct CommOptions {
-    /// Apply §7 data availability elimination.
-    pub data_availability: bool,
-    /// Coarse-grain pipelining granularity (strip size).
-    pub granularity: i64,
-    /// Mark halo pre-exchanges of parallel nests overlappable so the
-    /// generated code can hide them behind interior compute (§3).
-    pub overlap: bool,
-    /// Aggregate all coalesced messages between one processor pair into
-    /// a single packed transfer per phase (§7 message aggregation).
-    pub aggregate: bool,
-}
-
-impl Default for CommOptions {
-    fn default() -> Self {
-        CommOptions {
-            data_availability: true,
-            granularity: 4,
-            overlap: true,
-            aggregate: true,
-        }
-    }
-}
-
 /// Statistics of what the analysis eliminated (the counters of the
 /// `dhpf bench flags` rows).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -262,27 +237,13 @@ impl CommReport {
 }
 
 /// Build the communication plan for the top-level loop `loop_id`.
-#[allow(clippy::too_many_arguments)]
-pub fn plan_nest(
-    loop_id: StmtId,
-    loops: &UnitLoops,
-    refs: &UnitRefs,
-    deps: &[Dependence],
-    cps: &CpAssignment,
-    env: &DistEnv,
-    opts: &CommOptions,
-    report: &mut CommReport,
-) -> Result<NestPlan, CommError> {
-    plan_nest_scoped(
-        loop_id, loop_id, None, loops, refs, deps, cps, env, opts, report,
-    )
-}
-
-/// Like [`plan_nest`], but preceding writes for the availability rule
-/// (§7) are searched within `scope` (an enclosing loop — e.g. the
-/// one-trip LOCALIZE wrapper whose child nests are planned separately).
+/// Preceding writes for the availability rule (§7) are searched within
+/// `scope` (`loop_id` itself, or an enclosing loop — e.g. the one-trip
+/// LOCALIZE wrapper whose child nests are planned separately).
 /// `scope_deps` are the dependences analyzed at scope level (used only
-/// for the produces-before-consumes check).
+/// for the produces-before-consumes check). Of `flags` the analysis
+/// reads `data_availability`, `overlap` and `aggregate`; `granularity`
+/// is the coarse-grain pipelining strip size.
 #[allow(clippy::too_many_arguments)]
 pub fn plan_nest_scoped(
     loop_id: StmtId,
@@ -293,7 +254,8 @@ pub fn plan_nest_scoped(
     deps: &[Dependence],
     cps: &CpAssignment,
     env: &DistEnv,
-    opts: &CommOptions,
+    flags: &OptFlags,
+    granularity: i64,
     report: &mut CommReport,
 ) -> Result<NestPlan, CommError> {
     let grid = env
@@ -424,7 +386,10 @@ pub fn plan_nest_scoped(
                             if let Some(owd) = accessed_set(w, &wcp, &nw, env, &oc) {
                                 if !uncovered.intersect(&owd).is_empty() {
                                     return Err(CommError(format!(
-                                        "read of `{}` needs inner-loop communication                                          (value produced on another processor in the                                          same nest); communication-sensitive loop                                          distribution (§5) avoids this",
+                                        "read of `{}` needs inner-loop communication \
+                                         (value produced on another processor in the \
+                                         same nest); communication-sensitive loop \
+                                         distribution (§5) avoids this",
                                         r.array
                                     )));
                                 }
@@ -433,7 +398,7 @@ pub fn plan_nest_scoped(
                     }
                 }
             }
-            if opts.data_availability {
+            if flags.data_availability {
                 if let Some(w) = pred {
                     let wcp = cps.get(&w.stmt).cloned().unwrap_or_default();
                     if read_available(r, cp, w, &wcp, loops, env) == Availability::Available {
@@ -470,7 +435,7 @@ pub fn plan_nest_scoped(
                 // non-owner) is locally available — subtract it. With the
                 // optimization disabled, everything non-local is fetched
                 // from its owner, as the base communication model says.
-                if opts.data_availability {
+                if flags.data_availability {
                     if let Some(w) = pred {
                         if let Some(nw) = nest_bounds(w.stmt, loops) {
                             let wcp = cps.get(&w.stmt).cloned().unwrap_or_default();
@@ -503,7 +468,7 @@ pub fn plan_nest_scoped(
     emit_retained(&pre_retained, &pre, CommPhase::Pre);
     report.pre_messages += pre.len();
     report.pre_volume += pre.iter().map(|m| m.region.len()).sum::<usize>();
-    if opts.aggregate {
+    if flags.aggregate {
         record_aggregation(&pre, CommPhase::Pre, loop_id, report);
     }
 
@@ -526,13 +491,13 @@ pub fn plan_nest_scoped(
     emit_retained(&post_retained, &post, CommPhase::Post);
     report.post_messages += post.len();
     report.post_volume += post.iter().map(|m| m.region.len()).sum::<usize>();
-    if opts.aggregate {
+    if flags.aggregate {
         record_aggregation(&post, CommPhase::Post, loop_id, report);
     }
 
     match sweep {
         Some(mut schedule) => {
-            schedule.granularity = opts.granularity;
+            schedule.granularity = granularity;
             if obs::is_active() {
                 let arrays: Vec<String> = schedule.arrays.iter().map(|(a, _)| a.clone()).collect();
                 let granularity = schedule.granularity;
@@ -553,7 +518,7 @@ pub fn plan_nest_scoped(
             })
         }
         None => {
-            let overlap = if opts.overlap {
+            let overlap = if flags.overlap {
                 detect_overlap(loop_id, loops, refs, deps, env, &pre)
             } else {
                 None
@@ -1185,6 +1150,24 @@ mod tests {
     use dhpf_fortran::parse;
     use dhpf_iset::LinExpr;
 
+    /// [`plan_nest_scoped`] with the nest as its own scope and the
+    /// default strip size.
+    #[allow(clippy::too_many_arguments)]
+    fn plan_nest(
+        loop_id: StmtId,
+        loops: &UnitLoops,
+        refs: &UnitRefs,
+        deps: &[Dependence],
+        cps: &CpAssignment,
+        env: &DistEnv,
+        flags: &OptFlags,
+        report: &mut CommReport,
+    ) -> Result<NestPlan, CommError> {
+        plan_nest_scoped(
+            loop_id, loop_id, None, loops, refs, deps, cps, env, flags, 4, report,
+        )
+    }
+
     fn setup(
         src: &str,
     ) -> (
@@ -1238,7 +1221,7 @@ mod tests {
             &deps,
             &cps,
             &env,
-            &CommOptions::default(),
+            &OptFlags::default(),
             &mut report,
         )
         .expect("plan");
@@ -1323,7 +1306,7 @@ mod tests {
             &deps,
             &cps,
             &env,
-            &CommOptions::default(),
+            &OptFlags::default(),
             &mut report,
         )
         .expect("plan");
@@ -1365,17 +1348,17 @@ mod tests {
     fn sweep_detected_and_scheduled() {
         let (loops, refs, env, deps, cps, outer) = setup(SWEEP);
         let mut report = CommReport::default();
-        let plan = plan_nest(
+        let plan = plan_nest_scoped(
             outer,
+            outer,
+            None,
             &loops,
             &refs,
             &deps,
             &cps,
             &env,
-            &CommOptions {
-                granularity: 2,
-                ..CommOptions::default()
-            },
+            &OptFlags::default(),
+            2,
             &mut report,
         )
         .expect("plan");
@@ -1490,9 +1473,9 @@ mod tests {
                 &deps,
                 &cps,
                 &env,
-                &CommOptions {
+                &OptFlags {
                     aggregate,
-                    ..CommOptions::default()
+                    ..OptFlags::default()
                 },
                 &mut report,
             )
@@ -1562,9 +1545,9 @@ mod tests {
                 &deps,
                 &cps,
                 &env,
-                &CommOptions {
+                &OptFlags {
                     data_availability: avail,
-                    ..CommOptions::default()
+                    ..OptFlags::default()
                 },
                 &mut report,
             )
@@ -1591,9 +1574,9 @@ mod tests {
                 &deps,
                 &cps,
                 &env,
-                &CommOptions {
+                &OptFlags {
                     overlap,
-                    ..CommOptions::default()
+                    ..OptFlags::default()
                 },
                 &mut report,
             )
@@ -1630,7 +1613,7 @@ mod tests {
             &deps,
             &cps,
             &env,
-            &CommOptions::default(),
+            &OptFlags::default(),
             &mut report,
         )
         .expect("plan");
@@ -1664,7 +1647,7 @@ mod tests {
             &deps,
             &cps,
             &env,
-            &CommOptions::default(),
+            &OptFlags::default(),
             &mut report,
         )
         .expect("non-loop stmt must plan to an empty exchange");

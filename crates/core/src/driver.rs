@@ -14,7 +14,7 @@
 //! the ablation experiments.
 
 use crate::codegen::{CodegenError, CompiledUnit, GlobalRegistry, NodeProgram, PlanProv, UnitCx};
-use crate::comm::{CommError, CommOptions, CommReport, NestPlan};
+use crate::comm::{CommError, CommReport, NestPlan};
 use crate::cp::Cp;
 use crate::distrib::{resolve as resolve_dist, DistEnv, DistError};
 use crate::interproc::{entry_cp, translate_to_callsite};
@@ -630,9 +630,10 @@ fn process_unit(
                 for rank in grid.ranks() {
                     if dist.owned_box(&grid.coords(rank)).is_none() {
                         return Err(CompileError::Other(format!(
-                                "array `{}` has an empty block on processor {rank}:                                  grid {:?} is too large for its extents",
-                                dist.array, grid.extents
-                            )));
+                            "array `{}` has an empty block on processor {rank}: \
+                                 grid {:?} is too large for its extents",
+                            dist.array, grid.extents
+                        )));
                     }
                 }
             }
@@ -964,12 +965,6 @@ fn process_unit(
         // ---- communication plans ----------------------------------------
         let mut plans: BTreeMap<StmtId, NestPlan> = BTreeMap::new();
         if env.grid.is_some() {
-            let comm_opts = CommOptions {
-                data_availability: opts.flags.data_availability,
-                granularity: opts.granularity,
-                overlap: opts.flags.overlap,
-                aggregate: opts.flags.aggregate,
-            };
             for &nest in &nests {
                 let _sp = obs::span_detail("comm-plan", || format!("nest s{}", nest.0));
                 let deps = analyze_loop_deps(nest, &loops, &refs);
@@ -984,7 +979,8 @@ fn process_unit(
                     &deps,
                     &assignment,
                     &env,
-                    &comm_opts,
+                    &opts.flags,
+                    opts.granularity,
                     &mut report,
                 )
                 .map_err(|e| CompileError::Comm(uname.to_string(), e))?;
@@ -2161,6 +2157,68 @@ mod distribution_tests {
     /// A program where no aligned choice exists at all: the write's only
     /// candidate conflicts with the consumer. With §5 off this MUST be
     /// rejected (inner-loop communication).
+    /// The rendered error, checked for the run of spaces a lost `\`
+    /// line continuation leaves inside a message.
+    fn rendered_error(src: &str, opts: &CompileOptions) -> String {
+        let Err(err) = compile(&parse(src).unwrap(), opts) else {
+            panic!("must not compile");
+        };
+        let text = err.to_string();
+        assert!(!text.contains("  "), "run of spaces in: {text}");
+        text
+    }
+
+    #[test]
+    fn grid_larger_than_a_distributed_extent_is_a_clean_error() {
+        let src = "
+      program t
+      parameter (n = 2)
+      integer i
+      double precision a(n)
+!hpf$ processors p(4)
+!hpf$ distribute (block) onto p :: a
+      do i = 1, n
+         a(i) = 1.0d0
+      enddo
+      end
+";
+        let text = rendered_error(src, &CompileOptions::new());
+        assert!(
+            text.contains("array `a` has an empty block on processor 2: grid [4] is too large"),
+            "{text}"
+        );
+    }
+
+    #[test]
+    fn cross_owner_producer_consumer_in_one_nest_is_a_clean_error() {
+        // f(i) is produced on its owner and, in the same iteration,
+        // consumed by the owners of h(i - 1) and h(i + 1): no single
+        // placement of the second statement is local to the first
+        let src = "
+      program t
+      parameter (n = 16)
+      integer i
+      double precision f(n), g(n), h(n)
+!hpf$ processors p(2)
+!hpf$ distribute (block) onto p :: f, g, h
+      do i = 2, n - 1
+         f(i) = g(i) * 2.0d0
+         h(i - 1) = f(i) + h(i + 1)
+      enddo
+      end
+";
+        let mut opts = CompileOptions::new();
+        opts.flags.loop_distribution = false;
+        let text = rendered_error(src, &opts);
+        assert!(
+            text.contains(
+                "read of `f` needs inner-loop communication (value produced on another \
+                 processor in the same nest); communication-sensitive loop distribution"
+            ),
+            "{text}"
+        );
+    }
+
     #[test]
     fn unalignable_program_rejected_without_distribution() {
         let src = "

@@ -615,9 +615,8 @@ impl<'p> ProcState<'p> {
         let region = |st: &Self, pa: &PipeArray, recv: bool| {
             st.pipe_region(&t.binding, pa, recv, dir, rd, wd, strip)
         };
-        // receive the predecessor's boundary for this strip: one
-        // aggregated message covering every swept array, or one message
-        // per array with aggregation off
+        // receive the predecessor's boundary for this strip, one message
+        // per array group, each array's region packed in group order
         if let Some(pred) = p.pred {
             let mismatch = |st: &Self, detail: String| -> ! {
                 exec_fail(format!(
@@ -626,10 +625,10 @@ impl<'p> ProcState<'p> {
                     st.rank, st.coords
                 ))
             };
-            if p.aggregate {
+            for group in &p.groups {
                 let buf = proc.recv(pred, tag);
                 let mut off = 0usize;
-                for pa in p.arrays {
+                for pa in *group {
                     let Some((lo, hi)) = region(self, pa, true) else {
                         continue;
                     };
@@ -655,28 +654,6 @@ impl<'p> ProcState<'p> {
                     let detail = format!("unpacked {off} of {} packed elements", buf.len());
                     mismatch(self, detail);
                 }
-            } else {
-                for pa in p.arrays {
-                    let region = region(self, pa, true);
-                    let buf = proc.recv(pred, tag);
-                    if let Some((lo, hi)) = region {
-                        let g = t.binding[pa.arr];
-                        let need = section_len(&lo, &hi);
-                        if need != buf.len() {
-                            mismatch(
-                                self,
-                                format!(
-                                    "array {} region {lo:?}..{hi:?} needs {need} but got {}",
-                                    self.prog.arrays[g].name,
-                                    buf.len()
-                                ),
-                            );
-                        }
-                        if let Some(local) = self.storage[g].as_mut() {
-                            local.unpack(&lo, &hi, &buf);
-                        }
-                    }
-                }
             }
         }
         // execute the nest with the strip level clamped to the chunk
@@ -685,12 +662,12 @@ impl<'p> ProcState<'p> {
             ints[slots as usize + 1] = chunk_hi;
         }
         self.run(proc, tapes, t, ints, regs, p.nest);
-        // forward my boundary to the successor
+        // forward my boundary to the successor, group by group
         if let Some(succ) = p.succ {
-            if p.aggregate {
+            for group in &p.groups {
                 let mut buf = Vec::new();
                 let mut parts = 0u32;
-                for pa in p.arrays {
+                for pa in *group {
                     let Some((lo, hi)) = region(self, pa, false) else {
                         continue;
                     };
@@ -700,16 +677,6 @@ impl<'p> ProcState<'p> {
                     }
                 }
                 proc.send_parts(succ, tag, buf, parts.max(1));
-            } else {
-                for pa in p.arrays {
-                    let mut buf = Vec::new();
-                    if let Some((lo, hi)) = region(self, pa, false) {
-                        if let Some(local) = &self.storage[t.binding[pa.arr]] {
-                            local.pack_into(&lo, &hi, &mut buf);
-                        }
-                    }
-                    proc.send(succ, tag, buf);
-                }
             }
         }
     }

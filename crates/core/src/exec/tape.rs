@@ -19,8 +19,8 @@
 use super::node::ProcState;
 use super::serial::eval_intrinsic;
 use crate::codegen::{
-    CExpr, CIdx, CMsg, CompiledUnit, FormalSlot, Guard, GuardAtom, HaloCheck, NodeOp, PipeArray,
-    PipeLevel, INTRINSIC_NAMES,
+    pipe_groups, CExpr, CIdx, CMsg, CompiledUnit, FormalSlot, Guard, GuardAtom, HaloCheck, NodeOp,
+    PipeArray, PipeLevel, INTRINSIC_NAMES,
 };
 use dhpf_fortran::ast::BinOp;
 use std::collections::BTreeMap;
@@ -254,8 +254,10 @@ pub(super) struct Pipe<'p> {
     pub read_depth: i64,
     pub write_depth: i64,
     pub arrays: &'p [PipeArray],
+    /// The swept arrays as message groups ([`pipe_groups`]): each hop
+    /// moves one message per group.
+    pub groups: Vec<&'p [PipeArray]>,
     pub tag: u64,
-    pub aggregate: bool,
     pub plan: u32,
     pub pred: Option<usize>,
     pub succ: Option<usize>,
@@ -833,8 +835,8 @@ impl<'a, 'p> Lower<'a, 'p> {
                     read_depth: *read_depth,
                     write_depth: *write_depth,
                     arrays,
+                    groups: pipe_groups(arrays, *aggregate),
                     tag: *tag,
-                    aggregate: *aggregate,
                     plan: *plan,
                     pred,
                     succ,

@@ -25,7 +25,9 @@
 //! of different source ops; the checker exploits this to verify loop
 //! bodies and branch arms as independently balanced segments.
 
-use crate::codegen::{CExpr, CIdx, CMsg, CompiledUnit, FormalSlot, NodeOp, NodeProgram};
+use crate::codegen::{
+    pipe_groups, CExpr, CIdx, CMsg, CompiledUnit, FormalSlot, NodeOp, NodeProgram,
+};
 use std::collections::BTreeSet;
 
 /// One resolved array section of a protocol message (global array id
@@ -93,13 +95,14 @@ pub enum ProtoOp {
     /// Some rank may write global array `arr` here.
     Write { arr: usize },
     /// A coarse-grain pipelined wavefront: each link `(s, r)` carries
-    /// `chunks[s] * narrays` messages from `s` and `chunks[r] * narrays`
+    /// `chunks[s] * groups` messages from `s` and `chunks[r] * groups`
     /// receives at `r`, all under one `tag`. The chain is acyclic along
     /// a grid dimension, so only the per-link counts can disagree.
     Pipeline {
         unit: usize,
         tag: u64,
-        narrays: usize,
+        /// Messages per chunk ([`pipe_groups`]).
+        groups: usize,
         links: Vec<(usize, usize)>,
         /// Boundary chunk count per rank.
         chunks: Vec<usize>,
@@ -539,9 +542,7 @@ impl<'p> Extract<'p> {
                 out.push(ProtoOp::Pipeline {
                     unit,
                     tag: *tag,
-                    // aggregated sweeps pack all swept arrays' boundary
-                    // planes into one physical message per chunk
-                    narrays: if *aggregate { 1 } else { arrays.len() },
+                    groups: pipe_groups(arrays, *aggregate).len(),
                     links,
                     chunks,
                     arrays: globals.clone(),

@@ -252,15 +252,6 @@ pub enum BinOp {
     Or,
 }
 
-impl BinOp {
-    pub fn is_arith(self) -> bool {
-        matches!(
-            self,
-            BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Pow
-        )
-    }
-}
-
 /// Unary operators.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum UnOp {

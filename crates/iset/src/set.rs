@@ -155,19 +155,6 @@ impl Set {
         out
     }
 
-    /// Intersect every disjunct with extra constraints.
-    pub fn constrain<I: IntoIterator<Item = Constraint> + Clone>(&self, cons: I) -> Set {
-        let extra = Polyhedron::new(cons);
-        let mut out = Set::empty(&self.space);
-        for p in &self.polys {
-            let c = p.intersect(&extra);
-            if !c.is_empty() {
-                out.push(c);
-            }
-        }
-        out
-    }
-
     /// Set difference `self ∖ other`, exact over the integers for the
     /// negation step (constraint negation is integer-exact; memoized).
     pub fn subtract(&self, other: &Set) -> Set {

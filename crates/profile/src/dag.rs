@@ -1,126 +1,17 @@
-//! The cross-rank event DAG: send→receive matching, barrier grouping,
-//! the critical path, and per-message slack.
+//! The cross-rank event DAG: the critical path and per-message slack.
 //!
 //! Edges of the DAG are implicit in the traces: program order within a
 //! rank (per-rank timelines are contiguous in virtual time — every event
 //! starts where its predecessor ended), one cross-rank edge per message
 //! from the send's completion to the matching receive's completion, and
 //! one join edge per barrier from the last-arriving rank to every exit.
-//!
-//! Matching is FIFO per `(src, dst)` pair. That is sound here because
-//! the traces come from an SPMD program: every rank executes the same
-//! operation sequence, and each communication op issues its sends and
-//! its receive completions in the same per-pair order on both sides
-//! (exchanges send-then-recv in plan order; overlapped nests wait in
-//! posted order; pipelines hop chunk by chunk). The byte counts of each
-//! matched pair are cross-checked, so an order violation cannot pass
-//! silently.
+//! The cross-rank edges are [`dhpf_spmd::loggp::match_events`]'s — the
+//! same FIFO matching the what-if replay runs on.
 
-use crate::ProfileError;
+use dhpf_spmd::loggp::{self, Matching};
 use dhpf_spmd::machine::MachineConfig;
 use dhpf_spmd::trace::{EventKind, Trace};
-use std::collections::{BTreeMap, VecDeque};
-
-/// Is this event a receive completion (blocking or via wait), and from
-/// whom / how many bytes?
-fn recv_completion(kind: &EventKind) -> Option<(usize, u64)> {
-    match kind {
-        EventKind::Recv { from, bytes }
-        | EventKind::RecvWait { from, bytes }
-        | EventKind::Wait { from, bytes, .. }
-        | EventKind::WaitStall { from, bytes, .. } => Some((*from, *bytes)),
-        _ => None,
-    }
-}
-
-/// Did this receive completion stall (arrival bound it)?
-fn is_stalled(kind: &EventKind) -> bool {
-    matches!(
-        kind,
-        EventKind::RecvWait { .. } | EventKind::WaitStall { .. }
-    )
-}
-
-/// Cross-rank structure recovered from the traces.
-pub struct Matching {
-    /// Receive completion `(rank, event idx)` → matching send
-    /// `(rank, event idx)`.
-    pub recv_to_send: BTreeMap<(usize, usize), (usize, usize)>,
-    /// Barrier occurrence `k` → the `(rank, event idx)` of every rank's
-    /// k-th barrier event.
-    pub barriers: Vec<Vec<(usize, usize)>>,
-    /// Barrier ordinal of each barrier event.
-    pub barrier_ordinal: BTreeMap<(usize, usize), usize>,
-}
-
-/// Match sends to receive completions and group barriers.
-pub fn match_events(traces: &[Trace]) -> Result<Matching, ProfileError> {
-    // (src rank, dst rank) → FIFO of unmatched sends (rank, event idx, bytes)
-    type SendQueue = VecDeque<(usize, usize, u64)>;
-    let mut sends: BTreeMap<(usize, usize), SendQueue> = BTreeMap::new();
-    for tr in traces {
-        for (i, e) in tr.events.iter().enumerate() {
-            if let EventKind::Send { to, bytes } = e.kind {
-                sends
-                    .entry((tr.rank, to))
-                    .or_default()
-                    .push_back((tr.rank, i, bytes));
-            }
-        }
-    }
-    let mut recv_to_send = BTreeMap::new();
-    let mut barrier_counts: Vec<usize> = vec![0; traces.len()];
-    let mut barriers: Vec<Vec<(usize, usize)>> = Vec::new();
-    let mut barrier_ordinal = BTreeMap::new();
-    for (d, tr) in traces.iter().enumerate() {
-        for (i, e) in tr.events.iter().enumerate() {
-            if let Some((from, bytes)) = recv_completion(&e.kind) {
-                let q = sends.get_mut(&(from, tr.rank)).ok_or_else(|| {
-                    ProfileError(format!(
-                        "rank {} receives from rank {from} but no such send exists",
-                        tr.rank
-                    ))
-                })?;
-                let (sr, si, sbytes) = q.pop_front().ok_or_else(|| {
-                    ProfileError(format!(
-                        "rank {} has more receive completions from rank {from} than sends",
-                        tr.rank
-                    ))
-                })?;
-                if sbytes != bytes {
-                    return Err(ProfileError(format!(
-                        "matched message {from}->{} carries {sbytes} B on the send \
-                         and {bytes} B on the receive: per-pair FIFO order violated",
-                        tr.rank
-                    )));
-                }
-                recv_to_send.insert((tr.rank, i), (sr, si));
-            } else if matches!(e.kind, EventKind::Barrier) {
-                let k = barrier_counts[d];
-                barrier_counts[d] += 1;
-                if barriers.len() <= k {
-                    barriers.push(Vec::new());
-                }
-                barriers[k].push((tr.rank, i));
-                barrier_ordinal.insert((tr.rank, i), k);
-            }
-        }
-    }
-    for (k, group) in barriers.iter().enumerate() {
-        if group.len() != traces.len() {
-            return Err(ProfileError(format!(
-                "barrier {k} joined by {} of {} ranks",
-                group.len(),
-                traces.len()
-            )));
-        }
-    }
-    Ok(Matching {
-        recv_to_send,
-        barriers,
-        barrier_ordinal,
-    })
-}
+use std::collections::BTreeMap;
 
 /// Classification of one critical-path segment.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -190,7 +81,7 @@ pub fn critical_path(traces: &[Trace], m: &Matching) -> Vec<Segment> {
     let mut segs: Vec<Segment> = Vec::new();
     loop {
         let e = &traces[r].events[i];
-        if is_stalled(&e.kind) {
+        if e.kind.is_stall() {
             if let Some(&(sr, si)) = m.recv_to_send.get(&(r, i)) {
                 let s = &traces[sr].events[si];
                 // arrival-bound: the flight from the send's completion
@@ -335,35 +226,25 @@ pub struct MessageSlack {
 }
 
 pub fn message_slack(traces: &[Trace], m: &Matching, cfg: &MachineConfig) -> Vec<MessageSlack> {
-    // Reconstruct each sender's injection pipeline: back-to-back sends
-    // serialize their byte times at the interface (LogGP's G), so a
-    // message's arrival depends on the sends departed before it — same
-    // model as the machine's per-proc `nic_free` clock.
+    // Re-run each sender's sends through the model's send rule: a
+    // message's arrival depends on the sends departed before it.
     let mut arrival_of: BTreeMap<(usize, usize), f64> = BTreeMap::new();
     for tr in traces {
         let mut nic_free = 0.0f64;
         for (i, e) in tr.events.iter().enumerate() {
             if let EventKind::Send { bytes, .. } = e.kind {
-                let inject = e.t1.max(nic_free);
-                let drain = bytes as f64 * cfg.byte_time;
-                nic_free = inject + drain;
-                arrival_of.insert((tr.rank, i), inject + drain + cfg.latency);
+                let arrival = loggp::message_arrival(cfg, e.t1, bytes, &mut nic_free);
+                arrival_of.insert((tr.rank, i), arrival);
             }
         }
     }
-    let mut out = Vec::new();
-    for (&(dr, di), &(sr, si)) in &m.recv_to_send {
-        let e = &traces[dr].events[di];
-        if recv_completion(&e.kind).is_none() {
-            continue;
-        }
-        let s = &traces[sr].events[si];
-        let arrival = arrival_of[&(traces[sr].rank, si)];
-        let ready = e.t0 + cfg.recv_overhead;
-        out.push(MessageSlack {
-            nest: e.nest.or(s.nest),
-            slack: ready - arrival,
-        });
-    }
-    out
+    (m.recv_to_send.iter())
+        .map(|(&(dr, di), &(sr, si))| {
+            let (e, s) = (&traces[dr].events[di], &traces[sr].events[si]);
+            MessageSlack {
+                nest: e.nest.or(s.nest),
+                slack: loggp::recv_ready(cfg, e.t0) - arrival_of[&(sr, si)],
+            }
+        })
+        .collect()
 }

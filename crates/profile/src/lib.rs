@@ -10,12 +10,12 @@
 //! source line and the compiler decisions — that caused it.
 //!
 //! On top of the same reconstruction sits a what-if engine: each rank's
-//! schedule is replayed through the LogGP cost rules with one
-//! hypothesis applied (a nest's communication made free, blocking
-//! receives overlapped, barriers removed), bounding the benefit of an
-//! optimization *before* implementing it. The baseline replay is
-//! validated against the traced makespan, so a drift between the
-//! machine and the replay model is an error, not a silent bias.
+//! schedule is replayed with one hypothesis applied (a nest's
+//! communication made free, blocking receives overlapped, barriers
+//! removed), bounding the benefit of an optimization *before*
+//! implementing it. The replay is [`dhpf_spmd::loggp::replay`] — the
+//! virtual machine's own cost model, not a copy of it — so the baseline
+//! replay is the traced run again.
 //!
 //! Everything is in deterministic virtual time: profiles, reports, and
 //! what-if numbers are byte-stable across runs and machines.
@@ -29,12 +29,13 @@ pub use dag::{MessageSlack, SegClass, Segment};
 use dhpf_core::codegen::{NodeProgram, PlanProv, ProvKind};
 use dhpf_fortran::ast::Program;
 use dhpf_obs::{CommPhase, DecisionKind, ObsReport};
+use dhpf_spmd::loggp::{self, ReplayError};
 use dhpf_spmd::machine::MachineConfig;
 use dhpf_spmd::trace::{EventKind, Trace};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Profiling failure (malformed traces, replay model drift, broken
-/// what-if protocol).
+/// Profiling failure (malformed traces, a what-if rewrite that broke
+/// the protocol).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProfileError(pub String);
 
@@ -45,6 +46,12 @@ impl std::fmt::Display for ProfileError {
 }
 
 impl std::error::Error for ProfileError {}
+
+impl From<ReplayError> for ProfileError {
+    fn from(e: ReplayError) -> Self {
+        ProfileError(e.0)
+    }
+}
 
 /// Knobs for [`profile`].
 #[derive(Clone, Debug)]
@@ -304,7 +311,7 @@ pub fn build_profile(
             )));
         }
     }
-    let matching = dag::match_events(traces)?;
+    let matching = loggp::match_events(traces)?;
     let path = dag::critical_path(traces, &matching);
     let slacks = dag::message_slack(traces, &matching, cfg);
 
@@ -339,7 +346,7 @@ pub fn build_profile(
         for e in &tr.events {
             let dt = e.t1 - e.t0;
             match &e.kind {
-                EventKind::RecvWait { .. } | EventKind::WaitStall { .. } | EventKind::Barrier => {
+                k if k.is_stall() || *k == EventKind::Barrier => {
                     total_stall += dt;
                     if let Some(n) = e.nest {
                         attributed_stall += dt;
@@ -416,17 +423,29 @@ pub fn build_profile(
     let actions = whatif::actions_from_traces(traces);
     let mut whatifs = Vec::new();
     if makespan > 0.0 {
-        let base = whatif::simulate(&actions, cfg, None)?;
-        if (base.makespan - makespan).abs() > 1e-9 * makespan.max(1.0) {
+        let quiet = MachineConfig {
+            trace: false,
+            ..cfg.clone()
+        };
+        let replay = |actions: &[Vec<loggp::Action>], free: Option<u32>| {
+            loggp::replay(actions, &quiet, free).map(|r| r.virtual_time)
+        };
+        // The replay runs the machine's own rules, so this is not a
+        // model-drift check. Its tolerance covers one thing: a coalesced
+        // compute event records `[t0, t0 + Σdt]` while the clock advanced
+        // by each `dt` in turn, so the duration read back (`t1 − t0`)
+        // differs from what the run added by float re-association. A
+        // miss means `cfg` is not the configuration the run used.
+        let base = replay(&actions, None)?;
+        if (base - makespan).abs() > 1e-9 * makespan.max(1.0) {
             return Err(ProfileError(format!(
                 "baseline replay drifted from the traced timeline: \
-                 traced {makespan:.9e}s, replayed {:.9e}s",
-                base.makespan
+                 traced {makespan:.9e}s, replayed {base:.9e}s"
             )));
         }
         for nest in nests.iter_mut().take(opts.top) {
-            let sim = whatif::simulate(&actions, cfg, Some(nest.id))?;
-            nest.whatif_free = Some(sim.makespan);
+            let free = replay(&actions, Some(nest.id))?;
+            nest.whatif_free = Some(free);
             whatifs.push(WhatIf {
                 scenario: "free-nest",
                 label: format!(
@@ -434,28 +453,27 @@ pub fn build_profile(
                     nest.prov.kind.name(),
                     nest.prov.anchor()
                 ),
-                makespan: sim.makespan,
-                savings: (makespan - sim.makespan).max(0.0),
+                makespan: free,
+                savings: (makespan - free).max(0.0),
             });
         }
         if !opts.overlap_candidates.is_empty() {
             let cands: BTreeSet<u32> = opts.overlap_candidates.iter().copied().collect();
-            let over = whatif::apply_overlap(&actions, &cands);
-            let sim = whatif::simulate(&over, cfg, None)?;
+            let over = replay(&whatif::apply_overlap(&actions, &cands), None)?;
             whatifs.push(WhatIf {
                 scenario: "overlap",
                 label: format!("overlap applied to {} exchange nest(s)", cands.len()),
-                makespan: sim.makespan,
-                savings: (makespan - sim.makespan).max(0.0),
+                makespan: over,
+                savings: (makespan - over).max(0.0),
             });
         }
         if !matching.barriers.is_empty() {
-            let sim = whatif::simulate(&whatif::apply_no_barriers(&actions), cfg, None)?;
+            let unsynced = replay(&whatif::apply_no_barriers(&actions), None)?;
             whatifs.push(WhatIf {
                 scenario: "no-barriers",
                 label: format!("all {} barrier(s) removed", matching.barriers.len()),
-                makespan: sim.makespan,
-                savings: (makespan - sim.makespan).max(0.0),
+                makespan: unsynced,
+                savings: (makespan - unsynced).max(0.0),
             });
         }
     }

@@ -1,88 +1,45 @@
-//! What-if analysis: rebuild each rank's action sequence from its
-//! trace, then re-run it through a small re-implementation of the LogGP
-//! timeline with one hypothesis applied — a nest's communication made
-//! free, blocking receives converted to post/overlap/wait, barriers
-//! removed.
+//! What-if hypotheses: rebuild each rank's action sequence from its
+//! trace, rewrite it under one hypothesis — blocking receives converted
+//! to post/overlap/wait, barriers removed — and hand it to
+//! [`dhpf_spmd::loggp::replay`], the virtual machine's own cost model
+//! run on recorded actions (a nest's communication made free is that
+//! replay's `free_nest`). Nothing here schedules or costs anything.
 //!
-//! The re-simulation is exact for the unmodified sequence: compute
-//! durations are taken from the trace verbatim and communication is
-//! re-costed with the same LogGP rules the virtual machine uses, so the
-//! baseline replay must land on the traced makespan (checked by the
-//! caller). Hypotheses then perturb only what they claim to perturb.
+//! The replay of the unmodified sequence is the traced run again: the
+//! same rules in the same order, with compute durations read back from
+//! the trace. Hypotheses then perturb only what they claim to perturb.
 
-use crate::ProfileError;
-use dhpf_spmd::machine::MachineConfig;
-use dhpf_spmd::trace::{EventKind, Trace};
-use std::collections::{BTreeMap, BTreeSet};
-
-/// One step of a rank's replayable schedule.
-#[derive(Clone, Debug)]
-pub enum Action {
-    Compute {
-        dt: f64,
-    },
-    Send {
-        to: usize,
-        bytes: u64,
-        nest: Option<u32>,
-    },
-    /// Blocking receive: next unconsumed message from `from`.
-    Recv {
-        from: usize,
-        nest: Option<u32>,
-    },
-    /// Nonblocking post: claims the next unconsumed message from `from`.
-    Post {
-        from: usize,
-        req: u64,
-        nest: Option<u32>,
-    },
-    /// Completion of the posted receive `req`.
-    Wait {
-        req: u64,
-        nest: Option<u32>,
-    },
-    Barrier,
-}
+use dhpf_spmd::loggp::{Action, Op};
+use dhpf_spmd::trace::{Event, EventKind, Trace};
+use std::collections::BTreeSet;
 
 /// Rebuild every rank's action sequence from its trace. Event intervals
 /// are discarded — only order, peers, byte counts, and compute
-/// durations survive — so the simulator re-derives all timing.
+/// durations survive — so the replay re-derives all timing.
 pub fn actions_from_traces(traces: &[Trace]) -> Vec<Vec<Action>> {
+    let op = |e: &Event| match e.kind {
+        EventKind::Compute => Some(Op::Compute { dt: e.t1 - e.t0 }),
+        EventKind::Send { to, bytes } => Some(Op::Send {
+            to,
+            bytes,
+            parts: e.parts,
+        }),
+        EventKind::RecvPost { from, req } => Some(Op::Post { from, req }),
+        EventKind::Barrier => Some(Op::Barrier),
+        EventKind::Phase(_) => None,
+        _ => (e.kind.recv_completion()).map(|(from, _, req)| Op::Complete { from, req }),
+    };
     traces
         .iter()
         .map(|tr| {
-            let mut out = Vec::new();
-            for e in &tr.events {
-                match &e.kind {
-                    EventKind::Compute => out.push(Action::Compute { dt: e.t1 - e.t0 }),
-                    EventKind::Send { to, bytes } => out.push(Action::Send {
-                        to: *to,
-                        bytes: *bytes,
+            (tr.events.iter())
+                .filter_map(|e| {
+                    Some(Action {
                         nest: e.nest,
-                    }),
-                    EventKind::Recv { from, .. } | EventKind::RecvWait { from, .. } => {
-                        out.push(Action::Recv {
-                            from: *from,
-                            nest: e.nest,
-                        })
-                    }
-                    EventKind::RecvPost { from, req } => out.push(Action::Post {
-                        from: *from,
-                        req: *req,
-                        nest: e.nest,
-                    }),
-                    EventKind::Wait { req, .. } | EventKind::WaitStall { req, .. } => {
-                        out.push(Action::Wait {
-                            req: *req,
-                            nest: e.nest,
-                        })
-                    }
-                    EventKind::Barrier => out.push(Action::Barrier),
-                    EventKind::Phase(_) => {}
-                }
-            }
-            out
+                        op: op(e)?,
+                    })
+                })
+                .collect()
         })
         .collect()
 }
@@ -100,8 +57,8 @@ pub fn apply_overlap(ranks: &[Vec<Action>], candidates: &BTreeSet<u32>) -> Vec<V
             // fresh request ids, disjoint from any the trace already uses
             let mut next_req = actions
                 .iter()
-                .map(|a| match a {
-                    Action::Post { req, .. } | Action::Wait { req, .. } => req + 1,
+                .map(|a| match a.op {
+                    Op::Post { req, .. } => req + 1,
                     _ => 0,
                 })
                 .max()
@@ -109,27 +66,24 @@ pub fn apply_overlap(ranks: &[Vec<Action>], candidates: &BTreeSet<u32>) -> Vec<V
             let mut out = Vec::new();
             let mut pending: Vec<Action> = Vec::new();
             for a in actions {
-                match a {
-                    Action::Recv { from, nest }
-                        if nest.is_some_and(|n| candidates.contains(&n)) =>
+                match a.op {
+                    Op::Complete { from, req: None }
+                        if a.nest.is_some_and(|n| candidates.contains(&n)) =>
                     {
                         let req = next_req;
                         next_req += 1;
-                        out.push(Action::Post {
-                            from: *from,
-                            req,
-                            nest: *nest,
-                        });
-                        pending.push(Action::Wait { req, nest: *nest });
+                        let step = |op| Action { nest: a.nest, op };
+                        out.push(step(Op::Post { from, req }));
+                        pending.push(step(Op::Complete {
+                            from,
+                            req: Some(req),
+                        }));
                     }
-                    Action::Send { .. }
-                    | Action::Recv { .. }
-                    | Action::Wait { .. }
-                    | Action::Barrier => {
+                    Op::Send { .. } | Op::Complete { .. } | Op::Barrier => {
                         out.append(&mut pending);
                         out.push(a.clone());
                     }
-                    Action::Compute { .. } | Action::Post { .. } => out.push(a.clone()),
+                    Op::Compute { .. } | Op::Post { .. } => out.push(a.clone()),
                 }
             }
             out.append(&mut pending);
@@ -145,171 +99,18 @@ pub fn apply_no_barriers(ranks: &[Vec<Action>]) -> Vec<Vec<Action>> {
         .map(|actions| {
             actions
                 .iter()
-                .filter(|a| !matches!(a, Action::Barrier))
+                .filter(|a| !matches!(a.op, Op::Barrier))
                 .cloned()
                 .collect()
         })
         .collect()
 }
 
-/// Replay outcome.
-#[derive(Debug)]
-pub struct SimResult {
-    pub makespan: f64,
-    pub rank_ends: Vec<f64>,
-}
-
-/// Replay the schedules under the LogGP cost model. `free` names a nest
-/// whose communication costs nothing: its sends charge no overhead and
-/// arrive instantly, its receives/waits charge no receive overhead.
-///
-/// Ranks run cooperatively round-robin; a rank blocks on a receive or
-/// wait whose message has not been sent yet, and on a barrier until all
-/// ranks arrive. A full pass with no progress is a deadlock (a what-if
-/// transform broke the protocol) and is reported as an error rather
-/// than a hang.
-pub fn simulate(
-    ranks: &[Vec<Action>],
-    cfg: &MachineConfig,
-    free: Option<u32>,
-) -> Result<SimResult, ProfileError> {
-    let n = ranks.len();
-    let mut clock = vec![0.0f64; n];
-    // virtual time each rank's network interface finishes injecting its
-    // last send: LogGP's G serializes back-to-back sends at the
-    // interface even though the CPU pays only o_s per message (mirrors
-    // the machine's per-proc injection model)
-    let mut nic_free = vec![0.0f64; n];
-    let mut pc = vec![0usize; n];
-    // per-(src,dst) sent-message arrival times, indexed by send ordinal
-    let mut arrivals: BTreeMap<(usize, usize, u64), f64> = BTreeMap::new();
-    let mut send_seq: BTreeMap<(usize, usize), u64> = BTreeMap::new();
-    // per-(src,dst) next message ordinal to be claimed by a recv or post
-    let mut claim_seq: BTreeMap<(usize, usize), u64> = BTreeMap::new();
-    // (rank, req) -> (src, ordinal) bound at post time
-    let mut req_bind: BTreeMap<(usize, u64), (usize, u64)> = BTreeMap::new();
-    // barrier rendezvous: per global ordinal, arrival clock of each rank
-    let mut bar_arrived: Vec<Vec<Option<f64>>> = Vec::new();
-    let mut bar_exit: Vec<Option<f64>> = Vec::new();
-    let mut bar_ord = vec![0usize; n];
-
-    let is_free = |nest: &Option<u32>| free.is_some() && *nest == free;
-    loop {
-        let mut progressed = false;
-        let mut done = true;
-        for r in 0..n {
-            while pc[r] < ranks[r].len() {
-                match &ranks[r][pc[r]] {
-                    Action::Compute { dt } => clock[r] += dt,
-                    Action::Send { to, bytes, nest } => {
-                        let seq = send_seq.entry((r, *to)).or_insert(0);
-                        let arrival = if is_free(nest) {
-                            clock[r]
-                        } else {
-                            let depart = clock[r] + cfg.send_overhead;
-                            clock[r] = depart;
-                            let inject = depart.max(nic_free[r]);
-                            let drain = *bytes as f64 * cfg.byte_time;
-                            nic_free[r] = inject + drain;
-                            inject + drain + cfg.latency
-                        };
-                        arrivals.insert((r, *to, *seq), arrival);
-                        *seq += 1;
-                    }
-                    Action::Recv { from, nest } => {
-                        let seq = *claim_seq.entry((*from, r)).or_insert(0);
-                        let Some(&arrival) = arrivals.get(&(*from, r, seq)) else {
-                            break; // sender has not issued this message yet
-                        };
-                        claim_seq.insert((*from, r), seq + 1);
-                        let ready = if is_free(nest) {
-                            clock[r]
-                        } else {
-                            clock[r] + cfg.recv_overhead
-                        };
-                        clock[r] = ready.max(arrival);
-                    }
-                    Action::Post { from, req, nest: _ } => {
-                        let seq = claim_seq.entry((*from, r)).or_insert(0);
-                        req_bind.insert((r, *req), (*from, *seq));
-                        *seq += 1;
-                    }
-                    Action::Wait { req, nest } => {
-                        let Some(&(from, seq)) = req_bind.get(&(r, *req)) else {
-                            return Err(ProfileError(format!(
-                                "rank {r} waits on request {req} that was never posted"
-                            )));
-                        };
-                        let Some(&arrival) = arrivals.get(&(from, r, seq)) else {
-                            break;
-                        };
-                        let ready = if is_free(nest) {
-                            clock[r]
-                        } else {
-                            clock[r] + cfg.recv_overhead
-                        };
-                        clock[r] = ready.max(arrival);
-                    }
-                    Action::Barrier => {
-                        let k = bar_ord[r];
-                        if bar_exit.len() <= k {
-                            bar_exit.resize(k + 1, None);
-                            bar_arrived.resize(k + 1, vec![None; n]);
-                        }
-                        if bar_arrived[k][r].is_none() {
-                            bar_arrived[k][r] = Some(clock[r]);
-                            progressed = true;
-                        }
-                        let exit = match bar_exit[k] {
-                            Some(t) => t,
-                            None => {
-                                if bar_arrived[k].iter().any(|a| a.is_none()) {
-                                    break; // not everyone is here yet
-                                }
-                                let gather_max = bar_arrived[k]
-                                    .iter()
-                                    .map(|a| a.expect("all arrived"))
-                                    .fold(0.0f64, f64::max);
-                                let t = gather_max + cfg.latency;
-                                bar_exit[k] = Some(t);
-                                t
-                            }
-                        };
-                        clock[r] = clock[r].max(exit);
-                        bar_ord[r] += 1;
-                    }
-                }
-                pc[r] += 1;
-                progressed = true;
-            }
-            if pc[r] < ranks[r].len() {
-                done = false;
-            }
-        }
-        if done {
-            break;
-        }
-        if !progressed {
-            let stuck: Vec<String> = (0..n)
-                .filter(|&r| pc[r] < ranks[r].len())
-                .map(|r| format!("rank {r} at action {} ({:?})", pc[r], ranks[r][pc[r]]))
-                .collect();
-            return Err(ProfileError(format!(
-                "what-if replay deadlocked: {}",
-                stuck.join("; ")
-            )));
-        }
-    }
-    let makespan = clock.iter().copied().fold(0.0f64, f64::max);
-    Ok(SimResult {
-        makespan,
-        rank_ends: clock,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dhpf_spmd::loggp::replay;
+    use dhpf_spmd::machine::MachineConfig;
 
     fn cfg() -> MachineConfig {
         MachineConfig {
@@ -323,49 +124,40 @@ mod tests {
         }
     }
 
-    /// rank 0: compute 5, send; rank 1: recv, compute 5.
+    /// rank 0: compute 5, send; rank 1: recv, compute 5 — as the
+    /// machine traces it (makespan 21: the send departs at 6, arrives at
+    /// 16, and the receive stalls until then).
     fn ping() -> Vec<Vec<Action>> {
-        vec![
-            vec![
-                Action::Compute { dt: 5.0 },
-                Action::Send {
-                    to: 1,
-                    bytes: 8,
-                    nest: Some(3),
-                },
-            ],
-            vec![
-                Action::Recv {
-                    from: 0,
-                    nest: Some(3),
-                },
-                Action::Compute { dt: 5.0 },
-            ],
-        ]
+        let run = dhpf_spmd::Machine::run(cfg(), |p| {
+            if p.rank() == 0 {
+                p.work(5.0);
+                p.set_provenance(Some(3));
+                p.send(1, 0, vec![0.0]);
+            } else {
+                p.set_provenance(Some(3));
+                p.recv(0, 0);
+                p.set_provenance(None);
+                p.work(5.0);
+            }
+        });
+        assert_eq!(run.virtual_time, 21.0);
+        actions_from_traces(&run.traces)
     }
 
     #[test]
-    fn loggp_costs_match_hand_computation() {
-        let r = simulate(&ping(), &cfg(), None).unwrap();
-        // send departs at 6, arrives at 16; recv completes at max(0+1,16)
-        assert_eq!(r.rank_ends[0], 6.0);
-        assert_eq!(r.rank_ends[1], 21.0);
-        assert_eq!(r.makespan, 21.0);
-    }
-
-    #[test]
-    fn free_nest_removes_all_communication_cost() {
-        let r = simulate(&ping(), &cfg(), Some(3)).unwrap();
-        // send is instantaneous, arrival = 5; recv completes at max(0, 5)
-        assert_eq!(r.rank_ends[0], 5.0);
-        assert_eq!(r.rank_ends[1], 10.0);
+    fn replaying_a_trace_reproduces_it() {
+        let ranks = ping();
+        let r = replay(&ranks, &cfg(), None).unwrap();
+        assert_eq!(r.proc_times, vec![6.0, 21.0]);
+        // event for event, so rebuilding actions is a fixed point
+        let again = actions_from_traces(&r.traces);
+        assert_eq!(format!("{again:?}"), format!("{ranks:?}"));
     }
 
     #[test]
     fn freeing_an_unrelated_nest_changes_nothing() {
-        let base = simulate(&ping(), &cfg(), None).unwrap();
-        let r = simulate(&ping(), &cfg(), Some(99)).unwrap();
-        assert_eq!(r.makespan, base.makespan);
+        let r = replay(&ping(), &cfg(), Some(99)).unwrap();
+        assert_eq!(r.proc_times, vec![6.0, 21.0]);
     }
 
     #[test]
@@ -374,52 +166,33 @@ mod tests {
         let over = apply_overlap(&ranks, &BTreeSet::from([3]));
         // rank 1 now posts, computes 5, waits at clock 5:
         // completes max(5+1, 16) = 16 instead of 16+5 = 21
-        let r = simulate(&over, &cfg(), None).unwrap();
-        assert_eq!(r.makespan, 16.0);
+        let r = replay(&over, &cfg(), None).unwrap();
+        assert_eq!(r.virtual_time, 16.0);
+        // a nest that is not a candidate is left alone
+        let same = apply_overlap(&ranks, &BTreeSet::from([4]));
+        assert_eq!(replay(&same, &cfg(), None).unwrap().virtual_time, 21.0);
     }
 
     #[test]
     fn overlap_never_slower_than_baseline() {
-        let ranks = ping();
-        let base = simulate(&ranks, &cfg(), None).unwrap();
-        let over = simulate(&apply_overlap(&ranks, &BTreeSet::from([3])), &cfg(), None).unwrap();
-        assert!(over.makespan <= base.makespan + 1e-12);
+        // overlap of a receive with nothing after it to hide under
+        let mut ranks = ping();
+        ranks[1].pop();
+        let base = replay(&ranks, &cfg(), None).unwrap();
+        let over = replay(&apply_overlap(&ranks, &BTreeSet::from([3])), &cfg(), None).unwrap();
+        assert_eq!(over.proc_times, base.proc_times);
     }
 
     #[test]
     fn barrier_joins_at_max_plus_latency() {
-        let ranks = vec![
-            vec![Action::Compute { dt: 2.0 }, Action::Barrier],
-            vec![Action::Compute { dt: 7.0 }, Action::Barrier],
-        ];
-        let r = simulate(&ranks, &cfg(), None).unwrap();
-        assert_eq!(r.rank_ends[0], 17.0);
-        assert_eq!(r.rank_ends[1], 17.0);
-        let no_bar = simulate(&apply_no_barriers(&ranks), &cfg(), None).unwrap();
-        assert_eq!(no_bar.makespan, 7.0);
-    }
-
-    #[test]
-    fn deadlock_is_an_error_not_a_hang() {
-        // both ranks receive first: no send can ever happen
-        let ranks = vec![
-            vec![Action::Recv {
-                from: 1,
-                nest: None,
-            }],
-            vec![Action::Recv {
-                from: 0,
-                nest: None,
-            }],
-        ];
-        let err = simulate(&ranks, &cfg(), None).unwrap_err();
-        assert!(err.0.contains("deadlock"), "got: {}", err.0);
-    }
-
-    #[test]
-    fn wait_before_post_is_an_error() {
-        let ranks = vec![vec![Action::Wait { req: 7, nest: None }], vec![]];
-        let err = simulate(&ranks, &cfg(), None).unwrap_err();
-        assert!(err.0.contains("never posted"), "got: {}", err.0);
+        let run = dhpf_spmd::Machine::run(cfg(), |p| {
+            p.work(if p.rank() == 0 { 2.0 } else { 7.0 });
+            p.barrier();
+        });
+        assert_eq!(run.virtual_time, 17.0);
+        let ranks = actions_from_traces(&run.traces);
+        assert_eq!(replay(&ranks, &cfg(), None).unwrap().virtual_time, 17.0);
+        let no_bar = replay(&apply_no_barriers(&ranks), &cfg(), None).unwrap();
+        assert_eq!(no_bar.virtual_time, 7.0);
     }
 }

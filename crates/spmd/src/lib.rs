@@ -8,12 +8,14 @@
 //!   **virtual clock** (seconds of simulated time).
 //! * Computation advances the clock via [`Proc::work`] (`flops ×
 //!   seconds_per_flop`).
-//! * Messages follow a LogGP-style cost model: the sender pays a send
-//!   overhead, the message *arrives* at `send_clock + o_s + latency +
-//!   bytes × byte_time`, and a receive completes at
+//! * Messages follow a LogGP cost model, written once in [`loggp`]: the
+//!   sender pays a send overhead, the message *arrives* at
+//!   `send_clock + o_s + L + bytes × G`, and a receive completes at
 //!   `max(recv_clock + o_r, arrival)` — which models exactly the
 //!   non-blocking send/recv overlap both the hand-written and the
-//!   compiler-generated codes in the paper rely on.
+//!   compiler-generated codes in the paper rely on. The live machine
+//!   ([`machine`]) and the profiler's what-if replay ([`loggp::replay`])
+//!   drive the same [`loggp::Timeline`].
 //! * Virtual time is **deterministic**: it depends only on the program and
 //!   the cost model, never on host scheduling.
 //!
@@ -24,6 +26,7 @@
 //! regenerate the paper's space-time diagrams (Figures 8.1–8.4).
 
 pub mod array;
+pub mod loggp;
 pub mod machine;
 pub mod topo;
 pub mod trace;

@@ -1,25 +1,31 @@
-//! The virtual machine: processors, clocks, messages.
+//! The virtual machine: one host thread per rank around a LogGP
+//! [`Timeline`].
 //!
-//! Point-to-point communication comes in two flavors:
+//! All virtual time lives in [`crate::loggp`]; this module is the
+//! transport that lets native closures block inside a receive:
+//! mailboxes carrying `(arrival, payload)`, the barrier rendezvous, and
+//! failure propagation. Point-to-point communication comes in two
+//! flavors:
 //!
-//! * blocking [`Proc::send`]/[`Proc::recv`] — the receive charges
-//!   `max(clock + o_r, arrival)` at the call site, so any latency not
-//!   already hidden by earlier compute shows up as a stall there;
-//! * nonblocking [`Proc::isend`]/[`Proc::irecv`] returning request
-//!   handles consumed by [`Proc::wait`]/[`Proc::wait_all`] — the post
-//!   is free in virtual time (LogGP charges the receiver only `o_r`,
-//!   paid at the wait), so `work()` issued between the post and the
-//!   wait overlaps the message flight time. A receive that would have
-//!   stalled for `s` seconds under the blocking call hides
-//!   `min(interior work, s)` of that stall when the work is moved
-//!   before the wait.
+//! * blocking [`Proc::send`]/[`Proc::recv`] — the receive completes at
+//!   the call site, so any latency not already hidden by earlier compute
+//!   shows up as a stall there;
+//! * nonblocking [`Proc::irecv`] returning a request handle consumed by
+//!   [`Proc::wait`]/[`Proc::wait_all`] — the post is free in virtual
+//!   time (LogGP charges the receiver only `o_r`, paid at the wait), so
+//!   `work()` issued between the post and the wait overlaps the message
+//!   flight time. A receive that would have stalled for `s` seconds
+//!   under the blocking call hides `min(interior work, s)` of that stall
+//!   when the work is moved before the wait. (Sends never block: LogGP
+//!   charges the sender its whole cost, `o_s`, where it sends.)
 //!
 //! The machine is also failure-safe: a panic in any rank poisons every
 //! mailbox and the barrier, waking blocked peers so [`Machine::run`]
 //! terminates in bounded time and re-raises the original panic payload
 //! instead of hanging in `thread::scope`.
 
-use crate::trace::{Event, EventKind, Trace};
+use crate::loggp::{barrier_exit, Timeline};
+use crate::trace::Trace;
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -81,6 +87,7 @@ impl MachineConfig {
 
 /// A message in flight.
 struct Msg {
+    /// Virtual arrival time, from the sender's timeline.
     arrival: f64,
     data: Vec<f64>,
     /// Logical array sections packed into the payload (see
@@ -114,7 +121,6 @@ struct BarrierInner {
 
 /// Shared machine state.
 struct Shared {
-    config: MachineConfig,
     mailboxes: Vec<Mailbox>,
     barrier: BarrierState,
     msg_count: AtomicU64,
@@ -189,7 +195,6 @@ impl Machine {
             msg_count: AtomicU64::new(0),
             byte_count: AtomicU64::new(0),
             poisoned: AtomicBool::new(false),
-            config: config.clone(),
         });
 
         type RankOutcome = Result<(f64, Trace), Box<dyn Any + Send>>;
@@ -197,25 +202,16 @@ impl Machine {
             let handles: Vec<_> = (0..config.nprocs)
                 .map(|rank| {
                     let shared = Arc::clone(&shared);
-                    let body = &body;
+                    let (body, config) = (&body, &config);
                     scope.spawn(move || {
                         let mut proc = Proc {
-                            rank,
-                            clock: 0.0,
+                            tl: Timeline::new(rank, config),
                             shared: Arc::clone(&shared),
-                            trace: Trace::new(rank),
-                            pending_work: 0.0,
-                            work_start: 0.0,
-                            nic_free: 0.0,
                             next_req: 0,
-                            prov: None,
                         };
-                        let outcome = catch_unwind(AssertUnwindSafe(|| {
-                            body(&mut proc);
-                            proc.flush_work();
-                        }));
+                        let outcome = catch_unwind(AssertUnwindSafe(|| body(&mut proc)));
                         match outcome {
-                            Ok(()) => Ok((proc.clock, proc.trace)),
+                            Ok(()) => Ok(proc.tl.finish()),
                             Err(payload) => {
                                 shared.poison();
                                 Err(payload)
@@ -294,131 +290,60 @@ impl RecvReq {
     }
 }
 
-/// Handle for a nonblocking send ([`Proc::isend`]). Under LogGP the
-/// sender pays its full cost (`o_s`) at the post, so the request is
-/// complete the moment it is created; [`Proc::wait_send`] is free and
-/// exists for symmetry with MPI-style code.
-#[derive(Debug)]
-pub struct SendReq {
-    to: usize,
-    /// Rank-local request id.
-    req: u64,
-}
-
-impl SendReq {
-    /// Destination rank of the send.
-    pub fn dest(&self) -> usize {
-        self.to
-    }
-
-    /// Rank-local request id.
-    pub fn id(&self) -> u64 {
-        self.req
-    }
-}
-
 /// Handle given to each simulated processor.
 pub struct Proc {
-    rank: usize,
-    clock: f64,
+    /// This rank's virtual time; every cost rule is a call on it.
+    tl: Timeline,
     shared: Arc<Shared>,
-    trace: Trace,
-    /// Accumulated but not yet flushed compute seconds (coalesces trace
-    /// events; the clock itself is always up to date).
-    pending_work: f64,
-    work_start: f64,
-    /// Virtual time the network interface finishes injecting the last
-    /// send. LogGP's `G` is the gap per byte at the interface, so
-    /// back-to-back sends serialize their byte times here even though
-    /// the CPU pays only `o_s` per message.
-    nic_free: f64,
     /// Next rank-local nonblocking request id.
     next_req: u64,
-    /// Provenance id stamped onto every traced event until changed
-    /// (see [`Proc::set_provenance`]).
-    prov: Option<u32>,
 }
 
 impl Proc {
     /// This processor's rank (0-based).
     pub fn rank(&self) -> usize {
-        self.rank
+        self.tl.rank()
     }
 
     /// Number of processors.
     pub fn nprocs(&self) -> usize {
-        self.shared.config.nprocs
+        self.shared.mailboxes.len()
     }
 
     /// Current virtual clock (seconds).
     pub fn clock(&self) -> f64 {
-        self.clock
+        self.tl.clock()
     }
 
     /// The machine config (cost model constants).
     pub fn config(&self) -> &MachineConfig {
-        &self.shared.config
+        self.tl.config()
     }
 
     /// Advance the clock by `flops` floating-point operations of work.
     pub fn work(&mut self, flops: f64) {
-        let dt = flops * self.shared.config.seconds_per_flop;
-        self.work_seconds(dt);
+        let dt = flops * self.tl.config().seconds_per_flop;
+        self.tl.compute(dt);
     }
 
     /// Advance the clock by raw seconds of local computation.
     pub fn work_seconds(&mut self, dt: f64) {
-        debug_assert!(dt >= 0.0);
-        if self.pending_work == 0.0 {
-            self.work_start = self.clock;
-        }
-        self.pending_work += dt;
-        self.clock += dt;
-    }
-
-    fn flush_work(&mut self) {
-        if self.pending_work > 0.0 {
-            if self.shared.config.trace {
-                self.trace.push(Event {
-                    t0: self.work_start,
-                    t1: self.work_start + self.pending_work,
-                    kind: EventKind::Compute,
-                    nest: self.prov,
-                    parts: 1,
-                });
-            }
-            self.pending_work = 0.0;
-        }
+        self.tl.compute(dt);
     }
 
     /// Set the provenance id stamped onto subsequently traced events
-    /// (`None` clears it). Flushes coalesced compute first so work done
-    /// under the previous provenance is not mis-attributed to the new
-    /// one.
+    /// (`None` clears it).
     pub fn set_provenance(&mut self, prov: Option<u32>) {
-        if self.prov != prov {
-            self.flush_work();
-            self.prov = prov;
-        }
+        self.tl.set_provenance(prov);
     }
 
     /// Record a named phase marker (for space-time diagram annotation).
     pub fn phase(&mut self, name: &str) {
-        self.flush_work();
-        if self.shared.config.trace {
-            self.trace.push(Event {
-                t0: self.clock,
-                t1: self.clock,
-                kind: EventKind::Phase(name.to_string()),
-                nest: self.prov,
-                parts: 1,
-            });
-        }
+        self.tl.phase(name);
     }
 
     /// Send `data` to processor `to` with a message tag. Non-blocking:
-    /// the sender pays only its CPU send overhead; the message arrives at
-    /// `clock + o_s + latency + bytes·byte_time`.
+    /// the sender pays only its CPU send overhead.
     pub fn send(&mut self, to: usize, tag: u64, data: Vec<f64>) {
         self.send_parts(to, tag, data, 1);
     }
@@ -431,36 +356,14 @@ impl Proc {
     /// from a plain one.
     pub fn send_parts(&mut self, to: usize, tag: u64, data: Vec<f64>, parts: u32) {
         assert!(to < self.nprocs(), "send to rank {to} out of range");
-        assert_ne!(to, self.rank, "self-send not supported (use local copy)");
-        self.flush_work();
-        let cfg = &self.shared.config;
-        let bytes = (data.len() * 8) as f64;
-        let depart = self.clock + cfg.send_overhead;
-        // injection waits for the interface to drain earlier sends
-        // (LogGP gap); a lone message keeps arrival = depart + L + bytes·G
-        let inject = depart.max(self.nic_free);
-        let arrival = inject + bytes * cfg.byte_time + cfg.latency;
-        self.nic_free = inject + bytes * cfg.byte_time;
-        self.clock = depart;
-        if cfg.trace {
-            self.trace.push(Event {
-                t0: depart - cfg.send_overhead,
-                t1: depart,
-                kind: EventKind::Send {
-                    to,
-                    bytes: bytes as u64,
-                },
-                nest: self.prov,
-                parts,
-            });
-        }
+        assert_ne!(to, self.rank(), "self-send not supported (use local copy)");
+        let bytes = (data.len() * 8) as u64;
+        let arrival = self.tl.send(to, bytes, parts);
         self.shared.msg_count.fetch_add(1, Ordering::Relaxed);
-        self.shared
-            .byte_count
-            .fetch_add(bytes as u64, Ordering::Relaxed);
+        self.shared.byte_count.fetch_add(bytes, Ordering::Relaxed);
         let mailbox = &self.shared.mailboxes[to];
         lock_ignore_poison(&mailbox.queues)
-            .entry((self.rank, tag))
+            .entry((self.rank(), tag))
             .or_default()
             .push_back(Msg {
                 arrival,
@@ -474,7 +377,7 @@ impl Proc {
     /// local mailbox, then dequeue it. Unwinds with [`PeerPanic`] if the
     /// machine is poisoned while waiting.
     fn take_msg(&self, from: usize, tag: u64) -> Msg {
-        let mailbox = &self.shared.mailboxes[self.rank];
+        let mailbox = &self.shared.mailboxes[self.rank()];
         let mut queues = lock_ignore_poison(&mailbox.queues);
         loop {
             if self.shared.is_poisoned() {
@@ -492,43 +395,21 @@ impl Proc {
         }
     }
 
+    /// Dequeue the next message from `(from, tag)` and complete it on
+    /// the timeline — as a blocking receive, or as the wait on `req`.
+    fn complete(&mut self, from: usize, tag: u64, req: Option<u64>) -> Vec<f64> {
+        let msg = self.take_msg(from, tag);
+        let bytes = (msg.data.len() * 8) as u64;
+        self.tl.complete(from, req, msg.arrival, bytes, msg.parts);
+        msg.data
+    }
+
     /// Receive the next message from `from` with `tag`. Blocks (in host
     /// time) until available; in virtual time the receive completes at
     /// `max(clock + o_r, arrival)`.
     pub fn recv(&mut self, from: usize, tag: u64) -> Vec<f64> {
         assert!(from < self.nprocs(), "recv from rank {from} out of range");
-        self.flush_work();
-        let msg = self.take_msg(from, tag);
-        let cfg = &self.shared.config;
-        let ready = self.clock + cfg.recv_overhead;
-        let complete = ready.max(msg.arrival);
-        if cfg.trace {
-            if complete > ready {
-                self.trace.push(Event {
-                    t0: self.clock,
-                    t1: complete,
-                    kind: EventKind::RecvWait {
-                        from,
-                        bytes: (msg.data.len() * 8) as u64,
-                    },
-                    nest: self.prov,
-                    parts: msg.parts,
-                });
-            } else {
-                self.trace.push(Event {
-                    t0: self.clock,
-                    t1: complete,
-                    kind: EventKind::Recv {
-                        from,
-                        bytes: (msg.data.len() * 8) as u64,
-                    },
-                    nest: self.prov,
-                    parts: msg.parts,
-                });
-            }
-        }
-        self.clock = complete;
-        msg.data
+        self.complete(from, tag, None)
     }
 
     /// Exchange with a neighbor: send then receive (deadlock-free because
@@ -536,23 +417,6 @@ impl Proc {
     pub fn sendrecv(&mut self, to: usize, from: usize, tag: u64, data: Vec<f64>) -> Vec<f64> {
         self.send(to, tag, data);
         self.recv(from, tag)
-    }
-
-    /// Nonblocking send. Identical to [`Proc::send`] in virtual time —
-    /// LogGP charges the sender its full cost (`o_s`) at the post — but
-    /// returns a request handle for MPI-style pairing with
-    /// [`Proc::wait_send`].
-    pub fn isend(&mut self, to: usize, tag: u64, data: Vec<f64>) -> SendReq {
-        let req = self.next_req;
-        self.next_req += 1;
-        self.send(to, tag, data);
-        SendReq { to, req }
-    }
-
-    /// Complete a nonblocking send. Free in virtual time: the send cost
-    /// was fully charged at the post.
-    pub fn wait_send(&mut self, req: SendReq) {
-        let _ = req;
     }
 
     /// Post a nonblocking receive for the next message from
@@ -565,18 +429,9 @@ impl Proc {
     /// preserves the blocking `recv` semantics exactly.
     pub fn irecv(&mut self, from: usize, tag: u64) -> RecvReq {
         assert!(from < self.nprocs(), "irecv from rank {from} out of range");
-        self.flush_work();
         let req = self.next_req;
         self.next_req += 1;
-        if self.shared.config.trace {
-            self.trace.push(Event {
-                t0: self.clock,
-                t1: self.clock,
-                kind: EventKind::RecvPost { from, req },
-                nest: self.prov,
-                parts: 1,
-            });
-        }
+        self.tl.post(from, req);
         RecvReq { from, tag, req }
     }
 
@@ -586,29 +441,7 @@ impl Proc {
     /// [`Proc::irecv`] post has already advanced `clock`, hiding that
     /// much of the flight time.
     pub fn wait(&mut self, req: RecvReq) -> Vec<f64> {
-        self.flush_work();
-        let RecvReq { from, tag, req } = req;
-        let msg = self.take_msg(from, tag);
-        let cfg = &self.shared.config;
-        let ready = self.clock + cfg.recv_overhead;
-        let complete = ready.max(msg.arrival);
-        if cfg.trace {
-            let bytes = (msg.data.len() * 8) as u64;
-            let kind = if complete > ready {
-                EventKind::WaitStall { from, bytes, req }
-            } else {
-                EventKind::Wait { from, bytes, req }
-            };
-            self.trace.push(Event {
-                t0: self.clock,
-                t1: complete,
-                kind,
-                nest: self.prov,
-                parts: msg.parts,
-            });
-        }
-        self.clock = complete;
-        msg.data
+        self.complete(req.from, req.tag, Some(req.req))
     }
 
     /// Complete a batch of posted receives in posted order, returning
@@ -620,22 +453,20 @@ impl Proc {
     /// Virtual-time barrier: all processors synchronize their clocks to
     /// the maximum plus one latency.
     pub fn barrier(&mut self) {
-        self.flush_work();
+        let arrived_at = self.tl.barrier_arrive();
         let bar = &self.shared.barrier;
         let n = self.nprocs();
         let mut inner = lock_ignore_poison(&bar.mutex);
         let my_gen = inner.generation;
-        inner.gather_max = inner.gather_max.max(self.clock);
+        inner.gather_max = inner.gather_max.max(arrived_at);
         inner.arrived += 1;
         if inner.arrived == n {
-            let t_exit = inner.gather_max + self.shared.config.latency;
-            inner.exit_times[(my_gen % 2) as usize] = t_exit;
+            inner.exit_times[(my_gen % 2) as usize] =
+                barrier_exit(self.tl.config(), inner.gather_max);
             inner.arrived = 0;
             inner.generation += 1;
             inner.gather_max = 0.0;
             bar.cv.notify_all();
-            drop(inner);
-            self.finish_barrier(t_exit);
         } else {
             while inner.generation == my_gen {
                 if self.shared.is_poisoned() {
@@ -643,29 +474,17 @@ impl Proc {
                 }
                 inner = bar.cv.wait(inner).unwrap_or_else(|e| e.into_inner());
             }
-            let t_exit = inner.exit_times[(my_gen % 2) as usize];
-            drop(inner);
-            self.finish_barrier(t_exit);
         }
-    }
-
-    fn finish_barrier(&mut self, t_exit: f64) {
-        if self.shared.config.trace && t_exit > self.clock {
-            self.trace.push(Event {
-                t0: self.clock,
-                t1: t_exit,
-                kind: EventKind::Barrier,
-                nest: self.prov,
-                parts: 1,
-            });
-        }
-        self.clock = self.clock.max(t_exit);
+        let t_exit = inner.exit_times[(my_gen % 2) as usize];
+        drop(inner);
+        self.tl.barrier_leave(t_exit);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::EventKind;
 
     fn cfg(n: usize) -> MachineConfig {
         MachineConfig {
@@ -867,8 +686,7 @@ mod tests {
             if p.rank() == 0 {
                 p.send(1, 0, vec![1.0]);
                 p.send(1, 0, vec![2.0]);
-                let sreq = p.isend(1, 9, vec![3.0]);
-                p.wait_send(sreq);
+                p.send(1, 9, vec![3.0]);
             } else {
                 let a = p.irecv(0, 0);
                 let b = p.irecv(0, 0);

@@ -13,13 +13,6 @@ pub fn block_partition(n: usize, p: usize, idx: usize) -> (usize, usize) {
     (lo, hi)
 }
 
-/// The owner of global index `i` under the same BLOCK distribution.
-pub fn block_owner(n: usize, p: usize, i: usize) -> usize {
-    assert!(i < n);
-    let b = n.div_ceil(p);
-    i / b
-}
-
 /// A 2-D (or degenerate 1-D) processor grid for `(j, k)`-distributed 3-D
 /// arrays: ranks laid out row-major as `rank = pj + npj·pk`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -55,34 +48,6 @@ impl BlockGrid {
     pub fn rank(&self, pj: usize, pk: usize) -> usize {
         assert!(pj < self.npj && pk < self.npk);
         pj + self.npj * pk
-    }
-
-    /// Owned `j` range for a rank given `nj` global points.
-    pub fn j_range(&self, rank: usize, nj: usize) -> (usize, usize) {
-        block_partition(nj, self.npj, self.coords(rank).0)
-    }
-
-    /// Owned `k` range for a rank given `nk` global points.
-    pub fn k_range(&self, rank: usize, nk: usize) -> (usize, usize) {
-        block_partition(nk, self.npk, self.coords(rank).1)
-    }
-
-    /// Neighbor rank one step in `j` (`dir = ±1`), or `None` at the edge.
-    pub fn j_neighbor(&self, rank: usize, dir: isize) -> Option<usize> {
-        let (pj, pk) = self.coords(rank);
-        let nj = pj as isize + dir;
-        (0..self.npj as isize)
-            .contains(&nj)
-            .then(|| self.rank(nj as usize, pk))
-    }
-
-    /// Neighbor rank one step in `k`.
-    pub fn k_neighbor(&self, rank: usize, dir: isize) -> Option<usize> {
-        let (pj, pk) = self.coords(rank);
-        let nk = pk as isize + dir;
-        (0..self.npk as isize)
-            .contains(&nk)
-            .then(|| self.rank(pj, nk as usize))
     }
 }
 
@@ -184,10 +149,9 @@ mod tests {
                 let mut covered = vec![false; n];
                 for idx in 0..p {
                     let (lo, hi) = block_partition(n, p, idx);
-                    for (i, c) in covered.iter_mut().enumerate().take(hi).skip(lo) {
+                    for c in &mut covered[lo..hi] {
                         assert!(!*c);
                         *c = true;
-                        assert_eq!(block_owner(n, p, i), idx);
                     }
                 }
                 assert!(covered.iter().all(|&c| c), "n={n} p={p}");
@@ -203,12 +167,11 @@ mod tests {
             let (pj, pk) = g.coords(r);
             assert_eq!(g.rank(pj, pk), r);
         }
+        // row-major layout: j-neighbors are adjacent ranks, k-neighbors
+        // are `npj` apart
         let g = BlockGrid { npj: 2, npk: 2 };
-        assert_eq!(g.j_neighbor(0, 1), Some(1));
-        assert_eq!(g.j_neighbor(1, 1), None);
-        assert_eq!(g.k_neighbor(0, 1), Some(2));
-        assert_eq!(g.k_neighbor(2, 1), None);
-        assert_eq!(g.k_neighbor(2, -1), Some(0));
+        assert_eq!(g.rank(1, 0), g.rank(0, 0) + 1);
+        assert_eq!(g.rank(0, 1), g.rank(0, 0) + g.npj);
     }
 
     #[test]

@@ -62,6 +62,32 @@ pub enum EventKind {
     Phase(String),
 }
 
+impl EventKind {
+    /// For a receive completion — blocking (`Recv`/`RecvWait`) or the
+    /// wait on a posted request (`Wait`/`WaitStall`) — the source rank,
+    /// the payload bytes, and the request id of a wait.
+    pub fn recv_completion(&self) -> Option<(usize, u64, Option<u64>)> {
+        match *self {
+            EventKind::Recv { from, bytes } | EventKind::RecvWait { from, bytes } => {
+                Some((from, bytes, None))
+            }
+            EventKind::Wait { from, bytes, req } | EventKind::WaitStall { from, bytes, req } => {
+                Some((from, bytes, Some(req)))
+            }
+            _ => None,
+        }
+    }
+
+    /// Is this a receive completion the message's arrival bound (the
+    /// receiver stalled)?
+    pub fn is_stall(&self) -> bool {
+        matches!(
+            self,
+            EventKind::RecvWait { .. } | EventKind::WaitStall { .. }
+        )
+    }
+}
+
 /// The event log of one processor.
 #[derive(Clone, Debug, Default)]
 pub struct Trace {
@@ -94,12 +120,7 @@ impl Trace {
     pub fn stalled(&self) -> f64 {
         self.events
             .iter()
-            .filter(|e| {
-                matches!(
-                    e.kind,
-                    EventKind::RecvWait { .. } | EventKind::WaitStall { .. } | EventKind::Barrier
-                )
-            })
+            .filter(|e| e.kind.is_stall() || e.kind == EventKind::Barrier)
             .map(|e| e.t1 - e.t0)
             .sum()
     }
@@ -180,9 +201,7 @@ pub fn render_spacetime(traces: &[Trace], t_start: f64, t_end: f64, width: usize
         std::collections::BTreeMap::new();
     for tr in traces {
         for e in &tr.events {
-            if let EventKind::RecvWait { from, bytes } | EventKind::WaitStall { from, bytes, .. } =
-                e.kind
-            {
+            if let (true, Some((from, bytes, _))) = (e.kind.is_stall(), e.kind.recv_completion()) {
                 let s = stalls.entry((tr.rank, from, e.nest)).or_insert((0.0, 0, 0));
                 s.0 += e.t1 - e.t0;
                 s.1 += bytes;

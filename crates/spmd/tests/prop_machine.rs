@@ -1,7 +1,9 @@
 //! Property tests for the virtual machine: determinism and clock-model
-//! invariants under randomized communication schedules.
+//! invariants under randomized communication schedules, and identity of
+//! the threaded machine with the single-threaded `loggp::replay`.
 
-use dhpf_spmd::machine::{Machine, MachineConfig};
+use dhpf_spmd::loggp::{replay, Action, Op};
+use dhpf_spmd::machine::{Machine, MachineConfig, RunResult};
 use dhpf_spmd::topo::MultiPartition;
 use proptest::prelude::*;
 
@@ -26,8 +28,104 @@ fn schedule() -> impl Strategy<Value = (usize, Vec<(u32, u8)>)> {
     )
 }
 
+/// Per-rank action lists of a random valid schedule. Every round
+/// computes a rank-skewed amount, then does one of: a ring exchange of
+/// one or two back-to-back messages with blocking receives; a ring
+/// exchange whose receive is posted first and waited after more compute;
+/// a barrier; nothing. Communication of round `i` runs under nest `i`.
+fn ring_actions(n: usize, rounds: &[(u8, u32, u8)]) -> Vec<Vec<Action>> {
+    (0..n)
+        .map(|r| {
+            let (next, prev) = ((r + 1) % n, (r + n - 1) % n);
+            let mut out = Vec::new();
+            let mut next_req = 0;
+            for (i, &(kind, work, len)) in rounds.iter().enumerate() {
+                let nest = Some(i as u32);
+                let mut step = |nest, op| out.push(Action { nest, op });
+                let dt = f64::from(work) * (r as f64 * 0.7 + 0.1);
+                let send = |len: u8| Op::Send {
+                    to: next,
+                    bytes: u64::from(len) * 8,
+                    parts: 1 + u32::from(len % 3),
+                };
+                step(None, Op::Compute { dt });
+                match kind % 5 {
+                    0 | 1 => {
+                        let count = 1 + kind % 5;
+                        for k in 0..count {
+                            step(nest, send(len / (k + 1)));
+                        }
+                        for _ in 0..count {
+                            let (from, req) = (prev, None);
+                            step(nest, Op::Complete { from, req });
+                        }
+                    }
+                    2 => {
+                        let (from, req) = (prev, next_req);
+                        next_req += 1;
+                        step(nest, Op::Post { from, req });
+                        step(nest, send(len));
+                        step(None, Op::Compute { dt: dt * 0.5 });
+                        step(None, Op::Compute { dt: 3.0 });
+                        let req = Some(req);
+                        step(nest, Op::Complete { from, req });
+                    }
+                    3 => step(nest, Op::Barrier),
+                    _ => {}
+                }
+            }
+            out
+        })
+        .collect()
+}
+
+/// Interpret the action lists on the threaded machine.
+fn run_on_machine(config: MachineConfig, ranks: &[Vec<Action>]) -> RunResult {
+    Machine::run(config, |p| {
+        let mut reqs = std::collections::HashMap::new();
+        for a in &ranks[p.rank()] {
+            p.set_provenance(a.nest);
+            match a.op {
+                Op::Compute { dt } => p.work_seconds(dt),
+                Op::Send { to, bytes, parts } => {
+                    p.send_parts(to, 0, vec![0.0; bytes as usize / 8], parts)
+                }
+                Op::Post { from, req } => {
+                    let handle = p.irecv(from, 0);
+                    assert_eq!(handle.id(), req);
+                    reqs.insert(req, handle);
+                }
+                Op::Complete { from, req: None } => drop(p.recv(from, 0)),
+                Op::Complete { req: Some(req), .. } => drop(p.wait(reqs.remove(&req).unwrap())),
+                Op::Barrier => p.barrier(),
+            }
+        }
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The identity oracle of the shared cost model: the threaded
+    /// machine and the replay are the same `Timeline` behind different
+    /// transports, so clocks, statistics and every traced event are
+    /// equal — `==`, no tolerance.
+    #[test]
+    fn machine_and_replay_agree_exactly(
+        n in 2usize..6,
+        rounds in proptest::collection::vec((0u8..5, 0u32..2000, 1u8..32), 1..10),
+    ) {
+        let ranks = ring_actions(n, &rounds);
+        let live = run_on_machine(cfg(n), &ranks);
+        let replayed = replay(&ranks, &cfg(n), None).unwrap();
+        prop_assert_eq!(&live.proc_times, &replayed.proc_times);
+        prop_assert_eq!(live.virtual_time, replayed.virtual_time);
+        prop_assert_eq!(live.stats, replayed.stats);
+        for (a, b) in live.traces.iter().zip(&replayed.traces) {
+            prop_assert_eq!(a.rank, b.rank);
+            prop_assert_eq!(&a.events, &b.events);
+        }
+    }
 
     #[test]
     fn runs_are_deterministic((n, rounds) in schedule()) {
