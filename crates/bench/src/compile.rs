@@ -4,11 +4,10 @@
 //! the minimum over repetitions is reported. EXPERIMENTS.md ("Compile-time
 //! performance") has the methodology and the field legend.
 //!
-//! The recorder-disabled path is one relaxed atomic load per probe, so
-//! the *enabled* overhead (`traced_cold_ms / cold_ms - 1`) bounds the
-//! disabled overhead from above — [`study`] fails unless it stays under
-//! the 2% budget (plus a noise margin in quick mode, which runs single
-//! repetitions).
+//! `traced_cold_ms` beside `cold_ms` is the cost of compiling with the
+//! recorder enabled, reported as measured; the gated figure is the
+//! repo benchmark's `obs.compile_overhead`, taken from paired plain and
+//! traced ops.
 
 use crate::{Measurement, Outcome};
 use dhpf_core::driver::{compile, CompileOptions};
@@ -22,7 +21,7 @@ const NPROCS: usize = 4;
 /// top-level span names the driver and unit scopes record.
 const PHASES: &[&str] = &[
     "semantic",
-    "waves",
+    "units",
     "inline",
     "analyze",
     "loop-distribution",
@@ -31,12 +30,6 @@ const PHASES: &[&str] = &[
     "comm-plan",
     "codegen",
 ];
-
-/// Enabled-tracing overhead budget. The paper budget is 2% for the
-/// *disabled* path; the enabled path bounds it from above, and
-/// single-repetition quick runs get a noise margin on top.
-const OVERHEAD_BUDGET: f64 = 0.02;
-const QUICK_NOISE_MARGIN: f64 = 0.08;
 
 /// Wall-clock compile measurements of one benchmark.
 #[derive(Clone, Debug)]
@@ -115,14 +108,12 @@ fn measure(kernel: Kernel, class: Class, cold_reps: usize, warm_reps: usize) -> 
 }
 
 /// Time every benchmark (progress to stderr). `quick` drops to class S
-/// with one repetition each — the CI smoke configuration, which checks
-/// the trace-overhead gate, not the speedup. `Err` when enabled tracing
-/// (an upper bound on the disabled-probe cost) exceeds its budget.
-pub fn study(quick: bool) -> Result<Vec<Measurement>, String> {
-    let (classes, cold_reps, warm_reps, budget): (&[Class], usize, usize, f64) = if quick {
-        (&[Class::S], 1, 1, OVERHEAD_BUDGET + QUICK_NOISE_MARGIN)
+/// with one repetition each — the CI smoke configuration.
+pub fn study(quick: bool) -> Vec<Measurement> {
+    let (classes, cold_reps, warm_reps): (&[Class], usize, usize) = if quick {
+        (&[Class::S], 1, 1)
     } else {
-        (&[Class::S, Class::W], 3, 5, OVERHEAD_BUDGET)
+        (&[Class::S, Class::W], 3, 5)
     };
     let mut rows = Vec::new();
     for &class in classes {
@@ -141,15 +132,6 @@ pub fn study(quick: bool) -> Result<Vec<Measurement>, String> {
                 t.cache_hit_rate * 1e2,
                 t.peak_interned_nodes,
             );
-            if t.trace_overhead() >= budget {
-                return Err(format!(
-                    "{} class {}: trace overhead {:.1}% exceeds the {:.0}% budget",
-                    kernel.name(),
-                    class.name(),
-                    t.trace_overhead() * 1e2,
-                    budget * 1e2,
-                ));
-            }
             rows.push(Measurement {
                 kernel,
                 class,
@@ -159,7 +141,7 @@ pub fn study(quick: bool) -> Result<Vec<Measurement>, String> {
             });
         }
     }
-    Ok(rows)
+    rows
 }
 
 #[cfg(test)]

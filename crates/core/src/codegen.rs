@@ -951,7 +951,8 @@ impl<'a> UnitCx<'a> {
                 Ok(())
             }
             StmtKind::Return => {
-                // body-level return only at tail in our subset; ignore
+                // the driver admits RETURN only as the unit's final
+                // statement, where it is the fall-through
                 Ok(())
             }
             StmtKind::Continue => Ok(()),
@@ -1608,20 +1609,18 @@ pub fn fuse_adjacent_comm(ops: &mut Vec<NodeOp>, provs: &[PlanProv]) -> usize {
         match fused {
             Some((delta, after, before, prov, drop_b)) => {
                 saved += delta;
-                if obs::is_active() {
-                    obs::decide(move || {
-                        let mut d = Decision::new(DecisionKind::CommAggregated {
-                            phase: CommPhase::Pre,
-                            peers: after,
-                            messages_before: before,
-                            messages_after: after,
-                        });
-                        if let Some((s, u)) = prov {
-                            d = d.stmt(ast::StmtId(s)).unit(u);
-                        }
-                        d
+                obs::decide(|| {
+                    let mut d = Decision::new(DecisionKind::CommAggregated {
+                        phase: CommPhase::Pre,
+                        peers: after,
+                        messages_before: before,
+                        messages_after: after,
                     });
-                }
+                    if let Some((s, u)) = prov {
+                        d = d.stmt(ast::StmtId(s)).unit(u);
+                    }
+                    d
+                });
                 if drop_b {
                     ops.remove(i + 1);
                 }

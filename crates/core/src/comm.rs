@@ -218,24 +218,6 @@ pub struct CommReport {
     pub messages_saved: usize,
 }
 
-impl CommReport {
-    /// Accumulate another unit's counters into this report. All fields are
-    /// plain sums, so the merge is commutative and associative — the driver
-    /// can absorb per-unit reports in any order and still produce the same
-    /// totals (it absorbs in bottom-up order anyway, for determinism).
-    pub fn absorb(&mut self, other: &CommReport) {
-        self.reads_examined += other.reads_examined;
-        self.reads_eliminated_by_availability += other.reads_eliminated_by_availability;
-        self.writebacks_suppressed_by_replication += other.writebacks_suppressed_by_replication;
-        self.pre_messages += other.pre_messages;
-        self.pre_volume += other.pre_volume;
-        self.post_messages += other.post_messages;
-        self.post_volume += other.post_volume;
-        self.overlapped_nests += other.overlapped_nests;
-        self.messages_saved += other.messages_saved;
-    }
-}
-
 /// Build the communication plan for the top-level loop `loop_id`.
 /// Preceding writes for the availability rule (§7) are searched within
 /// `scope` (`loop_id` itself, or an enclosing loop — e.g. the one-trip
@@ -319,16 +301,13 @@ pub fn plan_nest_scoped(
                                     )
                                 });
                                 if behind {
-                                    if obs::is_active() {
-                                        let array = r.array.clone();
-                                        obs::decide(move || {
-                                            Decision::new(DecisionKind::CommEliminated {
-                                                array,
-                                                reason: ElimReason::CarriedByPipeline,
-                                            })
-                                            .stmt(stmt)
-                                        });
-                                    }
+                                    obs::decide(|| {
+                                        Decision::new(DecisionKind::CommEliminated {
+                                            array: r.array.clone(),
+                                            reason: ElimReason::CarriedByPipeline,
+                                        })
+                                        .stmt(stmt)
+                                    });
                                     continue;
                                 }
                             }
@@ -403,16 +382,13 @@ pub fn plan_nest_scoped(
                     let wcp = cps.get(&w.stmt).cloned().unwrap_or_default();
                     if read_available(r, cp, w, &wcp, loops, env) == Availability::Available {
                         report.reads_eliminated_by_availability += 1;
-                        if obs::is_active() {
-                            let array = r.array.clone();
-                            obs::decide(move || {
-                                Decision::new(DecisionKind::CommEliminated {
-                                    array,
-                                    reason: ElimReason::AvailableFromPriorWrite,
-                                })
-                                .stmt(stmt)
-                            });
-                        }
+                        obs::decide(|| {
+                            Decision::new(DecisionKind::CommEliminated {
+                                array: r.array.clone(),
+                                reason: ElimReason::AvailableFromPriorWrite,
+                            })
+                            .stmt(stmt)
+                        });
                         continue;
                     }
                 }
@@ -449,14 +425,13 @@ pub fn plan_nest_scoped(
             }
             if pre.len() > pre_before {
                 pre_retained.push((stmt, r.array.clone()));
-            } else if obs::is_active() && any_nonlocal {
+            } else if any_nonlocal {
                 // non-local data existed but every processor produces
                 // what it needs itself (§7); purely local reads are
                 // not decisions and go unrecorded
-                let array = r.array.clone();
-                obs::decide(move || {
+                obs::decide(|| {
                     Decision::new(DecisionKind::CommEliminated {
-                        array,
+                        array: r.array.clone(),
                         reason: ElimReason::AvailableFromPriorWrite,
                     })
                     .stmt(stmt)
@@ -498,19 +473,14 @@ pub fn plan_nest_scoped(
     match sweep {
         Some(mut schedule) => {
             schedule.granularity = granularity;
-            if obs::is_active() {
-                let arrays: Vec<String> = schedule.arrays.iter().map(|(a, _)| a.clone()).collect();
-                let granularity = schedule.granularity;
-                let forward = schedule.forward;
-                obs::decide(move || {
-                    Decision::new(DecisionKind::PipelineScheduled {
-                        arrays,
-                        granularity,
-                        forward,
-                    })
-                    .stmt(loop_id)
-                });
-            }
+            obs::decide(|| {
+                Decision::new(DecisionKind::PipelineScheduled {
+                    arrays: schedule.arrays.iter().map(|(a, _)| a.clone()).collect(),
+                    granularity: schedule.granularity,
+                    forward: schedule.forward,
+                })
+                .stmt(loop_id)
+            });
             Ok(NestPlan::Pipelined {
                 pre,
                 post,
@@ -525,14 +495,12 @@ pub fn plan_nest_scoped(
             };
             if let Some(halos) = &overlap {
                 report.overlapped_nests += 1;
-                if obs::is_active() {
+                obs::decide(|| {
                     let mut arrays: Vec<String> = halos.iter().map(|h| h.array.clone()).collect();
                     arrays.dedup();
                     let halos = halos.len();
-                    obs::decide(move || {
-                        Decision::new(DecisionKind::CommOverlapped { arrays, halos }).stmt(loop_id)
-                    });
-                }
+                    Decision::new(DecisionKind::CommOverlapped { arrays, halos }).stmt(loop_id)
+                });
             }
             Ok(NestPlan::Parallel { pre, post, overlap })
         }
@@ -626,17 +594,13 @@ fn build_writebacks(
             }
             if post.len() > post_before {
                 retained.push((w.stmt, w.array.clone()));
-            } else if obs::is_active()
-                && report.writebacks_suppressed_by_replication > suppressed_before
-            {
-                let array = w.array.clone();
-                let stmt = w.stmt;
-                obs::decide(move || {
+            } else if report.writebacks_suppressed_by_replication > suppressed_before {
+                obs::decide(|| {
                     Decision::new(DecisionKind::CommEliminated {
-                        array,
+                        array: w.array.clone(),
                         reason: ElimReason::OwnerComputesRedundantly,
                     })
-                    .stmt(stmt)
+                    .stmt(w.stmt)
                 });
             }
         }
@@ -668,16 +632,14 @@ fn emit_retained(retained: &[(StmtId, String)], msgs: &[Msg], phase: CommPhase) 
         if messages == 0 {
             continue;
         }
-        let stmt = *stmt;
-        let array = array.clone();
-        obs::decide(move || {
+        obs::decide(|| {
             Decision::new(DecisionKind::CommRetained {
-                array,
+                array: array.clone(),
                 phase,
                 messages,
                 elems,
             })
-            .stmt(stmt)
+            .stmt(*stmt)
         });
     }
 }
@@ -692,17 +654,15 @@ fn record_aggregation(msgs: &[Msg], phase: CommPhase, loop_id: StmtId, report: &
         return;
     }
     report.messages_saved += before - after;
-    if obs::is_active() {
-        obs::decide(move || {
-            Decision::new(DecisionKind::CommAggregated {
-                phase,
-                peers: after,
-                messages_before: before,
-                messages_after: after,
-            })
-            .stmt(loop_id)
-        });
-    }
+    obs::decide(|| {
+        Decision::new(DecisionKind::CommAggregated {
+            phase,
+            peers: after,
+            messages_before: before,
+            messages_after: after,
+        })
+        .stmt(loop_id)
+    });
 }
 
 /// Convert a set into bounding-box regions (one per disjunct, merged).

@@ -2,33 +2,36 @@
 //!
 //! ```text
 //! parse → resolve symbols → call graph (bottom-up, §6)
-//!   → inline loop-borne leaf calls (with translated entry CPs)
-//!   → per unit: loops/refs/deps → candidate CPs
-//!        → §5 grouping (+ selective loop distribution, re-analyzing)
-//!        → local CP selection → §4.1 NEW propagation → §4.2 LOCALIZE
-//!        → communication planning (availability §7, pipelining)
+//!   → per unit, callees first, the ordered pass table `PASSES`:
+//!        inline loop-borne leaf calls (with translated entry CPs)
+//!        analyze: loops/refs → planned nests
+//!        loop-distribution: §5 grouping (a split restarts at analyze)
+//!        cp-select → propagate (§4.1 NEW, §4.2 LOCALIZE)
+//!        comm-plan (availability §7, pipelining) + entry CP
 //!   → code generation → NodeProgram
 //! ```
 //!
-//! Every paper optimization can be toggled off through [`OptFlags`] for
-//! the ablation experiments.
+//! One thread, one path: every unit runs through the same table, and the
+//! runner ([`process_unit`]) — not the passes — opens the observability
+//! span of each pass. Every paper optimization can be toggled off through
+//! [`OptFlags`] for the ablation experiments.
 
 use crate::codegen::{CodegenError, CompiledUnit, GlobalRegistry, NodeProgram, PlanProv, UnitCx};
 use crate::comm::{CommError, CommReport, NestPlan};
-use crate::cp::Cp;
+use crate::cp::{Cp, CpTerm};
 use crate::distrib::{resolve as resolve_dist, DistEnv, DistError};
-use crate::interproc::{entry_cp, translate_to_callsite};
+use crate::interproc::{entry_cp, Inliner};
 use crate::localize::apply_localize;
-use crate::loopdist::{assign_group_cps, group_statements, partition_loop};
+use crate::loopdist::{assign_group_cps, distribute_nest, group_statements};
 use crate::privat::propagate_new_cps;
-use crate::select::{self, CpAssignment};
+use crate::select::{self, Candidate, CpAssignment};
 use dhpf_depend::callgraph::CallGraph;
-use dhpf_depend::dep::analyze_loop_deps;
+use dhpf_depend::dep::{analyze_loop_deps, Dependence};
 use dhpf_depend::loops::UnitLoops;
 use dhpf_depend::refs::UnitRefs;
-use dhpf_fortran::ast::{
-    ArrayRef, Decls, Expr, Program, ProgramUnit, RefId, Stmt, StmtId, StmtKind,
-};
+use dhpf_depend::usedef::writes_of_var;
+use dhpf_fortran::ast::{Program, ProgramUnit, RefId, Stmt, StmtId, StmtKind};
+use dhpf_fortran::subscript::affine;
 use dhpf_fortran::symtab;
 use dhpf_obs::{self as obs, CpHow, Decision, DecisionKind, ObsReport};
 use std::collections::BTreeMap;
@@ -110,15 +113,9 @@ pub struct CompileOptions {
     pub flags: OptFlags,
     /// Coarse-grain pipelining granularity (strip size).
     pub granularity: i64,
-    /// Worker threads for per-unit analysis/planning. `0` or `1` means
-    /// serial. Output is byte-identical regardless of this value: units
-    /// are scheduled in call-graph waves, every unit draws synthesized
-    /// statement/reference ids from its own deterministic chunk, and
-    /// results are merged in bottom-up order.
-    pub jobs: usize,
     /// Record span traces and the decision log (`Compiled::obs`). Off by
-    /// default: every probe in the pipeline then costs one relaxed
-    /// atomic load. Metrics are collected either way.
+    /// default: every probe in the pipeline then costs one thread-local
+    /// flag read. Metrics are collected either way.
     pub observe: bool,
 }
 
@@ -128,19 +125,12 @@ impl CompileOptions {
             bindings: BTreeMap::new(),
             flags: OptFlags::default(),
             granularity: 4,
-            jobs: 0,
             observe: false,
         }
     }
 
     pub fn bind(mut self, name: &str, value: i64) -> Self {
         self.bindings.insert(name.to_string(), value);
-        self
-    }
-
-    /// Enable parallel per-unit compilation with up to `jobs` workers.
-    pub fn parallel(mut self, jobs: usize) -> Self {
-        self.jobs = jobs;
         self
     }
 
@@ -188,7 +178,7 @@ pub struct Compiled {
 impl Compiled {
     /// Deterministic rendering of everything observable about a compile:
     /// the emitted node program, the CP assignments, the communication
-    /// report, and the transformed AST. Serial and parallel driver runs
+    /// report, and the transformed AST. Compiling the same program twice
     /// must produce byte-identical fingerprints (asserted in tests).
     pub fn fingerprint(&self) -> String {
         format!(
@@ -225,36 +215,50 @@ impl std::fmt::Display for CompileError {
 impl std::error::Error for CompileError {}
 
 /// Synthesized-id chunk granted to each unit (statements and references).
-/// Unit `k` in bottom-up order allocates from `base + k·CHUNK`, making id
-/// assignment independent of scheduling: serial and parallel compilation
-/// synthesize identical ids.
+/// Unit `k` in bottom-up call-graph order allocates from `base + k·CHUNK`,
+/// so the ids a unit synthesizes depend on nothing but its position in
+/// that order.
 const ID_CHUNK: u32 = 1 << 20;
 
-/// Everything `process_unit` derives for one program unit, merged into the
-/// driver state in deterministic bottom-up order.
-struct UnitOutcome {
-    /// The unit after inlining and loop distribution.
-    unit: ProgramUnit,
-    env: DistEnv,
-    cps: CpAssignment,
-    plans: BTreeMap<StmtId, NestPlan>,
-    nests: Vec<StmtId>,
-    nest_scope: BTreeMap<StmtId, StmtId>,
-    entry_cp: Option<Cp>,
-    report: CommReport,
-    /// Completed observation scope (when `CompileOptions::observe`).
-    obs: Option<obs::ScopeObs>,
+/// Fresh statement/reference ids for the code one unit synthesizes
+/// (inlined bodies, distributed loop headers), drawn from its chunk.
+pub(crate) struct IdAlloc {
+    next_stmt: u32,
+    next_ref: u32,
+    stmt_end: u32,
+    ref_end: u32,
+}
+
+impl IdAlloc {
+    fn new(stmt_start: u32, ref_start: u32) -> Self {
+        IdAlloc {
+            next_stmt: stmt_start,
+            next_ref: ref_start,
+            stmt_end: stmt_start + ID_CHUNK,
+            ref_end: ref_start + ID_CHUNK,
+        }
+    }
+
+    pub(crate) fn stmt(&mut self) -> StmtId {
+        self.next_stmt += 1;
+        StmtId(self.next_stmt - 1)
+    }
+
+    pub(crate) fn reference(&mut self) -> RefId {
+        self.next_ref += 1;
+        RefId(self.next_ref - 1)
+    }
+
+    fn exhausted(&self) -> bool {
+        self.next_stmt > self.stmt_end || self.next_ref > self.ref_end
+    }
 }
 
 /// Compile an HPF program into an SPMD node program.
 ///
-/// Per-unit analysis/planning is scheduled in call-graph waves: a unit's
-/// wave is one past the deepest wave of its callees, so every unit only
-/// reads state (callee bodies, entry CPs) produced by strictly earlier
-/// waves. Units within a wave are independent and — when
-/// [`CompileOptions::jobs`] > 1 — run on worker threads; results are
-/// merged in bottom-up order either way, so the output is byte-identical
-/// to a serial run.
+/// Units compile one after another on the calling thread, callees before
+/// callers, so each unit only reads state (callee bodies, entry CPs) that
+/// is already final.
 pub fn compile(program: &Program, opts: &CompileOptions) -> Result<Compiled, CompileError> {
     let epoch = Instant::now();
     let cache0 = dhpf_iset::cache_stats();
@@ -280,193 +284,106 @@ pub fn compile(program: &Program, opts: &CompileOptions) -> Result<Compiled, Com
         {
             return Err(CompileError::Semantic(diags));
         }
+        reject_early_returns(&program)?;
     }
 
     // ---- call graph / §6 ---------------------------------------------------
-    let _sp_callgraph = obs::span("callgraph");
+    let sp_callgraph = obs::span("callgraph");
     let graph = CallGraph::build(&program);
-    let order: Vec<String> = graph
-        .bottom_up()
-        .ok_or(CompileError::Recursion)?
-        .into_iter()
-        .map(|s| s.to_string())
-        .collect();
+    let order = graph.bottom_up().ok_or(CompileError::Recursion)?;
 
     // deterministic per-unit id chunks for synthesized statements/refs
     let (stmt_base, ref_base) = max_ids(&program);
-    let last = order.len().saturating_sub(1) as u64;
-    if stmt_base as u64 + (last + 1) * ID_CHUNK as u64 > u32::MAX as u64
-        || ref_base as u64 + (last + 1) * ID_CHUNK as u64 > u32::MAX as u64
-    {
+    let chunks = order.len() as u64 * ID_CHUNK as u64;
+    if stmt_base as u64 + chunks > u32::MAX as u64 || ref_base as u64 + chunks > u32::MAX as u64 {
         return Err(CompileError::Other(format!(
             "too many units ({}) for deterministic id chunking",
             order.len()
         )));
     }
 
-    // wave index per unit: 0 for leaves, 1 + max(callee wave) otherwise
-    let mut wave_of: BTreeMap<&str, usize> = BTreeMap::new();
-    for uname in &order {
-        let w = graph
-            .calls
-            .get(uname.as_str())
-            .map(|callees| {
-                callees
-                    .iter()
-                    .filter_map(|c| wave_of.get(c.as_str()).copied())
-                    .map(|d| d + 1)
-                    .max()
-                    .unwrap_or(0)
-            })
-            .unwrap_or(0);
-        wave_of.insert(uname.as_str(), w);
+    // Compile order: shallowest call depth first (a leaf is depth 0, a
+    // caller one past its deepest callee), bottom-up order within a
+    // depth. Any callees-first order compiles the same code; this one is
+    // the order `obs.scopes` and the decision log have always listed
+    // units in, so it is part of their byte identity. The bottom-up index
+    // `k` — not the position in this schedule — keys the id chunk.
+    let mut depth: BTreeMap<&str, usize> = BTreeMap::new();
+    for &u in &order {
+        let callees = graph.calls.get(u).into_iter().flatten();
+        let d = callees.filter_map(|c| depth.get(c.as_str())).max();
+        depth.insert(u, d.map_or(0, |d| d + 1));
     }
-    let n_waves = order
-        .iter()
-        .map(|u| wave_of[u.as_str()] + 1)
-        .max()
-        .unwrap_or(0);
-    let waves: Vec<Vec<(usize, String)>> = (0..n_waves)
-        .map(|w| {
-            order
-                .iter()
-                .enumerate()
-                .filter(|(_, u)| wave_of[u.as_str()] == w)
-                .map(|(k, u)| (k, u.clone()))
-                .collect()
-        })
-        .collect();
+    let mut schedule: Vec<(u32, &str)> = (0u32..).zip(order.iter().copied()).collect();
+    schedule.sort_by_key(|(_, u)| depth[u]);
+    drop(sp_callgraph);
 
-    drop(_sp_callgraph);
-    let _sp_waves = obs::span_detail("waves", || {
-        format!("{} unit(s) in {} wave(s)", order.len(), waves.len())
-    });
-
-    // entry CPs of already-processed units (bottom-up)
     let mut entry_cps: BTreeMap<String, Cp> = BTreeMap::new();
-
-    // per-unit results
-    let mut unit_envs: BTreeMap<String, DistEnv> = BTreeMap::new();
-    let mut unit_cps: BTreeMap<String, CpAssignment> = BTreeMap::new();
-    let mut unit_plans: BTreeMap<String, BTreeMap<StmtId, NestPlan>> = BTreeMap::new();
-    let mut unit_nests: BTreeMap<String, (Vec<StmtId>, BTreeMap<StmtId, StmtId>)> = BTreeMap::new();
+    let mut analyses: BTreeMap<String, UnitAnalysis> = BTreeMap::new();
     let mut report = CommReport::default();
     let mut unit_scopes: Vec<obs::ScopeObs> = Vec::new();
-    let obs_epoch = opts.observe.then_some(epoch);
-
-    for wave in &waves {
-        let outcomes: Vec<Result<UnitOutcome, CompileError>> = if opts.jobs > 1 && wave.len() > 1 {
-            let mut results = Vec::with_capacity(wave.len());
-            for batch in wave.chunks(opts.jobs) {
-                let program_ref = &program;
-                let entry_ref = &entry_cps;
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = batch
-                        .iter()
-                        .map(|(k, uname)| {
-                            let k = *k as u32;
-                            scope.spawn(move || {
-                                process_unit(
-                                    program_ref,
-                                    uname,
-                                    opts,
-                                    entry_ref,
-                                    stmt_base + k * ID_CHUNK,
-                                    ref_base + k * ID_CHUNK,
-                                    obs_epoch,
-                                )
-                            })
-                        })
-                        .collect();
-                    for h in handles {
-                        results.push(h.join().unwrap_or_else(|_| {
-                            Err(CompileError::Other("compile worker panicked".into()))
-                        }));
-                    }
-                });
+    {
+        let _sp = obs::span_detail("units", || format!("{} unit(s)", order.len()));
+        for (k, uname) in schedule {
+            let unit_guard = opts.observe.then(|| obs::install(uname, epoch));
+            let ids = IdAlloc::new(stmt_base + k * ID_CHUNK, ref_base + k * ID_CHUNK);
+            let (analysis, ecp) =
+                process_unit(&mut program, uname, opts, &entry_cps, ids, &mut report)?;
+            analyses.insert(uname.to_string(), analysis);
+            if let Some(ecp) = ecp {
+                entry_cps.insert(uname.to_string(), ecp);
             }
-            results
-        } else {
-            wave.iter()
-                .map(|(k, uname)| {
-                    process_unit(
-                        &program,
-                        uname,
-                        opts,
-                        &entry_cps,
-                        stmt_base + *k as u32 * ID_CHUNK,
-                        ref_base + *k as u32 * ID_CHUNK,
-                        obs_epoch,
-                    )
-                })
-                .collect()
-        };
-
-        // deterministic merge in bottom-up order (wave lists preserve it)
-        for ((_, uname), outcome) in wave.iter().zip(outcomes) {
-            let o = outcome?;
-            let slot = program
-                .units
-                .iter_mut()
-                .find(|u| u.name == *uname)
-                .expect("unit in order");
-            *slot = o.unit;
-            report.absorb(&o.report);
-            if let Some(ecp) = o.entry_cp {
-                entry_cps.insert(uname.clone(), ecp);
-            }
-            unit_envs.insert(uname.clone(), o.env);
-            unit_cps.insert(uname.clone(), o.cps);
-            unit_plans.insert(uname.clone(), o.plans);
-            unit_nests.insert(uname.clone(), (o.nests, o.nest_scope));
-            if let Some(scope) = o.obs {
-                unit_scopes.push(scope);
-            }
+            unit_scopes.extend(unit_guard.map(|g| g.finish()));
         }
     }
-    drop(_sp_waves);
 
-    let units = order.len();
-    let n_waves = waves.len();
     let mut compiled = {
         let _sp = obs::span("codegen");
-        finish_compile(
-            program, opts, unit_envs, unit_cps, unit_plans, unit_nests, report,
-        )?
+        finish_compile(program, opts, analyses, report)?
     };
 
-    let mut scopes = Vec::with_capacity(unit_scopes.len() + 1);
-    if let Some(g) = driver_guard {
-        scopes.push(g.finish());
-    }
-    scopes.extend(unit_scopes);
-    compiled.obs = assemble_obs(
-        opts.observe,
-        opts.flags.aggregate,
-        scopes,
-        &compiled,
-        units,
-        n_waves,
-        &cache0,
-    );
+    // driver scope first, then the units in compile order
+    let scopes = driver_guard.map(|g| g.finish()).into_iter();
+    let scopes = scopes.chain(unit_scopes).collect();
+    compiled.obs = assemble_obs(opts, scopes, &compiled, &cache0);
     Ok(compiled)
 }
 
-/// Build the [`ObsReport`]: scopes (driver first, then units in merge
+/// RETURN compiles only as a unit's final statement, where it is the
+/// fall-through it already is. Anywhere else it is control flow the node
+/// program has no op for — dropping it would run the statements it
+/// skips — so the program is rejected.
+fn reject_early_returns(program: &Program) -> Result<(), CompileError> {
+    for unit in &program.units {
+        let tail = unit.body.last().map(|s| s.id);
+        let mut early = None;
+        unit.for_each_stmt(&mut |s| {
+            if matches!(s.kind, StmtKind::Return) && Some(s.id) != tail {
+                early = early.or(Some(s.span.line));
+            }
+        });
+        if let Some(line) = early {
+            return Err(CompileError::Other(format!(
+                "in {}: line {line}: RETURN before the end of the unit is not supported \
+                 (a mid-body RETURN is control flow the node program cannot express)",
+                unit.name
+            )));
+        }
+    }
+    Ok(())
+}
+
+/// Build the [`ObsReport`]: scopes (driver first, then units in compile
 /// order) plus the unified metrics document.
 fn assemble_obs(
-    enabled: bool,
-    aggregate: bool,
+    opts: &CompileOptions,
     scopes: Vec<obs::ScopeObs>,
     compiled: &Compiled,
-    units: usize,
-    waves: usize,
     cache0: &dhpf_iset::CacheStats,
 ) -> ObsReport {
     let mut m = obs::Metrics::default();
     let r = &compiled.report;
-    m.counter("driver.units", units as i64);
-    m.counter("driver.waves", waves as i64);
+    m.counter("driver.units", compiled.program.units.len() as i64);
     m.counter("comm.reads_examined", r.reads_examined as i64);
     m.counter(
         "comm.reads_eliminated_by_availability",
@@ -487,38 +404,11 @@ fn assemble_obs(
     // snapshot taken at compile start; sizes are absolute). Timing- and
     // sharing-dependent, so gauges, not counters.
     let cache1 = dhpf_iset::cache_stats();
-    let ops = |s: &dhpf_iset::CacheStats| {
-        [
-            s.union,
-            s.intersect,
-            s.subtract,
-            s.subset,
-            s.project,
-            s.poly_empty,
-            s.poly_eliminate,
-        ]
-    };
-    let (mut hits, mut lookups) = (0u64, 0u64);
-    for (a, b) in ops(&cache1).iter().zip(ops(cache0).iter()) {
-        hits += a.hits.saturating_sub(b.hits);
-        lookups += a.lookups().saturating_sub(b.lookups());
-    }
+    let hits = cache1.hits().saturating_sub(cache0.hits());
+    let lookups = hits + cache1.misses().saturating_sub(cache0.misses());
     m.gauge("iset.lookups", lookups as f64);
-    m.gauge(
-        "iset.hit_rate",
-        if lookups == 0 {
-            0.0
-        } else {
-            hits as f64 / lookups as f64
-        },
-    );
-    m.gauge(
-        "iset.interned_nodes",
-        (cache1.interned_exprs
-            + cache1.interned_constraints
-            + cache1.interned_polys
-            + cache1.interned_sets) as f64,
-    );
+    m.gauge("iset.hit_rate", hits as f64 / lookups.max(1) as f64);
+    m.gauge("iset.interned_nodes", cache1.interned_nodes() as f64);
 
     for s in &scopes {
         for sp in &s.spans {
@@ -536,7 +426,7 @@ fn assemble_obs(
             let Some(plan) = ua.plans.get(nest) else {
                 continue;
             };
-            let messages_saved = if aggregate {
+            let messages_saved = if opts.flags.aggregate {
                 (plan.pre().len() - crate::comm::aggregated_message_count(plan.pre()))
                     + (plan.post().len() - crate::comm::aggregated_message_count(plan.post()))
             } else {
@@ -558,489 +448,548 @@ fn assemble_obs(
     }
 
     ObsReport {
-        enabled,
+        enabled: opts.observe,
         scopes,
         metrics: m,
     }
 }
 
-/// The full analysis pipeline for one unit, run against a snapshot in
-/// which every callee (strictly earlier wave) is already transformed.
-/// Pure with respect to driver state: everything it produces comes back
-/// in the [`UnitOutcome`], and synthesized ids are drawn from the
-/// caller-assigned `[stmt_base, stmt_base + ID_CHUNK)` /
-/// `[ref_base, ref_base + ID_CHUNK)` chunks so results are identical no
-/// matter how units are scheduled across threads.
-#[allow(clippy::too_many_arguments)]
-fn process_unit(
-    snapshot: &Program,
-    uname: &str,
-    opts: &CompileOptions,
-    entry_cps: &BTreeMap<String, Cp>,
-    stmt_base: u32,
-    ref_base: u32,
-    obs_epoch: Option<Instant>,
-) -> Result<UnitOutcome, CompileError> {
-    let obs_guard = obs_epoch.map(|epoch| obs::install(uname, epoch));
-    let mut program = snapshot.clone();
-    let mut next_stmt = stmt_base;
-    let mut next_ref = ref_base;
-    // fixed CPs recorded for statements this unit inlines
-    let mut fixed_cps = CpAssignment::new();
-    let mut report = CommReport::default();
+/// What a pass tells the runner to do next.
+enum Step {
+    Next,
+    /// The pass rewrote the unit's AST: start a new round at `analyze`.
+    Restart,
+}
 
-    // ---- inline loop-borne leaf calls --------------------------------------
-    {
-        let _sp = obs::span("inline");
-        let unit = program
-            .units
-            .iter_mut()
-            .find(|u| u.name == uname)
-            .expect("unit in order");
-        inline_unit(
-            unit,
-            snapshot,
-            entry_cps,
-            opts.flags.interproc,
-            &mut next_stmt,
-            &mut next_ref,
-            &mut fixed_cps,
-        )?;
-    }
+/// One row of the per-unit pipeline.
+struct Pass {
+    /// The span the runner opens around the pass — the phase name
+    /// `dhpf-metrics-v1`, `dhpf bench compile` and the benchmark's
+    /// `core.phase.*` metrics read.
+    name: &'static str,
+    /// Does the row run under these flags?
+    enabled: fn(&OptFlags) -> bool,
+    run: fn(&mut UnitState, &CompileOptions) -> Result<Step, CompileError>,
+}
 
-    // ---- analyses (repeated after any loop distribution) -------------------
-    let mut guard = 0;
-    loop {
-        guard += 1;
-        if guard > 10 {
-            return Err(CompileError::Other(format!(
-                "loop distribution did not converge in {uname}"
-            )));
-        }
-        let _sp_analyze = obs::span("analyze");
-        let unit = program.unit(uname).unwrap().clone();
-        let env = resolve_dist(&unit, &opts.bindings).map_err(CompileError::Distribution)?;
-        // every processor must own a non-empty block of every
-        // distributed array (empty blocks would break pipeline chains)
-        if let Some(grid) = &env.grid {
-            for dist in env.arrays.values() {
-                if !dist.is_distributed() {
-                    continue;
-                }
-                for rank in grid.ranks() {
-                    if dist.owned_box(&grid.coords(rank)).is_none() {
-                        return Err(CompileError::Other(format!(
-                            "array `{}` has an empty block on processor {rank}: \
-                                 grid {:?} is too large for its extents",
-                            dist.array, grid.extents
-                        )));
-                    }
-                }
-            }
-        }
-        let (tabs, _) = symtab::resolve(&program);
-        let tab = tabs.get(uname).cloned().unwrap_or_default();
-        let loops = UnitLoops::build(&unit);
-        let refs = UnitRefs::build(&unit, &tab);
+const fn pass(
+    name: &'static str,
+    enabled: fn(&OptFlags) -> bool,
+    run: fn(&mut UnitState, &CompileOptions) -> Result<Step, CompileError>,
+) -> Pass {
+    Pass { name, enabled, run }
+}
 
-        // top-level compute nests. A one-trip wrapper loop (the
-        // LOCALIZE idiom `do one = 1, 1`) is transparent for
-        // communication placement: its child nests are planned
-        // individually so an exchange between two children lands
-        // *between* them, not hoisted above the producer. IF blocks
-        // are transparent for nest discovery: a scalar branch
-        // condition is replicated control flow — every processor
-        // evaluates it identically — so nests inside an arm carry
-        // their own CPs and plans and compile in place. A condition
-        // that reads an array is not replicable that way; reject it
-        // rather than compile the arm's distributed writes as
-        // replicated statements (which would write outside the local
-        // window at run time).
-        let top_stmts = flatten_if_arms(&unit.body, &unit).map_err(CompileError::Other)?;
-        let mut nests: Vec<StmtId> = Vec::new();
-        let mut nest_scope: BTreeMap<StmtId, StmtId> = BTreeMap::new();
-        for &s in &top_stmts {
-            let StmtKind::Do { lo, hi, body, .. } = &s.kind else {
-                continue;
-            };
-            if !is_compute_nest(s) {
-                // A loop with CALL statements in its body (the NAS
-                // time-step idiom `do step … call x_solve …`): calls
-                // compile interprocedurally, but any *inline* Do
-                // children are compute nests of their own and still
-                // need CPs and communication plans. Register each with
-                // self-scope — a call may rewrite any COMMON array, so
-                // it is an availability barrier and the children must
-                // not share a §7 scope across it.
-                for c in body {
-                    if matches!(c.kind, StmtKind::Do { .. }) && is_compute_nest(c) {
-                        nests.push(c.id);
-                    }
-                }
-                continue;
-            }
-            let one_trip = match (
-                dhpf_fortran::subscript::affine(lo, &unit.decls),
-                dhpf_fortran::subscript::affine(hi, &unit.decls),
-            ) {
-                (Some(a), Some(b)) => {
-                    a.is_constant() && b.is_constant() && a.constant() == b.constant()
-                }
-                _ => false,
-            };
-            // a "time loop": the induction variable never subscripts
-            // any reference, so each iteration re-runs the same data
-            // access pattern — exchanges must re-execute per iteration
-            let var_name = match &s.kind {
-                StmtKind::Do { var, .. } => var.clone(),
-                _ => unreachable!(),
-            };
-            let mut var_subscripts = false;
-            s.walk(&mut |st| {
-                st.for_each_ref(&mut |r, _| {
-                    for sub in &r.subs {
-                        if let Some(lin) = dhpf_fortran::subscript::affine(sub, &unit.decls) {
-                            if lin.mentions(&var_name) {
-                                var_subscripts = true;
-                            }
-                        } else {
-                            var_subscripts = true; // conservative
-                        }
-                    }
-                });
-            });
-            let transparent = one_trip || !var_subscripts;
-            let child_loops: Vec<StmtId> = body
-                .iter()
-                .filter(|c| matches!(c.kind, StmtKind::Do { .. }))
-                .map(|c| c.id)
-                .collect();
-            if transparent && !child_loops.is_empty() && child_loops.len() == body.len() {
-                for c in child_loops {
-                    nests.push(c);
-                    nest_scope.insert(c, s.id);
-                }
-            } else {
-                nests.push(s.id);
-            }
-        }
+/// The per-unit pipeline, in order. `inline` runs once; the rest is one
+/// *round*, repeated from [`ROUND`] whenever a pass answers
+/// [`Step::Restart`].
+const PASSES: [Pass; 6] = [
+    pass("inline", |_| true, inline),
+    pass("analyze", |_| true, analyze),
+    pass(
+        "loop-distribution",
+        |f| f.loop_distribution,
+        loop_distribution,
+    ),
+    pass("cp-select", |_| true, cp_select),
+    pass("propagate", |_| true, propagate),
+    pass("comm-plan", |_| true, comm_plan),
+];
 
-        drop(_sp_analyze);
+/// Index in [`PASSES`] where a round starts.
+const ROUND: usize = 1;
 
-        // §5 grouping first: may demand loop distribution
-        if opts.flags.loop_distribution {
-            let _sp = obs::span("loop-distribution");
-            let mut distributed_any = false;
-            for &nest in &nests {
-                let deps = analyze_loop_deps(nest, &loops, &refs);
-                let stmts = select::assignments_in(nest, &loops, &refs);
-                let cands: BTreeMap<StmtId, Vec<select::Candidate>> = stmts
-                    .iter()
-                    .map(|s| (*s, select::candidates(*s, &refs, &env)))
-                    .collect();
-                let grouping = group_statements(&stmts, &cands, &deps);
-                if grouping.marked.is_empty() {
-                    continue;
-                }
-                // distribute at the deepest loop containing each pair
-                if distribute_in_unit(
-                    &mut program,
-                    uname,
-                    nest,
-                    &loops,
-                    &deps,
-                    &grouping.marked,
-                    &mut next_stmt,
-                ) {
-                    distributed_any = true;
-                    break; // re-analyze from scratch
-                }
-            }
-            if distributed_any {
-                continue;
-            }
-        }
+/// Rounds after which loop distribution is declared non-convergent.
+const MAX_ROUNDS: usize = 10;
 
-        // ---- CP selection ---------------------------------------------
-        let _sp_select = obs::span("cp-select");
-        let mut assignment: CpAssignment = fixed_cps.clone();
-        for &nest in &nests {
-            let deps = analyze_loop_deps(nest, &loops, &refs);
-            let stmts = select::assignments_in(nest, &loops, &refs);
-            // NEW/LOCALIZE definition statements are partitioned by
-            // propagation, not by local selection — but only inside a
-            // loop whose directive manages the written variable. The
-            // same array written elsewhere (e.g. its initialization
-            // nest) still needs an ordinary owner-computes CP; leaving
-            // it unassigned would compile it as replicated and write
-            // outside the local window.
-            let selectable: Vec<StmtId> = stmts
-                .iter()
-                .filter(|s| {
-                    let Some(w) = refs.write_of(**s) else {
-                        return true;
-                    };
-                    let enclosing = loops.nest_of.get(*s).cloned().unwrap_or_default();
-                    !enclosing.iter().any(|l| {
-                        let d = &loops.loops[l].dir;
-                        d.new_vars.contains(&w.array) || d.localize_vars.contains(&w.array)
-                    })
-                })
-                .cloned()
-                .collect();
+/// Everything the passes of one unit share.
+struct UnitState<'a> {
+    /// The whole program; `units[ui]` is rewritten in place, callees
+    /// (compiled earlier) are read.
+    program: &'a mut Program,
+    ui: usize,
+    /// Entry CPs of the units compiled so far (§6).
+    entry_cps: &'a BTreeMap<String, Cp>,
+    ids: IdAlloc,
+    /// CPs `inline` fixed for the statements it inlined.
+    fixed_cps: CpAssignment,
+    report: &'a mut CommReport,
+    round: Round,
+    // what the last round decided
+    cps: CpAssignment,
+    plans: BTreeMap<StmtId, NestPlan>,
+    entry_cp: Option<Cp>,
+}
 
-            let mut fixed = CpAssignment::new();
-            for (id, cp) in &assignment {
-                fixed.insert(*id, cp.clone());
-            }
-            // §5 grouping restricts choices
-            let sel = if opts.flags.loop_distribution {
-                let cands: BTreeMap<StmtId, Vec<select::Candidate>> = selectable
-                    .iter()
-                    .map(|s| (*s, select::candidates(*s, &refs, &env)))
-                    .collect();
-                let grouping = group_statements(&selectable, &cands, &deps);
-                let mut grouped = assign_group_cps(&grouping, &cands);
-                for (id, cp) in &fixed {
-                    grouped.insert(*id, cp.clone());
-                }
-                grouped
-            } else {
-                select::select_for_loop(&selectable, &fixed, &refs, &env)
-            };
-            for (id, cp) in sel {
-                if obs::is_active() && !fixed.contains_key(&id) {
-                    let how = if opts.flags.loop_distribution {
-                        CpHow::Grouped
-                    } else {
-                        CpHow::LeastCost
-                    };
-                    let cost = select::stmt_cost(id, &cp, &refs, &env);
-                    let cp_str = cp.to_string();
-                    obs::decide(move || {
-                        Decision::new(DecisionKind::CpSelect {
-                            cp: cp_str,
-                            how,
-                            cost: Some(cost),
-                        })
-                        .stmt(id)
-                    });
-                }
-                assignment.insert(id, cp);
-            }
-        }
-        if obs::is_active() {
-            for (id, cp) in &fixed_cps {
-                let cp_str = cp.to_string();
-                let id = *id;
-                obs::decide(move || {
-                    Decision::new(DecisionKind::CpSelect {
-                        cp: cp_str,
-                        how: CpHow::FixedByInlining,
-                        cost: None,
-                    })
-                    .stmt(id)
-                });
-            }
-        }
-        drop(_sp_select);
+/// Facts about the unit's current AST: rebuilt by `analyze`, read by the
+/// rest of the round.
+#[derive(Default)]
+struct Round {
+    env: DistEnv,
+    loops: UnitLoops,
+    refs: UnitRefs,
+    /// Planned nests in program order.
+    nests: Vec<StmtId>,
+    nest_scope: BTreeMap<StmtId, StmtId>,
+    /// Top-level assignments (IF arms flattened), for the owner-computes
+    /// fallback.
+    top_assigns: Vec<StmtId>,
+    /// Dependences per nest or availability scope, analyzed on first use.
+    deps: BTreeMap<StmtId, Vec<Dependence>>,
+    /// §5 candidate CPs per assignment, left by `loop-distribution`;
+    /// `cp-select` groups over them, or selects by least cost when that
+    /// row is off.
+    cands: Option<BTreeMap<StmtId, Vec<Candidate>>>,
+}
 
-        // §4.1 / §4.2 on every directive loop of the unit (a LOCALIZE
-        // directive may sit on a one-trip wrapper that is not itself a
-        // planned nest)
-        {
-            let _sp = obs::span("propagate");
-            let mut dir_loops: Vec<StmtId> = loops
-                .loops
-                .iter()
-                .filter(|(_, info)| !info.dir.is_empty())
-                .map(|(id, _)| *id)
-                .collect();
-            dir_loops.sort_by_key(|id| std::cmp::Reverse(loops.order[id]));
-            // records a CP decision for a variable-directed choice; the
-            // fixpoint below revisits statements, so the recorder's
-            // last-payload dedup keeps only the converged CP
-            let record = |s: StmtId, var: &str, how: fn(String) -> CpHow, cp: Option<&Cp>| {
-                if !obs::is_active() {
-                    return;
-                }
-                let Some(cp) = cp else { return };
-                let cp_str = cp.to_string();
-                let var = var.to_string();
-                obs::decide(move || {
-                    Decision::new(DecisionKind::CpSelect {
-                        cp: cp_str,
-                        how: how(var),
-                        cost: None,
-                    })
-                    .stmt(s)
-                });
-            };
-            // §4 propagation iterates to a fixpoint: a LOCALIZE/NEW
-            // definition may read another managed variable, whose CP
-            // only becomes final after ITS uses were propagated
-            // (rho_i consumed by the square/qs definitions in
-            // compute_rhs is the canonical case)
-            for _pass in 0..3 {
-                for dl in dir_loops.clone() {
-                    if opts.flags.privatizable_cp {
-                        for (s, var) in propagate_new_cps(dl, &loops, &refs, &mut assignment) {
-                            record(s, &var, CpHow::PropagatedNew, assignment.get(&s));
-                        }
-                    } else {
-                        // strawman: replicate NEW definitions
-                        for var in &loops.loops[&dl].dir.new_vars {
-                            for w in dhpf_depend::usedef::writes_of_var(dl, var, &loops, &refs) {
-                                assignment.insert(w.stmt, Cp::replicated());
-                                if obs::is_active() {
-                                    let s = w.stmt;
-                                    obs::decide(move || {
-                                        Decision::new(DecisionKind::CpSelect {
-                                            cp: Cp::replicated().to_string(),
-                                            how: CpHow::ReplicatedStrawman,
-                                            cost: None,
-                                        })
-                                        .stmt(s)
-                                    });
-                                }
-                            }
-                        }
-                    }
-                    if opts.flags.localize {
-                        for (s, var) in apply_localize(dl, &loops, &refs, &mut assignment) {
-                            record(s, &var, CpHow::Localized, assignment.get(&s));
-                        }
-                    } else {
-                        for var in &loops.loops[&dl].dir.localize_vars {
-                            for w in dhpf_depend::usedef::writes_of_var(dl, var, &loops, &refs) {
-                                let subs: Option<Vec<_>> = w.subs.iter().cloned().collect();
-                                if let Some(subs) = subs {
-                                    let cp = Cp::single(crate::cp::CpTerm::on_home(var, subs));
-                                    record(w.stmt, var, CpHow::LocalizeOff, Some(&cp));
-                                    assignment.insert(w.stmt, cp);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        // owner-computes for any remaining top-level assignments
-        // (including ones inside replicated IF arms)
-        for &s in &top_stmts {
-            if let StmtKind::Assign { .. } = &s.kind {
-                if let Some(w) = refs.write_of(s.id) {
-                    if env
-                        .dist_of(&w.array)
-                        .map(|d| d.is_distributed())
-                        .unwrap_or(false)
-                    {
-                        let subs: Option<Vec<_>> = w.subs.iter().cloned().collect();
-                        if let Some(subs) = subs {
-                            if let std::collections::btree_map::Entry::Vacant(e) =
-                                assignment.entry(s.id)
-                            {
-                                let cp = Cp::single(crate::cp::CpTerm::on_home(&w.array, subs));
-                                if obs::is_active() {
-                                    let cp_str = cp.to_string();
-                                    let id = s.id;
-                                    obs::decide(move || {
-                                        Decision::new(DecisionKind::CpSelect {
-                                            cp: cp_str,
-                                            how: CpHow::OwnerComputes,
-                                            cost: None,
-                                        })
-                                        .stmt(id)
-                                    });
-                                }
-                                e.insert(cp);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        // ---- communication plans ----------------------------------------
-        let mut plans: BTreeMap<StmtId, NestPlan> = BTreeMap::new();
-        if env.grid.is_some() {
-            for &nest in &nests {
-                let _sp = obs::span_detail("comm-plan", || format!("nest s{}", nest.0));
-                let deps = analyze_loop_deps(nest, &loops, &refs);
-                let scope = nest_scope.get(&nest).copied().unwrap_or(nest);
-                let scope_deps = (scope != nest).then(|| analyze_loop_deps(scope, &loops, &refs));
-                let plan = crate::comm::plan_nest_scoped(
-                    nest,
-                    scope,
-                    scope_deps.as_deref(),
-                    &loops,
-                    &refs,
-                    &deps,
-                    &assignment,
-                    &env,
-                    &opts.flags,
-                    opts.granularity,
-                    &mut report,
-                )
-                .map_err(|e| CompileError::Comm(uname.to_string(), e))?;
-                plans.insert(nest, plan);
-            }
-        }
-
-        // entry CP for callers (§6)
-        let ecp = entry_cp(&unit, &assignment, &refs, &env);
-        if let Some(cp) = &ecp {
-            if obs::is_active() {
-                let cp_str = cp.to_string();
-                obs::decide(move || Decision::new(DecisionKind::EntryCp { cp: cp_str }));
-            }
-        }
-
-        if next_stmt.saturating_sub(stmt_base) > ID_CHUNK
-            || next_ref.saturating_sub(ref_base) > ID_CHUNK
-        {
-            return Err(CompileError::Other(format!(
-                "unit {uname} exhausted its synthesized-id chunk"
-            )));
-        }
-
-        let transformed = program.unit(uname).unwrap().clone();
-        return Ok(UnitOutcome {
-            unit: transformed,
-            env,
-            cps: assignment,
-            plans,
-            nests,
-            nest_scope,
-            entry_cp: ecp,
-            report,
-            obs: obs_guard.map(|g| g.finish()),
-        });
+impl Round {
+    /// Analyze the dependences of `loop_id` unless this round already has.
+    fn need_deps(&mut self, loop_id: StmtId) {
+        self.deps
+            .entry(loop_id)
+            .or_insert_with(|| analyze_loop_deps(loop_id, &self.loops, &self.refs));
     }
 }
 
-/// Code generation and result assembly, after every unit has been analyzed
-/// and merged back into `program` in deterministic bottom-up order.
-#[allow(clippy::too_many_arguments)]
+impl UnitState<'_> {
+    fn unit(&self) -> &ProgramUnit {
+        &self.program.units[self.ui]
+    }
+}
+
+/// Run one unit through [`PASSES`]. Callees are already final in
+/// `program`; the unit is rewritten in place and its analysis artifacts
+/// and entry CP are returned.
+fn process_unit(
+    program: &mut Program,
+    uname: &str,
+    opts: &CompileOptions,
+    entry_cps: &BTreeMap<String, Cp>,
+    ids: IdAlloc,
+    report: &mut CommReport,
+) -> Result<(UnitAnalysis, Option<Cp>), CompileError> {
+    let ui = program
+        .units
+        .iter()
+        .position(|u| u.name == uname)
+        .expect("the call graph lists only program units");
+    let mut st = UnitState {
+        program,
+        ui,
+        entry_cps,
+        ids,
+        fixed_cps: CpAssignment::new(),
+        report,
+        round: Round::default(),
+        cps: CpAssignment::new(),
+        plans: BTreeMap::new(),
+        entry_cp: None,
+    };
+    let (mut next, mut rounds) = (0, 0);
+    while let Some(pass) = PASSES.get(next) {
+        if next == ROUND {
+            rounds += 1;
+            if rounds > MAX_ROUNDS {
+                return Err(CompileError::Other(format!(
+                    "loop distribution did not converge in {uname}"
+                )));
+            }
+        }
+        next += 1;
+        if !(pass.enabled)(&opts.flags) {
+            continue;
+        }
+        let _sp = obs::span(pass.name);
+        if let Step::Restart = (pass.run)(&mut st, opts)? {
+            next = ROUND;
+        }
+    }
+    if st.ids.exhausted() {
+        return Err(CompileError::Other(format!(
+            "unit {uname} exhausted its synthesized-id chunk"
+        )));
+    }
+    let Round {
+        env,
+        nests,
+        nest_scope,
+        ..
+    } = st.round;
+    let analysis = UnitAnalysis {
+        env,
+        cps: st.cps,
+        plans: st.plans,
+        nests,
+        nest_scope,
+    };
+    Ok((analysis, st.entry_cp))
+}
+
+/// Record how statement `stmt` got its CP.
+fn record_cp(stmt: StmtId, cp: &Cp, how: CpHow, cost: Option<f64>) {
+    obs::decide(|| {
+        Decision::new(DecisionKind::CpSelect {
+            cp: cp.to_string(),
+            how,
+            cost,
+        })
+        .stmt(stmt)
+    });
+}
+
+/// `ON_HOME array(subs)` when every subscript of the write is affine.
+fn owner_computes(w: &dhpf_depend::refs::RefInfo) -> Option<Cp> {
+    let subs: Option<Vec<_>> = w.subs.iter().cloned().collect();
+    Some(Cp::single(CpTerm::on_home(&w.array, subs?)))
+}
+
+// ---- the passes -------------------------------------------------------------
+
+/// Inline loop-borne leaf calls, fixing the inlined statements' CPs to
+/// the callee's translated entry CP (§6).
+fn inline(st: &mut UnitState, opts: &CompileOptions) -> Result<Step, CompileError> {
+    let mut body = std::mem::take(&mut st.program.units[st.ui].body);
+    let mut inliner = Inliner {
+        program: st.program,
+        caller: &st.program.units[st.ui],
+        entry_cps: opts.flags.interproc.then_some(st.entry_cps),
+        ids: &mut st.ids,
+        fixed: &mut st.fixed_cps,
+        new_params: BTreeMap::new(),
+        new_vars: Vec::new(),
+    };
+    body.iter_mut().try_for_each(|s| inliner.stmt(s))?;
+    let Inliner {
+        new_params,
+        new_vars,
+        ..
+    } = inliner;
+    let unit = &mut st.program.units[st.ui];
+    unit.body = body;
+    for (k, v) in new_params {
+        unit.decls.params.entry(k).or_insert(v);
+    }
+    for v in new_vars {
+        unit.decls.vars.entry(v.name.clone()).or_insert(v);
+    }
+    Ok(Step::Next)
+}
+
+/// Resolve distributions, build loop and reference tables, and find the
+/// nests to plan.
+fn analyze(st: &mut UnitState, opts: &CompileOptions) -> Result<Step, CompileError> {
+    let unit = st.unit();
+    let env = resolve_dist(unit, &opts.bindings).map_err(CompileError::Distribution)?;
+    // every processor must own a non-empty block of every
+    // distributed array (empty blocks would break pipeline chains)
+    if let Some(grid) = &env.grid {
+        for dist in env.arrays.values().filter(|d| d.is_distributed()) {
+            for rank in grid.ranks() {
+                if dist.owned_box(&grid.coords(rank)).is_none() {
+                    return Err(CompileError::Other(format!(
+                        "array `{}` has an empty block on processor {rank}: \
+                         grid {:?} is too large for its extents",
+                        dist.array, grid.extents
+                    )));
+                }
+            }
+        }
+    }
+    let (mut tabs, _) = symtab::resolve(st.program);
+    let tab = tabs.remove(&unit.name).unwrap_or_default();
+    let top_stmts = flatten_if_arms(&unit.body, unit).map_err(CompileError::Other)?;
+    let (nests, nest_scope) = planned_nests(&top_stmts, unit);
+    st.round = Round {
+        env,
+        loops: UnitLoops::build(unit),
+        refs: UnitRefs::build(unit, &tab),
+        nests,
+        nest_scope,
+        top_assigns: top_stmts
+            .iter()
+            .filter(|s| matches!(s.kind, StmtKind::Assign { .. }))
+            .map(|s| s.id)
+            .collect(),
+        deps: BTreeMap::new(),
+        cands: None,
+    };
+    Ok(Step::Next)
+}
+
+/// The nests to plan among the unit's top-level statements, and the
+/// availability scope of those planned under a transparent wrapper.
+///
+/// A one-trip wrapper loop (the LOCALIZE idiom `do one = 1, 1`) is
+/// transparent for communication placement: its child nests are planned
+/// individually so an exchange between two children lands *between*
+/// them, not hoisted above the producer. IF blocks are transparent for
+/// nest discovery ([`flatten_if_arms`]).
+fn planned_nests(
+    top_stmts: &[&Stmt],
+    unit: &ProgramUnit,
+) -> (Vec<StmtId>, BTreeMap<StmtId, StmtId>) {
+    let mut nests: Vec<StmtId> = Vec::new();
+    let mut nest_scope: BTreeMap<StmtId, StmtId> = BTreeMap::new();
+    for &s in top_stmts {
+        let StmtKind::Do {
+            var, lo, hi, body, ..
+        } = &s.kind
+        else {
+            continue;
+        };
+        let child_nests = body
+            .iter()
+            .filter(|c| matches!(c.kind, StmtKind::Do { .. }));
+        if !is_compute_nest(s) {
+            // A loop with CALL statements in its body (the NAS
+            // time-step idiom `do step … call x_solve …`): calls
+            // compile interprocedurally, but any *inline* Do
+            // children are compute nests of their own and still
+            // need CPs and communication plans. Register each with
+            // self-scope — a call may rewrite any COMMON array, so
+            // it is an availability barrier and the children must
+            // not share a §7 scope across it.
+            nests.extend(child_nests.filter(|c| is_compute_nest(c)).map(|c| c.id));
+            continue;
+        }
+        let one_trip = match (affine(lo, &unit.decls), affine(hi, &unit.decls)) {
+            (Some(a), Some(b)) => {
+                a.is_constant() && b.is_constant() && a.constant() == b.constant()
+            }
+            _ => false,
+        };
+        // a "time loop": the induction variable never subscripts
+        // any reference, so each iteration re-runs the same data
+        // access pattern — exchanges must re-execute per iteration
+        let mut var_subscripts = false;
+        s.walk(&mut |st| {
+            st.for_each_ref(&mut |r, _| {
+                for sub in &r.subs {
+                    // a non-affine subscript counts, conservatively
+                    var_subscripts |= affine(sub, &unit.decls).is_none_or(|lin| lin.mentions(var));
+                }
+            });
+        });
+        let transparent = one_trip || !var_subscripts;
+        let child_nests: Vec<StmtId> = child_nests.map(|c| c.id).collect();
+        if transparent && !child_nests.is_empty() && child_nests.len() == body.len() {
+            for c in child_nests {
+                nests.push(c);
+                nest_scope.insert(c, s.id);
+            }
+        } else {
+            nests.push(s.id);
+        }
+    }
+    (nests, nest_scope)
+}
+
+/// §5 grouping: a nest whose loop-independent dependences admit no
+/// common CP choice is selectively distributed, and the round restarts
+/// on the rewritten AST.
+fn loop_distribution(st: &mut UnitState, _: &CompileOptions) -> Result<Step, CompileError> {
+    let mut cands: BTreeMap<StmtId, Vec<Candidate>> = BTreeMap::new();
+    for nest in st.round.nests.clone() {
+        st.round.need_deps(nest);
+        let r = &st.round;
+        let stmts = select::assignments_in(nest, &r.loops, &r.refs);
+        cands.extend(
+            stmts
+                .iter()
+                .map(|s| (*s, select::candidates(*s, &r.refs, &r.env))),
+        );
+        let marked = group_statements(&stmts, &cands, &r.deps[&nest]).marked;
+        // distribute at the deepest loop containing the first pair
+        let body = &mut st.program.units[st.ui].body;
+        if distribute_nest(body, nest, &r.loops, &r.deps[&nest], &marked, &mut st.ids) {
+            return Ok(Step::Restart);
+        }
+    }
+    st.round.cands = Some(cands);
+    Ok(Step::Next)
+}
+
+/// Local CP selection per nest, on top of the CPs `inline` fixed.
+fn cp_select(st: &mut UnitState, _: &CompileOptions) -> Result<Step, CompileError> {
+    st.cps = st.fixed_cps.clone();
+    for nest in st.round.nests.clone() {
+        st.round.need_deps(nest);
+        let r = &st.round;
+        // NEW/LOCALIZE definition statements are partitioned by
+        // propagation, not by local selection — but only inside a
+        // loop whose directive manages the written variable. The
+        // same array written elsewhere (e.g. its initialization
+        // nest) still needs an ordinary owner-computes CP; leaving
+        // it unassigned would compile it as replicated and write
+        // outside the local window.
+        let selectable: Vec<StmtId> = select::assignments_in(nest, &r.loops, &r.refs)
+            .into_iter()
+            .filter(|s| {
+                let Some(w) = r.refs.write_of(*s) else {
+                    return true;
+                };
+                let enclosing = r.loops.nest_of.get(s).map_or(&[][..], |l| l);
+                !enclosing.iter().any(|l| {
+                    let d = &r.loops.loops[l].dir;
+                    d.new_vars.contains(&w.array) || d.localize_vars.contains(&w.array)
+                })
+            })
+            .collect();
+        // §5 grouping restricts choices; statements already assigned
+        // (inlined, or chosen with an earlier nest) keep their CP
+        let (chosen, how) = match &r.cands {
+            Some(cands) => {
+                let grouping = group_statements(&selectable, cands, &r.deps[&nest]);
+                (assign_group_cps(&grouping, cands), CpHow::Grouped)
+            }
+            None => (
+                select::select_for_loop(&selectable, &st.cps, &r.refs, &r.env),
+                CpHow::LeastCost,
+            ),
+        };
+        for (id, cp) in chosen {
+            if st.cps.contains_key(&id) {
+                continue;
+            }
+            if obs::is_active() {
+                let cost = select::stmt_cost(id, &cp, &r.refs, &r.env);
+                record_cp(id, &cp, how.clone(), Some(cost));
+            }
+            st.cps.insert(id, cp);
+        }
+    }
+    for (id, cp) in &st.fixed_cps {
+        record_cp(*id, cp, CpHow::FixedByInlining, None);
+    }
+    Ok(Step::Next)
+}
+
+/// §4.1 / §4.2 on every directive loop of the unit (a LOCALIZE directive
+/// may sit on a one-trip wrapper that is not itself a planned nest), then
+/// owner-computes for whatever top-level assignment is still unassigned.
+/// The recorder's last-payload dedup keeps only the converged CP of the
+/// statements the fixpoint revisits.
+fn propagate(st: &mut UnitState, opts: &CompileOptions) -> Result<Step, CompileError> {
+    let (r, cps) = (&st.round, &mut st.cps);
+    let mut dir_loops: Vec<StmtId> = r
+        .loops
+        .loops
+        .iter()
+        .filter(|(_, info)| !info.dir.is_empty())
+        .map(|(id, _)| *id)
+        .collect();
+    dir_loops.sort_by_key(|id| std::cmp::Reverse(r.loops.order[id]));
+    // §4 propagation iterates to a fixpoint: a LOCALIZE/NEW
+    // definition may read another managed variable, whose CP
+    // only becomes final after ITS uses were propagated
+    // (rho_i consumed by the square/qs definitions in
+    // compute_rhs is the canonical case)
+    for _pass in 0..3 {
+        for &dl in &dir_loops {
+            let dir = &r.loops.loops[&dl].dir;
+            if opts.flags.privatizable_cp {
+                for (s, var) in propagate_new_cps(dl, &r.loops, &r.refs, cps) {
+                    if let Some(cp) = cps.get(&s) {
+                        record_cp(s, cp, CpHow::PropagatedNew(var), None);
+                    }
+                }
+            } else {
+                // strawman: replicate NEW definitions
+                for var in &dir.new_vars {
+                    for w in writes_of_var(dl, var, &r.loops, &r.refs) {
+                        let cp = Cp::replicated();
+                        record_cp(w.stmt, &cp, CpHow::ReplicatedStrawman, None);
+                        cps.insert(w.stmt, cp);
+                    }
+                }
+            }
+            if opts.flags.localize {
+                for (s, var) in apply_localize(dl, &r.loops, &r.refs, cps) {
+                    if let Some(cp) = cps.get(&s) {
+                        record_cp(s, cp, CpHow::Localized(var), None);
+                    }
+                }
+            } else {
+                for var in &dir.localize_vars {
+                    for w in writes_of_var(dl, var, &r.loops, &r.refs) {
+                        if let Some(cp) = owner_computes(w) {
+                            record_cp(w.stmt, &cp, CpHow::LocalizeOff(var.clone()), None);
+                            cps.insert(w.stmt, cp);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    // owner-computes for any remaining top-level assignments
+    // (including ones inside replicated IF arms)
+    for &s in &r.top_assigns {
+        let Some(w) = r.refs.write_of(s) else {
+            continue;
+        };
+        if !r.env.dist_of(&w.array).is_some_and(|d| d.is_distributed()) || cps.contains_key(&s) {
+            continue;
+        }
+        if let Some(cp) = owner_computes(w) {
+            record_cp(s, &cp, CpHow::OwnerComputes, None);
+            cps.insert(s, cp);
+        }
+    }
+    Ok(Step::Next)
+}
+
+/// Communication plans per nest, then the unit's entry CP for its
+/// callers (§6).
+fn comm_plan(st: &mut UnitState, opts: &CompileOptions) -> Result<Step, CompileError> {
+    st.plans.clear();
+    if st.round.env.grid.is_some() {
+        for nest in st.round.nests.clone() {
+            let _sp = obs::span_detail("comm-plan", || format!("nest s{}", nest.0));
+            let scope = st.round.nest_scope.get(&nest).copied().unwrap_or(nest);
+            st.round.need_deps(nest);
+            st.round.need_deps(scope);
+            let r = &st.round;
+            let plan = crate::comm::plan_nest_scoped(
+                nest,
+                scope,
+                (scope != nest).then(|| &r.deps[&scope][..]),
+                &r.loops,
+                &r.refs,
+                &r.deps[&nest],
+                &st.cps,
+                &r.env,
+                &opts.flags,
+                opts.granularity,
+                st.report,
+            )
+            .map_err(|e| CompileError::Comm(st.unit().name.clone(), e))?;
+            st.plans.insert(nest, plan);
+        }
+    }
+    st.entry_cp = entry_cp(st.unit(), &st.cps, &st.round.refs, &st.round.env);
+    if let Some(cp) = &st.entry_cp {
+        obs::decide(|| Decision::new(DecisionKind::EntryCp { cp: cp.to_string() }));
+    }
+    Ok(Step::Next)
+}
+
+/// Code generation and result assembly, after every unit has been
+/// analyzed and rewritten in `program`.
 fn finish_compile(
     program: Program,
     opts: &CompileOptions,
-    unit_envs: BTreeMap<String, DistEnv>,
-    unit_cps: BTreeMap<String, CpAssignment>,
-    unit_plans: BTreeMap<String, BTreeMap<StmtId, NestPlan>>,
-    mut unit_nests: BTreeMap<String, (Vec<StmtId>, BTreeMap<StmtId, StmtId>)>,
+    analyses: BTreeMap<String, UnitAnalysis>,
     mut report: CommReport,
 ) -> Result<Compiled, CompileError> {
-    // ---- code generation ----------------------------------------------------
     let main_unit = program
         .main()
         .ok_or_else(|| CompileError::Other("no main program".into()))?
         .name
         .clone();
-    let grid = unit_envs
+    let grid = analyses
         .values()
-        .find_map(|e| e.grid.clone())
+        .find_map(|a| a.env.grid.clone())
         .ok_or_else(|| CompileError::Other("no PROCESSORS grid anywhere".into()))?;
 
     let mut globals = GlobalRegistry::default();
@@ -1054,16 +1003,14 @@ fn finish_compile(
 
     // register arrays for every unit first (so cross-unit commons exist)
     let mut provenance: Vec<PlanProv> = Vec::new();
+    let (no_cps, no_plans) = (CpAssignment::new(), BTreeMap::new());
     for u in &program.units {
-        let env = unit_envs.get(&u.name).cloned().unwrap_or_default();
-        let cps = CpAssignment::new();
-        let plans = BTreeMap::new();
         let mut scratch = Vec::new();
         let mut cx = UnitCx::new(
             u,
-            &env,
-            &cps,
-            &plans,
+            &analyses[&u.name].env,
+            &no_cps,
+            &no_plans,
             &opts.bindings,
             &mut globals,
             0,
@@ -1076,14 +1023,12 @@ fn finish_compile(
     let mut units: Vec<CompiledUnit> = Vec::with_capacity(program.units.len());
     let mut tag_base = 1u64;
     for u in &program.units {
-        let env = unit_envs.get(&u.name).cloned().unwrap_or_default();
-        let cps = unit_cps.get(&u.name).cloned().unwrap_or_default();
-        let plans = unit_plans.get(&u.name).cloned().unwrap_or_default();
+        let ua = &analyses[&u.name];
         let mut cx = UnitCx::new(
             u,
-            &env,
-            &cps,
-            &plans,
+            &ua.env,
+            &ua.cps,
+            &ua.plans,
             &opts.bindings,
             &mut globals,
             tag_base,
@@ -1105,30 +1050,11 @@ fn finish_compile(
         units.push(unit);
     }
 
-    let cp_dump: BTreeMap<String, Vec<(StmtId, String)>> = unit_cps
+    let cp_dump: BTreeMap<String, Vec<(StmtId, String)>> = analyses
         .iter()
-        .map(|(u, cps)| {
-            (
-                u.clone(),
-                cps.iter().map(|(id, cp)| (*id, cp.to_string())).collect(),
-            )
-        })
-        .collect();
-
-    let analyses: BTreeMap<String, UnitAnalysis> = unit_envs
-        .iter()
-        .map(|(u, env)| {
-            let (nests, nest_scope) = unit_nests.remove(u).unwrap_or_default();
-            (
-                u.clone(),
-                UnitAnalysis {
-                    env: env.clone(),
-                    cps: unit_cps.get(u).cloned().unwrap_or_default(),
-                    plans: unit_plans.get(u).cloned().unwrap_or_default(),
-                    nests,
-                    nest_scope,
-                },
-            )
+        .map(|(u, ua)| {
+            let cps = ua.cps.iter().map(|(id, cp)| (*id, cp.to_string()));
+            (u.clone(), cps.collect())
         })
         .collect();
 
@@ -1221,532 +1147,6 @@ fn max_ids(p: &Program) -> (u32, u32) {
         s.for_each_ref(&mut |r, _| rmax = rmax.max(r.id.0));
     });
     (smax + 1, rmax + 1)
-}
-
-// ---------------------------------------------------------------------------
-// Inliner: replace loop-borne calls to leaf units with the callee body.
-// ---------------------------------------------------------------------------
-
-#[allow(clippy::too_many_arguments)]
-fn inline_unit(
-    unit: &mut ProgramUnit,
-    program: &Program,
-    entry_cps: &BTreeMap<String, Cp>,
-    use_interproc: bool,
-    next_stmt: &mut u32,
-    next_ref: &mut u32,
-    fixed: &mut CpAssignment,
-) -> Result<(), CompileError> {
-    let unit_name = unit.name.clone();
-    let mut new_params: BTreeMap<String, i64> = BTreeMap::new();
-    let mut new_vars: Vec<dhpf_fortran::ast::VarDecl> = Vec::new();
-    let caller_decls = unit.decls.clone();
-    let mut body = std::mem::take(&mut unit.body);
-    for s in &mut body {
-        inline_stmt(
-            s,
-            0,
-            program,
-            &unit_name,
-            &caller_decls,
-            entry_cps,
-            use_interproc,
-            next_stmt,
-            next_ref,
-            fixed,
-            &mut new_params,
-            &mut new_vars,
-        )?;
-    }
-    unit.body = body;
-    for (k, v) in new_params {
-        unit.decls.params.entry(k).or_insert(v);
-    }
-    for v in new_vars {
-        unit.decls.vars.entry(v.name.clone()).or_insert(v);
-    }
-    Ok(())
-}
-
-#[allow(clippy::too_many_arguments)]
-fn inline_stmt(
-    s: &mut Stmt,
-    loop_depth: usize,
-    program: &Program,
-    caller_name: &str,
-    caller_decls: &dhpf_fortran::ast::Decls,
-    entry_cps: &BTreeMap<String, Cp>,
-    use_interproc: bool,
-    next_stmt: &mut u32,
-    next_ref: &mut u32,
-    fixed: &mut CpAssignment,
-    new_params: &mut BTreeMap<String, i64>,
-    new_vars: &mut Vec<dhpf_fortran::ast::VarDecl>,
-) -> Result<(), CompileError> {
-    match &mut s.kind {
-        StmtKind::Do { body, var, .. } => {
-            let _ = var;
-            let mut i = 0;
-            while i < body.len() {
-                let expand = should_inline(&body[i], loop_depth + 1);
-                if let (true, StmtKind::Call { name, args, .. }) = (expand, &body[i].kind) {
-                    let callee = program
-                        .unit(name)
-                        .ok_or_else(|| CompileError::Other(format!("missing unit {name}")))?;
-                    let call_args = args.clone();
-                    let name = name.clone();
-                    // translated entry CP for the inlined statements (§6)
-                    let site_cp = if use_interproc {
-                        entry_cps.get(&name).and_then(|cp| {
-                            let caller_unit = pseudo_unit(caller_name, caller_decls);
-                            translate_to_callsite(cp, callee, &call_args, &caller_unit)
-                        })
-                    } else {
-                        None
-                    };
-                    if obs::is_active() {
-                        let callee_name = name.clone();
-                        let ecp = site_cp.as_ref().map(|c| c.to_string());
-                        let line = body[i].span.line;
-                        obs::decide(move || {
-                            Decision::new(DecisionKind::Inlined {
-                                callee: callee_name,
-                                entry_cp: ecp,
-                            })
-                            .line(line)
-                        });
-                    }
-                    let inlined = inline_body(
-                        callee,
-                        &call_args,
-                        caller_decls,
-                        next_stmt,
-                        next_ref,
-                        new_params,
-                        new_vars,
-                    )?;
-                    // record fixed CPs for inlined distributed writes
-                    if let Some(cp) = site_cp {
-                        for st in &inlined {
-                            st.walk(&mut |x| {
-                                if matches!(x.kind, StmtKind::Assign { .. }) {
-                                    fixed.insert(x.id, cp.clone());
-                                }
-                            });
-                        }
-                    }
-                    body.splice(i..=i, inlined);
-                } else {
-                    inline_stmt(
-                        &mut body[i],
-                        loop_depth + 1,
-                        program,
-                        caller_name,
-                        caller_decls,
-                        entry_cps,
-                        use_interproc,
-                        next_stmt,
-                        next_ref,
-                        fixed,
-                        new_params,
-                        new_vars,
-                    )?;
-                    i += 1;
-                }
-            }
-            Ok(())
-        }
-        StmtKind::If { arms } => {
-            for (_, body) in arms {
-                for st in body {
-                    inline_stmt(
-                        st,
-                        loop_depth,
-                        program,
-                        caller_name,
-                        caller_decls,
-                        entry_cps,
-                        use_interproc,
-                        next_stmt,
-                        next_ref,
-                        fixed,
-                        new_params,
-                        new_vars,
-                    )?;
-                }
-            }
-            Ok(())
-        }
-        _ => Ok(()),
-    }
-}
-
-/// Inline a call when it sits inside a loop and any actual argument
-/// mentions a variable (i.e. depends on loop indices) — the BT
-/// `matvec_sub(lhs, rhs, i, j, k)` pattern. Whole-array phase calls
-/// (`call compute_rhs(u, rhs)`) stay real calls.
-fn should_inline(s: &Stmt, loop_depth: usize) -> bool {
-    if loop_depth == 0 {
-        return false;
-    }
-    let StmtKind::Call { args, .. } = &s.kind else {
-        return false;
-    };
-    args.iter().any(|a| match a {
-        Expr::Ref(r) => !r.subs.is_empty() || r.name.len() <= 2, // index-like scalar
-        Expr::Bin(..) | Expr::Un(..) => true,
-        _ => false,
-    })
-}
-
-fn pseudo_unit(name: &str, decls: &dhpf_fortran::ast::Decls) -> ProgramUnit {
-    ProgramUnit {
-        name: name.to_string(),
-        kind: dhpf_fortran::ast::UnitKind::Program,
-        decls: decls.clone(),
-        hpf: Default::default(),
-        body: vec![],
-        span: Default::default(),
-    }
-}
-
-/// Build the inlined statement list: callee body with formals replaced
-/// by actuals, locals renamed, fresh statement/reference ids.
-#[allow(clippy::too_many_arguments)]
-fn inline_body(
-    callee: &ProgramUnit,
-    args: &[Expr],
-    caller_decls: &Decls,
-    next_stmt: &mut u32,
-    next_ref: &mut u32,
-    new_params: &mut BTreeMap<String, i64>,
-    new_vars: &mut Vec<dhpf_fortran::ast::VarDecl>,
-) -> Result<Vec<Stmt>, CompileError> {
-    let formals = callee.args();
-    if formals.len() != args.len() {
-        return Err(CompileError::Other(format!(
-            "arity mismatch inlining {}",
-            callee.name
-        )));
-    }
-    // substitution map: formal name → expression; array formals → rename
-    let mut subst: BTreeMap<String, Expr> = BTreeMap::new();
-    let mut rename: BTreeMap<String, String> = BTreeMap::new();
-    for (f, a) in formals.iter().zip(args) {
-        if callee.decls.is_array(f) {
-            let Expr::Ref(r) = a else {
-                return Err(CompileError::Other(format!(
-                    "cannot inline {}: array formal `{f}` bound to expression",
-                    callee.name
-                )));
-            };
-            rename.insert(f.clone(), r.name.clone());
-        } else {
-            subst.insert(f.clone(), a.clone());
-        }
-    }
-    // rename callee locals that collide with caller names
-    let mut local_names: Vec<String> = callee
-        .decls
-        .vars
-        .keys()
-        .filter(|n| !formals.contains(n))
-        .cloned()
-        .collect();
-    // include loop variables
-    callee.for_each_stmt(&mut |st| {
-        if let StmtKind::Do { var, .. } = &st.kind {
-            if !formals.contains(var) && !local_names.contains(var) {
-                local_names.push(var.clone());
-            }
-        }
-    });
-    for n in local_names {
-        let fresh = format!("{n}_{}", callee.name);
-        // carry the declaration (with its type) to the caller so
-        // implicit-typing rules do not reclassify the renamed local
-        if let Some(decl) = callee.decls.vars.get(&n) {
-            let mut d2 = decl.clone();
-            d2.name = fresh.clone();
-            new_vars.push(d2);
-        }
-        rename.insert(n.clone(), fresh);
-    }
-    // merge callee parameters (same-name parameters must agree)
-    for (k, v) in &callee.decls.params {
-        if let Some(existing) = caller_decls.params.get(k) {
-            if existing != v {
-                return Err(CompileError::Other(format!(
-                    "parameter `{k}` differs between caller and {}",
-                    callee.name
-                )));
-            }
-        } else {
-            new_params.insert(k.clone(), *v);
-        }
-    }
-
-    let mut out = Vec::new();
-    for s in &callee.body {
-        out.push(clone_stmt(s, &subst, &rename, next_stmt, next_ref));
-    }
-    Ok(out)
-}
-
-fn clone_stmt(
-    s: &Stmt,
-    subst: &BTreeMap<String, Expr>,
-    rename: &BTreeMap<String, String>,
-    next_stmt: &mut u32,
-    next_ref: &mut u32,
-) -> Stmt {
-    let id = StmtId(*next_stmt);
-    *next_stmt += 1;
-    let kind = match &s.kind {
-        StmtKind::Assign { lhs, rhs } => StmtKind::Assign {
-            lhs: clone_ref(lhs, subst, rename, next_ref),
-            rhs: clone_expr(rhs, subst, rename, next_ref),
-        },
-        StmtKind::Do {
-            var,
-            lo,
-            hi,
-            step,
-            body,
-            dir,
-        } => StmtKind::Do {
-            var: rename.get(var).cloned().unwrap_or_else(|| var.clone()),
-            lo: clone_expr(lo, subst, rename, next_ref),
-            hi: clone_expr(hi, subst, rename, next_ref),
-            step: step
-                .as_ref()
-                .map(|e| clone_expr(e, subst, rename, next_ref)),
-            body: body
-                .iter()
-                .map(|b| clone_stmt(b, subst, rename, next_stmt, next_ref))
-                .collect(),
-            dir: dir.clone(),
-        },
-        StmtKind::If { arms } => StmtKind::If {
-            arms: arms
-                .iter()
-                .map(|(c, body)| {
-                    (
-                        c.as_ref().map(|e| clone_expr(e, subst, rename, next_ref)),
-                        body.iter()
-                            .map(|b| clone_stmt(b, subst, rename, next_stmt, next_ref))
-                            .collect(),
-                    )
-                })
-                .collect(),
-        },
-        StmtKind::Call {
-            name,
-            args,
-            arg_refs,
-        } => StmtKind::Call {
-            name: name.clone(),
-            args: args
-                .iter()
-                .map(|a| clone_expr(a, subst, rename, next_ref))
-                .collect(),
-            arg_refs: arg_refs.clone(),
-        },
-        StmtKind::Return => StmtKind::Continue, // a RETURN inside an
-        // inlined body would need a branch; our leaf routines end with a
-        // plain fall-through, so a mid-body return becomes a no-op marker
-        StmtKind::Continue => StmtKind::Continue,
-    };
-    Stmt {
-        id,
-        span: s.span,
-        kind,
-        label: s.label,
-    }
-}
-
-fn clone_ref(
-    r: &ArrayRef,
-    subst: &BTreeMap<String, Expr>,
-    rename: &BTreeMap<String, String>,
-    next_ref: &mut u32,
-) -> ArrayRef {
-    let id = RefId(*next_ref);
-    *next_ref += 1;
-    let name = rename
-        .get(&r.name)
-        .cloned()
-        .unwrap_or_else(|| r.name.clone());
-    ArrayRef {
-        id,
-        name,
-        subs: r
-            .subs
-            .iter()
-            .map(|e| clone_expr(e, subst, rename, next_ref))
-            .collect(),
-        span: r.span,
-    }
-}
-
-fn clone_expr(
-    e: &Expr,
-    subst: &BTreeMap<String, Expr>,
-    rename: &BTreeMap<String, String>,
-    next_ref: &mut u32,
-) -> Expr {
-    match e {
-        Expr::Ref(r) if r.subs.is_empty() && subst.contains_key(&r.name) => {
-            // formal scalar → actual expression (re-id its references)
-            reid_expr(&subst[&r.name], next_ref)
-        }
-        Expr::Ref(r) => Expr::Ref(clone_ref(r, subst, rename, next_ref)),
-        Expr::Bin(op, a, b, sp) => Expr::Bin(
-            *op,
-            Box::new(clone_expr(a, subst, rename, next_ref)),
-            Box::new(clone_expr(b, subst, rename, next_ref)),
-            *sp,
-        ),
-        Expr::Un(op, a, sp) => Expr::Un(*op, Box::new(clone_expr(a, subst, rename, next_ref)), *sp),
-        other => other.clone(),
-    }
-}
-
-fn reid_expr(e: &Expr, next_ref: &mut u32) -> Expr {
-    match e {
-        Expr::Ref(r) => {
-            let id = RefId(*next_ref);
-            *next_ref += 1;
-            Expr::Ref(ArrayRef {
-                id,
-                name: r.name.clone(),
-                subs: r.subs.iter().map(|s| reid_expr(s, next_ref)).collect(),
-                span: r.span,
-            })
-        }
-        Expr::Bin(op, a, b, sp) => Expr::Bin(
-            *op,
-            Box::new(reid_expr(a, next_ref)),
-            Box::new(reid_expr(b, next_ref)),
-            *sp,
-        ),
-        Expr::Un(op, a, sp) => Expr::Un(*op, Box::new(reid_expr(a, next_ref)), *sp),
-        other => other.clone(),
-    }
-}
-
-/// Apply selective loop distribution inside `unit` at the deepest loop
-/// containing each marked pair. Returns `true` if the AST changed.
-fn distribute_in_unit(
-    program: &mut Program,
-    uname: &str,
-    nest: StmtId,
-    loops: &UnitLoops,
-    deps: &[dhpf_depend::dep::Dependence],
-    marked: &[(StmtId, StmtId)],
-    next_stmt: &mut u32,
-) -> bool {
-    // find the deepest loop containing both ends of the first pair
-    let Some((a, b)) = marked.first() else {
-        return false;
-    };
-    let common = loops.common_loops(*a, *b);
-    let Some(&target) = common.last() else {
-        return false;
-    };
-    if !(target == nest || loops.stmts_in(nest).contains(&target)) {
-        return false;
-    }
-    let parts = partition_loop(target, loops, deps, marked);
-    if parts.len() <= 1 {
-        return false;
-    }
-    let unit = program.units.iter_mut().find(|u| u.name == uname).unwrap();
-    let mut body = std::mem::take(&mut unit.body);
-    let changed = rewrite_distribute(&mut body, target, &parts, next_stmt);
-    unit.body = body;
-    changed
-}
-
-fn rewrite_distribute(
-    body: &mut Vec<Stmt>,
-    target: StmtId,
-    parts: &[Vec<StmtId>],
-    next_stmt: &mut u32,
-) -> bool {
-    for i in 0..body.len() {
-        if body[i].id == target {
-            let StmtKind::Do {
-                var,
-                lo,
-                hi,
-                step,
-                body: inner,
-                dir,
-            } = body[i].kind.clone()
-            else {
-                return false;
-            };
-            if obs::is_active() {
-                let loop_var = var.clone();
-                let parts_n = parts.len();
-                let line = body[i].span.line;
-                obs::decide(move || {
-                    Decision::new(DecisionKind::LoopDistributed {
-                        loop_var,
-                        parts: parts_n,
-                    })
-                    .line(line)
-                });
-            }
-            let mut replacements = Vec::new();
-            for part in parts {
-                let part_body: Vec<Stmt> = inner
-                    .iter()
-                    .filter(|s| part.contains(&s.id))
-                    .cloned()
-                    .collect();
-                if part_body.is_empty() {
-                    continue;
-                }
-                let id = StmtId(*next_stmt);
-                *next_stmt += 1;
-                replacements.push(Stmt {
-                    id,
-                    span: body[i].span,
-                    label: None,
-                    kind: StmtKind::Do {
-                        var: var.clone(),
-                        lo: lo.clone(),
-                        hi: hi.clone(),
-                        step: step.clone(),
-                        body: part_body,
-                        dir: dir.clone(),
-                    },
-                });
-            }
-            body.splice(i..=i, replacements);
-            return true;
-        }
-        // (a match guard would read better, but guards cannot mutate `inner`)
-        #[allow(clippy::collapsible_match)]
-        match &mut body[i].kind {
-            StmtKind::Do { body: inner, .. } => {
-                if rewrite_distribute(inner, target, parts, next_stmt) {
-                    return true;
-                }
-            }
-            StmtKind::If { arms } => {
-                for (_, inner) in arms {
-                    if rewrite_distribute(inner, target, parts, next_stmt) {
-                        return true;
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    false
 }
 
 #[cfg(test)]
@@ -2045,6 +1445,133 @@ mod tests {
             "      do it = 1, 3\n         call smooth\n      enddo\n",
         );
         verify(&src, 4, CompileOptions::new());
+    }
+
+    /// `main → b → c`, `main → d`: bottom-up (DFS) order is c, b, d, main
+    /// but the compile order is depth-major — c, d, b, main. `b` inlines
+    /// the leaf `c`; the nest of `d` needs a §5 distribution.
+    const DIAMOND: &str = "
+      program main
+!hpf$ processors p(2)
+      call b
+      call d
+      end
+
+      subroutine b
+      parameter (n = 16)
+      integer i, j
+      double precision a(n, n), e(n, n), f(n, n), g(n, n), h(n, n)
+      common /flds/ a, e, f, g, h
+!hpf$ processors p(2)
+!hpf$ distribute (block, *) onto p :: a, e, f, g, h
+      do j = 1, n
+         do i = 1, n
+            e(i, j) = i * 1.0d0 + j * j
+            g(i, j) = i - j * 0.5d0
+            call c(e, i, j)
+         enddo
+      enddo
+      end
+
+      subroutine c(x, i, j)
+      parameter (n = 16)
+      integer i, j
+      double precision x(n, n)
+!hpf$ processors p(2)
+!hpf$ distribute (block, *) onto p :: x
+      x(i, j) = x(i, j) + 1.0d0
+      end
+
+      subroutine d
+      parameter (n = 16)
+      integer i, j
+      double precision a(n, n), e(n, n), f(n, n), g(n, n), h(n, n)
+      common /flds/ a, e, f, g, h
+!hpf$ processors p(2)
+!hpf$ distribute (block, *) onto p :: a, e, f, g, h
+      do j = 1, n
+         do i = 2, n - 1
+            a(i, j) = e(i, j) + 1.0d0
+            f(i + 1, j) = a(i, j) + g(i + 1, j)
+            h(i + 1, j) = g(i + 1, j) + f(i + 1, j)
+         enddo
+      enddo
+      end
+";
+
+    /// Units compile depth-major, but the id chunk a unit synthesizes
+    /// from is keyed by its bottom-up index: `b` (index 1) and `d`
+    /// (index 2) keep their chunks though `d` compiles first.
+    #[test]
+    fn compile_order_is_depth_major_and_id_chunks_are_bottom_up() {
+        verify(DIAMOND, 2, CompileOptions::new());
+        let p = parse(DIAMOND).unwrap();
+        let compiled = compile(&p, &CompileOptions::new().observed()).unwrap();
+        let scopes: Vec<&str> = compiled.obs.scopes.iter().map(|s| &s.scope[..]).collect();
+        assert_eq!(scopes, ["driver", "c", "d", "b", "main"]);
+
+        let (stmt_base, _) = max_ids(&p);
+        let first_synthesized = |unit: &str| {
+            let mut ids = Vec::new();
+            let unit = compiled.transformed.unit(unit).unwrap();
+            unit.for_each_stmt(&mut |s| ids.extend((s.id.0 >= stmt_base).then_some(s.id.0)));
+            ids.into_iter().min()
+        };
+        assert_eq!(first_synthesized("c"), None);
+        assert_eq!(first_synthesized("b"), Some(stmt_base + ID_CHUNK));
+        assert_eq!(first_synthesized("d"), Some(stmt_base + 2 * ID_CHUNK));
+        assert_eq!(first_synthesized("main"), None);
+    }
+
+    /// A unit scope's top-level spans are the pass table: names in table
+    /// order, a disabled row absent, a restart visible as `analyze`
+    /// appearing again (the nest of `d` is split twice).
+    #[test]
+    fn unit_spans_follow_the_pass_table() {
+        let spans_of = |compiled: &Compiled, unit: &str| -> Vec<&'static str> {
+            let scope = compiled.obs.scopes.iter().find(|s| s.scope == unit);
+            scope.unwrap().spans.iter().map(|sp| sp.name).collect()
+        };
+        let p = parse(DIAMOND).unwrap();
+        let compiled = compile(&p, &CompileOptions::new().observed()).unwrap();
+        for scope in &compiled.obs.scopes[1..] {
+            let mut next = 0;
+            for sp in &scope.spans {
+                let at = PASSES.iter().position(|pass| pass.name == sp.name);
+                let at = at.unwrap_or_else(|| panic!("{}: stray span {}", scope.scope, sp.name));
+                assert!(
+                    at >= next || at == ROUND,
+                    "{}: {} out of order",
+                    scope.scope,
+                    sp.name
+                );
+                next = at + 1;
+            }
+            assert_eq!(next, PASSES.len(), "{}: pipeline cut short", scope.scope);
+        }
+        assert_eq!(
+            spans_of(&compiled, "d"),
+            [
+                "inline",
+                "analyze",
+                "loop-distribution",
+                "analyze",
+                "loop-distribution",
+                "analyze",
+                "loop-distribution",
+                "cp-select",
+                "propagate",
+                "comm-plan"
+            ]
+        );
+
+        let mut opts = CompileOptions::new().observed();
+        opts.flags.loop_distribution = false;
+        let compiled = compile(&parse(JACOBI).unwrap(), &opts).unwrap();
+        assert_eq!(
+            spans_of(&compiled, "jac"),
+            ["inline", "analyze", "cp-select", "propagate", "comm-plan"]
+        );
     }
 }
 

@@ -13,11 +13,13 @@
 
 use crate::cp::{Cp, CpTerm, SubTerm};
 use crate::distrib::DistEnv;
+use crate::driver::{CompileError, IdAlloc};
 use crate::select::CpAssignment;
 use dhpf_depend::refs::UnitRefs;
-use dhpf_fortran::ast::{Expr, ProgramUnit, StmtKind};
+use dhpf_fortran::ast::{ArrayRef, Expr, Program, ProgramUnit, Stmt, StmtKind, VarDecl};
 use dhpf_fortran::subscript::affine;
 use dhpf_iset::LinExpr;
+use dhpf_obs::{self as obs, Decision, DecisionKind};
 use std::collections::BTreeMap;
 
 /// Summarize a procedure's *entry CP* from its selected statement CPs:
@@ -138,6 +140,266 @@ pub fn restrict_call_sites(
         }
     });
     count
+}
+
+// ---------------------------------------------------------------------------
+// Inliner: replace loop-borne calls to leaf units with the callee body.
+// ---------------------------------------------------------------------------
+
+/// The `inline` pass body for one caller: what the walk over its
+/// statements reads and what it accumulates.
+pub(crate) struct Inliner<'a> {
+    /// Callee bodies — already transformed (callees compile first).
+    pub program: &'a Program,
+    /// The calling unit; only its declarations are read (its body is the
+    /// statement list being rewritten).
+    pub caller: &'a ProgramUnit,
+    /// Entry CPs of the units compiled so far; `None` with §6 off.
+    pub entry_cps: Option<&'a BTreeMap<String, Cp>>,
+    pub ids: &'a mut IdAlloc,
+    /// CPs fixed for inlined statements by the translated entry CP.
+    pub fixed: &'a mut CpAssignment,
+    /// Callee parameters and renamed callee locals the caller must
+    /// declare once the walk is done.
+    pub new_params: BTreeMap<String, i64>,
+    pub new_vars: Vec<VarDecl>,
+}
+
+impl Inliner<'_> {
+    /// Inline every qualifying call under `s`.
+    pub(crate) fn stmt(&mut self, s: &mut Stmt) -> Result<(), CompileError> {
+        match &mut s.kind {
+            StmtKind::Do { body, .. } => {
+                let mut i = 0;
+                while i < body.len() {
+                    let StmtKind::Call { name, args, .. } = &body[i].kind else {
+                        self.stmt(&mut body[i])?;
+                        i += 1;
+                        continue;
+                    };
+                    if !should_inline(args) {
+                        i += 1;
+                        continue;
+                    }
+                    let callee = self
+                        .program
+                        .unit(name)
+                        .ok_or_else(|| CompileError::Other(format!("missing unit {name}")))?;
+                    // translated entry CP for the inlined statements (§6)
+                    let site_cp = self
+                        .entry_cps
+                        .and_then(|cps| cps.get(name))
+                        .and_then(|cp| translate_to_callsite(cp, callee, args, self.caller));
+                    obs::decide(|| {
+                        Decision::new(DecisionKind::Inlined {
+                            callee: name.clone(),
+                            entry_cp: site_cp.as_ref().map(|c| c.to_string()),
+                        })
+                        .line(body[i].span.line)
+                    });
+                    let inlined = self.expand(callee, args)?;
+                    // record fixed CPs for inlined distributed writes
+                    if let Some(cp) = site_cp {
+                        for st in &inlined {
+                            st.walk(&mut |x| {
+                                if matches!(x.kind, StmtKind::Assign { .. }) {
+                                    self.fixed.insert(x.id, cp.clone());
+                                }
+                            });
+                        }
+                    }
+                    // `i` stays: the spliced statements are visited next,
+                    // so calls the callee makes in its own loops inline too
+                    body.splice(i..=i, inlined);
+                }
+                Ok(())
+            }
+            StmtKind::If { arms } => arms
+                .iter_mut()
+                .flat_map(|(_, body)| body)
+                .try_for_each(|st| self.stmt(st)),
+            _ => Ok(()),
+        }
+    }
+
+    /// The statement list that replaces `call callee(args)`: the callee
+    /// body with formals replaced by actuals, locals renamed, fresh
+    /// statement/reference ids.
+    fn expand(&mut self, callee: &ProgramUnit, args: &[Expr]) -> Result<Vec<Stmt>, CompileError> {
+        let formals = callee.args();
+        if formals.len() != args.len() {
+            return Err(CompileError::Other(format!(
+                "arity mismatch inlining {}",
+                callee.name
+            )));
+        }
+        let mut copy = BodyCopy {
+            subst: BTreeMap::new(),
+            rename: BTreeMap::new(),
+            ids: self.ids,
+        };
+        for (f, a) in formals.iter().zip(args) {
+            if callee.decls.is_array(f) {
+                let Expr::Ref(r) = a else {
+                    return Err(CompileError::Other(format!(
+                        "cannot inline {}: array formal `{f}` bound to expression",
+                        callee.name
+                    )));
+                };
+                copy.rename.insert(f.clone(), r.name.clone());
+            } else {
+                copy.subst.insert(f.clone(), a.clone());
+            }
+        }
+        // rename callee locals (loop variables included) so they cannot
+        // collide with caller names
+        let mut local_names: Vec<String> = callee
+            .decls
+            .vars
+            .keys()
+            .filter(|n| !formals.contains(n))
+            .cloned()
+            .collect();
+        callee.for_each_stmt(&mut |st| {
+            if let StmtKind::Do { var, .. } = &st.kind {
+                if !formals.contains(var) && !local_names.contains(var) {
+                    local_names.push(var.clone());
+                }
+            }
+        });
+        for n in local_names {
+            let fresh = format!("{n}_{}", callee.name);
+            // carry the declaration (with its type) to the caller so
+            // implicit-typing rules do not reclassify the renamed local
+            if let Some(decl) = callee.decls.vars.get(&n) {
+                let mut d2 = decl.clone();
+                d2.name = fresh.clone();
+                self.new_vars.push(d2);
+            }
+            copy.rename.insert(n, fresh);
+        }
+        // merge callee parameters (same-name parameters must agree)
+        for (k, v) in &callee.decls.params {
+            if let Some(existing) = self.caller.decls.params.get(k) {
+                if existing != v {
+                    return Err(CompileError::Other(format!(
+                        "parameter `{k}` differs between caller and {}",
+                        callee.name
+                    )));
+                }
+            } else {
+                self.new_params.insert(k.clone(), *v);
+            }
+        }
+        Ok(callee.body.iter().map(|s| copy.stmt(s)).collect())
+    }
+}
+
+/// Inline a loop-borne call when any actual argument mentions a variable
+/// (i.e. depends on loop indices) — the BT `matvec_sub(lhs, rhs, i, j,
+/// k)` pattern. Whole-array phase calls (`call compute_rhs(u, rhs)`)
+/// stay real calls.
+fn should_inline(args: &[Expr]) -> bool {
+    args.iter().any(|a| match a {
+        Expr::Ref(r) => !r.subs.is_empty() || r.name.len() <= 2, // index-like scalar
+        Expr::Bin(..) | Expr::Un(..) => true,
+        _ => false,
+    })
+}
+
+/// One copy of a callee body to a call site.
+struct BodyCopy<'a> {
+    /// Scalar formal → actual expression.
+    subst: BTreeMap<String, Expr>,
+    /// Array formal → actual array; callee local → its fresh caller name.
+    rename: BTreeMap<String, String>,
+    ids: &'a mut IdAlloc,
+}
+
+impl BodyCopy<'_> {
+    fn stmt(&mut self, s: &Stmt) -> Stmt {
+        let id = self.ids.stmt();
+        let kind = match &s.kind {
+            StmtKind::Assign { lhs, rhs } => StmtKind::Assign {
+                lhs: self.aref(lhs),
+                rhs: self.expr(rhs),
+            },
+            StmtKind::Do {
+                var,
+                lo,
+                hi,
+                step,
+                body,
+                dir,
+            } => StmtKind::Do {
+                var: self.rename.get(var).unwrap_or(var).clone(),
+                lo: self.expr(lo),
+                hi: self.expr(hi),
+                step: step.as_ref().map(|e| self.expr(e)),
+                body: body.iter().map(|b| self.stmt(b)).collect(),
+                dir: dir.clone(),
+            },
+            StmtKind::If { arms } => StmtKind::If {
+                arms: arms
+                    .iter()
+                    .map(|(c, body)| {
+                        (
+                            c.as_ref().map(|e| self.expr(e)),
+                            body.iter().map(|b| self.stmt(b)).collect(),
+                        )
+                    })
+                    .collect(),
+            },
+            StmtKind::Call {
+                name,
+                args,
+                arg_refs,
+            } => StmtKind::Call {
+                name: name.clone(),
+                args: args.iter().map(|a| self.expr(a)).collect(),
+                arg_refs: arg_refs.clone(),
+            },
+            // the driver admits RETURN only as a unit's final statement,
+            // which in an inlined body is the fall-through to the caller
+            StmtKind::Return | StmtKind::Continue => StmtKind::Continue,
+        };
+        Stmt {
+            id,
+            span: s.span,
+            kind,
+            label: s.label,
+        }
+    }
+
+    fn aref(&mut self, r: &ArrayRef) -> ArrayRef {
+        ArrayRef {
+            id: self.ids.reference(),
+            name: self.rename.get(&r.name).unwrap_or(&r.name).clone(),
+            subs: r.subs.iter().map(|e| self.expr(e)).collect(),
+            span: r.span,
+        }
+    }
+
+    fn expr(&mut self, e: &Expr) -> Expr {
+        match e {
+            // formal scalar → the actual expression, copied as it stands
+            // under fresh reference ids
+            Expr::Ref(r) if r.subs.is_empty() && self.subst.contains_key(&r.name) => {
+                let mut verbatim = BodyCopy {
+                    subst: BTreeMap::new(),
+                    rename: BTreeMap::new(),
+                    ids: self.ids,
+                };
+                verbatim.expr(&self.subst[&r.name])
+            }
+            Expr::Ref(r) => Expr::Ref(self.aref(r)),
+            Expr::Bin(op, a, b, sp) => {
+                Expr::Bin(*op, Box::new(self.expr(a)), Box::new(self.expr(b)), *sp)
+            }
+            Expr::Un(op, a, sp) => Expr::Un(*op, Box::new(self.expr(a)), *sp),
+            other => other.clone(),
+        }
+    }
 }
 
 #[cfg(test)]

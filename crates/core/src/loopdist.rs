@@ -15,10 +15,12 @@
 //!    its cache behaviour.
 
 use crate::cp::Cp;
+use crate::driver::IdAlloc;
 use crate::select::Candidate;
 use dhpf_depend::dep::Dependence;
 use dhpf_depend::loops::UnitLoops;
-use dhpf_fortran::ast::StmtId;
+use dhpf_fortran::ast::{Stmt, StmtId, StmtKind};
+use dhpf_obs::{self as obs, Decision, DecisionKind};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A group of statements constrained to use a common CP choice.
@@ -292,6 +294,98 @@ pub fn partition_loop(
             stmts
         })
         .collect()
+}
+
+/// The §5 rewrite over a unit's statement list: distribute, at the
+/// deepest loop of `nest` containing the first marked pair, as little as
+/// separates the marked pairs. Returns `true` if the AST changed.
+pub(crate) fn distribute_nest(
+    body: &mut Vec<Stmt>,
+    nest: StmtId,
+    loops: &UnitLoops,
+    deps: &[Dependence],
+    marked: &[(StmtId, StmtId)],
+    ids: &mut IdAlloc,
+) -> bool {
+    let Some((a, b)) = marked.first() else {
+        return false;
+    };
+    let common = loops.common_loops(*a, *b);
+    let Some(&target) = common.last() else {
+        return false;
+    };
+    if !(target == nest || loops.stmts_in(nest).contains(&target)) {
+        return false;
+    }
+    let parts = partition_loop(target, loops, deps, marked);
+    parts.len() > 1 && split_loop(body, target, &parts, ids)
+}
+
+/// Replace loop `target`, wherever it sits under `body`, by one copy of
+/// its header per part.
+fn split_loop(
+    body: &mut Vec<Stmt>,
+    target: StmtId,
+    parts: &[Vec<StmtId>],
+    ids: &mut IdAlloc,
+) -> bool {
+    for i in 0..body.len() {
+        if body[i].id == target {
+            let StmtKind::Do {
+                var,
+                lo,
+                hi,
+                step,
+                body: inner,
+                dir,
+            } = body[i].kind.clone()
+            else {
+                return false;
+            };
+            obs::decide(|| {
+                Decision::new(DecisionKind::LoopDistributed {
+                    loop_var: var.clone(),
+                    parts: parts.len(),
+                })
+                .line(body[i].span.line)
+            });
+            let mut replacements = Vec::new();
+            for part in parts {
+                let part_body: Vec<Stmt> = inner
+                    .iter()
+                    .filter(|s| part.contains(&s.id))
+                    .cloned()
+                    .collect();
+                if part_body.is_empty() {
+                    continue;
+                }
+                replacements.push(Stmt {
+                    id: ids.stmt(),
+                    span: body[i].span,
+                    label: None,
+                    kind: StmtKind::Do {
+                        var: var.clone(),
+                        lo: lo.clone(),
+                        hi: hi.clone(),
+                        step: step.clone(),
+                        body: part_body,
+                        dir: dir.clone(),
+                    },
+                });
+            }
+            body.splice(i..=i, replacements);
+            return true;
+        }
+        let inner: Vec<&mut Vec<Stmt>> = match &mut body[i].kind {
+            StmtKind::Do { body: inner, .. } => vec![inner],
+            StmtKind::If { arms } => arms.iter_mut().map(|(_, inner)| inner).collect(),
+            _ => Vec::new(),
+        };
+        if inner.into_iter().any(|b| split_loop(b, target, parts, ids)) {
+            return true;
+        }
+    }
+    false
 }
 
 /// Choose CPs group-wise: every statement in a group takes its candidate

@@ -47,7 +47,6 @@ options:
   --class S|W|A|B        NAS problem class            [S]
   --nprocs N             processors                   [4]
   --bind NAME=VALUE      bind a symbolic size (repeatable)
-  --jobs N               parallel compile workers     [serial]
   --granularity N        pipeline strip size          [4]
   --no-overlap           disable halo/compute overlap (blocking exchanges)
   --no-aggregate         disable per-peer cross-array message aggregation
@@ -117,7 +116,6 @@ struct Args {
     class: Class,
     nprocs: usize,
     binds: Vec<(String, i64)>,
-    jobs: usize,
     granularity: i64,
     overlap: bool,
     aggregate: bool,
@@ -163,7 +161,6 @@ fn parse_args() -> Result<Args, String> {
         class: Class::S,
         nprocs: 4,
         binds: Vec::new(),
-        jobs: 0,
         granularity: 4,
         overlap: true,
         aggregate: true,
@@ -196,7 +193,6 @@ fn parse_args() -> Result<Args, String> {
                     v.parse().map_err(|e| format!("--bind {k}: {e}"))?,
                 ));
             }
-            "--jobs" => a.jobs = value(&mut it, "--jobs")?,
             "--granularity" => a.granularity = value(&mut it, "--granularity")?,
             "--no-overlap" => a.overlap = false,
             "--no-aggregate" => a.aggregate = false,
@@ -258,7 +254,6 @@ fn build_with_overlap(a: &Args, overlap: bool) -> Result<Compiled, CliError> {
     let mut opts = CompileOptions::new().observed();
     opts.bindings = bindings;
     opts.granularity = a.granularity;
-    opts.jobs = a.jobs;
     opts.flags.overlap = overlap;
     opts.flags.aggregate = a.aggregate;
     compile(&program, &opts).map_err(|e| format!("compile failed: {e}").into())
@@ -473,7 +468,7 @@ fn run_bench(a: &BenchArgs) -> Result<(), CliError> {
         "compile" => write_doc(
             "BENCH_compile.json",
             "compile",
-            &dhpf_bench::compile::study(a.quick)?,
+            &dhpf_bench::compile::study(a.quick),
         ),
         other => unreachable!("{other} passed parse_bench_args"),
     }
@@ -590,7 +585,6 @@ fn run(args: &Args) -> Result<(), CliError> {
             // compiler's own decisions.
             compiled.obs.scopes.push(dhpf_obs::ScopeObs {
                 scope: "protocol".to_string(),
-                lane: 0,
                 spans: Vec::new(),
                 decisions: dhpf_analysis::protocol_decisions(&proto, &report),
             });

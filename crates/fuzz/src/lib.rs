@@ -5,7 +5,7 @@
 //! by a matrix of independent oracles ([`oracle`]): the serial reference
 //! interpreter (bitwise on integer data, ULP-bounded on doubles), the
 //! comm-coverage verifier, the static protocol verifier, the dynamic
-//! trace checker, and serial-vs-parallel compilation fingerprints.
+//! trace checker, and compile-twice fingerprint identity.
 //! Failures shrink structurally ([`shrink`]) and every campaign ends in
 //! a frozen `dhpf-fuzz-v1` JSON document ([`report`]). A mutation
 //! self-check ([`mutate`]) plants a dropped exchange and demands that at

@@ -13,8 +13,8 @@
 //!   (matching, congruence, wait coverage, deadlock-freedom);
 //! * **protocol-dynamic** — the execution trace checker (unmatched
 //!   sends/recvs, wait coverage as actually executed);
-//! * **fingerprint** — serial vs parallel (`jobs`) compilation must
-//!   produce byte-identical artifacts.
+//! * **fingerprint** — compiling the same program again (on the interner
+//!   the first compile warmed) must produce byte-identical artifacts.
 //!
 //! Panics anywhere in the pipeline are caught and reported as their own
 //! oracle kind, with the generating seed, so every crash is replayable.
@@ -52,7 +52,7 @@ pub enum Oracle {
     ProtocolDynamic,
     /// Serial/SPMD numeric divergence.
     Numeric,
-    /// Serial vs parallel compilation fingerprints differ.
+    /// Two compilations of one program have different fingerprints.
     Fingerprint,
 }
 
@@ -306,6 +306,21 @@ pub fn check_source(
                 }
             };
             out.compiles += 1;
+            if label == "all-on" {
+                // fingerprint identity: recompiling the default
+                // configuration, now on a warm interner, must reproduce
+                // it bit for bit at this geometry
+                out.tick(Oracle::Fingerprint);
+                let again = compile(&program, &opts).map(|c| c.fingerprint());
+                if again.ok() != Some(compiled.fingerprint()) {
+                    out.failures.push(Failure {
+                        oracle: Oracle::Fingerprint,
+                        config: label.to_string(),
+                        geometry: adapted.clone(),
+                        message: "recompiling the program changed its fingerprint".to_string(),
+                    });
+                }
+            }
             check_compiled(
                 &mut out,
                 &compiled,
@@ -316,27 +331,6 @@ pub fn check_source(
                 nprocs as usize,
                 max_ulps,
             );
-        }
-
-        // fingerprint identity: the default configuration compiled
-        // serially must match a 2-worker parallel compilation, bit for
-        // bit, at this geometry
-        out.tick(Oracle::Fingerprint);
-        let mut opts = CompileOptions::new();
-        opts.bindings = grid_bindings(&adapted).into_iter().collect();
-        let fp = |o: &CompileOptions| compile(&program, o).map(|c| c.fingerprint());
-        let serial_fp = fp(&opts);
-        let par_fp = fp(&opts.clone().parallel(2));
-        match (serial_fp, par_fp) {
-            (Ok(a), Ok(b)) if a == b => {}
-            (Ok(_), Ok(_)) => out.failures.push(Failure {
-                oracle: Oracle::Fingerprint,
-                config: "all-on".to_string(),
-                geometry: adapted.clone(),
-                message: "serial and parallel compilation fingerprints differ".to_string(),
-            }),
-            // compile errors were already reported by the lattice loop
-            _ => {}
         }
     }
     out

@@ -10,8 +10,8 @@
 //!
 //! Decisions carry no wall-clock content except the Perfetto-only
 //! `t_us` anchor: rendering via [`Decision::log_line`] /
-//! [`Decision::render_human`] is deterministic, so serial and parallel
-//! compiles produce byte-identical logs and the log can be golden-tested.
+//! [`Decision::render_human`] is deterministic, so every compile of a
+//! program produces a byte-identical log and the log can be golden-tested.
 
 use crate::json::escape as jesc;
 use dhpf_fortran::ast::StmtId;

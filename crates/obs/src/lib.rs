@@ -7,11 +7,10 @@
 //!
 //! * [`rec`] — structured span/event tracing with a
 //!   zero-cost-when-disabled recorder. Each compilation scope (the
-//!   driver, every program unit) records a span tree on whichever
-//!   worker thread runs it; scopes are merged in deterministic
-//!   bottom-up order, so the *structure* of the trace is byte-identical
-//!   between serial and parallel compiles (only wall-clock fields and
-//!   lane assignments differ).
+//!   driver, every program unit) records a span tree on the compiling
+//!   thread; scopes are kept in the driver's deterministic unit order,
+//!   so the *structure* of the trace is byte-identical from one compile
+//!   of a program to the next (only wall-clock fields differ).
 //! * [`decision`] — a typed decision log: every CP choice (§4.1/§5/§6),
 //!   replication (§4.2), loop distribution (§5), inlining (§6), and
 //!   communication eliminated or retained by availability (§7) is
@@ -24,8 +23,8 @@
 //!   compile and the resulting execution open side by side in one UI.
 //!
 //! The recorder is *disabled by default*: unless a scope is installed
-//! (`CompileOptions::observe`), every probe in the compiler reduces to
-//! one relaxed atomic load.
+//! on the calling thread (`CompileOptions::observe`), every probe in the
+//! compiler reduces to one thread-local flag read.
 
 pub mod decision;
 pub mod json;
@@ -40,23 +39,23 @@ pub use rec::{decide, install, is_active, span, span_detail, Guard, ScopeObs, Sp
 use dhpf_fortran::ast::{Program, StmtId};
 
 /// Everything observable about one compilation: the per-scope span
-/// trees and decision logs (driver first, then units in deterministic
-/// bottom-up merge order) plus the unified metrics document.
+/// trees and decision logs (driver first, then units in the order the
+/// driver compiled them) plus the unified metrics document.
 #[derive(Clone, Debug, Default)]
 pub struct ObsReport {
     /// Was the recorder enabled for this compile? (Metrics are filled
     /// either way; spans/decisions only when enabled.)
     pub enabled: bool,
-    /// Driver scope followed by unit scopes in bottom-up order.
+    /// Driver scope followed by unit scopes, callees before callers.
     pub scopes: Vec<ScopeObs>,
     pub metrics: Metrics,
 }
 
 impl ObsReport {
     /// Deterministic rendering of the span-tree structure and decision
-    /// log with every wall-clock field (timestamps, lanes, phase times,
-    /// cache counters) excluded. Serial and parallel compiles of the
-    /// same program must produce byte-identical keys.
+    /// log with every wall-clock field (timestamps, phase times, cache
+    /// counters) excluded. Two compiles of the same program must
+    /// produce byte-identical keys.
     pub fn determinism_key(&self) -> String {
         let mut out = String::new();
         for s in &self.scopes {
@@ -132,7 +131,6 @@ mod tests {
 
     #[test]
     fn disabled_recorder_is_inert() {
-        let _serial = rec::serial_test();
         assert!(!is_active());
         let _s = span("nothing");
         decide(|| Decision::new(DecisionKind::EntryCp { cp: "x".into() }));
@@ -141,7 +139,6 @@ mod tests {
 
     #[test]
     fn report_key_excludes_wall_clock() {
-        let _serial = rec::serial_test();
         let epoch = std::time::Instant::now();
         let g1 = install("u", epoch);
         {

@@ -48,7 +48,7 @@ pub struct NestMetrics {
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Metrics {
     /// Deterministic counters, e.g. `comm.pre_messages`,
-    /// `driver.units`, `driver.waves`.
+    /// `driver.units`.
     pub counters: Vec<(String, i64)>,
     /// Cache/measurement gauges, e.g. `iset.hit_rate` (may vary with
     /// scheduling; not part of the determinism key).

@@ -1,11 +1,11 @@
 //! Chrome/Perfetto trace-JSON export.
 //!
 //! Emits the [trace event format] consumed by `ui.perfetto.dev` and
-//! `chrome://tracing`: one process (`pid 1`) for the compile with one
-//! lane (`tid`) per worker thread, and one process (`pid 2`) for the
-//! SPMD execution with one lane per simulated processor — so a compile
-//! trace and the space-time diagram of the program it produced open
-//! side by side in a single UI.
+//! `chrome://tracing`: one process (`pid 1`) for the compile, whose
+//! scopes all sit on the one compiling thread (`tid 0`), and one process
+//! (`pid 2`) for the SPMD execution with one thread row per simulated
+//! processor — so a compile trace and the space-time diagram of the
+//! program it produced open side by side in a single UI.
 //!
 //! * Compile spans become complete (`"ph":"X"`) events; decisions
 //!   become instant (`"ph":"i"`) events at the wall-clock moment they
@@ -67,19 +67,10 @@ fn meta(pid: u32, tid: Option<u32>, what: &str, name: &str) -> String {
 
 fn compile_events(report: &ObsReport, ev: &mut Vec<String>) {
     ev.push(meta(PID_COMPILE, None, "process_name", "dhpf compile"));
-    let mut lanes: Vec<usize> = report.scopes.iter().map(|s| s.lane).collect();
-    lanes.sort_unstable();
-    lanes.dedup();
-    for lane in lanes {
-        let label = if lane == 0 {
-            "driver".to_string()
-        } else {
-            format!("worker {lane}")
-        };
-        ev.push(meta(PID_COMPILE, Some(lane as u32), "thread_name", &label));
-    }
+    // compilation is single-threaded: every scope shares one thread row
+    let tid = 0;
+    ev.push(meta(PID_COMPILE, Some(tid), "thread_name", "driver"));
     for scope in &report.scopes {
-        let tid = scope.lane as u32;
         for span in &scope.spans {
             span_events(span, &scope.scope, tid, ev);
         }
@@ -209,7 +200,6 @@ mod tests {
             enabled: true,
             scopes: vec![ScopeObs {
                 scope: "x_solve".into(),
-                lane: 2,
                 spans: vec![SpanRec {
                     name: "comm-plan",
                     detail: "nest s9".into(),
@@ -267,7 +257,7 @@ mod tests {
     fn compile_only_trace() {
         let r = sample_report();
         let j = render(Some(&r), None);
-        assert!(j.contains("worker 2"));
+        assert!(j.contains("\"name\":\"thread_name\",\"args\":{\"name\":\"driver\"}"));
         assert!(!j.contains("spmd execution"));
     }
 }

@@ -4,35 +4,35 @@
 //! program unit). The active recorder lives in thread-local storage so
 //! deep analysis code (CP selection, availability, communication
 //! planning) can emit spans and decisions without threading a handle
-//! through every signature — exactly the property that lets the
-//! wave-parallel driver record per-unit scopes on worker threads and
-//! merge them deterministically afterwards.
+//! through every signature. Compilation is single-threaded, so a
+//! recorder is visible to exactly the thread that installed it: a probe
+//! on any other thread is off.
 //!
 //! Cost model:
 //!
-//! * **Disabled** (no scope installed anywhere): every probe is one
-//!   relaxed atomic load and an immediate return. No TLS access, no
-//!   allocation, no formatting — decision payloads are built inside
-//!   closures that never run.
+//! * **Disabled** (no scope installed on this thread): every probe is
+//!   one thread-local flag read and an immediate return. No allocation,
+//!   no formatting — decision payloads are built inside closures that
+//!   never run.
 //! * **Enabled**: spans push/pop on a per-thread stack; decisions append
 //!   to a vector. Timestamps come from a shared epoch (`Instant`) so
 //!   all scopes share one timeline in the Perfetto export.
 
 use crate::decision::Decision;
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::{Cell, RefCell};
 use std::time::Instant;
-
-/// Number of installed recorders across all threads (fast gate).
-static ACTIVE: AtomicUsize = AtomicUsize::new(0);
-
-/// Next lane number; each thread that ever installs a recorder gets a
-/// stable small integer (0 = first installer, normally the driver).
-static NEXT_LANE: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
     static CURRENT: RefCell<Option<Recorder>> = const { RefCell::new(None) };
-    static LANE: RefCell<Option<usize>> = const { RefCell::new(None) };
+    /// `CURRENT.is_some()`, kept beside it so the disabled probe is a
+    /// plain flag read instead of a `RefCell` borrow.
+    static RECORDING: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Swap this thread's recorder, keeping the fast flag in step.
+fn set_current(rec: Option<Recorder>) -> Option<Recorder> {
+    RECORDING.with(|r| r.set(rec.is_some()));
+    CURRENT.with(|c| c.replace(rec))
 }
 
 /// One completed span (a named, timed phase; may nest).
@@ -77,10 +77,6 @@ impl SpanRec {
 pub struct ScopeObs {
     /// Scope name: `"driver"` or the program-unit name.
     pub scope: String,
-    /// Lane (worker thread) that ran the scope. Wall-clock-ish: which
-    /// worker picks up which unit depends on scheduling. Excluded from
-    /// determinism comparisons; used for Perfetto lane assignment.
-    pub lane: usize,
     /// Completed top-level spans, in order.
     pub spans: Vec<SpanRec>,
     /// Decision log, in record order (deduplicated: for decisions that
@@ -91,38 +87,32 @@ pub struct ScopeObs {
 
 struct Recorder {
     scope: String,
-    lane: usize,
     epoch: Instant,
     roots: Vec<SpanRec>,
     stack: Vec<SpanRec>,
     decisions: Vec<Decision>,
 }
 
-/// True when any recorder is installed on any thread.
+/// True when a recorder is installed on the calling thread.
 #[inline]
 pub fn is_active() -> bool {
-    ACTIVE.load(Ordering::Relaxed) != 0
+    RECORDING.with(Cell::get)
 }
 
 /// Install a recorder for `scope` on the current thread. The previous
 /// recorder of this thread (if any) is saved and restored when the
 /// returned guard is finished or dropped.
 pub fn install(scope: &str, epoch: Instant) -> Guard {
-    let lane = LANE.with(|l| {
-        let mut l = l.borrow_mut();
-        *l.get_or_insert_with(|| NEXT_LANE.fetch_add(1, Ordering::Relaxed))
-    });
     let rec = Recorder {
         scope: scope.to_string(),
-        lane,
         epoch,
         roots: Vec::new(),
         stack: Vec::new(),
         decisions: Vec::new(),
     };
-    let prev = CURRENT.with(|c| c.borrow_mut().replace(rec));
-    ACTIVE.fetch_add(1, Ordering::Relaxed);
-    Guard { prev: Some(prev) }
+    Guard {
+        prev: Some(set_current(Some(rec))),
+    }
 }
 
 /// Active-recorder guard returned by [`install`].
@@ -137,11 +127,7 @@ impl Guard {
     /// completed scope.
     pub fn finish(mut self) -> ScopeObs {
         let prev = self.prev.take().expect("guard finished twice");
-        let mut rec = CURRENT
-            .with(|c| c.borrow_mut().take())
-            .expect("recorder missing at finish");
-        ACTIVE.fetch_sub(1, Ordering::Relaxed);
-        CURRENT.with(|c| *c.borrow_mut() = prev);
+        let mut rec = set_current(prev).expect("recorder missing at finish");
         while let Some(mut open) = rec.stack.pop() {
             open.t1_us = rec.epoch.elapsed().as_micros() as u64;
             match rec.stack.last_mut() {
@@ -151,7 +137,6 @@ impl Guard {
         }
         ScopeObs {
             scope: rec.scope,
-            lane: rec.lane,
             spans: rec.roots,
             decisions: Decision::dedup(rec.decisions),
         }
@@ -162,10 +147,7 @@ impl Drop for Guard {
     fn drop(&mut self) {
         if let Some(prev) = self.prev.take() {
             // abandoned (error path): discard the recording, restore TLS
-            if CURRENT.with(|c| c.borrow_mut().take()).is_some() {
-                ACTIVE.fetch_sub(1, Ordering::Relaxed);
-            }
-            CURRENT.with(|c| *c.borrow_mut() = prev);
+            set_current(prev);
         }
     }
 }
@@ -241,15 +223,6 @@ pub fn decide(make: impl FnOnce() -> Decision) {
     });
 }
 
-/// `is_active()` answers for the whole process, so tests that install a
-/// recorder or assert on `is_active()` must not overlap: each holds this
-/// lock for its duration.
-#[cfg(test)]
-pub(crate) fn serial_test() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -257,7 +230,6 @@ mod tests {
 
     #[test]
     fn spans_nest_and_decisions_dedup() {
-        let _serial = serial_test();
         let g = install("unit-x", Instant::now());
         {
             let _outer = span("analyze");
@@ -295,7 +267,6 @@ mod tests {
 
     #[test]
     fn nested_install_restores_outer() {
-        let _serial = serial_test();
         let epoch = Instant::now();
         let outer = install("outer", epoch);
         let _s1 = span("outer-phase");
@@ -314,7 +285,6 @@ mod tests {
 
     #[test]
     fn dropped_guard_discards_and_restores() {
-        let _serial = serial_test();
         let epoch = Instant::now();
         let outer = install("outer", epoch);
         {
@@ -326,5 +296,24 @@ mod tests {
         let so = outer.finish();
         assert!(so.decisions.is_empty());
         assert!(!is_active());
+    }
+
+    /// The recorder belongs to the installing thread: a second thread
+    /// sees it off, and its decision closures never run.
+    #[test]
+    fn recorder_is_invisible_to_other_threads() {
+        let g = install("here", Instant::now());
+        assert!(is_active());
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                assert!(!is_active());
+                decide(|| unreachable!("no recorder on this thread"));
+                let _sp = span_detail("phase", || unreachable!("no recorder on this thread"));
+            });
+        });
+        decide(|| Decision::new(DecisionKind::EntryCp { cp: "mine".into() }));
+        let s = g.finish();
+        assert_eq!(s.decisions.len(), 1);
+        assert!(s.spans.is_empty());
     }
 }

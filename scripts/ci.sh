@@ -18,8 +18,8 @@
 #                      crates/analysis/tests/lint_schema.rs; fuzz report:
 #                      crates/fuzz/tests/campaign_smoke.rs)
 #   5. properties    — the iset algebra battery under a pinned seed
-#   6. compile bench — `dhpf bench compile --quick`; its trace-overhead
-#                      gate fails the command
+#   6. compile bench — `dhpf bench compile --quick`, a smoke run: the
+#                      command runs and writes its document
 #   7. benchmark     — the repo benchmark harness (benchmark/) still
 #                      builds against the crates' public API: its own
 #                      tests plus one `run --all --quick` pass (~20 s)
@@ -69,8 +69,8 @@ echo "== property suite (pinned seed)"
 PROPTEST_SEED=20260806 cargo test -q -p dhpf-iset --test algebra_props
 
 echo "== compile bench smoke"
-# one cold+warm+traced timing pass (class S only); the trace-overhead
-# gate is inside the command
+# one cold+warm+traced timing pass (class S only); nothing is gated on
+# the timings (benchmark/ reports obs.compile_overhead from paired ops)
 DHPF=target/release/dhpf
 "$DHPF" bench compile --quick --out target/BENCH_compile_smoke.json
 

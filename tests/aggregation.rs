@@ -1,9 +1,10 @@
 //! Acceptance tests for per-peer cross-array message aggregation (§7):
-//! on NAS SP and BT class S at 4 ranks, aggregation must cut the total
-//! physical message count by at least 25%, leave the computed solution
-//! bit-identical to the serial reference tolerance, and strictly
-//! improve the LogGP makespan (every packed transfer saves its peers'
-//! per-message overhead `o` and latency `L` on the critical path).
+//! on NAS SP and BT class S at 4 ranks, aggregation must leave the
+//! computed solution within the serial reference tolerance and
+//! bit-identical across the toggle, and aggregated plans must pass
+//! every verifier. (The >= 25% message cut and the strictly better
+//! LogGP makespan are asserted on the same rows by the `flags` study,
+//! `crates/bench/tests/flags.rs`.)
 
 use dhpf::nas::Kernel;
 use dhpf::prelude::*;
@@ -15,20 +16,11 @@ fn flags(aggregate: bool) -> OptFlags {
     }
 }
 
-struct Outcome {
-    messages: u64,
-    makespan: f64,
-    u: Vec<f64>,
-}
-
-fn run(kernel: Kernel, aggregate: bool) -> Outcome {
+/// The stitched solution `u` of one class S run at 4 ranks.
+fn run(kernel: Kernel, aggregate: bool) -> Vec<f64> {
     let compiled = kernel.compile_dhpf(Class::S, 4, Some(flags(aggregate)));
-    let r = run_node_program(&compiled.program, MachineConfig::sp2(4)).unwrap();
-    Outcome {
-        messages: r.run.stats.messages,
-        makespan: r.run.virtual_time,
-        u: r.arrays["u"].data.clone(),
-    }
+    let mut r = run_node_program(&compiled.program, MachineConfig::sp2(4)).unwrap();
+    r.arrays.remove("u").expect("array u").data
 }
 
 fn check(kernel: Kernel) {
@@ -38,21 +30,11 @@ fn check(kernel: Kernel) {
     let off = run(kernel, false);
     let on = run(kernel, true);
 
-    // ≥25% fewer physical messages (the ISSUE acceptance floor).
-    let reduction = 100.0 * (off.messages - on.messages) as f64 / off.messages as f64;
-    assert!(
-        reduction >= 25.0,
-        "{name}: aggregation cut only {reduction:.1}% of messages \
-         (off={} on={}, need >= 25%)",
-        off.messages,
-        on.messages
-    );
-
     // Numerics unchanged vs the serial reference interpreter.
-    for (label, out) in [("off", &off), ("on", &on)] {
+    for (label, u) in [("off", &off), ("on", &on)] {
         let worst = truth
             .iter()
-            .zip(&out.u)
+            .zip(u)
             .map(|(a, b)| (a - b).abs())
             .fold(0.0f64, f64::max);
         assert!(
@@ -61,18 +43,7 @@ fn check(kernel: Kernel) {
         );
     }
     // And packing must be lossless: bit-identical across the toggle.
-    assert_eq!(
-        on.u, off.u,
-        "{name}: aggregation changed the computed answer"
-    );
-
-    // Strictly better LogGP makespan.
-    assert!(
-        on.makespan < off.makespan,
-        "{name}: aggregation did not improve makespan (on={:.6} off={:.6})",
-        on.makespan,
-        off.makespan
-    );
+    assert_eq!(on, off, "{name}: aggregation changed the computed answer");
 }
 
 #[test]

@@ -26,6 +26,16 @@ fn unknown_command_is_a_usage_error() {
     assert_eq!(out.status.code(), Some(2), "{out:?}");
 }
 
+/// Compilation is single-threaded and `--jobs` is gone: a stale script
+/// must fail loudly rather than silently compile serially.
+#[test]
+fn removed_jobs_option_is_a_usage_error() {
+    let out = dhpf(&["compile", "--nas", "sp", "--jobs", "2"]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("--jobs") && err.contains("usage:"), "{err}");
+}
+
 #[test]
 fn unknown_benchmark_is_a_usage_error() {
     let out = dhpf(&["compile", "--nas", "lu"]);

@@ -127,7 +127,7 @@ fn degenerate_geometries_conformance() {
     // non-square 2-D grids (different per-dimension protocols) — through
     // the full optimization-flag lattice and the complete fuzz oracle
     // matrix: serial numerics, comm coverage, static protocol, dynamic
-    // traces, and the serial-vs-parallel compile fingerprint.
+    // traces, and the compile-twice fingerprint.
     let src_1d = "
       program deg1
       parameter (n = 47)
@@ -207,4 +207,82 @@ fn quickstart_program_compiles_and_verifies() {
     assert!(verify_protocol(&compiled).is_clean());
     let r = run_node_program(&compiled.program, MachineConfig::sp2(2)).unwrap();
     assert!(max_delta(&serial.arrays["b"], &r.arrays["b"]) < 1e-12);
+}
+
+/// A RETURN that is not a unit's final statement used to be dropped —
+/// by codegen in a called unit, by the inliner in an inlined one — so
+/// the statements it skips ran anyway under a clean verifier (`bump`
+/// called with `s = 1` added 100 to every `a(i)` the serial interpreter
+/// leaves alone). It is now a compile error naming the unit; a final
+/// RETURN still compiles.
+#[test]
+fn early_return_is_rejected_and_final_return_compiles() {
+    let called = "
+      program t
+      double precision a(16)
+      common /f/ a
+!hpf$ processors p(2)
+!hpf$ distribute (block) onto p :: a
+      call bump(1.0d0)
+      end
+
+      subroutine bump(s)
+      integer i
+      double precision s, a(16)
+      common /f/ a
+!hpf$ processors p(2)
+!hpf$ distribute (block) onto p :: a
+      if (s .gt. 0.0d0) then
+         return
+      endif
+      do i = 1, 16
+         a(i) = a(i) + 100.0d0
+      enddo
+      end
+";
+    let inlined = "
+      program t
+      integer i
+      double precision a(16)
+!hpf$ processors p(2)
+!hpf$ distribute (block) onto p :: a
+      do i = 1, 16
+         a(i) = i * 1.0d0
+         call bump(a, i)
+      enddo
+      end
+
+      subroutine bump(x, i)
+      integer i
+      double precision x(16)
+!hpf$ processors p(2)
+!hpf$ distribute (block) onto p :: x
+      if (i .gt. 8) then
+         return
+      endif
+      x(i) = x(i) + 100.0d0
+      return
+      end
+";
+    for (src, line) in [(called, 17), (inlined, 19)] {
+        let Err(err) = compile(&parse(src).unwrap(), &CompileOptions::new()) else {
+            panic!("an early RETURN must not compile");
+        };
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "in bump: line {line}: RETURN before the end of the unit is not supported \
+                 (a mid-body RETURN is control flow the node program cannot express)"
+            )
+        );
+    }
+
+    let final_only = inlined.replace("         return\n", "         x(i) = 0.0d0\n");
+    let program = parse(&final_only).unwrap();
+    let serial = run_serial(&program, &Default::default()).unwrap();
+    let compiled = compile(&program, &CompileOptions::new()).unwrap();
+    assert!(verify_compiled(&compiled).is_clean());
+    let r = run_node_program(&compiled.program, MachineConfig::sp2(2)).unwrap();
+    assert_eq!(serial.arrays["a"].data, r.arrays["a"].data);
+    assert_eq!(r.arrays["a"].data[15], 100.0);
 }

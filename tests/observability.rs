@@ -5,11 +5,10 @@ use dhpf::core::driver::{compile, CompileOptions};
 use dhpf::nas::Kernel;
 use dhpf::prelude::*;
 
-fn compile_sp_observed(jobs: usize) -> dhpf::core::driver::Compiled {
+fn compile_sp_observed() -> dhpf::core::driver::Compiled {
     let mut opts = CompileOptions::new().observed();
     opts.bindings = dhpf::nas::sp::bindings(Class::S, 4);
     opts.granularity = 4;
-    opts.jobs = jobs;
     compile(&dhpf::nas::sp::parse(), &opts).expect("compile sp")
 }
 
@@ -23,7 +22,7 @@ fn compile_sp_observed(jobs: usize) -> dhpf::core::driver::Compiled {
 #[test]
 fn sp_class_s_decision_log_matches_golden() {
     let golden = include_str!("golden/sp_s_decisions.txt");
-    let compiled = compile_sp_observed(0);
+    let compiled = compile_sp_observed();
     let log = compiled.obs.decision_log(&compiled.transformed);
     assert_eq!(
         log, golden,
@@ -87,7 +86,7 @@ fn every_decision_is_anchored_to_a_source_line() {
 /// the communication report, and the per-nest section must add up.
 #[test]
 fn metrics_document_is_consistent_with_comm_report() {
-    let compiled = compile_sp_observed(0);
+    let compiled = compile_sp_observed();
     let m = &compiled.obs.metrics;
     assert_eq!(
         m.get_counter("comm.pre_messages"),
@@ -175,7 +174,7 @@ fn checked_in_reference_trace_is_valid() {
 /// pid 2, and the JSON is a structurally valid Chrome trace.
 #[test]
 fn perfetto_export_covers_compile_and_execution() {
-    let compiled = compile_sp_observed(0);
+    let compiled = compile_sp_observed();
     let machine = MachineConfig::sp2(4).with_trace();
     let result = run_node_program(&compiled.program, machine).expect("run");
     let json = perfetto::render(Some(&compiled.obs), Some(&result.run.traces));

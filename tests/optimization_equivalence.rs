@@ -47,87 +47,37 @@ fn bt_each_optimization_toggle_is_semantics_preserving() {
     every_lattice_configuration_matches_serial(Kernel::Bt);
 }
 
-/// Compile with the parallel driver (worker threads) and the serial
-/// driver; the outputs must be byte-identical — same node program, same
-/// CP dump, same communication report, same transformed source — and the
-/// parallel-compiled program must still reproduce the serial-interpreter
-/// answer.
+/// Compiling a program again — the second time on the interner the first
+/// compile warmed, which is how the fuzzer and the benchmark's `fuzz-mix`
+/// compile everything but their first program — must reproduce the node
+/// program, CP dump, communication report and transformed source, the
+/// span-tree structure and the decision log, byte for byte.
 #[test]
-fn parallel_compilation_is_byte_identical_to_serial() {
+fn recompilation_is_byte_identical() {
     use dhpf::core::driver::{compile, CompileOptions};
 
     for kernel in Kernel::ALL {
-        let (name, program, bindings) =
-            (kernel.name(), kernel.parse(), kernel.bindings(Class::S, 4));
-        let mut serial_opts = CompileOptions::new();
-        serial_opts.bindings = bindings.clone();
-        serial_opts.granularity = 4;
-        let mut par_opts = serial_opts.clone().parallel(4);
-        par_opts.granularity = 4;
-
-        let serial = compile(&program, &serial_opts).expect("serial compile");
-        let parallel = compile(&program, &par_opts).expect("parallel compile");
+        let (name, program) = (kernel.name(), kernel.parse());
+        let mut opts = CompileOptions::new().observed();
+        opts.bindings = kernel.bindings(Class::S, 4);
+        dhpf::iset::reset_cache();
+        let cold = compile(&program, &opts).expect("cold compile");
+        let warm = compile(&program, &opts).expect("warm compile");
+        assert_eq!(cold.fingerprint(), warm.fingerprint(), "{name}");
         assert_eq!(
-            serial.fingerprint(),
-            parallel.fingerprint(),
-            "{name}: parallel driver output diverged from serial"
-        );
-    }
-
-    // and the parallel-compiled SP program still computes the right answer
-    let truth = dhpf::nas::sp::run_serial_reference(Class::S);
-    let mut opts = CompileOptions::new();
-    opts.bindings = dhpf::nas::sp::bindings(Class::S, 4);
-    opts.granularity = 4;
-    let compiled = compile(&dhpf::nas::sp::parse(), &opts.parallel(4)).expect("compile");
-    let r = run_node_program(&compiled.program, MachineConfig::sp2(4)).unwrap();
-    let worst = truth.arrays["u"]
-        .data
-        .iter()
-        .zip(&r.arrays["u"].data)
-        .map(|(a, b)| (a - b).abs())
-        .fold(0.0f64, f64::max);
-    assert!(
-        worst < 1e-9,
-        "parallel-compiled SP: worst delta {worst:.3e}"
-    );
-}
-
-/// The observability layer must not break compile determinism: with the
-/// recorder enabled, the span-tree *structure* and the decision log of a
-/// parallel compile must be byte-identical to a serial compile of the
-/// same program (only wall-clock fields and lane assignments may differ,
-/// and those are excluded from the determinism key).
-#[test]
-fn observed_parallel_compile_trace_is_deterministic() {
-    use dhpf::core::driver::{compile, CompileOptions};
-
-    for kernel in Kernel::ALL {
-        let (name, program, bindings) =
-            (kernel.name(), kernel.parse(), kernel.bindings(Class::S, 4));
-        let mut serial_opts = CompileOptions::new().observed();
-        serial_opts.bindings = bindings.clone();
-        serial_opts.granularity = 4;
-        let par_opts = serial_opts.clone().parallel(4);
-
-        let serial = compile(&program, &serial_opts).expect("serial compile");
-        let parallel = compile(&program, &par_opts).expect("parallel compile");
-
-        assert!(serial.obs.enabled && parallel.obs.enabled);
-        assert_eq!(
-            serial.obs.determinism_key(),
-            parallel.obs.determinism_key(),
-            "{name}: span/decision structure diverged between serial and parallel compile"
+            cold.obs.determinism_key(),
+            warm.obs.determinism_key(),
+            "{name}: span/decision structure"
         );
         assert_eq!(
-            serial.obs.decision_log(&serial.transformed),
-            parallel.obs.decision_log(&parallel.transformed),
-            "{name}: decision log diverged between serial and parallel compile"
+            cold.obs.decision_log(&cold.transformed),
+            warm.obs.decision_log(&warm.transformed),
+            "{name}: decision log"
         );
         assert_eq!(
-            serial.obs.decision_json(&serial.transformed),
-            parallel.obs.decision_json(&parallel.transformed),
-            "{name}: decision JSON diverged between serial and parallel compile"
+            cold.obs.decision_json(&cold.transformed),
+            warm.obs.decision_json(&warm.transformed),
+            "{name}: decision JSON"
         );
     }
 }
