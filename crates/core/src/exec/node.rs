@@ -9,6 +9,7 @@
 
 use crate::codegen::{CMsg, NodeProgram, PipeArray};
 use crate::exec::serial::ArrayValue;
+pub use crate::exec::tape::LowerStats;
 use crate::exec::tape::{lower_program, unbound_dummy, Comm, Ins, Pipe, Site, Tape, UNBOUND};
 use dhpf_spmd::array::{section_len, LocalArray};
 use dhpf_spmd::machine::{Machine, MachineConfig, Proc, RunResult};
@@ -44,6 +45,16 @@ pub struct ExecResult {
     pub run: RunResult,
     /// Stitched global arrays (distributed: owner data; serial: rank 0).
     pub arrays: BTreeMap<String, ArrayValue>,
+    /// What each rank's lowering decided and how far its loops ran.
+    pub ranks: Vec<RankCounts>,
+}
+
+/// One rank's deterministic work counts.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RankCounts {
+    pub lower: LowerStats,
+    /// Loop iterations started, summed over every loop entry.
+    pub loop_trips: u64,
 }
 
 /// Run a node program on `nprocs = grid.nprocs()` virtual processors.
@@ -71,7 +82,8 @@ pub fn run_node_program(
             let slot = &states[proc.rank()];
             let taken = slot.lock().expect("no rank panics holding its slot").take();
             let mut st = taken.expect("the machine runs each rank once");
-            let tapes = lower_program(&st);
+            let (tapes, lower) = lower_program(&st);
+            st.counts.lower = lower;
             let main = &tapes[0];
             let mut frame = Frame::new(main);
             let whole = (0, main.code.len());
@@ -90,13 +102,14 @@ pub fn run_node_program(
     };
 
     // stitch global arrays back together
-    let finals: Vec<Vec<Option<LocalArray>>> = states
+    let (ranks, finals): (Vec<RankCounts>, Vec<Vec<Option<LocalArray>>>) = states
         .into_iter()
         .map(|slot| {
             let st = slot.into_inner().expect("no rank panics holding its slot");
-            st.expect("every rank returned its state").storage
+            let st = st.expect("every rank returned its state");
+            (st.counts, st.storage)
         })
-        .collect();
+        .unzip();
     let mut arrays = BTreeMap::new();
     for (g, ga) in prog.arrays.iter().enumerate() {
         let lo: Vec<i64> = ga.bounds.iter().map(|b| b.0).collect();
@@ -138,7 +151,7 @@ pub fn run_node_program(
             arrays.insert(bare, v);
         }
     }
-    Ok(ExecResult { run, arrays })
+    Ok(ExecResult { run, arrays, ranks })
 }
 
 fn copy_box(src: &LocalArray, dst: &mut ArrayValue, lo: &[i64], hi: &[i64]) {
@@ -190,6 +203,16 @@ fn in_range(v: i64, hi: i64, step: i64) -> bool {
     (step > 0 && v <= hi) || (step < 0 && v >= hi)
 }
 
+/// Trips of the non-empty range `lo, hi` by `step`, less one.
+#[inline]
+fn more_trips(lo: i64, hi: i64, step: i64) -> i64 {
+    match step {
+        1 => hi - lo,
+        -1 => lo - hi,
+        _ => (hi - lo) / step,
+    }
+}
+
 /// Per-processor interpreter state.
 pub(super) struct ProcState<'p> {
     pub prog: &'p NodeProgram,
@@ -199,6 +222,7 @@ pub(super) struct ProcState<'p> {
     /// Owned range per global array per dim (serial dims: full bounds;
     /// empty ownership: `(1, 0)`).
     pub owned: Vec<Vec<(i64, i64)>>,
+    pub counts: RankCounts,
 }
 
 impl<'p> ProcState<'p> {
@@ -234,6 +258,7 @@ impl<'p> ProcState<'p> {
             coords,
             storage,
             owned,
+            counts: RankCounts::default(),
         }
     }
 
@@ -382,21 +407,38 @@ impl<'p> ProcState<'p> {
                         lo = lo.max(ints[c as usize]);
                         hi = hi.min(ints[c as usize + 1]);
                     }
-                    ints[lp.ctr as usize] = lo;
-                    ints[lp.ctr as usize + 1] = hi;
+                    let ctr = lp.ctr as usize;
+                    if let Some(hull) = lp.hull {
+                        if !in_range(lo, hi, lp.step) {
+                            pc = to as usize;
+                            continue;
+                        }
+                        // the variable ends where the whole range does,
+                        // whichever of its iterations this rank visits
+                        let last = lo + more_trips(lo, hi, lp.step) * lp.step;
+                        ints[ctr + 2] = last;
+                        ints[lp.var as usize] = last;
+                        (lo, hi) = lp.shrink(lo, hi, hull);
+                    }
+                    ints[ctr] = lo;
+                    ints[ctr + 1] = hi;
                     if in_range(lo, hi, lp.step) {
                         ints[lp.var as usize] = lo;
+                        self.counts.loop_trips += more_trips(lo, hi, lp.step) as u64 + 1;
                     } else {
                         pc = to as usize;
                     }
                 }
                 Ins::LoopNext { l, body } => {
                     let lp = &t.loops[l as usize];
-                    let v = ints[lp.ctr as usize] + lp.step;
-                    ints[lp.ctr as usize] = v;
-                    if in_range(v, ints[lp.ctr as usize + 1], lp.step) {
+                    let ctr = lp.ctr as usize;
+                    let v = ints[ctr] + lp.step;
+                    ints[ctr] = v;
+                    if in_range(v, ints[ctr + 1], lp.step) {
                         ints[lp.var as usize] = v;
                         pc = body as usize;
+                    } else if lp.hull.is_some() {
+                        ints[lp.var as usize] = ints[ctr + 2];
                     }
                 }
                 Ins::Interior { split, to } => {
@@ -745,6 +787,7 @@ mod tests {
     use crate::distrib::{ArrayDist, DimMap, ProcGrid};
     use crate::driver::{compile, CompileOptions};
     use crate::exec::serial::{eval_intrinsic, run_serial};
+    use crate::exec::tape::{lower_program_fact_free, SlotUse};
     use dhpf_fortran::ast::BinOp;
     use proptest::prelude::*;
 
@@ -826,16 +869,34 @@ mod tests {
         }
     }
 
-    // Frame of the property test: three int slots with values in 0..=3,
-    // three float slots, and three array slots — `a`, a serial 4×4 array;
-    // `b`, block-distributed over two ranks, of which rank 1 (the one
-    // under test) owns 5..=8 plus one ghost cell either side; and `d`,
-    // an array dummy nothing is bound to.
+    // Frame of the property tests: eight int slots, three float slots,
+    // and four array slots — `a`, a serial 4×4 array; `b`,
+    // block-distributed over two ranks, of which rank 1 (the one under
+    // test) owns 5..=8 plus one ghost cell either side; `d`, an array
+    // dummy nothing is bound to; and `e`, distributed like `b` but so
+    // short that rank 1 owns none of it.
     const A: usize = 0;
     const B: usize = 1;
     const D: usize = 2;
+    const E: usize = 3;
+    const N_INTS: usize = 8;
 
     fn program(ops: Vec<NodeOp>) -> NodeProgram {
+        let blocked = |name: &str, hi: i64| GlobalArray {
+            name: name.into(),
+            bounds: vec![(1, hi)],
+            dist: Some(ArrayDist {
+                array: name.into(),
+                bounds: vec![(1, hi)],
+                dims: vec![DimMap::Block {
+                    pdim: 0,
+                    block: 4,
+                    align_offset: 0,
+                    nproc: 2,
+                }],
+            }),
+            ghost: vec![1],
+        };
         let arrays = vec![
             GlobalArray {
                 name: "a".into(),
@@ -843,29 +904,16 @@ mod tests {
                 dist: None,
                 ghost: vec![0, 0],
             },
-            GlobalArray {
-                name: "b".into(),
-                bounds: vec![(1, 8)],
-                dist: Some(ArrayDist {
-                    array: "b".into(),
-                    bounds: vec![(1, 8)],
-                    dims: vec![DimMap::Block {
-                        pdim: 0,
-                        block: 4,
-                        align_offset: 0,
-                        nproc: 2,
-                    }],
-                }),
-                ghost: vec![1],
-            },
+            blocked("b", 8),
+            blocked("e", 4),
         ];
         let unit = CompiledUnit {
             name: "main".into(),
-            n_ints: 3,
+            n_ints: N_INTS,
             n_floats: 3,
-            n_arrays: 3,
-            array_global: vec![Some(0), Some(1), None],
-            array_names: vec!["a".into(), "b".into(), "d".into()],
+            n_arrays: 4,
+            array_global: vec![Some(0), Some(1), None, Some(2)],
+            array_names: vec!["a".into(), "b".into(), "d".into(), "e".into()],
             ops,
             ..Default::default()
         };
@@ -1054,7 +1102,7 @@ mod tests {
 
             // the reference, statement by statement
             let mut want = filled_state(&prog);
-            let binding = [0, 1, UNBOUND];
+            let binding = [0, 1, UNBOUND, 2];
             let (mut want_ints, mut want_floats) = (ints.clone(), floats.clone());
             let tree = |st: &ProcState, ints: &[i64], floats: &[f64], guard: &Option<Guard>| {
                 let t = Tree { st, binding: &binding, ints, floats };
@@ -1079,7 +1127,7 @@ mod tests {
             let got = Mutex::new(None);
             let run = Machine::run(MachineConfig::sp2(1), |proc| {
                 let mut st = filled_state(&prog);
-                let tapes = lower_program(&st);
+                let (tapes, _) = lower_program(&st);
                 let mut frame = Frame::new(&tapes[0]);
                 frame.ints[..3].copy_from_slice(&ints);
                 frame.regs[..3].copy_from_slice(&floats);
@@ -1101,6 +1149,317 @@ mod tests {
                 }
             }
             prop_assert_eq!(run.virtual_time.to_bits(), want_clock.to_bits());
+        }
+    }
+
+    // ---- nests, for the ranges the lowering learns -----------------------
+    //
+    // Int slots 0..=2 are the loop variables of nest levels 0..=2, slots
+    // 3 and 4 free scalars, and slots 5..=7 receive copies of the loop
+    // variables after the nests.
+
+    // The strategies below are rebuilt for every case: each builds its
+    // parts once and repeats a part by cloning it, to weight it.
+
+    /// An int slot to read at nest level `level`: mostly a variable of an
+    /// enclosing loop or a free scalar, now and then any slot — an inner
+    /// loop's variable, read outside its loop, included.
+    fn arb_slot(level: usize) -> BoxedStrategy<usize> {
+        let near = prop_oneof![0..=level, 0..=level, 0..=level, 3usize..=4].boxed();
+        let near = || near.clone();
+        prop_oneof![near(), near(), near(), near(), near(), near(), 0usize..=4].boxed()
+    }
+
+    fn arb_form(level: usize) -> BoxedStrategy<CIdx> {
+        let coef = prop_oneof![Just(1i64), Just(1), Just(-1), Just(-1), Just(2)];
+        let terms = prop::collection::vec((arb_slot(level), coef), 0..=2);
+        (terms, -2i64..=9)
+            .prop_map(|(terms, cst)| CIdx { terms, cst })
+            .boxed()
+    }
+
+    /// The terms of a guard: mostly one, of up to two atoms (a term of
+    /// no atom always passes; a guard of no term never does).
+    fn arb_terms(form: &BoxedStrategy<CIdx>) -> BoxedStrategy<Vec<Vec<GuardAtom>>> {
+        let form = || form.clone();
+        let atom = prop_oneof![
+            (prop_oneof![Just(B), Just(B), Just(D), Just(E)], form())
+                .prop_map(|(arr, sub)| GuardAtom::In { arr, dim: 0, sub }),
+            (0usize..2, form()).prop_map(|(dim, sub)| GuardAtom::In { arr: A, dim, sub }),
+            (prop_oneof![Just(B), Just(B), Just(E)], form(), form()).prop_map(|(arr, lo, hi)| {
+                GuardAtom::Overlap {
+                    arr,
+                    dim: 0,
+                    lo,
+                    hi,
+                }
+            }),
+        ];
+        let some = prop::collection::vec(atom, 1..=2).boxed();
+        let some = || some.clone();
+        let atoms = prop_oneof![some(), some(), some(), some(), some(), Just(vec![])].boxed();
+        let one = prop::collection::vec(atoms.clone(), 1..=1).boxed();
+        prop_oneof![one.clone(), one, prop::collection::vec(atoms, 0..=2)].boxed()
+    }
+
+    /// A value whose loads stay inside the windows whatever the frame.
+    fn arb_value(form: &BoxedStrategy<CIdx>) -> BoxedStrategy<CExpr> {
+        let leaf = prop_oneof![
+            special_f64().prop_map(CExpr::Const),
+            (0usize..3).prop_map(CExpr::LoadF),
+            form.clone().prop_map(CExpr::Int),
+            (0i64..=3, 0i64..=3).prop_map(|(i, j)| CExpr::Load {
+                arr: A,
+                subs: vec![CIdx::cst(i), CIdx::cst(j)]
+            }),
+            (4i64..=9).prop_map(|i| CExpr::Load {
+                arr: B,
+                subs: vec![CIdx::cst(i)]
+            }),
+        ]
+        .boxed();
+        let op = prop_oneof![
+            Just(BinOp::Add),
+            Just(BinOp::Sub),
+            Just(BinOp::Mul),
+            Just(BinOp::Lt)
+        ];
+        prop_oneof![
+            leaf.clone(),
+            (op, leaf.clone(), leaf).prop_map(|(op, a, b)| CExpr::Bin(
+                op,
+                Box::new(a),
+                Box::new(b)
+            )),
+        ]
+        .boxed()
+    }
+
+    /// A statement: an array assignment every guard term of which keeps
+    /// inside the array, or a scalar assignment under any guard or none.
+    /// Integer assignments take a loop variable or a constant, so that no
+    /// value grows with the trip count.
+    fn arb_stmt(level: usize) -> BoxedStrategy<NodeOp> {
+        let form = arb_form(level);
+        let (terms, value) = (arb_terms(&form), arb_value(&form));
+        let form = || form.clone();
+        let guarded = |mut terms: Vec<Vec<GuardAtom>>, inside: &[GuardAtom]| {
+            terms.iter_mut().for_each(|t| t.extend_from_slice(inside));
+            Some(Guard { terms })
+        };
+        let some = terms
+            .clone()
+            .prop_map(|terms| Some(Guard { terms }))
+            .boxed();
+        let some = || some.clone();
+        let any_guard = prop_oneof![some(), some(), some(), some(), some(), Just(None)].boxed();
+        let int_value = prop_oneof![
+            (0i64..=9).prop_map(CIdx::cst),
+            (0..=level, -1i64..=3).prop_map(|(slot, cst)| CIdx {
+                terms: vec![(slot, 1)],
+                cst
+            }),
+        ];
+        let int_slot = prop_oneof![3usize..=4, 0usize..=2];
+        prop_oneof![
+            (form(), terms.clone(), value.clone(), 0u64..4).prop_map(
+                move |(sub, terms, value, flops)| NodeOp::Assign {
+                    guard: guarded(
+                        terms,
+                        &[GuardAtom::In {
+                            arr: B,
+                            dim: 0,
+                            sub: sub.clone()
+                        }]
+                    ),
+                    arr: B,
+                    subs: vec![sub],
+                    value,
+                    flops,
+                }
+            ),
+            (form(), form(), terms, value.clone(), 0u64..4).prop_map(
+                move |(i, j, terms, value, flops)| {
+                    let inside = [(0, &i), (1, &j)].map(|(dim, sub)| GuardAtom::In {
+                        arr: A,
+                        dim,
+                        sub: sub.clone(),
+                    });
+                    NodeOp::Assign {
+                        guard: guarded(terms, &inside),
+                        arr: A,
+                        subs: vec![i, j],
+                        value,
+                        flops,
+                    }
+                }
+            ),
+            (any_guard.clone(), 0usize..3, value, 0u64..4).prop_map(
+                |(guard, slot, value, flops)| NodeOp::AssignF {
+                    guard,
+                    slot,
+                    value,
+                    flops
+                }
+            ),
+            (any_guard, int_slot, int_value, 0u64..4).prop_map(|(guard, slot, value, flops)| {
+                NodeOp::AssignI {
+                    guard,
+                    slot,
+                    value: CExpr::Int(value),
+                    flops,
+                }
+            }),
+        ]
+        .boxed()
+    }
+
+    /// A loop at nest level `level`: steps 1, -1, 2 and -3; bounds that
+    /// are constants or an outer loop's variable plus a constant; now and
+    /// then no trip at all; inner loops down to level 2, some under `if`.
+    fn arb_loop(level: usize) -> BoxedStrategy<NodeOp> {
+        let bound = |cst: std::ops::RangeInclusive<i64>| {
+            let cst = cst.prop_map(CIdx::cst).boxed();
+            let outer = (0..=level.saturating_sub(1), -2i64..=2).prop_map(|(slot, cst)| CIdx {
+                terms: vec![(slot, 1)],
+                cst,
+            });
+            if level == 0 {
+                cst
+            } else {
+                prop_oneof![cst.clone(), cst, outer].boxed()
+            }
+        };
+        let step = prop_oneof![Just(1i64), Just(1), Just(-1), Just(2), Just(-3)];
+        let stmt = arb_stmt(level);
+        let item = if level == 2 {
+            stmt
+        } else {
+            prop_oneof![stmt.clone(), stmt, arb_loop(level + 1)].boxed()
+        };
+        let item = || item.clone();
+        let value = arb_value(&arb_form(level));
+        let branch = (
+            prop_oneof![
+                Just(None),
+                (value.clone(), value).prop_map(|(a, b)| Some(CExpr::Bin(
+                    BinOp::Lt,
+                    Box::new(a),
+                    Box::new(b)
+                ))),
+            ],
+            prop::collection::vec(item(), 0..=2),
+        );
+        let arms = prop::collection::vec(branch, 1..=2).prop_map(|arms| NodeOp::If { arms });
+        let body = prop::collection::vec(prop_oneof![item(), item(), item(), arms], 1..=3);
+        (bound(0..=4), bound(4..=9), step, 0usize..8, body)
+            .prop_map(move |(lo, hi, step, empty, body)| {
+                // the range runs from the low bound to the high one, in the
+                // direction of the step, except when it is to be empty
+                let (lo, hi) = if (step < 0) != (empty == 0) {
+                    (hi, lo)
+                } else {
+                    (lo, hi)
+                };
+                NodeOp::Loop {
+                    var: level,
+                    lo,
+                    hi,
+                    step,
+                    body,
+                }
+            })
+            .boxed()
+    }
+
+    /// Lower `prog` for rank 1 — with the ranges, or by the reference
+    /// lowering without them — and run it from the given frame.
+    fn run_lowered(
+        prog: &NodeProgram,
+        learn: bool,
+        ints: &[i64],
+        floats: &[f64],
+    ) -> (Vec<Option<LocalArray>>, Frame, f64) {
+        let got = Mutex::new(None);
+        let run = Machine::run(MachineConfig::sp2(1), |proc| {
+            let mut st = filled_state(prog);
+            let tapes = if learn {
+                lower_program(&st).0
+            } else {
+                lower_program_fact_free(&st)
+            };
+            let mut frame = Frame::new(&tapes[0]);
+            frame.ints[..ints.len()].copy_from_slice(ints);
+            frame.regs[..floats.len()].copy_from_slice(floats);
+            let whole = (0, tapes[0].code.len());
+            st.run(
+                proc,
+                &tapes,
+                &tapes[0],
+                &mut frame.ints,
+                &mut frame.regs,
+                whole,
+            );
+            frame.ints.truncate(N_INTS);
+            frame.regs.truncate(3);
+            *got.lock().unwrap() = Some((st.storage, frame));
+        });
+        let (storage, frame) = got.into_inner().unwrap().unwrap();
+        (storage, frame, run.virtual_time)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4000))]
+
+        /// What the lowering learns changes nothing a program can see:
+        /// every array cell, float slot and int slot and the virtual clock
+        /// are those of the lowering that runs every iteration of every
+        /// loop under every test of every guard.
+        #[test]
+        fn learned_ranges_change_nothing(
+            nests in {
+                let nest = arb_loop(0);
+                prop::collection::vec(prop_oneof![nest.clone(), nest, arb_stmt(0)], 2..=3)
+            },
+            copied in prop::collection::vec((0usize..3, -2i64..=2), 3),
+            ints in prop::collection::vec(0i64..=3, 5),
+            floats in prop::collection::vec(special_f64(), 3),
+        ) {
+            // nests, and statements between them that read the outermost
+            // variable; then copies of some of the loop variables, each
+            // made where the variable, shifted, is in what rank 1 owns
+            let copies = (0..3).zip(&copied).filter(|(_, (skip, _))| *skip == 0).map(|(k, (_, cst))| {
+                let var = |cst| CIdx { terms: vec![(k, 1)], cst };
+                NodeOp::AssignI {
+                    guard: Some(Guard { terms: vec![vec![GuardAtom::In { arr: B, dim: 0, sub: var(*cst) }]] }),
+                    slot: 5 + k,
+                    value: CExpr::Int(var(0)),
+                    flops: 1,
+                }
+            });
+            let prog = program(nests.into_iter().chain(copies).collect());
+
+            let (want_storage, want, want_clock) = run_lowered(&prog, false, &ints, &floats);
+            let (storage, frame, clock) = run_lowered(&prog, true, &ints, &floats);
+
+            // The variable of an inner loop that nothing reads outside a
+            // loop binding it has no value a program can see: iterations
+            // of the enclosing loops that run no statement, and are not
+            // visited, would still have set it.
+            let uses = SlotUse::of(&prog.units[0]);
+            for (slot, (g, w)) in frame.ints.iter().zip(&want.ints).enumerate() {
+                let unseen = (1..=2).contains(&slot) && !uses.escapes[slot];
+                prop_assert!(unseen || g == w, "int slot {slot}: {g}, reference {w}");
+            }
+            for (g, w) in frame.regs.iter().zip(&want.regs) {
+                prop_assert!(g.to_bits() == w.to_bits(), "float slot: {g:e}, reference {w:e}");
+            }
+            for (g, w) in storage.iter().flatten().zip(want_storage.iter().flatten()) {
+                for (g, w) in g.data().iter().zip(w.data()) {
+                    prop_assert!(g.to_bits() == w.to_bits(), "array cell: {g:e}, reference {w:e}");
+                }
+            }
+            prop_assert_eq!(clock.to_bits(), want_clock.to_bits());
         }
     }
 
@@ -1140,7 +1499,7 @@ mod tests {
         let prog = &compiled.program;
 
         let st = ProcState::new(prog, 2);
-        let tapes = lower_program(&st);
+        let (tapes, _) = lower_program(&st);
         let relax = prog.unit_index["relax"];
         let mut bindings: Vec<&[usize]> = tapes
             .iter()

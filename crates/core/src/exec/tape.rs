@@ -12,6 +12,11 @@
 //! the rank (slot → global array → window base → strides → owned range)
 //! is folded here and never looked at again while the program runs.
 //!
+//! The lowering also learns, per loop, the range of the loop variable
+//! for which some statement of the body can pass its guard on this rank
+//! (its *hull*), shrinks the loop to it, and drops every range test the
+//! resulting ranges decide ([`Lower::hull`], [`Lower::guard`]).
+//!
 //! The lowering borrows the [`NodeProgram`](crate::codegen::NodeProgram):
 //! message lists, pipeline levels and subscripts are referenced, not
 //! copied.
@@ -201,7 +206,8 @@ pub(super) struct LoopDesc {
     pub var: u32,
     /// Hidden int slots `ctr` (current value) and `ctr + 1` (upper
     /// bound), so that a body assigning the loop variable cannot change
-    /// the trip count.
+    /// the trip count; a loop with a `hull` also has `ctr + 2`, the last
+    /// value of its unshrunk range.
     pub ctr: u32,
     pub lo: Aff,
     pub hi: Aff,
@@ -209,6 +215,61 @@ pub(super) struct LoopDesc {
     /// Hidden int slots `(lo, hi)` the bounds are clamped to (the strip
     /// level of a pipelined nest).
     pub clamp: Option<u32>,
+    /// Values of the variable outside `hull` run no statement on this
+    /// rank: the loop visits only the iterations inside it, and leaves
+    /// the variable at the last value of the whole range.
+    pub hull: Option<(i64, i64)>,
+}
+
+impl LoopDesc {
+    /// The part of the range `lo, hi` (by `step`) inside the hull, on
+    /// the lattice `lo + k·step`; empty (`lo` past `hi`) when none is.
+    #[inline]
+    pub fn shrink(&self, lo: i64, hi: i64, (hlo, hhi): (i64, i64)) -> (i64, i64) {
+        // first lattice point at or past `edge`, the hull's near end
+        let first = |edge: i64| {
+            let past = edge.saturating_sub(lo);
+            let steps = past.saturating_add(self.step - self.step.signum()) / self.step;
+            lo.saturating_add(steps.saturating_mul(self.step))
+        };
+        if self.step > 0 {
+            (if hlo <= lo { lo } else { first(hlo) }, hi.min(hhi))
+        } else {
+            (if hhi >= lo { lo } else { first(hhi) }, hi.max(hlo))
+        }
+    }
+}
+
+/// What one rank's lowering decided, summed over its tapes.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct LowerStats {
+    /// Loops lowered.
+    pub loops: u64,
+    /// Loops shrunk to a hull (an empty hull included).
+    pub loops_clamped: u64,
+    /// Range tests the ranges proved to hold: not emitted.
+    pub tests_true: u64,
+    /// Range tests the ranges proved to fail: their OR-term is dead.
+    pub tests_dead: u64,
+    /// Range tests left on the tape.
+    pub tests_kept: u64,
+    /// Statements with no live OR-term, and statements of loops with an
+    /// empty hull: not emitted.
+    pub stmts_dropped: u64,
+}
+
+impl LowerStats {
+    /// The counts by name, for reports.
+    pub fn named(&self) -> [(&'static str, u64); 6] {
+        [
+            ("loops", self.loops),
+            ("loops_clamped", self.loops_clamped),
+            ("tests_true", self.tests_true),
+            ("tests_dead", self.tests_dead),
+            ("tests_kept", self.tests_kept),
+            ("stmts_dropped", self.stmts_dropped),
+        ]
+    }
 }
 
 /// Interior/boundary split of an overlapped nest.
@@ -299,16 +360,32 @@ impl Tape<'_> {
 
 /// Lower the main unit and, transitively, every callee specialisation.
 /// Tape 0 is the main unit.
-pub(super) fn lower_program<'p>(st: &ProcState<'p>) -> Vec<Tape<'p>> {
+pub(super) fn lower_program<'p>(st: &ProcState<'p>) -> (Vec<Tape<'p>>, LowerStats) {
+    lower(st, true)
+}
+
+/// The lowering that learns no ranges: every loop runs its whole range
+/// and every guard keeps every test. The reference the ranges are
+/// checked against.
+#[cfg(test)]
+pub(super) fn lower_program_fact_free<'p>(st: &ProcState<'p>) -> Vec<Tape<'p>> {
+    lower(st, false).0
+}
+
+fn lower<'p>(st: &ProcState<'p>, learn: bool) -> (Vec<Tape<'p>>, LowerStats) {
     let prog = st.prog;
     // (unit, binding) of every specialisation discovered so far, in tape
     // order; lowering a call site appends the ones it is first to need
     let mut specs = vec![(prog.main, static_binding(&prog.units[prog.main]))];
     let mut tapes = Vec::new();
+    let mut stats = LowerStats::default();
     while let Some((unit, binding)) = specs.get(tapes.len()).cloned() {
-        tapes.push(Lower::unit(st, &mut specs, &prog.units[unit], binding));
+        let unit = &prog.units[unit];
+        tapes.push(Lower::unit(
+            st, &mut specs, &mut stats, unit, binding, learn,
+        ));
     }
-    tapes
+    (tapes, stats)
 }
 
 /// A unit's array slots before any actual is bound to a dummy.
@@ -321,20 +398,86 @@ fn idx(i: usize) -> u32 {
     u32::try_from(i).expect("tape index fits in 32 bits")
 }
 
+/// A closed integer range, empty when its first end is above its
+/// second. `i64::MIN` and `i64::MAX` as ends mean "unbounded": every
+/// operation that reaches them stays there.
+type Range = (i64, i64);
+const ALL: Range = (i64::MIN, i64::MAX);
+const EMPTY: Range = (1, 0);
+
+fn unbounded(x: i64) -> bool {
+    x == i64::MIN || x == i64::MAX
+}
+
+/// `x + y` on range ends.
+fn plus(x: i64, y: i64) -> i64 {
+    match (unbounded(x), unbounded(y)) {
+        (true, _) => x,
+        (_, true) => y,
+        _ => x.saturating_add(y),
+    }
+}
+
+/// `x - y` on range ends.
+fn minus(x: i64, y: i64) -> i64 {
+    plus(x, scale(y, -1))
+}
+
+/// `coef · x` on a range end, `coef` nonzero.
+fn scale(x: i64, coef: i64) -> i64 {
+    match x {
+        i64::MIN | i64::MAX if (x > 0) == (coef > 0) => i64::MAX,
+        i64::MIN | i64::MAX => i64::MIN,
+        _ => x.saturating_mul(coef),
+    }
+}
+
+fn union(a: Range, b: Range) -> Range {
+    if a.0 > a.1 {
+        b
+    } else if b.0 > b.1 {
+        a
+    } else {
+        (a.0.min(b.0), a.1.max(b.1))
+    }
+}
+
+fn intersect(a: Range, b: Range) -> Range {
+    (a.0.max(b.0), a.1.min(b.1))
+}
+
+/// What a loop runs: the inner levels of a single-chain nest, then ops.
+#[derive(Clone, Copy)]
+struct Body<'p> {
+    levels: &'p [PipeLevel],
+    ops: &'p [NodeOp],
+}
+
 struct Lower<'a, 'p> {
     st: &'a ProcState<'p>,
     specs: &'a mut Vec<(usize, Vec<usize>)>,
+    stats: &'a mut LowerStats,
     tape: Tape<'p>,
     /// First temporary register.
     tmp0: u32,
+    /// Learn ranges; off only for the reference lowering of the tests.
+    learn: bool,
+    /// What is known of each int slot at the point being lowered: the
+    /// range of a loop variable inside its loop, [`ALL`] anywhere else.
+    /// Nothing is known on entry to a unit (a tape serves every call
+    /// site of its binding) and a range never outlives its loop.
+    facts: Vec<Range>,
+    slots: SlotUse,
 }
 
 impl<'a, 'p> Lower<'a, 'p> {
     fn unit(
         st: &'a ProcState<'p>,
         specs: &'a mut Vec<(usize, Vec<usize>)>,
+        stats: &'a mut LowerStats,
         unit: &'p CompiledUnit,
         binding: Vec<usize>,
+        learn: bool,
     ) -> Tape<'p> {
         // register numbers of temporaries depend on the constant count,
         // so constants are collected before any code is emitted
@@ -344,6 +487,10 @@ impl<'a, 'p> Lower<'a, 'p> {
         let mut lw = Lower {
             st,
             specs,
+            stats,
+            learn,
+            facts: vec![ALL; unit.n_ints],
+            slots: SlotUse::of(unit),
             tmp0: idx(tmp0),
             tape: Tape {
                 unit,
@@ -575,84 +722,280 @@ impl<'a, 'p> Lower<'a, 'p> {
         d
     }
 
-    /// Lower a CP guard to range tests. Returns the branches that leave
-    /// the statement when the guard fails, to be landed after it.
-    fn guard(&mut self, guard: &'p Option<Guard>) -> Vec<usize> {
-        let Some(g) = guard else { return Vec::new() };
-        // OR over terms of AND over atoms: a failing atom tries the next
+    /// The range of `c`, less its terms in `except`, under the facts.
+    fn interval(&self, c: &CIdx, except: Option<usize>) -> Range {
+        let terms = c.terms.iter().filter(|(slot, _)| Some(*slot) != except);
+        terms.fold((c.cst, c.cst), |r, &(slot, coef)| {
+            let (lo, hi) = self.facts[slot];
+            match coef {
+                0 => r,
+                1.. => (plus(r.0, scale(lo, coef)), plus(r.1, scale(hi, coef))),
+                _ => (plus(r.0, scale(hi, coef)), plus(r.1, scale(lo, coef))),
+            }
+        })
+    }
+
+    /// The values a loop variable takes, as far as the facts bound them.
+    fn span(&self, lo: &CIdx, hi: &CIdx, step: i64) -> Range {
+        let (first, last) = if step > 0 { (lo, hi) } else { (hi, lo) };
+        (self.interval(first, None).0, self.interval(last, None).1)
+    }
+
+    /// The range tests `lo ≤ sub ≤ hi` one AND-term of a guard stands for
+    /// on this rank. An atom on an unbound dummy has no ownership to
+    /// test against: it holds, and adds none.
+    fn term_tests(&self, atoms: &'p [GuardAtom]) -> Vec<(&'p CIdx, i64, i64)> {
+        let mut tests = Vec::new();
+        for atom in atoms {
+            let (arr, dim) = match atom {
+                GuardAtom::In { arr, dim, .. } | GuardAtom::Overlap { arr, dim, .. } => {
+                    (*arr, *dim)
+                }
+            };
+            let g = self.tape.binding[arr];
+            if g == UNBOUND {
+                continue;
+            }
+            let (olo, ohi) = self.st.owned[g][dim];
+            match atom {
+                GuardAtom::In { sub, .. } => tests.push((sub, olo, ohi)),
+                GuardAtom::Overlap { lo, hi, .. } => {
+                    tests.push((hi, olo, i64::MAX));
+                    tests.push((lo, i64::MIN, ohi));
+                }
+            }
+        }
+        tests
+    }
+
+    /// Whether `lo ≤ sub ≤ hi` holds, if the facts decide it.
+    fn decide(&self, sub: &CIdx, lo: i64, hi: i64) -> Option<bool> {
+        if !self.learn {
+            return None;
+        }
+        let (a, b) = self.interval(sub, None);
+        if lo <= a && b <= hi {
+            Some(true)
+        } else if lo > hi || b < lo || a > hi {
+            Some(false)
+        } else {
+            None
+        }
+    }
+
+    /// Lower a CP guard to range tests, less the tests the facts decide.
+    /// Returns the branches that leave the statement when the guard
+    /// fails, to be landed after it; `None` when it cannot pass.
+    fn guard(&mut self, guard: &'p Option<Guard>) -> Option<Vec<usize>> {
+        let Some(g) = guard else {
+            return Some(Vec::new());
+        };
+        // the tests left of every OR-term that can still pass
+        let mut live: Vec<Vec<(&CIdx, i64, i64)>> = Vec::new();
+        for atoms in &g.terms {
+            let mut kept = Vec::new();
+            let mut dead = false;
+            for (sub, lo, hi) in self.term_tests(atoms) {
+                match self.decide(sub, lo, hi) {
+                    Some(true) => self.stats.tests_true += 1,
+                    Some(false) => {
+                        self.stats.tests_dead += 1;
+                        dead = true;
+                    }
+                    None => kept.push((sub, lo, hi)),
+                }
+            }
+            if dead {
+                continue;
+            }
+            if kept.is_empty() {
+                return Some(Vec::new()); // this term always passes
+            }
+            live.push(kept);
+        }
+        if live.is_empty() {
+            return None;
+        }
+        // OR over terms of AND over tests: a failing test tries the next
         // term, a passing term jumps to the statement
         let mut failed: Vec<usize> = Vec::new();
         let mut passed: Vec<usize> = Vec::new();
-        for (i, atoms) in g.terms.iter().enumerate() {
+        for (i, kept) in live.iter().enumerate() {
             self.land(failed.drain(..));
             let first = idx(self.tape.tests.len());
-            for atom in atoms {
-                self.atom(atom);
+            for &(sub, lo, hi) in kept {
+                let aff = self.cidx(sub);
+                self.tape.tests.push(RangeTest { aff, lo, hi });
             }
+            self.stats.tests_kept += kept.len() as u64;
             let end = idx(self.tape.tests.len());
-            if first < end {
-                failed.push(self.emit(Ins::Test { first, end, to: 0 }));
-            }
-            if i + 1 < g.terms.len() {
+            failed.push(self.emit(Ins::Test { first, end, to: 0 }));
+            if i + 1 < live.len() {
                 passed.push(self.emit(Ins::Jump { to: 0 }));
             }
         }
-        if g.terms.is_empty() {
-            failed.push(self.emit(Ins::Jump { to: 0 }));
-        }
         self.land(passed);
-        failed
+        Some(failed)
     }
 
-    /// Append the range tests of one guard atom.
-    fn atom(&mut self, atom: &GuardAtom) {
-        let (arr, dim) = match atom {
-            GuardAtom::In { arr, dim, .. } | GuardAtom::Overlap { arr, dim, .. } => (*arr, *dim),
-        };
-        let g = self.tape.binding[arr];
-        if g == UNBOUND {
-            return; // no ownership to test against: the atom holds
+    /// The values of int slot `v` for which `lo ≤ sub ≤ hi` can hold.
+    fn solve(&self, v: usize, sub: &CIdx, lo: i64, hi: i64) -> Range {
+        if lo > hi {
+            return EMPTY;
         }
-        let (olo, ohi) = self.st.owned[g][dim];
-        let mut test = |sub: &CIdx, lo: i64, hi: i64| {
-            let aff = self.cidx(sub);
-            self.tape.tests.push(RangeTest { aff, lo, hi });
-        };
-        match atom {
-            GuardAtom::In { sub, .. } => test(sub, olo, ohi),
-            GuardAtom::Overlap { lo, hi, .. } => {
-                test(hi, olo, i64::MAX);
-                test(lo, i64::MIN, ohi);
+        let coef: i64 = (sub.terms.iter())
+            .filter(|(slot, _)| *slot == v)
+            .map(|(_, coef)| coef)
+            .sum();
+        let (a, b) = self.interval(sub, Some(v));
+        match coef {
+            0 if b < lo || a > hi => EMPTY,
+            1 => (minus(lo, b), minus(hi, a)),
+            -1 => (minus(a, hi), minus(b, lo)),
+            _ => ALL,
+        }
+    }
+
+    /// The hull of the values of `v` for which some statement of `body`
+    /// can pass its guard on this rank: outside it, an iteration of the
+    /// loop over `v` runs no statement. [`ALL`] when the body does
+    /// something every iteration must do — an unguarded statement, a
+    /// call, communication — or binds a variable whose value after its
+    /// loop the unit reads, which iterations that run no statement
+    /// still set.
+    fn hull(&mut self, v: usize, body: Body<'p>) -> Range {
+        if let Some((lv, levels)) = body.levels.split_first() {
+            let body = Body { levels, ..body };
+            return self.hull_loop(v, lv.var, &lv.lo, &lv.hi, lv.step, body);
+        }
+        let mut hull = EMPTY;
+        for op in body.ops {
+            let part = match op {
+                NodeOp::Assign { guard, .. }
+                | NodeOp::AssignF { guard, .. }
+                | NodeOp::AssignI { guard, .. } => match guard {
+                    None => ALL,
+                    // OR-terms hull, the tests of a term intersect
+                    Some(g) => g.terms.iter().fold(EMPTY, |terms, atoms| {
+                        let tests = self.term_tests(atoms).into_iter();
+                        let term = tests.fold(ALL, |term, (sub, lo, hi)| {
+                            intersect(term, self.solve(v, sub, lo, hi))
+                        });
+                        union(terms, term)
+                    }),
+                },
+                NodeOp::Loop {
+                    var,
+                    lo,
+                    hi,
+                    step,
+                    body,
+                } => self.hull_loop(
+                    v,
+                    *var,
+                    lo,
+                    hi,
+                    *step,
+                    Body {
+                        levels: &[],
+                        ops: body,
+                    },
+                ),
+                NodeOp::If { arms } => arms.iter().fold(EMPTY, |arms, (_, ops)| {
+                    union(arms, self.hull(v, Body { levels: &[], ops }))
+                }),
+                NodeOp::Call { .. }
+                | NodeOp::Exchange { .. }
+                | NodeOp::OverlapNest { .. }
+                | NodeOp::Pipeline { .. } => ALL,
+            };
+            hull = union(hull, part);
+            if hull == ALL {
+                break;
             }
         }
+        hull
     }
 
-    /// Open a loop; the returned handle closes it.
-    fn loop_begin(
+    /// [`Self::hull`] of an inner loop over `w`, which takes every value
+    /// of its range.
+    fn hull_loop(
         &mut self,
-        var: usize,
+        v: usize,
+        w: usize,
         lo: &CIdx,
         hi: &CIdx,
         step: i64,
+        body: Body<'p>,
+    ) -> Range {
+        if self.slots.escapes[w] {
+            return ALL;
+        }
+        let known = if self.slots.unstable[w] {
+            ALL
+        } else {
+            self.span(lo, hi, step)
+        };
+        let outer = std::mem::replace(&mut self.facts[w], known);
+        let hull = self.hull(v, body);
+        self.facts[w] = outer;
+        hull
+    }
+
+    /// Open a loop, shrunk to the hull of its body; the returned handle
+    /// closes it. `None` when no value of the variable runs a statement
+    /// here: the loop is lowered to the write of its variable and the
+    /// body is not lowered at all.
+    fn loop_begin(
+        &mut self,
+        var: usize,
+        (lo, hi, step): (&CIdx, &CIdx, i64),
         clamp: Option<u32>,
-    ) -> (u32, usize) {
+        body: Body<'p>,
+    ) -> Option<(u32, usize, Range)> {
+        self.stats.loops += 1;
+        // a variable its own loop's body assigns has no range to learn,
+        // and none to restore when the loop ends
+        let (span, hull) = if self.learn && !self.slots.unstable[var] {
+            let span = self.span(lo, hi, step);
+            let outer = std::mem::replace(&mut self.facts[var], span);
+            let hull = self.hull(var, body);
+            self.facts[var] = outer;
+            (span, hull)
+        } else {
+            (ALL, ALL)
+        };
+        let inside = intersect(span, hull);
+        let skipped = inside.0 > inside.1;
+        // a hull the whole range is known to lie in shrinks nothing
+        let hull = (skipped || inside != span).then_some(if skipped { EMPTY } else { hull });
+        self.stats.loops_clamped += u64::from(hull.is_some());
         let desc = LoopDesc {
             var: idx(var),
-            ctr: self.hidden_ints(2),
+            ctr: self.hidden_ints(if hull.is_some() { 3 } else { 2 }),
             lo: self.cidx(lo),
             hi: self.cidx(hi),
             step,
             clamp,
+            hull,
         };
         self.tape.loops.push(desc);
         let l = idx(self.tape.loops.len() - 1);
-        (l, self.emit(Ins::LoopEnter { l, to: 0 }))
+        let enter = self.emit(Ins::LoopEnter { l, to: 0 });
+        if skipped {
+            self.land([enter]);
+            self.stats.stmts_dropped += statements(body.ops);
+            return None;
+        }
+        let outer = std::mem::replace(&mut self.facts[var], inside);
+        Some((l, enter, outer))
     }
 
-    fn loop_end(&mut self, (l, enter): (u32, usize)) {
+    fn loop_end(&mut self, var: usize, (l, enter, outer): (u32, usize, Range)) {
         let body = idx(enter + 1);
         self.emit(Ins::LoopNext { l, body });
         self.land([enter]);
+        self.facts[var] = outer;
     }
 
     /// Lower a single-chain nest inline; returns its tape range.
@@ -661,22 +1004,28 @@ impl<'a, 'p> Lower<'a, 'p> {
         levels: &'p [PipeLevel],
         strip: Option<(usize, u32)>,
         split: Option<u32>,
-        body: &'p [NodeOp],
+        ops: &'p [NodeOp],
     ) -> (usize, usize) {
         let start = self.tape.code.len();
-        let open: Vec<(u32, usize)> = levels
-            .iter()
-            .enumerate()
-            .map(|(depth, lv)| {
-                let clamp = strip.and_then(|(level, slots)| (level == depth).then_some(slots));
-                self.loop_begin(lv.var, &lv.lo, &lv.hi, lv.step, clamp)
-            })
-            .collect();
-        let skip = split.map(|split| self.emit(Ins::Interior { split, to: 0 }));
-        self.ops(body);
-        self.land(skip);
-        for h in open.into_iter().rev() {
-            self.loop_end(h);
+        let mut open = Vec::new();
+        for (depth, lv) in levels.iter().enumerate() {
+            let clamp = strip.and_then(|(level, slots)| (level == depth).then_some(slots));
+            let body = Body {
+                levels: &levels[depth + 1..],
+                ops,
+            };
+            match self.loop_begin(lv.var, (&lv.lo, &lv.hi, lv.step), clamp, body) {
+                Some(h) => open.push((lv.var, h)),
+                None => break,
+            }
+        }
+        if open.len() == levels.len() {
+            let skip = split.map(|split| self.emit(Ins::Interior { split, to: 0 }));
+            self.ops(ops);
+            self.land(skip);
+        }
+        for (var, h) in open.into_iter().rev() {
+            self.loop_end(var, h);
         }
         (start, self.tape.code.len())
     }
@@ -697,9 +1046,14 @@ impl<'a, 'p> Lower<'a, 'p> {
                 step,
                 body,
             } => {
-                let h = self.loop_begin(*var, lo, hi, *step, None);
-                self.ops(body);
-                self.loop_end(h);
+                let ops = Body {
+                    levels: &[],
+                    ops: body,
+                };
+                if let Some(h) = self.loop_begin(*var, (lo, hi, *step), None, ops) {
+                    self.ops(body);
+                    self.loop_end(*var, h);
+                }
             }
             NodeOp::Assign {
                 guard,
@@ -708,7 +1062,10 @@ impl<'a, 'p> Lower<'a, 'p> {
                 value,
                 flops,
             } => {
-                let skip = self.guard(guard);
+                let Some(skip) = self.guard(guard) else {
+                    self.stats.stmts_dropped += 1;
+                    return;
+                };
                 let src = self.expr(value, t);
                 match self.site(*arr, subs, true) {
                     Ok(site) => {
@@ -731,7 +1088,10 @@ impl<'a, 'p> Lower<'a, 'p> {
                 value,
                 flops,
             } => {
-                let skip = self.guard(guard);
+                let Some(skip) = self.guard(guard) else {
+                    self.stats.stmts_dropped += 1;
+                    return;
+                };
                 let src = self.expr(value, t);
                 let (slot, flops) = (idx(*slot), *flops as f64);
                 self.emit(if matches!(op, NodeOp::AssignF { .. }) {
@@ -926,6 +1286,146 @@ impl<'a, 'p> Lower<'a, 'p> {
         let call = idx(self.tape.calls.len() - 1);
         self.emit(Ins::Call { call });
     }
+}
+
+/// How a unit's loops and the rest of the unit use the int slots of loop
+/// variables.
+pub(super) struct SlotUse {
+    /// Read somewhere outside every loop that binds the slot: the value
+    /// a loop leaves in it can be observed.
+    pub escapes: Vec<bool>,
+    /// Assigned, or bound again by an inner loop, inside a loop that
+    /// binds the slot: the slot does not follow that loop's range.
+    unstable: Vec<bool>,
+}
+
+impl SlotUse {
+    pub fn of(unit: &CompiledUnit) -> Self {
+        let mut uses = SlotUse {
+            escapes: vec![false; unit.n_ints],
+            unstable: vec![false; unit.n_ints],
+        };
+        uses.ops(&unit.ops, &mut Vec::new());
+        uses
+    }
+
+    fn read(&mut self, c: &CIdx, bound: &[usize]) {
+        for (slot, _) in &c.terms {
+            self.escapes[*slot] |= !bound.contains(slot);
+        }
+    }
+
+    fn expr(&mut self, e: &CExpr, bound: &[usize]) {
+        match e {
+            CExpr::Const(_) | CExpr::LoadF(_) => {}
+            CExpr::Int(c) => self.read(c, bound),
+            CExpr::Load { subs, .. } => subs.iter().for_each(|c| self.read(c, bound)),
+            CExpr::Bin(_, a, b) => {
+                self.expr(a, bound);
+                self.expr(b, bound);
+            }
+            CExpr::Neg(a) => self.expr(a, bound),
+            CExpr::Intr(_, args) => args.iter().for_each(|a| self.expr(a, bound)),
+        }
+    }
+
+    fn guard(&mut self, guard: &Option<Guard>, bound: &[usize]) {
+        for atom in guard.iter().flat_map(|g| g.terms.iter().flatten()) {
+            match atom {
+                GuardAtom::In { sub, .. } => self.read(sub, bound),
+                GuardAtom::Overlap { lo, hi, .. } => {
+                    self.read(lo, bound);
+                    self.read(hi, bound);
+                }
+            }
+        }
+    }
+
+    /// Enter a loop: its bounds are read outside it.
+    fn bind(&mut self, var: usize, lo: &CIdx, hi: &CIdx, bound: &mut Vec<usize>) {
+        self.read(lo, bound);
+        self.read(hi, bound);
+        if bound.contains(&var) {
+            // the outer loop's body sees what the inner loop leaves
+            self.unstable[var] = true;
+            self.escapes[var] = true;
+        }
+        bound.push(var);
+    }
+
+    fn ops(&mut self, ops: &[NodeOp], bound: &mut Vec<usize>) {
+        for op in ops {
+            match op {
+                NodeOp::Loop {
+                    var, lo, hi, body, ..
+                } => {
+                    self.bind(*var, lo, hi, bound);
+                    self.ops(body, bound);
+                    bound.pop();
+                }
+                NodeOp::Assign {
+                    guard, subs, value, ..
+                } => {
+                    self.guard(guard, bound);
+                    subs.iter().for_each(|c| self.read(c, bound));
+                    self.expr(value, bound);
+                }
+                NodeOp::AssignF { guard, value, .. } => {
+                    self.guard(guard, bound);
+                    self.expr(value, bound);
+                }
+                NodeOp::AssignI {
+                    guard, slot, value, ..
+                } => {
+                    self.guard(guard, bound);
+                    self.expr(value, bound);
+                    self.unstable[*slot] |= bound.contains(slot);
+                }
+                NodeOp::If { arms } => {
+                    for (cond, body) in arms {
+                        cond.iter().for_each(|c| self.expr(c, bound));
+                        self.ops(body, bound);
+                    }
+                }
+                NodeOp::Call {
+                    int_args,
+                    float_args,
+                    ..
+                } => (int_args.iter().chain(float_args)).for_each(|(_, e)| self.expr(e, bound)),
+                NodeOp::Exchange { .. } => {}
+                NodeOp::OverlapNest { levels, body, .. }
+                | NodeOp::Pipeline { levels, body, .. } => {
+                    let strip = match op {
+                        NodeOp::Pipeline { strip_level, .. } => *strip_level,
+                        _ => None,
+                    };
+                    // the strip range is chunked before the nest runs
+                    if let Some(lv) = strip.and_then(|level| levels.get(level)) {
+                        self.read(&lv.lo, bound);
+                        self.read(&lv.hi, bound);
+                    }
+                    for lv in levels {
+                        self.bind(lv.var, &lv.lo, &lv.hi, bound);
+                    }
+                    self.ops(body, bound);
+                    bound.truncate(bound.len() - levels.len());
+                }
+            }
+        }
+    }
+}
+
+/// The statements of `ops`, counted once each.
+fn statements(ops: &[NodeOp]) -> u64 {
+    let count = |op: &NodeOp| match op {
+        NodeOp::Assign { .. } | NodeOp::AssignF { .. } | NodeOp::AssignI { .. } => 1,
+        NodeOp::Loop { body, .. }
+        | NodeOp::OverlapNest { body, .. }
+        | NodeOp::Pipeline { body, .. } => statements(body),
+        NodeOp::If { arms } => arms.iter().map(|(_, body)| statements(body)).sum(),
+        NodeOp::Call { .. } | NodeOp::Exchange { .. } => 0,
+    };
+    ops.iter().map(count).sum()
 }
 
 /// The error an access through an unbound array dummy raises.

@@ -531,7 +531,7 @@ fn run(args: &Args) -> Result<(), CliError> {
         }
         "compile" => {
             let compiled = build(args)?;
-            let exec: Option<Vec<Trace>> = if args.run {
+            let exec = if args.run {
                 let machine = MachineConfig::sp2(args.nprocs).with_trace();
                 let result = dhpf_core::exec::node::run_node_program(&compiled.program, machine)
                     .map_err(|e| format!("execution failed: {e}"))?;
@@ -539,19 +539,21 @@ fn run(args: &Args) -> Result<(), CliError> {
                     "ran on {} procs: virtual time {:.6}s, {} message(s)",
                     args.nprocs, result.run.virtual_time, result.run.stats.messages
                 );
-                Some(result.run.traces)
+                Some(result)
             } else {
                 None
             };
             if let Some(path) = &args.trace_out {
-                let json = dhpf_obs::perfetto::render(Some(&compiled.obs), exec.as_deref());
+                let traces: Option<&[Trace]> = exec.as_ref().map(|r| &r.run.traces[..]);
+                let json = dhpf_obs::perfetto::render(Some(&compiled.obs), traces);
                 write_out(path, &json)?;
                 eprintln!("trace written to {path} (open in ui.perfetto.dev)");
             }
             if let Some(path) = &args.metrics_out {
                 let mut metrics = compiled.obs.metrics.clone();
-                if let Some(traces) = exec.as_deref() {
-                    dhpf_profile::record_exec_gauges(&mut metrics, traces);
+                if let Some(result) = &exec {
+                    dhpf_profile::record_exec_gauges(&mut metrics, &result.run.traces);
+                    dhpf_profile::record_rank_gauges(&mut metrics, &result.ranks);
                 }
                 write_out(path, &metrics.render_json())?;
                 eprintln!("metrics written to {path}");
@@ -656,6 +658,7 @@ fn run(args: &Args) -> Result<(), CliError> {
             if let Some(path) = &args.metrics_out {
                 let mut metrics = compiled.obs.metrics.clone();
                 dhpf_profile::record_exec_gauges(&mut metrics, &result.run.traces);
+                dhpf_profile::record_rank_gauges(&mut metrics, &result.ranks);
                 write_out(path, &metrics.render_json())?;
                 eprintln!("metrics written to {path}");
             }

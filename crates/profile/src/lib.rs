@@ -27,6 +27,7 @@ pub mod whatif;
 pub use dag::{MessageSlack, SegClass, Segment};
 
 use dhpf_core::codegen::{NodeProgram, PlanProv, ProvKind};
+use dhpf_core::exec::node::{LowerStats, RankCounts};
 use dhpf_fortran::ast::Program;
 use dhpf_obs::{CommPhase, DecisionKind, ObsReport};
 use dhpf_spmd::loggp::{self, ReplayError};
@@ -520,6 +521,22 @@ pub fn record_exec_gauges(metrics: &mut dhpf_obs::Metrics, traces: &[Trace]) {
     };
     metrics.gauge("exec.imbalance", imbalance);
     metrics.gauge("exec.makespan_ms", makespan * 1e3);
+}
+
+/// Record the deterministic work counts of a run next to its execution
+/// gauges: per rank the loop iterations it started, and summed over the
+/// ranks what their lowerings decided.
+pub fn record_rank_gauges(metrics: &mut dhpf_obs::Metrics, ranks: &[RankCounts]) {
+    for (rank, counts) in ranks.iter().enumerate() {
+        metrics.gauge(
+            &format!("exec.r{rank}.loop_trips"),
+            counts.loop_trips as f64,
+        );
+    }
+    for (i, (name, _)) in LowerStats::default().named().iter().enumerate() {
+        let sum: u64 = ranks.iter().map(|c| c.lower.named()[i].1).sum();
+        metrics.gauge(&format!("exec.lower.{name}"), sum as f64);
+    }
 }
 
 /// Perfetto flow events tracing the critical path across rank tracks:

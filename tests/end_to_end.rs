@@ -286,3 +286,50 @@ fn early_return_is_rejected_and_final_return_compiles() {
     assert_eq!(serial.arrays["a"].data, r.arrays["a"].data);
     assert_eq!(r.arrays["a"].data[15], 100.0);
 }
+
+/// Compile `src` for `np` ranks (bound to `np` in its `processors`
+/// directive), run it, and require array `a` bit for bit as the serial
+/// interpreter leaves it.
+fn assert_a_matches_serial(src: &str, np: usize) {
+    let program = parse(src).unwrap();
+    let serial = run_serial(&program, &Default::default()).unwrap();
+    let compiled = compile(&program, &CompileOptions::new().bind("np", np as i64)).unwrap();
+    let r = run_node_program(&compiled.program, MachineConfig::sp2(np)).unwrap();
+    let bits = |a: &dhpf::core::exec::serial::ArrayValue| -> Vec<u64> {
+        a.data.iter().map(|v| v.to_bits()).collect()
+    };
+    assert_eq!(
+        bits(&serial.arrays["a"]),
+        bits(&r.arrays["a"]),
+        "{np} rank(s): serial {:?}, compiled {:?}\n{src}",
+        serial.arrays["a"].data,
+        r.arrays["a"].data
+    );
+}
+
+/// A rank runs only the iterations of a loop in which it executes a
+/// statement, and still leaves the loop variable where the whole loop
+/// does: `a(i) = 7` after `do i = 1, 5` writes `a(5)` on every geometry,
+/// also on the rank that owns `a(1..4)` and stops iterating at 4.
+#[test]
+fn loop_variable_after_a_shrunk_loop_matches_serial() {
+    let src = "
+      program post
+      parameter (n = 8)
+      integer np, i
+      double precision a(n)
+!hpf$ processors p(np)
+!hpf$ distribute (block) onto p :: a
+      do i = 1, 5
+         a(i) = 1.0d0
+      enddo
+      a(i) = 7.0d0
+      end
+";
+    for header in ["do i = 1, 5", "do i = n, 1, -1", "do i = 1, n, 3"] {
+        let src = src.replace("do i = 1, 5", header);
+        for np in [1, 2, 3] {
+            assert_a_matches_serial(&src, np);
+        }
+    }
+}
