@@ -879,16 +879,7 @@ impl<'a> UnitCx<'a> {
                 let var_slot = self.int_slot(var);
                 let lo = self.cidx(lo)?;
                 let hi = self.cidx(hi)?;
-                let step = match step {
-                    None => 1,
-                    Some(e) => {
-                        let c = self.cidx(e)?;
-                        if !c.terms.is_empty() {
-                            return err("non-constant do step");
-                        }
-                        c.cst
-                    }
-                };
+                let step = self.const_step(step.as_ref())?;
                 let inner = self.compile_body(body, unit_index, units)?;
                 ops.push(NodeOp::Loop {
                     var: var_slot,
@@ -957,6 +948,20 @@ impl<'a> UnitCx<'a> {
             }
             StmtKind::Continue => Ok(()),
         }
+    }
+
+    /// The step of a `do` loop, which every nest form needs as a nonzero
+    /// compile-time constant (absent: 1).
+    fn const_step(&mut self, step: Option<&Expr>) -> CgResult<i64> {
+        let Some(e) = step else { return Ok(1) };
+        let c = self.cidx(e)?;
+        if !c.terms.is_empty() {
+            return err("non-constant do step");
+        }
+        if c.cst == 0 {
+            return err("zero do-loop step");
+        }
+        Ok(c.cst)
     }
 
     /// Widen ghost regions for writes that can land outside the owned
@@ -1074,10 +1079,7 @@ impl<'a> UnitCx<'a> {
                     let var_slot = self.int_slot(var);
                     let lo = self.cidx(lo)?;
                     let hi = self.cidx(hi)?;
-                    let step = match step {
-                        None => 1,
-                        Some(e) => self.cidx(e)?.cst,
-                    };
+                    let step = self.const_step(step.as_ref())?;
                     let inner = self.compile_body(body, unit_index, units)?;
                     ops.push(NodeOp::Loop {
                         var: var_slot,
@@ -1141,10 +1143,7 @@ impl<'a> UnitCx<'a> {
             else {
                 return Ok(None);
             };
-            let step_v = match step {
-                None => 1,
-                Some(e) => self.cidx(e)?.cst,
-            };
+            let step_v = self.const_step(step.as_ref())?;
             levels.push(PipeLevel {
                 var: self.int_slot(var),
                 lo: self.cidx(lo)?,
@@ -1202,10 +1201,7 @@ impl<'a> UnitCx<'a> {
             else {
                 return err("pipeline nest is not a loop chain");
             };
-            let step_v = match step {
-                None => 1,
-                Some(e) => self.cidx(e)?.cst,
-            };
+            let step_v = self.const_step(step.as_ref())?;
             levels.push(PipeLevel {
                 var: self.int_slot(var),
                 lo: self.cidx(lo)?,

@@ -333,3 +333,33 @@ fn loop_variable_after_a_shrunk_loop_matches_serial() {
         }
     }
 }
+
+/// A `do` step that is not a compile-time constant used to be read as 0
+/// by the planned-nest, overlapped-nest and pipeline forms — the nest
+/// then ran no iteration, silently — while the plain form rejected it.
+#[test]
+fn variable_do_step_is_a_compile_error() {
+    let src = "
+      program vs
+      parameter (n = 8)
+      integer i, k
+      double precision a(n)
+!hpf$ processors p(2)
+!hpf$ distribute (block) onto p :: a
+      k = 2
+      do i = 1, n, k
+         a(i) = 1.0d0
+      enddo
+      end
+";
+    let zero = src.replace("do i = 1, n, k", "do i = 1, n, 0");
+    for (src, text) in [
+        (src, "codegen: non-constant do step"),
+        (&zero, "codegen: zero do-loop step"),
+    ] {
+        let Err(err) = compile(&parse(src).unwrap(), &CompileOptions::new()) else {
+            panic!("must not compile:\n{src}");
+        };
+        assert_eq!(err.to_string(), text);
+    }
+}
