@@ -657,11 +657,13 @@ fn inline(st: &mut UnitState, opts: &CompileOptions) -> Result<Step, CompileErro
         fixed: &mut st.fixed_cps,
         new_params: BTreeMap::new(),
         new_vars: Vec::new(),
+        new_commons: Vec::new(),
     };
     body.iter_mut().try_for_each(|s| inliner.stmt(s))?;
     let Inliner {
         new_params,
         new_vars,
+        new_commons,
         ..
     } = inliner;
     let unit = &mut st.program.units[st.ui];
@@ -671,6 +673,16 @@ fn inline(st: &mut UnitState, opts: &CompileOptions) -> Result<Step, CompileErro
     }
     for v in new_vars {
         unit.decls.vars.entry(v.name.clone()).or_insert(v);
+    }
+    for (block, member) in new_commons {
+        let commons = &mut unit.decls.commons;
+        let at = (commons.iter().position(|(b, _)| *b == block)).unwrap_or_else(|| {
+            commons.push((block, Vec::new()));
+            commons.len() - 1
+        });
+        if !commons[at].1.contains(&member) {
+            commons[at].1.push(member);
+        }
     }
     Ok(Step::Next)
 }

@@ -20,7 +20,7 @@ use dhpf_fortran::ast::{ArrayRef, Expr, Program, ProgramUnit, Stmt, StmtKind, Va
 use dhpf_fortran::subscript::affine;
 use dhpf_iset::LinExpr;
 use dhpf_obs::{self as obs, Decision, DecisionKind};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Summarize a procedure's *entry CP* from its selected statement CPs:
 /// the CP of the last statement writing a distributed dummy argument
@@ -159,10 +159,11 @@ pub(crate) struct Inliner<'a> {
     pub ids: &'a mut IdAlloc,
     /// CPs fixed for inlined statements by the translated entry CP.
     pub fixed: &'a mut CpAssignment,
-    /// Callee parameters and renamed callee locals the caller must
-    /// declare once the walk is done.
+    /// Callee parameters, renamed callee locals and COMMON members
+    /// (`(block, member)`) the caller must declare once the walk is done.
     pub new_params: BTreeMap<String, i64>,
     pub new_vars: Vec<VarDecl>,
+    pub new_commons: Vec<(String, String)>,
 }
 
 impl Inliner<'_> {
@@ -233,11 +234,8 @@ impl Inliner<'_> {
                 callee.name
             )));
         }
-        let mut copy = BodyCopy {
-            subst: BTreeMap::new(),
-            rename: BTreeMap::new(),
-            ids: self.ids,
-        };
+        let mut subst = BTreeMap::new();
+        let mut rename = BTreeMap::new();
         for (f, a) in formals.iter().zip(args) {
             if callee.decls.is_array(f) {
                 let Expr::Ref(r) = a else {
@@ -246,37 +244,44 @@ impl Inliner<'_> {
                         callee.name
                     )));
                 };
-                copy.rename.insert(f.clone(), r.name.clone());
+                rename.insert(f.clone(), r.name.clone());
             } else {
-                copy.subst.insert(f.clone(), a.clone());
+                subst.insert(f.clone(), a.clone());
             }
         }
-        // rename callee locals (loop variables included) so they cannot
-        // collide with caller names
-        let mut local_names: Vec<String> = callee
-            .decls
-            .vars
-            .keys()
-            .filter(|n| !formals.contains(n))
-            .cloned()
-            .collect();
+        // Every name the body mentions, loop variables included, that is
+        // the callee's own: a COMMON member is the caller's storage of the
+        // same name, anything else is renamed so that it cannot collide
+        // with a caller name. What the body never mentions is left behind.
+        let mut used: BTreeSet<&String> = BTreeSet::new();
+        let mut loop_vars: Vec<&String> = Vec::new();
         callee.for_each_stmt(&mut |st| {
+            st.for_each_ref(&mut |r, _| {
+                used.insert(&r.name);
+            });
             if let StmtKind::Do { var, .. } = &st.kind {
-                if !formals.contains(var) && !local_names.contains(var) {
-                    local_names.push(var.clone());
-                }
+                used.insert(var);
+                loop_vars.push(var);
             }
         });
-        for n in local_names {
-            let fresh = format!("{n}_{}", callee.name);
-            // carry the declaration (with its type) to the caller so
-            // implicit-typing rules do not reclassify the renamed local
-            if let Some(decl) = callee.decls.vars.get(&n) {
-                let mut d2 = decl.clone();
-                d2.name = fresh.clone();
-                self.new_vars.push(d2);
+        for n in used {
+            if formals.contains(n) {
+                continue;
             }
-            copy.rename.insert(n, fresh);
+            let decl = callee.decls.vars.get(n);
+            if let Some(block) = common_of(callee, n) {
+                self.share_common(callee, block, n, decl)?;
+            } else if decl.is_some() || loop_vars.contains(&n) {
+                let fresh = format!("{n}_{}", callee.name);
+                // carry the declaration (with its type) to the caller so
+                // implicit-typing rules do not reclassify the renamed local
+                if let Some(decl) = decl {
+                    let mut d2 = decl.clone();
+                    d2.name = fresh.clone();
+                    self.new_vars.push(d2);
+                }
+                rename.insert(n.clone(), fresh);
+            }
         }
         // merge callee parameters (same-name parameters must agree)
         for (k, v) in &callee.decls.params {
@@ -291,8 +296,59 @@ impl Inliner<'_> {
                 self.new_params.insert(k.clone(), *v);
             }
         }
+        let mut copy = BodyCopy {
+            subst,
+            rename,
+            ids: self.ids,
+        };
         Ok(callee.body.iter().map(|s| copy.stmt(s)).collect())
     }
+
+    /// An inlined body mentions `name`, a member of the callee's COMMON
+    /// `block`: in the caller it is the same storage under the same name.
+    /// A caller that does not declare the block member yet gets the
+    /// declaration and the membership.
+    fn share_common(
+        &mut self,
+        callee: &ProgramUnit,
+        block: &str,
+        name: &String,
+        decl: Option<&VarDecl>,
+    ) -> Result<(), CompileError> {
+        let refuse = |why: String| {
+            let (callee, caller) = (&callee.name, &self.caller.name);
+            CompileError::Other(format!(
+                "cannot inline {callee} into {caller}: `{name}` of common /{block}/ {why}"
+            ))
+        };
+        match common_of(self.caller, name) {
+            Some(b) if b == block => return Ok(()),
+            Some(b) => return Err(refuse(format!("is in common /{b}/ in the caller"))),
+            None => {}
+        }
+        if self.caller.decls.vars.contains_key(name) {
+            return Err(refuse("is a local of the caller".into()));
+        }
+        // the caller would need the callee's mapping directives as well
+        let hpf = &callee.hpf;
+        let mapped = (hpf.distributes.iter().flat_map(|d| &d.targets))
+            .chain(hpf.aligns.iter().map(|a| &a.array))
+            .any(|n| n == name);
+        if mapped {
+            return Err(refuse(
+                "is distributed, and the caller does not declare it".into(),
+            ));
+        }
+        self.new_vars.extend(decl.cloned());
+        self.new_commons.push((block.to_string(), name.clone()));
+        Ok(())
+    }
+}
+
+/// The COMMON block of `unit` that `name` is a member of.
+fn common_of<'a>(unit: &'a ProgramUnit, name: &str) -> Option<&'a str> {
+    let mut blocks = unit.decls.commons.iter();
+    blocks.find_map(|(block, members)| members.iter().any(|m| m == name).then_some(&block[..]))
 }
 
 /// Inline a loop-borne call when any actual argument mentions a variable

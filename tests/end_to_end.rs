@@ -363,3 +363,70 @@ fn variable_do_step_is_a_compile_error() {
         assert_eq!(err.to_string(), text);
     }
 }
+
+/// A COMMON array an inlined callee declares is the caller's array of
+/// that name. The inliner used to rename every declaration of the callee
+/// that is not a formal, COMMON members included, so the inlined body
+/// updated a private `cm::a_bump` and `a` kept its 1.0 — with no error
+/// anywhere. (It also cloned every COMMON array of every inlined leaf
+/// into the node program: all but three of BT's unit-qualified arrays,
+/// allocated whole on every rank and never referenced.)
+#[test]
+fn common_array_of_an_inlined_callee_is_the_callers() {
+    let src = "
+      program cm
+      parameter (n = 8)
+      integer np, i
+      double precision a(n), b(n)
+      common /f/ a, b
+!hpf$ processors p(np)
+!hpf$ distribute (block) onto p :: a, b
+      do i = 1, n
+         a(i) = 1.0d0
+         b(i) = 2.0d0
+      enddo
+      do i = 1, n
+         call bump(i)
+      enddo
+      end
+
+      subroutine bump(i)
+      parameter (n = 8)
+      integer np, i
+      double precision a(n), b(n)
+      common /f/ a, b
+!hpf$ processors p(np)
+!hpf$ distribute (block) onto p :: a, b
+      a(i) = a(i) + b(i)
+      end
+";
+    for np in [1, 2] {
+        assert_a_matches_serial(src, np);
+    }
+    let serial = run_serial(&parse(src).unwrap(), &Default::default()).unwrap();
+    assert_eq!(serial.arrays["a"].data, vec![3.0; 8]);
+
+    // a caller whose `a` is its own cannot host the callee's COMMON `a`
+    let local = src.replacen("      common /f/ a, b\n", "", 1);
+    let Err(err) = compile(
+        &parse(&local).unwrap(),
+        &CompileOptions::new().bind("np", 2),
+    ) else {
+        panic!("must not compile:\n{local}");
+    };
+    assert_eq!(
+        err.to_string(),
+        "cannot inline bump into cm: `a` of common /f/ is a local of the caller"
+    );
+
+    let bt = dhpf::nas::bt::compile_dhpf(Class::S, 4, None);
+    let qualified: Vec<&str> = (bt.program.arrays.iter())
+        .map(|a| a.name.as_str())
+        .filter(|name| name.contains("::"))
+        .collect();
+    assert_eq!(
+        qualified,
+        ["x_solve::cv", "y_solve::cv", "z_solve::cv"],
+        "BT's leaves share the COMMON fields: only the solvers' scratch is a unit's own"
+    );
+}
