@@ -1004,6 +1004,13 @@ impl ProgramSpec {
         if in_time_loop {
             push_line(&mut out, 6, "enddo");
         }
+        // One more read of the loop variables after every loop is done:
+        // each holds the last value of the last loop over it, on every
+        // rank, whichever of the loop's iterations the rank ran.
+        if let Some(&f) = self.plain_doubles().first() {
+            let (a, subs) = (&self.arrays[f].name, self.subs_at(f, &[]));
+            push_line(&mut out, 6, &format!("{a}({subs}) = {a}({subs}) + 0.25d0"));
+        }
         push_line(&mut out, 6, "end");
 
         for (si, sub) in self.subs.iter().enumerate() {

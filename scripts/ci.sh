@@ -25,7 +25,8 @@
 #                      tests plus one `run --all --quick` pass (~20 s)
 #   8. dhpf-lint     — jacobi.f verifies clean; each seeded example in
 #                      examples/hpf/ produces its expected finding
-#   9. observability — `dhpf compile --run` writes all three documents
+#   9. observability — `dhpf compile --run` writes all three documents,
+#                      the metrics with the `exec.lower.*` gauges
 #  10. aggregation   — the protocol verifier over aggregated and
 #                      unaggregated plans at every fuzz geometry's rank
 #                      count
@@ -36,7 +37,9 @@
 #  13. fuzz smoke    — the pinned-seed differential campaign (50 programs
 #                      x 3 geometries x the flag lattice, one planted
 #                      mutant two oracles must catch) under a hard
-#                      timeout; the command fails unless it is clean
+#                      timeout; the command fails unless it is clean.
+#                      Then 20 programs at 5, 2x5 and 3x3 ranks, which
+#                      do not divide the extents
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -112,6 +115,9 @@ mkdir -p "$OBS_DIR"
 for doc in trace metrics decisions; do
     test -s "$OBS_DIR/sp_s_$doc.json" || { echo "FAIL: no $doc document"; exit 1; }
 done
+# what each rank's lowering decided must stay in the metrics document
+grep -q '"exec\.lower\.' "$OBS_DIR/sp_s_metrics.json" \
+    || { echo "FAIL: no exec.lower.* gauges in the metrics document"; exit 1; }
 
 echo "== message aggregation"
 # the static protocol checks must hold with packing both on and off at
@@ -167,5 +173,11 @@ echo "== fuzz smoke (pinned-seed differential campaign)"
 timeout 240 "$DHPF" fuzz --seed 20260806 --count 50 --geometries 1,4,2x3 \
     --mutate 1 --out target/FUZZ_smoke.json \
     || { echo "FAIL: fuzz smoke campaign not clean (or timed out)"; exit 1; }
+# a second, shorter campaign at the geometries where a rank-specialised
+# loop goes wrong: extents the rank count does not divide, and ranks
+# that own nothing of an array
+timeout 240 "$DHPF" fuzz --seed 20260806 --count 20 --geometries 5,2x5,3x3 \
+    --out target/FUZZ_smoke_odd.json \
+    || { echo "FAIL: fuzz smoke campaign at odd geometries not clean (or timed out)"; exit 1; }
 
 echo "CI OK"
