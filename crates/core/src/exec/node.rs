@@ -1124,22 +1124,9 @@ mod tests {
             want_clock += 1.0 * per_flop;
 
             // the tape, on a one-processor machine standing in for rank 1
-            let got = Mutex::new(None);
-            let run = Machine::run(MachineConfig::sp2(1), |proc| {
-                let mut st = filled_state(&prog);
-                let (tapes, _) = lower_program(&st);
-                let mut frame = Frame::new(&tapes[0]);
-                frame.ints[..3].copy_from_slice(&ints);
-                frame.regs[..3].copy_from_slice(&floats);
-                let whole = (0, tapes[0].code.len());
-                st.run(proc, &tapes, &tapes[0], &mut frame.ints, &mut frame.regs, whole);
-                frame.ints.truncate(3);
-                frame.regs.truncate(3);
-                *got.lock().unwrap() = Some((st.storage, frame));
-            });
-            let (storage, frame) = got.into_inner().unwrap().unwrap();
+            let (storage, frame, clock) = run_lowered(&prog, true, &ints, &floats);
 
-            prop_assert_eq!(&frame.ints, &want_ints);
+            prop_assert_eq!(&frame.ints[..3], &want_ints[..]);
             for (g, w) in frame.regs.iter().zip(&want_floats) {
                 prop_assert!(g.to_bits() == w.to_bits(), "float slot: tape {g:e}, tree {w:e}");
             }
@@ -1148,7 +1135,7 @@ mod tests {
                     prop_assert!(g.to_bits() == w.to_bits(), "array cell: tape {g:e}, tree {w:e}");
                 }
             }
-            prop_assert_eq!(run.virtual_time.to_bits(), want_clock.to_bits());
+            prop_assert_eq!(clock.to_bits(), want_clock.to_bits());
         }
     }
 

@@ -453,6 +453,12 @@ struct Body<'p> {
     ops: &'p [NodeOp],
 }
 
+impl<'p> Body<'p> {
+    fn of(ops: &'p [NodeOp]) -> Self {
+        Body { levels: &[], ops }
+    }
+}
+
 struct Lower<'a, 'p> {
     st: &'a ProcState<'p>,
     specs: &'a mut Vec<(usize, Vec<usize>)>,
@@ -890,19 +896,9 @@ impl<'a, 'p> Lower<'a, 'p> {
                     hi,
                     step,
                     body,
-                } => self.hull_loop(
-                    v,
-                    *var,
-                    lo,
-                    hi,
-                    *step,
-                    Body {
-                        levels: &[],
-                        ops: body,
-                    },
-                ),
+                } => self.hull_loop(v, *var, lo, hi, *step, Body::of(body)),
                 NodeOp::If { arms } => arms.iter().fold(EMPTY, |arms, (_, ops)| {
-                    union(arms, self.hull(v, Body { levels: &[], ops }))
+                    union(arms, self.hull(v, Body::of(ops)))
                 }),
                 NodeOp::Call { .. }
                 | NodeOp::Exchange { .. }
@@ -1046,11 +1042,7 @@ impl<'a, 'p> Lower<'a, 'p> {
                 step,
                 body,
             } => {
-                let ops = Body {
-                    levels: &[],
-                    ops: body,
-                };
-                if let Some(h) = self.loop_begin(*var, (lo, hi, *step), None, ops) {
+                if let Some(h) = self.loop_begin(*var, (lo, hi, *step), None, Body::of(body)) {
                     self.ops(body);
                     self.loop_end(*var, h);
                 }

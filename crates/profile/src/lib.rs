@@ -533,8 +533,12 @@ pub fn record_rank_gauges(metrics: &mut dhpf_obs::Metrics, ranks: &[RankCounts])
             counts.loop_trips as f64,
         );
     }
-    for (i, (name, _)) in LowerStats::default().named().iter().enumerate() {
-        let sum: u64 = ranks.iter().map(|c| c.lower.named()[i].1).sum();
+    let mut total = LowerStats::default().named();
+    for counts in ranks {
+        let rank = counts.lower.named();
+        total.iter_mut().zip(rank).for_each(|(t, (_, n))| t.1 += n);
+    }
+    for (name, sum) in total {
         metrics.gauge(&format!("exec.lower.{name}"), sum as f64);
     }
 }
