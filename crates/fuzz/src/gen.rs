@@ -145,6 +145,12 @@ pub struct ProgramSpec {
     pub time_steps: i64,
     /// Arrays (and the NEW vector) live in COMMON blocks.
     pub use_common: bool,
+    /// End the main program with one statement subscripted by the loop
+    /// variables: each holds the last value of the last loop over it, on
+    /// every rank, whichever of the loop's iterations the rank ran.
+    /// [`generate`] leaves it off — `benchmark/` renders what `generate`
+    /// returns, and its inputs are frozen — and the campaign turns it on.
+    pub reads_loop_vars_at_end: bool,
 }
 
 /// Generation tuning.
@@ -303,6 +309,7 @@ pub fn generate(seed: u64, opts: &GenOptions) -> ProgramSpec {
         subs: Vec::new(),
         time_steps: 0,
         use_common,
+        reads_loop_vars_at_end: false,
     };
 
     // subroutines (stencil/axpy/sweep bodies over the COMMON arrays)
@@ -1004,10 +1011,7 @@ impl ProgramSpec {
         if in_time_loop {
             push_line(&mut out, 6, "enddo");
         }
-        // One more read of the loop variables after every loop is done:
-        // each holds the last value of the last loop over it, on every
-        // rank, whichever of the loop's iterations the rank ran.
-        if let Some(&f) = self.plain_doubles().first() {
+        if let Some(&f) = (self.plain_doubles().first()).filter(|_| self.reads_loop_vars_at_end) {
             let (a, subs) = (&self.arrays[f].name, self.subs_at(f, &[]));
             push_line(&mut out, 6, &format!("{a}({subs}) = {a}({subs}) + 0.25d0"));
         }
@@ -1107,6 +1111,20 @@ mod tests {
         assert_eq!(adapt_geometry(&[2, 3], 1), vec![6]);
         assert_eq!(adapt_geometry(&[2, 3], 2), vec![2, 3]);
         assert_eq!(adapt_geometry(&[1], 2), vec![1, 1]);
+    }
+
+    #[test]
+    fn read_of_loop_variables_is_one_opt_in_line() {
+        let spec = generate(42, &GenOptions::default());
+        let probed = ProgramSpec {
+            reads_loop_vars_at_end: true,
+            ..spec.clone()
+        };
+        let (plain, probed) = (spec.render(), probed.render());
+        let added: Vec<&str> = probed.lines().filter(|l| !plain.contains(l)).collect();
+        assert_eq!(added.len(), 1, "{added:?}");
+        assert!(added[0].ends_with("+ 0.25d0"), "{added:?}");
+        dhpf_fortran::parse(&probed).expect("parses");
     }
 
     #[test]

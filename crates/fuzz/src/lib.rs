@@ -66,6 +66,15 @@ pub fn program_seed(seed: u64, k: usize) -> u64 {
     Rng::new(seed).fork(k as u64).next_u64()
 }
 
+/// The program the campaign checks for `pseed`: the generated one, ending
+/// with a read of its loop variables after every loop.
+fn campaign_spec(pseed: u64, opts: &GenOptions) -> ProgramSpec {
+    ProgramSpec {
+        reads_loop_vars_at_end: true,
+        ..generate(pseed, opts)
+    }
+}
+
 /// Generator tuning implied by the campaign's geometries: a rank-1
 /// program adapts any geometry to its full processor total, so the
 /// problem-size floor must clear the largest total. (This means the
@@ -100,7 +109,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
     let mut seen: std::collections::HashSet<(u64, Oracle)> = std::collections::HashSet::new();
     for k in 0..cfg.count {
         let pseed = program_seed(cfg.seed, k);
-        let spec = generate(pseed, &gen_opts);
+        let spec = campaign_spec(pseed, &gen_opts);
         let outcome = check_program(&spec, &cfg.geometries, cfg.max_ulps);
         report.programs += 1;
         report.compiles += outcome.compiles;
@@ -186,7 +195,7 @@ fn run_mutants(cfg: &CampaignConfig) -> MutationSummary {
     while summary.planted < cfg.mutants as u64 && k < cfg.count + 8 * cfg.mutants + 32 {
         let pseed = program_seed(cfg.seed, k);
         k += 1;
-        let spec = generate(pseed, &gen_opts);
+        let spec = campaign_spec(pseed, &gen_opts);
         summary.attempted += 1;
         let check = if summary.planted % 2 == 0 {
             mutate::mutation_check(&spec, &geom, cfg.max_ulps)
