@@ -4,15 +4,6 @@
 //!   posted receive request along a control-flow path. The verifier
 //!   walks every path (branch arms joined, loop bodies closed) and
 //!   requires each request to end [`ReqState::Done`] exactly once.
-//! * [`region_within`] — rank-symbolic region containment, answered by
-//!   the integer-set engine: the message region and the per-rank
-//!   allocated window are both rectangles in global array coordinates,
-//!   and containment is `region \ window = ∅`. Going through [`Set`]
-//!   (rather than ad-hoc interval arithmetic) keeps the verifier's
-//!   region reasoning on the same footing as the comm-coverage
-//!   verifier's, including degenerate and empty rectangles.
-
-use dhpf_iset::Set;
 
 /// Lifecycle of one posted receive request on a control-flow path.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -37,29 +28,6 @@ impl ReqState {
     }
 }
 
-/// Shared element-space names for region sets (`e0`, `e1`, …), matching
-/// the comm-coverage verifier's convention.
-pub fn elem_space(ndims: usize) -> Vec<String> {
-    (0..ndims).map(|d| format!("e{d}")).collect()
-}
-
-/// Is the (possibly empty) rectangle `[lo, hi]` contained in the window
-/// `[wlo, whi]`? Decided symbolically via the iset engine.
-pub fn region_within(lo: &[i64], hi: &[i64], wlo: &[i64], whi: &[i64]) -> bool {
-    let space = elem_space(lo.len());
-    let region = Set::rect(&space, lo, hi);
-    let window = Set::rect(&space, wlo, whi);
-    region.subtract(&window).is_empty()
-}
-
-/// Number of elements in a rectangular region (0 when empty).
-pub fn region_len(lo: &[i64], hi: &[i64]) -> usize {
-    lo.iter()
-        .zip(hi)
-        .map(|(l, h)| (h - l + 1).max(0) as usize)
-        .product()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -69,19 +37,5 @@ mod tests {
         assert_eq!(ReqState::Done.join(ReqState::Done), Ok(ReqState::Done));
         assert!(ReqState::Pending.join(ReqState::Done).is_err());
         assert!(ReqState::NotPosted.join(ReqState::Pending).is_err());
-    }
-
-    #[test]
-    fn region_containment() {
-        assert!(region_within(&[2, 2], &[3, 3], &[1, 1], &[4, 4]));
-        assert!(!region_within(&[0, 2], &[3, 3], &[1, 1], &[4, 4]));
-        // empty regions are contained in anything
-        assert!(region_within(&[5], &[4], &[1], &[2]));
-    }
-
-    #[test]
-    fn region_lengths() {
-        assert_eq!(region_len(&[1, 1], &[2, 3]), 6);
-        assert_eq!(region_len(&[3], &[2]), 0);
     }
 }

@@ -12,7 +12,7 @@
 //!   Any residue is a CONFIRMED miscompile with the offending statement
 //!   span.
 //! * [`trace_check`] — consistency checks over `spmd::trace` event logs
-//!   (unmatched send/recv pairs, cyclic waits) and over plans
+//!   (unmatched send/recv pairs, wait coverage) and over plans
 //!   (write-write races on ghost regions).
 //! * [`protocol`] — the static, rank-symbolic SPMD protocol verifier:
 //!   send/recv matching, barrier congruence, wait coverage and symbolic

@@ -39,9 +39,10 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::diag::{Finding, Report, Severity};
-use crate::lattice::{region_len, region_within, ReqState};
+use crate::lattice::ReqState;
 use dhpf_core::codegen::NodeProgram;
 use dhpf_core::protocol::{extract_protocol, ProtoOp, ProtocolProgram};
+use dhpf_core::transfer::{Seg, Transfer};
 use dhpf_core::Compiled;
 use dhpf_obs::{Decision, DecisionKind};
 
@@ -209,7 +210,10 @@ fn cover_ops(
     for op in ops {
         match op {
             ProtoOp::Post {
-                unit, to, tag, req, ..
+                unit,
+                tag,
+                req,
+                xfer: Transfer { to, .. },
             } => {
                 if get(state, *req) == ReqState::Pending {
                     out.push(err(
@@ -224,7 +228,10 @@ fn cover_ops(
                 state.insert(*req, ReqState::Pending);
             }
             ProtoOp::Wait {
-                unit, to, tag, req, ..
+                unit,
+                tag,
+                req,
+                xfer: Transfer { to, .. },
             } => match get(state, *req) {
                 ReqState::NotPosted => out.push(err(
                     "protocol-wait-unposted",
@@ -329,52 +336,17 @@ fn walk_regions(p: &ProtocolProgram, ops: &[ProtoOp], out: &mut Report) {
         match op {
             // Containment is per packed section: an aggregated message
             // is sound only if every segment it carries addresses
-            // storage its endpoint allocates.
-            ProtoOp::Send {
-                unit,
-                from,
-                to,
-                tag,
-                segs,
-            } => {
-                for s in segs {
-                    check_region(
-                        p, "send", *unit, *from, *to, *from, "sender", *tag, s.arr, &s.lo, &s.hi,
-                        out,
-                    );
-                }
+            // storage its endpoint allocates. A wait unpacks into the
+            // same region its post declared.
+            ProtoOp::Send { unit, tag, xfer } => {
+                check_regions(p, "send", *unit, *tag, xfer, xfer.from, "sender", out)
             }
-            ProtoOp::Recv {
-                unit,
-                from,
-                to,
-                tag,
-                segs,
-            } => {
-                for s in segs {
-                    check_region(
-                        p, "recv", *unit, *from, *to, *to, "receiver", *tag, s.arr, &s.lo, &s.hi,
-                        out,
-                    );
-                }
+            ProtoOp::Recv { unit, tag, xfer } => {
+                check_regions(p, "recv", *unit, *tag, xfer, xfer.to, "receiver", out)
             }
             ProtoOp::Post {
-                unit,
-                from,
-                to,
-                tag,
-                segs,
-                ..
-            } => {
-                for s in segs {
-                    check_region(
-                        p, "irecv", *unit, *from, *to, *to, "receiver", *tag, s.arr, &s.lo, &s.hi,
-                        out,
-                    );
-                }
-            }
-            // A wait unpacks into the same region its post declared.
-            ProtoOp::Wait { .. } => {}
+                unit, tag, xfer, ..
+            } => check_regions(p, "irecv", *unit, *tag, xfer, xfer.to, "receiver", out),
             ProtoOp::Loop { body, .. } => walk_regions(p, body, out),
             ProtoOp::Branch { arms, .. } => {
                 for arm in arms {
@@ -386,68 +358,48 @@ fn walk_regions(p: &ProtocolProgram, ops: &[ProtoOp], out: &mut Report) {
     }
 }
 
+/// Every segment of `xfer` must lie in the window rank `local` (one of
+/// its endpoints, in `role`) allocates for the array.
 #[allow(clippy::too_many_arguments)]
-fn check_region(
+fn check_regions(
     p: &ProtocolProgram,
     kind: &str,
     unit: usize,
-    from: usize,
-    to: usize,
+    tag: u64,
+    xfer: &Transfer<usize>,
     local: usize,
     role: &str,
-    tag: u64,
-    arr: usize,
-    lo: &[i64],
-    hi: &[i64],
     out: &mut Report,
 ) {
-    let unit = p.unit_name(unit);
-    if from >= p.nprocs || to >= p.nprocs {
-        out.push(err(
-            "protocol-region-mismatch",
-            unit,
-            format!(
-                "{kind} (tag {tag}) names rank {from}->{to}, outside the \
-                 {}-rank geometry",
+    let mut mismatch =
+        |msg: String| out.push(err("protocol-region-mismatch", p.unit_name(unit), msg));
+    let (from, to) = (xfer.from, xfer.to);
+    for s in &xfer.segs {
+        if from >= p.nprocs || to >= p.nprocs {
+            mismatch(format!(
+                "{kind} (tag {tag}) names rank {from}->{to}, outside the {}-rank geometry",
                 p.nprocs
-            ),
-        ));
-        return;
-    }
-    let Some(info) = p.arrays.get(arr) else {
-        out.push(err(
-            "protocol-region-mismatch",
-            unit,
-            format!("{kind} (tag {tag}) names unknown array #{arr}"),
-        ));
-        return;
-    };
-    if region_len(lo, hi) == 0 {
-        return;
-    }
-    match &info.windows[local] {
-        None => out.push(err(
-            "protocol-region-mismatch",
-            unit,
-            format!(
-                "{kind} (tag {tag}): {role} rank {local} allocates no storage for \
-                 {} but the plan moves {} element(s) of it",
-                info.name,
-                region_len(lo, hi)
-            ),
-        )),
-        Some((wlo, whi)) => {
-            if !region_within(lo, hi, wlo, whi) {
-                out.push(err(
-                    "protocol-region-mismatch",
-                    unit,
-                    format!(
-                        "{kind} (tag {tag}): region {lo:?}..{hi:?} of {} falls outside \
-                         {role} rank {local}'s allocated window {wlo:?}..{whi:?}",
-                        info.name
-                    ),
-                ));
-            }
+            ));
+            continue;
+        }
+        let Some(info) = p.arrays.get(s.arr) else {
+            mismatch(format!("{kind} (tag {tag}) names unknown array #{}", s.arr));
+            continue;
+        };
+        let (region, name) = (s.region(), &info.name);
+        match &info.windows[local] {
+            _ if region.is_empty() => {}
+            None => mismatch(format!(
+                "{kind} (tag {tag}): {role} rank {local} allocates no storage for {name} but the \
+                 plan moves {} element(s) of it",
+                region.len()
+            )),
+            Some(window) if !window.contains(&region) => mismatch(format!(
+                "{kind} (tag {tag}): region {:?}..{:?} of {name} falls outside {role} rank \
+                 {local}'s allocated window {:?}..{:?}",
+                s.lo, s.hi, window.lo, window.hi
+            )),
+            Some(_) => {}
         }
     }
 }
@@ -491,22 +443,16 @@ fn walk_stale(
                 written.insert(*arr);
             }
             // A completed receive fills the local window: counts as a write.
-            ProtoOp::Recv { segs, .. } | ProtoOp::Wait { segs, .. } => {
-                written.extend(segs.iter().map(|s| s.arr));
+            ProtoOp::Recv { xfer, .. } | ProtoOp::Wait { xfer, .. } => {
+                written.extend(xfer.segs.iter().map(|s| s.arr));
             }
             ProtoOp::Pipeline { arrays, .. } => {
                 written.extend(arrays.iter().copied());
             }
-            ProtoOp::Send {
-                unit,
-                from,
-                to,
-                tag,
-                segs,
-            } => {
-                for s in segs {
+            ProtoOp::Send { unit, tag, xfer } => {
+                for s in &xfer.segs {
                     if !written.contains(&s.arr) {
-                        candidates.push((*unit, *from, *to, *tag, s.arr));
+                        candidates.push((*unit, xfer.from, xfer.to, *tag, s.arr));
                     }
                 }
             }
@@ -576,11 +522,13 @@ fn sim_segment(p: &ProtocolProgram, ops: &[ProtoOp], out: &mut Report) {
     let mut seq: Vec<Vec<usize>> = vec![Vec::new(); n];
     for (i, op) in ops.iter().enumerate() {
         match op {
-            ProtoOp::Send { from, .. } if *from < n => seq[*from].push(i),
-            ProtoOp::Recv { to, .. } | ProtoOp::Post { to, .. } | ProtoOp::Wait { to, .. }
-                if *to < n =>
+            ProtoOp::Send { xfer, .. } if xfer.from < n => seq[xfer.from].push(i),
+            ProtoOp::Recv { xfer, .. }
+            | ProtoOp::Post { xfer, .. }
+            | ProtoOp::Wait { xfer, .. }
+                if xfer.to < n =>
             {
-                seq[*to].push(i)
+                seq[xfer.to].push(i)
             }
             ProtoOp::Barrier { .. } => {
                 for s in seq.iter_mut() {
@@ -602,12 +550,12 @@ fn sim_segment(p: &ProtocolProgram, ops: &[ProtoOp], out: &mut Report) {
         for r in 0..n {
             while let Some(&i) = seq[r].get(pos[r]) {
                 match &ops[i] {
-                    ProtoOp::Send { to, tag, .. } => {
-                        chan.entry((r, *to, *tag)).or_default().push(i);
+                    ProtoOp::Send { tag, xfer, .. } => {
+                        chan.entry((r, xfer.to, *tag)).or_default().push(i);
                     }
                     ProtoOp::Post { .. } => {}
-                    ProtoOp::Recv { from, tag, .. } | ProtoOp::Wait { from, tag, .. } => {
-                        match chan.get_mut(&(*from, r, *tag)) {
+                    ProtoOp::Recv { tag, xfer, .. } | ProtoOp::Wait { tag, xfer, .. } => {
+                        match chan.get_mut(&(xfer.from, r, *tag)) {
                             Some(q) if !q.is_empty() => {
                                 q.pop();
                             }
@@ -644,8 +592,8 @@ fn sim_segment(p: &ProtocolProgram, ops: &[ProtoOp], out: &mut Report) {
         for &r in &stuck {
             let i = seq[r][pos[r]];
             match &ops[i] {
-                ProtoOp::Recv { from, .. } | ProtoOp::Wait { from, .. } => {
-                    edges.insert(r, vec![*from]);
+                ProtoOp::Recv { xfer, .. } | ProtoOp::Wait { xfer, .. } => {
+                    edges.insert(r, vec![xfer.from]);
                 }
                 ProtoOp::Barrier { .. } => {
                     edges.insert(
@@ -684,27 +632,18 @@ fn sim_segment(p: &ProtocolProgram, ops: &[ProtoOp], out: &mut Report) {
             for &r in &stuck {
                 let i = seq[r][pos[r]];
                 match &ops[i] {
-                    ProtoOp::Recv {
-                        unit,
-                        from,
-                        tag,
-                        segs,
-                        ..
-                    }
+                    ProtoOp::Recv { unit, tag, xfer }
                     | ProtoOp::Wait {
-                        unit,
-                        from,
-                        tag,
-                        segs,
-                        ..
+                        unit, tag, xfer, ..
                     } if reported.insert(*tag) => {
-                        let name = seg_names(p, segs);
+                        let name = seg_names(p, &xfer.segs);
                         out.push(err(
                             "protocol-unmatched",
                             p.unit_name(*unit),
                             format!(
                                 "rank {r} blocks receiving {name} (tag {tag}) from \
-                                 rank {from}, but no matching send exists"
+                                 rank {}, but no matching send exists",
+                                xfer.from
                             ),
                         ));
                     }
@@ -728,7 +667,7 @@ fn sim_segment(p: &ProtocolProgram, ops: &[ProtoOp], out: &mut Report) {
     for ((from, to, tag), q) in &chan {
         if let Some(&i) = q.first() {
             let (unit, name) = match &ops[i] {
-                ProtoOp::Send { unit, segs, .. } => (*unit, seg_names(p, segs)),
+                ProtoOp::Send { unit, xfer, .. } => (*unit, seg_names(p, &xfer.segs)),
                 _ => continue,
             };
             out.push(err(
@@ -745,7 +684,7 @@ fn sim_segment(p: &ProtocolProgram, ops: &[ProtoOp], out: &mut Report) {
 }
 
 /// Deduplicated array names of a message's segments, for diagnostics.
-fn seg_names(p: &ProtocolProgram, segs: &[dhpf_core::protocol::ProtoSeg]) -> String {
+fn seg_names(p: &ProtocolProgram, segs: &[Seg<usize>]) -> String {
     let mut names: Vec<&str> = segs
         .iter()
         .map(|s| p.arrays.get(s.arr).map(|a| a.name.as_str()).unwrap_or("?"))

@@ -1,12 +1,12 @@
 //! Consistency checks over `spmd::trace` event logs and communication
 //! plans: unmatched send/recv pairs, write–write races on ghost regions,
-//! cyclic waits in pipelined sweep schedules, and wait coverage of
-//! nonblocking receives (every posted `irecv` waited exactly once — an
+//! and wait coverage of nonblocking receives (every posted `irecv` waited exactly once — an
 //! un-waited request means the program read a ghost buffer that was
 //! never known to be filled).
 
 use crate::diag::{Finding, Report, Severity};
 use dhpf_core::comm::NestPlan;
+use dhpf_core::transfer::segments;
 use dhpf_spmd::trace::{EventKind, Trace};
 use std::collections::BTreeMap;
 
@@ -15,7 +15,6 @@ use std::collections::BTreeMap;
 pub fn check_traces(traces: &[Trace]) -> Report {
     let mut out = Report::new();
     check_matched_messages(traces, &mut out);
-    check_cyclic_waits(traces, &mut out);
     check_wait_coverage(traces, &mut out);
     out
 }
@@ -61,80 +60,6 @@ fn check_matched_messages(traces: &[Trace], out: &mut Report) {
                 format!("{from}→{to}: sent {sb} bytes but received {rb}"),
             ));
         }
-    }
-}
-
-/// Detect circular wait patterns: a cycle of processors whose
-/// `RecvWait` intervals all overlap in virtual time. A finished run
-/// cannot have deadlocked, but a near-cycle in a pipelined sweep
-/// schedule means the strip granularity serialized the wavefront.
-fn check_cyclic_waits(traces: &[Trace], out: &mut Report) {
-    // edges: waiter → sender with the wait interval
-    let mut edges: BTreeMap<usize, Vec<(usize, f64, f64)>> = BTreeMap::new();
-    for t in traces {
-        for e in &t.events {
-            if let (true, Some((from, ..))) = (e.kind.is_stall(), e.kind.recv_completion()) {
-                edges.entry(t.rank).or_default().push((from, e.t0, e.t1));
-            }
-        }
-    }
-    let mut reported: Vec<Vec<usize>> = Vec::new();
-    for &start in edges.keys().collect::<Vec<_>>() {
-        let mut path = vec![start];
-        dfs(
-            start,
-            start,
-            &edges,
-            f64::NEG_INFINITY,
-            f64::INFINITY,
-            &mut path,
-            &mut reported,
-            out,
-        );
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn dfs(
-    start: usize,
-    cur: usize,
-    edges: &BTreeMap<usize, Vec<(usize, f64, f64)>>,
-    lo: f64,
-    hi: f64,
-    path: &mut Vec<usize>,
-    reported: &mut Vec<Vec<usize>>,
-    out: &mut Report,
-) {
-    let Some(nexts) = edges.get(&cur) else { return };
-    for &(next, t0, t1) in nexts {
-        let (nlo, nhi) = (lo.max(t0), hi.min(t1));
-        if nlo >= nhi {
-            continue; // wait intervals do not overlap: no simultaneous cycle
-        }
-        if next == start && path.len() >= 2 {
-            let mut key = path.clone();
-            key.sort_unstable();
-            if !reported.contains(&key) {
-                reported.push(key);
-                out.push(Finding::new(
-                    "trace-cyclic-wait",
-                    Severity::Warning,
-                    "",
-                    format!(
-                        "processors {:?} wait on each other in a cycle during \
-                         [{nlo:.3e}, {nhi:.3e}] — pipelined sweep serialized",
-                        path
-                    ),
-                ));
-            }
-            continue;
-        }
-        if path.contains(&next) || next == start {
-            continue;
-        }
-        path.push(next);
-        dfs(start, next, edges, nlo, nhi, path, reported, out);
-        path.pop();
     }
 }
 
@@ -202,16 +127,17 @@ pub fn check_plan_races(
 ) -> Report {
     let mut out = Report::new();
     for plan in plans.values() {
-        for msgs in [plan.pre(), plan.post()] {
-            for (i, a) in msgs.iter().enumerate() {
-                for b in &msgs[i + 1..] {
-                    if a.to != b.to || a.from == b.from || a.array != b.array {
+        for phase in [plan.pre(), plan.post()] {
+            let msgs: Vec<_> = segments(phase).collect();
+            for (i, (a_from, a_to, a)) in msgs.iter().enumerate() {
+                for (b_from, b_to, b) in &msgs[i + 1..] {
+                    if a_to != b_to || a_from == b_from || a.arr != b.arr {
                         continue;
                     }
-                    if a.region.lo.len() != b.region.lo.len() {
+                    if a.lo.len() != b.lo.len() {
                         continue;
                     }
-                    let inter = a.region.intersect(&b.region);
+                    let inter = a.region().intersect(&b.region());
                     if !inter.is_empty() {
                         out.push(Finding::new(
                             "ghost-race",
@@ -220,7 +146,7 @@ pub fn check_plan_races(
                             format!(
                                 "processors {} and {} both send `{}`[{:?}..{:?}] to \
                                  processor {} — write-write race on the ghost region",
-                                a.from, b.from, a.array, inter.lo, inter.hi, a.to
+                                a_from, b_from, a.arr, inter.lo, inter.hi, a_to
                             ),
                         ));
                     }
@@ -243,7 +169,8 @@ pub fn check_compiled_races(compiled: &dhpf_core::driver::Compiled) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dhpf_core::comm::{Msg, Region};
+    use dhpf_core::transfer::{pack_per_peer, Region, Seg};
+    use dhpf_fortran::ast::StmtId;
     use dhpf_spmd::trace::Event;
 
     fn ev(t0: f64, t1: f64, kind: EventKind) -> Event {
@@ -300,47 +227,6 @@ mod tests {
         let r = check_traces(&traces);
         assert_eq!(r.error_count(), 1);
         assert!(r.findings[0].message.contains("bytes"));
-    }
-
-    #[test]
-    fn overlapping_waits_form_a_cycle() {
-        let traces = vec![
-            Trace {
-                rank: 0,
-                events: vec![ev(0.0, 2.0, EventKind::RecvWait { from: 1, bytes: 8 })],
-            },
-            Trace {
-                rank: 1,
-                events: vec![ev(1.0, 3.0, EventKind::RecvWait { from: 0, bytes: 8 })],
-            },
-        ];
-        let r = check_traces(&traces);
-        assert!(
-            r.findings.iter().any(|f| f.code == "trace-cyclic-wait"),
-            "{}",
-            r.render_human(None)
-        );
-    }
-
-    #[test]
-    fn disjoint_waits_are_not_a_cycle() {
-        let traces = vec![
-            Trace {
-                rank: 0,
-                events: vec![
-                    ev(0.0, 1.0, EventKind::RecvWait { from: 1, bytes: 8 }),
-                    ev(1.0, 1.5, EventKind::Send { to: 1, bytes: 8 }),
-                ],
-            },
-            Trace {
-                rank: 1,
-                events: vec![
-                    ev(0.0, 0.5, EventKind::Send { to: 0, bytes: 8 }),
-                    ev(2.0, 3.0, EventKind::RecvWait { from: 0, bytes: 8 }),
-                ],
-            },
-        ];
-        assert!(check_traces(&traces).is_clean());
     }
 
     /// A valid overlapped exchange: post, compute, stalled wait.
@@ -418,36 +304,27 @@ mod tests {
         );
     }
 
+    /// A one-nest plan whose pre-exchange sends `u[lo..hi]` from each
+    /// `(sender, lo, hi)` to processor 2.
+    fn plan_sending_u(sections: [(usize, &[i64], &[i64]); 2]) -> BTreeMap<StmtId, NestPlan> {
+        let flat = sections.map(|(from, lo, hi)| {
+            let region = Region {
+                lo: lo.to_vec(),
+                hi: hi.to_vec(),
+            };
+            (from, 2, Seg::new("u".to_string(), region))
+        });
+        let plan = NestPlan::Parallel {
+            pre: pack_per_peer(flat.to_vec(), true),
+            post: vec![],
+            overlap: None,
+        };
+        BTreeMap::from([(StmtId(1), plan)])
+    }
+
     #[test]
     fn overlapping_ghost_writes_race() {
-        let mut plans = BTreeMap::new();
-        plans.insert(
-            dhpf_fortran::ast::StmtId(1),
-            NestPlan::Parallel {
-                pre: vec![
-                    Msg {
-                        from: 0,
-                        to: 2,
-                        array: "u".into(),
-                        region: Region {
-                            lo: vec![1, 1],
-                            hi: vec![4, 2],
-                        },
-                    },
-                    Msg {
-                        from: 1,
-                        to: 2,
-                        array: "u".into(),
-                        region: Region {
-                            lo: vec![3, 2],
-                            hi: vec![6, 3],
-                        },
-                    },
-                ],
-                post: vec![],
-                overlap: None,
-            },
-        );
+        let plans = plan_sending_u([(0, &[1, 1], &[4, 2]), (1, &[3, 2], &[6, 3])]);
         let r = check_plan_races("t", &plans);
         assert_eq!(r.error_count(), 1, "{}", r.render_human(None));
         assert!(r.findings[0].message.contains("write-write race"));
@@ -455,34 +332,7 @@ mod tests {
 
     #[test]
     fn disjoint_ghost_writes_do_not_race() {
-        let mut plans = BTreeMap::new();
-        plans.insert(
-            dhpf_fortran::ast::StmtId(1),
-            NestPlan::Parallel {
-                pre: vec![
-                    Msg {
-                        from: 0,
-                        to: 2,
-                        array: "u".into(),
-                        region: Region {
-                            lo: vec![1],
-                            hi: vec![2],
-                        },
-                    },
-                    Msg {
-                        from: 1,
-                        to: 2,
-                        array: "u".into(),
-                        region: Region {
-                            lo: vec![5],
-                            hi: vec![6],
-                        },
-                    },
-                ],
-                post: vec![],
-                overlap: None,
-            },
-        );
+        let plans = plan_sending_u([(0, &[1], &[2]), (1, &[5], &[6])]);
         assert!(check_plan_races("t", &plans).is_clean());
     }
 }

@@ -25,10 +25,11 @@
 
 use crate::diag::{Finding, Report, Severity};
 use dhpf_core::avail::{accessed_set, nest_bounds};
-use dhpf_core::comm::{NestPlan, PipeSchedule, Region};
+use dhpf_core::comm::{NestPlan, PipeSchedule};
 use dhpf_core::cp::{Cp, SubTerm};
 use dhpf_core::distrib::ProcGrid;
 use dhpf_core::driver::{Compiled, UnitAnalysis};
+use dhpf_core::transfer::segments;
 use dhpf_depend::dep::{analyze_loop_deps, DepKind, Dependence};
 use dhpf_depend::loops::UnitLoops;
 use dhpf_depend::refs::{RefInfo, UnitRefs};
@@ -175,9 +176,9 @@ impl NestCx<'_> {
                             }
                         }
                     }
-                    for m in self.plan.pre() {
-                        if m.to == rank && m.array == r.array && m.region.lo.len() == r.subs.len() {
-                            uncovered = uncovered.subtract(&region_set(&space, &m.region));
+                    for (_, to, s) in segments(self.plan.pre()) {
+                        if to == rank && s.arr == r.array && s.lo.len() == r.subs.len() {
+                            uncovered = uncovered.subtract(&Set::rect(&space, &s.lo, &s.hi));
                         }
                     }
                     if !uncovered.is_empty() {
@@ -256,13 +257,12 @@ impl NestCx<'_> {
                         if let Some(oset) = accessed_set(w, cp, &nw, &self.ua.env, &oc) {
                             piece = piece.subtract(&oset.intersect(&oowned));
                         }
-                        for m in self.plan.post() {
-                            if m.from == rank
-                                && m.to == orank
-                                && m.array == w.array
-                                && m.region.lo.len() == w.subs.len()
+                        for (from, to, s) in segments(self.plan.post()) {
+                            if (from, to) == (rank, orank)
+                                && s.arr == w.array
+                                && s.lo.len() == w.subs.len()
                             {
-                                piece = piece.subtract(&region_set(&space, &m.region));
+                                piece = piece.subtract(&Set::rect(&space, &s.lo, &s.hi));
                             }
                         }
                         if !piece.is_empty() {
@@ -341,10 +341,6 @@ fn elem_space(ndims: usize) -> Vec<String> {
     (0..ndims).map(|d| format!("e{d}")).collect()
 }
 
-fn region_set(space: &[String], r: &Region) -> Set {
-    Set::rect(space, &r.lo, &r.hi)
-}
-
 /// Human description of an uncovered element set (its bounding box).
 fn describe(s: &Set) -> String {
     match bounding_box(s, &|_| None) {
@@ -379,8 +375,8 @@ pub fn assert_clean(compiled: &Compiled) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dhpf_core::comm::Msg;
     use dhpf_core::driver::{compile, CompileOptions};
+    use dhpf_core::transfer::remove_seg;
     use dhpf_fortran::parse;
 
     const STENCIL: &str = "
@@ -424,7 +420,7 @@ mod tests {
         };
         match ua.plans.get_mut(&nest).unwrap() {
             NestPlan::Parallel { pre, .. } | NestPlan::Pipelined { pre, .. } => {
-                pre.remove(0);
+                remove_seg(pre, 0, 0);
             }
         }
         let report = verify_compiled(&compiled);
@@ -462,8 +458,8 @@ mod tests {
             NestPlan::Parallel { pre, .. } | NestPlan::Pipelined { pre, .. } => {
                 // shift the region one element: the boundary cell is
                 // still missing even though a message exists
-                pre[0].region.lo[0] -= 1;
-                pre[0].region.hi[0] -= 1;
+                pre[0].segs[0].lo[0] -= 1;
+                pre[0].segs[0].hi[0] -= 1;
             }
         }
         let report = verify_compiled(&compiled);
@@ -494,12 +490,12 @@ mod tests {
         let mut compiled = compile(&p, &CompileOptions::new()).unwrap();
         assert_clean(&compiled);
         let ua = compiled.analyses.get_mut("wb").unwrap();
-        let mut dropped: Option<Msg> = None;
+        let mut dropped = None;
         for plan in ua.plans.values_mut() {
             match plan {
                 NestPlan::Parallel { post, .. } | NestPlan::Pipelined { post, .. } => {
                     if !post.is_empty() {
-                        dropped = Some(post.remove(0));
+                        dropped = Some(remove_seg(post, 0, 0));
                         break;
                     }
                 }
@@ -512,6 +508,6 @@ mod tests {
             .findings
             .iter()
             .any(|f| f.message.contains("non-owner write")
-                && f.message.contains(&format!("`{}`", dropped.array))));
+                && f.message.contains(&format!("`{}`", dropped.arr))));
     }
 }

@@ -11,67 +11,45 @@
 //! clean report.
 
 use dhpf_analysis::{check_compiled_races, check_traces, verify_compiled};
-use dhpf_core::comm::{Msg, NestPlan};
+use dhpf_core::comm::NestPlan;
 use dhpf_core::driver::Compiled;
-use dhpf_iset::set::Set;
+use dhpf_core::transfer::{remove_seg, sole_deliveries, Seg};
+use dhpf_fortran::ast::StmtId;
 use dhpf_nas::Class;
 use dhpf_spmd::machine::MachineConfig;
 
-fn region_set(m: &Msg) -> Set {
-    let space: Vec<String> = (0..m.region.lo.len()).map(|d| format!("e{d}")).collect();
-    Set::rect(&space, &m.region.lo, &m.region.hi)
-}
-
-/// Find a pre-exchange whose region is not covered by the union of the
-/// other pre-exchanges to the same (receiver, array) in the same plan —
-/// dropping it must leave some element of the receiver's ghost region
-/// unfilled.
-fn pick_droppable(compiled: &Compiled) -> Option<(String, dhpf_fortran::ast::StmtId, usize)> {
-    for (uname, ua) in &compiled.analyses {
-        for (&nest, plan) in &ua.plans {
-            let pre = plan.pre();
-            for (i, m) in pre.iter().enumerate() {
-                let mut residue = region_set(m);
-                for (j, o) in pre.iter().enumerate() {
-                    if j == i
-                        || o.to != m.to
-                        || o.array != m.array
-                        || o.region.lo.len() != m.region.lo.len()
-                    {
-                        continue;
-                    }
-                    residue = residue.subtract(&region_set(o));
-                }
-                if !residue.is_empty() {
-                    return Some((uname.clone(), nest, i));
-                }
-            }
-        }
-    }
-    None
+/// Find a pre-exchange section no other pre-exchange of the plan
+/// delivers to the same receiver — dropping it must leave some element
+/// of the receiver's ghost region unfilled — as `(unit, nest, transfer,
+/// segment)`.
+fn pick_droppable(compiled: &Compiled) -> Option<(String, StmtId, usize, usize)> {
+    compiled.analyses.iter().find_map(|(uname, ua)| {
+        ua.plans.iter().find_map(|(&nest, plan)| {
+            let &(t, s) = sole_deliveries(plan.pre()).first()?;
+            Some((uname.clone(), nest, t, s))
+        })
+    })
 }
 
 fn drop_pre_msg(
     compiled: &mut Compiled,
-    unit: &str,
-    nest: dhpf_fortran::ast::StmtId,
-    i: usize,
-) -> Msg {
+    (unit, nest, t, s): &(String, StmtId, usize, usize),
+) -> Seg<String> {
     let plan = compiled
         .analyses
         .get_mut(unit)
         .expect("mutated unit")
         .plans
-        .get_mut(&nest)
+        .get_mut(nest)
         .expect("mutated nest");
     match plan {
-        NestPlan::Parallel { pre, .. } | NestPlan::Pipelined { pre, .. } => pre.remove(i),
+        NestPlan::Parallel { pre, .. } | NestPlan::Pipelined { pre, .. } => remove_seg(pre, *t, *s),
     }
 }
 
 #[test]
 fn sp_class_s_verifies_clean() {
-    let compiled = dhpf_nas::sp::compile_dhpf(Class::S, 4, None);
+    let compiled = dhpf_nas::Kernel::Sp.compile_dhpf(Class::S, 4, None);
     let r = verify_compiled(&compiled);
     assert!(
         r.is_clean(),
@@ -88,7 +66,7 @@ fn sp_class_s_verifies_clean() {
 
 #[test]
 fn bt_class_s_verifies_clean() {
-    let compiled = dhpf_nas::bt::compile_dhpf(Class::S, 4, None);
+    let compiled = dhpf_nas::Kernel::Bt.compile_dhpf(Class::S, 4, None);
     let r = verify_compiled(&compiled);
     assert!(
         r.is_clean(),
@@ -105,10 +83,11 @@ fn bt_class_s_verifies_clean() {
 
 #[test]
 fn sp_class_s_traces_are_consistent() {
-    let res = dhpf_nas::sp::run_dhpf(Class::S, 4, MachineConfig::sp2(4).with_trace());
+    let res = dhpf_nas::Kernel::Sp.run_dhpf(Class::S, 4, MachineConfig::sp2(4).with_trace());
     let r = check_traces(&res.run.traces);
+    // no finding of any severity: a clean run has nothing to warn about
     assert!(
-        r.error_count() == 0,
+        r.is_clean(),
         "SP trace inconsistencies:\n{}",
         r.render_human(None)
     );
@@ -116,11 +95,11 @@ fn sp_class_s_traces_are_consistent() {
 
 #[test]
 fn dropped_sp_exchange_is_caught() {
-    let clean = dhpf_nas::sp::compile_dhpf(Class::S, 4, None);
-    let mut mutated = dhpf_nas::sp::compile_dhpf(Class::S, 4, None);
-    let (unit, nest, i) =
-        pick_droppable(&clean).expect("SP plans contain a non-redundant pre-exchange");
-    let dropped = drop_pre_msg(&mut mutated, &unit, nest, i);
+    let clean = dhpf_nas::Kernel::Sp.compile_dhpf(Class::S, 4, None);
+    let mut mutated = dhpf_nas::Kernel::Sp.compile_dhpf(Class::S, 4, None);
+    let pick = pick_droppable(&clean).expect("SP plans contain a non-redundant pre-exchange");
+    let dropped = drop_pre_msg(&mut mutated, &pick);
+    let unit = pick.0;
 
     let r = verify_compiled(&mutated);
     assert!(
@@ -131,9 +110,9 @@ fn dropped_sp_exchange_is_caught() {
         assert_eq!(f.code, "comm-coverage", "{}", r.render_human(None));
         assert_eq!(f.unit, unit, "finding escaped the mutated unit");
         assert!(
-            f.message.contains(&format!("`{}`", dropped.array)),
+            f.message.contains(&format!("`{}`", dropped.arr)),
             "finding does not name the dropped array `{}`: {}",
-            dropped.array,
+            dropped.arr,
             f.message
         );
         assert!(f.stmt.is_some(), "finding not anchored to a statement");
@@ -146,11 +125,11 @@ fn dropped_sp_exchange_is_caught() {
 
 #[test]
 fn dropped_bt_exchange_is_caught() {
-    let clean = dhpf_nas::bt::compile_dhpf(Class::S, 4, None);
-    let mut mutated = dhpf_nas::bt::compile_dhpf(Class::S, 4, None);
-    let (unit, nest, i) =
-        pick_droppable(&clean).expect("BT plans contain a non-redundant pre-exchange");
-    let dropped = drop_pre_msg(&mut mutated, &unit, nest, i);
+    let clean = dhpf_nas::Kernel::Bt.compile_dhpf(Class::S, 4, None);
+    let mut mutated = dhpf_nas::Kernel::Bt.compile_dhpf(Class::S, 4, None);
+    let pick = pick_droppable(&clean).expect("BT plans contain a non-redundant pre-exchange");
+    let dropped = drop_pre_msg(&mut mutated, &pick);
+    let unit = pick.0;
 
     let r = verify_compiled(&mutated);
     assert!(

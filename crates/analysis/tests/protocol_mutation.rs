@@ -5,7 +5,8 @@
 use dhpf_analysis::diag::Report;
 use dhpf_analysis::protocol::{check_protocol, verify_protocol_program};
 use dhpf_core::codegen::{CExpr, CIdx, NodeOp};
-use dhpf_core::protocol::{extract_protocol, ArrayInfo, ProtoOp, ProtoSeg, ProtocolProgram};
+use dhpf_core::protocol::{extract_protocol, ArrayInfo, ProtoOp, ProtocolProgram};
+use dhpf_core::transfer::{Region, Seg, Transfer};
 use dhpf_nas::Class;
 
 fn codes(r: &Report) -> Vec<&'static str> {
@@ -28,10 +29,10 @@ fn assert_code(r: &Report, code: &str) {
 #[test]
 fn clean_nas_programs_verify_clean() {
     for (name, compiled) in [
-        ("SP@4", dhpf_nas::sp::compile_dhpf(Class::S, 4, None)),
-        ("BT@1", dhpf_nas::bt::compile_dhpf(Class::S, 1, None)),
-        ("BT@2", dhpf_nas::bt::compile_dhpf(Class::S, 2, None)),
-        ("BT@4", dhpf_nas::bt::compile_dhpf(Class::S, 4, None)),
+        ("SP@4", dhpf_nas::Kernel::Sp.compile_dhpf(Class::S, 4, None)),
+        ("BT@1", dhpf_nas::Kernel::Bt.compile_dhpf(Class::S, 1, None)),
+        ("BT@2", dhpf_nas::Kernel::Bt.compile_dhpf(Class::S, 2, None)),
+        ("BT@4", dhpf_nas::Kernel::Bt.compile_dhpf(Class::S, 4, None)),
     ] {
         let report = verify_protocol_program(&compiled.program);
         assert!(
@@ -47,7 +48,7 @@ fn clean_nas_programs_verify_clean() {
 // ---------------------------------------------------------------------
 
 fn sp_protocol() -> ProtocolProgram {
-    let compiled = dhpf_nas::sp::compile_dhpf(Class::S, 4, None);
+    let compiled = dhpf_nas::Kernel::Sp.compile_dhpf(Class::S, 4, None);
     let p = extract_protocol(&compiled.program);
     assert!(
         count_waits(&p.ops) > 0,
@@ -217,33 +218,46 @@ fn tiny(nprocs: usize, ops: Vec<ProtoOp>) -> ProtocolProgram {
         arrays: vec![ArrayInfo {
             name: "a".into(),
             distributed: true,
-            windows: (0..nprocs).map(|_| Some((vec![1], vec![8]))).collect(),
+            windows: (0..nprocs)
+                .map(|_| {
+                    Some(Region {
+                        lo: vec![1],
+                        hi: vec![8],
+                    })
+                })
+                .collect(),
         }],
         ops,
     }
 }
 
-fn seg(lo: Vec<i64>, hi: Vec<i64>) -> ProtoSeg {
-    ProtoSeg { arr: 0, lo, hi }
+/// The transfer of `a(lo:hi)` from `from` to `to`.
+fn xfer(from: usize, to: usize, lo: i64, hi: i64) -> Transfer<usize> {
+    let seg = Seg {
+        arr: 0,
+        lo: vec![lo],
+        hi: vec![hi],
+    };
+    Transfer {
+        from,
+        to,
+        segs: vec![seg],
+    }
 }
 
 fn send(from: usize, to: usize, tag: u64) -> ProtoOp {
     ProtoOp::Send {
         unit: 0,
-        from,
-        to,
         tag,
-        segs: vec![seg(vec![2], vec![2])],
+        xfer: xfer(from, to, 2, 2),
     }
 }
 
 fn recv(from: usize, to: usize, tag: u64) -> ProtoOp {
     ProtoOp::Recv {
         unit: 0,
-        from,
-        to,
         tag,
-        segs: vec![seg(vec![2], vec![2])],
+        xfer: xfer(from, to, 2, 2),
     }
 }
 
@@ -295,17 +309,13 @@ fn region_outside_window_is_mismatch() {
             ProtoOp::Write { arr: 0 },
             ProtoOp::Send {
                 unit: 0,
-                from: 0,
-                to: 1,
                 tag: 7,
-                segs: vec![seg(vec![7], vec![12])], // window is 1..8
+                xfer: xfer(0, 1, 7, 12), // window is 1..8
             },
             ProtoOp::Recv {
                 unit: 0,
-                from: 0,
-                to: 1,
                 tag: 7,
-                segs: vec![seg(vec![7], vec![12])],
+                xfer: xfer(0, 1, 7, 12),
             },
         ],
     );
@@ -316,19 +326,15 @@ fn region_outside_window_is_mismatch() {
 fn wait_on_some_paths_only_is_unwaited() {
     let post = ProtoOp::Post {
         unit: 0,
-        from: 0,
-        to: 1,
         tag: 7,
         req: 1,
-        segs: vec![seg(vec![2], vec![2])],
+        xfer: xfer(0, 1, 2, 2),
     };
     let wait = ProtoOp::Wait {
         unit: 0,
-        from: 0,
-        to: 1,
         tag: 7,
         req: 1,
-        segs: vec![seg(vec![2], vec![2])],
+        xfer: xfer(0, 1, 2, 2),
     };
     let p = tiny(
         2,

@@ -36,7 +36,7 @@ fn bench_frontend(c: &mut Criterion) {
 
 fn bench_compile(c: &mut Criterion) {
     c.bench_function("compile_sp_class_s_4procs", |b| {
-        b.iter(|| black_box(dhpf_nas::sp::compile_dhpf(dhpf_nas::Class::S, 4, None)))
+        b.iter(|| black_box(dhpf_nas::Kernel::Sp.compile_dhpf(dhpf_nas::Class::S, 4, None)))
     });
 }
 
@@ -56,7 +56,7 @@ fn bench_machine(c: &mut Criterion) {
     });
     // the node-program interpreter alone: lowering plus execution of a
     // precompiled BT class S program on one rank (no messages)
-    let bt = dhpf_nas::bt::compile_dhpf(dhpf_nas::Class::S, 1, None);
+    let bt = dhpf_nas::Kernel::Bt.compile_dhpf(dhpf_nas::Class::S, 1, None);
     c.bench_function("interp_bt_class_s_1proc", |b| {
         b.iter(|| {
             let r = run_node_program(&bt.program, MachineConfig::sp2(1)).unwrap();

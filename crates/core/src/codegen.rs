@@ -12,11 +12,12 @@
 
 pub mod emit;
 
-use crate::comm::{Msg, NestPlan, PipeSchedule};
+use crate::comm::{NestPlan, PipeSchedule};
 use crate::cp::{Cp, SubTerm};
 use crate::distrib::{ArrayDist, DistEnv, ProcGrid};
 use crate::exec::serial::is_integer_name;
 use crate::select::CpAssignment;
+use crate::transfer::{pack_per_peer, segments, Seg, Transfer};
 use dhpf_fortran::ast::{self, BinOp, Expr, ProgramUnit, Stmt, StmtKind};
 use dhpf_fortran::subscript::affine;
 use dhpf_iset::LinExpr;
@@ -93,47 +94,6 @@ pub struct Guard {
     pub terms: Vec<Vec<GuardAtom>>,
 }
 
-/// One array section of a compiled message (region in global array
-/// coordinates; the array is a *local slot* resolved through the
-/// executing frame).
-#[derive(Clone, Debug)]
-pub struct CSeg {
-    pub arr: usize,
-    pub lo: Vec<i64>,
-    pub hi: Vec<i64>,
-}
-
-impl CSeg {
-    /// Element count of the section.
-    pub fn elems(&self) -> usize {
-        self.lo
-            .iter()
-            .zip(&self.hi)
-            .map(|(l, h)| (h - l + 1).max(0) as usize)
-            .product()
-    }
-}
-
-/// A compiled message: one physical transfer between a peer pair,
-/// carrying one or more array sections packed back-to-back. With
-/// per-peer aggregation disabled every message holds exactly one
-/// segment; with it enabled all same-endpoint plan messages of a phase
-/// collapse into a single multi-segment transfer (§7 aggregation).
-#[derive(Clone, Debug)]
-pub struct CMsg {
-    pub from: usize,
-    pub to: usize,
-    /// Packed sections, in deterministic (arr, lo, hi) order.
-    pub segs: Vec<CSeg>,
-}
-
-impl CMsg {
-    /// Total element count over all segments.
-    pub fn elems(&self) -> usize {
-        self.segs.iter().map(CSeg::elems).sum()
-    }
-}
-
 /// One level of a pipelined nest.
 #[derive(Clone, Debug)]
 pub struct PipeLevel {
@@ -181,6 +141,11 @@ pub struct HaloCheck {
 /// the single-chain loop levels, the compiled innermost body, and the
 /// halo membership checks that define the interior.
 type OverlapParts = (Vec<PipeLevel>, Vec<NodeOp>, Vec<HaloCheck>);
+
+/// A single-chain nest (a `do` whose body is exactly one `do`, and so on
+/// down): its levels outermost first, their variable names, and the
+/// innermost body.
+type LoopChain<'s> = (Vec<PipeLevel>, Vec<&'s str>, &'s [Stmt]);
 
 /// Provenance of one communication-bearing [`NodeOp`]: the planned nest
 /// (unit, statement, source line) it was emitted for, the §7 phase it
@@ -279,9 +244,11 @@ pub enum NodeOp {
         float_args: Vec<(usize, CExpr)>,
         array_args: Vec<(usize, usize)>,
     },
-    /// Vectorized exchange (ghost updates or write-backs).
+    /// Vectorized exchange (ghost updates or write-backs). The
+    /// transfers name arrays by local slot, resolved through the
+    /// executing frame.
     Exchange {
-        msgs: Vec<CMsg>,
+        msgs: Vec<Transfer<usize>>,
         tag: u64,
         /// Index into [`NodeProgram::provenance`].
         plan: u32,
@@ -290,7 +257,7 @@ pub enum NodeOp {
     /// run the interior iterations (every [`HaloCheck`] satisfied),
     /// wait and unpack, then run the boundary complement.
     OverlapNest {
-        msgs: Vec<CMsg>,
+        msgs: Vec<Transfer<usize>>,
         tag: u64,
         /// Single-chain nest levels, outermost first.
         levels: Vec<PipeLevel>,
@@ -743,44 +710,40 @@ impl<'a> UnitCx<'a> {
             .collect()
     }
 
-    /// Compile a plan's message list into `CMsg`s (and widen ghosts as
-    /// needed). With aggregation on, all plan messages sharing a
-    /// `(from, to)` endpoint pair pack into one multi-segment transfer;
-    /// otherwise each plan message becomes its own single-segment one.
-    /// Either way the output is deterministic: messages ordered by
-    /// `(from, to)`, segments within a message by `(arr, lo, hi)`.
-    fn compile_msgs(&mut self, msgs: &[Msg]) -> CgResult<Vec<CMsg>> {
-        let mut flat: Vec<(usize, usize, CSeg)> = Vec::with_capacity(msgs.len());
-        for m in msgs {
-            let arr = self.array_slot(&m.array);
-            // widen ghost regions on the receiving side
-            if let Some(dist) = self.env.dist_of(&m.array) {
-                let grid = self.env.grid.as_ref().unwrap();
-                let coords = grid.coords(m.to as i64);
-                for (dim, _) in dist.dims.iter().enumerate() {
-                    if let Some((olo, ohi)) = dist.owned_range(dim, &coords) {
-                        let excess_lo = (olo - m.region.lo[dim]).max(0) as usize;
-                        let excess_hi = (m.region.hi[dim] - ohi).max(0) as usize;
-                        let width = excess_lo.max(excess_hi);
-                        if width > 0 {
-                            if let Some(g) = self.global_of_name(&m.array) {
-                                self.globals.need_ghost(g, dim, width);
-                            }
+    /// Bind a plan's transfers to this unit's array slots and widen the
+    /// receivers' ghost regions to hold them. The planner could only
+    /// order by array name; sender and receiver walk the segments in
+    /// slot order, so both levels are sorted again after binding.
+    fn compile_msgs(&mut self, plan: &[Transfer<String>]) -> Vec<Transfer<usize>> {
+        for (_, to, s) in segments(plan) {
+            let Some(dist) = self.env.dist_of(&s.arr) else {
+                continue;
+            };
+            let grid = self.env.grid.as_ref().expect("a planned nest has a grid");
+            let coords = grid.coords(to as i64);
+            for dim in 0..dist.dims.len() {
+                if let Some((olo, ohi)) = dist.owned_range(dim, &coords) {
+                    let excess_lo = (olo - s.lo[dim]).max(0) as usize;
+                    let excess_hi = (s.hi[dim] - ohi).max(0) as usize;
+                    let width = excess_lo.max(excess_hi);
+                    if width > 0 {
+                        if let Some(g) = self.global_of_name(&s.arr) {
+                            self.globals.need_ghost(g, dim, width);
                         }
                     }
                 }
             }
-            flat.push((
-                m.from,
-                m.to,
-                CSeg {
-                    arr,
-                    lo: m.region.lo.clone(),
-                    hi: m.region.hi.clone(),
-                },
-            ));
         }
-        Ok(group_segs(flat, self.aggregate))
+        let mut out: Vec<Transfer<usize>> = plan
+            .iter()
+            .map(|t| {
+                let mut t = t.rebind(|name| Some(self.array_slot(name)));
+                t.segs.sort();
+                t
+            })
+            .collect();
+        out.sort();
+        out
     }
 
     fn global_of_name(&self, name: &str) -> Option<usize> {
@@ -864,32 +827,10 @@ impl<'a> UnitCx<'a> {
                 }
                 Ok(())
             }
-            StmtKind::Do {
-                var,
-                lo,
-                hi,
-                step,
-                body,
-                ..
-            } => {
-                // communication plan attached?
-                if let Some(plan) = self.plans.get(&s.id) {
-                    return self.compile_planned_nest(s, plan.clone(), unit_index, units, ops);
-                }
-                let var_slot = self.int_slot(var);
-                let lo = self.cidx(lo)?;
-                let hi = self.cidx(hi)?;
-                let step = self.const_step(step.as_ref())?;
-                let inner = self.compile_body(body, unit_index, units)?;
-                ops.push(NodeOp::Loop {
-                    var: var_slot,
-                    lo,
-                    hi,
-                    step,
-                    body: inner,
-                });
-                Ok(())
-            }
+            StmtKind::Do { .. } => match self.plans.get(&s.id) {
+                Some(plan) => self.compile_planned_nest(s, plan.clone(), unit_index, units, ops),
+                None => self.compile_loop(s, unit_index, units, ops),
+            },
             StmtKind::If { arms } => {
                 let mut carms = Vec::with_capacity(arms.len());
                 for (cond, body) in arms {
@@ -948,6 +889,70 @@ impl<'a> UnitCx<'a> {
             }
             StmtKind::Continue => Ok(()),
         }
+    }
+
+    /// Lower one `do` level to a [`NodeOp::Loop`]; its body goes back
+    /// through [`Self::compile_stmt`], where an inner nest finds its plan.
+    fn compile_loop(
+        &mut self,
+        s: &Stmt,
+        unit_index: &BTreeMap<String, usize>,
+        units: &[&ProgramUnit],
+        ops: &mut Vec<NodeOp>,
+    ) -> CgResult<()> {
+        let Some((PipeLevel { var, lo, hi, step }, _, body)) = self.loop_level(s)? else {
+            return err("plan attached to non-loop");
+        };
+        let body = self.compile_body(body, unit_index, units)?;
+        ops.push(NodeOp::Loop {
+            var,
+            lo,
+            hi,
+            step,
+            body,
+        });
+        Ok(())
+    }
+
+    /// The header of a `do` as a [`PipeLevel`], with the variable's name
+    /// and the body; `None` when `s` is not a loop.
+    fn loop_level<'s>(
+        &mut self,
+        s: &'s Stmt,
+    ) -> CgResult<Option<(PipeLevel, &'s str, &'s [Stmt])>> {
+        let StmtKind::Do {
+            var,
+            lo,
+            hi,
+            step,
+            body,
+            ..
+        } = &s.kind
+        else {
+            return Ok(None);
+        };
+        let level = PipeLevel {
+            var: self.int_slot(var),
+            lo: self.cidx(lo)?,
+            hi: self.cidx(hi)?,
+            step: self.const_step(step.as_ref())?,
+        };
+        Ok(Some((level, var, body)))
+    }
+
+    /// The [`LoopChain`] starting at `s`; `None` when `s` is not a loop.
+    fn loop_chain<'s>(&mut self, s: &'s Stmt) -> CgResult<Option<LoopChain<'s>>> {
+        let (mut levels, mut vars) = (Vec::new(), Vec::new());
+        let mut cur = s;
+        while let Some((level, var, body)) = self.loop_level(cur)? {
+            levels.push(level);
+            vars.push(var);
+            match body {
+                [inner] if matches!(inner.kind, StmtKind::Do { .. }) => cur = inner,
+                _ => return Ok(Some((levels, vars, body))),
+            }
+        }
+        Ok(None)
     }
 
     /// The step of a `do` loop, which every nest form needs as a nonzero
@@ -1032,7 +1037,7 @@ impl<'a> UnitCx<'a> {
         units: &[&ProgramUnit],
         ops: &mut Vec<NodeOp>,
     ) -> CgResult<()> {
-        let pre = self.compile_msgs(plan.pre())?;
+        let pre = self.compile_msgs(plan.pre());
         let pre_arrays = plan.pre_arrays();
         match &plan {
             NestPlan::Parallel { overlap, .. } => {
@@ -1065,29 +1070,7 @@ impl<'a> UnitCx<'a> {
                         });
                     }
                     // plain nest with guards
-                    let StmtKind::Do {
-                        var,
-                        lo,
-                        hi,
-                        step,
-                        body,
-                        ..
-                    } = &s.kind
-                    else {
-                        return err("plan attached to non-loop");
-                    };
-                    let var_slot = self.int_slot(var);
-                    let lo = self.cidx(lo)?;
-                    let hi = self.cidx(hi)?;
-                    let step = self.const_step(step.as_ref())?;
-                    let inner = self.compile_body(body, unit_index, units)?;
-                    ops.push(NodeOp::Loop {
-                        var: var_slot,
-                        lo,
-                        hi,
-                        step,
-                        body: inner,
-                    });
+                    self.compile_loop(s, unit_index, units, ops)?;
                 }
             }
             NestPlan::Pipelined { schedule, .. } => {
@@ -1103,7 +1086,7 @@ impl<'a> UnitCx<'a> {
                 self.compile_pipeline(s, schedule, unit_index, units, ops)?;
             }
         }
-        let post = self.compile_msgs(plan.post())?;
+        let post = self.compile_msgs(plan.post());
         if !post.is_empty() {
             let tag = self.fresh_tag();
             let plan_id = self.register_prov(s, ProvKind::Post, plan.post_arrays(), tag);
@@ -1127,42 +1110,12 @@ impl<'a> UnitCx<'a> {
         unit_index: &BTreeMap<String, usize>,
         units: &[&ProgramUnit],
     ) -> CgResult<Option<OverlapParts>> {
-        let mut levels: Vec<PipeLevel> = Vec::new();
-        let mut var_names: Vec<String> = Vec::new();
-        let mut cur = s;
-        let body_ref: &[Stmt];
-        loop {
-            let StmtKind::Do {
-                var,
-                lo,
-                hi,
-                step,
-                body,
-                ..
-            } = &cur.kind
-            else {
-                return Ok(None);
-            };
-            let step_v = self.const_step(step.as_ref())?;
-            levels.push(PipeLevel {
-                var: self.int_slot(var),
-                lo: self.cidx(lo)?,
-                hi: self.cidx(hi)?,
-                step: step_v,
-            });
-            var_names.push(var.clone());
-            if body.len() == 1 {
-                if let StmtKind::Do { .. } = body[0].kind {
-                    cur = &body[0];
-                    continue;
-                }
-            }
-            body_ref = body;
-            break;
-        }
+        let Some((levels, var_names, body_ref)) = self.loop_chain(s)? else {
+            return Ok(None);
+        };
         let mut halo: Vec<HaloCheck> = Vec::new();
         for h in halos {
-            let Some(pos) = var_names.iter().position(|v| v == &h.var) else {
+            let Some(pos) = var_names.iter().position(|v| *v == h.var) else {
                 return Ok(None);
             };
             halo.push(HaloCheck {
@@ -1184,42 +1137,10 @@ impl<'a> UnitCx<'a> {
         units: &[&ProgramUnit],
         ops: &mut Vec<NodeOp>,
     ) -> CgResult<()> {
-        // gather the single-chain nest levels
-        let mut levels: Vec<PipeLevel> = Vec::new();
-        let mut strip_var_name: Option<String> = None;
-        let mut cur = s;
-        let body_ref: &[Stmt];
-        loop {
-            let StmtKind::Do {
-                var,
-                lo,
-                hi,
-                step,
-                body,
-                ..
-            } = &cur.kind
-            else {
-                return err("pipeline nest is not a loop chain");
-            };
-            let step_v = self.const_step(step.as_ref())?;
-            levels.push(PipeLevel {
-                var: self.int_slot(var),
-                lo: self.cidx(lo)?,
-                hi: self.cidx(hi)?,
-                step: step_v,
-            });
-            if Some(levels.len() - 1) == schedule.strip_level {
-                strip_var_name = Some(var.clone());
-            }
-            if body.len() == 1 {
-                if let StmtKind::Do { .. } = body[0].kind {
-                    cur = &body[0];
-                    continue;
-                }
-            }
-            body_ref = body;
-            break;
-        }
+        let Some((levels, var_names, body_ref)) = self.loop_chain(s)? else {
+            return err("pipeline nest is not a loop chain");
+        };
+        let strip_var_name = schedule.strip_level.and_then(|l| var_names.get(l));
         if schedule.sweep_level >= levels.len() {
             return err("sweep level outside nest");
         }
@@ -1230,9 +1151,7 @@ impl<'a> UnitCx<'a> {
         let mut arrays = Vec::new();
         for (name, dim) in &schedule.arrays {
             let arr = self.array_slot(name);
-            let strip_dim = strip_var_name
-                .as_ref()
-                .and_then(|sv| self.find_strip_dim(name, sv));
+            let strip_dim = strip_var_name.and_then(|sv| self.find_strip_dim(name, sv));
             arrays.push(PipeArray {
                 arr,
                 dim: *dim,
@@ -1322,31 +1241,6 @@ impl<'a> UnitCx<'a> {
     }
 }
 
-/// Pack flat `(from, to, segment)` triples into per-peer transfers.
-/// Output is deterministic either way: messages ordered by `(from, to)`,
-/// segments within a message by `(arr, lo, hi)`. With `aggregate` every
-/// same-endpoint run becomes one multi-segment message; without it each
-/// segment stays its own physical message.
-pub(crate) fn group_segs(mut flat: Vec<(usize, usize, CSeg)>, aggregate: bool) -> Vec<CMsg> {
-    flat.sort_by(|a, b| {
-        (a.0, a.1, a.2.arr, &a.2.lo, &a.2.hi).cmp(&(b.0, b.1, b.2.arr, &b.2.lo, &b.2.hi))
-    });
-    let mut out: Vec<CMsg> = Vec::new();
-    for (from, to, seg) in flat {
-        match out.last_mut() {
-            Some(last) if aggregate && last.from == from && last.to == to => {
-                last.segs.push(seg);
-            }
-            _ => out.push(CMsg {
-                from,
-                to,
-                segs: vec![seg],
-            }),
-        }
-    }
-    out
-}
-
 /// Collect the local array slots an op subtree can write: compute
 /// stores, plus slots refreshed by unpacking communication (exchanges,
 /// overlap waits, pipeline boundary receives). Returns `false` — treat
@@ -1372,19 +1266,9 @@ fn written_slots(ops: &[NodeOp], acc: &mut std::collections::BTreeSet<usize>) ->
                     }
                 }
             }
-            NodeOp::Exchange { msgs, .. } => {
-                for m in msgs {
-                    for s in &m.segs {
-                        acc.insert(s.arr);
-                    }
-                }
-            }
+            NodeOp::Exchange { msgs, .. } => acc.extend(segments(msgs).map(|(_, _, s)| s.arr)),
             NodeOp::OverlapNest { msgs, body, .. } => {
-                for m in msgs {
-                    for s in &m.segs {
-                        acc.insert(s.arr);
-                    }
-                }
+                acc.extend(segments(msgs).map(|(_, _, s)| s.arr));
                 if !written_slots(body, acc) {
                     return false;
                 }
@@ -1402,65 +1286,41 @@ fn written_slots(ops: &[NodeOp], acc: &mut std::collections::BTreeSet<usize>) ->
     true
 }
 
-/// Subtract box `b` from box `a` (inclusive bounds, equal rank),
-/// yielding disjoint remainder boxes. Used to drop data a packed
-/// transfer already carries: when two fused segments of the same array
-/// overlap, both were packed from the same sender snapshot, so the
-/// later one only needs its complement.
-fn box_subtract(a: (&[i64], &[i64]), b: (&[i64], &[i64])) -> Vec<(Vec<i64>, Vec<i64>)> {
-    let (alo, ahi) = a;
-    let (blo, bhi) = b;
-    let disjoint = alo
-        .iter()
-        .zip(ahi)
-        .zip(blo.iter().zip(bhi))
-        .any(|((al, ah), (bl, bh))| bh < al || bl > ah);
-    if disjoint {
-        return vec![(alo.to_vec(), ahi.to_vec())];
-    }
-    let mut out = Vec::new();
-    let (mut lo, mut hi) = (alo.to_vec(), ahi.to_vec());
-    for d in 0..lo.len() {
-        if blo[d] > lo[d] {
-            let mut piece_hi = hi.clone();
-            piece_hi[d] = blo[d] - 1;
-            out.push((lo.clone(), piece_hi));
-            lo[d] = blo[d];
-        }
-        if bhi[d] < hi[d] {
-            let mut piece_lo = lo.clone();
-            piece_lo[d] = bhi[d] + 1;
-            out.push((piece_lo, hi.clone()));
-            hi[d] = bhi[d];
-        }
-    }
-    // what remains of (lo, hi) lies inside b and is dropped
-    out
-}
-
 /// Coalesce the segments of one packed transfer: regions of the same
 /// array that earlier segments already carry are subtracted from later
 /// ones (all segments pack from the same sender snapshot, so the
 /// receiver reconstructs the full union either way). Empty remainders
-/// vanish; output keeps the deterministic `(arr, lo, hi)` order.
-fn dedup_packed_segs(msg: &mut CMsg) {
-    let mut out: Vec<CSeg> = Vec::new();
+/// vanish; output keeps the canonical order.
+fn dedup_packed_segs(msg: &mut Transfer<usize>) {
+    let mut out: Vec<Seg<usize>> = Vec::new();
     for seg in std::mem::take(&mut msg.segs) {
-        let mut pieces = vec![(seg.lo, seg.hi)];
-        for prior in out.iter().filter(|p| p.arr == seg.arr) {
-            pieces = pieces
-                .into_iter()
-                .flat_map(|(lo, hi)| box_subtract((&lo, &hi), (&prior.lo, &prior.hi)))
-                .collect();
-        }
-        out.extend(pieces.into_iter().map(|(lo, hi)| CSeg {
-            arr: seg.arr,
-            lo,
-            hi,
-        }));
+        let prior = out.iter().filter(|p| p.arr == seg.arr).map(Seg::region);
+        let pieces = seg.region().subtract_all(prior);
+        out.extend(pieces.into_iter().map(|r| Seg::new(seg.arr, r)));
     }
-    out.sort_by(|a, b| (a.arr, &a.lo, &a.hi).cmp(&(b.arr, &b.lo, &b.hi)));
+    out.sort();
     msg.segs = out;
+}
+
+/// True when fusing B's messages into A would break the sequential
+/// delivery semantics: some rank sends a region in B that A delivers
+/// into (the send must read A's freshly received values — e.g. a
+/// write-back forwarded onward as the next nest's halo), or two
+/// different senders deliver overlapping regions to the same receiver
+/// (the unfused order made B's value win). Same-sender re-delivery is
+/// fine: the sender's copy cannot change between the two adjacent ops,
+/// so the duplicate carries the same bytes and `dedup_packed_segs`
+/// drops it.
+fn delivery_hazard(a_msgs: &[Transfer<usize>], b_msgs: &[Transfer<usize>]) -> bool {
+    segments(b_msgs).any(|(b_from, b_to, s)| {
+        let region = s.region();
+        a_msgs.iter().any(|a| {
+            let read_hazard = a.to == b_from;
+            let write_hazard = a.to == b_to && a.from != b_from;
+            let delivers = |r: &Seg<usize>| r.arr == s.arr && r.region().overlaps(&region);
+            (read_hazard || write_hazard) && a.segs.iter().any(delivers)
+        })
+    })
 }
 
 /// Cross-nest per-peer aggregation: fuse the messages of *adjacent*
@@ -1482,35 +1342,6 @@ fn dedup_packed_segs(msg: &mut CMsg) {
 /// Fusion only fires when packing actually removes physical messages.
 /// Returns the number of messages saved and records a `comm-aggregated`
 /// decision per fused pair against the absorbed nest's statement.
-/// True when fusing B's messages into A would break the sequential
-/// delivery semantics: some rank sends a region in B that A delivers
-/// into (the send must read A's freshly received values — e.g. a
-/// write-back forwarded onward as the next nest's halo), or two
-/// different senders deliver overlapping regions to the same receiver
-/// (the unfused order made B's value win). Same-sender re-delivery is
-/// fine: the sender's copy cannot change between the two adjacent ops,
-/// so the duplicate carries the same bytes and `dedup_packed_segs`
-/// drops it.
-fn delivery_hazard(a_msgs: &[CMsg], b_msgs: &[CMsg]) -> bool {
-    let overlaps = |x: &CSeg, y: &CSeg| {
-        x.arr == y.arr
-            && x.lo
-                .iter()
-                .zip(&x.hi)
-                .zip(y.lo.iter().zip(&y.hi))
-                .all(|((xl, xh), (yl, yh))| *xl.max(yl) <= *xh.min(yh))
-    };
-    b_msgs.iter().any(|b| {
-        b.segs.iter().any(|s| {
-            a_msgs.iter().any(|a| {
-                let read_hazard = a.to == b.from;
-                let write_hazard = a.to == b.to && a.from != b.from;
-                (read_hazard || write_hazard) && a.segs.iter().any(|r| overlaps(r, s))
-            })
-        })
-    })
-}
-
 pub fn fuse_adjacent_comm(ops: &mut Vec<NodeOp>, provs: &[PlanProv]) -> usize {
     use dhpf_obs::{self as obs, CommPhase, Decision, DecisionKind};
     let mut saved = 0usize;
@@ -1528,80 +1359,45 @@ pub fn fuse_adjacent_comm(ops: &mut Vec<NodeOp>, provs: &[PlanProv]) -> usize {
     }
     let mut i = 0;
     while i + 1 < ops.len() {
-        let flat = |msgs: &[CMsg]| -> Vec<(usize, usize, CSeg)> {
-            msgs.iter()
-                .flat_map(|m| m.segs.iter().map(|s| (m.from, m.to, s.clone())))
-                .collect()
-        };
         // split around the pair so both ops can be borrowed mutably
         let (head, tail) = ops.split_at_mut(i + 1);
-        let fused = match (&mut head[i], &mut tail[0]) {
+        // the two transfer lists, B's plan, and whether B has anything
+        // left to do once its transfers are gone
+        let pair = match (&mut head[i], &mut tail[0]) {
             (
                 NodeOp::OverlapNest {
-                    msgs: a_msgs,
-                    body: a_body,
+                    msgs: a,
+                    body: nest,
                     ..
                 },
-                NodeOp::OverlapNest {
-                    msgs: b_msgs,
-                    plan: b_plan,
-                    ..
-                },
-            ) if !a_msgs.is_empty() && !b_msgs.is_empty() => {
+                NodeOp::OverlapNest { msgs: b, plan, .. },
+            ) => {
                 let mut writes = std::collections::BTreeSet::new();
-                let pure = written_slots(a_body, &mut writes);
-                let interferes = !pure
-                    || b_msgs
-                        .iter()
-                        .flat_map(|m| m.segs.iter())
-                        .any(|s| writes.contains(&s.arr))
-                    || delivery_hazard(a_msgs, b_msgs);
-                if interferes {
-                    None
-                } else {
-                    let before = a_msgs.len() + b_msgs.len();
-                    let mut all = flat(a_msgs);
-                    all.extend(flat(b_msgs));
-                    let mut merged = group_segs(all, true);
-                    merged.iter_mut().for_each(dedup_packed_segs);
-                    merged.retain(|m| !m.segs.is_empty());
-                    if merged.len() < before {
-                        let after = merged.len();
-                        let prov = provs
-                            .get(*b_plan as usize)
-                            .map(|p| (p.stmt, p.unit.clone()));
-                        *a_msgs = merged;
-                        b_msgs.clear();
-                        Some((before - after, after, before, prov, false))
-                    } else {
-                        None
-                    }
-                }
+                let clobbered = !written_slots(nest, &mut writes)
+                    || segments(b).any(|(_, _, s)| writes.contains(&s.arr));
+                (!clobbered).then_some((a, b, *plan, false))
             }
-            (
-                NodeOp::Exchange { msgs: a_msgs, .. },
-                NodeOp::Exchange {
-                    msgs: b_msgs, plan, ..
-                },
-            ) if !a_msgs.is_empty() && !b_msgs.is_empty() && !delivery_hazard(a_msgs, b_msgs) => {
-                let before = a_msgs.len() + b_msgs.len();
-                let mut all = flat(a_msgs);
-                all.extend(flat(b_msgs));
-                let mut merged = group_segs(all, true);
-                merged.iter_mut().for_each(dedup_packed_segs);
-                merged.retain(|m| !m.segs.is_empty());
-                if merged.len() < before {
-                    let after = merged.len();
-                    let prov = provs.get(*plan as usize).map(|p| (p.stmt, p.unit.clone()));
-                    *a_msgs = merged;
-                    b_msgs.clear();
-                    Some((before - after, after, before, prov, true))
-                } else {
-                    None
-                }
+            (NodeOp::Exchange { msgs: a, .. }, NodeOp::Exchange { msgs: b, plan, .. }) => {
+                Some((a, b, *plan, true))
             }
             _ => None,
         };
+        let fused = pair.and_then(|(a, b, plan, drop_b)| {
+            if a.is_empty() || b.is_empty() || delivery_hazard(a, b) {
+                return None;
+            }
+            let before = a.len() + b.len();
+            let all = segments(a).chain(segments(b));
+            let mut merged = pack_per_peer(all.map(|(f, t, s)| (f, t, s.clone())).collect(), true);
+            merged.iter_mut().for_each(dedup_packed_segs);
+            (merged.len() < before).then(|| {
+                let after = merged.len();
+                *a = merged;
+                b.clear();
+                let prov = provs.get(plan as usize).map(|p| (p.stmt, p.unit.clone()));
+                (before - after, after, before, prov, drop_b)
+            })
+        });
         match fused {
             Some((delta, after, before, prov, drop_b)) => {
                 saved += delta;
@@ -1632,32 +1428,16 @@ pub fn fuse_adjacent_comm(ops: &mut Vec<NodeOp>, provs: &[PlanProv]) -> usize {
 mod tests {
     use super::*;
 
-    fn seg(arr: usize, lo: &[i64], hi: &[i64]) -> CSeg {
-        CSeg {
+    fn seg(arr: usize, lo: &[i64], hi: &[i64]) -> Seg<usize> {
+        Seg {
             arr,
             lo: lo.to_vec(),
             hi: hi.to_vec(),
         }
     }
 
-    fn msg(from: usize, to: usize, segs: Vec<CSeg>) -> CMsg {
-        CMsg { from, to, segs }
-    }
-
-    #[test]
-    fn box_subtract_disjoint_and_contained() {
-        // disjoint: minuend survives whole
-        let r = box_subtract((&[1, 1], &[4, 4]), (&[6, 6], &[9, 9]));
-        assert_eq!(r, vec![(vec![1, 1], vec![4, 4])]);
-        // fully contained: nothing left
-        assert!(box_subtract((&[2, 2], &[3, 3]), (&[1, 1], &[4, 4])).is_empty());
-        // partial: pieces tile the difference exactly (area check)
-        let r = box_subtract((&[1, 1], &[4, 4]), (&[3, 3], &[6, 6]));
-        let area: i64 = r
-            .iter()
-            .map(|(lo, hi)| (hi[0] - lo[0] + 1) * (hi[1] - lo[1] + 1))
-            .sum();
-        assert_eq!(area, 16 - 4, "pieces must tile |A| - |A ∩ B|");
+    fn msg(from: usize, to: usize, segs: Vec<Seg<usize>>) -> Transfer<usize> {
+        Transfer { from, to, segs }
     }
 
     #[test]
@@ -1680,19 +1460,6 @@ mod tests {
             .sum();
         assert_eq!(total, 12, "arr 7 must cover 1..=12 exactly once");
         assert_eq!(m.segs.iter().filter(|s| s.arr == 8).count(), 1);
-    }
-
-    #[test]
-    fn group_segs_packs_per_peer_only_when_enabled() {
-        let flat = vec![
-            (0usize, 1usize, seg(0, &[1], &[2])),
-            (0, 1, seg(1, &[5], &[6])),
-            (1, 0, seg(0, &[9], &[9])),
-        ];
-        let packed = group_segs(flat.clone(), true);
-        assert_eq!(packed.len(), 2, "0->1 packs into one envelope");
-        let plain = group_segs(flat, false);
-        assert_eq!(plain.len(), 3, "no packing with aggregation off");
     }
 
     #[test]

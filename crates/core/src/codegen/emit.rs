@@ -183,7 +183,12 @@ fn emit_ops(ops: &[NodeOp], u: &CompiledUnit, depth: usize, out: &mut String) {
     }
 }
 
-fn emit_msgs(msgs: &[super::CMsg], u: &CompiledUnit, depth: usize, out: &mut String) {
+fn emit_msgs(
+    msgs: &[crate::transfer::Transfer<usize>],
+    u: &CompiledUnit,
+    depth: usize,
+    out: &mut String,
+) {
     for m in msgs {
         ind(depth, out);
         let _ = writeln!(out, "{}->{}:", m.from, m.to);

@@ -27,6 +27,7 @@ use crate::cp::SubTerm;
 use crate::distrib::{DimMap, DistEnv};
 use crate::driver::OptFlags;
 use crate::select::CpAssignment;
+use crate::transfer::{pack_per_peer, segments, Region, Seg, Transfer};
 use dhpf_depend::dep::{DepKind, Dependence};
 use dhpf_depend::loops::UnitLoops;
 use dhpf_depend::refs::UnitRefs;
@@ -36,53 +37,8 @@ use dhpf_iset::enumerate::bounding_box;
 use dhpf_iset::Set;
 use dhpf_obs::{self as obs, CommPhase, Decision, DecisionKind, ElimReason};
 
-/// An inclusive rectangular section of an array.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Region {
-    pub lo: Vec<i64>,
-    pub hi: Vec<i64>,
-}
-
-impl Region {
-    pub fn len(&self) -> usize {
-        self.lo
-            .iter()
-            .zip(&self.hi)
-            .map(|(l, h)| (h - l + 1).max(0) as usize)
-            .product()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Intersection with another region.
-    pub fn intersect(&self, other: &Region) -> Region {
-        Region {
-            lo: self
-                .lo
-                .iter()
-                .zip(&other.lo)
-                .map(|(a, b)| *a.max(b))
-                .collect(),
-            hi: self
-                .hi
-                .iter()
-                .zip(&other.hi)
-                .map(|(a, b)| *a.min(b))
-                .collect(),
-        }
-    }
-}
-
-/// One vectorized message: `from` sends `array[region]` to `to`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Msg {
-    pub from: usize,
-    pub to: usize,
-    pub array: String,
-    pub region: Region,
-}
+/// A vectorized section on its way to being packed: `(from, to, section)`.
+type Flat = (usize, usize, Seg<String>);
 
 /// The sweep schedule of a pipelined nest.
 #[derive(Clone, Debug, PartialEq)]
@@ -120,12 +76,13 @@ pub struct HaloRead {
     pub shift: i64,
 }
 
-/// Communication plan for one top-level nest.
+/// Communication plan for one top-level nest. `pre` and `post` are the
+/// physical transfers, packed per peer once after coalescing.
 #[derive(Clone, Debug)]
 pub enum NestPlan {
     Parallel {
-        pre: Vec<Msg>,
-        post: Vec<Msg>,
+        pre: Vec<Transfer<String>>,
+        post: Vec<Transfer<String>>,
         /// When `Some`, the pre-exchange may be overlapped with the
         /// nest's interior iterations (post-irecv / compute-interior /
         /// wait / compute-boundary). `None` means the exchange must
@@ -133,20 +90,20 @@ pub enum NestPlan {
         overlap: Option<Vec<HaloRead>>,
     },
     Pipelined {
-        pre: Vec<Msg>,
-        post: Vec<Msg>,
+        pre: Vec<Transfer<String>>,
+        post: Vec<Transfer<String>>,
         schedule: PipeSchedule,
     },
 }
 
 impl NestPlan {
-    pub fn pre(&self) -> &[Msg] {
+    pub fn pre(&self) -> &[Transfer<String>] {
         match self {
             NestPlan::Parallel { pre, .. } | NestPlan::Pipelined { pre, .. } => pre,
         }
     }
 
-    pub fn post(&self) -> &[Msg] {
+    pub fn post(&self) -> &[Transfer<String>] {
         match self {
             NestPlan::Parallel { post, .. } | NestPlan::Pipelined { post, .. } => post,
         }
@@ -171,21 +128,12 @@ impl NestPlan {
         Self::msg_arrays(self.post())
     }
 
-    fn msg_arrays(msgs: &[Msg]) -> Vec<String> {
-        let mut names: Vec<String> = msgs.iter().map(|m| m.array.clone()).collect();
+    fn msg_arrays(msgs: &[Transfer<String>]) -> Vec<String> {
+        let mut names: Vec<String> = segments(msgs).map(|(_, _, s)| s.arr.clone()).collect();
         names.sort();
         names.dedup();
         names
     }
-}
-
-/// Number of physical messages a phase sends once aggregated: the
-/// count of distinct `(from, to)` pairs.
-pub fn aggregated_message_count(msgs: &[Msg]) -> usize {
-    let mut pairs: Vec<(usize, usize)> = msgs.iter().map(|m| (m.from, m.to)).collect();
-    pairs.sort_unstable();
-    pairs.dedup();
-    pairs.len()
 }
 
 /// Analysis failure (pattern outside the compiler's repertoire).
@@ -248,10 +196,10 @@ pub fn plan_nest_scoped(
     let ud = usedef::build(scope, loops, refs);
     let flow_deps = scope_deps.unwrap_or(deps);
 
-    let sweep = detect_sweep(loop_id, loops, refs, deps, cps, env);
+    let sweep = detect_sweep(loop_id, loops, refs, deps, cps, env, granularity);
 
     // ---- pre-exchanges for reads ------------------------------------------
-    let mut pre: Vec<Msg> = Vec::new();
+    let mut pre: Vec<Flat> = Vec::new();
     // (stmt, array) pairs that retained communication; the CommRetained
     // decisions are emitted only after coalescing/aggregation so their
     // counts match CommReport and the traces (a pre-coalesce count
@@ -442,13 +390,12 @@ pub fn plan_nest_scoped(
     coalesce(&mut pre);
     emit_retained(&pre_retained, &pre, CommPhase::Pre);
     report.pre_messages += pre.len();
-    report.pre_volume += pre.iter().map(|m| m.region.len()).sum::<usize>();
-    if flags.aggregate {
-        record_aggregation(&pre, CommPhase::Pre, loop_id, report);
-    }
+    report.pre_volume += pre.iter().map(|m| m.2.elems()).sum::<usize>();
+    let pre = pack_per_peer(pre, flags.aggregate);
+    record_aggregation(&pre, CommPhase::Pre, loop_id, report);
 
     // ---- write-backs (writer → owner, replication-suppressed) -------------
-    let mut post: Vec<Msg> = Vec::new();
+    let mut post: Vec<Flat> = Vec::new();
     let mut post_retained: Vec<(StmtId, String)> = Vec::new();
     build_writebacks(
         loop_id,
@@ -465,14 +412,12 @@ pub fn plan_nest_scoped(
     coalesce(&mut post);
     emit_retained(&post_retained, &post, CommPhase::Post);
     report.post_messages += post.len();
-    report.post_volume += post.iter().map(|m| m.region.len()).sum::<usize>();
-    if flags.aggregate {
-        record_aggregation(&post, CommPhase::Post, loop_id, report);
-    }
+    report.post_volume += post.iter().map(|m| m.2.elems()).sum::<usize>();
+    let post = pack_per_peer(post, flags.aggregate);
+    record_aggregation(&post, CommPhase::Post, loop_id, report);
 
     match sweep {
-        Some(mut schedule) => {
-            schedule.granularity = granularity;
+        Some(schedule) => {
             obs::decide(|| {
                 Decision::new(DecisionKind::PipelineScheduled {
                     arrays: schedule.arrays.iter().map(|(a, _)| a.clone()).collect(),
@@ -517,7 +462,7 @@ fn build_writebacks(
     env: &DistEnv,
     grid: &crate::distrib::ProcGrid,
     sweep: Option<&PipeSchedule>,
-    post: &mut Vec<Msg>,
+    post: &mut Vec<Flat>,
     retained: &mut Vec<(StmtId, String)>,
     report: &mut CommReport,
 ) -> Result<(), CommError> {
@@ -583,12 +528,7 @@ fn build_writebacks(
                         continue;
                     }
                     for region in regions_of(&piece) {
-                        post.push(Msg {
-                            from: rank,
-                            to: orank,
-                            array: w.array.clone(),
-                            region,
-                        });
+                        post.push((rank, orank, Seg::new(w.array.clone(), region)));
                     }
                 }
             }
@@ -613,7 +553,7 @@ fn build_writebacks(
 /// first retaining statement anchors the decision), with the coalesced
 /// message/element counts for that array — so summing the decisions of
 /// a phase reproduces `CommReport` and the trace totals exactly.
-fn emit_retained(retained: &[(StmtId, String)], msgs: &[Msg], phase: CommPhase) {
+fn emit_retained(retained: &[(StmtId, String)], msgs: &[Flat], phase: CommPhase) {
     if !obs::is_active() {
         return;
     }
@@ -623,12 +563,9 @@ fn emit_retained(retained: &[(StmtId, String)], msgs: &[Msg], phase: CommPhase) 
             continue;
         }
         seen.push(array);
-        let messages = msgs.iter().filter(|m| &m.array == array).count();
-        let elems: usize = msgs
-            .iter()
-            .filter(|m| &m.array == array)
-            .map(|m| m.region.len())
-            .sum();
+        let of_array = || msgs.iter().filter(|m| &m.2.arr == array);
+        let messages = of_array().count();
+        let elems: usize = of_array().map(|m| m.2.elems()).sum();
         if messages == 0 {
             continue;
         }
@@ -647,9 +584,14 @@ fn emit_retained(retained: &[(StmtId, String)], msgs: &[Msg], phase: CommPhase) 
 /// Account for per-peer aggregation of one phase: bump the report's
 /// saved-message counter and record a `comm-aggregated` decision when
 /// packing actually removed physical messages.
-fn record_aggregation(msgs: &[Msg], phase: CommPhase, loop_id: StmtId, report: &mut CommReport) {
-    let before = msgs.len();
-    let after = aggregated_message_count(msgs);
+fn record_aggregation(
+    packed: &[Transfer<String>],
+    phase: CommPhase,
+    loop_id: StmtId,
+    report: &mut CommReport,
+) {
+    let before = segments(packed).count();
+    let after = packed.len();
     if after >= before {
         return;
     }
@@ -691,7 +633,7 @@ fn merge_regions(regions: &mut Vec<Region>) {
         changed = false;
         'outer: for i in 0..regions.len() {
             for j in i + 1..regions.len() {
-                if let Some(m) = try_merge(&regions[i], &regions[j]) {
+                if let Some(m) = regions[i].try_merge(&regions[j]) {
                     regions[i] = m;
                     regions.remove(j);
                     changed = true;
@@ -702,36 +644,10 @@ fn merge_regions(regions: &mut Vec<Region>) {
     }
 }
 
-fn try_merge(a: &Region, b: &Region) -> Option<Region> {
-    let n = a.lo.len();
-    let mut diff_dim = None;
-    for d in 0..n {
-        if a.lo[d] == b.lo[d] && a.hi[d] == b.hi[d] {
-            continue;
-        }
-        if diff_dim.is_some() {
-            return None;
-        }
-        diff_dim = Some(d);
-    }
-    let Some(d) = diff_dim else {
-        return Some(a.clone());
-    }; // identical
-       // mergeable if the ranges overlap or abut
-    if a.hi[d] + 1 >= b.lo[d] && b.hi[d] + 1 >= a.lo[d] {
-        let mut m = a.clone();
-        m.lo[d] = a.lo[d].min(b.lo[d]);
-        m.hi[d] = a.hi[d].max(b.hi[d]);
-        Some(m)
-    } else {
-        None
-    }
-}
-
 /// For a receiving processor, split a non-local set into per-owner
 /// messages.
 fn push_msgs(
-    out: &mut Vec<Msg>,
+    out: &mut Vec<Flat>,
     nonlocal: &Set,
     array: &str,
     dist: &crate::distrib::ArrayDist,
@@ -752,46 +668,32 @@ fn push_msgs(
             continue;
         }
         for region in regions_of(&piece) {
-            out.push(Msg {
-                from: orank,
-                to: receiver,
-                array: array.to_string(),
-                region,
-            });
+            out.push((orank, receiver, Seg::new(array.to_string(), region)));
         }
     }
 }
 
 /// Deduplicate and merge messages between identical endpoints.
-fn coalesce(msgs: &mut Vec<Msg>) {
+fn coalesce(msgs: &mut Vec<Flat>) {
     // total order (hi included): messages identical up to their extent
     // would otherwise keep their discovery order, making the greedy
     // merge below sensitive to the order reads were examined in
-    msgs.sort_by(|a, b| {
-        (a.from, a.to, &a.array)
-            .cmp(&(b.from, b.to, &b.array))
-            .then_with(|| a.region.lo.cmp(&b.region.lo))
-            .then_with(|| a.region.hi.cmp(&b.region.hi))
-    });
+    msgs.sort();
     msgs.dedup();
+    let merged = |a: &Flat, b: &Flat| {
+        ((a.0, a.1, &a.2.arr) == (b.0, b.1, &b.2.arr))
+            .then(|| a.2.region().try_merge(&b.2.region()))
+            .flatten()
+    };
     // merge regions per endpoint pair, iterated to a fixed point: a
     // region grown by one merge can become mergeable with an entry it
     // was already tested against (e.g. [0,0]×[0,1] + [1,1]×[0,0] +
     // [1,1]×[1,1] only collapses to one box on the second sweep)
-    let mut out: Vec<Msg> = Vec::new();
+    let mut out: Vec<Flat> = Vec::new();
     for m in msgs.drain(..) {
-        let mut merged = false;
-        for o in out.iter_mut() {
-            if o.from == m.from && o.to == m.to && o.array == m.array {
-                if let Some(r) = try_merge(&o.region, &m.region) {
-                    o.region = r;
-                    merged = true;
-                    break;
-                }
-            }
-        }
-        if !merged {
-            out.push(m);
+        match out.iter_mut().find_map(|o| Some((merged(o, &m)?, o))) {
+            Some((r, o)) => (o.2.lo, o.2.hi) = (r.lo, r.hi),
+            None => out.push(m),
         }
     }
     let mut changed = true;
@@ -799,16 +701,11 @@ fn coalesce(msgs: &mut Vec<Msg>) {
         changed = false;
         'outer: for i in 0..out.len() {
             for j in i + 1..out.len() {
-                if out[i].from == out[j].from
-                    && out[i].to == out[j].to
-                    && out[i].array == out[j].array
-                {
-                    if let Some(r) = try_merge(&out[i].region, &out[j].region) {
-                        out[i].region = r;
-                        out.remove(j);
-                        changed = true;
-                        break 'outer;
-                    }
+                if let Some(r) = merged(&out[i], &out[j]) {
+                    (out[i].2.lo, out[i].2.hi) = (r.lo, r.hi);
+                    out.remove(j);
+                    changed = true;
+                    break 'outer;
                 }
             }
         }
@@ -860,7 +757,7 @@ fn detect_overlap(
     refs: &UnitRefs,
     deps: &[Dependence],
     env: &DistEnv,
-    pre: &[Msg],
+    pre: &[Transfer<String>],
 ) -> Option<Vec<HaloRead>> {
     if pre.is_empty() {
         return None;
@@ -877,7 +774,7 @@ fn detect_overlap(
         .map(|id| loops.loops[id].var.as_str())
         .collect();
     let exchanged: std::collections::BTreeSet<&str> =
-        pre.iter().map(|m| m.array.as_str()).collect();
+        segments(pre).map(|(_, _, s)| s.arr.as_str()).collect();
     let mut halos: Vec<HaloRead> = Vec::new();
     for stmt in loops.stmts_in(loop_id) {
         for r in refs.of_stmt(stmt) {
@@ -929,6 +826,7 @@ fn detect_sweep(
     deps: &[Dependence],
     cps: &CpAssignment,
     env: &DistEnv,
+    granularity: i64,
 ) -> Option<PipeSchedule> {
     // nest structure of the *loop itself*: level 0 = loop_id, following
     // single-child chains of loops. Empty when loop_id is not a loop
@@ -1055,7 +953,7 @@ fn detect_sweep(
         depth,
         read_depth,
         strip_level,
-        granularity: 4,
+        granularity,
     })
 }
 
@@ -1191,7 +1089,7 @@ mod tests {
         // interior boundaries: 3 boundaries × 2 directions = 6 messages,
         // one element each
         assert_eq!(pre.len(), 6, "{pre:?}");
-        assert!(pre.iter().all(|m| m.region.len() == 1));
+        assert!(pre.iter().all(|m| m.elems() == 1));
         // owner-computes writes: no write-backs
         assert!(post.is_empty(), "{post:?}");
         // no carried dep, pure ghost reads b(i-1)/b(i+1): overlappable
@@ -1206,10 +1104,10 @@ mod tests {
         // directions: proc 1 receives b(4) from proc 0 and b(9) from proc 2
         assert!(pre
             .iter()
-            .any(|m| m.from == 0 && m.to == 1 && m.region.lo == vec![4]));
+            .any(|m| m.from == 0 && m.to == 1 && m.segs[0].lo == vec![4]));
         assert!(pre
             .iter()
-            .any(|m| m.from == 2 && m.to == 1 && m.region.lo == vec![9]));
+            .any(|m| m.from == 2 && m.to == 1 && m.segs[0].lo == vec![9]));
     }
 
     #[test]
@@ -1273,7 +1171,7 @@ mod tests {
         // reads of b are now covered by the replicated writes: no b
         // messages at all; u is read aligned (u(i) under b(i)-homed CP
         // extended) — only u's boundary cells may move
-        let b_msgs: Vec<&Msg> = plan.pre().iter().filter(|m| m.array == "b").collect();
+        let b_msgs: Vec<_> = segments(plan.pre()).filter(|m| m.2.arr == "b").collect();
         assert!(
             b_msgs.is_empty(),
             "partial replication must kill b comm: {b_msgs:?}"
@@ -1282,7 +1180,7 @@ mod tests {
         // and the boundary writes of b need no write-back (owner computes
         // them too)
         assert!(
-            plan.post().iter().all(|m| m.array != "b"),
+            segments(plan.post()).all(|m| m.2.arr != "b"),
             "{:?}",
             plan.post()
         );
@@ -1351,7 +1249,7 @@ mod tests {
             lo: vec![1, 2],
             hi: vec![4, 2],
         };
-        let m = try_merge(&a, &b).unwrap();
+        let m = a.try_merge(&b).unwrap();
         assert_eq!(
             m,
             Region {
@@ -1363,24 +1261,14 @@ mod tests {
             lo: vec![1, 4],
             hi: vec![4, 4],
         };
-        assert!(try_merge(&a, &c).is_none());
+        assert!(a.try_merge(&c).is_none());
         let mut msgs = vec![
-            Msg {
-                from: 0,
-                to: 1,
-                array: "x".into(),
-                region: a,
-            },
-            Msg {
-                from: 0,
-                to: 1,
-                array: "x".into(),
-                region: b,
-            },
+            (0, 1, Seg::new("x".to_string(), a)),
+            (0, 1, Seg::new("x".to_string(), b)),
         ];
         coalesce(&mut msgs);
         assert_eq!(msgs.len(), 1);
-        assert_eq!(msgs[0].region.hi, vec![4, 2]);
+        assert_eq!(msgs[0].2.hi, vec![4, 2]);
     }
 
     #[test]
@@ -1390,20 +1278,18 @@ mod tests {
         // merges the latter two into [1,1]×[0,1]; only a second sweep
         // can fuse that grown box with [0,0]×[0,1]. The single-pass
         // coalesce used to stop at 2 messages.
-        let m = |lo: [i64; 2], hi: [i64; 2]| Msg {
-            from: 0,
-            to: 1,
-            array: "x".into(),
-            region: Region {
+        let m = |lo: [i64; 2], hi: [i64; 2]| {
+            let region = Region {
                 lo: lo.to_vec(),
                 hi: hi.to_vec(),
-            },
+            };
+            (0, 1, Seg::new("x".to_string(), region))
         };
         let mut msgs = vec![m([0, 0], [0, 1]), m([1, 0], [1, 0]), m([1, 1], [1, 1])];
         coalesce(&mut msgs);
         assert_eq!(msgs.len(), 1, "{msgs:?}");
-        assert_eq!(msgs[0].region.lo, vec![0, 0]);
-        assert_eq!(msgs[0].region.hi, vec![1, 1]);
+        assert_eq!(msgs[0].2.lo, vec![0, 0]);
+        assert_eq!(msgs[0].2.hi, vec![1, 1]);
     }
 
     /// Two-array stencil: every interior peer pair moves a boundary cell
@@ -1440,15 +1326,18 @@ mod tests {
                 &mut report,
             )
             .expect("plan");
-            (plan.pre().len(), report)
+            let sections = segments(plan.pre()).count();
+            (plan.pre().len(), sections, report)
         };
-        let (pre_on, on) = run(true);
-        let (pre_off, off) = run(false);
-        // the plan itself is identical — aggregation only changes the
-        // physical packing, which codegen applies
-        assert_eq!(pre_on, pre_off);
-        assert_eq!(pre_on, 12, "two arrays × 6 boundary messages");
-        // 12 coalesced messages over 6 peer pairs → 6 saved
+        let (pre_on, sections_on, on) = run(true);
+        let (pre_off, sections_off, off) = run(false);
+        // the same sections either way — aggregation only changes how
+        // many transfers carry them
+        assert_eq!(sections_on, sections_off);
+        assert_eq!(sections_on, 12, "two arrays × 6 boundary messages");
+        assert_eq!(on.pre_messages, off.pre_messages);
+        // 12 coalesced sections over 6 peer pairs → 6 saved
+        assert_eq!((pre_on, pre_off), (6, 12));
         assert_eq!(on.messages_saved, 6);
         assert_eq!(off.messages_saved, 0);
     }
@@ -1578,7 +1467,7 @@ mod tests {
         )
         .expect("plan");
         assert!(
-            plan.pre().iter().any(|m| m.array == "c"),
+            segments(plan.pre()).any(|m| m.2.arr == "c"),
             "{:?}",
             plan.pre()
         );
@@ -1619,19 +1508,18 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
-        fn arb_msg() -> impl Strategy<Value = Msg> {
+        fn arb_msg() -> impl Strategy<Value = Flat> {
             (
                 (0usize..3, 0usize..3, 0..2u8),
                 (0i64..6, 0i64..3, 0i64..6, 0i64..3),
             )
-                .prop_map(|((from, to, arr), (l0, e0, l1, e1))| Msg {
-                    from,
-                    to,
-                    array: if arr == 0 { "a".into() } else { "b".into() },
-                    region: Region {
+                .prop_map(|((from, to, arr), (l0, e0, l1, e1))| {
+                    let region = Region {
                         lo: vec![l0, l1],
                         hi: vec![l0 + e0, l1 + e1],
-                    },
+                    };
+                    let array = if arr == 0 { "a" } else { "b" };
+                    (from, to, Seg::new(array.to_string(), region))
                 })
         }
 
@@ -1671,12 +1559,9 @@ mod tests {
                 coalesce(&mut m);
                 for i in 0..m.len() {
                     for j in i + 1..m.len() {
-                        if m[i].from == m[j].from
-                            && m[i].to == m[j].to
-                            && m[i].array == m[j].array
-                        {
+                        if (m[i].0, m[i].1, &m[i].2.arr) == (m[j].0, m[j].1, &m[j].2.arr) {
                             prop_assert!(
-                                try_merge(&m[i].region, &m[j].region).is_none(),
+                                m[i].2.region().try_merge(&m[j].2.region()).is_none(),
                                 "mergeable pair survived: {:?} / {:?}",
                                 m[i],
                                 m[j]
@@ -1686,41 +1571,28 @@ mod tests {
                 }
             }
 
-            // aggregation is a partition: every coalesced message lands
-            // in exactly one per-peer transfer of the emitted grouping
-            // (`codegen::group_segs`), elements are conserved, and no
-            // two transfers share endpoints
+            // packing is a partition in canonical order: the coalesced
+            // sections come out as they went in, one transfer per pair
+            // with aggregation, one section per transfer without
             #[test]
             fn aggregate_partitions_messages(
                 msgs in prop::collection::vec(arb_msg(), 0..12),
+                aggregate in prop::bool::ANY,
             ) {
                 let mut m = msgs;
                 coalesce(&mut m);
-                let flat = m
-                    .iter()
-                    .map(|x| {
-                        let seg = crate::codegen::CSeg {
-                            arr: (x.array == "b") as usize,
-                            lo: x.region.lo.clone(),
-                            hi: x.region.hi.clone(),
-                        };
-                        (x.from, x.to, seg)
-                    })
-                    .collect();
-                let agg = crate::codegen::group_segs(flat, true);
-                let segs: usize = agg.iter().map(|g| g.segs.len()).sum();
-                prop_assert_eq!(segs, m.len());
-                let plan_elems: usize = m.iter().map(|x| x.region.len()).sum();
-                let agg_elems: usize = agg.iter().map(|g| g.elems()).sum();
-                prop_assert_eq!(agg_elems, plan_elems);
-                for i in 0..agg.len() {
-                    for j in i + 1..agg.len() {
-                        prop_assert!(
-                            (agg[i].from, agg[i].to) != (agg[j].from, agg[j].to)
-                        );
+                let packed = pack_per_peer(m.clone(), aggregate);
+                let out: Vec<Flat> = segments(&packed).map(|(f, t, s)| (f, t, s.clone())).collect();
+                m.sort();
+                prop_assert_eq!(out, m);
+                prop_assert!(packed.windows(2).all(|w| w[0] < w[1]));
+                for (i, x) in packed.iter().enumerate() {
+                    if aggregate {
+                        prop_assert!(packed[i + 1..].iter().all(|y| (y.from, y.to) != (x.from, x.to)));
+                    } else {
+                        prop_assert_eq!(x.segs.len(), 1);
                     }
                 }
-                prop_assert_eq!(agg.len(), aggregated_message_count(&m));
             }
         }
     }

@@ -25,6 +25,7 @@ use crate::localize::apply_localize;
 use crate::loopdist::{assign_group_cps, distribute_nest, group_statements};
 use crate::privat::propagate_new_cps;
 use crate::select::{self, Candidate, CpAssignment};
+use crate::transfer::{segments, Transfer};
 use dhpf_depend::callgraph::CallGraph;
 use dhpf_depend::dep::{analyze_loop_deps, Dependence};
 use dhpf_depend::loops::UnitLoops;
@@ -426,23 +427,23 @@ fn assemble_obs(
             let Some(plan) = ua.plans.get(nest) else {
                 continue;
             };
-            let messages_saved = if opts.flags.aggregate {
-                (plan.pre().len() - crate::comm::aggregated_message_count(plan.pre()))
-                    + (plan.post().len() - crate::comm::aggregated_message_count(plan.post()))
-            } else {
-                0
-            };
+            // messages are coalesced sections; the transfers that carry
+            // them are fewer by what per-peer packing saved
+            let sections = |phase: &[Transfer<String>]| segments(phase).count();
+            let elems =
+                |phase: &[Transfer<String>]| phase.iter().map(Transfer::elems).sum::<usize>();
+            let (pre, post) = (plan.pre(), plan.post());
             m.nests.push(obs::NestMetrics {
                 unit: uname.clone(),
                 stmt: nest.0,
                 line: lines.get(nest).copied(),
                 pipelined: matches!(plan, NestPlan::Pipelined { .. }),
                 overlapped: plan.overlap().is_some(),
-                pre_messages: plan.pre().len(),
-                pre_elems: plan.pre().iter().map(|x| x.region.len()).sum(),
-                post_messages: plan.post().len(),
-                post_elems: plan.post().iter().map(|x| x.region.len()).sum(),
-                messages_saved,
+                pre_messages: sections(pre),
+                pre_elems: elems(pre),
+                post_messages: sections(post),
+                post_elems: elems(post),
+                messages_saved: sections(pre) + sections(post) - pre.len() - post.len(),
             });
         }
     }

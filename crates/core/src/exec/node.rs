@@ -7,18 +7,19 @@
 //! communication ops keep their message logic here and run their nests
 //! as tape ranges.
 
-use crate::codegen::{CMsg, NodeProgram, PipeArray};
+use crate::codegen::{NodeProgram, PipeArray};
 use crate::exec::serial::ArrayValue;
 pub use crate::exec::tape::LowerStats;
 use crate::exec::tape::{lower_program, unbound_dummy, Comm, Ins, Pipe, Site, Tape, UNBOUND};
-use dhpf_spmd::array::{section_len, LocalArray};
+use crate::transfer::{Seg, Transfer};
+use dhpf_spmd::array::LocalArray;
 use dhpf_spmd::machine::{Machine, MachineConfig, Proc, RunResult};
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 /// Execution error: configuration mismatches (wrong machine size) and
 /// runtime storage/protocol violations (unbound array dummies, accesses
-/// to unowned storage, malformed pipeline transfers). All are returned
+/// to unowned storage, payloads that do not fit their transfer). All are returned
 /// as `Err` from [`run_node_program`] rather than panicking the process.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExecError(pub String);
@@ -503,48 +504,83 @@ impl<'p> ProcState<'p> {
         }
     }
 
-    fn exchange(&mut self, proc: &mut Proc, binding: &[usize], msgs: &[CMsg], tag: u64) {
-        // sends first (non-blocking), then receives; each message packs
-        // its segments back-to-back into one physical transfer
+    // The three message paths (`exchange`, `overlap_nest`, `pipeline`) are
+    // kept out of line: inlined into `run` they change the code of its
+    // instruction loop, 4% of `exec_s` on a single-rank BT run that never
+    // sends a message.
+    #[inline(never)]
+    fn exchange(&mut self, proc: &mut Proc, binding: &[usize], msgs: &[Transfer<usize>], tag: u64) {
+        // sends first (non-blocking), then receives
         self.send_all(proc, binding, msgs, tag);
-        for m in msgs {
-            if m.to != self.rank {
-                continue;
-            }
+        let rank = self.rank;
+        for m in msgs.iter().filter(|m| m.to == rank) {
             let buf = proc.recv(m.from, tag);
-            self.unpack_segments(binding, m, &buf);
+            self.unpack(binding, m, tag, &buf, "exchange", format_args!(""));
         }
     }
 
-    /// Send every message of `msgs` this rank is the source of.
-    fn send_all(&mut self, proc: &mut Proc, binding: &[usize], msgs: &[CMsg], tag: u64) {
-        for m in msgs {
-            if m.from != self.rank {
-                continue;
-            }
-            // pack every segment into one buffer, in segment order
-            let mut buf = Vec::with_capacity(m.elems());
-            for s in &m.segs {
-                let g = self.global_of(binding, s.arr);
-                if let Some(local) = &self.storage[g] {
-                    local.pack_into(&s.lo, &s.hi, &mut buf);
-                }
-            }
-            proc.send_parts(m.to, tag, buf, m.segs.len() as u32);
+    /// Send every transfer of `msgs` this rank is the source of.
+    fn send_all(&self, proc: &mut Proc, binding: &[usize], msgs: &[Transfer<usize>], tag: u64) {
+        for m in msgs.iter().filter(|m| m.from == self.rank) {
+            self.send(proc, binding, m, tag);
         }
     }
 
-    /// Unpack a received buffer segment by segment: each ghost region
-    /// takes the next `section_len` elements of the packed payload.
-    fn unpack_segments(&mut self, binding: &[usize], m: &CMsg, buf: &[f64]) {
-        let mut off = 0usize;
-        for s in &m.segs {
+    /// Send one transfer: every segment packed back-to-back, in order,
+    /// into one physical message. `x` names arrays by local slot.
+    fn send(&self, proc: &mut Proc, binding: &[usize], x: &Transfer<usize>, tag: u64) {
+        let mut buf = Vec::with_capacity(x.elems());
+        for s in &x.segs {
             let g = self.global_of(binding, s.arr);
-            if let Some(local) = self.storage[g].as_mut() {
-                let n = section_len(&s.lo, &s.hi);
-                local.unpack(&s.lo, &s.hi, &buf[off..off + n]);
-                off += n;
+            if let Some(local) = &self.storage[g] {
+                local.pack_into(&s.lo, &s.hi, &mut buf);
             }
+        }
+        proc.send_parts(x.to, tag, buf, (x.segs.len() as u32).max(1));
+    }
+
+    /// Unpack the payload of one received transfer, the mirror of
+    /// [`Self::send`]: each segment takes the next `elems()` of `buf`.
+    /// A payload that runs short of a segment, or is not used up by all
+    /// of them, is an [`ExecError`] naming `op` and its `context`.
+    fn unpack(
+        &mut self,
+        binding: &[usize],
+        x: &Transfer<usize>,
+        tag: u64,
+        buf: &[f64],
+        op: &str,
+        context: std::fmt::Arguments<'_>,
+    ) {
+        let mismatch = |st: &Self, detail: String| -> ! {
+            exec_fail(format!(
+                "{op} recv mismatch on rank {} (coords {:?}) from {}: {detail} (tag {tag}{context})",
+                st.rank, st.coords, x.from
+            ))
+        };
+        let mut off = 0usize;
+        for s in &x.segs {
+            let g = self.global_of(binding, s.arr);
+            let need = s.elems();
+            if off + need > buf.len() {
+                let detail = format!(
+                    "array {} region {:?}..{:?} needs {need} at offset {off} but the packed \
+                     payload holds {}",
+                    self.prog.arrays[g].name,
+                    s.lo,
+                    s.hi,
+                    buf.len()
+                );
+                mismatch(self, detail);
+            }
+            if let Some(local) = self.storage[g].as_mut() {
+                local.unpack(&s.lo, &s.hi, &buf[off..off + need]);
+            }
+            off += need;
+        }
+        if off != buf.len() {
+            let detail = format!("unpacked {off} of {} packed elements", buf.len());
+            mismatch(self, detail);
         }
     }
 
@@ -555,11 +591,12 @@ impl<'p> ProcState<'p> {
     /// lands in one pass by the interior membership test), so numerics
     /// and charged flops are identical — only the virtual-time placement
     /// of the communication changes.
+    #[inline(never)]
     fn overlap_nest(
         &mut self,
         proc: &mut Proc,
         binding: &[usize],
-        msgs: &[CMsg],
+        msgs: &[Transfer<usize>],
         tag: u64,
         pass: &mut dyn FnMut(&mut Self, &mut Proc, bool),
     ) {
@@ -567,21 +604,17 @@ impl<'p> ProcState<'p> {
         // post in plan order: FIFO per (source, tag) matches each wait
         // below to the same message the blocking exchange would recv.
         // One irecv per peer message, however many segments it carries.
-        let mut posted = Vec::new();
-        for m in msgs {
-            if m.to != self.rank {
-                continue;
-            }
-            posted.push((m, proc.irecv(m.from, tag)));
-        }
+        let mine = msgs.iter().filter(|m| m.to == self.rank);
+        let posted: Vec<_> = mine.map(|m| (m, proc.irecv(m.from, tag))).collect();
         pass(self, proc, true);
         for (m, req) in posted {
             let buf = proc.wait(req);
-            self.unpack_segments(binding, m, &buf);
+            self.unpack(binding, m, tag, &buf, "overlap", format_args!(""));
         }
         pass(self, proc, false);
     }
 
+    #[inline(never)]
     fn pipeline(
         &mut self,
         proc: &mut Proc,
@@ -654,48 +687,24 @@ impl<'p> ProcState<'p> {
             (p.read_depth, p.write_depth)
         };
         let (chunk_lo, chunk_hi) = strip.unwrap_or((0, 0));
-        let region = |st: &Self, pa: &PipeArray, recv: bool| {
-            st.pipe_region(&t.binding, pa, recv, dir, rd, wd, strip)
+        // one hop's transfer: the boundary region of every array of the
+        // group, in group order
+        let hop = |st: &Self, group: &[PipeArray], from: usize, to: usize| Transfer {
+            from,
+            to,
+            segs: (group.iter())
+                .filter_map(|pa| st.pipe_region(&t.binding, pa, to == st.rank, dir, rd, wd, strip))
+                .collect(),
         };
         // receive the predecessor's boundary for this strip, one message
-        // per array group, each array's region packed in group order
+        // per array group
         if let Some(pred) = p.pred {
-            let mismatch = |st: &Self, detail: String| -> ! {
-                exec_fail(format!(
-                    "pipeline recv mismatch on rank {} (coords {:?}) from {pred}: {detail} \
-                     (tag {tag}, chunk {chunk_lo}..{chunk_hi}, rd {rd} wd {wd}, dir {dir})",
-                    st.rank, st.coords
-                ))
-            };
             for group in &p.groups {
                 let buf = proc.recv(pred, tag);
-                let mut off = 0usize;
-                for pa in *group {
-                    let Some((lo, hi)) = region(self, pa, true) else {
-                        continue;
-                    };
-                    let g = t.binding[pa.arr];
-                    let need = section_len(&lo, &hi);
-                    if off + need > buf.len() {
-                        mismatch(
-                            self,
-                            format!(
-                                "array {} region {lo:?}..{hi:?} needs {need} at offset {off} \
-                                 but the packed payload holds {}",
-                                self.prog.arrays[g].name,
-                                buf.len()
-                            ),
-                        );
-                    }
-                    if let Some(local) = self.storage[g].as_mut() {
-                        local.unpack(&lo, &hi, &buf[off..off + need]);
-                    }
-                    off += need;
-                }
-                if off != buf.len() {
-                    let detail = format!("unpacked {off} of {} packed elements", buf.len());
-                    mismatch(self, detail);
-                }
+                let x = hop(self, group, pred, self.rank);
+                let chunk =
+                    format_args!(", chunk {chunk_lo}..{chunk_hi}, rd {rd} wd {wd}, dir {dir}");
+                self.unpack(&t.binding, &x, tag, &buf, "pipeline", chunk);
             }
         }
         // execute the nest with the strip level clamped to the chunk
@@ -707,23 +716,13 @@ impl<'p> ProcState<'p> {
         // forward my boundary to the successor, group by group
         if let Some(succ) = p.succ {
             for group in &p.groups {
-                let mut buf = Vec::new();
-                let mut parts = 0u32;
-                for pa in *group {
-                    let Some((lo, hi)) = region(self, pa, false) else {
-                        continue;
-                    };
-                    if let Some(local) = &self.storage[t.binding[pa.arr]] {
-                        local.pack_into(&lo, &hi, &mut buf);
-                        parts += 1;
-                    }
-                }
-                proc.send_parts(succ, tag, buf, parts.max(1));
+                let x = hop(self, group, self.rank, succ);
+                self.send(proc, &t.binding, &x, tag);
             }
         }
     }
 
-    /// Boundary region for a pipeline transfer. `recv = true` computes
+    /// Boundary segment of a pipeline transfer. `recv = true` computes
     /// the region arriving from the predecessor; `false` the region sent
     /// to the successor. Returns `None` if this proc owns nothing.
     #[allow(clippy::too_many_arguments)]
@@ -736,7 +735,7 @@ impl<'p> ProcState<'p> {
         rd: i64,
         wd: i64,
         strip: Option<(i64, i64)>,
-    ) -> Option<(Vec<i64>, Vec<i64>)> {
+    ) -> Option<Seg<usize>> {
         let g = self.global_of(binding, pa.arr);
         let ga = &self.prog.arrays[g];
         let local = self.storage[g].as_ref()?;
@@ -774,7 +773,11 @@ impl<'p> ProcState<'p> {
                 hi.push(ohi);
             }
         }
-        Some((lo, hi))
+        Some(Seg {
+            arr: pa.arr,
+            lo,
+            hi,
+        })
     }
 }
 

@@ -24,9 +24,10 @@
 use super::node::ProcState;
 use super::serial::eval_intrinsic;
 use crate::codegen::{
-    pipe_groups, CExpr, CIdx, CMsg, CompiledUnit, FormalSlot, Guard, GuardAtom, HaloCheck, NodeOp,
+    pipe_groups, CExpr, CIdx, CompiledUnit, FormalSlot, Guard, GuardAtom, HaloCheck, NodeOp,
     PipeArray, PipeLevel, INTRINSIC_NAMES,
 };
+use crate::transfer::Transfer;
 use dhpf_fortran::ast::BinOp;
 use std::collections::BTreeMap;
 
@@ -290,12 +291,12 @@ pub(super) struct CallSite {
 
 pub(super) enum Comm<'p> {
     Exchange {
-        msgs: &'p [CMsg],
+        msgs: &'p [Transfer<usize>],
         tag: u64,
         plan: u32,
     },
     Overlap {
-        msgs: &'p [CMsg],
+        msgs: &'p [Transfer<usize>],
         tag: u64,
         plan: u32,
         split: u32,

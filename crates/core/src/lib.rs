@@ -28,6 +28,8 @@
 //!    same processor.
 //! 8. [`comm`] — non-local data sets, message vectorization/coalescing,
 //!    overlap areas, coarse-grain pipelining for wavefront nests.
+//!    [`transfer`] is the one description of a message every later
+//!    stage shares.
 //! 9. [`codegen`] + [`exec`] — emit the node program and interpret it on
 //!    the virtual machine (numerically, with virtual-time charging).
 
@@ -44,5 +46,6 @@ pub mod loopdist;
 pub mod privat;
 pub mod protocol;
 pub mod select;
+pub mod transfer;
 
 pub use driver::{compile, CompileOptions, Compiled, OptFlags, UnitAnalysis};

@@ -25,19 +25,9 @@
 //! of different source ops; the checker exploits this to verify loop
 //! bodies and branch arms as independently balanced segments.
 
-use crate::codegen::{
-    pipe_groups, CExpr, CIdx, CMsg, CompiledUnit, FormalSlot, NodeOp, NodeProgram,
-};
+use crate::codegen::{pipe_groups, CExpr, CIdx, CompiledUnit, FormalSlot, NodeOp, NodeProgram};
+use crate::transfer::{Region, Transfer};
 use std::collections::BTreeSet;
-
-/// One resolved array section of a protocol message (global array id
-/// plus the region in global coordinates).
-#[derive(Clone, Debug)]
-pub struct ProtoSeg {
-    pub arr: usize,
-    pub lo: Vec<i64>,
-    pub hi: Vec<i64>,
-}
 
 /// One atom of the rank-symbolic protocol. Concrete ranks appear because
 /// the compiler already resolved ownership to rank constants when it
@@ -45,47 +35,39 @@ pub struct ProtoSeg {
 /// about all ranks' interleavings in one pass, not that ranks are
 /// unknowns.
 ///
-/// Each Send/Recv/Post/Wait atom is one *physical* message; with
-/// per-peer aggregation it carries every packed array section in
-/// `segs`. Keeping one atom per transfer (instead of one per segment)
-/// preserves the matching, FIFO, and wait-coverage invariants the
-/// checker enforces per physical message.
+/// Each Send/Recv/Post/Wait atom is one *physical* message: the
+/// emitted [`Transfer`] with its arrays resolved to global ids. Keeping
+/// one atom per transfer (instead of one per segment) preserves the
+/// matching, FIFO, and wait-coverage invariants the checker enforces
+/// per physical message.
 #[derive(Clone, Debug)]
 pub enum ProtoOp {
-    /// Nonblocking send of the packed sections executed by `from`.
+    /// Nonblocking send of the packed sections executed by `xfer.from`.
     Send {
         unit: usize,
-        from: usize,
-        to: usize,
         tag: u64,
-        segs: Vec<ProtoSeg>,
+        xfer: Transfer<usize>,
     },
-    /// Blocking receive executed by `to`.
+    /// Blocking receive executed by `xfer.to`.
     Recv {
         unit: usize,
-        from: usize,
-        to: usize,
         tag: u64,
-        segs: Vec<ProtoSeg>,
+        xfer: Transfer<usize>,
     },
-    /// Nonblocking receive post (irecv) executed by `to`. `req` is a
-    /// program-unique request id tying it to its [`ProtoOp::Wait`].
+    /// Nonblocking receive post (irecv) executed by `xfer.to`. `req` is
+    /// a program-unique request id tying it to its [`ProtoOp::Wait`].
     Post {
         unit: usize,
-        from: usize,
-        to: usize,
         tag: u64,
         req: u64,
-        segs: Vec<ProtoSeg>,
+        xfer: Transfer<usize>,
     },
-    /// Blocking wait + unpack for request `req`, executed by `to`.
+    /// Blocking wait + unpack for request `req`, executed by `xfer.to`.
     Wait {
         unit: usize,
-        from: usize,
-        to: usize,
         tag: u64,
         req: u64,
-        segs: Vec<ProtoSeg>,
+        xfer: Transfer<usize>,
     },
     /// Full-machine barrier. The code generator never emits one today,
     /// but the machine exposes `Proc::barrier` and the verifier checks
@@ -128,7 +110,7 @@ pub struct ArrayInfo {
     /// Allocated local window (owned ± ghost) per rank, `None` when the
     /// rank owns no storage — mirrors `ProcState::new` in the node
     /// interpreter exactly.
-    pub windows: Vec<Option<(Vec<i64>, Vec<i64>)>>,
+    pub windows: Vec<Option<Region>>,
 }
 
 /// The extracted protocol of a whole node program (main unit with all
@@ -192,7 +174,7 @@ pub fn extract_protocol(prog: &NodeProgram) -> ProtocolProgram {
                         None => {
                             let lo: Vec<i64> = ga.bounds.iter().map(|b| b.0).collect();
                             let hi: Vec<i64> = ga.bounds.iter().map(|b| b.1).collect();
-                            Some((lo, hi))
+                            Some(Region { lo, hi })
                         }
                         Some(dist) => dist.owned_box(&coords).map(|ob| {
                             let lo: Vec<i64> = ob
@@ -205,7 +187,7 @@ pub fn extract_protocol(prog: &NodeProgram) -> ProtocolProgram {
                                 .zip(&ga.ghost)
                                 .map(|(b, g)| b.1 + *g as i64)
                                 .collect();
-                            (lo, hi)
+                            Region { lo, hi }
                         }),
                     }
                 })
@@ -424,30 +406,19 @@ impl<'p> Extract<'p> {
             NodeOp::Exchange { msgs, tag, .. } => {
                 // the interpreter issues all sends (nonblocking) before
                 // any blocking receive; keep that per-rank order
-                for m in msgs {
-                    let segs = self.resolve_segs(m, f);
-                    if !segs.is_empty() {
-                        out.push(ProtoOp::Send {
-                            unit,
-                            from: m.from,
-                            to: m.to,
-                            tag: *tag,
-                            segs,
-                        });
-                    }
-                }
-                for m in msgs {
-                    let segs = self.resolve_segs(m, f);
-                    if !segs.is_empty() {
-                        out.push(ProtoOp::Recv {
-                            unit,
-                            from: m.from,
-                            to: m.to,
-                            tag: *tag,
-                            segs,
-                        });
-                    }
-                }
+                let tag = *tag;
+                let bound = bound(msgs, f);
+                out.extend(
+                    bound
+                        .iter()
+                        .cloned()
+                        .map(|xfer| ProtoOp::Send { unit, tag, xfer }),
+                );
+                out.extend(
+                    bound
+                        .into_iter()
+                        .map(|xfer| ProtoOp::Recv { unit, tag, xfer }),
+                );
             }
             NodeOp::OverlapNest {
                 msgs,
@@ -456,52 +427,36 @@ impl<'p> Extract<'p> {
                 body,
                 ..
             } => {
-                for m in msgs {
-                    let segs = self.resolve_segs(m, f);
-                    if !segs.is_empty() {
-                        out.push(ProtoOp::Send {
-                            unit,
-                            from: m.from,
-                            to: m.to,
-                            tag: *tag,
-                            segs,
-                        });
-                    }
-                }
+                let tag = *tag;
+                let bound = bound(msgs, f);
+                out.extend(
+                    bound
+                        .iter()
+                        .cloned()
+                        .map(|xfer| ProtoOp::Send { unit, tag, xfer }),
+                );
                 // posts in plan order; each wait below mirrors its post
-                let mut posted = Vec::new();
-                for m in msgs {
-                    let segs = self.resolve_segs(m, f);
-                    if !segs.is_empty() {
-                        let req = self.next_req;
-                        self.next_req += 1;
-                        posted.push((m, req, segs.clone()));
-                        out.push(ProtoOp::Post {
-                            unit,
-                            from: m.from,
-                            to: m.to,
-                            tag: *tag,
-                            req,
-                            segs,
-                        });
-                    }
-                }
+                let first_req = self.next_req;
+                self.next_req += bound.len() as u64;
+                let posted = || (first_req..).zip(bound.iter().cloned());
+                out.extend(posted().map(|(req, xfer)| ProtoOp::Post {
+                    unit,
+                    tag,
+                    req,
+                    xfer,
+                }));
                 // interior + boundary compute: writes only (level bounds
                 // feed no communication decisions here)
                 for lv in levels {
                     f.ints[lv.var] = self.cidx_taint(&lv.lo, f) || self.cidx_taint(&lv.hi, f);
                 }
                 self.emit_ops(unit, body, f, ctx, out);
-                for (m, req, segs) in posted {
-                    out.push(ProtoOp::Wait {
-                        unit,
-                        from: m.from,
-                        to: m.to,
-                        tag: *tag,
-                        req,
-                        segs,
-                    });
-                }
+                out.extend(posted().map(|(req, xfer)| ProtoOp::Wait {
+                    unit,
+                    tag,
+                    req,
+                    xfer,
+                }));
             }
             NodeOp::Pipeline {
                 levels,
@@ -602,24 +557,15 @@ impl<'p> Extract<'p> {
         let gr = granularity.max(1);
         ((hi - lo) / gr + 1) as usize
     }
+}
 
-    /// Resolve a compiled message's segments through the frame's array
-    /// bindings, dropping segments over unbound dummies (the message
-    /// itself disappears when every segment is unbound — same behavior
-    /// the single-section extraction had).
-    fn resolve_segs(&self, m: &CMsg, f: &TaintFrame) -> Vec<ProtoSeg> {
-        m.segs
-            .iter()
-            .filter_map(|s| {
-                let g = f.arrays[s.arr];
-                (g != usize::MAX).then(|| ProtoSeg {
-                    arr: g,
-                    lo: s.lo.clone(),
-                    hi: s.hi.clone(),
-                })
-            })
-            .collect()
-    }
+/// The transfers of an emitted op with their array slots resolved
+/// through the frame's bindings. Segments over unbound dummies drop out,
+/// and a transfer left with none is no message at all.
+fn bound(msgs: &[Transfer<usize>], f: &TaintFrame) -> Vec<Transfer<usize>> {
+    let global = |slot: &usize| Some(f.arrays[*slot]).filter(|g| *g != usize::MAX);
+    let bound = msgs.iter().map(|m| m.rebind(global));
+    bound.filter(|x| !x.segs.is_empty()).collect()
 }
 
 #[cfg(test)]

@@ -46,7 +46,7 @@ input (one of):
 options:
   --class S|W|A|B        NAS problem class            [S]
   --nprocs N             processors                   [4]
-  --bind NAME=VALUE      bind a symbolic size (repeatable)
+  --bind NAME=VALUE      bind a symbolic size of FILE.f (repeatable)
   --granularity N        pipeline strip size          [4]
   --no-overlap           disable halo/compute overlap (blocking exchanges)
   --no-aggregate         disable per-peer cross-array message aggregation
@@ -210,6 +210,11 @@ fn parse_args() -> Result<Args, String> {
     }
     if a.nas.is_none() && a.file.is_none() {
         return Err(format!("no input given\n\n{USAGE}"));
+    }
+    if a.nas.is_some() && !a.binds.is_empty() {
+        return Err(format!(
+            "--bind does not apply to --nas: a NAS benchmark takes its sizes from --class\n\n{USAGE}"
+        ));
     }
     Ok(a)
 }

@@ -6,8 +6,8 @@
 //! ISSUE acceptance bar). Two sabotages are implemented:
 //!
 //! * **Dropped exchange** ([`mutation_check`]): remove one
-//!   *non-redundant* planned pre-exchange, both the plan-level [`Msg`]
-//!   and the matching segment of the emitted [`CMsg`]. Dropping only
+//!   *non-redundant* planned pre-exchange section, both from the plan's
+//!   transfer and from the emitted one. Dropping only
 //!   the emitted segment would silence both the send and the receive
 //!   side, so the message-matching checkers (protocol, traces) stay
 //!   clean by construction; that is why the plan is mutated too — the
@@ -15,7 +15,7 @@
 //!   oracle works from the execution, giving two genuinely independent
 //!   detection paths.
 //! * **Wrong unpack offset** ([`unpack_offset_check`]): shift one
-//!   segment's region inside an emitted (possibly aggregated) `CMsg`,
+//!   segment's region inside an emitted (possibly aggregated) transfer,
 //!   leaving the plan untouched — the classic aggregation bug where a
 //!   packed section lands at the wrong place in the ghost region. Both
 //!   ranks execute the same node program, so the traced byte counts
@@ -26,13 +26,13 @@
 
 use crate::gen::{adapt_geometry, grid_bindings, ProgramSpec};
 use crate::oracle::{self, Oracle};
-use dhpf_core::codegen::{CSeg, NodeOp};
-use dhpf_core::comm::{Msg, NestPlan};
+use dhpf_core::codegen::NodeOp;
+use dhpf_core::comm::NestPlan;
 use dhpf_core::driver::{compile, CompileOptions, Compiled};
 use dhpf_core::exec::node::run_node_program;
 use dhpf_core::exec::serial::run_serial;
+use dhpf_core::transfer::{remove_seg, sole_deliveries, Seg};
 use dhpf_fortran::ast::StmtId;
-use dhpf_iset::set::Set;
 use dhpf_spmd::machine::MachineConfig;
 use std::collections::BTreeMap;
 
@@ -52,67 +52,51 @@ impl MutationOutcome {
     }
 }
 
-fn region_set(m: &Msg) -> Set {
-    let space: Vec<String> = (0..m.region.lo.len()).map(|d| format!("e{d}")).collect();
-    Set::rect(&space, &m.region.lo, &m.region.hi)
-}
+/// A planned pre-exchange section: unit, nest, and its `(transfer,
+/// segment)` position in the nest's plan.
+type Candidate = (String, StmtId, usize, usize);
 
-/// Pre-exchanges whose region is not covered by the union of the other
+/// Pre-exchange sections not covered by the union of the other
 /// pre-exchanges to the same (receiver, array) in the same plan —
 /// dropping one must leave some ghost element stale. Some are still
 /// only *statically* visible (the stale ghost may hold the same value
 /// the exchange would have delivered, e.g. a re-fetch of data that
 /// never changed), so the caller tries candidates in order until one
 /// is dynamically detectable too.
-fn droppable_candidates(compiled: &Compiled, limit: usize) -> Vec<(String, StmtId, usize)> {
-    let mut out = Vec::new();
-    for (uname, ua) in &compiled.analyses {
-        for (&nest, plan) in &ua.plans {
-            let pre = plan.pre();
-            for (i, m) in pre.iter().enumerate() {
-                let mut residue = region_set(m);
-                for (j, o) in pre.iter().enumerate() {
-                    if j == i
-                        || o.to != m.to
-                        || o.array != m.array
-                        || o.region.lo.len() != m.region.lo.len()
-                    {
-                        continue;
-                    }
-                    residue = residue.subtract(&region_set(o));
-                }
-                if !residue.is_empty() {
-                    out.push((uname.clone(), nest, i));
-                    if out.len() >= limit {
-                        return out;
-                    }
-                }
-            }
-        }
-    }
-    out
+fn droppable_candidates(compiled: &Compiled, limit: usize) -> Vec<Candidate> {
+    let plans = compiled.analyses.iter().flat_map(|(uname, ua)| {
+        ua.plans
+            .iter()
+            .map(move |(&nest, plan)| (uname, nest, plan))
+    });
+    plans
+        .flat_map(|(uname, nest, plan)| {
+            let sole = sole_deliveries(plan.pre()).into_iter();
+            sole.map(move |(t, s)| (uname.clone(), nest, t, s))
+        })
+        .take(limit)
+        .collect()
 }
 
-fn drop_plan_msg(compiled: &mut Compiled, unit: &str, nest: StmtId, i: usize) -> Msg {
+/// Take the candidate's section out of the plan: its endpoints and the
+/// section.
+fn drop_plan_msg(compiled: &mut Compiled, (unit, nest, t, s): &Candidate) -> Dropped {
     let plan = compiled
         .analyses
         .get_mut(unit)
         .expect("mutated unit exists")
         .plans
-        .get_mut(&nest)
+        .get_mut(nest)
         .expect("mutated nest exists");
     match plan {
-        NestPlan::Parallel { pre, .. } | NestPlan::Pipelined { pre, .. } => pre.remove(i),
+        NestPlan::Parallel { pre, .. } | NestPlan::Pipelined { pre, .. } => {
+            (pre[*t].from, pre[*t].to, remove_seg(pre, *t, *s))
+        }
     }
 }
 
-fn seg_matches(prog_arrays: &[dhpf_core::codegen::GlobalArray], s: &CSeg, m: &Msg) -> bool {
-    if s.lo != m.region.lo || s.hi != m.region.hi {
-        return false;
-    }
-    let name = &prog_arrays[s.arr].name;
-    name == &m.array || name.ends_with(&format!("::{}", m.array))
-}
+/// A dropped plan section with its endpoints.
+type Dropped = (usize, usize, Seg<String>);
 
 fn child_bodies(op: &mut NodeOp) -> Vec<&mut Vec<NodeOp>> {
     match op {
@@ -122,36 +106,29 @@ fn child_bodies(op: &mut NodeOp) -> Vec<&mut Vec<NodeOp>> {
     }
 }
 
-fn remove_from_ops(
-    ops: &mut [NodeOp],
-    arrays: &[dhpf_core::codegen::GlobalArray],
-    m: &Msg,
-) -> bool {
+/// Drop the emitted copy of `m` — same endpoints, array and region —
+/// from the first exchange of `ops` carrying it.
+fn remove_from_ops(ops: &mut [NodeOp], names: &[String], m: &Dropped) -> bool {
+    let (from, to, seg) = m;
     for op in ops.iter_mut() {
         if let NodeOp::Exchange { msgs, .. } | NodeOp::OverlapNest { msgs, .. } = op {
-            // With aggregation on, the plan message is one segment of a
-            // larger per-peer `CMsg`; drop just that segment, and the
-            // whole message only when nothing else rides in it.
-            let mut found = None;
-            for (ci, c) in msgs.iter().enumerate() {
-                if c.from != m.from || c.to != m.to {
-                    continue;
-                }
-                if let Some(k) = c.segs.iter().position(|s| seg_matches(arrays, s, m)) {
-                    found = Some((ci, k));
-                    break;
-                }
-            }
-            if let Some((ci, k)) = found {
-                msgs[ci].segs.remove(k);
-                if msgs[ci].segs.is_empty() {
-                    msgs.remove(ci);
-                }
+            // With aggregation on, the plan section is one segment of a
+            // larger per-peer transfer; the transfer goes only when
+            // nothing else rides in it.
+            let same =
+                |s: &Seg<usize>| (&names[s.arr], &s.lo, &s.hi) == (&seg.arr, &seg.lo, &seg.hi);
+            let mut between = msgs
+                .iter()
+                .enumerate()
+                .filter(|(_, x)| (x.from, x.to) == (*from, *to));
+            let found = between.find_map(|(t, x)| Some((t, x.segs.iter().position(same)?)));
+            if let Some((t, s)) = found {
+                remove_seg(msgs, t, s);
                 return true;
             }
         }
         for body in child_bodies(op) {
-            if remove_from_ops(body, arrays, m) {
+            if remove_from_ops(body, names, m) {
                 return true;
             }
         }
@@ -159,15 +136,10 @@ fn remove_from_ops(
     false
 }
 
-/// Drop the emitted segment matching `m` anywhere in the node program.
-fn drop_emitted_msg(compiled: &mut Compiled, m: &Msg) -> bool {
-    let arrays = compiled.program.arrays.clone();
-    for unit in compiled.program.units.iter_mut() {
-        if remove_from_ops(&mut unit.ops, &arrays, m) {
-            return true;
-        }
-    }
-    false
+/// Drop the emitted segment matching `m` from the node program of `unit`.
+fn drop_emitted_msg(compiled: &mut Compiled, unit: &str, m: &Dropped) -> bool {
+    let emitted = compiled.program.units.iter_mut().find(|u| u.name == unit);
+    emitted.is_some_and(|u| remove_from_ops(&mut u.ops, &u.array_names, m))
 }
 
 /// Compile `spec` at `geom` with default flags, plant a dropped
@@ -193,14 +165,12 @@ pub fn mutation_check(spec: &ProgramSpec, geom: &[i64], max_ulps: u64) -> Option
 
     let candidates = droppable_candidates(&compile(&program, &opts).ok()?, 6);
     let mut best: Option<MutationOutcome> = None;
-    for (unit, nest, i) in candidates {
+    for candidate in candidates {
         // recompile per candidate: mutation consumes the artifact
         let mut compiled = compile(&program, &opts).ok()?;
         let outcome = run_experiment(
             &mut compiled,
-            &unit,
-            nest,
-            i,
+            &candidate,
             &program,
             &serial,
             nprocs as usize,
@@ -222,28 +192,27 @@ pub fn mutation_check(spec: &ProgramSpec, geom: &[i64], max_ulps: u64) -> Option
     best
 }
 
-/// Drop pre-exchange `i` of `nest` in `unit` (plan and emitted code)
-/// and run every post-compile oracle over the sabotaged program.
-#[allow(clippy::too_many_arguments)]
+/// Drop the candidate pre-exchange section (plan and emitted code) and
+/// run every post-compile oracle over the sabotaged program.
 fn run_experiment(
     compiled: &mut Compiled,
-    unit: &str,
-    nest: StmtId,
-    i: usize,
+    candidate: &Candidate,
     program: &dhpf_fortran::ast::Program,
     serial: &dhpf_core::exec::serial::SerialResult,
     nprocs: usize,
     max_ulps: u64,
 ) -> Option<MutationOutcome> {
-    let dropped = drop_plan_msg(compiled, unit, nest, i);
-    if !drop_emitted_msg(compiled, &dropped) {
+    let unit = &candidate.0;
+    let dropped = drop_plan_msg(compiled, candidate);
+    if !drop_emitted_msg(compiled, unit, &dropped) {
         return None; // plan message was not emitted (e.g. fused away)
     }
 
+    let (from, to, seg) = dropped;
     Some(MutationOutcome {
         dropped: format!(
-            "pre-exchange {}→{} of `{}` region {:?}..{:?} in unit `{unit}`",
-            dropped.from, dropped.to, dropped.array, dropped.region.lo, dropped.region.hi
+            "pre-exchange {from}→{to} of `{}` region {:?}..{:?} in unit `{unit}`",
+            seg.arr, seg.lo, seg.hi
         ),
         caught_by: judge(compiled, program, serial, nprocs, max_ulps),
     })

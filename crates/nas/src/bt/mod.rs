@@ -13,13 +13,6 @@
 pub mod multipart;
 pub mod transpose;
 
-use crate::classes::Class;
-use dhpf_core::driver::{compile, CompileOptions, Compiled};
-use dhpf_core::exec::node::{run_node_program, ExecResult};
-use dhpf_core::exec::serial::{run_serial, SerialResult};
-use dhpf_fortran::Program;
-use dhpf_spmd::machine::MachineConfig;
-
 fn decls() -> String {
     "      integer nx, ny, nz, niter
       double precision u(5, nx, ny, nz), rhs(5, nx, ny, nz)
@@ -253,63 +246,31 @@ pub fn source() -> String {
     )
 }
 
-pub use crate::classes::bindings;
-
-pub fn parse() -> Program {
-    dhpf_fortran::parse(&source()).unwrap_or_else(|d| {
-        let src = source();
-        let msgs: Vec<String> = d.iter().take(5).map(|x| x.render(&src)).collect();
-        panic!("BT source parse failed:\n{}", msgs.join("\n"))
-    })
-}
-
-pub fn run_serial_reference(class: Class) -> SerialResult {
-    run_serial(&parse(), &bindings(class, 1)).expect("BT serial run")
-}
-
-pub fn compile_dhpf(
-    class: Class,
-    nprocs: usize,
-    opts_flags: Option<dhpf_core::driver::OptFlags>,
-) -> Compiled {
-    let mut opts = CompileOptions::new();
-    opts.bindings = bindings(class, nprocs);
-    opts.granularity = 4;
-    if let Some(f) = opts_flags {
-        opts.flags = f;
-    }
-    compile(&parse(), &opts).unwrap_or_else(|e| panic!("BT compile failed: {e}"))
-}
-
-pub fn run_dhpf(class: Class, nprocs: usize, machine: MachineConfig) -> ExecResult {
-    let compiled = compile_dhpf(class, nprocs, None);
-    run_node_program(&compiled.program, machine).expect("BT dHPF run")
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::verify::compare_fields;
+    use crate::{Class, Kernel};
+    use dhpf_spmd::machine::MachineConfig;
 
     #[test]
     fn bt_source_parses_and_runs_serially() {
-        let r = run_serial_reference(Class::S);
+        let r = Kernel::Bt.run_serial_reference(Class::S);
         assert!(r.arrays["u"].data.iter().all(|v| v.is_finite()));
         assert!(r.flops > 0);
     }
 
     #[test]
     fn bt_dhpf_matches_serial_on_4_procs() {
-        let serial = run_serial_reference(Class::S);
-        let par = run_dhpf(Class::S, 4, MachineConfig::sp2(4));
+        let serial = Kernel::Bt.run_serial_reference(Class::S);
+        let par = Kernel::Bt.run_dhpf(Class::S, 4, MachineConfig::sp2(4));
         compare_fields(&serial, &par, &["u", "rhs"], 1e-9);
         assert!(par.run.stats.messages > 0);
     }
 
     #[test]
     fn bt_block_solve_differs_from_sp() {
-        let sp = crate::sp::run_serial_reference(Class::S);
-        let bt = run_serial_reference(Class::S);
+        let sp = crate::Kernel::Sp.run_serial_reference(Class::S);
+        let bt = Kernel::Bt.run_serial_reference(Class::S);
         let d: f64 = sp.arrays["u"]
             .data
             .iter()

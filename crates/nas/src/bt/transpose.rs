@@ -24,7 +24,7 @@ mod tests {
 
     #[test]
     fn bt_transpose_matches_serial_on_4_procs() {
-        let serial = crate::bt::run_serial_reference(Class::S);
+        let serial = crate::Kernel::Bt.run_serial_reference(Class::S);
         let hand = run(Class::S, 4, MachineConfig::sp2(4)).expect("runs");
         compare_with("u", &serial.arrays["u"], 1e-9, &|idx| {
             hand.u.get(

@@ -60,7 +60,7 @@ pub fn sp_costs(class: Class) -> PhaseCosts {
         .or_insert_with(|| {
             calibrate(
                 &crate::sp::source(),
-                crate::sp::bindings(class, 1),
+                crate::Kernel::Sp.bindings(class, 1),
                 class.n(),
             )
         })
@@ -80,7 +80,7 @@ pub fn bt_costs(class: Class) -> PhaseCosts {
         .or_insert_with(|| {
             calibrate(
                 &crate::bt::source(),
-                crate::bt::bindings(class, 1),
+                crate::Kernel::Bt.bindings(class, 1),
                 class.n(),
             )
         })

@@ -4,9 +4,9 @@
 use crate::classes::Class;
 use crate::handpar::{multipart_for, HandResult};
 use crate::{bt, sp};
-use dhpf_core::driver::{Compiled, OptFlags};
-use dhpf_core::exec::node::ExecResult;
-use dhpf_core::exec::serial::SerialResult;
+use dhpf_core::driver::{compile, CompileOptions, Compiled, OptFlags};
+use dhpf_core::exec::node::{run_node_program, ExecResult};
+use dhpf_core::exec::serial::{run_serial, SerialResult};
 use dhpf_fortran::Program;
 use dhpf_spmd::machine::MachineConfig;
 use std::collections::BTreeMap;
@@ -77,36 +77,49 @@ impl Kernel {
         }
     }
 
-    pub fn parse(self) -> Program {
+    /// The benchmark's HPF source, sizes and grid unbound.
+    pub fn source(self) -> String {
         match self {
-            Kernel::Sp => sp::parse(),
-            Kernel::Bt => bt::parse(),
+            Kernel::Sp => sp::source(),
+            Kernel::Bt => bt::source(),
         }
+    }
+
+    pub fn parse(self) -> Program {
+        let src = self.source();
+        dhpf_fortran::parse(&src).unwrap_or_else(|d| {
+            let msgs: Vec<String> = d.iter().take(5).map(|x| x.render(&src)).collect();
+            panic!("{} source parse failed:\n{}", self.name(), msgs.join("\n"))
+        })
     }
 
     pub fn bindings(self, class: Class, nprocs: usize) -> BTreeMap<String, i64> {
         crate::classes::bindings(class, nprocs)
     }
 
-    pub fn compile_dhpf(self, class: Class, nprocs: usize, flags: Option<OptFlags>) -> Compiled {
-        match self {
-            Kernel::Sp => sp::compile_dhpf(class, nprocs, flags),
-            Kernel::Bt => bt::compile_dhpf(class, nprocs, flags),
-        }
-    }
-
-    pub fn run_dhpf(self, class: Class, nprocs: usize, machine: MachineConfig) -> ExecResult {
-        match self {
-            Kernel::Sp => sp::run_dhpf(class, nprocs, machine),
-            Kernel::Bt => bt::run_dhpf(class, nprocs, machine),
-        }
-    }
-
+    /// Serial ground-truth run.
     pub fn run_serial_reference(self, class: Class) -> SerialResult {
-        match self {
-            Kernel::Sp => sp::run_serial_reference(class),
-            Kernel::Bt => bt::run_serial_reference(class),
+        run_serial(&self.parse(), &self.bindings(class, 1))
+            .unwrap_or_else(|e| panic!("{} serial run failed: {e}", self.name()))
+    }
+
+    /// Compile with dHPF for `nprocs` processors.
+    pub fn compile_dhpf(self, class: Class, nprocs: usize, flags: Option<OptFlags>) -> Compiled {
+        let mut opts = CompileOptions::new();
+        opts.bindings = self.bindings(class, nprocs);
+        opts.granularity = 4;
+        if let Some(f) = flags {
+            opts.flags = f;
         }
+        compile(&self.parse(), &opts)
+            .unwrap_or_else(|e| panic!("{} compile failed: {e}", self.name()))
+    }
+
+    /// Compile and execute the dHPF version; returns the machine result.
+    pub fn run_dhpf(self, class: Class, nprocs: usize, machine: MachineConfig) -> ExecResult {
+        let compiled = self.compile_dhpf(class, nprocs, None);
+        run_node_program(&compiled.program, machine)
+            .unwrap_or_else(|e| panic!("{} dHPF run failed: {e}", self.name()))
     }
 
     /// Hand-written MPI with diagonal multipartitioning.

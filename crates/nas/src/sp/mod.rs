@@ -3,13 +3,6 @@
 pub mod multipart;
 pub mod transpose;
 
-use crate::classes::Class;
-use dhpf_core::driver::{compile, CompileOptions, Compiled};
-use dhpf_core::exec::node::{run_node_program, ExecResult};
-use dhpf_core::exec::serial::{run_serial, SerialResult};
-use dhpf_fortran::Program;
-use dhpf_spmd::machine::MachineConfig;
-
 /// Shared declaration block (the NPB `include` idiom): every unit
 /// re-declares the COMMON fields and the HPF mapping directives.
 pub(crate) fn decls() -> String {
@@ -297,47 +290,15 @@ pub fn source() -> String {
     )
 }
 
-pub use crate::classes::bindings;
-
-/// Parse the SP source.
-pub fn parse() -> Program {
-    dhpf_fortran::parse(&source()).expect("SP source parses")
-}
-
-/// Serial ground-truth run.
-pub fn run_serial_reference(class: Class) -> SerialResult {
-    run_serial(&parse(), &bindings(class, 1)).expect("SP serial run")
-}
-
-/// Compile with dHPF for `nprocs` processors.
-pub fn compile_dhpf(
-    class: Class,
-    nprocs: usize,
-    opts_flags: Option<dhpf_core::driver::OptFlags>,
-) -> Compiled {
-    let mut opts = CompileOptions::new();
-    opts.bindings = bindings(class, nprocs);
-    opts.granularity = 4;
-    if let Some(f) = opts_flags {
-        opts.flags = f;
-    }
-    compile(&parse(), &opts).unwrap_or_else(|e| panic!("SP compile failed: {e}"))
-}
-
-/// Compile and execute the dHPF version; returns the machine result.
-pub fn run_dhpf(class: Class, nprocs: usize, machine: MachineConfig) -> ExecResult {
-    let compiled = compile_dhpf(class, nprocs, None);
-    run_node_program(&compiled.program, machine).expect("SP dHPF run")
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::verify::compare_fields;
+    use crate::{Class, Kernel};
+    use dhpf_spmd::machine::MachineConfig;
 
     #[test]
     fn sp_source_parses_and_runs_serially() {
-        let r = run_serial_reference(Class::S);
+        let r = Kernel::Sp.run_serial_reference(Class::S);
         let u = &r.arrays["u"];
         // values evolved away from the initial condition
         let init = 1.0 + 0.01 * 3.0 + 0.02 * 3.0 + 0.03 * 3.0 + 0.1;
@@ -348,23 +309,23 @@ mod tests {
 
     #[test]
     fn sp_dhpf_matches_serial_on_4_procs() {
-        let serial = run_serial_reference(Class::S);
-        let par = run_dhpf(Class::S, 4, MachineConfig::sp2(4));
+        let serial = Kernel::Sp.run_serial_reference(Class::S);
+        let par = Kernel::Sp.run_dhpf(Class::S, 4, MachineConfig::sp2(4));
         compare_fields(&serial, &par, &["u", "rhs"], 1e-9);
         assert!(par.run.stats.messages > 0);
     }
 
     #[test]
     fn sp_dhpf_matches_serial_on_9_procs() {
-        let serial = run_serial_reference(Class::W);
-        let par = run_dhpf(Class::W, 9, MachineConfig::sp2(9));
+        let serial = Kernel::Sp.run_serial_reference(Class::W);
+        let par = Kernel::Sp.run_dhpf(Class::W, 9, MachineConfig::sp2(9));
         compare_fields(&serial, &par, &["u", "rhs"], 1e-9);
     }
 
     #[test]
     fn sp_dhpf_single_proc_no_comm() {
-        let serial = run_serial_reference(Class::S);
-        let par = run_dhpf(Class::S, 1, MachineConfig::sp2(1));
+        let serial = Kernel::Sp.run_serial_reference(Class::S);
+        let par = Kernel::Sp.run_dhpf(Class::S, 1, MachineConfig::sp2(1));
         compare_fields(&serial, &par, &["u", "rhs"], 1e-12);
         assert_eq!(par.run.stats.messages, 0);
     }

@@ -26,7 +26,7 @@ mod tests {
 
     #[test]
     fn sp_multipart_matches_serial_on_4_procs() {
-        let serial = crate::sp::run_serial_reference(Class::S);
+        let serial = crate::Kernel::Sp.run_serial_reference(Class::S);
         let hand = run(Class::S, 4, MachineConfig::sp2(4)).expect("4 = 2² fits 8³");
         compare_with("u", &serial.arrays["u"], 1e-9, &|idx| {
             hand.u.get(
@@ -55,7 +55,7 @@ mod tests {
     #[test]
     fn sp_multipart_handles_uneven_cells() {
         // 9 procs on 8³: q = 3 does not divide 8; cells are 3+3+2
-        let serial = crate::sp::run_serial_reference(Class::S);
+        let serial = crate::Kernel::Sp.run_serial_reference(Class::S);
         let hand = run(Class::S, 9, MachineConfig::sp2(9)).expect("uneven cells supported");
         crate::verify::compare_with("u", &serial.arrays["u"], 1e-9, &|idx| {
             hand.u.get(

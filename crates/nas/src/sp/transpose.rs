@@ -25,7 +25,7 @@ mod tests {
 
     #[test]
     fn sp_transpose_matches_serial_on_4_procs() {
-        let serial = crate::sp::run_serial_reference(Class::S);
+        let serial = crate::Kernel::Sp.run_serial_reference(Class::S);
         let hand = run(Class::S, 4, MachineConfig::sp2(4)).expect("runs");
         compare_with("u", &serial.arrays["u"], 1e-9, &|idx| {
             hand.u.get(
@@ -41,7 +41,7 @@ mod tests {
     #[test]
     fn sp_transpose_works_on_odd_counts() {
         // unlike multipartitioning, the 1-D scheme takes any count ≤ n
-        let serial = crate::sp::run_serial_reference(Class::S);
+        let serial = crate::Kernel::Sp.run_serial_reference(Class::S);
         let hand = run(Class::S, 3, MachineConfig::sp2(3)).expect("runs");
         compare_with("u", &serial.arrays["u"], 1e-9, &|idx| {
             hand.u.get(

@@ -2,7 +2,7 @@
 //! derives by hand must come out of our pipeline, and the pipeline
 //! granularity trade-off of §8.1 must be visible.
 
-use dhpf_nas::{sp, Class};
+use dhpf_nas::{Class, Kernel};
 use dhpf_spmd::machine::MachineConfig;
 
 /// §4.1 / Figure 4.1: in y_solve's lhs build, the privatizable `cv`
@@ -10,7 +10,7 @@ use dhpf_spmd::machine::MachineConfig;
 /// CPs — `ON_HOME lhs(..., j±1, ...)`-shaped terms.
 #[test]
 fn figure_4_1_cv_cp_union() {
-    let compiled = sp::compile_dhpf(Class::S, 4, None);
+    let compiled = Kernel::Sp.compile_dhpf(Class::S, 4, None);
     let y_solve = &compiled.cp_dump["y_solve"];
     let cv_cp = y_solve
         .iter()
@@ -24,7 +24,7 @@ fn figure_4_1_cv_cp_union() {
 /// the owner term UNION the translated rhs terms.
 #[test]
 fn figure_4_2_reciprocal_cp_union() {
-    let compiled = sp::compile_dhpf(Class::S, 4, None);
+    let compiled = Kernel::Sp.compile_dhpf(Class::S, 4, None);
     let rhs_unit = &compiled.cp_dump["compute_rhs"];
     let rho_cp = rhs_unit
         .iter()
@@ -52,9 +52,9 @@ fn figure_4_2_reciprocal_cp_union() {
 fn pipeline_granularity_tradeoff() {
     let run = |granularity: i64| {
         let mut opts = dhpf_core::driver::CompileOptions::new();
-        opts.bindings = sp::bindings(Class::W, 4);
+        opts.bindings = Kernel::Sp.bindings(Class::W, 4);
         opts.granularity = granularity;
-        let compiled = dhpf_core::driver::compile(&sp::parse(), &opts).expect("compile");
+        let compiled = dhpf_core::driver::compile(&Kernel::Sp.parse(), &opts).expect("compile");
         dhpf_core::exec::node::run_node_program(&compiled.program, MachineConfig::sp2(4))
             .expect("run")
             .run
@@ -111,7 +111,8 @@ fn cost_model_closes_at_one_processor() {
         .unwrap()
         .run
         .virtual_time;
-    let dhpf = dhpf_nas::bt::run_dhpf(class, 1, MachineConfig::sp2(1))
+    let dhpf = dhpf_nas::Kernel::Bt
+        .run_dhpf(class, 1, MachineConfig::sp2(1))
         .run
         .virtual_time;
     let rel = (hand - dhpf).abs() / dhpf;

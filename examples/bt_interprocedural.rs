@@ -12,7 +12,7 @@ use dhpf::depend::callgraph::CallGraph;
 use dhpf::prelude::*;
 
 fn main() {
-    let program = dhpf::nas::bt::parse();
+    let program = dhpf::nas::Kernel::Bt.parse();
 
     // the call graph the §6 bottom-up walk follows
     let graph = CallGraph::build(&program);
@@ -29,8 +29,8 @@ fn main() {
     // compile and run on 4 processors; verify against the serial run
     let nprocs = 4;
     let class = Class::S;
-    let serial = dhpf::nas::bt::run_serial_reference(class);
-    let r = dhpf::nas::bt::run_dhpf(class, nprocs, MachineConfig::sp2(nprocs));
+    let serial = dhpf::nas::Kernel::Bt.run_serial_reference(class);
+    let r = dhpf::nas::Kernel::Bt.run_dhpf(class, nprocs, MachineConfig::sp2(nprocs));
     let su = &serial.arrays["u"];
     let pu = &r.arrays["u"];
     let worst = su

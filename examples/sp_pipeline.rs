@@ -15,7 +15,7 @@ fn main() {
     let mut machine = MachineConfig::sp2(nprocs).with_trace();
     machine.trace = true;
 
-    let compiled = dhpf::nas::sp::compile_dhpf(class, nprocs, None);
+    let compiled = dhpf::nas::Kernel::Sp.compile_dhpf(class, nprocs, None);
     println!(
         "SP class {} compiled for {} procs: {} pre-exchange messages planned, \
          {} reads eliminated by data availability (§7)",

@@ -27,9 +27,9 @@
 #                      examples/hpf/ produces its expected finding
 #   9. observability — `dhpf compile --run` writes all three documents,
 #                      the metrics with the `exec.lower.*` gauges
-#  10. aggregation   — the protocol verifier over aggregated and
-#                      unaggregated plans at every fuzz geometry's rank
-#                      count
+#  10. aggregation   — the protocol verifier with per-peer packing on
+#                      and off (every transfer then carries one
+#                      segment) at every fuzz geometry's rank count
 #  11. profile       — `dhpf profile` on SP class S under a hard timeout
 #  12. protocol      — the static SPMD protocol verifier over jacobi.f
 #                      and NAS SP/BT, under a hard timeout and a 2x
@@ -130,7 +130,7 @@ for n in 1 4 6; do
             || { echo "FAIL: protocol violation in unaggregated $bench S @ $n ranks"; exit 1; }
     done
 done
-# the lint/verify front end must stay clean over an aggregated plan
+# the lint/verify front end must stay clean over packed transfers
 "$LINT" --verify examples/hpf/jacobi.f | grep -q "no findings" \
     || { echo "FAIL: jacobi.f should verify clean with aggregation on"; exit 1; }
 
@@ -181,3 +181,5 @@ timeout 240 "$DHPF" fuzz --seed 20260806 --count 20 --geometries 5,2x5,3x3 \
     || { echo "FAIL: fuzz smoke campaign at odd geometries not clean (or timed out)"; exit 1; }
 
 echo "CI OK"
+# information, not a gate: the line counts ROADMAP.md tracks
+scripts/loc.sh

@@ -44,6 +44,16 @@ fn unknown_benchmark_is_a_usage_error() {
     assert!(err.contains("unknown benchmark"), "{err}");
 }
 
+/// A NAS run is sized by `--class`; a `--bind` next to `--nas` used to be
+/// dropped without a word.
+#[test]
+fn bind_next_to_nas_is_a_usage_error() {
+    let out = dhpf(&["compile", "--nas", "sp", "--bind", "nx=64"]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("--bind") && err.contains("--class"), "{err}");
+}
+
 /// `dhpf bench figure` at a count the version cannot run at: exit 2 with
 /// the reason and the valid counts, not a panic.
 #[test]

@@ -18,10 +18,10 @@ fn max_delta(
 #[test]
 fn sp_all_four_versions_agree() {
     let class = Class::S;
-    let serial = dhpf::nas::sp::run_serial_reference(class);
+    let serial = dhpf::nas::Kernel::Sp.run_serial_reference(class);
 
     // dHPF-compiled on a 2x2 grid
-    let compiled = dhpf::nas::sp::run_dhpf(class, 4, MachineConfig::sp2(4));
+    let compiled = dhpf::nas::Kernel::Sp.run_dhpf(class, 4, MachineConfig::sp2(4));
     assert!(max_delta(&serial.arrays["u"], &compiled.arrays["u"]) < 1e-9);
 
     // hand-written multipartitioning
@@ -48,9 +48,9 @@ fn sp_all_four_versions_agree() {
 #[test]
 fn bt_compiled_matches_serial_at_multiple_counts() {
     let class = Class::S;
-    let serial = dhpf::nas::bt::run_serial_reference(class);
+    let serial = dhpf::nas::Kernel::Bt.run_serial_reference(class);
     for nprocs in [1usize, 2, 4] {
-        let r = dhpf::nas::bt::run_dhpf(class, nprocs, MachineConfig::sp2(nprocs));
+        let r = dhpf::nas::Kernel::Bt.run_dhpf(class, nprocs, MachineConfig::sp2(nprocs));
         let d = max_delta(&serial.arrays["u"], &r.arrays["u"]);
         assert!(d < 1e-9, "BT at {nprocs} procs: worst delta {d:.3e}");
     }
@@ -59,8 +59,8 @@ fn bt_compiled_matches_serial_at_multiple_counts() {
 #[test]
 fn compiled_timing_is_deterministic() {
     let class = Class::S;
-    let a = dhpf::nas::sp::run_dhpf(class, 4, MachineConfig::sp2(4));
-    let b = dhpf::nas::sp::run_dhpf(class, 4, MachineConfig::sp2(4));
+    let a = dhpf::nas::Kernel::Sp.run_dhpf(class, 4, MachineConfig::sp2(4));
+    let b = dhpf::nas::Kernel::Sp.run_dhpf(class, 4, MachineConfig::sp2(4));
     assert_eq!(
         a.run.virtual_time, b.run.virtual_time,
         "virtual time must not depend on host scheduling"
@@ -74,7 +74,7 @@ fn hand_multipart_beats_compiled_at_scale() {
     // the paper's headline shape: multipartitioning is the gold standard
     let class = Class::W;
     let hand = dhpf::nas::sp::multipart::run(class, 4, MachineConfig::sp2(4)).unwrap();
-    let comp = dhpf::nas::sp::run_dhpf(class, 4, MachineConfig::sp2(4));
+    let comp = dhpf::nas::Kernel::Sp.run_dhpf(class, 4, MachineConfig::sp2(4));
     assert!(
         hand.run.virtual_time <= comp.run.virtual_time * 1.05,
         "hand {:.4}s vs compiled {:.4}s",
@@ -90,12 +90,30 @@ fn every_compiled_nas_unit_passes_the_comm_verifier() {
     // regression is a CONFIRMED miscompile report here before it is a
     // wrong number in the numerical comparisons above.
     for (name, compiled) in [
-        ("SP S@4", dhpf::nas::sp::compile_dhpf(Class::S, 4, None)),
-        ("BT S@1", dhpf::nas::bt::compile_dhpf(Class::S, 1, None)),
-        ("BT S@2", dhpf::nas::bt::compile_dhpf(Class::S, 2, None)),
-        ("BT S@4", dhpf::nas::bt::compile_dhpf(Class::S, 4, None)),
-        ("SP W@4", dhpf::nas::sp::compile_dhpf(Class::W, 4, None)),
-        ("BT W@4", dhpf::nas::bt::compile_dhpf(Class::W, 4, None)),
+        (
+            "SP S@4",
+            dhpf::nas::Kernel::Sp.compile_dhpf(Class::S, 4, None),
+        ),
+        (
+            "BT S@1",
+            dhpf::nas::Kernel::Bt.compile_dhpf(Class::S, 1, None),
+        ),
+        (
+            "BT S@2",
+            dhpf::nas::Kernel::Bt.compile_dhpf(Class::S, 2, None),
+        ),
+        (
+            "BT S@4",
+            dhpf::nas::Kernel::Bt.compile_dhpf(Class::S, 4, None),
+        ),
+        (
+            "SP W@4",
+            dhpf::nas::Kernel::Sp.compile_dhpf(Class::W, 4, None),
+        ),
+        (
+            "BT W@4",
+            dhpf::nas::Kernel::Bt.compile_dhpf(Class::W, 4, None),
+        ),
     ] {
         let r = verify_compiled(&compiled);
         assert!(
@@ -419,7 +437,7 @@ fn common_array_of_an_inlined_callee_is_the_callers() {
         "cannot inline bump into cm: `a` of common /f/ is a local of the caller"
     );
 
-    let bt = dhpf::nas::bt::compile_dhpf(Class::S, 4, None);
+    let bt = dhpf::nas::Kernel::Bt.compile_dhpf(Class::S, 4, None);
     let qualified: Vec<&str> = (bt.program.arrays.iter())
         .map(|a| a.name.as_str())
         .filter(|name| name.contains("::"))

@@ -4,10 +4,11 @@
 //! `crates/core/src/exec/node.rs`).
 
 use dhpf::core::codegen::{
-    CIdx, CMsg, CSeg, CompiledUnit, GlobalArray, NodeOp, NodeProgram, PipeArray, PipeLevel,
+    CIdx, CompiledUnit, GlobalArray, NodeOp, NodeProgram, PipeArray, PipeLevel,
 };
 use dhpf::core::distrib::{ArrayDist, DimMap, ProcGrid};
 use dhpf::core::exec::node::run_node_program;
+use dhpf::core::transfer::{Seg, Transfer};
 use dhpf::prelude::*;
 use std::collections::BTreeMap;
 
@@ -31,6 +32,41 @@ fn program_with(unit: CompiledUnit, arrays: Vec<GlobalArray>, n: i64) -> NodePro
     }
 }
 
+/// The transfer of `segs` copies of the section `(1:1)` of array slot 0.
+fn a_1_1(from: usize, to: usize, segs: usize) -> Transfer<usize> {
+    let seg = Seg {
+        arr: 0,
+        lo: vec![1],
+        hi: vec![1],
+    };
+    Transfer {
+        from,
+        to,
+        segs: vec![seg; segs],
+    }
+}
+
+/// The 1-element array `a`, block-distributed over 2 procs with one
+/// ghost cell: rank 1 owns nothing of it.
+fn one_element_array() -> GlobalArray {
+    let dist = ArrayDist {
+        array: "a".into(),
+        bounds: vec![(1, 1)],
+        dims: vec![DimMap::Block {
+            pdim: 0,
+            block: 1,
+            align_offset: 0,
+            nproc: 2,
+        }],
+    };
+    GlobalArray {
+        name: "a".into(),
+        bounds: vec![(1, 1)],
+        dist: Some(dist),
+        ghost: vec![1],
+    }
+}
+
 /// An Exchange whose message names an array slot that is never bound to
 /// an actual (a dummy): previously an out-of-bounds indexing panic.
 #[test]
@@ -41,15 +77,7 @@ fn unbound_dummy_in_exchange_is_a_structured_error() {
         array_global: vec![None],
         array_names: vec!["d".into()],
         ops: vec![NodeOp::Exchange {
-            msgs: vec![CMsg {
-                from: 0,
-                to: 1,
-                segs: vec![CSeg {
-                    arr: 0,
-                    lo: vec![1],
-                    hi: vec![1],
-                }],
-            }],
+            msgs: vec![a_1_1(0, 1, 1)],
             tag: 7,
             plan: 0,
         }],
@@ -158,23 +186,7 @@ fn pipeline_over_unbound_dummy_is_a_structured_error() {
 /// message once carried runs of ~34 spaces from lost `\` continuations).
 #[test]
 fn pipeline_recv_mismatch_is_a_readable_structured_error() {
-    // 1-element array block-distributed over 2 procs: rank 1 owns nothing.
-    let dist = ArrayDist {
-        array: "a".into(),
-        bounds: vec![(1, 1)],
-        dims: vec![DimMap::Block {
-            pdim: 0,
-            block: 1,
-            align_offset: 0,
-            nproc: 2,
-        }],
-    };
-    let ga = GlobalArray {
-        name: "a".into(),
-        bounds: vec![(1, 1)],
-        dist: Some(dist),
-        ghost: vec![1],
-    };
+    let ga = one_element_array();
     for aggregate in [true, false] {
         let unit = CompiledUnit {
             name: "main".into(),
@@ -223,6 +235,56 @@ fn pipeline_recv_mismatch_is_a_readable_structured_error() {
             err.0
         );
         assert!(!err.0.contains("  "), "run of spaces in: {}", err.0);
+    }
+}
+
+/// An exchange whose sender owns nothing of the array packs nothing for
+/// it, and the receiver is handed a payload shorter than its transfer:
+/// the same structured error as the pipeline's, from the one unpack path
+/// (this used to be a slice-index panic out of `run_node_program`).
+#[test]
+fn short_exchange_payload_is_a_readable_structured_error() {
+    // one section per transfer, and two packed into one
+    for segs in [1, 2] {
+        let msgs = vec![a_1_1(1, 0, segs)];
+        let blocking = NodeOp::Exchange {
+            msgs: msgs.clone(),
+            tag: 13,
+            plan: 0,
+        };
+        let overlapped = NodeOp::OverlapNest {
+            msgs,
+            tag: 13,
+            levels: vec![PipeLevel {
+                var: 0,
+                lo: CIdx::cst(1),
+                hi: CIdx::cst(1),
+                step: 1,
+            }],
+            body: vec![],
+            halo: vec![],
+            plan: 0,
+        };
+        for (op, name) in [(blocking, "exchange"), (overlapped, "overlap")] {
+            let unit = CompiledUnit {
+                name: "main".into(),
+                n_ints: 1,
+                n_arrays: 1,
+                array_global: vec![Some(0)],
+                array_names: vec!["a".into()],
+                ops: vec![op],
+                ..Default::default()
+            };
+            let prog = program_with(unit, vec![one_element_array()], 2);
+            let err = run_node_program(&prog, MachineConfig::sp2(2))
+                .expect_err("a short payload must not be unpacked");
+            let want = format!(
+                "{name} recv mismatch on rank 0 (coords [0]) from 1: array a region [1]..[1] \
+                 needs 1 at offset 0 but the packed payload holds 0 (tag 13)"
+            );
+            assert_eq!(err.0, want);
+            assert!(!err.0.contains("  "), "run of spaces in: {}", err.0);
+        }
     }
 }
 

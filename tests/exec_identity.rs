@@ -49,9 +49,9 @@ fn identity_line(label: &str, nprocs: usize, compiled: &Compiled) -> String {
 fn current() -> String {
     let mut out = String::new();
     for nprocs in [1usize, 4] {
-        let sp = dhpf::nas::sp::compile_dhpf(Class::S, nprocs, None);
+        let sp = dhpf::nas::Kernel::Sp.compile_dhpf(Class::S, nprocs, None);
         out.push_str(&identity_line("nas-sp-S", nprocs, &sp));
-        let bt = dhpf::nas::bt::compile_dhpf(Class::S, nprocs, None);
+        let bt = dhpf::nas::Kernel::Bt.compile_dhpf(Class::S, nprocs, None);
         out.push_str(&identity_line("nas-bt-S", nprocs, &bt));
     }
     common::for_each_corpus_case(&[1, 4], |file, nprocs, program, opts| {

@@ -7,9 +7,9 @@ use dhpf::prelude::*;
 
 fn compile_sp_observed() -> dhpf::core::driver::Compiled {
     let mut opts = CompileOptions::new().observed();
-    opts.bindings = dhpf::nas::sp::bindings(Class::S, 4);
+    opts.bindings = dhpf::nas::Kernel::Sp.bindings(Class::S, 4);
     opts.granularity = 4;
-    compile(&dhpf::nas::sp::parse(), &opts).expect("compile sp")
+    compile(&dhpf::nas::Kernel::Sp.parse(), &opts).expect("compile sp")
 }
 
 /// The full decision log for NAS SP class S on 4 processors, pinned
@@ -212,9 +212,9 @@ fn perfetto_export_covers_compile_and_execution() {
 #[test]
 fn default_compile_records_metrics_but_no_spans() {
     let mut opts = CompileOptions::new();
-    opts.bindings = dhpf::nas::sp::bindings(Class::S, 4);
+    opts.bindings = dhpf::nas::Kernel::Sp.bindings(Class::S, 4);
     opts.granularity = 4;
-    let compiled = compile(&dhpf::nas::sp::parse(), &opts).expect("compile sp");
+    let compiled = compile(&dhpf::nas::Kernel::Sp.parse(), &opts).expect("compile sp");
     assert!(!compiled.obs.enabled);
     assert_eq!(compiled.obs.decision_count(), 0);
     assert!(compiled.obs.scopes.iter().all(|s| s.spans.is_empty()));

@@ -4,8 +4,9 @@
 //! caught by both (with the corresponding static `protocol-*` and
 //! dynamic `trace-*` codes).
 
-use dhpf::core::codegen::{CExpr, CIdx, CMsg, CSeg, NodeOp};
+use dhpf::core::codegen::{CExpr, CIdx, NodeOp};
 use dhpf::core::protocol::{extract_protocol, ProtoOp};
+use dhpf::core::transfer::{Seg, Transfer};
 use dhpf::core::{CompileOptions, Compiled};
 use dhpf::prelude::*;
 use dhpf_core::codegen::{Guard, GuardAtom};
@@ -18,10 +19,26 @@ fn has_code(r: &dhpf::analysis::Report, code: &str) -> bool {
 #[test]
 fn clean_nas_agrees_statically_and_dynamically() {
     for (name, compiled, nprocs) in [
-        ("SP@4", dhpf::nas::sp::compile_dhpf(Class::S, 4, None), 4),
-        ("BT@1", dhpf::nas::bt::compile_dhpf(Class::S, 1, None), 1),
-        ("BT@2", dhpf::nas::bt::compile_dhpf(Class::S, 2, None), 2),
-        ("BT@4", dhpf::nas::bt::compile_dhpf(Class::S, 4, None), 4),
+        (
+            "SP@4",
+            dhpf::nas::Kernel::Sp.compile_dhpf(Class::S, 4, None),
+            4,
+        ),
+        (
+            "BT@1",
+            dhpf::nas::Kernel::Bt.compile_dhpf(Class::S, 1, None),
+            1,
+        ),
+        (
+            "BT@2",
+            dhpf::nas::Kernel::Bt.compile_dhpf(Class::S, 2, None),
+            2,
+        ),
+        (
+            "BT@4",
+            dhpf::nas::Kernel::Bt.compile_dhpf(Class::S, 4, None),
+            4,
+        ),
     ] {
         // Static verdict: clean.
         let stat = verify_protocol(&compiled);
@@ -105,10 +122,10 @@ fn inject_divergent_exchange(compiled: &mut Compiled) {
                     cst: 0,
                 })),
                 vec![NodeOp::Exchange {
-                    msgs: vec![CMsg {
+                    msgs: vec![Transfer {
                         from: 0,
                         to: 1,
-                        segs: vec![CSeg {
+                        segs: vec![Seg {
                             arr: slot,
                             lo: corner.clone(),
                             hi: corner,
@@ -129,7 +146,7 @@ fn inject_divergent_exchange(compiled: &mut Compiled) {
 
 #[test]
 fn divergent_exchange_is_caught_by_both_checkers() {
-    let mut compiled = dhpf::nas::sp::compile_dhpf(Class::S, 4, None);
+    let mut compiled = dhpf::nas::Kernel::Sp.compile_dhpf(Class::S, 4, None);
     inject_divergent_exchange(&mut compiled);
     // Static: divergent synchronization, no execution needed.
     let stat = verify_protocol(&compiled);
@@ -196,7 +213,7 @@ fn mutate_first_wait_traces(traces: &mut [Trace], drop: bool) -> bool {
 
 #[test]
 fn dropped_wait_is_caught_by_both_checkers() {
-    let compiled = dhpf::nas::sp::compile_dhpf(Class::S, 4, None);
+    let compiled = dhpf::nas::Kernel::Sp.compile_dhpf(Class::S, 4, None);
     // Static projection of the fault.
     let mut proto = extract_protocol(&compiled.program);
     assert!(mutate_first_wait_proto(&mut proto.ops, true));
@@ -221,7 +238,7 @@ fn dropped_wait_is_caught_by_both_checkers() {
 
 #[test]
 fn duplicated_wait_is_caught_by_both_checkers() {
-    let compiled = dhpf::nas::sp::compile_dhpf(Class::S, 4, None);
+    let compiled = dhpf::nas::Kernel::Sp.compile_dhpf(Class::S, 4, None);
     let mut proto = extract_protocol(&compiled.program);
     assert!(mutate_first_wait_proto(&mut proto.ops, false));
     let stat = check_protocol(&proto);

@@ -45,13 +45,13 @@ fn check(name: &str, run: impl Fn(usize) -> ExecResult) {
 #[test]
 fn sp_loop_trips_do_not_grow_with_ranks() {
     check("SP class S", |n| {
-        dhpf::nas::sp::run_dhpf(Class::S, n, MachineConfig::sp2(n))
+        dhpf::nas::Kernel::Sp.run_dhpf(Class::S, n, MachineConfig::sp2(n))
     });
 }
 
 #[test]
 fn bt_loop_trips_do_not_grow_with_ranks() {
     check("BT class S", |n| {
-        dhpf::nas::bt::run_dhpf(Class::S, n, MachineConfig::sp2(n))
+        dhpf::nas::Kernel::Bt.run_dhpf(Class::S, n, MachineConfig::sp2(n))
     });
 }
