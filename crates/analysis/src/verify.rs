@@ -12,6 +12,12 @@
 //!    optimizations into one uniform test), and
 //! 3. planes carried by the sweep schedule of a pipelined nest.
 //!
+//! A pre-exchange runs *before* its nest, so it can only deliver values
+//! that exist then: a flow dependence carried by one of the loops of a
+//! non-pipelined nest that moves a value from one processor to another
+//! is a `comm-placement` error, found from the verifier's own dependence
+//! analysis and its own per-processor images.
+//!
 //! Symmetrically, every non-owner write must reach its owner through a
 //! scheduled write-back unless the owner redundantly computes the same
 //! elements. Any residue is a CONFIRMED miscompile: the generated node
@@ -34,7 +40,7 @@ use dhpf_depend::dep::{analyze_loop_deps, DepKind, Dependence};
 use dhpf_depend::loops::UnitLoops;
 use dhpf_depend::refs::{RefInfo, UnitRefs};
 use dhpf_depend::usedef;
-use dhpf_fortran::ast::{ProgramUnit, StmtId};
+use dhpf_fortran::ast::{ProgramUnit, RefId, StmtId};
 use dhpf_fortran::span::Span;
 use dhpf_fortran::symtab;
 use dhpf_iset::enumerate::bounding_box;
@@ -71,11 +77,18 @@ pub fn verify_unit(
         return;
     };
     let spans = span_map(unit);
+    // the verifier's own dependence analysis, once per loop: the nests
+    // under one transparent wrapper share it as their scope
+    let mut deps: BTreeMap<StmtId, Vec<Dependence>> = BTreeMap::new();
     for &nest in &ua.nests {
         let Some(plan) = ua.plans.get(&nest) else {
             continue;
         };
         let scope = ua.nest_scope.get(&nest).copied().unwrap_or(nest);
+        for l in [scope, nest] {
+            deps.entry(l)
+                .or_insert_with(|| analyze_loop_deps(l, loops, refs));
+        }
         let cx = NestCx {
             unit_name: &unit.name,
             ua,
@@ -85,9 +98,12 @@ pub fn verify_unit(
             spans: &spans,
             nest,
             scope,
+            scope_deps: &deps[&scope],
+            nest_deps: &deps[&nest],
             plan,
         };
         cx.check_reads(out);
+        cx.check_placement(out);
         cx.check_writebacks(out);
     }
 }
@@ -101,6 +117,8 @@ struct NestCx<'a> {
     spans: &'a BTreeMap<StmtId, Span>,
     nest: StmtId,
     scope: StmtId,
+    scope_deps: &'a [Dependence],
+    nest_deps: &'a [Dependence],
     plan: &'a NestPlan,
 }
 
@@ -116,7 +134,6 @@ impl NestCx<'_> {
     /// same-processor writes, or the pipeline.
     fn check_reads(&self, out: &mut Report) {
         let ud = usedef::build(self.scope, self.loops, self.refs);
-        let scope_deps: Vec<Dependence> = analyze_loop_deps(self.scope, self.loops, self.refs);
         let nprocs = self.grid.nprocs() as usize;
 
         for stmt in self.loops.stmts_in(self.nest) {
@@ -148,7 +165,7 @@ impl NestCx<'_> {
                     .get(&r.id)
                     .and_then(|w| self.refs.by_id(*w))
                     .filter(|w| {
-                        scope_deps.iter().any(|d| {
+                        self.scope_deps.iter().any(|d| {
                             d.kind == DepKind::Flow && d.src_ref == w.id && d.dst_ref == r.id
                         })
                     });
@@ -203,6 +220,117 @@ impl NestCx<'_> {
                     out.push(f);
                 }
             }
+        }
+    }
+
+    /// What each processor accesses through `x` under its statement's
+    /// CP; `None` unless `x` refers to a distributed array with affine
+    /// subscripts inside affine loop bounds.
+    fn images(&self, x: &RefInfo) -> Option<Vec<Set>> {
+        let env = &self.ua.env;
+        env.dist_of(&x.array).filter(|d| d.is_distributed())?;
+        let bounds = nest_bounds(x.stmt, self.loops)?;
+        let cp = self.ua.cps.get(&x.stmt).cloned().unwrap_or_default();
+        (self.grid.ranks())
+            .map(|p| accessed_set(x, &cp, &bounds, env, &self.grid.coords(p)))
+            .collect()
+    }
+
+    /// The exchange of a non-pipelined nest runs before the nest: no
+    /// flow dependence carried by one of its loops may move a value
+    /// between processors.
+    fn check_placement(&self, out: &mut Report) {
+        if self.sweep().is_some() {
+            return; // the sweep schedule carries the values
+        }
+        // (write, read) → the outermost level carrying the dependence
+        let mut carried: BTreeMap<(RefId, RefId), usize> = BTreeMap::new();
+        for d in self.nest_deps.iter().filter(|d| d.kind == DepKind::Flow) {
+            if let Some(level) = d.level {
+                let l = carried.entry((d.src_ref, d.dst_ref)).or_insert(level);
+                *l = (*l).min(level);
+            }
+        }
+        let mut images: BTreeMap<RefId, Option<Vec<Set>>> = BTreeMap::new();
+        let mut blocks: BTreeMap<&str, Vec<Set>> = BTreeMap::new();
+        for ((w, r), level) in carried {
+            let (Some(w), Some(r)) = (self.refs.by_id(w), self.refs.by_id(r)) else {
+                continue;
+            };
+            // a statement without a CP is not part of the plan; a
+            // replicated definition of a NEW variable computes, on the
+            // processors that run no use of it, a value nobody reads
+            let Some(rcp) = self.ua.cps.get(&r.stmt) else {
+                continue;
+            };
+            let enclosing = self.loops.nest_of.get(&r.stmt).map_or(&[][..], |l| l);
+            let private = self.refs.write_of(r.stmt).is_some_and(|def| {
+                (enclosing.iter()).any(|l| self.loops.loops[l].dir.new_vars.contains(&def.array))
+            });
+            if rcp.terms.is_empty() && private {
+                continue;
+            }
+            for x in [w, r] {
+                images.entry(x.id).or_insert_with(|| self.images(x));
+            }
+            let (Some(written), Some(read)) = (&images[&w.id], &images[&r.id]) else {
+                continue;
+            };
+            // owner-computed values stay in their writer's block: then
+            // only reads of other processors' blocks can cross
+            let Some(dist) = self.ua.env.dist_of(&w.array) else {
+                continue;
+            };
+            let owned = blocks.entry(&w.array).or_insert_with(|| {
+                let ranks = self.grid.ranks();
+                ranks
+                    .map(|p| dist.owned_set(&self.grid.coords(p)))
+                    .collect()
+            });
+            let home = written.iter().zip(&*owned).all(|(w, own)| w.is_subset(own));
+            let mut notes: Vec<String> = Vec::new();
+            for (p, (reads, writes)) in read.iter().zip(written).enumerate() {
+                let foreign = if home {
+                    reads.subtract(&owned[p]).subtract(writes)
+                } else {
+                    reads.subtract(writes)
+                };
+                if foreign.is_empty() {
+                    continue;
+                }
+                for (q, theirs) in written.iter().enumerate().filter(|(q, _)| *q != p) {
+                    let moved = foreign.intersect(theirs);
+                    if !moved.is_empty() {
+                        let elems = describe(&moved);
+                        notes.push(format!(
+                            "processor {p} reads {elems} that processor {q} writes"
+                        ));
+                    }
+                }
+            }
+            if notes.is_empty() {
+                continue;
+            }
+            let common = self.loops.common_loops(w.stmt, r.stmt);
+            let carrier = (common.iter().skip_while(|l| **l != self.nest))
+                .nth(level)
+                .map_or("?", |l| self.loops.loops[l].var.as_str());
+            let mut f = Finding::new(
+                "comm-placement",
+                Severity::Error,
+                self.unit_name,
+                format!(
+                    "CONFIRMED: read of `{}` consumes values other processors produce in \
+                     earlier iterations of loop `{carrier}`, but the nest's exchange runs \
+                     once, before the loop",
+                    r.array
+                ),
+            )
+            .at(r.stmt, self.spans.get(&r.stmt).copied());
+            for n in notes {
+                f = f.note(n);
+            }
+            out.push(f);
         }
     }
 

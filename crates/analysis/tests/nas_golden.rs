@@ -141,3 +141,67 @@ fn dropped_bt_exchange_is_caught() {
         .iter()
         .all(|f| f.code == "comm-coverage" && f.unit == unit));
 }
+
+/// The plan the compiler used to emit for a time loop with a `continue`
+/// in it — the whole `it` loop one parallel nest, the children's
+/// exchanges hoisted above it — rebuilt by hand from today's per-child
+/// plans. Every read is covered by a message, so `comm-coverage` has
+/// nothing to say; the values are just the first time step's.
+#[test]
+fn exchange_hoisted_out_of_a_time_loop_is_caught() {
+    let src = "
+      program demo
+      parameter (n = 32)
+      integer i, it
+      double precision a(n), b(n)
+!hpf$ processors p(4)
+!hpf$ distribute (block) onto p :: a, b
+      do i = 1, n
+         a(i) = i * i * 1.0d0
+         b(i) = 0.0d0
+      enddo
+      do it = 1, 5
+         do i = 2, n - 1
+            b(i) = (a(i - 1) + a(i + 1)) * 0.5d0
+         enddo
+         do i = 2, n - 1
+            a(i) = b(i)
+         enddo
+         continue
+      enddo
+      end
+";
+    let program = dhpf_fortran::parse(src).unwrap();
+    let mut compiled = dhpf_core::driver::compile(&program, &Default::default()).unwrap();
+    let clean = verify_compiled(&compiled);
+    assert!(clean.is_clean(), "{}", clean.render_human(None));
+
+    let ua = compiled.analyses.get_mut("demo").unwrap();
+    let children: Vec<StmtId> = ua.nest_scope.keys().copied().collect();
+    let it = ua.nest_scope[&children[0]];
+    let merged = |phase: fn(&NestPlan) -> &[dhpf_core::transfer::Transfer<String>]| {
+        (children.iter().flat_map(|c| phase(&ua.plans[c]).to_vec())).collect::<Vec<_>>()
+    };
+    let hoisted = NestPlan::Parallel {
+        pre: merged(NestPlan::pre),
+        post: merged(NestPlan::post),
+        overlap: None,
+    };
+    assert_eq!(hoisted.pre().len(), 6, "{:?}", hoisted.pre());
+    ua.nests.retain(|n| !children.contains(n));
+    ua.nests.push(it);
+    ua.plans.retain(|n, _| !children.contains(n));
+    ua.plans.insert(it, hoisted);
+    ua.nest_scope.clear();
+
+    let r = verify_compiled(&compiled);
+    assert!(r.error_count() > 0, "the hoisted exchange went unnoticed");
+    for f in &r.findings {
+        assert_eq!(f.code, "comm-placement", "{}", r.render_human(None));
+        assert!(
+            f.message.contains("read of `a`") && f.message.contains("loop `it`"),
+            "{}",
+            f.message
+        );
+    }
+}

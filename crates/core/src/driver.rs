@@ -711,7 +711,7 @@ fn analyze(st: &mut UnitState, opts: &CompileOptions) -> Result<Step, CompileErr
     let (mut tabs, _) = symtab::resolve(st.program);
     let tab = tabs.remove(&unit.name).unwrap_or_default();
     let top_stmts = flatten_if_arms(&unit.body, unit).map_err(CompileError::Other)?;
-    let (nests, nest_scope) = planned_nests(&top_stmts, unit);
+    let (nests, nest_scope) = planned_nests(&top_stmts, unit, &env);
     st.round = Round {
         env,
         loops: UnitLoops::build(unit),
@@ -732,14 +732,19 @@ fn analyze(st: &mut UnitState, opts: &CompileOptions) -> Result<Step, CompileErr
 /// The nests to plan among the unit's top-level statements, and the
 /// availability scope of those planned under a transparent wrapper.
 ///
-/// A one-trip wrapper loop (the LOCALIZE idiom `do one = 1, 1`) is
-/// transparent for communication placement: its child nests are planned
-/// individually so an exchange between two children lands *between*
-/// them, not hoisted above the producer. IF blocks are transparent for
-/// nest discovery ([`flatten_if_arms`]).
+/// A one-trip wrapper loop (the LOCALIZE idiom `do one = 1, 1`) or a
+/// time loop is transparent for communication placement: its child
+/// nests are planned individually so an exchange between two children
+/// lands *between* them, inside the wrapper, not hoisted above the
+/// producer. Beside its child nests such a wrapper may hold statements
+/// that need no plan (`CONTINUE`, replicated scalar assignments); any
+/// other child makes the whole loop one planned nest, whose carried
+/// dependences the planner's staleness rule then answers for. IF blocks
+/// are transparent for nest discovery ([`flatten_if_arms`]).
 fn planned_nests(
     top_stmts: &[&Stmt],
     unit: &ProgramUnit,
+    env: &DistEnv,
 ) -> (Vec<StmtId>, BTreeMap<StmtId, StmtId>) {
     let mut nests: Vec<StmtId> = Vec::new();
     let mut nest_scope: BTreeMap<StmtId, StmtId> = BTreeMap::new();
@@ -750,9 +755,8 @@ fn planned_nests(
         else {
             continue;
         };
-        let child_nests = body
-            .iter()
-            .filter(|c| matches!(c.kind, StmtKind::Do { .. }));
+        let is_nest = |c: &Stmt| matches!(c.kind, StmtKind::Do { .. });
+        let child_nests = body.iter().filter(|c| is_nest(c));
         if !is_compute_nest(s) {
             // A loop with CALL statements in its body (the NAS
             // time-step idiom `do step … call x_solve …`): calls
@@ -784,8 +788,22 @@ fn planned_nests(
             });
         });
         let transparent = one_trip || !var_subscripts;
+        // no loop inside and no distributed array touched: runs replicated
+        let needs_no_plan = |c: &Stmt| {
+            let mut plain = true;
+            c.walk(&mut |st| {
+                plain &= !matches!(st.kind, StmtKind::Do { .. });
+                st.for_each_ref(&mut |r, _| {
+                    plain &= !env.dist_of(&r.name).is_some_and(|d| d.is_distributed());
+                });
+            });
+            plain
+        };
         let child_nests: Vec<StmtId> = child_nests.map(|c| c.id).collect();
-        if transparent && !child_nests.is_empty() && child_nests.len() == body.len() {
+        if transparent
+            && !child_nests.is_empty()
+            && body.iter().all(|c| is_nest(c) || needs_no_plan(c))
+        {
             for c in child_nests {
                 nests.push(c);
                 nest_scope.insert(c, s.id);

@@ -151,6 +151,12 @@ pub struct ProgramSpec {
     /// [`generate`] leaves it off — `benchmark/` renders what `generate`
     /// returns, and its inputs are frozen — and the campaign turns it on.
     pub reads_loop_vars_at_end: bool,
+    /// End the time loop's body with one statement that needs no
+    /// communication plan — `continue`, or a replicated scalar
+    /// assignment, by the seed. The kernels beside it must still be
+    /// planned one by one, their exchanges inside the time loop. Off in
+    /// [`generate`] and on in the campaign, as above.
+    pub statement_in_time_loop: bool,
 }
 
 /// Generation tuning.
@@ -310,6 +316,7 @@ pub fn generate(seed: u64, opts: &GenOptions) -> ProgramSpec {
         time_steps: 0,
         use_common,
         reads_loop_vars_at_end: false,
+        statement_in_time_loop: false,
     };
 
     // subroutines (stencil/axpy/sweep bodies over the COMMON arrays)
@@ -1009,6 +1016,10 @@ impl ProgramSpec {
             self.render_kernel(k, &mut out, kern_ind);
         }
         if in_time_loop {
+            if self.statement_in_time_loop {
+                let stmt = ["continue", "m = it"][(self.seed % 2) as usize];
+                push_line(&mut out, kern_ind, stmt);
+            }
             push_line(&mut out, 6, "enddo");
         }
         if let Some(&f) = (self.plain_doubles().first()).filter(|_| self.reads_loop_vars_at_end) {
@@ -1115,16 +1126,31 @@ mod tests {
 
     #[test]
     fn read_of_loop_variables_is_one_opt_in_line() {
-        let spec = generate(42, &GenOptions::default());
-        let probed = ProgramSpec {
+        let spec = ProgramSpec {
+            time_steps: 2,
+            ..generate(42, &GenOptions::default())
+        };
+        let plain = spec.render();
+        let added_by = |probed: ProgramSpec| -> String {
+            let probed = probed.render();
+            dhpf_fortran::parse(&probed).expect("parses");
+            let added: Vec<&str> = probed.lines().filter(|l| !plain.contains(l)).collect();
+            assert_eq!(added.len(), 1, "{added:?}");
+            added[0].trim().to_string()
+        };
+        let read = added_by(ProgramSpec {
             reads_loop_vars_at_end: true,
             ..spec.clone()
-        };
-        let (plain, probed) = (spec.render(), probed.render());
-        let added: Vec<&str> = probed.lines().filter(|l| !plain.contains(l)).collect();
-        assert_eq!(added.len(), 1, "{added:?}");
-        assert!(added[0].ends_with("+ 0.25d0"), "{added:?}");
-        dhpf_fortran::parse(&probed).expect("parses");
+        });
+        assert!(read.ends_with("+ 0.25d0"), "{read}");
+        for (seed, stmt) in [(42, "continue"), (43, "m = it")] {
+            let in_loop = added_by(ProgramSpec {
+                seed,
+                statement_in_time_loop: true,
+                ..spec.clone()
+            });
+            assert_eq!(in_loop, stmt);
+        }
     }
 
     #[test]

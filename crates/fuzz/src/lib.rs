@@ -67,10 +67,12 @@ pub fn program_seed(seed: u64, k: usize) -> u64 {
 }
 
 /// The program the campaign checks for `pseed`: the generated one, ending
-/// with a read of its loop variables after every loop.
+/// with a read of its loop variables after every loop, and with a
+/// statement beside the kernels of its time loop.
 fn campaign_spec(pseed: u64, opts: &GenOptions) -> ProgramSpec {
     ProgramSpec {
         reads_loop_vars_at_end: true,
+        statement_in_time_loop: true,
         ..generate(pseed, opts)
     }
 }

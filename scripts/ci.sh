@@ -23,8 +23,9 @@
 #   7. benchmark     — the repo benchmark harness (benchmark/) still
 #                      builds against the crates' public API: its own
 #                      tests plus one `run --all --quick` pass (~20 s)
-#   8. dhpf-lint     — jacobi.f verifies clean; each seeded example in
-#                      examples/hpf/ produces its expected finding
+#   8. dhpf-lint     — jacobi.f and timeloop.f verify clean; each seeded
+#                      example in examples/hpf/ produces its expected
+#                      finding
 #   9. observability — `dhpf compile --run` writes all three documents,
 #                      the metrics with the `exec.lower.*` gauges
 #  10. aggregation   — the protocol verifier with per-peer packing on
@@ -87,9 +88,12 @@ cargo run --release --offline --manifest-path benchmark/Cargo.toml -- run --all 
 
 echo "== dhpf-lint examples"
 LINT=target/release/dhpf-lint
-# clean example must verify with no findings at all
-out=$("$LINT" --verify examples/hpf/jacobi.f)
-grep -q "no findings" <<<"$out" || { echo "$out"; echo "FAIL: jacobi.f should be clean"; exit 1; }
+# clean examples must verify with no findings at all (timeloop.f: a
+# scalar statement and a CONTINUE beside the nests of the time loop)
+for f in jacobi timeloop; do
+    out=$("$LINT" --verify examples/hpf/$f.f)
+    grep -q "no findings" <<<"$out" || { echo "$out"; echo "FAIL: $f.f should be clean"; exit 1; }
+done
 # each seeded example must trip its lint (warnings only: exit 0)
 for f in nonaffine directives conflict; do
     "$LINT" examples/hpf/$f.f > /dev/null || {

@@ -305,24 +305,27 @@ fn early_return_is_rejected_and_final_return_compiles() {
     assert_eq!(r.arrays["a"].data[15], 100.0);
 }
 
-/// Compile `src` for `np` ranks (bound to `np` in its `processors`
-/// directive), run it, and require array `a` bit for bit as the serial
-/// interpreter leaves it.
-fn assert_a_matches_serial(src: &str, np: usize) {
+/// Compile `src` with `np` bound (the extent its `processors` directive
+/// names), run it on the grid that gives, and require array `a` bit for
+/// bit as the serial interpreter leaves it. Returns the messages sent.
+fn assert_a_matches_serial(src: &str, np: usize) -> u64 {
     let program = parse(src).unwrap();
     let serial = run_serial(&program, &Default::default()).unwrap();
-    let compiled = compile(&program, &CompileOptions::new().bind("np", np as i64)).unwrap();
-    let r = run_node_program(&compiled.program, MachineConfig::sp2(np)).unwrap();
+    let compiled = compile(&program, &CompileOptions::new().bind("np", np as i64))
+        .unwrap_or_else(|e| panic!("np = {np}: {e}\n{src}"));
+    let ranks = compiled.program.grid.nprocs() as usize;
+    let r = run_node_program(&compiled.program, MachineConfig::sp2(ranks)).unwrap();
     let bits = |a: &dhpf::core::exec::serial::ArrayValue| -> Vec<u64> {
         a.data.iter().map(|v| v.to_bits()).collect()
     };
     assert_eq!(
         bits(&serial.arrays["a"]),
         bits(&r.arrays["a"]),
-        "{np} rank(s): serial {:?}, compiled {:?}\n{src}",
+        "np = {np}: serial {:?}, compiled {:?}\n{src}",
         serial.arrays["a"].data,
         r.arrays["a"].data
     );
+    r.run.stats.messages
 }
 
 /// A rank runs only the iterations of a loop in which it executes a
@@ -447,4 +450,164 @@ fn common_array_of_an_inlined_callee_is_the_callers() {
         ["x_solve::cv", "y_solve::cv", "z_solve::cv"],
         "BT's leaves share the COMMON fields: only the solvers' scratch is a unit's own"
     );
+}
+
+/// Jacobi-style time loops: `it` subscripts nothing, so the wrapper is
+/// transparent and each child nest is planned on its own, its exchange
+/// inside `it`. `EXTRA` is where a statement joins the children; beside
+/// each program, the messages it sends per value of `np`.
+const TIME_LOOPS: [(&str, &[(usize, u64)]); 3] = [
+    // examples/quickstart.rs
+    (
+        "
+      program demo
+      parameter (n = 32)
+      integer np, i, it
+      double precision a(n), b(n), x
+!hpf$ processors p(np)
+!hpf$ distribute (block) onto p :: a, b
+      x = 0.0d0
+      do i = 1, n
+         a(i) = i * i * 1.0d0
+         b(i) = 0.0d0
+      enddo
+      do it = 1, 5
+         do i = 2, n - 1
+            b(i) = (a(i - 1) + a(i + 1)) * 0.5d0
+         enddo
+         do i = 2, n - 1
+            a(i) = b(i)
+         enddo
+         EXTRA
+      enddo
+      end
+",
+        &[(1, 0), (2, 10), (4, 30)],
+    ),
+    // the consumer of `a` updates it in place
+    (
+        "
+      program acc
+      parameter (n = 16)
+      integer np, i, it
+      double precision a(n), b(n), x
+!hpf$ processors p(np)
+!hpf$ distribute (block) onto p :: a, b
+      x = 0.0d0
+      do i = 1, n
+         a(i) = i * i * 1.0d0
+         b(i) = 0.0d0
+      enddo
+      do it = 1, 3
+         do i = 2, n - 1
+            b(i) = 0.5d0 * (a(i - 1) + a(i + 1))
+         enddo
+         do i = 2, n - 1
+            a(i) = a(i) + b(i)
+         enddo
+         EXTRA
+      enddo
+      end
+",
+        &[(1, 0), (2, 6), (4, 18)],
+    ),
+    // a pipelined sweep per time step, on p(np, np)
+    (
+        "
+      program sw
+      parameter (n = 16)
+      integer np, i, j, it
+      double precision a(n, n), x
+!hpf$ processors p(np, np)
+!hpf$ distribute (block, block) onto p :: a
+      x = 0.0d0
+      do j = 1, n
+         do i = 1, n
+            a(i, j) = i * 1.0d0 + j
+         enddo
+      enddo
+      do it = 1, 2
+         do j = 2, n - 1
+            do i = 2, n - 1
+               a(i, j) = 0.25d0 * (a(i - 1, j) + a(i + 1, j))
+            enddo
+         enddo
+         EXTRA
+      enddo
+      end
+",
+        &[(1, 0), (2, 12)],
+    ),
+];
+
+/// A statement beside the child nests of a time loop used to make the
+/// whole `it` loop one planned nest: every exchange was vectorized above
+/// `it`, nothing checked the `it`-carried flow dependence, and the run
+/// diverged from serial under a clean verifier (6 messages instead of 30
+/// and max |serial - parallel| = 2.25 on the quickstart program at 4
+/// ranks). `CONTINUE` and replicated scalar assignments leave the
+/// wrapper transparent: same messages as without them, same bits.
+#[test]
+fn a_statement_in_a_time_loop_leaves_its_nests_planned_one_by_one() {
+    for (src, expect) in TIME_LOOPS {
+        for &(np, messages) in expect {
+            for extra in ["", "continue", "x = x + 1.0d0"] {
+                let sent = assert_a_matches_serial(&src.replace("EXTRA", extra), np);
+                assert_eq!(sent, messages, "np = {np}, `{extra}`\n{src}");
+            }
+        }
+    }
+}
+
+/// A distributed-array statement directly in the time-loop body does
+/// make `it` the planned nest, and on more than one rank its exchanges
+/// belong inside `it`: the planner says so, naming the array and the
+/// loop. ROADMAP's three shapes of `a(i, j) = a(i, j) + 0.25d0` after the
+/// nests (a loop variable read after its loop) used to panic in a
+/// message pack, diverge from serial, and be rejected as needing
+/// communication in "the same nest".
+#[test]
+fn an_array_statement_in_a_time_loop_runs_as_serial_or_is_rejected_by_name() {
+    let after = [
+        "a(i) = a(i) + 0.25d0",
+        "a(i) = a(i) + 0.25d0",
+        "a(i, j) = a(i, j) + 0.25d0",
+    ];
+    for ((src, expect), extra) in TIME_LOOPS.iter().zip(after) {
+        let src = src.replace("EXTRA", extra);
+        let unit = src.split_whitespace().nth(1).unwrap();
+        for &(np, _) in *expect {
+            let opts = CompileOptions::new().bind("np", np as i64);
+            match compile(&parse(&src).unwrap(), &opts) {
+                Ok(_) => {
+                    assert_a_matches_serial(&src, np);
+                }
+                Err(e) => assert_eq!(
+                    e.to_string(),
+                    format!(
+                        "in {unit}: communication analysis: read of `a` needs communication \
+                         inside loop `it` (value produced on another processor in an earlier \
+                         iteration)"
+                    ),
+                    "np = {np}\n{src}"
+                ),
+            }
+        }
+    }
+}
+
+/// `examples/hpf/timeloop.f`: jacobi.f with a scalar accumulation and a
+/// `continue` in its time loop (CI lints it clean with `--verify`).
+#[test]
+fn timeloop_example_matches_serial() {
+    let src = include_str!("../examples/hpf/timeloop.f");
+    let program = parse(src).unwrap();
+    let serial = run_serial(&program, &Default::default()).unwrap();
+    let compiled = compile(&program, &CompileOptions::new()).unwrap();
+    assert!(verify_compiled(&compiled).is_clean());
+    assert!(verify_protocol(&compiled).is_clean());
+    let r = run_node_program(&compiled.program, MachineConfig::sp2(4)).unwrap();
+    assert_eq!(serial.arrays["a"].data, r.arrays["a"].data);
+    // 3 block boundaries x 2 directions, every time step
+    assert_eq!(r.run.stats.messages, 4 * 6);
 }
