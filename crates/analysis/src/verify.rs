@@ -33,9 +33,9 @@ use crate::diag::{Finding, Report, Severity};
 use dhpf_core::avail::{accessed_set, nest_bounds};
 use dhpf_core::comm::{NestPlan, PipeSchedule};
 use dhpf_core::cp::{Cp, SubTerm};
-use dhpf_core::distrib::ProcGrid;
+use dhpf_core::distrib::{ArrayDist, ProcGrid};
 use dhpf_core::driver::{Compiled, UnitAnalysis};
-use dhpf_core::transfer::segments;
+use dhpf_core::transfer::{segments, Seg};
 use dhpf_depend::dep::{analyze_loop_deps, DepKind, Dependence};
 use dhpf_depend::loops::UnitLoops;
 use dhpf_depend::refs::{RefInfo, UnitRefs};
@@ -46,6 +46,7 @@ use dhpf_fortran::symtab;
 use dhpf_iset::enumerate::bounding_box;
 use dhpf_iset::Set;
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 /// Verify every compiled unit of a program. A clean report means every
 /// non-local read and every non-owner write in every planned nest is
@@ -89,7 +90,7 @@ pub fn verify_unit(
             deps.entry(l)
                 .or_insert_with(|| analyze_loop_deps(l, loops, refs));
         }
-        let cx = NestCx {
+        let mut cx = NestCx {
             unit_name: &unit.name,
             ua,
             loops,
@@ -101,12 +102,26 @@ pub fn verify_unit(
             scope_deps: &deps[&scope],
             nest_deps: &deps[&nest],
             plan,
+            images: BTreeMap::new(),
+            owned: BTreeMap::new(),
+            any_owned: BTreeMap::new(),
+            pre_to: BTreeMap::new(),
+            post: BTreeMap::new(),
         };
+        for (_, to, s) in segments(plan.pre()) {
+            cx.pre_to.entry(to).or_default().push(s);
+        }
+        for (from, to, s) in segments(plan.post()) {
+            cx.post.entry((from, to)).or_default().push(s);
+        }
         cx.check_reads(out);
         cx.check_placement(out);
         cx.check_writebacks(out);
     }
 }
+
+/// One set per processor, indexed by rank.
+type PerRank = Rc<Vec<Set>>;
 
 struct NestCx<'a> {
     unit_name: &'a str,
@@ -120,129 +135,157 @@ struct NestCx<'a> {
     scope_deps: &'a [Dependence],
     nest_deps: &'a [Dependence],
     plan: &'a NestPlan,
+    // The verifier's own per-rank table of the nest, rows derived on first
+    // use: what each processor accesses through a reference, what it owns
+    // of an array, what any owns; plan segments by destination.
+    images: BTreeMap<RefId, Option<PerRank>>,
+    owned: BTreeMap<&'a str, PerRank>,
+    any_owned: BTreeMap<&'a str, Rc<Set>>,
+    pre_to: BTreeMap<usize, Vec<&'a Seg<String>>>,
+    post: BTreeMap<(usize, usize), Vec<&'a Seg<String>>>,
 }
 
-impl NestCx<'_> {
-    fn sweep(&self) -> Option<&PipeSchedule> {
+impl<'a> NestCx<'a> {
+    fn sweep(&self) -> Option<&'a PipeSchedule> {
         match self.plan {
             NestPlan::Pipelined { schedule, .. } => Some(schedule),
             NestPlan::Parallel { .. } => None,
         }
     }
 
-    /// Every non-local read must be covered by pre-exchanges, earlier
-    /// same-processor writes, or the pipeline.
-    fn check_reads(&self, out: &mut Report) {
-        let ud = usedef::build(self.scope, self.loops, self.refs);
-        let nprocs = self.grid.nprocs() as usize;
-
-        for stmt in self.loops.stmts_in(self.nest) {
-            let Some(cp) = self.ua.cps.get(&stmt) else {
-                continue;
-            };
-            for r in self.refs.of_stmt(stmt) {
-                if r.is_write || r.is_scalar {
-                    continue;
-                }
-                let Some(dist) = self.ua.env.dist_of(&r.array) else {
-                    continue;
-                };
-                if !dist.is_distributed() || r.subs.iter().any(|s| s.is_none()) {
-                    continue; // non-affine: flagged by the lints, rejected by the planner
-                }
-                if let Some(sch) = self.sweep() {
-                    if behind_read(sch, self.nest, self.loops, r, cp) {
-                        continue; // the sweep schedule carries behind-planes
-                    }
-                }
-                let Some(nest_r) = nest_bounds(r.stmt, self.loops) else {
-                    continue;
-                };
-                // same-processor availability uses the lexically-last
-                // preceding write with a flow dependence — the §7 rule
-                let pred = ud
-                    .last_write_before
-                    .get(&r.id)
-                    .and_then(|w| self.refs.by_id(*w))
-                    .filter(|w| {
-                        self.scope_deps.iter().any(|d| {
-                            d.kind == DepKind::Flow && d.src_ref == w.id && d.dst_ref == r.id
-                        })
-                    });
-                let space = elem_space(r.subs.len());
-                let anyowned = (0..nprocs).fold(Set::empty(&space), |acc, p| {
-                    acc.union(&dist.owned_set(&self.grid.coords(p as i64)))
-                });
-                let mut bad_ranks: Vec<(usize, String)> = Vec::new();
-                for rank in 0..nprocs {
-                    let coords = self.grid.coords(rank as i64);
-                    let Some(read_data) = accessed_set(r, cp, &nest_r, &self.ua.env, &coords)
-                    else {
-                        continue;
-                    };
-                    let owned = dist.owned_set(&coords);
-                    let mut uncovered = read_data.subtract(&owned).intersect(&anyowned);
-                    if uncovered.is_empty() {
-                        continue;
-                    }
-                    if let Some(w) = pred {
-                        if let Some(nw) = nest_bounds(w.stmt, self.loops) {
-                            let wcp = self.ua.cps.get(&w.stmt).cloned().unwrap_or_default();
-                            if let Some(wd) = accessed_set(w, &wcp, &nw, &self.ua.env, &coords) {
-                                uncovered = uncovered.subtract(&wd);
-                            }
-                        }
-                    }
-                    for (_, to, s) in segments(self.plan.pre()) {
-                        if to == rank && s.arr == r.array && s.lo.len() == r.subs.len() {
-                            uncovered = uncovered.subtract(&Set::rect(&space, &s.lo, &s.hi));
-                        }
-                    }
-                    if !uncovered.is_empty() {
-                        bad_ranks.push((rank, describe(&uncovered)));
-                    }
-                }
-                if !bad_ranks.is_empty() {
-                    let mut f = Finding::new(
-                        "comm-coverage",
-                        Severity::Error,
-                        self.unit_name,
-                        format!(
-                            "CONFIRMED: read of `{}` accesses non-local data covered by \
-                             no pre-exchange, preceding local write, or pipeline plane",
-                            r.array
-                        ),
-                    )
-                    .at(stmt, self.spans.get(&stmt).copied());
-                    for (rank, elems) in bad_ranks {
-                        f = f.note(format!("processor {rank} reads stale {elems}"));
-                    }
-                    out.push(f);
-                }
-            }
-        }
-    }
-
     /// What each processor accesses through `x` under its statement's
     /// CP; `None` unless `x` refers to a distributed array with affine
     /// subscripts inside affine loop bounds.
-    fn images(&self, x: &RefInfo) -> Option<Vec<Set>> {
-        let env = &self.ua.env;
-        env.dist_of(&x.array).filter(|d| d.is_distributed())?;
-        let bounds = nest_bounds(x.stmt, self.loops)?;
-        let cp = self.ua.cps.get(&x.stmt).cloned().unwrap_or_default();
-        (self.grid.ranks())
-            .map(|p| accessed_set(x, &cp, &bounds, env, &self.grid.coords(p)))
-            .collect()
+    fn images(&mut self, x: &RefInfo) -> Option<PerRank> {
+        if !self.images.contains_key(&x.id) {
+            let (env, grid) = (&self.ua.env, self.grid);
+            let cp = self.ua.cps.get(&x.stmt).cloned().unwrap_or_default();
+            let row = (env.dist_of(&x.array).filter(|d| d.is_distributed()))
+                .and(nest_bounds(x.stmt, self.loops))
+                .and_then(|b| {
+                    let image = |p| accessed_set(x, &cp, &b, env, &grid.coords(p));
+                    grid.ranks().map(image).collect()
+                });
+            self.images.insert(x.id, row.map(Rc::new));
+        }
+        self.images[&x.id].clone()
+    }
+
+    /// What each processor owns of `array` (distributed by `dist`).
+    fn owned(&mut self, array: &'a str, dist: &ArrayDist) -> PerRank {
+        let grid = self.grid;
+        let own = |p| dist.owned_set(&grid.coords(p));
+        let row = self.owned.entry(array);
+        row.or_insert_with(|| Rc::new(grid.ranks().map(own).collect()))
+            .clone()
+    }
+
+    /// Every element some processor owns of `array` (of rank `ndims`).
+    fn any_owned(&mut self, array: &'a str, dist: &ArrayDist, ndims: usize) -> Rc<Set> {
+        if !self.any_owned.contains_key(array) {
+            let owned = self.owned(array, dist);
+            let any = (owned.iter()).fold(Set::empty(&elem_space(ndims)), |acc, s| acc.union(s));
+            self.any_owned.insert(array, Rc::new(any));
+        }
+        self.any_owned[array].clone()
+    }
+
+    /// The reads (or writes) of the nest's statements with a CP that go to
+    /// a distributed array through affine subscripts (the lints flag the
+    /// others, the planner rejects them), with that CP and distribution.
+    fn accesses(&self, writes: bool) -> Vec<(StmtId, &'a Cp, &'a RefInfo, &'a ArrayDist)> {
+        let (ua, refs) = (self.ua, self.refs);
+        let mut out = Vec::new();
+        for stmt in self.loops.stmts_in(self.nest) {
+            let Some(cp) = ua.cps.get(&stmt) else {
+                continue;
+            };
+            for r in refs.of_stmt(stmt) {
+                let wanted = r.is_write == writes && !r.is_scalar;
+                let affine = r.subs.iter().all(|s| s.is_some());
+                let dist = ua.env.dist_of(&r.array).filter(|d| d.is_distributed());
+                if let Some(d) = dist.filter(|_| wanted && affine) {
+                    out.push((stmt, cp, r, d));
+                }
+            }
+        }
+        out
+    }
+
+    /// Every non-local read must be covered by pre-exchanges, earlier
+    /// same-processor writes, or the pipeline.
+    fn check_reads(&mut self, out: &mut Report) {
+        let refs = self.refs;
+        let ud = usedef::build(self.scope, self.loops, refs);
+        for (stmt, cp, r, dist) in self.accesses(false) {
+            if let Some(sch) = self.sweep() {
+                if behind_read(sch, self.nest, self.loops, r, cp) {
+                    continue; // the sweep schedule carries behind-planes
+                }
+            }
+            let Some(reads) = self.images(r) else {
+                continue; // non-affine loop bounds
+            };
+            // same-processor availability uses the lexically-last
+            // preceding write with a flow dependence — the §7 rule
+            let pred = ud
+                .last_write_before
+                .get(&r.id)
+                .and_then(|w| refs.by_id(*w))
+                .filter(|w| {
+                    self.scope_deps
+                        .iter()
+                        .any(|d| d.kind == DepKind::Flow && d.src_ref == w.id && d.dst_ref == r.id)
+                });
+            let space = elem_space(r.subs.len());
+            let owned = self.owned(&r.array, dist);
+            let anyowned = self.any_owned(&r.array, dist, r.subs.len());
+            let mut bad_ranks: Vec<(usize, String)> = Vec::new();
+            for (rank, read_data) in reads.iter().enumerate() {
+                let mut uncovered = read_data.subtract(&owned[rank]).intersect(&anyowned);
+                if uncovered.is_empty() {
+                    continue;
+                }
+                if let Some(written) = pred.and_then(|w| self.images(w)) {
+                    uncovered = uncovered.subtract(&written[rank]);
+                }
+                for s in self.pre_to.get(&rank).into_iter().flatten() {
+                    if s.arr == r.array && s.lo.len() == r.subs.len() {
+                        uncovered = uncovered.subtract(&Set::rect(&space, &s.lo, &s.hi));
+                    }
+                }
+                if !uncovered.is_empty() {
+                    bad_ranks.push((rank, describe(&uncovered)));
+                }
+            }
+            if !bad_ranks.is_empty() {
+                let mut f = Finding::new(
+                    "comm-coverage",
+                    Severity::Error,
+                    self.unit_name,
+                    format!(
+                        "CONFIRMED: read of `{}` accesses non-local data covered by \
+                         no pre-exchange, preceding local write, or pipeline plane",
+                        r.array
+                    ),
+                )
+                .at(stmt, self.spans.get(&stmt).copied());
+                for (rank, elems) in bad_ranks {
+                    f = f.note(format!("processor {rank} reads stale {elems}"));
+                }
+                out.push(f);
+            }
+        }
     }
 
     /// The exchange of a non-pipelined nest runs before the nest: no
     /// flow dependence carried by one of its loops may move a value
     /// between processors.
-    fn check_placement(&self, out: &mut Report) {
+    fn check_placement(&mut self, out: &mut Report) {
         if self.sweep().is_some() {
             return; // the sweep schedule carries the values
         }
+        let (ua, refs) = (self.ua, self.refs);
         // (write, read) → the outermost level carrying the dependence
         let mut carried: BTreeMap<(RefId, RefId), usize> = BTreeMap::new();
         for d in self.nest_deps.iter().filter(|d| d.kind == DepKind::Flow) {
@@ -251,45 +294,35 @@ impl NestCx<'_> {
                 *l = (*l).min(level);
             }
         }
-        let mut images: BTreeMap<RefId, Option<Vec<Set>>> = BTreeMap::new();
-        let mut blocks: BTreeMap<&str, Vec<Set>> = BTreeMap::new();
         for ((w, r), level) in carried {
-            let (Some(w), Some(r)) = (self.refs.by_id(w), self.refs.by_id(r)) else {
+            let (Some(w), Some(r)) = (refs.by_id(w), refs.by_id(r)) else {
                 continue;
             };
             // a statement without a CP is not part of the plan; a
             // replicated definition of a NEW variable computes, on the
             // processors that run no use of it, a value nobody reads
-            let Some(rcp) = self.ua.cps.get(&r.stmt) else {
+            let Some(rcp) = ua.cps.get(&r.stmt) else {
                 continue;
             };
             let enclosing = self.loops.nest_of.get(&r.stmt).map_or(&[][..], |l| l);
-            let private = self.refs.write_of(r.stmt).is_some_and(|def| {
+            let private = refs.write_of(r.stmt).is_some_and(|def| {
                 (enclosing.iter()).any(|l| self.loops.loops[l].dir.new_vars.contains(&def.array))
             });
             if rcp.terms.is_empty() && private {
                 continue;
             }
-            for x in [w, r] {
-                images.entry(x.id).or_insert_with(|| self.images(x));
-            }
-            let (Some(written), Some(read)) = (&images[&w.id], &images[&r.id]) else {
+            let (Some(written), Some(read)) = (self.images(w), self.images(r)) else {
                 continue;
             };
             // owner-computed values stay in their writer's block: then
             // only reads of other processors' blocks can cross
-            let Some(dist) = self.ua.env.dist_of(&w.array) else {
+            let Some(dist) = ua.env.dist_of(&w.array) else {
                 continue;
             };
-            let owned = blocks.entry(&w.array).or_insert_with(|| {
-                let ranks = self.grid.ranks();
-                ranks
-                    .map(|p| dist.owned_set(&self.grid.coords(p)))
-                    .collect()
-            });
+            let owned = self.owned(&w.array, dist);
             let home = written.iter().zip(&*owned).all(|(w, own)| w.is_subset(own));
             let mut notes: Vec<String> = Vec::new();
-            for (p, (reads, writes)) in read.iter().zip(written).enumerate() {
+            for (p, (reads, writes)) in read.iter().zip(&*written).enumerate() {
                 let foreign = if home {
                     reads.subtract(&owned[p]).subtract(writes)
                 } else {
@@ -337,86 +370,61 @@ impl NestCx<'_> {
     /// Every non-owner write must reach the owner through a write-back
     /// unless the owner redundantly computes the same elements (or the
     /// pipeline forwards the planes of a swept array).
-    fn check_writebacks(&self, out: &mut Report) {
-        let nprocs = self.grid.nprocs() as usize;
-        for stmt in self.loops.stmts_in(self.nest) {
-            let Some(cp) = self.ua.cps.get(&stmt) else {
-                continue;
+    fn check_writebacks(&mut self, out: &mut Report) {
+        for (stmt, _, w, dist) in self.accesses(true) {
+            if let Some(sch) = self.sweep() {
+                if sch.arrays.iter().any(|(a, _)| a == &w.array) {
+                    continue; // swept planes travel with the pipeline
+                }
+            }
+            let Some(written) = self.images(w) else {
+                continue; // non-affine loop bounds
             };
-            for w in self.refs.of_stmt(stmt) {
-                if !w.is_write || w.is_scalar {
+            let owned = self.owned(&w.array, dist);
+            let space = elem_space(w.subs.len());
+            let mut bad: Vec<(usize, usize, String)> = Vec::new();
+            for (rank, mine) in written.iter().enumerate() {
+                let nonowned = mine.subtract(&owned[rank]);
+                if nonowned.is_empty() {
                     continue;
                 }
-                let Some(dist) = self.ua.env.dist_of(&w.array) else {
-                    continue;
-                };
-                if !dist.is_distributed() || w.subs.iter().any(|s| s.is_none()) {
-                    continue;
-                }
-                if let Some(sch) = self.sweep() {
-                    if sch.arrays.iter().any(|(a, _)| a == &w.array) {
-                        continue; // swept planes travel with the pipeline
-                    }
-                }
-                let Some(nw) = nest_bounds(w.stmt, self.loops) else {
-                    continue;
-                };
-                let space = elem_space(w.subs.len());
-                let mut bad: Vec<(usize, usize, String)> = Vec::new();
-                for rank in 0..nprocs {
-                    let coords = self.grid.coords(rank as i64);
-                    let Some(written) = accessed_set(w, cp, &nw, &self.ua.env, &coords) else {
-                        continue;
-                    };
-                    let nonowned = written.subtract(&dist.owned_set(&coords));
-                    if nonowned.is_empty() {
+                for (orank, (theirs, oowned)) in written.iter().zip(&*owned).enumerate() {
+                    if orank == rank {
                         continue;
                     }
-                    for orank in 0..nprocs {
-                        if orank == rank {
-                            continue;
-                        }
-                        let oc = self.grid.coords(orank as i64);
-                        let oowned = dist.owned_set(&oc);
-                        let mut piece = nonowned.intersect(&oowned);
-                        if piece.is_empty() {
-                            continue;
-                        }
-                        if let Some(oset) = accessed_set(w, cp, &nw, &self.ua.env, &oc) {
-                            piece = piece.subtract(&oset.intersect(&oowned));
-                        }
-                        for (from, to, s) in segments(self.plan.post()) {
-                            if (from, to) == (rank, orank)
-                                && s.arr == w.array
-                                && s.lo.len() == w.subs.len()
-                            {
-                                piece = piece.subtract(&Set::rect(&space, &s.lo, &s.hi));
-                            }
-                        }
-                        if !piece.is_empty() {
-                            bad.push((rank, orank, describe(&piece)));
+                    let mut piece = nonowned.intersect(oowned);
+                    if piece.is_empty() {
+                        continue;
+                    }
+                    piece = piece.subtract(&theirs.intersect(oowned));
+                    for s in self.post.get(&(rank, orank)).into_iter().flatten() {
+                        if s.arr == w.array && s.lo.len() == w.subs.len() {
+                            piece = piece.subtract(&Set::rect(&space, &s.lo, &s.hi));
                         }
                     }
-                }
-                if !bad.is_empty() {
-                    let mut f = Finding::new(
-                        "comm-coverage",
-                        Severity::Error,
-                        self.unit_name,
-                        format!(
-                            "CONFIRMED: non-owner write of `{}` never reaches the owner \
-                             (no write-back, owner does not compute it)",
-                            w.array
-                        ),
-                    )
-                    .at(stmt, self.spans.get(&stmt).copied());
-                    for (rank, orank, elems) in bad {
-                        f = f.note(format!(
-                            "processor {rank} writes {elems} owned by processor {orank}"
-                        ));
+                    if !piece.is_empty() {
+                        bad.push((rank, orank, describe(&piece)));
                     }
-                    out.push(f);
                 }
+            }
+            if !bad.is_empty() {
+                let mut f = Finding::new(
+                    "comm-coverage",
+                    Severity::Error,
+                    self.unit_name,
+                    format!(
+                        "CONFIRMED: non-owner write of `{}` never reaches the owner \
+                         (no write-back, owner does not compute it)",
+                        w.array
+                    ),
+                )
+                .at(stmt, self.spans.get(&stmt).copied());
+                for (rank, orank, elems) in bad {
+                    f = f.note(format!(
+                        "processor {rank} writes {elems} owned by processor {orank}"
+                    ));
+                }
+                out.push(f);
             }
         }
     }

@@ -1,6 +1,6 @@
 //! Affine constraints: `expr ≥ 0` and `expr = 0`, with integer tightening.
 
-use crate::expr::{gcd, LinExpr};
+use crate::expr::LinExpr;
 use std::fmt;
 
 /// Constraint kind.
@@ -183,11 +183,9 @@ pub(crate) fn fm_combine(lower: &Constraint, upper: &Constraint, var: &str) -> C
     // lower: a·x + f ≥ 0  (f = lower.expr - a·x), i.e. x ≥ -f/a
     // upper: -b·x + g ≥ 0 (g = upper.expr + b·x), i.e. x ≤ g/b
     // combine: b·f + a·g ≥ 0  where we add scaled exprs and cancel x.
-    let mut e = lower.expr.scaled(b);
-    e = e.add_scaled(&upper.expr, a);
+    // The later normalize() pass re-tightens by the GCD.
+    let e = lower.expr.scaled(b).add_scaled(&upper.expr, a);
     debug_assert_eq!(e.coeff(var), 0);
-    let g = gcd(a, b);
-    let _ = g; // the later normalize() pass re-tightens; nothing more needed
     Constraint::ge0(e)
 }
 

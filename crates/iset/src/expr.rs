@@ -1,8 +1,8 @@
 //! Sparse integer-coefficient linear expressions over named variables.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::{Add, Mul, Neg, Sub};
+use std::sync::Arc;
 
 /// A linear expression `Σ cᵢ·vᵢ + c0` with integer coefficients over named
 /// variables. Variables with coefficient zero are never stored.
@@ -10,10 +10,11 @@ use std::ops::{Add, Mul, Neg, Sub};
 /// `LinExpr` is the atom everything else in this crate is built from:
 /// constraints, polyhedra, affine maps and loop bounds are all phrased in
 /// terms of it.
+/// Combining expressions shares names (`Arc`), never copies them.
 #[derive(Clone, PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
 pub struct LinExpr {
-    /// Coefficients keyed by variable name (sorted, zero-free).
-    terms: BTreeMap<String, i64>,
+    /// `(variable, coefficient)` sorted by name, zero-free, names unique.
+    terms: Vec<(Arc<str>, i64)>,
     /// Constant term.
     constant: i64,
 }
@@ -27,16 +28,17 @@ impl LinExpr {
     /// A constant expression.
     pub fn cst(c: i64) -> Self {
         LinExpr {
-            terms: BTreeMap::new(),
+            terms: Vec::new(),
             constant: c,
         }
     }
 
     /// A single variable with coefficient 1.
     pub fn var(name: &str) -> Self {
-        let mut terms = BTreeMap::new();
-        terms.insert(name.to_string(), 1);
-        LinExpr { terms, constant: 0 }
+        LinExpr {
+            terms: vec![(Arc::from(name), 1)],
+            constant: 0,
+        }
     }
 
     /// A single variable with an explicit coefficient.
@@ -55,10 +57,15 @@ impl LinExpr {
         e
     }
 
+    /// Position of `name` in the sorted terms, or where it would go.
+    fn find(&self, name: &str) -> Result<usize, usize> {
+        self.terms.binary_search_by(|(v, _)| (**v).cmp(name))
+    }
+
     /// Coefficient of `name` (0 if absent).
     #[inline]
     pub fn coeff(&self, name: &str) -> i64 {
-        self.terms.get(name).copied().unwrap_or(0)
+        self.find(name).map_or(0, |i| self.terms[i].1)
     }
 
     /// The constant term.
@@ -74,13 +81,22 @@ impl LinExpr {
 
     /// Add `coeff`·`name` into the expression.
     pub fn add_term(&mut self, name: &str, coeff: i64) {
+        self.add_shared(name, coeff, || Arc::from(name));
+    }
+
+    /// `add_term`, taking the shared name from `sym` only if it is new.
+    fn add_shared(&mut self, name: &str, coeff: i64, sym: impl FnOnce() -> Arc<str>) {
         if coeff == 0 {
             return;
         }
-        let entry = self.terms.entry(name.to_string()).or_insert(0);
-        *entry += coeff;
-        if *entry == 0 {
-            self.terms.remove(name);
+        match self.find(name) {
+            Ok(i) => {
+                self.terms[i].1 += coeff;
+                if self.terms[i].1 == 0 {
+                    self.terms.remove(i);
+                }
+            }
+            Err(i) => self.terms.insert(i, (sym(), coeff)),
         }
     }
 
@@ -92,7 +108,7 @@ impl LinExpr {
 
     /// Iterate `(variable, coefficient)` pairs in sorted order.
     pub fn terms(&self) -> impl Iterator<Item = (&str, i64)> + '_ {
-        self.terms.iter().map(|(v, c)| (v.as_str(), *c))
+        self.terms.iter().map(|(v, c)| (&**v, *c))
     }
 
     /// Number of variables with nonzero coefficient.
@@ -102,25 +118,25 @@ impl LinExpr {
 
     /// True iff `name` occurs with nonzero coefficient.
     pub fn mentions(&self, name: &str) -> bool {
-        self.terms.contains_key(name)
+        self.find(name).is_ok()
     }
 
     /// All mentioned variable names.
     pub fn vars(&self) -> impl Iterator<Item = &str> + '_ {
-        self.terms.keys().map(|s| s.as_str())
+        self.terms.iter().map(|(v, _)| &**v)
     }
 
     /// GCD of all variable coefficients (0 if constant).
     pub fn coeff_gcd(&self) -> i64 {
-        self.terms.values().fold(0i64, |g, &c| gcd(g, c.abs()))
+        self.terms.iter().fold(0i64, |g, &(_, c)| gcd(g, c.abs()))
     }
 
-    /// `self + k·other` without intermediate allocation of both clones.
+    /// `self + k·other`, sharing `other`'s names.
     pub fn add_scaled(&self, other: &LinExpr, k: i64) -> LinExpr {
         let mut out = self.clone();
         if k != 0 {
-            for (v, c) in other.terms() {
-                out.add_term(v, c * k);
+            for (v, c) in &other.terms {
+                out.add_shared(v, c * k, || v.clone());
             }
             out.constant += other.constant * k;
         }
@@ -133,7 +149,7 @@ impl LinExpr {
             return LinExpr::zero();
         }
         let mut out = self.clone();
-        for c in out.terms.values_mut() {
+        for (_, c) in &mut out.terms {
             *c *= k;
         }
         out.constant *= k;
@@ -144,7 +160,7 @@ impl LinExpr {
     pub fn div_exact(&self, k: i64) -> LinExpr {
         assert!(k != 0, "division by zero");
         let mut out = self.clone();
-        for c in out.terms.values_mut() {
+        for (_, c) in &mut out.terms {
             assert!(*c % k == 0, "non-exact division of {self} by {k}");
             *c /= k;
         }
@@ -155,27 +171,25 @@ impl LinExpr {
 
     /// Substitute `name := replacement` (replacement may mention other vars).
     pub fn substitute(&self, name: &str, replacement: &LinExpr) -> LinExpr {
-        let c = self.coeff(name);
-        if c == 0 {
+        let Ok(i) = self.find(name) else {
             return self.clone();
-        }
+        };
         let mut out = self.clone();
-        out.terms.remove(name);
+        let (_, c) = out.terms.remove(i);
         out.add_scaled(replacement, c)
     }
 
     /// Rename a variable (no-op if absent; panics if target already present).
     pub fn rename(&self, from: &str, to: &str) -> LinExpr {
-        let c = self.coeff(from);
-        if c == 0 {
+        let Ok(i) = self.find(from) else {
             return self.clone();
-        }
+        };
         assert!(
             !self.mentions(to),
             "rename target {to} already present in {self}"
         );
         let mut out = self.clone();
-        out.terms.remove(from);
+        let (_, c) = out.terms.remove(i);
         out.add_term(to, c);
         out
     }

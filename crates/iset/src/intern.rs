@@ -5,12 +5,19 @@
 //! union, intersect, subtract, project, subset-test, emptiness, variable
 //! elimination — and re-issues the *same* queries over and over: once per
 //! convergence-loop iteration, once per reference, and again wholesale when a
-//! program is recompiled. This module gives those operations O(hash) warm
-//! cost by interning the operand structures into stable integer ids and
-//! memoizing each operation keyed on those ids.
+//! program is recompiled. Where an operation runs Fourier–Motzkin, this
+//! module gives it O(hash) warm cost by interning the operand structures
+//! into stable integer ids and memoizing the operation keyed on those ids.
 //!
 //! Design notes:
 //!
+//! - **Memoize exactly where FM runs.** An *interval* polyhedron (every
+//!   constraint bounds one variable, like a per-processor set at a fixed
+//!   processor count) is decided faster than it hashes. Operations whose
+//!   operands are all interval polyhedra, and eliminations through a
+//!   unit-coefficient equality, are computed directly and never reach the
+//!   tables, so [`cache_stats`] counts FM-backed operations only. The
+//!   choice depends on the operands alone; both paths compute one value.
 //! - The tables live behind a single process-global `Mutex`. Lookups and
 //!   insertions hold the lock; **computation never does** — a cached
 //!   operation may recurse into other cached operations (e.g. subtract's
@@ -25,9 +32,8 @@
 //!   never substitute a differently-represented (even if equivalent) result.
 //! - Tables only grow until [`reset_cache`] is called, so the interned-node
 //!   counts reported by [`cache_stats`] are also the peak since the last
-//!   reset. Long-running drivers should reset between independent
-//!   compilations if memory is a concern; the compile benchmark resets to
-//!   obtain cold timings.
+//!   reset. They hold symbolic (FM-backed) operations only, which keeps
+//!   them small; the compile benchmark resets to obtain cold timings.
 
 use crate::constraint::{Constraint, Kind};
 use crate::expr::LinExpr;
@@ -136,28 +142,33 @@ pub(crate) enum SetOp {
     Subtract,
 }
 
-#[derive(Default)]
-struct Counters {
-    union: OpStats,
-    intersect: OpStats,
-    subtract: OpStats,
-    subset: OpStats,
-    project: OpStats,
-    poly_empty: OpStats,
-    poly_eliminate: OpStats,
+/// A memoized query: an operation over interned operand ids. Its answer
+/// is an id too — of a set, of a polyhedron, or a bool as 0/1.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum Query {
+    SetOp(SetOp, u32, u32),
+    Subset(u32, u32),
+    Project(u32, u32),
+    PolyEmpty(u32),
+    PolyElim(u32, u32),
 }
 
-impl Counters {
-    fn for_set_op(&mut self, op: SetOp) -> &mut OpStats {
-        match op {
-            SetOp::Union => &mut self.union,
-            SetOp::Intersect => &mut self.intersect,
-            SetOp::Subtract => &mut self.subtract,
+impl Query {
+    /// The operation's counters.
+    fn stats(self, c: &mut CacheStats) -> &mut OpStats {
+        match self {
+            Query::SetOp(SetOp::Union, ..) => &mut c.union,
+            Query::SetOp(SetOp::Intersect, ..) => &mut c.intersect,
+            Query::SetOp(SetOp::Subtract, ..) => &mut c.subtract,
+            Query::Subset(..) => &mut c.subset,
+            Query::Project(..) => &mut c.project,
+            Query::PolyEmpty(..) => &mut c.poly_empty,
+            Query::PolyElim(..) => &mut c.poly_eliminate,
         }
     }
 }
 
-/// Interner state: id tables for each structure level plus the memo tables.
+/// Interner state: id tables for each structure level plus the memo table.
 ///
 /// Ids are dense indices. Constraints are keyed on `(expr id, kind)`,
 /// polyhedra on their constraint-id vector (order-sensitive — two polyhedra
@@ -173,12 +184,9 @@ struct Tables {
     poly_vals: Vec<Polyhedron>,
     sets: HashMap<(Vec<String>, Vec<u32>), u32>,
     set_vals: Vec<Set>,
-    set_op: HashMap<(SetOp, u32, u32), u32>,
-    subset: HashMap<(u32, u32), bool>,
-    project: HashMap<(u32, u32), u32>,
-    poly_empty: HashMap<u32, bool>,
-    poly_elim: HashMap<(u32, u32), u32>,
-    counters: Counters,
+    memo: HashMap<Query, u32>,
+    /// Hit/miss counters (its table sizes are filled in on a snapshot).
+    counters: CacheStats,
 }
 
 impl Tables {
@@ -217,6 +225,14 @@ impl Tables {
         id
     }
 
+    fn set(&self, id: u32) -> Set {
+        self.set_vals[id as usize].clone()
+    }
+
+    fn poly(&self, id: u32) -> Polyhedron {
+        self.poly_vals[id as usize].clone()
+    }
+
     fn set_id(&mut self, s: &Set) -> u32 {
         let pids: Vec<u32> = s.polys().iter().map(|p| self.poly_id(p)).collect();
         let key = (s.space().to_vec(), pids);
@@ -244,17 +260,11 @@ fn tables() -> MutexGuard<'static, Tables> {
 pub fn cache_stats() -> CacheStats {
     let t = tables();
     CacheStats {
-        union: t.counters.union,
-        intersect: t.counters.intersect,
-        subtract: t.counters.subtract,
-        subset: t.counters.subset,
-        project: t.counters.project,
-        poly_empty: t.counters.poly_empty,
-        poly_eliminate: t.counters.poly_eliminate,
         interned_exprs: t.exprs.len(),
         interned_constraints: t.cons.len(),
         interned_polys: t.poly_vals.len(),
         interned_sets: t.set_vals.len(),
+        ..t.counters.clone()
     }
 }
 
@@ -264,80 +274,59 @@ pub fn reset_cache() {
     *tables() = Tables::default();
 }
 
-pub(crate) fn cached_set_op(op: SetOp, a: &Set, b: &Set, compute: impl FnOnce() -> Set) -> Set {
+/// Answer the query `ask` builds from interned operands from the memo
+/// table, or run `compute` with the lock released and record the answer
+/// `store` interns.
+fn memoized<R>(
+    ask: impl Fn(&mut Tables) -> Query,
+    load: impl FnOnce(&Tables, u32) -> R,
+    store: impl FnOnce(&mut Tables, &R) -> u32,
+    compute: impl FnOnce() -> R,
+) -> R {
     {
         let mut t = tables();
-        let ia = t.set_id(a);
-        let ib = t.set_id(b);
-        if let Some(&ir) = t.set_op.get(&(op, ia, ib)) {
-            t.counters.for_set_op(op).hits += 1;
-            return t.set_vals[ir as usize].clone();
+        let q = ask(&mut t);
+        if let Some(&v) = t.memo.get(&q) {
+            q.stats(&mut t.counters).hits += 1;
+            return load(&t, v);
         }
     }
     let r = compute();
     let mut t = tables();
-    let ia = t.set_id(a);
-    let ib = t.set_id(b);
-    let ir = t.set_id(&r);
-    t.set_op.insert((op, ia, ib), ir);
-    t.counters.for_set_op(op).misses += 1;
+    let q = ask(&mut t);
+    let v = store(&mut t, &r);
+    t.memo.insert(q, v);
+    q.stats(&mut t.counters).misses += 1;
     r
+}
+
+pub(crate) fn cached_set_op(op: SetOp, a: &Set, b: &Set, compute: impl FnOnce() -> Set) -> Set {
+    if a.is_interval() && b.is_interval() {
+        return compute();
+    }
+    let ask = |t: &mut Tables| Query::SetOp(op, t.set_id(a), t.set_id(b));
+    memoized(ask, Tables::set, Tables::set_id, compute)
 }
 
 pub(crate) fn cached_subset(a: &Set, b: &Set, compute: impl FnOnce() -> bool) -> bool {
-    {
-        let mut t = tables();
-        let ia = t.set_id(a);
-        let ib = t.set_id(b);
-        if let Some(&r) = t.subset.get(&(ia, ib)) {
-            t.counters.subset.hits += 1;
-            return r;
-        }
+    if a.is_interval() && b.is_interval() {
+        return compute();
     }
-    let r = compute();
-    let mut t = tables();
-    let ia = t.set_id(a);
-    let ib = t.set_id(b);
-    t.subset.insert((ia, ib), r);
-    t.counters.subset.misses += 1;
-    r
+    let ask = |t: &mut Tables| Query::Subset(t.set_id(a), t.set_id(b));
+    memoized(ask, |_, v| v != 0, |_, r| u32::from(*r), compute)
 }
 
 pub(crate) fn cached_project(a: &Set, var: &str, compute: impl FnOnce() -> Set) -> Set {
-    {
-        let mut t = tables();
-        let ia = t.set_id(a);
-        let iv = t.sym_id(var);
-        if let Some(&ir) = t.project.get(&(ia, iv)) {
-            t.counters.project.hits += 1;
-            return t.set_vals[ir as usize].clone();
-        }
+    if a.is_interval() {
+        return compute();
     }
-    let r = compute();
-    let mut t = tables();
-    let ia = t.set_id(a);
-    let iv = t.sym_id(var);
-    let ir = t.set_id(&r);
-    t.project.insert((ia, iv), ir);
-    t.counters.project.misses += 1;
-    r
+    let ask = |t: &mut Tables| Query::Project(t.set_id(a), t.sym_id(var));
+    memoized(ask, Tables::set, Tables::set_id, compute)
 }
 
 pub(crate) fn cached_poly_empty(p: &Polyhedron, compute: impl FnOnce() -> bool) -> bool {
-    {
-        let mut t = tables();
-        let ip = t.poly_id(p);
-        if let Some(&r) = t.poly_empty.get(&ip) {
-            t.counters.poly_empty.hits += 1;
-            return r;
-        }
-    }
-    let r = compute();
-    let mut t = tables();
-    let ip = t.poly_id(p);
-    t.poly_empty.insert(ip, r);
-    t.counters.poly_empty.misses += 1;
-    r
+    let ask = |t: &mut Tables| Query::PolyEmpty(t.poly_id(p));
+    memoized(ask, |_, v| v != 0, |_, r| u32::from(*r), compute)
 }
 
 pub(crate) fn cached_poly_eliminate(
@@ -345,23 +334,8 @@ pub(crate) fn cached_poly_eliminate(
     var: &str,
     compute: impl FnOnce() -> Polyhedron,
 ) -> Polyhedron {
-    {
-        let mut t = tables();
-        let ip = t.poly_id(p);
-        let iv = t.sym_id(var);
-        if let Some(&ir) = t.poly_elim.get(&(ip, iv)) {
-            t.counters.poly_eliminate.hits += 1;
-            return t.poly_vals[ir as usize].clone();
-        }
-    }
-    let r = compute();
-    let mut t = tables();
-    let ip = t.poly_id(p);
-    let iv = t.sym_id(var);
-    let ir = t.poly_id(&r);
-    t.poly_elim.insert((ip, iv), ir);
-    t.counters.poly_eliminate.misses += 1;
-    r
+    let ask = |t: &mut Tables| Query::PolyElim(t.poly_id(p), t.sym_id(var));
+    memoized(ask, Tables::poly, Tables::poly_id, compute)
 }
 
 #[cfg(test)]
@@ -378,12 +352,25 @@ mod tests {
             .unwrap_or_else(|e| e.into_inner())
     }
 
+    /// `{[i] : 1 <= i <= n}`-shaped sets with a two-variable constraint
+    /// (`i <= n`), which Fourier–Motzkin decides and the tables memoize.
+    fn symbolic(lo: i64, hi: i64) -> Set {
+        Set::from_constraints(
+            &["i"],
+            [
+                Constraint::ge0(LinExpr::var("i") - lo),
+                Constraint::ge0(LinExpr::var("n") - LinExpr::var("i")),
+                Constraint::ge0(LinExpr::cst(hi) - LinExpr::var("n")),
+            ],
+        )
+    }
+
     #[test]
     fn repeat_ops_hit_the_cache() {
         let _g = lock_for_reset();
         reset_cache();
-        let a = Set::rect(&["i"], &[1], &[10]);
-        let b = Set::rect(&["i"], &[4], &[6]);
+        let a = symbolic(1, 10);
+        let b = symbolic(4, 6);
         let d1 = a.subtract(&b);
         let before = cache_stats();
         let d2 = a.subtract(&b);
@@ -411,14 +398,36 @@ mod tests {
     #[test]
     fn reset_clears_tables_and_counters() {
         let _g = lock_for_reset();
-        let a = Set::rect(&["i"], &[0], &[3]);
-        let b = Set::rect(&["i"], &[2], &[5]);
+        let a = symbolic(0, 3);
+        let b = symbolic(2, 5);
         let _ = a.intersect(&b);
         assert!(cache_stats().interned_nodes() > 0);
         reset_cache();
         let s = cache_stats();
         assert_eq!(s.interned_nodes(), 0);
         assert_eq!(s.hits() + s.misses(), 0);
+    }
+
+    #[test]
+    fn interval_ops_leave_the_interner_untouched() {
+        let _g = lock_for_reset();
+        let a = Set::rect(&["i", "j"], &[1, 1], &[8, 8]);
+        let b = Set::rect(&["i", "j"], &[3, 2], &[9, 5]);
+        // tests in other modules may use the tables concurrently: one
+        // window without their traffic suffices, and interval traffic of
+        // its own would leave no window clean
+        let untouched = (0..100).any(|_| {
+            let before = cache_stats();
+            let _ = a.union(&b);
+            let _ = a.intersect(&b).is_empty();
+            let _ = a.subtract(&b);
+            let _ = a.is_subset(&b);
+            let _ = a.project_out("j");
+            let after = cache_stats();
+            after.hits() + after.misses() == before.hits() + before.misses()
+                && after.interned_nodes() == before.interned_nodes()
+        });
+        assert!(untouched, "interval operands reached the interner");
     }
 
     #[test]

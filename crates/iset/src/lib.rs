@@ -11,9 +11,10 @@
 //! variable mentioned in a constraint but not in the tuple space, e.g. `N`,
 //! `P`, `myid`). On top of it sit affine [`Map`]s between tuple spaces.
 //!
-//! The framework is exact over the rationals (Fourier–Motzkin elimination)
-//! and *conservative* over the integers in the directions the compiler
-//! needs:
+//! The framework is exact over the rationals (Fourier–Motzkin elimination;
+//! an *interval* polyhedron, whose constraints each bound one variable, is
+//! decided by its bounds, FM's answer without FM) and *conservative* over
+//! the integers in the directions the compiler needs:
 //!
 //! * [`Set::is_empty`] may answer `false` for a rationally-nonempty but
 //!   integer-empty set — callers treat "nonempty" as "may be nonempty".
@@ -29,9 +30,9 @@
 //!
 //! The hot operations (union, intersect, subtract, project, subset-test,
 //! polyhedron emptiness and elimination) are memoized through a process-wide
-//! hash-consing interner — see [`intern`] for the design, [`cache_stats`]
-//! for hit/miss counters, and the `*_uncached` method variants for the
-//! cache-bypassing paths used by differential tests.
+//! hash-consing interner where they run Fourier–Motzkin — see [`intern`] for
+//! the policy, [`cache_stats`] for hit/miss counters, and the `*_uncached`
+//! method variants for the cache-bypassing paths used by differential tests.
 
 pub mod constraint;
 pub mod enumerate;

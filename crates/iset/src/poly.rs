@@ -108,20 +108,26 @@ impl Polyhedron {
     /// constraints). Equalities mentioning `var` with a ±1 coefficient are
     /// used for exact substitution first; otherwise the equality is split
     /// into two inequalities. Memoized on the interned `(polyhedron, var)`
-    /// pair — FM elimination dominates compile time, so warm queries are
-    /// answered from the table.
+    /// pair unless that is a substitution or the polyhedron is an interval
+    /// one (its FM pairs are constants).
     pub fn eliminate(&self, var: &str) -> Polyhedron {
+        if self.unit_equality(var).is_some() || self.is_interval() {
+            return self.eliminate_uncached(var);
+        }
         crate::intern::cached_poly_eliminate(self, var, || self.eliminate_uncached(var))
+    }
+
+    /// An equality through which `var` can be substituted exactly.
+    fn unit_equality(&self, var: &str) -> Option<&Constraint> {
+        self.cons
+            .iter()
+            .find(|c| c.kind == Kind::Eq && c.expr.coeff(var).abs() == 1)
     }
 
     /// Cache-bypassing variant of [`Polyhedron::eliminate`].
     pub fn eliminate_uncached(&self, var: &str) -> Polyhedron {
         // 1. Exact substitution through a unit-coefficient equality.
-        if let Some(eq) = self
-            .cons
-            .iter()
-            .find(|c| c.kind == Kind::Eq && c.expr.coeff(var).abs() == 1)
-        {
+        if let Some(eq) = self.unit_equality(var) {
             let a = eq.expr.coeff(var);
             // a·v + rest = 0  =>  v = -rest/a ; with a = ±1: v = -a·rest
             let mut rest = eq.expr.clone();
@@ -190,61 +196,66 @@ impl Polyhedron {
         p
     }
 
-    /// Rational emptiness test: eliminate *every* variable and check the
-    /// residual constant system. Empty ⇒ integer-empty (sound); nonempty
-    /// means "may contain integer points". Memoized on the interned
-    /// polyhedron (after a lock-free trivial-emptiness fast path).
+    /// Rational emptiness test. Empty ⇒ integer-empty (sound); nonempty
+    /// means "may contain integer points". An interval polyhedron is
+    /// decided by its per-variable bounds; any other by Fourier–Motzkin,
+    /// memoized on the interned polyhedron.
     pub fn is_empty(&self) -> bool {
-        if self.is_trivially_empty() {
-            return true;
-        }
-        crate::intern::cached_poly_empty(self, || self.is_empty_uncached())
+        (self.interval_empty())
+            .unwrap_or_else(|| crate::intern::cached_poly_empty(self, || self.fm_empty()))
     }
 
-    /// Cache-bypassing variant of [`Polyhedron::is_empty`].
+    /// Cache-bypassing variant of [`Polyhedron::is_empty`]: the same
+    /// decision, with no interner traffic.
     pub fn is_empty_uncached(&self) -> bool {
-        if self.is_trivially_empty() {
-            return true;
+        self.interval_empty().unwrap_or_else(|| self.fm_empty())
+    }
+
+    /// True iff every constraint mentions at most one variable. Stored
+    /// constraints are normalized, so that variable's coefficient is ±1:
+    /// the polyhedron is a box (possibly open, possibly over parameters).
+    pub(crate) fn is_interval(&self) -> bool {
+        self.cons.iter().all(|c| c.expr.num_vars() <= 1)
+    }
+
+    /// Emptiness of an interval polyhedron from the bounds of each
+    /// variable; `None` if some constraint mentions two variables. This is
+    /// FM's answer: FM only pairs bounds of the same variable here.
+    fn interval_empty(&self) -> Option<bool> {
+        // (variable, lo, hi) for the handful of variables bounded
+        let mut bounds: Vec<(&str, i64, i64)> = Vec::new();
+        for c in &self.cons {
+            let mut terms = c.expr.terms();
+            let (Some((v, a)), None) = (terms.next(), terms.next()) else {
+                // two variables; or a constant, which only the canonical
+                // empty marker stores
+                return c.expr.is_constant().then_some(true);
+            };
+            let k = c.expr.constant(); // a·v + k, a = ±1 (normalized)
+            let (lo, hi) = match c.kind {
+                Kind::Eq => (-a * k, -a * k),
+                Kind::Ge if a > 0 => (-k, i64::MAX),
+                Kind::Ge => (i64::MIN, k),
+            };
+            match bounds.iter_mut().find(|b| b.0 == v) {
+                Some(b) => (b.1, b.2) = (b.1.max(lo), b.2.min(hi)),
+                None => bounds.push((v, lo, hi)),
+            }
         }
-        let vars = self.vars();
+        Some(bounds.iter().any(|&(_, lo, hi)| lo > hi))
+    }
+
+    /// Fourier–Motzkin emptiness: eliminate every variable and check the
+    /// residual constant system.
+    fn fm_empty(&self) -> bool {
         let mut p = self.clone();
-        for v in &vars {
+        for v in &self.vars() {
             if p.is_trivially_empty() {
                 return true;
             }
             p = p.eliminate_uncached(v);
         }
         p.is_trivially_empty()
-    }
-
-    /// Remove constraints implied by the others (cheap redundancy pass:
-    /// `c` is redundant iff `self ∖ {c} ∧ ¬c` is empty).
-    pub fn simplify(&self) -> Polyhedron {
-        if self.is_trivially_empty() {
-            return Polyhedron::empty();
-        }
-        let mut kept: Vec<Constraint> = self.cons.clone();
-        let mut i = 0;
-        while i < kept.len() {
-            let candidate = kept[i].clone();
-            let others = Polyhedron::new(
-                kept.iter()
-                    .enumerate()
-                    .filter(|&(j, _)| j != i)
-                    .map(|(_, c)| c.clone()),
-            );
-            let redundant = candidate.negate().iter().all(|neg| {
-                let mut test = others.clone();
-                test.add(neg.clone());
-                test.is_empty()
-            });
-            if redundant {
-                kept.remove(i);
-            } else {
-                i += 1;
-            }
-        }
-        Polyhedron { cons: kept }
     }
 
     /// Evaluate under a full assignment.
@@ -381,15 +392,6 @@ mod tests {
         let a = Polyhedron::new([Constraint::eq(var("x"), LinExpr::cst(2))]);
         let b = Polyhedron::new([Constraint::eq(var("x"), LinExpr::cst(3))]);
         assert!(a.intersect(&b).is_empty());
-    }
-
-    #[test]
-    fn simplify_drops_redundant() {
-        // x >= 0 and x >= -5 : second is implied
-        let p = Polyhedron::new([ge(var("x")), ge(var("x") + 5)]);
-        let s = p.simplify();
-        assert_eq!(s.constraints().len(), 1);
-        assert_eq!(s.constraints()[0].to_string(), "x >= 0");
     }
 
     #[test]

@@ -94,6 +94,12 @@ impl Set {
         s
     }
 
+    /// True iff every disjunct is an interval polyhedron (see
+    /// [`crate::intern`] for why that decides what is memoized).
+    pub(crate) fn is_interval(&self) -> bool {
+        self.polys.iter().all(Polyhedron::is_interval)
+    }
+
     fn push(&mut self, p: Polyhedron) {
         if !p.is_trivially_empty() && !self.polys.contains(&p) {
             self.polys.push(p);
@@ -142,12 +148,7 @@ impl Set {
         for a in &self.polys {
             for b in &other.polys {
                 let c = a.intersect(b);
-                let empty = if cached {
-                    c.is_empty()
-                } else {
-                    c.is_empty_uncached()
-                };
-                if !empty {
+                if !is_empty(&c, cached) {
                     out.push(c);
                 }
             }
@@ -185,12 +186,7 @@ impl Set {
                     for neg in c.negate() {
                         let mut piece = prefix.clone();
                         piece.add(neg);
-                        let empty = if cached {
-                            piece.is_empty()
-                        } else {
-                            piece.is_empty_uncached()
-                        };
-                        if !empty {
+                        if !is_empty(&piece, cached) {
                             next.push(piece);
                         }
                     }
@@ -259,16 +255,12 @@ impl Set {
         let space: Vec<String> = self.space.iter().filter(|v| *v != var).cloned().collect();
         let mut out = Set::empty(&space);
         for p in &self.polys {
-            let (q, empty) = if cached {
-                let q = p.eliminate(var);
-                let e = q.is_empty();
-                (q, e)
+            let q = if cached {
+                p.eliminate(var)
             } else {
-                let q = p.eliminate_uncached(var);
-                let e = q.is_empty_uncached();
-                (q, e)
+                p.eliminate_uncached(var)
             };
-            if !empty {
+            if !is_empty(&q, cached) {
                 out.push(q);
             }
         }
@@ -359,34 +351,6 @@ impl Set {
         cur
     }
 
-    /// Remove redundant constraints / empty disjuncts.
-    pub fn simplify(&self) -> Set {
-        let mut out = Set::empty(&self.space);
-        for p in &self.polys {
-            if !p.is_empty() {
-                out.push(p.simplify());
-            }
-        }
-        // drop disjuncts contained in another disjunct
-        let mut keep: Vec<Polyhedron> = Vec::new();
-        'outer: for (i, p) in out.polys.iter().enumerate() {
-            for (j, q) in out.polys.iter().enumerate() {
-                if i != j
-                    && (j < i || keep.iter().any(|k| k == q))
-                    && Set::from_poly(&out.space, p.clone())
-                        .is_subset(&Set::from_poly(&out.space, q.clone()))
-                {
-                    continue 'outer;
-                }
-            }
-            keep.push(p.clone());
-        }
-        Set {
-            space: out.space,
-            polys: keep,
-        }
-    }
-
     /// Membership test for a concrete point with concrete parameters.
     pub fn contains(&self, point: &[i64], params: &dyn Fn(&str) -> Option<i64>) -> bool {
         assert_eq!(point.len(), self.space.len());
@@ -400,6 +364,15 @@ impl Set {
         self.polys
             .iter()
             .any(|p| p.contains_point(&env) == Some(true))
+    }
+}
+
+/// Emptiness through the memo tables, or around them.
+fn is_empty(p: &Polyhedron, cached: bool) -> bool {
+    if cached {
+        p.is_empty()
+    } else {
+        p.is_empty_uncached()
     }
 }
 
@@ -530,14 +503,6 @@ mod tests {
         assert!(c.params().is_empty());
         assert!(c.contains(&[3], &no_params));
         assert!(!c.contains(&[4], &no_params));
-    }
-
-    #[test]
-    fn simplify_merges_contained_disjuncts() {
-        let a = Set::rect(&["i"], &[1], &[10]);
-        let b = Set::rect(&["i"], &[2], &[3]); // contained in a
-        let u = a.union(&b).simplify();
-        assert_eq!(u.polys().len(), 1);
     }
 
     #[test]

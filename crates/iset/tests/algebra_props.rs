@@ -15,6 +15,12 @@
 //!   projection and conservative for `is_subset`, so the laws are phrased
 //!   in the directions that must always hold (see each test).
 //!
+//! Two more batteries pin the cheap paths for concrete sets to the
+//! general ones: interval emptiness (every constraint bounds one
+//! variable) against Fourier–Motzkin, cached against uncached on
+//! interval, mixed and symbolic operands, and `LinExpr` against the
+//! name-keyed ordered map it is a sorted vector in place of.
+//!
 //! Inputs are drawn by the vendored deterministic proptest shim: each test
 //! seeds its RNG from the test name (optionally mixed with the
 //! `PROPTEST_SEED` environment variable, which CI pins), so failures
@@ -22,6 +28,7 @@
 
 use dhpf_iset::{Constraint, LinExpr, Polyhedron, Set};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 const SPACE: [&str; 2] = ["i", "j"];
 /// Enumeration window. Wide enough that the random constraints (|coeff| ≤ 2,
@@ -63,19 +70,79 @@ fn constraint_strategy() -> impl Strategy<Value = Constraint> {
     })
 }
 
-/// A random union of 1–3 random polyhedra (each 0–3 constraints), built
-/// through the cache-bypassing path so test inputs never depend on the
-/// interner state being probed.
+/// A random polyhedron of 0–3 random constraints.
+fn poly_strategy() -> impl Strategy<Value = Polyhedron> {
+    prop::collection::vec(constraint_strategy(), 0..=3).prop_map(Polyhedron::new)
+}
+
+/// One constraint `a·v + k {≥,=} 0` on a single variable `v` of the space
+/// or the parameter `n`, `|a| ≤ 2` (normalization makes it ±1): lower and
+/// upper bounds, one-sided or crossing, equalities pinning a value.
+fn interval_constraint() -> impl Strategy<Value = Constraint> {
+    let coeff = prop_oneof![Just(-2i64), Just(-1), Just(1), Just(2)];
+    (0usize..3, coeff, -5i64..=5, 0u8..=4).prop_map(|(v, a, k, kind)| {
+        let e = LinExpr::term(["i", "j", "n"][v], a) + k;
+        match kind {
+            0 => Constraint::eq0(e),
+            _ => Constraint::ge0(e),
+        }
+    })
+}
+
+/// An interval polyhedron of 0–5 constraints.
+fn interval_poly() -> impl Strategy<Value = Polyhedron> {
+    prop::collection::vec(interval_constraint(), 0..=5).prop_map(Polyhedron::new)
+}
+
+/// The union of 1–3 polyhedra drawn from `poly`, built through the
+/// cache-bypassing path so test inputs never depend on the interner state
+/// being probed.
+fn union_of(poly: impl Strategy<Value = Polyhedron>) -> impl Strategy<Value = Set> {
+    prop::collection::vec(poly, 1..=3).prop_map(|polys| {
+        let mut s = Set::empty(&SPACE);
+        for p in polys {
+            s = s.union_uncached(&Set::from_poly(&SPACE, p));
+        }
+        s
+    })
+}
+
+/// A random union of random (mostly symbolic: two-variable) polyhedra.
 fn set_strategy() -> impl Strategy<Value = Set> {
-    prop::collection::vec(prop::collection::vec(constraint_strategy(), 0..=3), 1..=3).prop_map(
-        |polys| {
-            let mut s = Set::empty(&SPACE);
-            for cons in polys {
-                s = s.union_uncached(&Set::from_poly(&SPACE, Polyhedron::new(cons)));
-            }
-            s
-        },
-    )
+    union_of(poly_strategy())
+}
+
+/// A union of interval polyhedra: the per-processor shape.
+fn interval_set() -> impl Strategy<Value = Set> {
+    union_of(interval_poly())
+}
+
+/// A union whose disjuncts are interval or symbolic at random.
+fn mixed_set() -> impl Strategy<Value = Set> {
+    union_of(prop_oneof![interval_poly(), poly_strategy()])
+}
+
+/// Fourier–Motzkin's emptiness decision on the public cache-bypassing
+/// elimination: eliminate every variable, look for a false constant.
+fn fm_empty(p: &Polyhedron) -> bool {
+    let mut q = p.clone();
+    for v in p.vars() {
+        q = q.eliminate_uncached(&v);
+    }
+    q.is_trivially_empty()
+}
+
+/// Every memoized operation returns exactly (`==`) what its
+/// cache-bypassing variant returns.
+fn cached_matches_uncached(a: &Set, b: &Set) -> Result<(), String> {
+    prop_assert_eq!(a.union(b), a.union_uncached(b));
+    prop_assert_eq!(a.intersect(b), a.intersect_uncached(b));
+    prop_assert_eq!(a.subtract(b), a.subtract_uncached(b));
+    prop_assert_eq!(a.is_subset(b), a.is_subset_uncached(b));
+    prop_assert_eq!(a.is_empty(), a.is_empty_uncached());
+    prop_assert_eq!(a.project_out("i"), a.project_out_uncached("i"));
+    prop_assert_eq!(a.project_out("j"), a.project_out_uncached("j"));
+    Ok(())
 }
 
 proptest! {
@@ -84,13 +151,21 @@ proptest! {
     /// Cached and uncached paths must agree structurally for every hot op.
     #[test]
     fn cached_paths_match_uncached_paths(a in set_strategy(), b in set_strategy()) {
-        prop_assert_eq!(a.union(&b), a.union_uncached(&b));
-        prop_assert_eq!(a.intersect(&b), a.intersect_uncached(&b));
-        prop_assert_eq!(a.subtract(&b), a.subtract_uncached(&b));
-        prop_assert_eq!(a.is_subset(&b), a.is_subset_uncached(&b));
-        prop_assert_eq!(a.is_empty(), a.is_empty_uncached());
-        prop_assert_eq!(a.project_out("i"), a.project_out_uncached("i"));
-        prop_assert_eq!(a.project_out("j"), a.project_out_uncached("j"));
+        cached_matches_uncached(&a, &b)?;
+    }
+
+    /// The same on interval operands (computed directly, never memoized),
+    /// mixed ones, and every pairing of the kinds with symbolic ones.
+    #[test]
+    fn cached_paths_match_uncached_paths_on_interval_and_mixed_sets(
+        a in interval_set(),
+        b in interval_set(),
+        m in mixed_set(),
+        g in set_strategy(),
+    ) {
+        for (x, y) in [(&a, &b), (&a, &m), (&m, &a), (&m, &g), (&g, &a), (&m, &m)] {
+            cached_matches_uncached(x, y)?;
+        }
     }
 
     /// A second identical query must be served from the memo tables with
@@ -210,6 +285,151 @@ proptest! {
             for p in grid() {
                 prop_assert!(!holds(&a, p) || holds(&b, p), "unsound subset at {p:?}");
             }
+        }
+    }
+}
+
+/// Reference model of [`LinExpr`]: the name-keyed ordered map its terms
+/// used to be, with the operations and the rendering written against it.
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct Model {
+    terms: BTreeMap<String, i64>,
+    constant: i64,
+}
+
+impl Model {
+    fn add_term(&mut self, v: &str, c: i64) {
+        if c == 0 {
+            return;
+        }
+        let e = self.terms.entry(v.to_string()).or_insert(0);
+        *e += c;
+        if *e == 0 {
+            self.terms.remove(v);
+        }
+    }
+
+    fn add_scaled(&self, other: &Model, k: i64) -> Model {
+        let mut out = self.clone();
+        if k != 0 {
+            for (v, c) in &other.terms {
+                out.add_term(v, c * k);
+            }
+            out.constant += other.constant * k;
+        }
+        out
+    }
+
+    fn coeff(&self, v: &str) -> i64 {
+        self.terms.get(v).copied().unwrap_or(0)
+    }
+
+    fn substitute(&self, v: &str, r: &Model) -> Model {
+        let c = self.coeff(v);
+        let mut out = self.clone();
+        out.terms.remove(v);
+        out.add_scaled(r, c)
+    }
+
+    fn rename(&self, from: &str, to: &str) -> Model {
+        let c = self.coeff(from);
+        let mut out = self.clone();
+        out.terms.remove(from);
+        out.add_term(to, c);
+        out
+    }
+
+    fn render(&self) -> String {
+        let mut s = String::new();
+        for (n, (v, &c)) in self.terms.iter().enumerate() {
+            let a = if n == 0 { c } else { c.abs() };
+            if n > 0 {
+                s += if c < 0 { " - " } else { " + " };
+            }
+            s += &match a {
+                1 => v.clone(),
+                -1 => format!("-{v}"),
+                _ => format!("{a}{v}"),
+            };
+        }
+        if s.is_empty() {
+            s = self.constant.to_string();
+        } else if self.constant != 0 {
+            let sign = if self.constant < 0 { '-' } else { '+' };
+            s += &format!(" {sign} {}", self.constant.abs());
+        }
+        s
+    }
+}
+
+/// Names whose order is not insertion order: upper case sorts first, `_`
+/// between the cases, a prefix before its extensions.
+const NAMES: [&str; 7] = ["i", "i__in", "j", "N", "e0", "e1", "x_"];
+
+/// An expression built term by term (zero coefficients and cancellations
+/// included), together with its model.
+fn expr_strategy() -> impl Strategy<Value = (LinExpr, Model)> {
+    (
+        prop::collection::vec((0usize..NAMES.len(), -2i64..=2), 0..=6),
+        -3i64..=3,
+    )
+        .prop_map(|(terms, constant)| {
+            let mut e = LinExpr::cst(constant);
+            let mut m = Model {
+                terms: BTreeMap::new(),
+                constant,
+            };
+            for (v, c) in terms {
+                e.add_term(NAMES[v], c);
+                m.add_term(NAMES[v], c);
+            }
+            (e, m)
+        })
+}
+
+/// `e` holds exactly the model's terms, constant and rendering.
+fn agrees(e: &LinExpr, m: &Model) -> Result<(), String> {
+    let terms: Vec<(String, i64)> = e.terms().map(|(v, c)| (v.to_string(), c)).collect();
+    let expect: Vec<(String, i64)> = m.terms.iter().map(|(v, c)| (v.clone(), *c)).collect();
+    prop_assert_eq!(terms, expect);
+    prop_assert_eq!(e.constant(), m.constant);
+    prop_assert_eq!(e.to_string(), m.render());
+    for v in NAMES {
+        prop_assert_eq!(e.coeff(v), m.coeff(v));
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// On an interval polyhedron the bound intersection that decides
+    /// emptiness gives Fourier–Motzkin's answer, cached or not.
+    #[test]
+    fn interval_emptiness_is_fourier_motzkin(p in interval_poly()) {
+        let fm = fm_empty(&p);
+        prop_assert!(p.is_empty_uncached() == fm, "FM says empty = {fm} for {p:?}");
+        prop_assert!(p.is_empty() == fm, "FM says empty = {fm} for {p:?}");
+    }
+
+    /// `LinExpr` behaves as the ordered map it replaced: term order,
+    /// `Display`, `Ord`, `==`, `coeff`, `add_scaled`, `substitute`,
+    /// `rename`.
+    #[test]
+    fn lin_expr_matches_the_ordered_map_model(
+        (a, ma) in expr_strategy(),
+        (b, mb) in expr_strategy(),
+        v in 0usize..NAMES.len(),
+        w in 0usize..NAMES.len(),
+        k in -2i64..=2,
+    ) {
+        agrees(&a, &ma)?;
+        prop_assert_eq!(a.cmp(&b), ma.cmp(&mb));
+        prop_assert_eq!(a == b, ma == mb);
+        agrees(&a.add_scaled(&b, k), &ma.add_scaled(&mb, k))?;
+        agrees(&a.substitute(NAMES[v], &b), &ma.substitute(NAMES[v], &mb))?;
+        if !a.mentions(NAMES[w]) {
+            agrees(&a.rename(NAMES[v], NAMES[w]), &ma.rename(NAMES[v], NAMES[w]))?;
         }
     }
 }

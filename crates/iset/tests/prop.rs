@@ -129,10 +129,4 @@ proptest! {
         let round = inv.apply(&m.apply(&a));
         prop_assert_eq!(points(&round), points(&a));
     }
-
-    #[test]
-    fn simplify_preserves_points(a in small_set(), b in small_set()) {
-        let u = a.union(&b);
-        prop_assert_eq!(points(&u.simplify()), points(&u));
-    }
 }

@@ -35,7 +35,9 @@
 #  12. protocol      — the static SPMD protocol verifier over jacobi.f
 #                      and NAS SP/BT, under a hard timeout and a 2x
 #                      wall-time gate against results/protocol_baseline.txt
-#  13. fuzz smoke    — the pinned-seed differential campaign (50 programs
+#  13. compile at P  — SP class B at 64 ranks, BT class B at 32: hard
+#                      timeout, 2x gate against results/compile_baseline.txt
+#  14. fuzz smoke    — the pinned-seed differential campaign (50 programs
 #                      x 3 geometries x the flag lattice, one planted
 #                      mutant two oracles must catch) under a hard
 #                      timeout; the command fails unless it is clean.
@@ -167,6 +169,21 @@ printf -v PROTO_BASE_MS '%.0f' "$(<results/protocol_baseline.txt)e3"
     echo "FAIL: protocol verifier took ${PROTO_MS} ms, more than 2x the ${PROTO_BASE_MS} ms baseline"
     exit 1; }
 echo "protocol verifier OK (${PROTO_MS} ms, baseline ${PROTO_BASE_MS} ms)"
+
+echo "== compile at high processor counts"
+# compile cost must not blow up with P; gated like the protocol verifier
+COMPILE_T0=$(date +%s%N)
+for spec in "sp 64" "bt 32"; do
+    set -- $spec
+    timeout 120 "$DHPF" compile --nas "$1" --class B --nprocs "$2" 2> /dev/null \
+        || { echo "FAIL: NAS $1 class B at $2 ranks did not compile (or timed out)"; exit 1; }
+done
+COMPILE_MS=$(( ($(date +%s%N) - COMPILE_T0) / 1000000 ))
+printf -v COMPILE_BASE_MS '%.0f' "$(<results/compile_baseline.txt)e3"
+[ "$COMPILE_MS" -le $(( 2 * COMPILE_BASE_MS )) ] || {
+    echo "FAIL: compile at high P took ${COMPILE_MS} ms, more than 2x the ${COMPILE_BASE_MS} ms baseline"
+    exit 1; }
+echo "compile at high P OK (${COMPILE_MS} ms, baseline ${COMPILE_BASE_MS} ms)"
 
 echo "== fuzz smoke (pinned-seed differential campaign)"
 # the seed is pinned so the 50-program corpus is identical on every run;
