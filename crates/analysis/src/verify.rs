@@ -373,7 +373,7 @@ impl<'a> NestCx<'a> {
     fn check_writebacks(&mut self, out: &mut Report) {
         for (stmt, _, w, dist) in self.accesses(true) {
             if let Some(sch) = self.sweep() {
-                if sch.arrays.iter().any(|(a, _)| a == &w.array) {
+                if sch.arrays.iter().any(|s| s.array == w.array) {
                     continue; // swept planes travel with the pipeline
                 }
             }
@@ -434,35 +434,31 @@ impl<'a> NestCx<'a> {
 /// whose subscript on the swept dimension trails the CP's subscript
 /// (against the sweep direction) is delivered by the sweep schedule.
 fn behind_read(sch: &PipeSchedule, nest: StmtId, loops: &UnitLoops, r: &RefInfo, cp: &Cp) -> bool {
-    let Some((_, dm)) = sch.arrays.iter().find(|(a, _)| a == &r.array) else {
-        return false;
-    };
-    let Some(Some(sub)) = r.subs.get(*dm) else {
-        return false;
-    };
-    // sweep loop variable: level `sweep_level` of the single-chain nest
-    let mut nest_ids = vec![nest];
-    loop {
-        let last = *nest_ids.last().unwrap();
-        match loops.loop_body.get(&last) {
-            Some(body) if body.len() == 1 && loops.loops.contains_key(&body[0]) => {
-                nest_ids.push(body[0]);
-            }
-            _ => break,
-        }
-    }
-    let Some(var) = nest_ids
-        .get(sch.sweep_level)
-        .map(|id| loops.loops[id].var.clone())
+    let Some(dm) = sch
+        .arrays
+        .iter()
+        .find(|s| s.array == r.array)
+        .map(|s| s.dim)
     else {
         return false;
     };
-    if sub.coeff(&var) == 0 {
+    let Some(Some(sub)) = r.subs.get(dm) else {
+        return false;
+    };
+    // sweep loop variable: level `sweep_level` of the single-chain nest
+    let Some(sweep) = loops
+        .chain(nest)
+        .get(sch.sweep_level)
+        .map(|id| &loops.loops[id])
+    else {
+        return false;
+    };
+    if sub.coeff(&sweep.var) == 0 {
         return false;
     }
     cp.terms.iter().any(|t| {
         matches!(
-            t.subs.get(*dm),
+            t.subs.get(dm),
             Some(SubTerm::Affine(tsub)) if {
                 let d = sub.clone() - tsub.clone();
                 d.is_constant()

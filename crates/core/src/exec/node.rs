@@ -7,7 +7,7 @@
 //! communication ops keep their message logic here and run their nests
 //! as tape ranges.
 
-use crate::codegen::{NodeProgram, PipeArray};
+use crate::codegen::{strip_chunks, NodeProgram, PipeArray};
 use crate::exec::serial::ArrayValue;
 pub use crate::exec::tape::LowerStats;
 use crate::exec::tape::{lower_program, unbound_dummy, Comm, Ins, Pipe, Site, Tape, UNBOUND};
@@ -624,45 +624,29 @@ impl<'p> ProcState<'p> {
         regs: &mut [f64],
         p: &Pipe<'p>,
     ) {
-        // strip chunks over the strip level's range, clamped to this
-        // processor's owned range of the strip dimension (iterating other
-        // processors' strips would only exchange empty boundary planes)
         let Some((level, _)) = p.strip else {
             // single pass, no strip restriction
             return self.pipe_chunk(proc, tapes, t, ints, regs, p, None);
         };
-        let mut lo = p.levels[level].lo.eval(ints);
-        let mut hi = p.levels[level].hi.eval(ints);
-        let strip = (p.arrays.iter()).find_map(|pa| pa.strip_dim.map(|sd| (pa, sd)));
-        if let Some((pa, sd)) = strip {
-            // an unbound dummy has no owned range to clamp to: keep the
-            // full strip range (same fallback the region computation
-            // uses)
-            let g = t.binding[pa.arr];
-            if g != UNBOUND {
-                let Some(&(olo, ohi)) = self.owned[g].get(sd) else {
-                    exec_fail(format!(
-                        "rank {}: pipeline strip dimension {sd} is out of range \
-                         for array {} ({} dimension(s))",
-                        self.rank,
-                        self.prog.arrays[g].name,
-                        self.owned[g].len()
-                    ));
-                };
-                lo = lo.max(olo);
-                hi = hi.min(ohi);
-            }
-        }
-        if lo > hi {
-            // nothing of the strip is here: one empty pass still relays
-            // the boundary messages down the pipeline
-            return self.pipe_chunk(proc, tapes, t, ints, regs, p, Some((lo, hi)));
-        }
-        let mut v = lo;
-        while v <= hi {
-            let chunk = (v, (v + p.granularity - 1).min(hi));
+        let range = (p.levels[level].lo.eval(ints), p.levels[level].hi.eval(ints));
+        // this processor's owned range of the strip dimension; an unbound
+        // dummy has none to clamp to (same fallback the region
+        // computation uses)
+        let strip = (p.arrays.iter()).find_map(|pa| pa.strip_dim.map(|sd| (t.binding[pa.arr], sd)));
+        let owned = strip.filter(|(g, _)| *g != UNBOUND).map(|(g, sd)| {
+            let Some(&range) = self.owned[g].get(sd) else {
+                exec_fail(format!(
+                    "rank {}: pipeline strip dimension {sd} is out of range \
+                     for array {} ({} dimension(s))",
+                    self.rank,
+                    self.prog.arrays[g].name,
+                    self.owned[g].len()
+                ));
+            };
+            range
+        });
+        for chunk in strip_chunks(range, owned, p.granularity) {
             self.pipe_chunk(proc, tapes, t, ints, regs, p, Some(chunk));
-            v += p.granularity;
         }
     }
 

@@ -25,7 +25,9 @@
 //! of different source ops; the checker exploits this to verify loop
 //! bodies and branch arms as independently balanced segments.
 
-use crate::codegen::{pipe_groups, CExpr, CIdx, CompiledUnit, FormalSlot, NodeOp, NodeProgram};
+use crate::codegen::{
+    pipe_groups, strip_chunks, CExpr, CIdx, CompiledUnit, FormalSlot, NodeOp, NodeProgram,
+};
 use crate::transfer::{Region, Transfer};
 use std::collections::BTreeSet;
 
@@ -487,7 +489,16 @@ impl<'p> Extract<'p> {
                         co[*pdim] = nc;
                         links.push((r, grid.rank(&co) as usize));
                     }
-                    *chunk = self.chunk_count(*strip_level, levels, strip, *granularity, &coords);
+                    // the interpreter's chunks, where the strip bounds are
+                    // constants; otherwise one chunk for every rank
+                    let range = strip_level.map(|l| (&levels[l].lo, &levels[l].hi));
+                    *chunk = match range {
+                        Some((lo, hi)) if lo.terms.is_empty() && hi.terms.is_empty() => {
+                            let owned = strip.map(|(g, sd)| self.owned_range(g, sd, &coords));
+                            strip_chunks((lo.cst, hi.cst), owned.flatten(), *granularity).count()
+                        }
+                        _ => 1,
+                    };
                 }
                 let globals: Vec<usize> = arrays
                     .iter()
@@ -516,46 +527,16 @@ impl<'p> Extract<'p> {
         }
     }
 
-    /// Per-rank boundary chunk count of a pipeline — mirrors the strip
-    /// clamping in `ProcState::pipeline`. Falls back to a uniform single
-    /// chunk when the strip bounds are not compile-time constants.
-    fn chunk_count(
-        &self,
-        strip_level: Option<usize>,
-        levels: &[crate::codegen::PipeLevel],
-        strip: Option<(usize, usize)>,
-        granularity: i64,
-        coords: &[i64],
-    ) -> usize {
-        let Some(l) = strip_level else { return 1 };
-        let (lo_ci, hi_ci) = (&levels[l].lo, &levels[l].hi);
-        if !lo_ci.terms.is_empty() || !hi_ci.terms.is_empty() {
-            return 1;
-        }
-        let (mut lo, mut hi) = (lo_ci.cst, hi_ci.cst);
-        if let Some((g, sd)) = strip {
-            if g != usize::MAX {
-                let ga = &self.prog.arrays[g];
-                match &ga.dist {
-                    Some(dist) => match dist.owned_range(sd, coords) {
-                        Some((olo, ohi)) => {
-                            lo = lo.max(olo);
-                            hi = hi.min(ohi);
-                        }
-                        None => return 1, // owns nothing: one empty chunk
-                    },
-                    None => {
-                        lo = lo.max(ga.bounds[sd].0);
-                        hi = hi.min(ga.bounds[sd].1);
-                    }
-                }
-            }
-        }
-        if lo > hi {
-            return 1; // interpreter pushes one (empty) chunk
-        }
-        let gr = granularity.max(1);
-        ((hi - lo) / gr + 1) as usize
+    /// What the rank at `coords` owns of dimension `dim` of global array
+    /// `g`, as the interpreter's table has it: all of a serial array, an
+    /// empty range when the rank owns nothing; `None` for an unbound
+    /// dummy.
+    fn owned_range(&self, g: usize, dim: usize, coords: &[i64]) -> Option<(i64, i64)> {
+        let ga = self.prog.arrays.get(g)?;
+        Some(match &ga.dist {
+            None => ga.bounds[dim],
+            Some(dist) => dist.owned_box(coords).map_or((1, 0), |b| b[dim]),
+        })
     }
 }
 

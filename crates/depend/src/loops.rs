@@ -70,6 +70,23 @@ impl UnitLoops {
         self.order.get(&a) < self.order.get(&b)
     }
 
+    /// The single-child loop chain from `loop_id` inward: level 0 is the
+    /// loop itself, and each next level is the only statement of the
+    /// previous one's body, while that statement is a loop. Empty when
+    /// `loop_id` is not a loop.
+    pub fn chain(&self, loop_id: StmtId) -> Vec<StmtId> {
+        let mut chain = Vec::new();
+        let mut next = Some(loop_id).filter(|id| self.loops.contains_key(id));
+        while let Some(id) = next {
+            chain.push(id);
+            next = match self.loop_body[&id][..] {
+                [only] if self.loops.contains_key(&only) => Some(only),
+                _ => None,
+            };
+        }
+        chain
+    }
+
     /// All statements (ids) strictly inside a loop (any depth).
     pub fn stmts_in(&self, loop_id: StmtId) -> Vec<StmtId> {
         let mut out: Vec<StmtId> = self
@@ -188,6 +205,10 @@ mod tests {
         assert_eq!(l.loop_vars(assign_ids[1]), vec!["k"]);
         assert_eq!(l.common_loops(assign_ids[0], assign_ids[1]), vec![k_loop]);
         assert!(l.before(assign_ids[0], assign_ids[1]));
+        // the k loop's body is two statements: the chain stops at it
+        assert_eq!(l.chain(k_loop), vec![k_loop]);
+        assert_eq!(l.chain(j_loop), vec![j_loop]);
+        assert!(l.chain(assign_ids[0]).is_empty());
     }
 
     #[test]
@@ -198,6 +219,26 @@ mod tests {
         let inner_count = l.stmts_in(loop_ids[0]).len();
         assert_eq!(inner_count, 3); // j loop + 2 assigns
         assert_eq!(l.stmts_in(loop_ids[1]).len(), 1);
+    }
+
+    #[test]
+    fn chain_follows_single_child_loops() {
+        let (_, l) = build(
+            "
+      subroutine s(a, n)
+      double precision a(n, n)
+      do k = 1, n
+         do j = 1, n
+            a(j, k) = 1.0
+         enddo
+      enddo
+      end
+",
+        );
+        let mut ids: Vec<StmtId> = l.loops.keys().cloned().collect();
+        ids.sort_by_key(|id| l.order[id]);
+        assert_eq!(l.chain(ids[0]), ids);
+        assert_eq!(l.chain(ids[1]), ids[1..]);
     }
 
     #[test]

@@ -93,19 +93,6 @@ impl UnitRefs {
     pub fn write_of(&self, stmt: StmtId) -> Option<&RefInfo> {
         self.of_stmt(stmt).into_iter().find(|r| r.is_write)
     }
-
-    /// All array names written anywhere in the unit.
-    pub fn written_arrays(&self) -> Vec<&str> {
-        let mut names: Vec<&str> = self
-            .refs
-            .iter()
-            .filter(|r| r.is_write)
-            .map(|r| r.array.as_str())
-            .collect();
-        names.sort();
-        names.dedup();
-        names
-    }
 }
 
 /// Convenience: build loops + refs + symbol table for a unit.
@@ -184,7 +171,6 @@ mod tests {
         });
         let w = refs.write_of(assign.unwrap()).unwrap();
         assert_eq!(w.array, "a");
-        assert_eq!(refs.written_arrays(), vec!["a"]);
     }
 
     #[test]

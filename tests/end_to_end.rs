@@ -611,3 +611,50 @@ fn timeloop_example_matches_serial() {
     // 3 block boundaries x 2 directions, every time step
     assert_eq!(r.run.stats.messages, 4 * 6);
 }
+
+/// A pipelined sweep's strip loop is cut along the dimension of the swept
+/// array that the *sweep nest* subscripts with the strip variable. Here
+/// the sweep strips along `k`, `a`'s third dimension in the nest; the
+/// init nest before it writes `a(k, j, i)`, with `k` first. Reading the
+/// strip dimension off the unit's first reference to `a` sent the wrong
+/// boundary sections: 0.74 away from serial, and the verifier was clean.
+#[test]
+fn strip_dimension_comes_from_the_swept_nest() {
+    let src = "
+      program probe
+      parameter (n = 16)
+      integer i, j, k
+      double precision a(n, n, n), b(n, n, n)
+!hpf$ processors pr(4)
+!hpf$ distribute (*, block, *) onto pr :: a, b
+      do i = 1, n
+         do j = 1, n
+            do k = 1, n
+               a(k, j, i) = 1.0d0 + 0.01d0 * k + 0.001d0 * j + 0.0001d0 * i
+               b(k, j, i) = 0.5d0 + 0.02d0 * i
+            enddo
+         enddo
+      enddo
+      do k = 1, n
+         do j = 2, n
+            do i = 1, n
+               a(i, j, k) = a(i, j - 1, k) * 0.5d0 + b(i, j, k)
+            enddo
+         enddo
+      enddo
+      end
+";
+    let program = parse(src).unwrap();
+    let serial = run_serial(&program, &Default::default()).unwrap();
+    let compiled = compile(&program, &CompileOptions::new()).unwrap();
+    let r = run_node_program(&compiled.program, MachineConfig::sp2(4)).unwrap();
+    let (s, p) = (&serial.arrays["a"], &r.arrays["a"]);
+    let bits = |a: &dhpf::core::exec::serial::ArrayValue| -> Vec<u64> {
+        a.data.iter().map(|v| v.to_bits()).collect()
+    };
+    assert!(
+        bits(s) == bits(p),
+        "max |serial - parallel| = {}",
+        max_delta(s, p)
+    );
+}

@@ -4,7 +4,7 @@
 //! caught by both (with the corresponding static `protocol-*` and
 //! dynamic `trace-*` codes).
 
-use dhpf::core::codegen::{CExpr, CIdx, NodeOp};
+use dhpf::core::codegen::{CExpr, CIdx, NodeOp, NodeProgram};
 use dhpf::core::protocol::{extract_protocol, ProtoOp};
 use dhpf::core::transfer::{Seg, Transfer};
 use dhpf::core::{CompileOptions, Compiled};
@@ -307,4 +307,97 @@ fn stale_send_is_static_only_coverage() {
         "dynamic checker should not see the reorder:\n{}",
         dyn_r.render_human(None)
     );
+}
+
+/// How many times `ops` runs the pipeline op tagged `tag`: loop trips
+/// multiply, calls descend. Every loop around a NAS pipeline has
+/// constant bounds, and none sits under a branch.
+fn pipeline_runs(prog: &NodeProgram, ops: &[NodeOp], tag: u64) -> u64 {
+    let runs = |op: &NodeOp| match op {
+        NodeOp::Pipeline { tag: t, .. } => (*t == tag) as u64,
+        NodeOp::Call { unit, .. } => pipeline_runs(prog, &prog.units[*unit].ops, tag),
+        NodeOp::Loop {
+            lo, hi, step, body, ..
+        } => match pipeline_runs(prog, body, tag) {
+            0 => 0,
+            inner => {
+                assert!(lo.terms.is_empty() && hi.terms.is_empty(), "loop bounds");
+                inner * ((hi.cst - lo.cst) / step + 1).max(0) as u64
+            }
+        },
+        NodeOp::If { arms } => {
+            assert!(arms.iter().all(|(_, b)| pipeline_runs(prog, b, tag) == 0));
+            0
+        }
+        _ => 0,
+    };
+    ops.iter().map(runs).sum()
+}
+
+/// The `ProtoOp::Pipeline`s of a protocol, in loops and branches too.
+fn proto_pipelines<'p>(ops: &'p [ProtoOp], out: &mut Vec<&'p ProtoOp>) {
+    for op in ops {
+        match op {
+            ProtoOp::Pipeline { .. } => out.push(op),
+            ProtoOp::Loop { body, .. } => proto_pipelines(body, out),
+            ProtoOp::Branch { arms, .. } => arms.iter().for_each(|a| proto_pipelines(a, out)),
+            _ => {}
+        }
+    }
+}
+
+/// The interpreter and the protocol extractor count a pipeline's strip
+/// chunks with one rule (`codegen::strip_chunks`): on every link `(s, r)`
+/// of every pipeline, rank `s` sends `chunks[s] × groups` messages each
+/// time the op runs.
+#[test]
+fn pipeline_chunks_agree_statically_and_dynamically() {
+    use dhpf::nas::Kernel::{Bt, Sp};
+    use std::collections::BTreeMap;
+    let mut links = 0;
+    for (kernel, nprocs) in [(Sp, 4), (Bt, 1), (Bt, 2), (Bt, 4), (Sp, 6), (Bt, 6)] {
+        let compiled = kernel.compile_dhpf(Class::S, nprocs, None);
+        let prog = &compiled.program;
+        let machine = MachineConfig::sp2(nprocs).with_trace();
+        let result = run_node_program(prog, machine).expect("run");
+        let mut sent: BTreeMap<(u64, usize, usize), u64> = BTreeMap::new();
+        for t in &result.run.traces {
+            for e in &t.events {
+                if let (EventKind::Send { to, .. }, Some(plan)) = (&e.kind, e.nest) {
+                    let tag = prog.provenance[plan as usize].tag;
+                    *sent.entry((tag, t.rank, *to)).or_default() += 1;
+                }
+            }
+        }
+        let proto = extract_protocol(prog);
+        let mut pipelines = Vec::new();
+        proto_pipelines(&proto.ops, &mut pipelines);
+        for op in pipelines {
+            let ProtoOp::Pipeline {
+                tag,
+                groups,
+                links: pairs,
+                chunks,
+                ..
+            } = op
+            else {
+                unreachable!()
+            };
+            let runs = pipeline_runs(prog, &prog.units[prog.main].ops, *tag);
+            for &(s, r) in pairs {
+                let expected = runs * (chunks[s] * groups) as u64;
+                let traced = sent.get(&(*tag, s, r)).copied().unwrap_or(0);
+                assert_eq!(
+                    traced,
+                    expected,
+                    "{} S @ {nprocs}: tag {tag} link {s} -> {r}: {runs} run(s) x {} chunk(s) \
+                     x {groups} group(s)",
+                    kernel.name(),
+                    chunks[s]
+                );
+                links += 1;
+            }
+        }
+    }
+    assert!(links > 0, "no pipeline link was checked");
 }
