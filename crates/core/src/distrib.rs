@@ -11,7 +11,7 @@
 
 use dhpf_fortran::ast::{DistFormat, Expr, ProgramUnit};
 use dhpf_fortran::subscript::affine;
-use dhpf_iset::{Constraint, LinExpr, Set};
+use dhpf_iset::Set;
 use std::collections::BTreeMap;
 
 /// A concrete processor grid.
@@ -170,26 +170,6 @@ impl ArrayDist {
                 Set::rect(&space, &lo, &hi)
             }
         }
-    }
-
-    /// Constraints expressing "processor `coords` owns element
-    /// `(s₀,…,sₖ)`" where each `sᵢ` is an affine expression (over loop
-    /// variables). Used to build CP iteration sets.
-    pub fn ownership_constraints(
-        &self,
-        subs: &[LinExpr],
-        coords: &[i64],
-    ) -> Option<Vec<Constraint>> {
-        let mut cons = Vec::new();
-        for (d, m) in self.dims.iter().enumerate() {
-            if let DimMap::Block { .. } = m {
-                let (lo, hi) = self.owned_range(d, coords)?;
-                let s = subs.get(d)?;
-                cons.push(Constraint::ge(s.clone(), LinExpr::cst(lo)));
-                cons.push(Constraint::le(s.clone(), LinExpr::cst(hi)));
-            }
-        }
-        Some(cons)
     }
 }
 
@@ -616,23 +596,5 @@ mod tests {
         )
         .unwrap();
         assert!(resolve(&p.units[0], &BTreeMap::new()).is_err());
-    }
-
-    #[test]
-    fn ownership_constraints_for_subscripts() {
-        let env = env_of(SRC_2D, &[]);
-        let u = env.dist_of("u").unwrap();
-        let subs = vec![
-            LinExpr::var("m"),
-            LinExpr::var("i"),
-            LinExpr::var("j") + 1,
-            LinExpr::var("k"),
-        ];
-        let cons = u.ownership_constraints(&subs, &[0, 0]).unwrap();
-        // two distributed dims × two bounds
-        assert_eq!(cons.len(), 4);
-        let set = Set::from_constraints(&["m", "i", "j", "k"], cons);
-        assert!(set.contains(&[1, 1, 0, 1], &|_| None)); // j+1 = 1 owned by pj=0
-        assert!(!set.contains(&[1, 1, 8, 1], &|_| None)); // j+1 = 9 not owned
     }
 }

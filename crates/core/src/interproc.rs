@@ -4,8 +4,8 @@
 //!
 //! * for **leaf** procedures, local CP selection runs unchanged and an
 //!   *entry CP* is summarized for the procedure;
-//! * in non-leaf procedures, each call statement's candidate set is
-//!   restricted to the single choice obtained by translating the
+//! * in non-leaf procedures, a call inside a loop is inlined, and the
+//!   inlined statements get the single CP obtained by translating the
 //!   callee's entry CP to the call site (formal → actual translation of
 //!   array names and scalar subscript arguments, through the shared
 //!   distribution environment — our stand-in for HPF template
@@ -116,30 +116,6 @@ pub fn translate_to_callsite(
         });
     }
     Some(Cp { terms })
-}
-
-/// Restrict call statements of `caller` whose callees have known entry
-/// CPs: inserts the translated CP into `fixed` so the local selection
-/// treats it as the single candidate. Returns the number of call sites
-/// restricted.
-pub fn restrict_call_sites(
-    caller: &ProgramUnit,
-    entry_cps: &BTreeMap<String, Cp>,
-    callee_units: &BTreeMap<String, &ProgramUnit>,
-    fixed: &mut CpAssignment,
-) -> usize {
-    let mut count = 0;
-    caller.for_each_stmt(&mut |s| {
-        if let StmtKind::Call { name, args, .. } = &s.kind {
-            if let (Some(cp), Some(callee)) = (entry_cps.get(name), callee_units.get(name)) {
-                if let Some(translated) = translate_to_callsite(cp, callee, args, caller) {
-                    fixed.insert(s.id, translated);
-                    count += 1;
-                }
-            }
-        }
-    });
-    count
 }
 
 // ---------------------------------------------------------------------------
@@ -463,7 +439,6 @@ mod tests {
     use super::*;
     use crate::distrib::resolve;
     use crate::select::{assignments_in, select_for_loop};
-    use dhpf_depend::callgraph::CallGraph;
     use dhpf_depend::refs::analyze_unit;
     use dhpf_fortran::parse;
 
@@ -579,37 +554,6 @@ mod tests {
         let t = translate_to_callsite(&cp, callee, &call_args.unwrap(), &p2.units[0]).unwrap();
         assert_eq!(t.terms[0].to_string(), "ON_HOME rhs(m,i + 1,2,k)");
         let _ = caller;
-    }
-
-    #[test]
-    fn whole_pipeline_restricts_call_site() {
-        let p = parse(BT_LIKE).unwrap();
-        let g = CallGraph::build(&p);
-        let order = g.bottom_up().unwrap();
-        assert_eq!(order, vec!["matvec_sub", "main"]);
-
-        // leaf pass
-        let (loops, refs, _) = analyze_unit(&p, "matvec_sub").unwrap();
-        let env = resolve(p.unit("matvec_sub").unwrap(), &Default::default()).unwrap();
-        let outer = loops.loops.keys().next().cloned().unwrap();
-        let stmts = assignments_in(outer, &loops, &refs);
-        let sel = select_for_loop(&stmts, &CpAssignment::new(), &refs, &env);
-        let ecp = entry_cp(p.unit("matvec_sub").unwrap(), &sel, &refs, &env).unwrap();
-
-        let mut entry_cps = BTreeMap::new();
-        entry_cps.insert("matvec_sub".to_string(), ecp);
-        let mut callee_units = BTreeMap::new();
-        callee_units.insert("matvec_sub".to_string(), p.unit("matvec_sub").unwrap());
-        let mut fixed = CpAssignment::new();
-        let n = restrict_call_sites(
-            p.unit("main").unwrap(),
-            &entry_cps,
-            &callee_units,
-            &mut fixed,
-        );
-        assert_eq!(n, 1);
-        let cp = fixed.values().next().unwrap();
-        assert_eq!(cp.terms[0].array, "rhs");
     }
 
     #[test]

@@ -414,31 +414,6 @@ pub fn assign_group_cps(
     out
 }
 
-/// Count localized loop-independent dependences under a CP assignment
-/// (for reporting/ablation: the paper's claim is that most nests need no
-/// distribution at all).
-pub fn localized_count(
-    deps: &[Dependence],
-    cps: &BTreeMap<StmtId, Cp>,
-    env: &crate::distrib::DistEnv,
-) -> (usize, usize) {
-    let mut localized = 0;
-    let mut total = 0;
-    for d in deps {
-        if !d.is_loop_independent() || d.src_stmt == d.dst_stmt {
-            continue;
-        }
-        let (Some(a), Some(b)) = (cps.get(&d.src_stmt), cps.get(&d.dst_stmt)) else {
-            continue;
-        };
-        total += 1;
-        if a.partition_key(env) == b.partition_key(env) {
-            localized += 1;
-        }
-    }
-    (localized, total)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -525,6 +500,30 @@ mod tests {
         // so it stays alone)
         let big = g.groups.iter().map(|gr| gr.stmts.len()).max().unwrap();
         assert!(big >= 3, "groups: {:?}", g.groups);
+    }
+
+    /// Count localized loop-independent dependences under a CP assignment:
+    /// `(localized, total)`.
+    fn localized_count(
+        deps: &[Dependence],
+        cps: &BTreeMap<StmtId, Cp>,
+        env: &crate::distrib::DistEnv,
+    ) -> (usize, usize) {
+        let mut localized = 0;
+        let mut total = 0;
+        for d in deps {
+            if !d.is_loop_independent() || d.src_stmt == d.dst_stmt {
+                continue;
+            }
+            let (Some(a), Some(b)) = (cps.get(&d.src_stmt), cps.get(&d.dst_stmt)) else {
+                continue;
+            };
+            total += 1;
+            if a.partition_key(env) == b.partition_key(env) {
+                localized += 1;
+            }
+        }
+        (localized, total)
     }
 
     #[test]

@@ -94,11 +94,6 @@ impl CallGraph {
         }
         Some(order)
     }
-
-    /// Call sites targeting `callee`.
-    pub fn callers_of(&self, callee: &str) -> Vec<&CallSite> {
-        self.sites.iter().filter(|s| s.callee == callee).collect()
-    }
 }
 
 #[cfg(test)]
@@ -138,7 +133,7 @@ mod tests {
         assert!(g.calls["main"].contains("solve"));
         assert!(g.calls["solve"].contains("binv"));
         assert_eq!(g.sites.len(), 5);
-        assert_eq!(g.callers_of("solve").len(), 2);
+        assert_eq!(g.sites.iter().filter(|s| s.callee == "solve").count(), 2);
     }
 
     #[test]

@@ -8,10 +8,6 @@
 //!   vector and read/write role.
 //! * [`dep`] — pairwise dependence testing via integer-set emptiness:
 //!   loop-independent vs. loop-carried (with level), flow/anti/output.
-//! * [`privatize`] — checks that `NEW` (privatizable) variables really
-//!   are privatizable at their loop (§4.1 of the paper): no loop-carried
-//!   flow dependence at the NEW level, and defined-before-used within an
-//!   iteration.
 //! * [`usedef`] — use→def chains inside a loop body: for every read, the
 //!   lexically-last preceding write to the same variable. This drives
 //!   both CP propagation for privatizable/LOCALIZE variables (§4) and
@@ -21,7 +17,6 @@
 pub mod callgraph;
 pub mod dep;
 pub mod loops;
-pub mod privatize;
 pub mod refs;
 pub mod usedef;
 

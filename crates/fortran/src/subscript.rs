@@ -8,7 +8,7 @@
 //! with remainders, intrinsic calls) yield `None`, and the dependence
 //! analysis treats those dimensions conservatively.
 
-use crate::ast::{ArrayRef, BinOp, Decls, Expr, UnOp};
+use crate::ast::{BinOp, Decls, Expr, UnOp};
 use dhpf_iset::LinExpr;
 
 /// Extract the affine form of one expression, or `None`.
@@ -72,44 +72,30 @@ pub fn affine(expr: &Expr, decls: &Decls) -> Option<LinExpr> {
     }
 }
 
-/// Affine forms of every subscript of a reference (`None` entries for
-/// non-affine dimensions).
-pub fn affine_subs(r: &ArrayRef, decls: &Decls) -> Vec<Option<LinExpr>> {
-    r.subs.iter().map(|s| affine(s, decls)).collect()
-}
-
-/// True iff every subscript of the reference is affine.
-pub fn fully_affine(r: &ArrayRef, decls: &Decls) -> bool {
-    r.subs.iter().all(|s| affine(s, decls).is_some())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::parser::parse_program;
     use crate::StmtKind;
 
-    fn first_assign(src: &str) -> (ArrayRef, Expr, Decls) {
+    /// The affine form of each subscript of the first assignment's LHS.
+    fn lhs_subs(src: &str) -> Vec<Option<LinExpr>> {
         let p = parse_program(src).expect("parse");
         let u = &p.units[0];
         let mut found = None;
         u.for_each_stmt(&mut |s| {
-            if found.is_none() {
-                if let StmtKind::Assign { lhs, rhs } = &s.kind {
-                    found = Some((lhs.clone(), rhs.clone()));
-                }
+            if let (None, StmtKind::Assign { lhs, .. }) = (&found, &s.kind) {
+                found = Some(lhs.subs.iter().map(|e| affine(e, &u.decls)).collect());
             }
         });
-        let (l, r) = found.expect("no assignment");
-        (l, r, u.decls.clone())
+        found.expect("no assignment")
     }
 
     #[test]
     fn simple_affine_subscripts() {
-        let (lhs, _, d) = first_assign(
+        let subs = lhs_subs(
             "      program t\n      parameter (n=8)\n      a(i+1, 2*j - 3, n) = 0.0\n      end\n",
         );
-        let subs = affine_subs(&lhs, &d);
         assert_eq!(subs[0].as_ref().unwrap().to_string(), "i + 1");
         assert_eq!(subs[1].as_ref().unwrap().to_string(), "2j - 3");
         assert_eq!(subs[2].as_ref().unwrap().to_string(), "8");
@@ -117,36 +103,28 @@ mod tests {
 
     #[test]
     fn non_affine_detected() {
-        let (lhs, _, d) =
-            first_assign("      program t\n      a(i*j, b(i), i/2) = 0.0\n      end\n");
-        let subs = affine_subs(&lhs, &d);
+        let subs = lhs_subs("      program t\n      a(i*j, b(i), i/2) = 0.0\n      end\n");
         assert!(subs[0].is_none(), "i*j is not affine");
         assert!(subs[1].is_none(), "b(i) is not affine");
         assert!(subs[2].is_none(), "i/2 is not affine (non-exact)");
-        assert!(!fully_affine(&lhs, &d));
     }
 
     #[test]
     fn exact_division_is_affine() {
-        let (lhs, _, d) = first_assign("      program t\n      a((4*i + 8)/2) = 0.0\n      end\n");
-        let subs = affine_subs(&lhs, &d);
+        let subs = lhs_subs("      program t\n      a((4*i + 8)/2) = 0.0\n      end\n");
         assert_eq!(subs[0].as_ref().unwrap().to_string(), "2i + 4");
     }
 
     #[test]
     fn negation_and_symbolic_param() {
-        let (lhs, _, d) = first_assign("      program t\n      a(n - i) = 0.0\n      end\n");
-        let subs = affine_subs(&lhs, &d);
+        let subs = lhs_subs("      program t\n      a(n - i) = 0.0\n      end\n");
         // n is not a parameter here: stays symbolic
         assert_eq!(subs[0].as_ref().unwrap().to_string(), "-i + n");
     }
 
     #[test]
     fn constant_power_folds() {
-        let (lhs, _, d) = first_assign("      program t\n      a(2**3 + i) = 0.0\n      end\n");
-        assert_eq!(
-            affine_subs(&lhs, &d)[0].as_ref().unwrap().to_string(),
-            "i + 8"
-        );
+        let subs = lhs_subs("      program t\n      a(2**3 + i) = 0.0\n      end\n");
+        assert_eq!(subs[0].as_ref().unwrap().to_string(), "i + 8");
     }
 }

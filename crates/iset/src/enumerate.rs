@@ -1,10 +1,7 @@
-//! Concrete enumeration and loop-bound extraction from sets.
-//!
-//! This is the code-generation half of the integer-set framework: given an
-//! iteration/data set, produce either (a) the explicit list of integer
-//! tuples it contains (all parameters bound), or (b) a symbolic
-//! triangular-loop-nest bound structure (`lowers`/`uppers` per level) that
-//! the SPMD code generator turns into `do` loops.
+//! Concrete enumeration of sets: the explicit list of integer tuples a
+//! set contains, and its bounding box (all parameters bound). Both walk a
+//! private triangular loop-nest bound structure (`lowers`/`uppers` per
+//! level) extracted from each polyhedron.
 
 use crate::constraint::Kind;
 use crate::expr::LinExpr;
@@ -15,33 +12,33 @@ use crate::set::Set;
 /// semantics; the effective bound at a point is `ceil(expr/div)` or
 /// `floor(expr/div)` after evaluating `expr`.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BoundTerm {
-    pub expr: LinExpr,
-    pub div: i64,
+struct BoundTerm {
+    expr: LinExpr,
+    div: i64,
 }
 
 impl BoundTerm {
     /// Evaluate as a lower bound (ceiling division).
-    pub fn eval_lower(&self, env: &dyn Fn(&str) -> Option<i64>) -> Option<i64> {
+    fn eval_lower(&self, env: &dyn Fn(&str) -> Option<i64>) -> Option<i64> {
         let v = self.expr.eval(env)?;
         Some(div_ceil(v, self.div))
     }
 
     /// Evaluate as an upper bound (floor division).
-    pub fn eval_upper(&self, env: &dyn Fn(&str) -> Option<i64>) -> Option<i64> {
+    fn eval_upper(&self, env: &dyn Fn(&str) -> Option<i64>) -> Option<i64> {
         let v = self.expr.eval(env)?;
         Some(div_floor(v, self.div))
     }
 }
 
 /// Euclidean-style ceiling division for positive divisors.
-pub fn div_ceil(a: i64, b: i64) -> i64 {
+fn div_ceil(a: i64, b: i64) -> i64 {
     debug_assert!(b > 0);
     a.div_euclid(b) + i64::from(a.rem_euclid(b) != 0)
 }
 
 /// Euclidean-style floor division for positive divisors.
-pub fn div_floor(a: i64, b: i64) -> i64 {
+fn div_floor(a: i64, b: i64) -> i64 {
     debug_assert!(b > 0);
     a.div_euclid(b)
 }
@@ -49,16 +46,15 @@ pub fn div_floor(a: i64, b: i64) -> i64 {
 /// Bounds for one loop level: the loop runs
 /// `max(ceil(lowers)) ..= min(floor(uppers))`.
 #[derive(Clone, Debug, Default)]
-pub struct LevelBounds {
-    pub var: String,
-    pub lowers: Vec<BoundTerm>,
-    pub uppers: Vec<BoundTerm>,
+struct LevelBounds {
+    lowers: Vec<BoundTerm>,
+    uppers: Vec<BoundTerm>,
 }
 
 impl LevelBounds {
     /// Evaluate the concrete `(lo, hi)` range at a point (outer loop vars
     /// and parameters supplied by `env`). `None` if some symbol is unbound.
-    pub fn range(&self, env: &dyn Fn(&str) -> Option<i64>) -> Option<(i64, i64)> {
+    fn range(&self, env: &dyn Fn(&str) -> Option<i64>) -> Option<(i64, i64)> {
         let mut lo = i64::MIN;
         for t in &self.lowers {
             lo = lo.max(t.eval_lower(env)?);
@@ -74,8 +70,8 @@ impl LevelBounds {
 /// A loop nest for one polyhedron: `levels[d]` bounds `order[d]` in terms
 /// of `order[..d]` and parameters.
 #[derive(Clone, Debug)]
-pub struct BoundNest {
-    pub levels: Vec<LevelBounds>,
+struct BoundNest {
+    levels: Vec<LevelBounds>,
 }
 
 /// Extract triangular loop bounds from one polyhedron for the variable
@@ -85,7 +81,7 @@ pub struct BoundNest {
 /// Returns `None` if the polyhedron leaves some level unbounded on either
 /// side (no lower or no upper constraint after projection) — callers treat
 /// that as "cannot generate a loop nest".
-pub fn bound_nest(poly: &Polyhedron, order: &[String]) -> Option<BoundNest> {
+fn bound_nest(poly: &Polyhedron, order: &[String]) -> Option<BoundNest> {
     let mut levels = Vec::with_capacity(order.len());
     // Project innermost-out: for level d, eliminate order[d+1..] from the
     // *original* polyhedron, always in forward order. The per-level suffix
@@ -101,7 +97,6 @@ pub fn bound_nest(poly: &Polyhedron, order: &[String]) -> Option<BoundNest> {
         if p.is_trivially_empty() {
             // empty nest: emit an always-empty range
             levels.push(LevelBounds {
-                var: order[d].clone(),
                 lowers: vec![BoundTerm {
                     expr: LinExpr::cst(1),
                     div: 1,
@@ -114,10 +109,7 @@ pub fn bound_nest(poly: &Polyhedron, order: &[String]) -> Option<BoundNest> {
             continue;
         }
         let v = &order[d];
-        let mut lb = LevelBounds {
-            var: v.clone(),
-            ..Default::default()
-        };
+        let mut lb = LevelBounds::default();
         for c in p.constraints() {
             let a = c.expr.coeff(v);
             if a == 0 {
@@ -215,12 +207,6 @@ fn make_env<'a>(
             params(v)
         }
     }
-}
-
-/// Count the integer points of a concrete set (convenience over
-/// [`enumerate`]; exact, not a volume estimate).
-pub fn cardinality(set: &Set, params: &dyn Fn(&str) -> Option<i64>) -> usize {
-    enumerate(set, params).len()
 }
 
 /// The rectangular bounding box of a concrete set: per-dimension
@@ -395,7 +381,7 @@ mod tests {
     #[test]
     fn cardinality_counts() {
         let s = Set::rect(&["i", "j", "k"], &[0, 0, 0], &[1, 1, 1]);
-        assert_eq!(cardinality(&s, &no_params), 8);
+        assert_eq!(enumerate(&s, &no_params).len(), 8);
     }
 }
 
@@ -415,7 +401,6 @@ mod edge_tests {
             ],
         );
         assert!(enumerate(&s, &|_| None).is_empty());
-        assert_eq!(cardinality(&s, &|_| None), 0);
     }
 
     #[test]

@@ -39,12 +39,6 @@ impl Map {
         }
     }
 
-    /// The identity map on a space.
-    pub fn identity<S: AsRef<str>>(space: &[S]) -> Self {
-        let outputs = space.iter().map(|v| LinExpr::var(v.as_ref())).collect();
-        Map::new(space, space, outputs)
-    }
-
     pub fn in_space(&self) -> &[String] {
         &self.in_space
     }
@@ -268,7 +262,7 @@ mod tests {
     #[test]
     fn identity_apply() {
         let s = Set::rect(&["i"], &[1], &[3]);
-        let m = Map::identity(&["i"]);
+        let m = Map::new(&["i"], &["i"], vec![var("i")]);
         assert!(m.apply(&s).set_eq(&s));
     }
 

@@ -267,34 +267,6 @@ impl Polyhedron {
         }
         Some(true)
     }
-
-    /// Lower/upper constraints on `var`: returns `(lowers, uppers)` where a
-    /// lower constraint has positive `var` coefficient. Equalities appear in
-    /// both. Used for loop-bound extraction.
-    pub fn bounds_on(&self, var: &str) -> (Vec<Constraint>, Vec<Constraint>) {
-        let mut lowers = Vec::new();
-        let mut uppers = Vec::new();
-        for c in &self.cons {
-            let coeff = c.expr.coeff(var);
-            if coeff == 0 {
-                continue;
-            }
-            match c.kind {
-                Kind::Ge => {
-                    if coeff > 0 {
-                        lowers.push(c.clone());
-                    } else {
-                        uppers.push(c.clone());
-                    }
-                }
-                Kind::Eq => {
-                    lowers.push(Constraint::ge0(c.expr.scaled(coeff.signum())));
-                    uppers.push(Constraint::ge0(c.expr.scaled(-coeff.signum())));
-                }
-            }
-        }
-        (lowers, uppers)
-    }
 }
 
 impl fmt::Display for Polyhedron {
@@ -392,18 +364,6 @@ mod tests {
         let a = Polyhedron::new([Constraint::eq(var("x"), LinExpr::cst(2))]);
         let b = Polyhedron::new([Constraint::eq(var("x"), LinExpr::cst(3))]);
         assert!(a.intersect(&b).is_empty());
-    }
-
-    #[test]
-    fn bounds_on_partitions() {
-        let p = Polyhedron::new([
-            ge(var("i") - 1),
-            ge(var("N") - var("i")),
-            ge(var("j")), // irrelevant to i
-        ]);
-        let (lo, up) = p.bounds_on("i");
-        assert_eq!(lo.len(), 1);
-        assert_eq!(up.len(), 1);
     }
 
     #[test]

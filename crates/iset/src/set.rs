@@ -292,28 +292,6 @@ impl Set {
         }
     }
 
-    /// Treat a tuple variable as a parameter (remove from space, keep
-    /// constraints). The inverse of [`Set::bind_param_as_dim`].
-    pub fn move_dim_to_param(&self, var: &str) -> Set {
-        assert!(self.space.iter().any(|v| v == var));
-        let space: Vec<String> = self.space.iter().filter(|v| *v != var).cloned().collect();
-        Set {
-            space,
-            polys: self.polys.clone(),
-        }
-    }
-
-    /// Treat a parameter as a new trailing tuple variable.
-    pub fn bind_param_as_dim(&self, var: &str) -> Set {
-        assert!(!self.space.iter().any(|v| v == var));
-        let mut space = self.space.clone();
-        space.push(var.to_string());
-        Set {
-            space,
-            polys: self.polys.clone(),
-        }
-    }
-
     /// Rename a space variable (also rewrites constraints).
     pub fn rename_dim(&self, from: &str, to: &str) -> Set {
         let space: Vec<String> = self
@@ -339,16 +317,6 @@ impl Set {
             }
         }
         out
-    }
-
-    /// Fix parameters to concrete values (a convenience over
-    /// [`Set::substitute_param`]).
-    pub fn bind_params<'a, I: IntoIterator<Item = (&'a str, i64)>>(&self, binds: I) -> Set {
-        let mut cur = self.clone();
-        for (name, value) in binds {
-            cur = cur.substitute_param(name, &LinExpr::cst(value));
-        }
-        cur
     }
 
     /// Membership test for a concrete point with concrete parameters.
@@ -499,21 +467,10 @@ mod tests {
                 Constraint::le(var("i"), var("N")),
             ],
         );
-        let c = s.bind_params([("N", 3)]);
+        let c = s.substitute_param("N", &crate::cst(3));
         assert!(c.params().is_empty());
         assert!(c.contains(&[3], &no_params));
         assert!(!c.contains(&[4], &no_params));
-    }
-
-    #[test]
-    fn dim_param_moves() {
-        let s = Set::rect(&["i", "p"], &[0, 0], &[9, 3]);
-        let t = s.move_dim_to_param("p");
-        assert_eq!(t.arity(), 1);
-        assert!(t.params().contains("p"));
-        let back = t.bind_param_as_dim("p");
-        assert_eq!(back.arity(), 2);
-        assert_eq!(back.space(), &["i".to_string(), "p".to_string()]);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //!   the cost model, never on host scheduling.
 //!
 //! The crate also provides the distribution topologies the paper's
-//! benchmark versions need ([`topo`]): 2-D/3-D block process grids and the
+//! benchmark versions need ([`topo`]): block partitions and the
 //! NPB **multipartitioning** (diagonal cell) scheme of the hand-written
 //! SP/BT codes, plus per-processor execution traces ([`trace`]) that
 //! regenerate the paper's space-time diagrams (Figures 8.1–8.4).
@@ -32,5 +32,5 @@ pub mod topo;
 pub mod trace;
 
 pub use machine::{CommStats, Machine, MachineConfig, Proc, RunResult};
-pub use topo::{block_partition, BlockGrid, MultiPartition};
+pub use topo::{block_partition, MultiPartition};
 pub use trace::{Event, EventKind, Trace};

@@ -1,4 +1,4 @@
-//! Distribution topologies: block process grids and the NPB
+//! Distribution topologies: block partitions and the NPB
 //! multipartitioning (diagonal cell) scheme.
 
 /// Split `n` elements (indices `0..n`) across `p` processors in
@@ -11,44 +11,6 @@ pub fn block_partition(n: usize, p: usize, idx: usize) -> (usize, usize) {
     let lo = (b * idx).min(n);
     let hi = (b * (idx + 1)).min(n);
     (lo, hi)
-}
-
-/// A 2-D (or degenerate 1-D) processor grid for `(j, k)`-distributed 3-D
-/// arrays: ranks laid out row-major as `rank = pj + npj·pk`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BlockGrid {
-    pub npj: usize,
-    pub npk: usize,
-}
-
-impl BlockGrid {
-    /// A near-square grid for `nprocs` total processors.
-    pub fn square(nprocs: usize) -> Self {
-        let mut npj = (nprocs as f64).sqrt() as usize;
-        while npj > 1 && !nprocs.is_multiple_of(npj) {
-            npj -= 1;
-        }
-        BlockGrid {
-            npj: npj.max(1),
-            npk: nprocs / npj.max(1),
-        }
-    }
-
-    pub fn nprocs(&self) -> usize {
-        self.npj * self.npk
-    }
-
-    /// `(pj, pk)` coordinates of a rank.
-    pub fn coords(&self, rank: usize) -> (usize, usize) {
-        assert!(rank < self.nprocs());
-        (rank % self.npj, rank / self.npj)
-    }
-
-    /// Rank of grid coordinates.
-    pub fn rank(&self, pj: usize, pk: usize) -> usize {
-        assert!(pj < self.npj && pk < self.npk);
-        pj + self.npj * pk
-    }
 }
 
 /// NPB-style 3-D **multipartitioning** for `P = q²` processors
@@ -157,29 +119,6 @@ mod tests {
                 assert!(covered.iter().all(|&c| c), "n={n} p={p}");
             }
         }
-    }
-
-    #[test]
-    fn grid_roundtrip_and_neighbors() {
-        let g = BlockGrid::square(6);
-        assert_eq!(g.nprocs(), 6);
-        for r in 0..6 {
-            let (pj, pk) = g.coords(r);
-            assert_eq!(g.rank(pj, pk), r);
-        }
-        // row-major layout: j-neighbors are adjacent ranks, k-neighbors
-        // are `npj` apart
-        let g = BlockGrid { npj: 2, npk: 2 };
-        assert_eq!(g.rank(1, 0), g.rank(0, 0) + 1);
-        assert_eq!(g.rank(0, 1), g.rank(0, 0) + g.npj);
-    }
-
-    #[test]
-    fn square_grid_of_square_count() {
-        let g = BlockGrid::square(25);
-        assert_eq!((g.npj, g.npk), (5, 5));
-        let g = BlockGrid::square(2);
-        assert_eq!(g.nprocs(), 2);
     }
 
     #[test]
