@@ -1,12 +1,14 @@
 //! Byte identity of what the compiler emits and of why it says so.
 //!
 //! `tests/golden/compile_identity.txt` was recorded on the parent of the
-//! commit that made `driver.rs` one ordered pass table (PR 16): for NAS
-//! SP/BT class S at 1, 4 and 6 (2x3) ranks and the fuzz-corpus repros it
-//! pins the length and an FNV-1a-64 hash of `Compiled::fingerprint()`
-//! (node program, CP assignments, communication report, transformed AST
-//! with every synthesized id) and of the decision log. A change to unit
-//! order, id allocation, CP choice or plan shows up as a byte difference.
+//! commit that made `driver.rs` one ordered pass table (PR 16), and its
+//! 16-rank rows on the parent of the commit that builds boxes by their
+//! bounds: for NAS SP/BT class S at 1, 4, 6 (2x3) and 16 (4x4) ranks and
+//! the fuzz-corpus repros it pins the length and an FNV-1a-64 hash of
+//! `Compiled::fingerprint()` (node program, CP assignments, communication
+//! report, transformed AST with every synthesized id) and of the decision
+//! log. A change to unit order, id allocation, CP choice or plan shows up
+//! as a byte difference.
 //!
 //! Re-record (only when a change legitimately moves what dhpf emits)
 //! with `DHPF_RECORD_GOLDEN=1 cargo test --release -p dhpf --test
@@ -41,7 +43,7 @@ fn current() -> String {
     let mut out = String::new();
     for kernel in Kernel::ALL {
         let program = kernel.parse();
-        for nprocs in [1usize, 4, 6] {
+        for nprocs in [1usize, 4, 6, 16] {
             let mut opts = CompileOptions::new().observed();
             opts.bindings = kernel.bindings(Class::S, nprocs);
             let compiled = compile(&program, &opts).expect("NAS kernel compiles");
