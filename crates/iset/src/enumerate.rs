@@ -210,8 +210,13 @@ fn make_env<'a>(
 }
 
 /// The rectangular bounding box of a concrete set: per-dimension
-/// `(min, max)`. `None` if empty or unbounded.
+/// `(min, max)`. `None` if empty or unbounded. A union of parameter-free
+/// boxes is read off its bounds (the box kernel); any other set eliminates
+/// the other tuple variables for each dimension.
 pub fn bounding_box(set: &Set, params: &dyn Fn(&str) -> Option<i64>) -> Option<Vec<(i64, i64)>> {
+    if let Some(bb) = crate::boxes::bounding_box(set) {
+        return bb;
+    }
     let order: Vec<String> = set.space().to_vec();
     let mut boxes: Option<Vec<(i64, i64)>> = None;
     for poly in set.polys() {
@@ -220,7 +225,6 @@ pub fn bounding_box(set: &Set, params: &dyn Fn(&str) -> Option<i64>) -> Option<V
             let p = poly.eliminate_all(order.iter().filter(|o| *o != v).map(|s| s.as_str()));
             if p.is_trivially_empty() {
                 // this disjunct is empty; contributes nothing
-                boxes = boxes.take();
                 break;
             }
             let nest = bound_nest(&p, std::slice::from_ref(v))?;

@@ -41,6 +41,14 @@ impl LinExpr {
         }
     }
 
+    /// `coeff`·`name` + `constant`, sharing `name`.
+    pub(crate) fn unit(name: &Arc<str>, coeff: i64, constant: i64) -> Self {
+        LinExpr {
+            terms: vec![(name.clone(), coeff)],
+            constant,
+        }
+    }
+
     /// A single variable with an explicit coefficient.
     pub fn term(name: &str, coeff: i64) -> Self {
         let mut e = LinExpr::zero();

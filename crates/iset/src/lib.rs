@@ -13,8 +13,10 @@
 //!
 //! The framework is exact over the rationals (Fourier–Motzkin elimination;
 //! an *interval* polyhedron, whose constraints each bound one variable, is
-//! decided by its bounds, FM's answer without FM) and *conservative* over
-//! the integers in the directions the compiler needs:
+//! decided by its bounds, FM's answer without FM, and unions of
+//! parameter-free boxes are mapped, intersected, subtracted and boxed on
+//! their bounds) and *conservative* over the integers in the directions the
+//! compiler needs:
 //!
 //! * [`Set::is_empty`] may answer `false` for a rationally-nonempty but
 //!   integer-empty set — callers treat "nonempty" as "may be nonempty".
@@ -34,6 +36,7 @@
 //! the policy, [`cache_stats`] for hit/miss counters, and the `*_uncached`
 //! method variants for the cache-bypassing paths used by differential tests.
 
+mod boxes;
 pub mod constraint;
 pub mod enumerate;
 pub mod expr;

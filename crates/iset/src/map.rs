@@ -53,15 +53,21 @@ impl Map {
 
     /// Image of a set under the map: `{ y : ∃ x ∈ s, y = f(x) }`.
     ///
-    /// Implemented by conjoining `out_d = f_d(x)` constraints and projecting
-    /// the input variables out. Input variables are first renamed to fresh
-    /// names to avoid capture when spaces overlap.
+    /// A union of parameter-free boxes through outputs that are constants
+    /// or `±x + c` of distinct inputs is mapped on its bounds (the box
+    /// kernel). Otherwise the image is built by conjoining `out_d = f_d(x)`
+    /// constraints and projecting the input variables out, the input
+    /// variables first renamed to fresh names to avoid capture when spaces
+    /// overlap.
     pub fn apply(&self, s: &Set) -> Set {
         assert_eq!(
             s.space(),
             self.in_space,
             "map applied to set of wrong space"
         );
+        if let Some(image) = crate::boxes::image(self, s) {
+            return image;
+        }
         // fresh names for inputs
         let fresh: Vec<String> = self.in_space.iter().map(|v| format!("{v}__in")).collect();
         let mut renamed = s.clone();

@@ -42,6 +42,12 @@ impl Polyhedron {
         p
     }
 
+    /// From constraints already normalized, distinct and none trivially
+    /// false (the box kernel's canonical form).
+    pub(crate) fn from_normalized(cons: Vec<Constraint>) -> Self {
+        Polyhedron { cons }
+    }
+
     /// Add a constraint (normalizing; deduplicating).
     pub fn add(&mut self, c: Constraint) {
         match c.normalize() {
@@ -219,30 +225,10 @@ impl Polyhedron {
     }
 
     /// Emptiness of an interval polyhedron from the bounds of each
-    /// variable; `None` if some constraint mentions two variables. This is
-    /// FM's answer: FM only pairs bounds of the same variable here.
+    /// variable (the box kernel's reader); `None` if some constraint
+    /// mentions two variables.
     fn interval_empty(&self) -> Option<bool> {
-        // (variable, lo, hi) for the handful of variables bounded
-        let mut bounds: Vec<(&str, i64, i64)> = Vec::new();
-        for c in &self.cons {
-            let mut terms = c.expr.terms();
-            let (Some((v, a)), None) = (terms.next(), terms.next()) else {
-                // two variables; or a constant, which only the canonical
-                // empty marker stores
-                return c.expr.is_constant().then_some(true);
-            };
-            let k = c.expr.constant(); // a·v + k, a = ±1 (normalized)
-            let (lo, hi) = match c.kind {
-                Kind::Eq => (-a * k, -a * k),
-                Kind::Ge if a > 0 => (-k, i64::MAX),
-                Kind::Ge => (i64::MIN, k),
-            };
-            match bounds.iter_mut().find(|b| b.0 == v) {
-                Some(b) => (b.1, b.2) = (b.1.max(lo), b.2.min(hi)),
-                None => bounds.push((v, lo, hi)),
-            }
-        }
-        Some(bounds.iter().any(|&(_, lo, hi)| lo > hi))
+        crate::boxes::interval_empty(self)
     }
 
     /// Fourier–Motzkin emptiness: eliminate every variable and check the

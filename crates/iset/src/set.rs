@@ -1,6 +1,7 @@
 //! Sets of symbolic integer tuples: unions of polyhedra over a named
 //! tuple space with free symbolic parameters.
 
+use crate::boxes;
 use crate::constraint::Constraint;
 use crate::expr::LinExpr;
 use crate::intern;
@@ -100,6 +101,14 @@ impl Set {
         self.polys.iter().all(Polyhedron::is_interval)
     }
 
+    /// From disjuncts that are distinct and none trivially empty.
+    pub(crate) fn from_disjuncts(space: &[String], polys: Vec<Polyhedron>) -> Self {
+        Set {
+            space: space.to_vec(),
+            polys,
+        }
+    }
+
     fn push(&mut self, p: Polyhedron) {
         if !p.is_trivially_empty() && !self.polys.contains(&p) {
             self.polys.push(p);
@@ -144,6 +153,9 @@ impl Set {
     }
 
     fn intersect_impl(&self, other: &Set, cached: bool) -> Set {
+        if let Some(boxes) = boxes::intersect(self, other) {
+            return boxes;
+        }
         let mut out = Set::empty(&self.space);
         for a in &self.polys {
             for b in &other.polys {
@@ -172,6 +184,9 @@ impl Set {
     }
 
     fn subtract_impl(&self, other: &Set, cached: bool) -> Set {
+        if let Some(boxes) = boxes::subtract(self, other) {
+            return boxes;
+        }
         // A ∖ (B1 ∪ … ∪ Bk) = ((A ∖ B1) ∖ …) ∖ Bk
         let mut cur: Vec<Polyhedron> = self.polys.clone();
         for b in &other.polys {
@@ -219,7 +234,7 @@ impl Set {
     /// Prove `self ⊆ other` (for all parameter values). Conservative:
     /// `false` means "could not prove". Memoized.
     pub fn is_subset(&self, other: &Set) -> bool {
-        self.assert_same_space(other, "subtract");
+        self.assert_same_space(other, "is_subset");
         intern::cached_subset(self, other, || self.subtract(other).is_empty())
     }
 

@@ -26,7 +26,8 @@
 //! `PROPTEST_SEED` environment variable, which CI pins), so failures
 //! reproduce exactly.
 
-use dhpf_iset::{Constraint, LinExpr, Polyhedron, Set};
+use dhpf_iset::enumerate::bounding_box;
+use dhpf_iset::{Constraint, LinExpr, Map, Polyhedron, Set};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -430,6 +431,267 @@ proptest! {
         agrees(&a.substitute(NAMES[v], &b), &ma.substitute(NAMES[v], &mb))?;
         if !a.mentions(NAMES[w]) {
             agrees(&a.rename(NAMES[v], NAMES[w]), &ma.rename(NAMES[v], NAMES[w]))?;
+        }
+    }
+}
+
+// The box kernel: unions of parameter-free boxes (every constraint bounds
+// one tuple variable) are intersected, subtracted, mapped and boxed on
+// their bounds. Each operation is checked against brute-force enumeration
+// and against the constraint path, which the same operands take once every
+// disjunct also says `n ≥ 0` of a parameter `n` (evaluated at `n = 0`).
+
+const BOX_VARS: [&str; 3] = ["i", "j", "k"];
+const OUT_VARS: [&str; 3] = ["e0", "e1", "e2"];
+/// Input window: holds every preimage of an output-window point under a
+/// shift of at most 2, and a witness of every non-empty box dimension.
+const IN_W: i64 = 10;
+/// Output window: covers every finite bound (−4..4) moved by a shift.
+const OUT_W: i64 = 8;
+
+/// Every point of `[-w, w]^n`.
+fn cube(n: usize, w: i64) -> Vec<Vec<i64>> {
+    let mut pts = vec![vec![]];
+    for _ in 0..n {
+        pts = (pts.iter())
+            .flat_map(|p| {
+                (-w..=w).map(move |x| {
+                    let mut q = p.clone();
+                    q.push(x);
+                    q
+                })
+            })
+            .collect();
+    }
+    pts
+}
+
+fn at_n0(v: &str) -> Option<i64> {
+    (v == "n").then_some(0)
+}
+
+fn has(s: &Set, p: &[i64]) -> bool {
+    s.contains(p, &at_n0)
+}
+
+/// One bound on `v` in one of the forms the compiler writes: `v ≥ c`,
+/// `v ≤ c`, `v = c` with either sign of `v`, and `2v ≥ 2c - 1`, which
+/// normalization tightens to `v ≥ c`.
+fn box_constraint(v: &str, form: u8, c: i64) -> Constraint {
+    let (x, k) = (LinExpr::var(v), LinExpr::cst(c));
+    match form {
+        0 => Constraint::ge(x, k),
+        1 => Constraint::le(x, k),
+        2 => Constraint::eq(x, k),
+        3 => Constraint::eq(k, x),
+        _ => Constraint::ge0(LinExpr::term(v, 2) - (2 * c - 1)),
+    }
+}
+
+/// A union of 0–3 boxes of 0–5 bounds each, as `(dimension, form, bound)`
+/// with bounds in −4..4: one-sided and unbounded boxes, equalities, empty
+/// boxes (crossing bounds) and repeated bounds all occur.
+type RawSet = Vec<Vec<(usize, u8, i64)>>;
+
+fn raw_box_set() -> impl Strategy<Value = RawSet> {
+    prop::collection::vec(
+        prop::collection::vec((0usize..3, 0u8..=4, -4i64..=4), 0..=5),
+        0..=3,
+    )
+}
+
+fn box_set(raw: &RawSet, n: usize) -> Set {
+    let space = &BOX_VARS[..n];
+    let mut s = Set::empty(space);
+    for b in raw {
+        let p = Polyhedron::new(
+            b.iter()
+                .map(|&(d, f, c)| box_constraint(space[d % n], f, c)),
+        );
+        s = s.union_uncached(&Set::from_poly(space, p));
+    }
+    s
+}
+
+/// `s` with `n ≥ 0` in every disjunct: the same points at `n = 0`, but
+/// not parameter-free, so every operation on it takes the constraint path.
+fn on_constraint_path(s: &Set) -> Set {
+    let n = Polyhedron::new([Constraint::ge0(LinExpr::var("n"))]);
+    let mut out = Set::empty(s.space());
+    for p in s.polys() {
+        out = out.union_uncached(&Set::from_poly(s.space(), p.intersect(&n)));
+    }
+    out
+}
+
+/// The non-empty disjuncts of `s` as point sets in the window, each
+/// once, in order. (The constraint path keeps an operand's empty
+/// disjuncts where nothing is subtracted from them; the kernel drops them.)
+fn pieces(s: &Set) -> Vec<Vec<Vec<i64>>> {
+    let pts = cube(s.arity(), IN_W);
+    let mut out: Vec<Vec<Vec<i64>>> = Vec::new();
+    for p in s.polys() {
+        let one = Set::from_poly(s.space(), p.clone());
+        let piece: Vec<Vec<i64>> = pts.iter().filter(|x| has(&one, x)).cloned().collect();
+        if !piece.is_empty() && !out.contains(&piece) {
+            out.push(piece);
+        }
+    }
+    out
+}
+
+/// A map `[i..] → [e..]` whose outputs are constants or `±x + c` of
+/// distinct inputs: `perm` picks the inputs, `outs` each output's kind
+/// (0 constant, 1 `+x`, 2 `-x`) and constant in −2..2.
+fn box_map(n: usize, m: usize, perm: usize, outs: &[(u8, i64)]) -> Map {
+    let mut inputs: Vec<&str> = BOX_VARS[..n].to_vec();
+    inputs.rotate_left(perm % n);
+    if perm / n % 2 == 1 {
+        inputs.reverse();
+    }
+    let outputs = (0..m)
+        .map(|o| {
+            let (kind, c) = outs[o];
+            match (kind, inputs.get(o)) {
+                (1, Some(x)) => LinExpr::var(x) + c,
+                (2, Some(x)) => LinExpr::term(x, -1) + c,
+                _ => LinExpr::cst(c),
+            }
+        })
+        .collect();
+    Map::new(&BOX_VARS[..n], &OUT_VARS[..m], outputs)
+}
+
+/// The image of `s` under `map`, enumerated: every window point of `s`
+/// mapped, parameters of the map bound by `params`.
+fn brute_image(map: &Map, s: &Set, params: &dyn Fn(&str) -> Option<i64>) -> Vec<Vec<i64>> {
+    let mut out: Vec<Vec<i64>> = (cube(s.arity(), IN_W).iter())
+        .filter(|x| has(s, x))
+        .map(|x| map.eval(x, params).expect("bound map"))
+        .collect();
+    out.sort();
+    out.dedup();
+    out
+}
+
+/// `img` holds exactly the output-window points of `expect`.
+fn image_is(img: &Set, expect: &[Vec<i64>], params: &dyn Fn(&str) -> Option<i64>) -> bool {
+    (cube(img.arity(), OUT_W).iter())
+        .all(|y| img.contains(y, params) == expect.binary_search(y).is_ok())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// ∩ and ∖ of boxes are exact on every window point, give the
+    /// constraint path's pieces in the constraint path's order, are their
+    /// own cache-bypassing variants, and are emitted in a canonical form
+    /// (intersecting with the universe changes nothing).
+    #[test]
+    fn box_intersect_and_subtract_match_enumeration_and_the_constraint_path(
+        n in 1usize..=3,
+        ra in raw_box_set(),
+        rb in raw_box_set(),
+    ) {
+        let (a, b) = (box_set(&ra, n), box_set(&rb, n));
+        let (meet, diff) = (a.intersect(&b), a.subtract(&b));
+        for p in cube(n, IN_W) {
+            let (ina, inb) = (has(&a, &p), has(&b, &p));
+            prop_assert!(has(&meet, &p) == (ina && inb), "∩ wrong at {p:?}: {a:?} ∩ {b:?} = {meet:?}");
+            prop_assert!(has(&diff, &p) == (ina && !inb), "∖ wrong at {p:?}: {a:?} ∖ {b:?} = {diff:?}");
+        }
+        let slow = on_constraint_path(&a);
+        prop_assert_eq!(pieces(&diff), pieces(&slow.subtract(&b)));
+        prop_assert_eq!(pieces(&meet), pieces(&slow.intersect(&b)));
+        prop_assert_eq!(&diff, &a.subtract_uncached(&b));
+        prop_assert_eq!(&meet, &a.intersect_uncached(&b));
+        let all = Set::universe(&BOX_VARS[..n]);
+        prop_assert_eq!(&diff.intersect(&all), &diff);
+        prop_assert_eq!(&meet.intersect(&all), &meet);
+    }
+
+    /// The image of boxes through constants, shifts, negations and
+    /// permutations is exactly the enumerated image, point for point
+    /// equal to the constraint path's.
+    #[test]
+    fn box_images_match_enumeration_and_the_constraint_path(
+        n in 1usize..=3,
+        m in 1usize..=3,
+        ra in raw_box_set(),
+        perm in 0usize..6,
+        outs in prop::collection::vec((0u8..=2, -2i64..=2), 3),
+    ) {
+        let a = box_set(&ra, n);
+        let map = box_map(n, m, perm, &outs);
+        let expect = brute_image(&map, &a, &at_n0);
+        let img = map.apply(&a);
+        prop_assert!(image_is(&img, &expect, &at_n0), "{map:?} of {a:?} = {img:?}, expected {expect:?}");
+        let slow = map.apply(&on_constraint_path(&a));
+        prop_assert!(image_is(&slow, &expect, &at_n0), "constraint path {slow:?}");
+        let all = Set::universe(&OUT_VARS[..m]);
+        prop_assert_eq!(&img.intersect(&all), &img);
+    }
+
+    /// The bounding box of boxes is the enumerated one, and the constraint
+    /// path's: `None` for no point or an unbounded non-empty box.
+    #[test]
+    fn box_bounding_box_matches_enumeration_and_the_constraint_path(
+        n in 1usize..=3,
+        ra in raw_box_set(),
+    ) {
+        let a = box_set(&ra, n);
+        let bb = bounding_box(&a, &|_| None);
+        prop_assert_eq!(&bb, &bounding_box(&on_constraint_path(&a), &at_n0));
+        let pts: Vec<Vec<i64>> = cube(n, IN_W).into_iter().filter(|p| has(&a, p)).collect();
+        if let Some(bb) = bb {
+            for (d, &(lo, hi)) in bb.iter().enumerate() {
+                prop_assert_eq!(Some(lo), pts.iter().map(|p| p[d]).min());
+                prop_assert_eq!(Some(hi), pts.iter().map(|p| p[d]).max());
+            }
+        } else {
+            let unbounded = a.polys().iter().any(|p| {
+                let one = Set::from_poly(a.space(), p.clone());
+                pts.iter().any(|x| has(&one, x) && x.iter().any(|v| v.abs() >= 5))
+            });
+            prop_assert!(pts.is_empty() || unbounded, "no box for the points {pts:?} of {a:?}");
+        }
+    }
+
+    /// Maps outside the kernel — a coefficient of 2, two inputs in one
+    /// output, an input used twice, a parameter — take the constraint
+    /// path: the image is the projection of the map's graph, holds every
+    /// enumerated image point, and is exactly those where every output is
+    /// a shifted input (a sum's preimages can leave the input window).
+    #[test]
+    fn non_box_maps_take_the_constraint_path(
+        ra in raw_box_set(),
+        kind in 0u8..4,
+        c in -2i64..=2,
+    ) {
+        let a = box_set(&ra, 2);
+        let (i, j) = (LinExpr::var("i"), LinExpr::var("j"));
+        let outputs = match kind {
+            0 => vec![LinExpr::term("i", 2) + c, j],
+            1 => vec![i.clone() + j, LinExpr::cst(c)],
+            2 => vec![i.clone() + c, i],
+            _ => vec![i + LinExpr::var("q"), j + c],
+        };
+        let map = Map::new(&BOX_VARS[..2], &OUT_VARS[..2], outputs);
+        let params = |v: &str| match v {
+            "q" => Some(c),
+            v => at_n0(v),
+        };
+        let expect = brute_image(&map, &a, &params);
+        let img = map.apply(&a);
+        let graph = map.graph(&a).project_onto(&OUT_VARS[..2]);
+        for y in cube(2, OUT_W) {
+            prop_assert!(img.contains(&y, &params) == graph.contains(&y, &params), "{map:?} at {y:?}");
+            if expect.binary_search(&y).is_ok() {
+                prop_assert!(img.contains(&y, &params), "{map:?} lost {y:?} of {a:?}");
+            }
+        }
+        if kind >= 2 {
+            prop_assert!(image_is(&img, &expect, &params), "{map:?} of {a:?} = {img:?}");
         }
     }
 }
