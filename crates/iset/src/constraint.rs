@@ -67,7 +67,7 @@ impl Constraint {
     /// coefficients by `g` and *floors* the constant (`⌊c/g⌋`), which is
     /// exact for integer solutions. For equalities, `g ∤ c` means no
     /// integer solution exists.
-    pub fn normalize(&self) -> Normalized {
+    pub fn normalize(self) -> Normalized {
         if self.expr.is_constant() {
             let c = self.expr.constant();
             let ok = match self.kind {
@@ -83,7 +83,7 @@ impl Constraint {
         let g = self.expr.coeff_gcd();
         debug_assert!(g > 0);
         if g == 1 {
-            return Normalized::Keep(self.clone());
+            return Normalized::Keep(self);
         }
         let c = self.expr.constant();
         match self.kind {
