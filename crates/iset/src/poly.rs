@@ -1,6 +1,7 @@
 //! Convex polyhedra: conjunctions of affine constraints, with
 //! Fourier–Motzkin variable elimination.
 
+use crate::boxes::interval_empty;
 use crate::constraint::{fm_combine, Constraint, Kind, Normalized};
 use crate::expr::LinExpr;
 use std::collections::BTreeSet;
@@ -204,17 +205,17 @@ impl Polyhedron {
 
     /// Rational emptiness test. Empty ⇒ integer-empty (sound); nonempty
     /// means "may contain integer points". An interval polyhedron is
-    /// decided by its per-variable bounds; any other by Fourier–Motzkin,
-    /// memoized on the interned polyhedron.
+    /// decided by its per-variable bounds (the box kernel's reader); any
+    /// other by Fourier–Motzkin, memoized on the interned polyhedron.
     pub fn is_empty(&self) -> bool {
-        (self.interval_empty())
+        interval_empty(self)
             .unwrap_or_else(|| crate::intern::cached_poly_empty(self, || self.fm_empty()))
     }
 
     /// Cache-bypassing variant of [`Polyhedron::is_empty`]: the same
     /// decision, with no interner traffic.
     pub fn is_empty_uncached(&self) -> bool {
-        self.interval_empty().unwrap_or_else(|| self.fm_empty())
+        interval_empty(self).unwrap_or_else(|| self.fm_empty())
     }
 
     /// True iff every constraint mentions at most one variable. Stored
@@ -222,13 +223,6 @@ impl Polyhedron {
     /// the polyhedron is a box (possibly open, possibly over parameters).
     pub(crate) fn is_interval(&self) -> bool {
         self.cons.iter().all(|c| c.expr.num_vars() <= 1)
-    }
-
-    /// Emptiness of an interval polyhedron from the bounds of each
-    /// variable (the box kernel's reader); `None` if some constraint
-    /// mentions two variables.
-    fn interval_empty(&self) -> Option<bool> {
-        crate::boxes::interval_empty(self)
     }
 
     /// Fourier–Motzkin emptiness: eliminate every variable and check the

@@ -139,6 +139,7 @@ impl Set {
     }
 
     /// Set intersection (pairwise polyhedron conjunction; memoized).
+    /// Unions of parameter-free boxes are intersected on their bounds.
     pub fn intersect(&self, other: &Set) -> Set {
         self.assert_same_space(other, "intersect");
         intern::cached_set_op(intern::SetOp::Intersect, self, other, || {
@@ -170,6 +171,8 @@ impl Set {
 
     /// Set difference `self ∖ other`, exact over the integers for the
     /// negation step (constraint negation is integer-exact; memoized).
+    /// Unions of parameter-free boxes are subtracted on their bounds, into
+    /// the same pieces in the same order.
     pub fn subtract(&self, other: &Set) -> Set {
         self.assert_same_space(other, "subtract");
         intern::cached_set_op(intern::SetOp::Subtract, self, other, || {
