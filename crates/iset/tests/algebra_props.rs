@@ -19,7 +19,10 @@
 //! general ones: interval emptiness (every constraint bounds one
 //! variable) against Fourier–Motzkin, cached against uncached on
 //! interval, mixed and symbolic operands, and `LinExpr` against the
-//! name-keyed ordered map it is a sorted vector in place of.
+//! name-keyed ordered map it is a sorted vector in place of. A last
+//! battery checks the box kernel — image, intersection, difference and
+//! bounding box of parameter-free boxes — against enumeration and against
+//! the constraint path, difference pieces in order.
 //!
 //! Inputs are drawn by the vendored deterministic proptest shim: each test
 //! seeds its RNG from the test name (optionally mixed with the
