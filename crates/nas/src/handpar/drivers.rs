@@ -43,6 +43,52 @@ pub fn multipart_for(n: usize, nprocs: usize) -> Option<MultiPartition> {
     (lo <= hi).then_some(mp)
 }
 
+/// Every rank's fields, allocated on the calling thread and lent to the
+/// rank's thread for one run, as `run_node_program` lends its storage.
+/// Allocated on the short-lived rank threads, the full-grid arrays would
+/// come from one malloc arena per thread; those arenas keep them resident
+/// after the run, and which arenas a later run's threads draw depends on
+/// the order earlier threads exited, so the process's resident set would
+/// differ from one run to the next.
+struct LentFields(Vec<Mutex<Option<Fields>>>);
+
+impl LentFields {
+    fn new(nprocs: usize, n: usize, ncoef: usize) -> Self {
+        LentFields(
+            (0..nprocs)
+                .map(|_| Mutex::new(Some(Fields::new(n, ncoef))))
+                .collect(),
+        )
+    }
+
+    fn take(&self, rank: usize) -> Fields {
+        let taken = self.0[rank]
+            .lock()
+            .expect("no rank panics holding its slot")
+            .take();
+        taken.expect("the machine runs each rank once")
+    }
+
+    fn put_back(&self, rank: usize, f: Fields) {
+        *self.0[rank]
+            .lock()
+            .expect("no rank panics holding its slot") = Some(f);
+    }
+
+    /// Each rank's final `u` and `rhs`, by rank; the rest is freed here.
+    fn finals(self) -> (BTreeMap<usize, Array4>, BTreeMap<usize, Array4>) {
+        self.0
+            .into_iter()
+            .enumerate()
+            .map(|(rank, slot)| {
+                let slot = slot.into_inner().expect("no rank panics holding its slot");
+                let f = slot.expect("every rank returned its fields");
+                ((rank, f.u), (rank, f.rhs))
+            })
+            .unzip()
+    }
+}
+
 /// Run the multipartitioning version. `nprocs` must be a perfect square
 /// with `q | n`; returns `None` otherwise (the hand-written NPB codes
 /// have the same restriction).
@@ -56,13 +102,13 @@ pub fn run_multipart<S: LineSolver>(
 ) -> Option<HandResult> {
     let mp = multipart_for(n, nprocs)?;
     let q = mp.q;
-    let finals: Mutex<BTreeMap<usize, (Array4, Array4)>> = Mutex::new(BTreeMap::new());
+    let fields = LentFields::new(nprocs, n, S::NCOEF);
     let costs = costs.clone();
 
     let run = Machine::run(machine, |proc| {
         let rank = proc.rank();
         let cells = mp.cells(rank);
-        let mut f = Fields::new(n, S::NCOEF);
+        let mut f = fields.take(rank);
         let cell_pts = (n / q).pow(3) as f64;
 
         // ---- initialize ----------------------------------------------------
@@ -147,11 +193,11 @@ pub fn run_multipart<S: LineSolver>(
                 proc.work(cell_pts * costs.of("add"));
             }
         }
-        finals.lock().unwrap().insert(rank, (f.u, f.rhs));
+        fields.put_back(rank, f);
     });
 
     // gather by cell ownership
-    let finals = finals.into_inner().unwrap();
+    let (us, rs) = fields.finals();
     let owner = |i: usize, j: usize, k: usize| -> usize {
         let cell_of = |x: usize| -> usize {
             (0..q)
@@ -163,8 +209,6 @@ pub fn run_multipart<S: LineSolver>(
         };
         mp.owner([cell_of(i), cell_of(j), cell_of(k)])
     };
-    let us: BTreeMap<usize, Array4> = finals.iter().map(|(r, (u, _))| (*r, u.clone())).collect();
-    let rs: BTreeMap<usize, Array4> = finals.iter().map(|(r, (_, rh))| (*r, rh.clone())).collect();
     Some(HandResult {
         run,
         u: gather(us, n, 5, &owner),
@@ -452,7 +496,7 @@ pub fn run_transpose<S: LineSolver>(
     if nprocs > n {
         return None;
     }
-    let finals: Mutex<BTreeMap<usize, (Array4, Array4)>> = Mutex::new(BTreeMap::new());
+    let fields = LentFields::new(nprocs, n, S::NCOEF);
     let costs = costs.clone();
     // balanced split (remainder spread over the first ranks) so every
     // rank owns a non-empty slab for any count ≤ n
@@ -470,7 +514,7 @@ pub fn run_transpose<S: LineSolver>(
         let p = proc.nprocs();
         let (klo, khi) = krange(rank);
         let (jlo, jhi) = jrange(rank);
-        let mut f = Fields::new(n, S::NCOEF);
+        let mut f = fields.take(rank);
         let slab_pts = (n * n * (khi - klo + 1)) as f64;
 
         for k in klo..=khi {
@@ -657,10 +701,10 @@ pub fn run_transpose<S: LineSolver>(
             }
             proc.work(slab_pts * costs.of("add"));
         }
-        finals.lock().unwrap().insert(rank, (f.u, f.rhs));
+        fields.put_back(rank, f);
     });
 
-    let finals = finals.into_inner().unwrap();
+    let (us, rs) = fields.finals();
     let owner = |_i: usize, _j: usize, k: usize| -> usize {
         (0..nprocs)
             .find(|&r| {
@@ -669,8 +713,6 @@ pub fn run_transpose<S: LineSolver>(
             })
             .unwrap()
     };
-    let us: BTreeMap<usize, Array4> = finals.iter().map(|(r, (u, _))| (*r, u.clone())).collect();
-    let rs: BTreeMap<usize, Array4> = finals.iter().map(|(r, (_, rh))| (*r, rh.clone())).collect();
     Some(HandResult {
         run,
         u: gather(us, n, 5, &owner),
