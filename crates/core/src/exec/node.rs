@@ -10,7 +10,9 @@
 use crate::codegen::{strip_chunks, NodeProgram, PipeArray};
 use crate::exec::serial::ArrayValue;
 pub use crate::exec::tape::LowerStats;
-use crate::exec::tape::{lower_program, unbound_dummy, Comm, Ins, Pipe, Site, Tape, UNBOUND};
+use crate::exec::tape::{
+    lower_program, unbound_dummy, Comm, Ins, Pipe, Site, Tape, NO_BASE, UNBOUND,
+};
 use crate::transfer::{Seg, Transfer};
 use dhpf_spmd::array::LocalArray;
 use dhpf_spmd::machine::{Machine, MachineConfig, Proc, RunResult};
@@ -56,6 +58,16 @@ pub struct RankCounts {
     pub lower: LowerStats,
     /// Loop iterations started, summed over every loop entry.
     pub loop_trips: u64,
+}
+
+/// What the lowering for rank `rank` decides in each unit it lowers, by
+/// unit name, the main unit first; a unit called with two bindings of
+/// its array dummies is lowered, and listed, twice. Nothing is run.
+pub fn lower_census(prog: &NodeProgram, rank: usize) -> Vec<(String, LowerStats)> {
+    let st = ProcState::new(prog, rank);
+    let (tapes, _) = lower_program(&st);
+    let census = tapes.iter().map(|t| (t.unit.name.clone(), t.stats));
+    census.collect()
 }
 
 /// Run a node program on `nprocs = grid.nprocs()` virtual processors.
@@ -283,12 +295,17 @@ impl<'p> ProcState<'p> {
     }
 
     /// Debug builds re-check every subscript of an access against the
-    /// allocated window: a folded offset can stay inside the data slice
-    /// while a subscript is outside its dimension.
+    /// allocated window — a folded offset can stay inside the data slice
+    /// while a subscript is outside its dimension — and the base of a
+    /// based access against its whole offset.
     #[inline]
-    fn check_window(&self, s: &Site, ints: &[i64], verb: &str) {
+    fn check_window(&self, t: &Tape, s: &Site, ints: &[i64], verb: &str) {
         if !cfg!(debug_assertions) {
             return;
+        }
+        if s.base != NO_BASE {
+            let whole = t.eval(s.off, ints) as usize;
+            assert_eq!(s.at(ints), whole, "rank {}: base of a site", self.rank);
         }
         let local = self.local(s);
         let inside = s.subs.len() == local.rank()
@@ -302,6 +319,25 @@ impl<'p> ProcState<'p> {
             local.alloc_lo(),
             local.alloc_hi()
         );
+    }
+
+    /// Read based site `site`.
+    #[inline]
+    fn read(&self, t: &Tape, site: u32, ints: &[i64]) -> f64 {
+        let s = &t.sites[site as usize];
+        self.check_window(t, s, ints, "reads");
+        self.local(s).data()[s.at(ints)]
+    }
+
+    /// Write based site `site`.
+    #[inline]
+    fn write(&mut self, t: &Tape, site: u32, ints: &[i64], v: f64) {
+        let s = &t.sites[site as usize];
+        self.check_window(t, s, ints, "writes");
+        let local = self.storage[s.arr]
+            .as_mut()
+            .expect("access sites name allocated arrays");
+        local.data_mut()[s.at(ints)] = v;
     }
 
     /// Execute `t.code[range]` on one frame. Statement instances run in
@@ -366,17 +402,32 @@ impl<'p> ProcState<'p> {
                 Ins::IntToF { d, aff } => r!(d) = t.eval(aff, ints) as f64,
                 Ins::Load { d, site } => {
                     let s = &t.sites[site as usize];
-                    self.check_window(s, ints, "reads");
+                    self.check_window(t, s, ints, "reads");
                     r!(d) = self.local(s).data()[t.eval(s.off, ints) as usize];
                 }
                 Ins::Store { site, src, flops } => {
                     let s = &t.sites[site as usize];
-                    self.check_window(s, ints, "writes");
+                    self.check_window(t, s, ints, "writes");
                     let local = self.storage[s.arr]
                         .as_mut()
                         .expect("access sites name allocated arrays");
                     local.data_mut()[t.eval(s.off, ints) as usize] = r!(src);
                     proc.work(flops);
+                }
+                Ins::LoadBased { d, site } => r!(d) = self.read(t, site, ints),
+                Ins::StoreBased { site, src, flops } => {
+                    self.write(t, site, ints, r!(src));
+                    proc.work(flops);
+                }
+                Ins::MulSub { stmt } => {
+                    let f = &t.fused[stmt as usize];
+                    let x = self.read(t, f.a, ints);
+                    let y = self.read(t, f.b, ints);
+                    let z = self.read(t, f.c, ints);
+                    // two roundings, as the unfused statement: never a
+                    // `mul_add` (DESIGN §7.2, invariant 1)
+                    self.write(t, f.d, ints, x - y * z);
+                    proc.work(f.flops);
                 }
                 Ins::StoreF { slot, src, flops } => {
                     r!(slot) = r!(src);
@@ -425,6 +476,9 @@ impl<'p> ProcState<'p> {
                     ints[ctr + 1] = hi;
                     if in_range(lo, hi, lp.step) {
                         ints[lp.var as usize] = lo;
+                        for b in &t.bases[lp.bases.0..lp.bases.1] {
+                            ints[b.slot as usize] = t.eval_wrapping(b.form, ints);
+                        }
                         self.counts.loop_trips += more_trips(lo, hi, lp.step) as u64 + 1;
                     } else {
                         pc = to as usize;
@@ -437,6 +491,10 @@ impl<'p> ProcState<'p> {
                     ints[ctr] = v;
                     if in_range(v, ints[ctr + 1], lp.step) {
                         ints[lp.var as usize] = v;
+                        for b in &t.bases[lp.bases.0..lp.moving] {
+                            let base = &mut ints[b.slot as usize];
+                            *base = base.wrapping_add(b.inc);
+                        }
                         pc = body as usize;
                     } else if lp.hull.is_some() {
                         ints[lp.var as usize] = ints[ctr + 2];
@@ -774,7 +832,7 @@ mod tests {
     use crate::distrib::{ArrayDist, DimMap, ProcGrid};
     use crate::driver::{compile, CompileOptions};
     use crate::exec::serial::{eval_intrinsic, run_serial};
-    use crate::exec::tape::{lower_program_fact_free, SlotUse};
+    use crate::exec::tape::{lower_program_plain, SlotUse};
     use dhpf_fortran::ast::BinOp;
     use proptest::prelude::*;
 
@@ -918,7 +976,9 @@ mod tests {
     }
 
     /// Rank 1's state with every array cell holding a distinct value,
-    /// a NaN, an infinity and a negative zero among them.
+    /// a NaN, an infinity and a negative zero among them. The finite
+    /// values are inexact (tenths), so that a product of two rounds and
+    /// `x − y·z` with one rounding differs from it with two.
     fn filled_state(prog: &NodeProgram) -> ProcState<'_> {
         let mut st = ProcState::new(prog, 1);
         for local in st.storage.iter_mut().flatten() {
@@ -927,7 +987,7 @@ mod tests {
                     3 => f64::NAN,
                     5 => -0.0,
                     6 => f64::NEG_INFINITY,
-                    _ => 0.375 * i as f64 - 1.5,
+                    _ => 0.3 * i as f64 - 1.5,
                 };
             }
         }
@@ -1176,20 +1236,37 @@ mod tests {
         prop_oneof![one.clone(), one, prop::collection::vec(atoms, 0..=2)].boxed()
     }
 
-    /// A value whose loads stay inside the windows whatever the frame.
-    fn arb_value(form: &BoxedStrategy<CIdx>) -> BoxedStrategy<CExpr> {
+    /// A value over loads subscripted by constants inside the windows
+    /// and, when `vary`, by forms, which stay inside the windows under
+    /// the atoms [`inside`] adds to the statement's guard. Among its
+    /// shapes is `x − y·z` over three loads, the statement the lowering
+    /// fuses.
+    fn arb_value(form: &BoxedStrategy<CIdx>, vary: bool) -> BoxedStrategy<CExpr> {
+        let sub = |lo: i64, hi: i64| {
+            let cst = (lo..=hi).prop_map(CIdx::cst).boxed();
+            if vary {
+                prop_oneof![cst, form.clone()].boxed()
+            } else {
+                cst
+            }
+        };
+        let load = prop_oneof![
+            (sub(0, 3), sub(0, 3)).prop_map(|(i, j)| CExpr::Load {
+                arr: A,
+                subs: vec![i, j]
+            }),
+            sub(4, 9).prop_map(|i| CExpr::Load {
+                arr: B,
+                subs: vec![i]
+            }),
+        ]
+        .boxed();
         let leaf = prop_oneof![
             special_f64().prop_map(CExpr::Const),
             (0usize..3).prop_map(CExpr::LoadF),
             form.clone().prop_map(CExpr::Int),
-            (0i64..=3, 0i64..=3).prop_map(|(i, j)| CExpr::Load {
-                arr: A,
-                subs: vec![CIdx::cst(i), CIdx::cst(j)]
-            }),
-            (4i64..=9).prop_map(|i| CExpr::Load {
-                arr: B,
-                subs: vec![CIdx::cst(i)]
-            }),
+            load.clone(),
+            load.clone(),
         ]
         .boxed();
         let op = prop_oneof![
@@ -1198,29 +1275,67 @@ mod tests {
             Just(BinOp::Mul),
             Just(BinOp::Lt)
         ];
+        let bin = |op, a, b| CExpr::Bin(op, Box::new(a), Box::new(b));
         prop_oneof![
             leaf.clone(),
-            (op, leaf.clone(), leaf).prop_map(|(op, a, b)| CExpr::Bin(
-                op,
-                Box::new(a),
-                Box::new(b)
+            (op, leaf.clone(), leaf).prop_map(move |(op, a, b)| bin(op, a, b)),
+            (load.clone(), load.clone(), load).prop_map(move |(x, y, z)| bin(
+                BinOp::Sub,
+                x,
+                bin(BinOp::Mul, y, z)
             )),
         ]
         .boxed()
     }
 
+    /// The atoms that keep the loads of `value` inside what rank 1 owns,
+    /// for each subscript but a constant inside the window.
+    fn inside(value: &CExpr, out: &mut Vec<GuardAtom>) {
+        match value {
+            CExpr::Load { arr, subs } => {
+                let window = if *arr == A { 0..=3 } else { 4..=9 };
+                let fixed = |s: &CIdx| s.terms.is_empty() && window.contains(&s.cst);
+                let formed = subs.iter().enumerate().filter(|(_, s)| !fixed(s));
+                out.extend(formed.map(|(dim, sub)| GuardAtom::In {
+                    arr: *arr,
+                    dim,
+                    sub: sub.clone(),
+                }));
+            }
+            CExpr::Bin(_, a, b) => {
+                inside(a, out);
+                inside(b, out);
+            }
+            CExpr::Neg(a) => inside(a, out),
+            CExpr::Intr(_, args) => args.iter().for_each(|a| inside(a, out)),
+            CExpr::Const(_) | CExpr::LoadF(_) | CExpr::Int(_) => {}
+        }
+    }
+
+    /// `guard` with `atoms` added to each of its terms; no guard becomes
+    /// the one term `atoms`.
+    fn guarded(guard: Option<Guard>, atoms: &[GuardAtom]) -> Option<Guard> {
+        match guard {
+            None if atoms.is_empty() => None,
+            None => Some(Guard {
+                terms: vec![atoms.to_vec()],
+            }),
+            Some(mut g) => {
+                g.terms.iter_mut().for_each(|t| t.extend_from_slice(atoms));
+                Some(g)
+            }
+        }
+    }
+
     /// A statement: an array assignment every guard term of which keeps
-    /// inside the array, or a scalar assignment under any guard or none.
-    /// Integer assignments take a loop variable or a constant, so that no
-    /// value grows with the trip count.
+    /// inside the array, or a scalar assignment under any guard or none;
+    /// either way the guard keeps the loads inside the windows. Integer
+    /// assignments take a loop variable or a constant, so that no value
+    /// grows with the trip count.
     fn arb_stmt(level: usize) -> BoxedStrategy<NodeOp> {
         let form = arb_form(level);
-        let (terms, value) = (arb_terms(&form), arb_value(&form));
+        let (terms, value) = (arb_terms(&form), arb_value(&form, true));
         let form = || form.clone();
-        let guarded = |mut terms: Vec<Vec<GuardAtom>>, inside: &[GuardAtom]| {
-            terms.iter_mut().for_each(|t| t.extend_from_slice(inside));
-            Some(Guard { terms })
-        };
         let some = terms
             .clone()
             .prop_map(|terms| Some(Guard { terms }))
@@ -1237,30 +1352,34 @@ mod tests {
         let int_slot = prop_oneof![3usize..=4, 0usize..=2];
         prop_oneof![
             (form(), terms.clone(), value.clone(), 0u64..4).prop_map(
-                move |(sub, terms, value, flops)| NodeOp::Assign {
-                    guard: guarded(
-                        terms,
-                        &[GuardAtom::In {
-                            arr: B,
-                            dim: 0,
-                            sub: sub.clone()
-                        }]
-                    ),
-                    arr: B,
-                    subs: vec![sub],
-                    value,
-                    flops,
+                move |(sub, terms, value, flops)| {
+                    let mut atoms = vec![GuardAtom::In {
+                        arr: B,
+                        dim: 0,
+                        sub: sub.clone(),
+                    }];
+                    inside(&value, &mut atoms);
+                    NodeOp::Assign {
+                        guard: guarded(Some(Guard { terms }), &atoms),
+                        arr: B,
+                        subs: vec![sub],
+                        value,
+                        flops,
+                    }
                 }
             ),
             (form(), form(), terms, value.clone(), 0u64..4).prop_map(
                 move |(i, j, terms, value, flops)| {
-                    let inside = [(0, &i), (1, &j)].map(|(dim, sub)| GuardAtom::In {
-                        arr: A,
-                        dim,
-                        sub: sub.clone(),
-                    });
+                    let mut atoms = [(0, &i), (1, &j)]
+                        .map(|(dim, sub)| GuardAtom::In {
+                            arr: A,
+                            dim,
+                            sub: sub.clone(),
+                        })
+                        .to_vec();
+                    inside(&value, &mut atoms);
                     NodeOp::Assign {
-                        guard: guarded(terms, &inside),
+                        guard: guarded(Some(Guard { terms }), &atoms),
                         arr: A,
                         subs: vec![i, j],
                         value,
@@ -1269,11 +1388,15 @@ mod tests {
                 }
             ),
             (any_guard.clone(), 0usize..3, value, 0u64..4).prop_map(
-                |(guard, slot, value, flops)| NodeOp::AssignF {
-                    guard,
-                    slot,
-                    value,
-                    flops
+                |(guard, slot, value, flops)| {
+                    let mut atoms = Vec::new();
+                    inside(&value, &mut atoms);
+                    NodeOp::AssignF {
+                        guard: guarded(guard, &atoms),
+                        slot,
+                        value,
+                        flops,
+                    }
                 }
             ),
             (any_guard, int_slot, int_value, 0u64..4).prop_map(|(guard, slot, value, flops)| {
@@ -1312,7 +1435,7 @@ mod tests {
             prop_oneof![stmt.clone(), stmt, arb_loop(level + 1)].boxed()
         };
         let item = || item.clone();
-        let value = arb_value(&arb_form(level));
+        let value = arb_value(&arb_form(level), false);
         let branch = (
             prop_oneof![
                 Just(None),
@@ -1346,21 +1469,22 @@ mod tests {
             .boxed()
     }
 
-    /// Lower `prog` for rank 1 — with the ranges, or by the reference
-    /// lowering without them — and run it from the given frame.
+    /// Lower `prog` for rank 1 — with ranges, bases and fused statements,
+    /// or by the plain reference lowering — and run it from the given
+    /// frame.
     fn run_lowered(
         prog: &NodeProgram,
-        learn: bool,
+        opt: bool,
         ints: &[i64],
         floats: &[f64],
     ) -> (Vec<Option<LocalArray>>, Frame, f64) {
         let got = Mutex::new(None);
         let run = Machine::run(MachineConfig::sp2(1), |proc| {
             let mut st = filled_state(prog);
-            let tapes = if learn {
+            let tapes = if opt {
                 lower_program(&st).0
             } else {
-                lower_program_fact_free(&st)
+                lower_program_plain(&st)
             };
             let mut frame = Frame::new(&tapes[0]);
             frame.ints[..ints.len()].copy_from_slice(ints);

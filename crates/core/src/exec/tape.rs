@@ -17,6 +17,12 @@
 //! (its *hull*), shrinks the loop to it, and drops every range test the
 //! resulting ranges decide ([`Lower::hull`], [`Lower::guard`]).
 //!
+//! Inside a loop an access addresses by a *base* the loop maintains: a
+//! hidden int slot holding the non-constant part of its offset, set when
+//! the loop starts and stepped by a constant per trip ([`Lower::base`]).
+//! A statement `x − y·z` over three based loads and a based store
+//! becomes one instruction ([`Lower::fuse`]).
+//!
 //! The lowering borrows the [`NodeProgram`](crate::codegen::NodeProgram):
 //! message lists, pipeline levels and subscripts are referenced, not
 //! copied.
@@ -39,7 +45,7 @@ pub(super) const UNBOUND: usize = usize::MAX;
 /// `(d, a)`: `d = op a` — `to` and `body` are tape positions, and the
 /// other fields index the tables of the [`Tape`] the instruction
 /// belongs to.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub(super) enum Ins {
     Add(u32, u32, u32),
     Sub(u32, u32, u32),
@@ -96,6 +102,23 @@ pub(super) enum Ins {
         site: u32,
         src: u32,
         flops: f64,
+    },
+    /// [`Ins::Load`] of a site its loop maintains a base for.
+    LoadBased {
+        d: u32,
+        site: u32,
+    },
+    /// [`Ins::Store`] to a site its loop maintains a base for.
+    StoreBased {
+        site: u32,
+        src: u32,
+        flops: f64,
+    },
+    /// The statement `fused[stmt]`: `data[d] = data[a] − data[b]·data[c]`
+    /// over four based sites, rounded after the product and after the
+    /// difference, then charge its flops.
+    MulSub {
+        stmt: u32,
     },
     /// Float scalar slot (a register) `= src`, then charge `flops`.
     StoreF {
@@ -177,24 +200,57 @@ impl Ins {
 
 /// Affine integer form `c0 + Σ coef·ints[slot]` over a run of the
 /// tape's term pool, like terms merged.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub(super) struct Aff {
     c0: i64,
     terms: (u32, u32),
 }
 
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 struct Term {
     slot: u32,
     coef: i64,
 }
 
+/// [`Site::base`] of a site no loop maintains a base for.
+pub(super) const NO_BASE: u32 = u32::MAX;
+
 /// One array access: flat offset into the data of global array `arr`.
 pub(super) struct Site<'p> {
     pub arr: usize,
     pub off: Aff,
+    /// Hidden int slot that holds `off` less its constant while the
+    /// site's innermost loop runs, or [`NO_BASE`].
+    pub base: u32,
     /// The unfolded subscripts, for the debug-build window check.
     pub subs: &'p [CIdx],
+}
+
+impl Site<'_> {
+    /// The flat offset of a based site: its base plus its constant.
+    #[inline]
+    pub fn at(&self, ints: &[i64]) -> usize {
+        ints[self.base as usize].wrapping_add(self.off.c0) as usize
+    }
+}
+
+/// A statement `data[d] = data[a] − data[b]·data[c]` over based sites.
+pub(super) struct Fused {
+    pub a: u32,
+    pub b: u32,
+    pub c: u32,
+    pub d: u32,
+    pub flops: f64,
+}
+
+/// An address base: from a loop's first iteration on, hidden int slot
+/// `slot` holds `form` (the terms of an offset, without its constant),
+/// and each further iteration adds `inc`, the coefficient of the loop
+/// variable in `form` times the step.
+pub(super) struct Base {
+    pub slot: u32,
+    pub form: Aff,
+    pub inc: i64,
 }
 
 pub(super) struct RangeTest {
@@ -220,6 +276,11 @@ pub(super) struct LoopDesc {
     /// rank: the loop visits only the iterations inside it, and leaves
     /// the variable at the last value of the whole range.
     pub hull: Option<(i64, i64)>,
+    /// The range of [`Tape::bases`] holding the bases of the sites the
+    /// body addresses directly, those that move with the variable
+    /// (`inc ≠ 0`) first, up to `moving`.
+    pub bases: (usize, usize),
+    pub moving: usize,
 }
 
 impl LoopDesc {
@@ -257,11 +318,17 @@ pub struct LowerStats {
     /// Statements with no live OR-term, and statements of loops with an
     /// empty hull: not emitted.
     pub stmts_dropped: u64,
+    /// Access sites lowered inside a loop.
+    pub sites_in_loops: u64,
+    /// Of those, the sites that address by a base their loop maintains.
+    pub sites_based: u64,
+    /// Statements `x − y·z` lowered to one [`Ins::MulSub`].
+    pub stmts_fused: u64,
 }
 
 impl LowerStats {
     /// The counts by name, for reports.
-    pub fn named(&self) -> [(&'static str, u64); 6] {
+    pub fn named(&self) -> [(&'static str, u64); 9] {
         [
             ("loops", self.loops),
             ("loops_clamped", self.loops_clamped),
@@ -269,7 +336,25 @@ impl LowerStats {
             ("tests_dead", self.tests_dead),
             ("tests_kept", self.tests_kept),
             ("stmts_dropped", self.stmts_dropped),
+            ("sites_in_loops", self.sites_in_loops),
+            ("sites_based", self.sites_based),
+            ("stmts_fused", self.stmts_fused),
         ]
+    }
+
+    /// The counts of two lowerings added.
+    fn plus(self, o: LowerStats) -> LowerStats {
+        LowerStats {
+            loops: self.loops + o.loops,
+            loops_clamped: self.loops_clamped + o.loops_clamped,
+            tests_true: self.tests_true + o.tests_true,
+            tests_dead: self.tests_dead + o.tests_dead,
+            tests_kept: self.tests_kept + o.tests_kept,
+            stmts_dropped: self.stmts_dropped + o.stmts_dropped,
+            sites_in_loops: self.sites_in_loops + o.sites_in_loops,
+            sites_based: self.sites_based + o.sites_based,
+            stmts_fused: self.stmts_fused + o.stmts_fused,
+        }
     }
 }
 
@@ -336,6 +421,8 @@ pub(super) struct Tape<'p> {
     pub code: Vec<Ins>,
     terms: Vec<Term>,
     pub sites: Vec<Site<'p>>,
+    pub bases: Vec<Base>,
+    pub fused: Vec<Fused>,
     pub tests: Vec<RangeTest>,
     pub loops: Vec<LoopDesc>,
     pub splits: Vec<Split>,
@@ -348,6 +435,8 @@ pub(super) struct Tape<'p> {
     pub n_ints: usize,
     /// Float registers: scalar slots, constants, temporaries.
     pub n_regs: usize,
+    /// What the lowering of this tape decided.
+    pub stats: LowerStats,
 }
 
 impl Tape<'_> {
@@ -357,36 +446,49 @@ impl Tape<'_> {
             .iter()
             .fold(a.c0, |acc, t| acc + ints[t.slot as usize] * t.coef)
     }
+
+    /// [`Self::eval`] in wrapping arithmetic, for bases: a base is set
+    /// whether or not a guard lets any of its accesses run, and a slot
+    /// no executed access reads may hold any value.
+    #[inline]
+    pub fn eval_wrapping(&self, a: Aff, ints: &[i64]) -> i64 {
+        self.terms[a.terms.0 as usize..a.terms.1 as usize]
+            .iter()
+            .fold(a.c0, |acc, t| {
+                acc.wrapping_add(ints[t.slot as usize].wrapping_mul(t.coef))
+            })
+    }
 }
 
 /// Lower the main unit and, transitively, every callee specialisation.
-/// Tape 0 is the main unit.
+/// Tape 0 is the main unit. The stats are those of all tapes.
 pub(super) fn lower_program<'p>(st: &ProcState<'p>) -> (Vec<Tape<'p>>, LowerStats) {
-    lower(st, true)
+    let tapes = lower(st, true);
+    let stats = tapes
+        .iter()
+        .fold(LowerStats::default(), |s, t| s.plus(t.stats));
+    (tapes, stats)
 }
 
-/// The lowering that learns no ranges: every loop runs its whole range
-/// and every guard keeps every test. The reference the ranges are
-/// checked against.
+/// The plain lowering: it learns no ranges, so every loop runs its
+/// whole range and every guard keeps every test, bases no access and
+/// fuses no statement. The reference the lowering is checked against.
 #[cfg(test)]
-pub(super) fn lower_program_fact_free<'p>(st: &ProcState<'p>) -> Vec<Tape<'p>> {
-    lower(st, false).0
+pub(super) fn lower_program_plain<'p>(st: &ProcState<'p>) -> Vec<Tape<'p>> {
+    lower(st, false)
 }
 
-fn lower<'p>(st: &ProcState<'p>, learn: bool) -> (Vec<Tape<'p>>, LowerStats) {
+fn lower<'p>(st: &ProcState<'p>, opt: bool) -> Vec<Tape<'p>> {
     let prog = st.prog;
     // (unit, binding) of every specialisation discovered so far, in tape
     // order; lowering a call site appends the ones it is first to need
     let mut specs = vec![(prog.main, static_binding(&prog.units[prog.main]))];
     let mut tapes = Vec::new();
-    let mut stats = LowerStats::default();
     while let Some((unit, binding)) = specs.get(tapes.len()).cloned() {
         let unit = &prog.units[unit];
-        tapes.push(Lower::unit(
-            st, &mut specs, &mut stats, unit, binding, learn,
-        ));
+        tapes.push(Lower::unit(st, &mut specs, unit, binding, opt));
     }
-    (tapes, stats)
+    tapes
 }
 
 /// A unit's array slots before any actual is bound to a dummy.
@@ -460,15 +562,36 @@ impl<'p> Body<'p> {
     }
 }
 
+/// A loop whose body is being lowered, innermost last in [`Lower::open`].
+struct Open {
+    var: usize,
+    step: i64,
+    /// The body's sites may take bases: the lowering is not the plain
+    /// one and only the loop writes its variable.
+    basing: bool,
+    /// Where the int slots the body writes ([`written`]) start in
+    /// [`Lower::written`].
+    written: usize,
+    /// Where the bases of the sites lowered so far directly in the body
+    /// start in [`Lower::pending`].
+    bases: usize,
+}
+
 struct Lower<'a, 'p> {
     st: &'a ProcState<'p>,
     specs: &'a mut Vec<(usize, Vec<usize>)>,
-    stats: &'a mut LowerStats,
     tape: Tape<'p>,
     /// First temporary register.
     tmp0: u32,
-    /// Learn ranges; off only for the reference lowering of the tests.
-    learn: bool,
+    /// Learn ranges, base accesses, fuse statements; off only for the
+    /// reference lowering of the tests.
+    opt: bool,
+    /// The loops around the point being lowered, innermost last, and the
+    /// slots their bodies write and the bases of their sites, the
+    /// innermost loop's last.
+    open: Vec<Open>,
+    written: Vec<usize>,
+    pending: Vec<Base>,
     /// What is known of each int slot at the point being lowered: the
     /// range of a loop variable inside its loop, [`ALL`] anywhere else.
     /// Nothing is known on entry to a unit (a tape serves every call
@@ -481,10 +604,9 @@ impl<'a, 'p> Lower<'a, 'p> {
     fn unit(
         st: &'a ProcState<'p>,
         specs: &'a mut Vec<(usize, Vec<usize>)>,
-        stats: &'a mut LowerStats,
         unit: &'p CompiledUnit,
         binding: Vec<usize>,
-        learn: bool,
+        opt: bool,
     ) -> Tape<'p> {
         // register numbers of temporaries depend on the constant count,
         // so constants are collected before any code is emitted
@@ -494,8 +616,10 @@ impl<'a, 'p> Lower<'a, 'p> {
         let mut lw = Lower {
             st,
             specs,
-            stats,
-            learn,
+            opt,
+            open: Vec::new(),
+            written: Vec::new(),
+            pending: Vec::new(),
             facts: vec![ALL; unit.n_ints],
             slots: SlotUse::of(unit),
             tmp0: idx(tmp0),
@@ -505,6 +629,8 @@ impl<'a, 'p> Lower<'a, 'p> {
                 code: Vec::new(),
                 terms: Vec::new(),
                 sites: Vec::new(),
+                bases: Vec::new(),
+                fused: Vec::new(),
                 tests: Vec::new(),
                 loops: Vec::new(),
                 splits: Vec::new(),
@@ -514,6 +640,7 @@ impl<'a, 'p> Lower<'a, 'p> {
                 consts,
                 n_ints: unit.n_ints,
                 n_regs: tmp0,
+                stats: LowerStats::default(),
             },
         };
         lw.ops(&unit.ops);
@@ -618,8 +745,94 @@ impl<'a, 'p> Lower<'a, 'p> {
             })
             .collect();
         let off = self.aff(c0, terms);
-        self.tape.sites.push(Site { arr: g, off, subs });
+        let base = self.base(off);
+        self.tape.sites.push(Site {
+            arr: g,
+            off,
+            base,
+            subs,
+        });
         Ok(idx(self.tape.sites.len() - 1))
+    }
+
+    /// The base the innermost open loop maintains for an access at `off`
+    /// — one hidden int slot per distinct run of terms — or [`NO_BASE`]
+    /// outside every loop, and where a slot of `off` other than the
+    /// loop's variable may change while the loop runs.
+    fn base(&mut self, off: Aff) -> u32 {
+        let Some(open) = self.open.last() else {
+            return NO_BASE;
+        };
+        let stats = &mut self.tape.stats;
+        stats.sites_in_loops += 1;
+        let pool = &self.tape.terms;
+        let terms = &pool[off.terms.0 as usize..off.terms.1 as usize];
+        let written = &self.written[open.written..];
+        let changes =
+            |t: &Term| t.slot as usize != open.var && written.contains(&(t.slot as usize));
+        if !open.basing || terms.iter().any(changes) {
+            return NO_BASE;
+        }
+        stats.sites_based += 1;
+        let same = |b: &&Base| pool[b.form.terms.0 as usize..b.form.terms.1 as usize] == *terms;
+        if let Some(b) = self.pending[open.bases..].iter().find(same) {
+            return b.slot;
+        }
+        let slot = idx(self.tape.n_ints);
+        self.tape.n_ints += 1;
+        let coef = terms.iter().find(|t| t.slot as usize == open.var);
+        self.pending.push(Base {
+            slot,
+            form: Aff { c0: 0, ..off },
+            inc: coef.map_or(0, |t| t.coef.wrapping_mul(open.step)),
+        });
+        slot
+    }
+
+    fn based(&self, site: u32) -> bool {
+        self.tape.sites[site as usize].base != NO_BASE
+    }
+
+    /// Replace the statement emitted from `start` on by one
+    /// [`Ins::MulSub`] when it is the run the expression lowering emits
+    /// for `x − y·z` over three based loads, stored to a based site.
+    fn fuse(&mut self, start: usize) {
+        let run = &self.tape.code[start..];
+        let &[load_x, load_y, load_z, _, _, store] = run else {
+            return;
+        };
+        let (
+            Ins::LoadBased { d: x, site: a },
+            Ins::LoadBased { site: b, .. },
+            Ins::LoadBased { site: c, .. },
+            Ins::StoreBased { site: d, flops, .. },
+        ) = (load_x, load_y, load_z, store)
+        else {
+            return;
+        };
+        // the registers the expression lowering gives `x − y·z` from
+        // temporary `x` on
+        let (y, z) = (x + 1, x + 2);
+        let shape = [
+            Ins::LoadBased { d: x, site: a },
+            Ins::LoadBased { d: y, site: b },
+            Ins::LoadBased { d: z, site: c },
+            Ins::Mul(y, y, z),
+            Ins::Sub(x, x, y),
+            Ins::StoreBased {
+                site: d,
+                src: x,
+                flops,
+            },
+        ];
+        if !self.opt || run != shape {
+            return;
+        }
+        self.tape.code.truncate(start);
+        self.tape.fused.push(Fused { a, b, c, d, flops });
+        let stmt = idx(self.tape.fused.len() - 1);
+        self.emit(Ins::MulSub { stmt });
+        self.tape.stats.stmts_fused += 1;
     }
 
     /// Lower `e`; `t` is the first free temporary. Returns the register
@@ -638,7 +851,11 @@ impl<'a, 'p> Lower<'a, 'p> {
                 let d = self.tmp(t);
                 match self.site(*arr, subs, false) {
                     Ok(site) => {
-                        self.emit(Ins::Load { d, site });
+                        self.emit(if self.based(site) {
+                            Ins::LoadBased { d, site }
+                        } else {
+                            Ins::Load { d, site }
+                        });
                     }
                     Err(msg) => self.fail(msg),
                 }
@@ -777,7 +994,7 @@ impl<'a, 'p> Lower<'a, 'p> {
 
     /// Whether `lo ≤ sub ≤ hi` holds, if the facts decide it.
     fn decide(&self, sub: &CIdx, lo: i64, hi: i64) -> Option<bool> {
-        if !self.learn {
+        if !self.opt {
             return None;
         }
         let (a, b) = self.interval(sub, None);
@@ -804,9 +1021,9 @@ impl<'a, 'p> Lower<'a, 'p> {
             let mut dead = false;
             for (sub, lo, hi) in self.term_tests(atoms) {
                 match self.decide(sub, lo, hi) {
-                    Some(true) => self.stats.tests_true += 1,
+                    Some(true) => self.tape.stats.tests_true += 1,
                     Some(false) => {
-                        self.stats.tests_dead += 1;
+                        self.tape.stats.tests_dead += 1;
                         dead = true;
                     }
                     None => kept.push((sub, lo, hi)),
@@ -834,7 +1051,7 @@ impl<'a, 'p> Lower<'a, 'p> {
                 let aff = self.cidx(sub);
                 self.tape.tests.push(RangeTest { aff, lo, hi });
             }
-            self.stats.tests_kept += kept.len() as u64;
+            self.tape.stats.tests_kept += kept.len() as u64;
             let end = idx(self.tape.tests.len());
             failed.push(self.emit(Ins::Test { first, end, to: 0 }));
             if i + 1 < live.len() {
@@ -950,10 +1167,11 @@ impl<'a, 'p> Lower<'a, 'p> {
         clamp: Option<u32>,
         body: Body<'p>,
     ) -> Option<(u32, usize, Range)> {
-        self.stats.loops += 1;
+        self.tape.stats.loops += 1;
         // a variable its own loop's body assigns has no range to learn,
         // and none to restore when the loop ends
-        let (span, hull) = if self.learn && !self.slots.unstable[var] {
+        let stable = !self.slots.unstable[var];
+        let (span, hull) = if self.opt && stable {
             let span = self.span(lo, hi, step);
             let outer = std::mem::replace(&mut self.facts[var], span);
             let hull = self.hull(var, body);
@@ -966,7 +1184,7 @@ impl<'a, 'p> Lower<'a, 'p> {
         let skipped = inside.0 > inside.1;
         // a hull the whole range is known to lie in shrinks nothing
         let hull = (skipped || inside != span).then_some(if skipped { EMPTY } else { hull });
-        self.stats.loops_clamped += u64::from(hull.is_some());
+        self.tape.stats.loops_clamped += u64::from(hull.is_some());
         let desc = LoopDesc {
             var: idx(var),
             ctr: self.hidden_ints(if hull.is_some() { 3 } else { 2 }),
@@ -975,14 +1193,27 @@ impl<'a, 'p> Lower<'a, 'p> {
             step,
             clamp,
             hull,
+            bases: (0, 0),
+            moving: 0,
         };
         self.tape.loops.push(desc);
         let l = idx(self.tape.loops.len() - 1);
         let enter = self.emit(Ins::LoopEnter { l, to: 0 });
         if skipped {
             self.land([enter]);
-            self.stats.stmts_dropped += statements(body.ops);
+            self.tape.stats.stmts_dropped += statements(body.ops);
             return None;
+        }
+        let basing = self.opt && stable;
+        self.open.push(Open {
+            var,
+            step,
+            basing,
+            written: self.written.len(),
+            bases: self.pending.len(),
+        });
+        if basing {
+            written(body, &mut self.written);
         }
         let outer = std::mem::replace(&mut self.facts[var], inside);
         Some((l, enter, outer))
@@ -993,6 +1224,16 @@ impl<'a, 'p> Lower<'a, 'p> {
         self.emit(Ins::LoopNext { l, body });
         self.land([enter]);
         self.facts[var] = outer;
+        let open = self.open.pop().expect("loop_begin opened it");
+        self.written.truncate(open.written);
+        let mine = &mut self.pending[open.bases..];
+        mine.sort_by_key(|b| b.inc == 0);
+        let first = self.tape.bases.len();
+        let moving = mine.iter().filter(|b| b.inc != 0).count();
+        self.tape.bases.extend(self.pending.drain(open.bases..));
+        let desc = &mut self.tape.loops[l as usize];
+        desc.bases = (first, self.tape.bases.len());
+        desc.moving = first + moving;
     }
 
     /// Lower a single-chain nest inline; returns its tape range.
@@ -1056,14 +1297,20 @@ impl<'a, 'p> Lower<'a, 'p> {
                 flops,
             } => {
                 let Some(skip) = self.guard(guard) else {
-                    self.stats.stmts_dropped += 1;
+                    self.tape.stats.stmts_dropped += 1;
                     return;
                 };
+                let start = self.tape.code.len();
                 let src = self.expr(value, t);
                 match self.site(*arr, subs, true) {
                     Ok(site) => {
                         let flops = *flops as f64;
-                        self.emit(Ins::Store { site, src, flops });
+                        self.emit(if self.based(site) {
+                            Ins::StoreBased { site, src, flops }
+                        } else {
+                            Ins::Store { site, src, flops }
+                        });
+                        self.fuse(start);
                     }
                     Err(msg) => self.fail(msg),
                 }
@@ -1082,7 +1329,7 @@ impl<'a, 'p> Lower<'a, 'p> {
                 flops,
             } => {
                 let Some(skip) = self.guard(guard) else {
-                    self.stats.stmts_dropped += 1;
+                    self.tape.stats.stmts_dropped += 1;
                     return;
                 };
                 let src = self.expr(value, t);
@@ -1404,6 +1651,29 @@ impl SlotUse {
                     bound.truncate(bound.len() - levels.len());
                 }
             }
+        }
+    }
+}
+
+/// The int slots `body` writes: the targets of its integer assignments
+/// and the variables of its loops and nest levels, at any depth.
+fn written(body: Body, out: &mut Vec<usize>) {
+    out.extend(body.levels.iter().map(|lv| lv.var));
+    for op in body.ops {
+        match op {
+            NodeOp::AssignI { slot, .. } => out.push(*slot),
+            NodeOp::Loop { var, body, .. } => {
+                out.push(*var);
+                written(Body::of(body), out);
+            }
+            NodeOp::OverlapNest { levels, body, .. } | NodeOp::Pipeline { levels, body, .. } => {
+                written(Body { levels, ops: body }, out)
+            }
+            NodeOp::If { arms } => arms.iter().for_each(|(_, ops)| written(Body::of(ops), out)),
+            NodeOp::Assign { .. }
+            | NodeOp::AssignF { .. }
+            | NodeOp::Call { .. }
+            | NodeOp::Exchange { .. } => {}
         }
     }
 }

@@ -18,26 +18,30 @@
 #                      crates/analysis/tests/lint_schema.rs; fuzz report:
 #                      crates/fuzz/tests/campaign_smoke.rs)
 #   5. properties    — the iset algebra battery under a pinned seed
-#   6. compile bench — `dhpf bench compile --quick`, a smoke run: the
+#   6. exec props    — the node interpreter's property tests (tape vs tree
+#                      evaluator; the lowering with ranges, address bases
+#                      and fused statements vs the plain one) under the
+#                      same pinned seed
+#   7. compile bench — `dhpf bench compile --quick`, a smoke run: the
 #                      command runs and writes its document
-#   7. benchmark     — the repo benchmark harness (benchmark/) still
+#   8. benchmark     — the repo benchmark harness (benchmark/) still
 #                      builds against the crates' public API: its own
 #                      tests plus one `run --all --quick` pass (~20 s)
-#   8. dhpf-lint     — jacobi.f and timeloop.f verify clean; each seeded
+#   9. dhpf-lint     — jacobi.f and timeloop.f verify clean; each seeded
 #                      example in examples/hpf/ produces its expected
 #                      finding
-#   9. observability — `dhpf compile --run` writes all three documents,
+#  10. observability — `dhpf compile --run` writes all three documents,
 #                      the metrics with the `exec.lower.*` gauges
-#  10. aggregation   — the protocol verifier with per-peer packing on
+#  11. aggregation   — the protocol verifier with per-peer packing on
 #                      and off (every transfer then carries one
 #                      segment) at every fuzz geometry's rank count
-#  11. profile       — `dhpf profile` on SP class S under a hard timeout
-#  12. protocol      — the static SPMD protocol verifier over jacobi.f
+#  12. profile       — `dhpf profile` on SP class S under a hard timeout
+#  13. protocol      — the static SPMD protocol verifier over jacobi.f
 #                      and NAS SP/BT, under a hard timeout and a 2x
 #                      wall-time gate against results/protocol_baseline.txt
-#  13. compile at P  — SP class B at 64 ranks, BT class B at 32: hard
+#  14. compile at P  — SP class B at 64 ranks, BT class B at 32: hard
 #                      timeout, 2x gate against results/compile_baseline.txt
-#  14. fuzz smoke    — the pinned-seed differential campaign (50 programs
+#  15. fuzz smoke    — the pinned-seed differential campaign (50 programs
 #                      x 3 geometries x the flag lattice, one planted
 #                      mutant two oracles must catch) under a hard
 #                      timeout; the command fails unless it is clean.
@@ -73,6 +77,11 @@ echo "== property suite (pinned seed)"
 # the vendored proptest shim mixes PROPTEST_SEED into every test's RNG
 # seed; pinning it makes the property battery bit-reproducible in CI
 PROPTEST_SEED=20260806 cargo test -q -p dhpf-iset --test algebra_props
+
+echo "== exec property tests (pinned seed)"
+# the tape against the tree evaluator, and the lowering that learns
+# ranges, bases accesses and fuses statements against the plain one
+PROPTEST_SEED=20260806 cargo test -q -p dhpf-core --lib exec::node
 
 echo "== compile bench smoke"
 # one cold+warm+traced timing pass (class S only); nothing is gated on

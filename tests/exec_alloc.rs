@@ -50,10 +50,14 @@ fn var(slot: usize, cst: i64) -> CIdx {
 
 /// `do it = 1, trips; do j = 1, 8; do i = 1, 8` around
 /// a float-scalar assignment, `a(i, j) = min(a(i, j), 1, it) + s * i`
-/// under a guard that holds for `i <= 7`, and an integer-scalar assignment.
+/// under a guard that holds for `i <= 7`, an integer-scalar assignment
+/// and `a(j, i) = a(j, i) - a(i, j) * a(1, i)`, which the lowering fuses.
+/// Every access addresses by a base the inner loop maintains.
 fn guarded_triple_nest(trips: i64) -> NodeProgram {
     let (it, j, i) = (0, 1, 2);
     let a_ij = || vec![var(i, 0), var(j, 0)];
+    let a_ji = || vec![var(j, 0), var(i, 0)];
+    let load = |subs| Box::new(CExpr::Load { arr: 0, subs });
     let guard = Guard {
         terms: vec![vec![
             GuardAtom::In {
@@ -112,6 +116,21 @@ fn guarded_triple_nest(trips: i64) -> NodeProgram {
             value: CExpr::Int(var(j, 1)),
             flops: 0,
         },
+        NodeOp::Assign {
+            guard: None,
+            arr: 0,
+            subs: a_ji(),
+            value: CExpr::Bin(
+                BinOp::Sub,
+                load(a_ji()),
+                Box::new(CExpr::Bin(
+                    BinOp::Mul,
+                    load(a_ij()),
+                    load(vec![CIdx::cst(1), var(i, 0)]),
+                )),
+            ),
+            flops: 2,
+        },
     ];
     let nest = |slot: usize, hi: i64, body: Vec<NodeOp>| NodeOp::Loop {
         var: slot,
@@ -160,10 +179,14 @@ fn count_one_run(trips: i64) -> u64 {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     let result = run_node_program(&prog, MachineConfig::sp2(1)).expect("runs");
     let count = ALLOCATIONS.load(Ordering::Relaxed) - before;
-    // per trip: 56 guarded stores of 3 flops, 64 scalar stores of 1
-    let flops = (trips * (56 * 3 + 64)) as f64;
+    // per trip: 56 guarded stores of 3 flops, 64 scalar stores of 1, 64
+    // fused statements of 2
+    let flops = (trips * (56 * 3 + 64 + 64 * 2)) as f64;
     let per_flop = MachineConfig::sp2(1).seconds_per_flop;
     assert!((result.run.virtual_time / (flops * per_flop) - 1.0).abs() < 1e-9);
+    let lower = result.ranks[0].lower;
+    assert_eq!(lower.stmts_fused, 1);
+    assert_eq!((lower.sites_in_loops, lower.sites_based), (6, 6));
     count
 }
 

@@ -8,8 +8,12 @@
 //! boundary, which class S (12³, surface-dominated) has most of. Every
 //! rank scanning the whole iteration space, as before, makes the sum P
 //! times the 1-rank count. The counts are exact and repeat exactly.
+//!
+//! The same lowering counts, per unit, gate the inner-loop normal form:
+//! every access in a loop addresses by a base, at 1 rank and at 2×2.
 
-use dhpf::core::exec::node::ExecResult;
+use dhpf::core::exec::node::{lower_census, ExecResult};
+use dhpf::nas::Kernel;
 use dhpf::prelude::*;
 
 fn total_trips(r: &ExecResult) -> u64 {
@@ -54,4 +58,41 @@ fn bt_loop_trips_do_not_grow_with_ranks() {
     check("BT class S", |n| {
         dhpf::nas::Kernel::Bt.run_dhpf(Class::S, n, MachineConfig::sp2(n))
     });
+}
+
+/// Inside a loop every access of SP and BT addresses by a base its loop
+/// maintains (DESIGN §7.2, "What is folded per rank"), at 1 rank and on
+/// every rank of 2×2, and each of BT's three block solves lowers its
+/// `x − y·z` updates to fused statements.
+#[test]
+fn inner_loop_accesses_take_bases() {
+    for kernel in [Kernel::Sp, Kernel::Bt] {
+        for nprocs in [1, 4] {
+            let compiled = kernel.compile_dhpf(Class::S, nprocs, None);
+            for rank in 0..nprocs {
+                let census = lower_census(&compiled.program, rank);
+                let name = kernel.name();
+                let (sites, based) = census.iter().fold((0, 0), |(s, b), (_, l)| {
+                    (s + l.sites_in_loops, b + l.sites_based)
+                });
+                assert!(
+                    sites > 0 && based == sites,
+                    "{name} at {nprocs} ranks, rank {rank}: {based} of {sites} sites in loops based"
+                );
+                if kernel != Kernel::Bt {
+                    continue;
+                }
+                for solve in ["x_solve", "y_solve", "z_solve"] {
+                    let fused: u64 = (census.iter())
+                        .filter(|(unit, _)| unit == solve)
+                        .map(|(_, l)| l.stmts_fused)
+                        .sum();
+                    assert!(
+                        fused > 0,
+                        "{name} at {nprocs} ranks, rank {rank}: no fused statement in {solve}"
+                    );
+                }
+            }
+        }
+    }
 }
