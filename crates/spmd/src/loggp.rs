@@ -267,8 +267,10 @@ pub struct Matching {
 
 /// Match sends to receive completions, FIFO per `(src, dst)` pair, and
 /// group barriers by per-rank ordinal; `ranks[r]` is rank `r`'s
-/// sequence. FIFO is what the mailboxes deliver, and it is sound for
-/// the SPMD programs traced here: each communication op issues its
+/// sequence. The machine's mailboxes guarantee less: FIFO per
+/// `(source, tag)`, a receive taking the first message with its tag
+/// found by scanning its source's queue. Per-pair FIFO agrees with that
+/// for the SPMD programs traced here: each communication op issues its
 /// sends and its receive completions in the same per-pair order on both
 /// sides. Recorded byte counts of a matched pair are cross-checked, so
 /// an order violation cannot pass silently.

@@ -22,26 +22,29 @@
 #                      evaluator; the lowering with ranges, address bases
 #                      and fused statements vs the plain one) under the
 #                      same pinned seed
-#   7. compile bench — `dhpf bench compile --quick`, a smoke run: the
+#   7. spmd release  — dhpf-spmd's tests again in release: the mailbox's
+#                      yield and park windows differ under optimisation,
+#                      and stage 4 runs in debug only
+#   8. compile bench — `dhpf bench compile --quick`, a smoke run: the
 #                      command runs and writes its document
-#   8. benchmark     — the repo benchmark harness (benchmark/) still
+#   9. benchmark     — the repo benchmark harness (benchmark/) still
 #                      builds against the crates' public API: its own
 #                      tests plus one `run --all --quick` pass (~20 s)
-#   9. dhpf-lint     — jacobi.f and timeloop.f verify clean; each seeded
+#  10. dhpf-lint     — jacobi.f and timeloop.f verify clean; each seeded
 #                      example in examples/hpf/ produces its expected
 #                      finding
-#  10. observability — `dhpf compile --run` writes all three documents,
+#  11. observability — `dhpf compile --run` writes all three documents,
 #                      the metrics with the `exec.lower.*` gauges
-#  11. aggregation   — the protocol verifier with per-peer packing on
+#  12. aggregation   — the protocol verifier with per-peer packing on
 #                      and off (every transfer then carries one
 #                      segment) at every fuzz geometry's rank count
-#  12. profile       — `dhpf profile` on SP class S under a hard timeout
-#  13. protocol      — the static SPMD protocol verifier over jacobi.f
+#  13. profile       — `dhpf profile` on SP class S under a hard timeout
+#  14. protocol      — the static SPMD protocol verifier over jacobi.f
 #                      and NAS SP/BT, under a hard timeout and a 2x
 #                      wall-time gate against results/protocol_baseline.txt
-#  14. compile at P  — SP class B at 64 ranks, BT class B at 32: hard
+#  15. compile at P  — SP class B at 64 ranks, BT class B at 32: hard
 #                      timeout, 2x gate against results/compile_baseline.txt
-#  15. fuzz smoke    — the pinned-seed differential campaign (50 programs
+#  16. fuzz smoke    — the pinned-seed differential campaign (50 programs
 #                      x 3 geometries x the flag lattice, one planted
 #                      mutant two oracles must catch) under a hard
 #                      timeout; the command fails unless it is clean.
@@ -82,6 +85,11 @@ echo "== exec property tests (pinned seed)"
 # the tape against the tree evaluator, and the lowering that learns
 # ranges, bases accesses and fuses statements against the plain one
 PROPTEST_SEED=20260806 cargo test -q -p dhpf-core --lib exec::node
+
+echo "== dhpf-spmd tests (release)"
+# the mailbox's wait path (one yield, then park) and the poison tests
+# race differently once optimised
+cargo test --release -q -p dhpf-spmd
 
 echo "== compile bench smoke"
 # one cold+warm+traced timing pass (class S only); nothing is gated on
