@@ -9,7 +9,7 @@
 //! taint analysis) and runs five passes:
 //!
 //! 1. **Congruence** — no synchronizing atom (send/recv/post/wait/
-//!    barrier/pipeline) is reachable under rank-dependent control flow,
+//!    barrier) is reachable under rank-dependent control flow,
 //!    where some ranks would execute it and others would not
 //!    (`protocol-divergent-sync`).
 //! 2. **Wait coverage** — on every control-flow path each posted irecv
@@ -165,7 +165,6 @@ fn walk_congruence(
             ProtoOp::Post { unit, tag, .. } => flag("irecv post", *unit, *tag, seen, out),
             ProtoOp::Wait { unit, tag, .. } => flag("wait", *unit, *tag, seen, out),
             ProtoOp::Barrier { unit, id } => flag("barrier", *unit, *id, seen, out),
-            ProtoOp::Pipeline { unit, tag, .. } => flag("pipeline", *unit, *tag, seen, out),
             ProtoOp::Write { .. } => {}
             ProtoOp::Loop { uniform, body } => {
                 walk_congruence(p, body, divergent || !uniform, seen, out)
@@ -446,9 +445,6 @@ fn walk_stale(
             ProtoOp::Recv { xfer, .. } | ProtoOp::Wait { xfer, .. } => {
                 written.extend(xfer.segs.iter().map(|s| s.arr));
             }
-            ProtoOp::Pipeline { arrays, .. } => {
-                written.extend(arrays.iter().copied());
-            }
             ProtoOp::Send { unit, tag, xfer } => {
                 for s in &xfer.segs {
                     if !written.contains(&s.arr) {
@@ -487,30 +483,6 @@ fn sim_segment(p: &ProtocolProgram, ops: &[ProtoOp], out: &mut Report) {
             ProtoOp::Branch { uniform, arms } if *uniform => {
                 for arm in arms {
                     sim_segment(p, arm, out);
-                }
-            }
-            ProtoOp::Pipeline {
-                unit,
-                tag,
-                groups,
-                links,
-                chunks,
-                ..
-            } => {
-                for (s, r) in links {
-                    let (cs, cr) = (chunks[*s], chunks[*r]);
-                    if cs != cr {
-                        out.push(err(
-                            "protocol-unmatched",
-                            p.unit_name(*unit),
-                            format!(
-                                "pipeline (tag {tag}) link {s}->{r}: sender produces \
-                                 {} boundary message(s) but receiver consumes {}",
-                                cs * groups,
-                                cr * groups
-                            ),
-                        ));
-                    }
                 }
             }
             _ => {}

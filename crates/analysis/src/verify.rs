@@ -10,7 +10,7 @@
 //! 2. values the processor itself produces earlier in the availability
 //!    scope (the §7 rule, which folds the §4.1/§4.2 partial-replication
 //!    optimizations into one uniform test), and
-//! 3. planes carried by the sweep schedule of a pipelined nest.
+//! 3. the hops of a pipelined nest delivered to that processor.
 //!
 //! A pre-exchange runs *before* its nest, so it can only deliver values
 //! that exist then: a flow dependence carried by one of the loops of a
@@ -19,8 +19,8 @@
 //! analysis and its own per-processor images.
 //!
 //! Symmetrically, every non-owner write must reach its owner through a
-//! scheduled write-back unless the owner redundantly computes the same
-//! elements. Any residue is a CONFIRMED miscompile: the generated node
+//! scheduled write-back or hop unless the owner redundantly computes the
+//! same elements. Any residue is a CONFIRMED miscompile: the generated node
 //! program would read stale ghost data (or leave an owner stale), and
 //! the finding names the offending statement span.
 //!
@@ -31,8 +31,7 @@
 
 use crate::diag::{Finding, Report, Severity};
 use dhpf_core::avail::{accessed_set, nest_bounds};
-use dhpf_core::comm::{NestPlan, PipeSchedule};
-use dhpf_core::cp::{Cp, SubTerm};
+use dhpf_core::comm::NestPlan;
 use dhpf_core::distrib::{ArrayDist, ProcGrid};
 use dhpf_core::driver::{Compiled, UnitAnalysis};
 use dhpf_core::transfer::{segments, Seg};
@@ -105,14 +104,16 @@ pub fn verify_unit(
             images: BTreeMap::new(),
             owned: BTreeMap::new(),
             any_owned: BTreeMap::new(),
-            pre_to: BTreeMap::new(),
-            post: BTreeMap::new(),
+            into: BTreeMap::new(),
+            out_of: BTreeMap::new(),
         };
-        for (_, to, s) in segments(plan.pre()) {
-            cx.pre_to.entry(to).or_default().push(s);
+        // a hop delivers to its receiver what a pre-exchange would, and
+        // forwards the sender's writes as a write-back would
+        for (_, to, s) in segments(plan.pre()).chain(segments(plan.hops())) {
+            cx.into.entry(to).or_default().push(s);
         }
-        for (from, to, s) in segments(plan.post()) {
-            cx.post.entry((from, to)).or_default().push(s);
+        for (from, to, s) in segments(plan.post()).chain(segments(plan.hops())) {
+            cx.out_of.entry((from, to)).or_default().push(s);
         }
         cx.check_reads(out);
         cx.check_placement(out);
@@ -137,22 +138,17 @@ struct NestCx<'a> {
     plan: &'a NestPlan,
     // The verifier's own per-rank table of the nest, rows derived on first
     // use: what each processor accesses through a reference, what it owns
-    // of an array, what any owns; plan segments by destination.
+    // of an array, what any owns; the segments delivered before the
+    // nest or during it by destination (pre-exchanges and hops), and those
+    // leaving a processor for another (write-backs and hops).
     images: BTreeMap<RefId, Option<PerRank>>,
     owned: BTreeMap<&'a str, PerRank>,
     any_owned: BTreeMap<&'a str, Rc<Set>>,
-    pre_to: BTreeMap<usize, Vec<&'a Seg<String>>>,
-    post: BTreeMap<(usize, usize), Vec<&'a Seg<String>>>,
+    into: BTreeMap<usize, Vec<&'a Seg<String>>>,
+    out_of: BTreeMap<(usize, usize), Vec<&'a Seg<String>>>,
 }
 
 impl<'a> NestCx<'a> {
-    fn sweep(&self) -> Option<&'a PipeSchedule> {
-        match self.plan {
-            NestPlan::Pipelined { schedule, .. } => Some(schedule),
-            NestPlan::Parallel { .. } => None,
-        }
-    }
-
     /// What each processor accesses through `x` under its statement's
     /// CP; `None` unless `x` refers to a distributed array with affine
     /// subscripts inside affine loop bounds.
@@ -192,20 +188,20 @@ impl<'a> NestCx<'a> {
 
     /// The reads (or writes) of the nest's statements with a CP that go to
     /// a distributed array through affine subscripts (the lints flag the
-    /// others, the planner rejects them), with that CP and distribution.
-    fn accesses(&self, writes: bool) -> Vec<(StmtId, &'a Cp, &'a RefInfo, &'a ArrayDist)> {
+    /// others, the planner rejects them), with that distribution.
+    fn accesses(&self, writes: bool) -> Vec<(StmtId, &'a RefInfo, &'a ArrayDist)> {
         let (ua, refs) = (self.ua, self.refs);
         let mut out = Vec::new();
         for stmt in self.loops.stmts_in(self.nest) {
-            let Some(cp) = ua.cps.get(&stmt) else {
+            if !ua.cps.contains_key(&stmt) {
                 continue;
-            };
+            }
             for r in refs.of_stmt(stmt) {
                 let wanted = r.is_write == writes && !r.is_scalar;
                 let affine = r.subs.iter().all(|s| s.is_some());
                 let dist = ua.env.dist_of(&r.array).filter(|d| d.is_distributed());
                 if let Some(d) = dist.filter(|_| wanted && affine) {
-                    out.push((stmt, cp, r, d));
+                    out.push((stmt, r, d));
                 }
             }
         }
@@ -213,16 +209,11 @@ impl<'a> NestCx<'a> {
     }
 
     /// Every non-local read must be covered by pre-exchanges, earlier
-    /// same-processor writes, or the pipeline.
+    /// same-processor writes, or hops.
     fn check_reads(&mut self, out: &mut Report) {
         let refs = self.refs;
         let ud = usedef::build(self.scope, self.loops, refs);
-        for (stmt, cp, r, dist) in self.accesses(false) {
-            if let Some(sch) = self.sweep() {
-                if behind_read(sch, self.nest, self.loops, r, cp) {
-                    continue; // the sweep schedule carries behind-planes
-                }
-            }
+        for (stmt, r, dist) in self.accesses(false) {
             let Some(reads) = self.images(r) else {
                 continue; // non-affine loop bounds
             };
@@ -249,7 +240,7 @@ impl<'a> NestCx<'a> {
                 if let Some(written) = pred.and_then(|w| self.images(w)) {
                     uncovered = uncovered.subtract(&written[rank]);
                 }
-                for s in self.pre_to.get(&rank).into_iter().flatten() {
+                for s in self.into.get(&rank).into_iter().flatten() {
                     if s.arr == r.array && s.lo.len() == r.subs.len() {
                         uncovered = uncovered.subtract(&Set::rect(&space, &s.lo, &s.hi));
                     }
@@ -282,8 +273,8 @@ impl<'a> NestCx<'a> {
     /// flow dependence carried by one of its loops may move a value
     /// between processors.
     fn check_placement(&mut self, out: &mut Report) {
-        if self.sweep().is_some() {
-            return; // the sweep schedule carries the values
+        if let NestPlan::Pipelined { .. } = self.plan {
+            return; // the hops carry the values
         }
         let (ua, refs) = (self.ua, self.refs);
         // (write, read) → the outermost level carrying the dependence
@@ -368,15 +359,9 @@ impl<'a> NestCx<'a> {
     }
 
     /// Every non-owner write must reach the owner through a write-back
-    /// unless the owner redundantly computes the same elements (or the
-    /// pipeline forwards the planes of a swept array).
+    /// or a hop unless the owner redundantly computes the same elements.
     fn check_writebacks(&mut self, out: &mut Report) {
-        for (stmt, _, w, dist) in self.accesses(true) {
-            if let Some(sch) = self.sweep() {
-                if sch.arrays.iter().any(|s| s.array == w.array) {
-                    continue; // swept planes travel with the pipeline
-                }
-            }
+        for (stmt, w, dist) in self.accesses(true) {
             let Some(written) = self.images(w) else {
                 continue; // non-affine loop bounds
             };
@@ -397,7 +382,7 @@ impl<'a> NestCx<'a> {
                         continue;
                     }
                     piece = piece.subtract(&theirs.intersect(oowned));
-                    for s in self.post.get(&(rank, orank)).into_iter().flatten() {
+                    for s in self.out_of.get(&(rank, orank)).into_iter().flatten() {
                         if s.arr == w.array && s.lo.len() == w.subs.len() {
                             piece = piece.subtract(&Set::rect(&space, &s.lo, &s.hi));
                         }
@@ -428,44 +413,6 @@ impl<'a> NestCx<'a> {
             }
         }
     }
-}
-
-/// Mirror of the planner's pipeline exemption: a read of a swept array
-/// whose subscript on the swept dimension trails the CP's subscript
-/// (against the sweep direction) is delivered by the sweep schedule.
-fn behind_read(sch: &PipeSchedule, nest: StmtId, loops: &UnitLoops, r: &RefInfo, cp: &Cp) -> bool {
-    let Some(dm) = sch
-        .arrays
-        .iter()
-        .find(|s| s.array == r.array)
-        .map(|s| s.dim)
-    else {
-        return false;
-    };
-    let Some(Some(sub)) = r.subs.get(dm) else {
-        return false;
-    };
-    // sweep loop variable: level `sweep_level` of the single-chain nest
-    let Some(sweep) = loops
-        .chain(nest)
-        .get(sch.sweep_level)
-        .map(|id| &loops.loops[id])
-    else {
-        return false;
-    };
-    if sub.coeff(&sweep.var) == 0 {
-        return false;
-    }
-    cp.terms.iter().any(|t| {
-        matches!(
-            t.subs.get(dm),
-            Some(SubTerm::Affine(tsub)) if {
-                let d = sub.clone() - tsub.clone();
-                d.is_constant()
-                    && (if sch.forward { -d.constant() } else { d.constant() }) > 0
-            }
-        )
-    })
 }
 
 /// The element space an `accessed_set` image lives in: `e0 .. e{n-1}`.

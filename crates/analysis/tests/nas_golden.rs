@@ -8,9 +8,10 @@
 //! Mutation: dropping a single pre-exchange from a nest plan must be
 //! caught, and the findings must point at reads of exactly the dropped
 //! array in the mutated unit. Restoring the message must restore a
-//! clean report.
+//! clean report. So must a pipeline hop dropped, or shrunk by one plane.
 
 use dhpf_analysis::{check_compiled_races, check_traces, verify_compiled};
+use dhpf_core::codegen::{NodeOp, ProvKind};
 use dhpf_core::comm::NestPlan;
 use dhpf_core::driver::Compiled;
 use dhpf_core::transfer::{remove_seg, sole_deliveries, Seg};
@@ -204,4 +205,129 @@ fn exchange_hoisted_out_of_a_time_loop_is_caught() {
             f.message
         );
     }
+}
+
+/// The first pipelined nest of SP class S at 2×2 whose hops carry
+/// something, as `(unit, nest)`.
+fn first_hops(compiled: &Compiled) -> (String, StmtId) {
+    compiled
+        .analyses
+        .iter()
+        .find_map(|(uname, ua)| {
+            let mut hopped = ua.plans.iter().filter(|(_, p)| !p.hops().is_empty());
+            hopped.next().map(|(nest, _)| (uname.clone(), *nest))
+        })
+        .expect("SP pipelines its sweeps")
+}
+
+/// Every finding is `comm-coverage` at a read of one of `arrays` inside
+/// `nest`.
+fn assert_stale_read(compiled: &Compiled, unit: &str, nest: StmtId, arrays: &[&str]) {
+    let r = verify_compiled(compiled);
+    assert!(r.error_count() > 0, "the broken hop went unnoticed");
+    let source = compiled.transformed.unit(unit).expect("mutated unit");
+    let loops = dhpf_depend::loops::UnitLoops::build(source);
+    for f in &r.findings {
+        assert_eq!(f.code, "comm-coverage", "{}", r.render_human(None));
+        assert_eq!(f.unit, unit, "finding escaped the mutated unit");
+        assert!(
+            (arrays.iter()).any(|a| f.message.contains(&format!("read of `{a}`"))),
+            "{}",
+            f.message
+        );
+        let stmt = f.stmt.expect("finding anchored to a statement");
+        assert!(
+            loops.stmts_in(nest).contains(&stmt),
+            "{stmt:?} outside the nest"
+        );
+    }
+}
+
+/// One hop segment shrunk by one plane on its swept dimension — in the
+/// plan the verifier reads and in the op the interpreter runs — leaves
+/// that plane stale at the receiver.
+#[test]
+fn hop_shrunk_by_one_plane_is_caught() {
+    let mut compiled = dhpf_nas::Kernel::Sp.compile_dhpf(Class::S, 4, None);
+    assert!(verify_compiled(&compiled).is_clean());
+    let (unit, nest) = first_hops(&compiled);
+    let NestPlan::Pipelined { hops, schedule, .. } = compiled
+        .analyses
+        .get_mut(&unit)
+        .unwrap()
+        .plans
+        .get_mut(&nest)
+        .unwrap()
+    else {
+        unreachable!("only a pipelined nest has hops")
+    };
+    let (from, to, old) = (hops[0].from, hops[0].to, hops[0].segs[0].clone());
+    let dim = (schedule.arrays.iter())
+        .find(|a| a.array == old.arr)
+        .expect("a hop carries a swept array")
+        .dim;
+    // the plane farthest behind the receiver's edge
+    let shrink = |lo: &mut Vec<i64>, hi: &mut Vec<i64>| {
+        if schedule.forward {
+            lo[dim] += 1
+        } else {
+            hi[dim] -= 1
+        }
+    };
+    let seg = &mut hops[0].segs[0];
+    shrink(&mut seg.lo, &mut seg.hi);
+
+    let prov = (compiled.program.provenance.iter())
+        .find(|p| p.unit == unit && p.stmt == nest.0 && p.kind == ProvKind::Pipeline)
+        .expect("the nest's pipeline op");
+    let (tag, u) = (prov.tag, compiled.program.unit_index[&unit]);
+    let emitted = &mut compiled.program.units[u];
+    let slot = emitted
+        .array_names
+        .iter()
+        .position(|n| *n == old.arr)
+        .unwrap();
+    let op = pipeline_op(&mut emitted.ops, tag).expect("the pipeline op is emitted");
+    let NodeOp::Pipeline { hops, .. } = op else {
+        unreachable!()
+    };
+    let seg = (hops.iter_mut())
+        .filter(|x| (x.from, x.to) == (from, to))
+        .flat_map(|x| x.segs.iter_mut())
+        .find(|s| s.arr == slot && (&s.lo, &s.hi) == (&old.lo, &old.hi))
+        .expect("the emitted hop carries the planned segment");
+    shrink(&mut seg.lo, &mut seg.hi);
+
+    assert_stale_read(&compiled, &unit, nest, &[&old.arr]);
+}
+
+/// A hop dropped from the plan: nothing else delivers the planes the
+/// receiver reads behind its edge.
+#[test]
+fn dropped_hop_is_caught() {
+    let mut compiled = dhpf_nas::Kernel::Sp.compile_dhpf(Class::S, 4, None);
+    let (unit, nest) = first_hops(&compiled);
+    let NestPlan::Pipelined { hops, .. } = compiled
+        .analyses
+        .get_mut(&unit)
+        .unwrap()
+        .plans
+        .get_mut(&nest)
+        .unwrap()
+    else {
+        unreachable!("only a pipelined nest has hops")
+    };
+    let dropped = hops.remove(0);
+    let arrays: Vec<&str> = dropped.segs.iter().map(|s| s.arr.as_str()).collect();
+    assert_stale_read(&compiled, &unit, nest, &arrays);
+}
+
+/// The pipeline op tagged `tag` in `ops`, at any depth.
+fn pipeline_op(ops: &mut [NodeOp], tag: u64) -> Option<&mut NodeOp> {
+    ops.iter_mut().find_map(|op| match op {
+        NodeOp::Pipeline { tag: t, .. } if *t == tag => Some(op),
+        NodeOp::Loop { body, .. } => pipeline_op(body, tag),
+        NodeOp::If { arms } => arms.iter_mut().find_map(|(_, b)| pipeline_op(b, tag)),
+        _ => None,
+    })
 }

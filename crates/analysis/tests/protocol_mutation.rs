@@ -4,7 +4,7 @@
 
 use dhpf_analysis::diag::Report;
 use dhpf_analysis::protocol::{check_protocol, verify_protocol_program};
-use dhpf_core::codegen::{CExpr, CIdx, NodeOp};
+use dhpf_core::codegen::{CExpr, CIdx, NodeOp, ProvKind};
 use dhpf_core::protocol::{extract_protocol, ArrayInfo, ProtoOp, ProtocolProgram};
 use dhpf_core::transfer::{Region, Seg, Transfer};
 use dhpf_nas::Class;
@@ -205,6 +205,61 @@ fn rank_dependent_guard_on_sync_is_divergent() {
         &verify_protocol_program(&compiled.program),
         "protocol-divergent-sync",
     );
+}
+
+/// The tags of SP@4's pipeline ops.
+fn pipeline_tags(compiled: &dhpf_core::Compiled) -> Vec<u64> {
+    let provs = compiled.program.provenance.iter();
+    provs
+        .filter(|p| p.kind == ProvKind::Pipeline)
+        .map(|p| p.tag)
+        .collect()
+}
+
+/// The first pipeline op of `ops` that has a hop, at any depth.
+fn hopped_pipeline(ops: &mut [NodeOp]) -> Option<&mut Vec<Transfer<usize>>> {
+    ops.iter_mut().find_map(|op| match op {
+        NodeOp::Pipeline { hops, .. } if !hops.is_empty() => Some(hops),
+        NodeOp::Loop { body, .. } => hopped_pipeline(body),
+        NodeOp::If { arms } => arms.iter_mut().find_map(|(_, b)| hopped_pipeline(b)),
+        _ => None,
+    })
+}
+
+#[test]
+fn hop_moved_past_the_receivers_window_is_a_region_mismatch() {
+    let mut compiled = dhpf_nas::Kernel::Sp.compile_dhpf(Class::S, 4, None);
+    let hops = (compiled.program.units.iter_mut())
+        .find_map(|u| hopped_pipeline(&mut u.ops))
+        .expect("SP pipelines its sweeps");
+    // the one-plane slab behind the receiver's edge, moved far ahead of it
+    let seg = &mut hops[0].segs[0];
+    let dim = (0..seg.lo.len())
+        .rfind(|&d| seg.lo[d] == seg.hi[d])
+        .unwrap();
+    seg.lo[dim] += 100;
+    seg.hi[dim] += 100;
+    let r = verify_protocol_program(&compiled.program);
+    assert_code(&r, "protocol-region-mismatch");
+    assert!(
+        r.findings
+            .iter()
+            .any(|f| f.message.contains("receiver rank")),
+        "{}",
+        r.render_human(None)
+    );
+}
+
+#[test]
+fn dropped_hop_send_is_unmatched() {
+    let compiled = dhpf_nas::Kernel::Sp.compile_dhpf(Class::S, 4, None);
+    let tags = pipeline_tags(&compiled);
+    let mut p = extract_protocol(&compiled.program);
+    let is_hop_send = |op: &ProtoOp| matches!(op, ProtoOp::Send { tag, .. } if tags.contains(tag));
+    assert!(mutate_first(&mut p.ops, &is_hop_send, &|ops, i| {
+        ops.remove(i);
+    }));
+    assert_code(&check_protocol(&p), "protocol-unmatched");
 }
 
 // ---------------------------------------------------------------------

@@ -8,7 +8,7 @@
 //! time), subscripts become affine [`CIdx`] forms over integer slots,
 //! CPs become [`Guard`]s over per-processor ownership tables, and the
 //! communication plans of [`crate::comm`] become `Exchange` /
-//! `Pipeline` ops with concrete per-processor-pair regions.
+//! `OverlapNest` / `Pipeline` ops over the plans' transfers.
 
 pub mod emit;
 
@@ -103,44 +103,51 @@ pub struct PipeLevel {
     pub step: i64,
 }
 
-/// One swept array of a pipeline.
+/// The strip loop of a pipelined nest: the nest runs in chunks of the
+/// loop's range, and each chunk receives, computes and forwards its part
+/// of the hops.
 #[derive(Clone, Debug)]
-pub struct PipeArray {
-    pub arr: usize,
-    /// Swept dimension.
-    pub dim: usize,
-    /// The dimension each strip chunk cuts ([`SweptArray::strip_dim`]).
-    pub strip_dim: Option<usize>,
+pub struct Strip {
+    /// Level of the strip loop in the nest.
+    pub level: usize,
+    /// Iterations of the strip loop per chunk.
+    pub granularity: i64,
+    /// Per rank, the part of the loop's range it runs
+    /// ([`PipeSchedule::strip_owned`]).
+    pub owned: Option<Vec<(i64, i64)>>,
+    /// `(array slot, dimension)`: the dimension of each swept array that
+    /// a chunk cuts ([`SweptArray::strip_dim`](crate::comm::SweptArray::strip_dim)).
+    pub dims: Vec<(usize, usize)>,
 }
 
-/// The physical messages of one pipeline hop, as groups of swept
-/// arrays: an aggregated sweep packs every array's boundary planes into
-/// one message per chunk, an unaggregated one sends a message per array.
-pub fn pipe_groups(arrays: &[PipeArray], aggregate: bool) -> Vec<&[PipeArray]> {
-    if aggregate {
-        vec![arrays]
-    } else {
-        arrays.chunks(1).collect()
+impl Strip {
+    /// The chunks `rank` runs of the strip loop's range `lo..=hi`:
+    /// clamped to its owned range, when there is one, and cut into chunks
+    /// of `granularity` iterations. A rank left with nothing of the range
+    /// runs one empty chunk, which still relays the hops down the
+    /// pipeline.
+    pub fn chunks(&self, (lo, hi): (i64, i64), rank: usize) -> impl Iterator<Item = (i64, i64)> {
+        let owned = self.owned.as_ref().map(|o| o[rank]);
+        let (lo, hi) = owned.map_or((lo, hi), |(olo, ohi)| (lo.max(olo), hi.min(ohi)));
+        let g = self.granularity.max(1);
+        // with `lo > hi` the one chunk is `(lo, hi)`: empty
+        (lo..=hi.max(lo))
+            .step_by(g as usize)
+            .map(move |v| (v, (v + g - 1).min(hi)))
     }
-}
 
-/// The chunks one rank runs of a pipeline's strip loop: the loop's range
-/// `lo..=hi`, clamped to `owned` — the rank's owned range of the strip
-/// dimension, `None` when there is none to clamp to — and cut into
-/// chunks of `granularity` iterations. A rank left with nothing of the
-/// range runs one empty chunk, which still relays the boundary messages
-/// down the pipeline.
-pub fn strip_chunks(
-    (lo, hi): (i64, i64),
-    owned: Option<(i64, i64)>,
-    granularity: i64,
-) -> impl Iterator<Item = (i64, i64)> {
-    let (lo, hi) = owned.map_or((lo, hi), |(olo, ohi)| (lo.max(olo), hi.min(ohi)));
-    let g = granularity.max(1);
-    // with `lo > hi` the one chunk is `(lo, hi)`: empty
-    (lo..=hi.max(lo))
-        .step_by(g as usize)
-        .map(move |v| (v, (v + g - 1).min(hi)))
+    /// What hop `x` moves for one chunk: each segment of an array the
+    /// strip cuts, cut to `chunk` on that array's strip dimension; the
+    /// others whole.
+    pub fn cut(&self, x: &Transfer<usize>, (lo, hi): (i64, i64)) -> Transfer<usize> {
+        let mut x = x.clone();
+        for s in &mut x.segs {
+            if let Some(&(_, d)) = self.dims.iter().find(|(arr, _)| *arr == s.arr) {
+                (s.lo[d], s.hi[d]) = (s.lo[d].max(lo), s.hi[d].min(hi));
+            }
+        }
+        x
+    }
 }
 
 /// One interior-membership constraint of an overlapped nest: the
@@ -280,22 +287,17 @@ pub enum NodeOp {
         /// Index into [`NodeProgram::provenance`].
         plan: u32,
     },
-    /// Coarse-grain pipelined wavefront nest.
+    /// Coarse-grain pipelined wavefront nest: per strip chunk, receive
+    /// the chunk's part of every hop into this rank, run the nest over
+    /// the chunk, send the chunk's part of every hop out of it.
     Pipeline {
         levels: Vec<PipeLevel>,
         body: Vec<NodeOp>,
-        sweep_level: usize,
-        strip_level: Option<usize>,
-        granularity: i64,
-        forward: bool,
-        pdim: usize,
-        read_depth: i64,
-        write_depth: i64,
-        arrays: Vec<PipeArray>,
+        /// `None`: the nest runs, and each hop moves, in one piece.
+        strip: Option<Strip>,
+        /// The planned hops, over the whole owned strip.
+        hops: Vec<Transfer<usize>>,
         tag: u64,
-        /// Pack all swept arrays' boundary planes of a strip chunk into
-        /// one physical message per hop (per-peer aggregation).
-        aggregate: bool,
         /// Index into [`NodeProgram::provenance`].
         plan: u32,
     },
@@ -385,8 +387,6 @@ pub struct UnitCx<'a> {
     pub globals: &'a mut GlobalRegistry,
     /// Program-wide provenance table (see [`NodeProgram::provenance`]).
     pub provs: &'a mut Vec<PlanProv>,
-    /// Pack same-endpoint plan messages into multi-segment transfers.
-    aggregate: bool,
 }
 
 /// The program-wide array registry.
@@ -442,7 +442,6 @@ impl<'a> UnitCx<'a> {
         globals: &'a mut GlobalRegistry,
         tag_base: u64,
         provs: &'a mut Vec<PlanProv>,
-        aggregate: bool,
     ) -> Self {
         UnitCx {
             unit,
@@ -457,7 +456,6 @@ impl<'a> UnitCx<'a> {
             next_tag: tag_base,
             globals,
             provs,
-            aggregate,
         }
     }
 
@@ -1083,7 +1081,7 @@ impl<'a> UnitCx<'a> {
                 // plain nest with guards
                 self.compile_loop(s, unit_index, units, ops)?;
             }
-            NestPlan::Pipelined { schedule, .. } => {
+            NestPlan::Pipelined { hops, schedule, .. } => {
                 if !pre.is_empty() {
                     let tag = self.fresh_tag();
                     let plan_id = self.register_prov(s, ProvKind::Pre, pre_arrays, tag);
@@ -1093,7 +1091,7 @@ impl<'a> UnitCx<'a> {
                         plan: plan_id,
                     });
                 }
-                self.compile_pipeline(s, schedule, unit_index, units, ops)?;
+                self.compile_pipeline(s, schedule, hops, unit_index, units, ops)?;
             }
         }
         let post = self.compile_msgs(plan.post());
@@ -1140,48 +1138,31 @@ impl<'a> UnitCx<'a> {
         &mut self,
         s: &Stmt,
         schedule: &PipeSchedule,
+        hops: &[Transfer<String>],
         unit_index: &BTreeMap<String, usize>,
         units: &[&ProgramUnit],
         ops: &mut Vec<NodeOp>,
     ) -> CgResult<()> {
         let (levels, body_ref) = self.loop_chain(s)?;
-        if schedule.sweep_level >= levels.len() {
-            return err("sweep level outside nest");
-        }
         let body = self.compile_body(body_ref, unit_index, units)?;
-
-        let mut arrays = Vec::new();
-        for swept in &schedule.arrays {
-            arrays.push(PipeArray {
-                arr: self.array_slot(&swept.array),
-                dim: swept.dim,
-                strip_dim: swept.strip_dim,
-            });
-            // ghost for read-behind on the low side / write-ahead high
-            // side; at least one plane — the interpreter always moves one
-            // boundary plane per hop even when both depths degenerate to 0
-            if let Some(g) = self.global_of_name(&swept.array) {
-                let width = schedule.read_depth.max(schedule.depth).max(1) as usize;
-                self.globals.need_ghost(g, swept.dim, width);
-            }
-        }
-
+        let hops = self.compile_msgs(hops);
+        let strip = schedule.strip_level.map(|level| Strip {
+            level,
+            granularity: schedule.granularity.max(1),
+            owned: schedule.strip_owned.clone(),
+            dims: (schedule.arrays.iter())
+                .filter_map(|a| Some((self.array_slot(&a.array), a.strip_dim?)))
+                .collect(),
+        });
         let tag = self.fresh_tag();
         let swept: Vec<String> = schedule.arrays.iter().map(|s| s.array.clone()).collect();
         let plan_id = self.register_prov(s, ProvKind::Pipeline, swept, tag);
         ops.push(NodeOp::Pipeline {
             levels,
             body,
-            sweep_level: schedule.sweep_level,
-            strip_level: schedule.strip_level,
-            granularity: schedule.granularity.max(1),
-            forward: schedule.forward,
-            pdim: schedule.pdim,
-            read_depth: schedule.read_depth,
-            write_depth: schedule.depth,
-            arrays,
+            strip,
+            hops,
             tag,
-            aggregate: self.aggregate,
             plan: plan_id,
         });
         Ok(())
@@ -1245,16 +1226,11 @@ fn written_slots(ops: &[NodeOp], acc: &mut std::collections::BTreeSet<usize>) ->
                 }
             }
             NodeOp::Exchange { msgs, .. } => acc.extend(segments(msgs).map(|(_, _, s)| s.arr)),
-            NodeOp::OverlapNest { msgs, body, .. } => {
+            NodeOp::OverlapNest { msgs, body, .. }
+            | NodeOp::Pipeline {
+                hops: msgs, body, ..
+            } => {
                 acc.extend(segments(msgs).map(|(_, _, s)| s.arr));
-                if !written_slots(body, acc) {
-                    return false;
-                }
-            }
-            NodeOp::Pipeline { arrays, body, .. } => {
-                for a in arrays {
-                    acc.insert(a.arr);
-                }
                 if !written_slots(body, acc) {
                     return false;
                 }

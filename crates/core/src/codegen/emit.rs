@@ -152,31 +152,25 @@ fn emit_ops(ops: &[NodeOp], u: &CompiledUnit, depth: usize, out: &mut String) {
                 emit_ops(body, u, depth + 1, out);
             }
             NodeOp::Pipeline {
-                sweep_level,
-                strip_level,
-                granularity,
-                forward,
-                pdim,
-                read_depth,
-                write_depth,
-                arrays,
+                strip,
+                hops,
                 tag,
                 body,
                 ..
             } => {
                 ind(depth, out);
-                let names: Vec<&str> = arrays
-                    .iter()
-                    .map(|a| u.array_names[a.arr].as_str())
-                    .collect();
+                let vol: usize = hops.iter().map(|m| m.elems()).sum();
+                let segs: usize = hops.iter().map(|m| m.segs.len()).sum();
+                let strip = match strip {
+                    Some(s) => format!("level {} g={}", s.level, s.granularity),
+                    None => "none".to_string(),
+                };
                 let _ = writeln!(
                     out,
-                    "pipeline tag {tag}: sweep level {sweep_level} ({}) over pdim {pdim}, \
-                     strip {strip_level:?} g={granularity}, rd={read_depth} wd={write_depth}, \
-                     arrays [{}]",
-                    if *forward { "forward" } else { "backward" },
-                    names.join(", ")
+                    "pipeline tag {tag}: {} hops ({segs} segments), {vol} elements, strip {strip}",
+                    hops.len()
                 );
+                emit_msgs(hops, u, depth + 1, out);
                 emit_ops(body, u, depth + 1, out);
             }
         }
@@ -342,7 +336,12 @@ mod tests {
             .program;
         let text = listing(&prog);
         assert!(text.contains("pipeline tag"), "{text}");
-        assert!(text.contains("forward"), "{text}");
+        // three links down the grid, each forwarding the sender's last column
+        assert!(text.contains("3 hops (3 segments), 48 elements"), "{text}");
+        assert!(
+            text.contains("0->1:\n") && text.contains("a [1, 4]..[16, 4]"),
+            "{text}"
+        );
         let st = plan_stats(&prog);
         assert_eq!(st.pipelines, 1);
     }

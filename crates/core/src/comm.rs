@@ -11,10 +11,13 @@
 //!   *post write-backs* (non-owner-computed values returned to their
 //!   owners, minus values the owner redundantly computes itself).
 //! * **Pipelined** nests (a carried flow dependence along a distributed
-//!   dimension) get the same pre-exchanges plus a sweep schedule: the
-//!   nest is strip-mined along an orthogonal parallel loop with uniform
-//!   granularity `G`, and each strip receives the predecessor's boundary
-//!   write-back before computing and forwards its own afterwards.
+//!   dimension) get the same pre-exchanges plus a sweep schedule and its
+//!   *hops*: the nest is strip-mined along an orthogonal parallel loop
+//!   with uniform granularity `G`, and each strip chunk receives its part
+//!   of the predecessor's boundary planes before computing and forwards
+//!   its own afterwards. A hop is one more [`Transfer`], planned here
+//!   once over the whole owned strip and cut to a chunk by
+//!   [`crate::codegen::Strip::cut`].
 //!
 //! Parallel nests whose pre-exchange is a pure ghost-cell halo update
 //! additionally carry an *overlap* recipe ([`HaloRead`] list): the
@@ -24,7 +27,7 @@
 
 use crate::avail::{accessed_set, nest_bounds};
 use crate::cp::{Cp, CpTerm, SubTerm};
-use crate::distrib::{DimMap, DistEnv};
+use crate::distrib::{DimMap, DistEnv, ProcGrid};
 use crate::driver::OptFlags;
 use crate::select::CpAssignment;
 use crate::transfer::{pack_per_peer, segments, Region, Seg, Transfer};
@@ -64,6 +67,11 @@ pub struct PipeSchedule {
     pub strip_level: Option<usize>,
     /// Iterations of the strip loop per communication.
     pub granularity: i64,
+    /// Per rank, the part of the strip loop's range it runs: its owned
+    /// range of the strip dimension of the first array the strip cuts,
+    /// which is what its hops carry there (`None`: the strip cuts no
+    /// array, and every rank runs the whole range).
+    pub strip_owned: Option<Vec<(i64, i64)>>,
 }
 
 /// One array a pipelined nest sweeps.
@@ -92,8 +100,9 @@ pub struct HaloRead {
     pub shift: i64,
 }
 
-/// Communication plan for one top-level nest. `pre` and `post` are the
-/// physical transfers, packed per peer once after coalescing.
+/// Communication plan for one top-level nest. `pre`, `post` and `hops`
+/// are the physical transfers, packed per peer once (`pre` and `post`
+/// after coalescing).
 #[derive(Clone, Debug)]
 pub enum NestPlan {
     Parallel {
@@ -108,6 +117,9 @@ pub enum NestPlan {
     Pipelined {
         pre: Vec<Transfer<String>>,
         post: Vec<Transfer<String>>,
+        /// What each link of the sweep forwards, over the whole owned
+        /// strip ([`Planner::hops`]).
+        hops: Vec<Transfer<String>>,
         schedule: PipeSchedule,
     },
 }
@@ -122,6 +134,14 @@ impl NestPlan {
     pub fn post(&self) -> &[Transfer<String>] {
         match self {
             NestPlan::Parallel { post, .. } | NestPlan::Pipelined { post, .. } => post,
+        }
+    }
+
+    /// The hops of a pipelined nest; none for a parallel one.
+    pub fn hops(&self) -> &[Transfer<String>] {
+        match self {
+            NestPlan::Pipelined { hops, .. } => hops,
+            NestPlan::Parallel { .. } => &[],
         }
     }
 
@@ -222,6 +242,7 @@ pub fn plan_nest_scoped(
         flags,
         granularity,
         report,
+        grid,
         chain: loops.chain(loop_id),
         coords: grid.ranks().map(|k| grid.coords(k)).collect(),
         owned: BTreeMap::new(),
@@ -255,6 +276,7 @@ struct Planner<'a> {
     flags: &'a OptFlags,
     granularity: i64,
     report: &'a mut CommReport,
+    grid: &'a ProcGrid,
     /// The single-child loop chain from `loop_id` (level 0) inward.
     chain: Vec<StmtId>,
     /// `coords[k]`: grid coordinates of rank `k`.
@@ -285,9 +307,11 @@ impl Planner<'_> {
                     })
                     .stmt(loop_id)
                 });
+                let hops = pack_per_peer(self.hops(&schedule), self.flags.aggregate);
                 Ok(NestPlan::Pipelined {
                     pre,
                     post,
+                    hops,
                     schedule,
                 })
             }
@@ -457,6 +481,51 @@ impl Planner<'_> {
         };
         let var = &self.loops.loops[&self.chain[sch.sweep_level]].var;
         sub.coeff(var) != 0 && shifts(sub, cp, swept.dim).any(|(_, d)| against(sch.forward, d) > 0)
+    }
+
+    /// The hops of a sweep: on every link along `pdim` in the sweep
+    /// direction, each swept array's boundary slab — `read_depth` planes
+    /// behind the receiver's edge and `depth` ahead of it, one plane
+    /// behind when both are 0 — over the receiver's owned range of every
+    /// other dimension, the strip dimension included. A link where either
+    /// end owns nothing of the array moves none of it.
+    fn hops(&self, sch: &PipeSchedule) -> Vec<Flat> {
+        let (behind, ahead) = match (sch.read_depth, sch.depth) {
+            (0, 0) => (1, 0),
+            depths => depths,
+        };
+        let step = if sch.forward { 1 } else { -1 };
+        let mut flat = Vec::new();
+        for (from, coords) in self.coords.iter().enumerate() {
+            let mut next = coords.clone();
+            next[sch.pdim] += step;
+            if !(0..self.grid.extents[sch.pdim]).contains(&next[sch.pdim]) {
+                continue;
+            }
+            let to = self.grid.rank(&next) as usize;
+            for a in &sch.arrays {
+                let Some(dist) = self.env.dist_of(&a.array) else {
+                    continue;
+                };
+                let (Some(_), Some(theirs)) = (dist.owned_box(coords), dist.owned_box(&next))
+                else {
+                    continue;
+                };
+                let mut region = Region {
+                    lo: theirs.iter().map(|b| b.0).collect(),
+                    hi: theirs.iter().map(|b| b.1).collect(),
+                };
+                // at the receiver's edge that faces the sender
+                let (lo, hi) = theirs[a.dim];
+                (region.lo[a.dim], region.hi[a.dim]) = if sch.forward {
+                    (lo - behind, lo + ahead - 1)
+                } else {
+                    (hi - ahead + 1, hi + behind)
+                };
+                flat.push((from, to, Seg::new(a.array.clone(), region)));
+            }
+        }
+        flat
     }
 
     /// Is `stmt` the replicated definition of a variable an enclosing
@@ -731,13 +800,20 @@ impl Planner<'_> {
         let strip_level = (0..level)
             .find(|l| !(self.deps.iter()).any(|d| d.level == Some(*l) && d.kind == DepKind::Flow));
         let strip_var = strip_level.map(|l| &loops.loops[&nest[l]].var);
-        let arrays = (arrays.into_iter())
+        let arrays: Vec<SweptArray> = (arrays.into_iter())
             .map(|(array, dim)| SweptArray {
                 strip_dim: strip_var.and_then(|v| self.subscripted_by(&array, v)),
                 array,
                 dim,
             })
             .collect();
+        let cut = arrays
+            .iter()
+            .find_map(|a| Some((env.dist_of(&a.array)?, a.strip_dim?)));
+        let strip_owned = cut.map(|(dist, sd)| {
+            let owned = |c: &Vec<i64>| dist.owned_box(c).map_or((1, 0), |b| b[sd]);
+            self.coords.iter().map(owned).collect()
+        });
         Some(PipeSchedule {
             sweep_level: level,
             forward,
@@ -747,6 +823,7 @@ impl Planner<'_> {
             read_depth,
             strip_level,
             granularity: self.granularity,
+            strip_owned,
         })
     }
 
@@ -1197,7 +1274,13 @@ mod tests {
         let plan = nest
             .plan_at(nest.outer, &OptFlags::default(), 2, &mut report)
             .expect("plan");
-        let NestPlan::Pipelined { schedule, pre, .. } = plan else {
+        let NestPlan::Pipelined {
+            schedule,
+            pre,
+            hops,
+            ..
+        } = plan
+        else {
             panic!("expected pipelined")
         };
         assert_eq!(schedule.sweep_level, 0);
@@ -1217,6 +1300,25 @@ mod tests {
         // block: supplied by the pipeline, so pre remains (conservative
         // one-column fetch) or empty if availability covered it
         let _ = pre;
+        // one hop per link down the grid: the sender's last column, the
+        // one behind the receiver's first, over all rows
+        let column = |j| {
+            Seg::new(
+                "lhs".to_string(),
+                Region {
+                    lo: vec![1, j],
+                    hi: vec![16, j],
+                },
+            )
+        };
+        let want: Vec<_> = [(0, 1, 4), (1, 2, 8), (2, 3, 12)]
+            .map(|(from, to, j)| Transfer {
+                from,
+                to,
+                segs: vec![column(j)],
+            })
+            .into();
+        assert_eq!(hops, want);
     }
 
     /// The sweep strips along `k`, which the nest puts in `a`'s third
@@ -1259,6 +1361,8 @@ mod tests {
             strip_dim: Some(2),
         };
         assert_eq!(schedule.arrays, [a]);
+        // `k` is not distributed: every rank runs and forwards all of it
+        assert_eq!(schedule.strip_owned, Some(vec![(1, 16); 4]));
     }
 
     #[test]

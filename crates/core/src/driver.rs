@@ -1046,7 +1046,6 @@ fn finish_compile(
             &mut globals,
             0,
             &mut scratch,
-            opts.flags.aggregate,
         );
         cx.register_arrays().map_err(CompileError::Codegen)?;
     }
@@ -1064,7 +1063,6 @@ fn finish_compile(
             &mut globals,
             tag_base,
             &mut provenance,
-            opts.flags.aggregate,
         );
         cx.register_arrays().map_err(CompileError::Codegen)?;
         let ops = cx

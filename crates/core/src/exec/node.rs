@@ -7,13 +7,13 @@
 //! communication ops keep their message logic here and run their nests
 //! as tape ranges.
 
-use crate::codegen::{strip_chunks, NodeProgram, PipeArray};
+use crate::codegen::NodeProgram;
 use crate::exec::serial::ArrayValue;
 pub use crate::exec::tape::LowerStats;
 use crate::exec::tape::{
     lower_program, unbound_dummy, Comm, Ins, Pipe, Site, Tape, NO_BASE, UNBOUND,
 };
-use crate::transfer::{Seg, Transfer};
+use crate::transfer::Transfer;
 use dhpf_spmd::array::LocalArray;
 use dhpf_spmd::machine::{Machine, MachineConfig, Proc, RunResult};
 use std::collections::BTreeMap;
@@ -682,35 +682,20 @@ impl<'p> ProcState<'p> {
         regs: &mut [f64],
         p: &Pipe<'p>,
     ) {
-        let Some((level, _)) = p.strip else {
-            // single pass, no strip restriction
+        let Some((strip, _)) = p.strip else {
+            // single pass, every hop whole
             return self.pipe_chunk(proc, tapes, t, ints, regs, p, None);
         };
-        let range = (p.levels[level].lo.eval(ints), p.levels[level].hi.eval(ints));
-        // this processor's owned range of the strip dimension; an unbound
-        // dummy has none to clamp to (same fallback the region
-        // computation uses)
-        let strip = (p.arrays.iter()).find_map(|pa| pa.strip_dim.map(|sd| (t.binding[pa.arr], sd)));
-        let owned = strip.filter(|(g, _)| *g != UNBOUND).map(|(g, sd)| {
-            let Some(&range) = self.owned[g].get(sd) else {
-                exec_fail(format!(
-                    "rank {}: pipeline strip dimension {sd} is out of range \
-                     for array {} ({} dimension(s))",
-                    self.rank,
-                    self.prog.arrays[g].name,
-                    self.owned[g].len()
-                ));
-            };
-            range
-        });
-        for chunk in strip_chunks(range, owned, p.granularity) {
+        let level = &p.levels[strip.level];
+        let range = (level.lo.eval(ints), level.hi.eval(ints));
+        for chunk in strip.chunks(range, self.rank) {
             self.pipe_chunk(proc, tapes, t, ints, regs, p, Some(chunk));
         }
     }
 
-    /// One strip chunk of a pipelined sweep: receive the predecessor's
-    /// boundary, run the nest restricted to the chunk, forward this
-    /// rank's boundary to the successor.
+    /// One strip chunk of a pipelined sweep: receive the chunk's part of
+    /// the hops into this rank, run the nest restricted to the chunk,
+    /// send the chunk's part of the hops out of it.
     #[allow(clippy::too_many_arguments)]
     fn pipe_chunk(
         &mut self,
@@ -720,106 +705,35 @@ impl<'p> ProcState<'p> {
         ints: &mut [i64],
         regs: &mut [f64],
         p: &Pipe<'p>,
-        strip: Option<(i64, i64)>,
+        chunk: Option<(i64, i64)>,
     ) {
-        let (dir, tag) = (p.dir, p.tag);
-        let (rd, wd) = if p.read_depth == 0 && p.write_depth == 0 {
-            (1, 0) // a sweep always moves at least one boundary plane
-        } else {
-            (p.read_depth, p.write_depth)
+        let tag = p.tag;
+        let part = |x: &Transfer<usize>| match (p.strip, chunk) {
+            (Some((strip, _)), Some(chunk)) => strip.cut(x, chunk),
+            _ => x.clone(),
         };
-        let (chunk_lo, chunk_hi) = strip.unwrap_or((0, 0));
-        // one hop's transfer: the boundary region of every array of the
-        // group, in group order
-        let hop = |st: &Self, group: &[PipeArray], from: usize, to: usize| Transfer {
-            from,
-            to,
-            segs: (group.iter())
-                .filter_map(|pa| st.pipe_region(&t.binding, pa, to == st.rank, dir, rd, wd, strip))
-                .collect(),
-        };
-        // receive the predecessor's boundary for this strip, one message
-        // per array group
-        if let Some(pred) = p.pred {
-            for group in &p.groups {
-                let buf = proc.recv(pred, tag);
-                let x = hop(self, group, pred, self.rank);
-                let chunk =
-                    format_args!(", chunk {chunk_lo}..{chunk_hi}, rd {rd} wd {wd}, dir {dir}");
-                self.unpack(&t.binding, &x, tag, &buf, "pipeline", chunk);
-            }
+        let (lo, hi) = chunk.unwrap_or((0, 0));
+        for x in &p.recv {
+            let buf = proc.recv(x.from, tag);
+            let x = part(x);
+            self.unpack(
+                &t.binding,
+                &x,
+                tag,
+                &buf,
+                "pipeline",
+                format_args!(", chunk {lo}..{hi}"),
+            );
         }
         // execute the nest with the strip level clamped to the chunk
         if let Some((_, slots)) = p.strip {
-            ints[slots as usize] = chunk_lo;
-            ints[slots as usize + 1] = chunk_hi;
+            ints[slots as usize] = lo;
+            ints[slots as usize + 1] = hi;
         }
         self.run(proc, tapes, t, ints, regs, p.nest);
-        // forward my boundary to the successor, group by group
-        if let Some(succ) = p.succ {
-            for group in &p.groups {
-                let x = hop(self, group, self.rank, succ);
-                self.send(proc, &t.binding, &x, tag);
-            }
+        for x in &p.send {
+            self.send(proc, &t.binding, &part(x), tag);
         }
-    }
-
-    /// Boundary segment of a pipeline transfer. `recv = true` computes
-    /// the region arriving from the predecessor; `false` the region sent
-    /// to the successor. Returns `None` if this proc owns nothing.
-    #[allow(clippy::too_many_arguments)]
-    fn pipe_region(
-        &self,
-        binding: &[usize],
-        pa: &PipeArray,
-        recv: bool,
-        dir: i64,
-        rd: i64,
-        wd: i64,
-        strip: Option<(i64, i64)>,
-    ) -> Option<Seg<usize>> {
-        let g = self.global_of(binding, pa.arr);
-        let ga = &self.prog.arrays[g];
-        let local = self.storage[g].as_ref()?;
-        let (mlo, mhi) = self.owned[g][pa.dim];
-        if mlo > mhi {
-            return None;
-        }
-        let mut lo = Vec::with_capacity(ga.bounds.len());
-        let mut hi = Vec::with_capacity(ga.bounds.len());
-        for d in 0..ga.bounds.len() {
-            if d == pa.dim {
-                let (a, b) = match (recv, dir > 0) {
-                    // forward sweep: boundary lives at my LOW edge on
-                    // receive, my HIGH edge on send
-                    (true, true) => (mlo - rd, mlo + wd - 1),
-                    (false, true) => (mhi - rd + 1, mhi + wd),
-                    (true, false) => (mhi - wd + 1, mhi + rd),
-                    (false, false) => (mlo - wd, mlo + rd - 1),
-                };
-                lo.push(
-                    a.max(ga.bounds[d].0 - ga.ghost[d] as i64)
-                        .max(local.alloc_lo()[d]),
-                );
-                hi.push(
-                    b.min(ga.bounds[d].1 + ga.ghost[d] as i64)
-                        .min(local.alloc_hi()[d]),
-                );
-            } else if Some(d) == pa.strip_dim {
-                let (slo, shi) = strip.unwrap_or(self.owned[g][d]);
-                lo.push(slo.max(local.alloc_lo()[d]));
-                hi.push(shi.min(local.alloc_hi()[d]));
-            } else {
-                let (olo, ohi) = self.owned[g][d];
-                lo.push(olo);
-                hi.push(ohi);
-            }
-        }
-        Some(Seg {
-            arr: pa.arr,
-            lo,
-            hi,
-        })
     }
 }
 

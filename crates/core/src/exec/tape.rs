@@ -30,8 +30,8 @@
 use super::node::ProcState;
 use super::serial::eval_intrinsic;
 use crate::codegen::{
-    pipe_groups, CExpr, CIdx, CompiledUnit, FormalSlot, Guard, GuardAtom, HaloCheck, NodeOp,
-    PipeArray, PipeLevel, INTRINSIC_NAMES,
+    CExpr, CIdx, CompiledUnit, FormalSlot, Guard, GuardAtom, HaloCheck, NodeOp, PipeLevel, Strip,
+    INTRINSIC_NAMES,
 };
 use crate::transfer::Transfer;
 use dhpf_fortran::ast::BinOp;
@@ -393,21 +393,14 @@ pub(super) enum Comm<'p> {
 
 pub(super) struct Pipe<'p> {
     pub levels: &'p [PipeLevel],
-    /// Strip level and the hidden int slots `(lo, hi)` its loop is
+    /// The strip, and the hidden int slots `(lo, hi)` its loop is
     /// clamped to.
-    pub strip: Option<(usize, u32)>,
-    pub granularity: i64,
-    pub dir: i64,
-    pub read_depth: i64,
-    pub write_depth: i64,
-    pub arrays: &'p [PipeArray],
-    /// The swept arrays as message groups ([`pipe_groups`]): each hop
-    /// moves one message per group.
-    pub groups: Vec<&'p [PipeArray]>,
+    pub strip: Option<(&'p Strip, u32)>,
+    /// The hops into this rank, and out of it, in plan order.
+    pub recv: Vec<&'p Transfer<usize>>,
+    pub send: Vec<&'p Transfer<usize>>,
     pub tag: u64,
     pub plan: u32,
-    pub pred: Option<usize>,
-    pub succ: Option<usize>,
     /// Tape range of the nest.
     pub nest: (usize, usize),
 }
@@ -1400,46 +1393,23 @@ impl<'a, 'p> Lower<'a, 'p> {
             NodeOp::Pipeline {
                 levels,
                 body,
-                sweep_level: _,
-                strip_level,
-                granularity,
-                forward,
-                pdim,
-                read_depth,
-                write_depth,
-                arrays,
+                strip,
+                hops,
                 tag,
-                aggregate,
                 plan,
             } => {
-                let dir: i64 = if *forward { 1 } else { -1 };
-                let grid = &self.st.prog.grid;
-                let mut coords = self.st.coords.clone();
-                let here = coords[*pdim];
-                let mut neighbor = |c: i64| {
-                    (0..grid.extents[*pdim]).contains(&c).then(|| {
-                        coords[*pdim] = c;
-                        grid.rank(&coords) as usize
-                    })
-                };
-                let (pred, succ) = (neighbor(here - dir), neighbor(here + dir));
-                let strip = strip_level.map(|level| (level, self.hidden_ints(2)));
+                let rank = self.st.rank;
+                let strip = strip.as_ref().map(|s| (s, self.hidden_ints(2)));
                 let comm = idx(self.tape.comms.len());
                 self.emit(Ins::Comm { comm });
-                let nest = self.nest(levels, strip, None, body);
+                let nest = self.nest(levels, strip.map(|(s, slots)| (s.level, slots)), None, body);
                 self.tape.comms.push(Comm::Pipeline(Pipe {
                     levels,
                     strip,
-                    granularity: *granularity,
-                    dir,
-                    read_depth: *read_depth,
-                    write_depth: *write_depth,
-                    arrays,
-                    groups: pipe_groups(arrays, *aggregate),
+                    recv: hops.iter().filter(|x| x.to == rank).collect(),
+                    send: hops.iter().filter(|x| x.from == rank).collect(),
                     tag: *tag,
                     plan: *plan,
-                    pred,
-                    succ,
                     nest,
                 }));
             }
@@ -1636,7 +1606,7 @@ impl SlotUse {
                 NodeOp::OverlapNest { levels, body, .. }
                 | NodeOp::Pipeline { levels, body, .. } => {
                     let strip = match op {
-                        NodeOp::Pipeline { strip_level, .. } => *strip_level,
+                        NodeOp::Pipeline { strip, .. } => strip.as_ref().map(|s| s.level),
                         _ => None,
                     };
                     // the strip range is chunked before the nest runs

@@ -9,7 +9,8 @@
 //!   [`ProtoOp::Recv`] / [`ProtoOp::Post`] / [`ProtoOp::Wait`] atoms in
 //!   the per-rank order the interpreter executes them (sends before
 //!   blocking receives for an `Exchange`; sends, posts, interior
-//!   compute, waits for an `OverlapNest`);
+//!   compute, waits for an `OverlapNest`; per strip chunk, the hops'
+//!   receives, the nest's writes, the hops' sends for a `Pipeline`);
 //! * array writes collapse to [`ProtoOp::Write`] markers (used by the
 //!   stale-send check);
 //! * control flow keeps only its *uniformity*: whether the loop bounds
@@ -25,9 +26,7 @@
 //! of different source ops; the checker exploits this to verify loop
 //! bodies and branch arms as independently balanced segments.
 
-use crate::codegen::{
-    pipe_groups, strip_chunks, CExpr, CIdx, CompiledUnit, FormalSlot, NodeOp, NodeProgram,
-};
+use crate::codegen::{CExpr, CIdx, CompiledUnit, FormalSlot, NodeOp, NodeProgram};
 use crate::transfer::{Region, Transfer};
 use std::collections::BTreeSet;
 
@@ -78,21 +77,6 @@ pub enum ProtoOp {
     Barrier { unit: usize, id: u64 },
     /// Some rank may write global array `arr` here.
     Write { arr: usize },
-    /// A coarse-grain pipelined wavefront: each link `(s, r)` carries
-    /// `chunks[s] * groups` messages from `s` and `chunks[r] * groups`
-    /// receives at `r`, all under one `tag`. The chain is acyclic along
-    /// a grid dimension, so only the per-link counts can disagree.
-    Pipeline {
-        unit: usize,
-        tag: u64,
-        /// Messages per chunk ([`pipe_groups`]).
-        groups: usize,
-        links: Vec<(usize, usize)>,
-        /// Boundary chunk count per rank.
-        chunks: Vec<usize>,
-        /// Global ids of the swept (written) arrays.
-        arrays: Vec<usize>,
-    },
     /// A counted loop; `uniform` is false when the bounds are
     /// rank-dependent (some ranks may iterate differently).
     Loop { uniform: bool, body: Vec<ProtoOp> },
@@ -463,80 +447,53 @@ impl<'p> Extract<'p> {
             NodeOp::Pipeline {
                 levels,
                 body,
-                strip_level,
-                granularity,
-                forward,
-                pdim,
-                arrays,
+                strip,
+                hops,
                 tag,
-                aggregate,
                 ..
             } => {
-                let grid = &self.prog.grid;
-                let nprocs = grid.nprocs() as usize;
-                let dir: i64 = if *forward { 1 } else { -1 };
-                let mut links = Vec::new();
-                let mut chunks = vec![1usize; nprocs];
-                let strip = arrays
-                    .iter()
-                    .find_map(|pa| pa.strip_dim.map(|sd| (f.arrays[pa.arr], sd)));
-                for (r, chunk) in chunks.iter_mut().enumerate() {
-                    let coords = grid.coords(r as i64);
-                    let c = coords[*pdim];
-                    let nc = c + dir;
-                    if (0..grid.extents[*pdim]).contains(&nc) {
-                        let mut co = coords.clone();
-                        co[*pdim] = nc;
-                        links.push((r, grid.rank(&co) as usize));
-                    }
-                    // the interpreter's chunks, where the strip bounds are
-                    // constants; otherwise one chunk for every rank
-                    let range = strip_level.map(|l| (&levels[l].lo, &levels[l].hi));
-                    *chunk = match range {
-                        Some((lo, hi)) if lo.terms.is_empty() && hi.terms.is_empty() => {
-                            let owned = strip.map(|(g, sd)| self.owned_range(g, sd, &coords));
-                            strip_chunks((lo.cst, hi.cst), owned.flatten(), *granularity).count()
-                        }
-                        _ => 1,
-                    };
-                }
-                let globals: Vec<usize> = arrays
-                    .iter()
-                    .map(|pa| f.arrays[pa.arr])
-                    .filter(|g| *g != usize::MAX)
-                    .collect();
-                out.push(ProtoOp::Pipeline {
-                    unit,
-                    tag: *tag,
-                    groups: pipe_groups(arrays, *aggregate).len(),
-                    links,
-                    chunks,
-                    arrays: globals.clone(),
+                let tag = *tag;
+                // the interpreter's chunks, where the strip bounds are
+                // constants; otherwise one chunk of whole hops per rank
+                let cut = strip.as_ref().and_then(|s| {
+                    let (lo, hi) = (&levels[s.level].lo, &levels[s.level].hi);
+                    (lo.terms.is_empty() && hi.terms.is_empty()).then_some((s, (lo.cst, hi.cst)))
                 });
+                let chunks: Vec<Vec<Option<(i64, i64)>>> = (0..self.prog.grid.nprocs() as usize)
+                    .map(|r| match cut {
+                        Some((s, range)) => s.chunks(range, r).map(Some).collect(),
+                        None => vec![None],
+                    })
+                    .collect();
                 for lv in levels {
                     f.ints[lv.var] = self.cidx_taint(&lv.lo, f) || self.cidx_taint(&lv.hi, f);
                 }
-                let mut scratch = Vec::new();
-                self.emit_ops(unit, body, f, ctx, &mut scratch);
-                // the sweep writes its arrays; its sends carry values the
-                // same op just computed, so they are never stale
-                for g in globals {
-                    out.push(ProtoOp::Write { arr: g });
+                let mut writes = Vec::new();
+                self.emit_ops(unit, body, f, ctx, &mut writes);
+                let part = |x: &Transfer<usize>, chunk: Option<(i64, i64)>| match (cut, chunk) {
+                    (Some((s, _)), Some(chunk)) => bound(&[s.cut(x, chunk)], f),
+                    _ => bound(std::slice::from_ref(x), f),
+                };
+                let rounds = chunks.iter().map(Vec::len).max().unwrap_or(0);
+                for c in 0..rounds {
+                    for x in hops {
+                        if let Some(&chunk) = chunks[x.to].get(c) {
+                            let recv = part(x, chunk).into_iter();
+                            out.extend(recv.map(|xfer| ProtoOp::Recv { unit, tag, xfer }));
+                        }
+                    }
+                    // the nest's writes, in the first round: the sends
+                    // carry what it just computed
+                    out.append(&mut writes);
+                    for x in hops {
+                        if let Some(&chunk) = chunks[x.from].get(c) {
+                            let send = part(x, chunk).into_iter();
+                            out.extend(send.map(|xfer| ProtoOp::Send { unit, tag, xfer }));
+                        }
+                    }
                 }
             }
         }
-    }
-
-    /// What the rank at `coords` owns of dimension `dim` of global array
-    /// `g`, as the interpreter's table has it: all of a serial array, an
-    /// empty range when the rank owns nothing; `None` for an unbound
-    /// dummy.
-    fn owned_range(&self, g: usize, dim: usize, coords: &[i64]) -> Option<(i64, i64)> {
-        let ga = self.prog.arrays.get(g)?;
-        Some(match &ga.dist {
-            None => ga.bounds[dim],
-            Some(dist) => dist.owned_box(coords).map_or((1, 0), |b| b[dim]),
-        })
     }
 }
 

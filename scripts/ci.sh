@@ -30,14 +30,15 @@
 #   9. benchmark     — the repo benchmark harness (benchmark/) still
 #                      builds against the crates' public API: its own
 #                      tests plus one `run --all --quick` pass (~20 s)
-#  10. dhpf-lint     — jacobi.f and timeloop.f verify clean; each seeded
-#                      example in examples/hpf/ produces its expected
-#                      finding
+#  10. dhpf-lint     — jacobi.f, timeloop.f and sweep.f verify clean; each
+#                      seeded example in examples/hpf/ produces its
+#                      expected finding
 #  11. observability — `dhpf compile --run` writes all three documents,
 #                      the metrics with the `exec.lower.*` gauges
 #  12. aggregation   — the protocol verifier with per-peer packing on
 #                      and off (every transfer then carries one
-#                      segment) at every fuzz geometry's rank count
+#                      segment) at every fuzz geometry's rank count and
+#                      at 16 ranks, where every rank relays pipeline hops
 #  13. profile       — `dhpf profile` on SP class S under a hard timeout
 #  14. protocol      — the static SPMD protocol verifier over jacobi.f
 #                      and NAS SP/BT, under a hard timeout and a 2x
@@ -108,8 +109,9 @@ cargo run --release --offline --manifest-path benchmark/Cargo.toml -- run --all 
 echo "== dhpf-lint examples"
 LINT=target/release/dhpf-lint
 # clean examples must verify with no findings at all (timeloop.f: a
-# scalar statement and a CONTINUE beside the nests of the time loop)
-for f in jacobi timeloop; do
+# scalar statement and a CONTINUE beside the nests of the time loop;
+# sweep.f: a pipelined wavefront, its carried reads covered by hops)
+for f in jacobi timeloop sweep; do
     out=$("$LINT" --verify examples/hpf/$f.f)
     grep -q "no findings" <<<"$out" || { echo "$out"; echo "FAIL: $f.f should be clean"; exit 1; }
 done
@@ -144,8 +146,9 @@ grep -q '"exec\.lower\.' "$OBS_DIR/sp_s_metrics.json" \
 
 echo "== message aggregation"
 # the static protocol checks must hold with packing both on and off at
-# every fuzz geometry's rank count (aggregation is on by default)
-for n in 1 4 6; do
+# every fuzz geometry's rank count (aggregation is on by default), and at
+# 16 ranks, where pipeline hops pack per peer like any other transfer
+for n in 1 4 6 16; do
     for bench in sp bt; do
         timeout 300 "$DHPF" verify-protocol --nas "$bench" --class S --nprocs "$n" > /dev/null \
             || { echo "FAIL: protocol violation in aggregated $bench S @ $n ranks"; exit 1; }

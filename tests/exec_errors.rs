@@ -1,11 +1,9 @@
 //! Regression tests: runtime violations in the node interpreter come
 //! back as structured `ExecError`s from `run_node_program`, not process
-//! panics (the strip-dim lookup and its fellow unwraps in
+//! panics (the unbound-dummy lookup and its fellow unwraps in
 //! `crates/core/src/exec/node.rs`).
 
-use dhpf::core::codegen::{
-    CIdx, CompiledUnit, GlobalArray, NodeOp, NodeProgram, PipeArray, PipeLevel,
-};
+use dhpf::core::codegen::{CIdx, CompiledUnit, GlobalArray, NodeOp, NodeProgram, PipeLevel, Strip};
 use dhpf::core::distrib::{ArrayDist, DimMap, ProcGrid};
 use dhpf::core::exec::node::run_node_program;
 use dhpf::core::transfer::{Seg, Transfer};
@@ -134,8 +132,9 @@ fn write_to_unowned_storage_is_a_structured_error() {
     assert!(err.0.contains("unowned"), "unexpected message: {}", err.0);
 }
 
-/// A pipeline whose strip array slot is an unbound dummy: previously the
-/// `strip_dim.unwrap()` region lookup panicked with an indexing error.
+/// A pipeline whose hop names an array slot that is an unbound dummy:
+/// previously the `strip_dim.unwrap()` region lookup panicked with an
+/// indexing error.
 #[test]
 fn pipeline_over_unbound_dummy_is_a_structured_error() {
     let unit = CompiledUnit {
@@ -152,20 +151,14 @@ fn pipeline_over_unbound_dummy_is_a_structured_error() {
                 step: 1,
             }],
             body: vec![],
-            sweep_level: 0,
-            strip_level: Some(0),
-            granularity: 2,
-            forward: true,
-            pdim: 0,
-            read_depth: 1,
-            write_depth: 0,
-            arrays: vec![PipeArray {
-                arr: 0,
-                dim: 0,
-                strip_dim: Some(0),
-            }],
+            strip: Some(Strip {
+                level: 0,
+                granularity: 2,
+                owned: None,
+                dims: vec![(0, 0)],
+            }),
+            hops: vec![a_1_1(0, 1, 1)],
             tag: 9,
-            aggregate: true,
             plan: 0,
         }],
         ..Default::default()
@@ -186,8 +179,8 @@ fn pipeline_over_unbound_dummy_is_a_structured_error() {
 /// message once carried runs of ~34 spaces from lost `\` continuations).
 #[test]
 fn pipeline_recv_mismatch_is_a_readable_structured_error() {
-    let ga = one_element_array();
-    for aggregate in [true, false] {
+    // one section per hop, and two packed into one
+    for segs in [1, 2] {
         let unit = CompiledUnit {
             name: "main".into(),
             n_ints: 1,
@@ -202,25 +195,15 @@ fn pipeline_recv_mismatch_is_a_readable_structured_error() {
                     step: 1,
                 }],
                 body: vec![],
-                sweep_level: 0,
-                strip_level: None,
-                granularity: 1,
-                forward: false, // rank 1 is rank 0's predecessor
-                pdim: 0,
-                read_depth: 1,
-                write_depth: 0,
-                arrays: vec![PipeArray {
-                    arr: 0,
-                    dim: 0,
-                    strip_dim: None,
-                }],
+                strip: None,
+                // rank 1 is rank 0's predecessor
+                hops: vec![a_1_1(1, 0, segs)],
                 tag: 11,
-                aggregate,
                 plan: 0,
             }],
             ..Default::default()
         };
-        let prog = program_with(unit, vec![ga.clone()], 2);
+        let prog = program_with(unit, vec![one_element_array()], 2);
         let err = run_node_program(&prog, MachineConfig::sp2(2))
             .expect_err("a short boundary payload must not be unpacked");
         assert!(
@@ -230,7 +213,7 @@ fn pipeline_recv_mismatch_is_a_readable_structured_error() {
             err.0
         );
         assert!(
-            err.0.ends_with("(tag 11, chunk 0..0, rd 1 wd 0, dir -1)"),
+            err.0.ends_with("(tag 11, chunk 0..0)"),
             "unexpected message: {}",
             err.0
         );

@@ -11,6 +11,7 @@ use dhpf::core::{CompileOptions, Compiled};
 use dhpf::prelude::*;
 use dhpf_core::codegen::{Guard, GuardAtom};
 use dhpf_spmd::trace::{EventKind, Trace};
+use std::collections::BTreeMap;
 
 fn has_code(r: &dhpf::analysis::Report, code: &str) -> bool {
     r.findings.iter().any(|f| f.code == code)
@@ -310,23 +311,28 @@ fn stale_send_is_static_only_coverage() {
 }
 
 /// How many times `ops` runs the pipeline op tagged `tag`: loop trips
-/// multiply, calls descend. Every loop around a NAS pipeline has
-/// constant bounds, and none sits under a branch.
-fn pipeline_runs(prog: &NodeProgram, ops: &[NodeOp], tag: u64) -> u64 {
+/// multiply (with `trips`; otherwise a loop counts once, which makes it
+/// the number of places the extractor inlines the op), calls descend.
+/// Every loop around a NAS pipeline has constant bounds, and none sits
+/// under a branch.
+fn pipeline_runs(prog: &NodeProgram, ops: &[NodeOp], tag: u64, trips: bool) -> u64 {
     let runs = |op: &NodeOp| match op {
         NodeOp::Pipeline { tag: t, .. } => (*t == tag) as u64,
-        NodeOp::Call { unit, .. } => pipeline_runs(prog, &prog.units[*unit].ops, tag),
+        NodeOp::Call { unit, .. } => pipeline_runs(prog, &prog.units[*unit].ops, tag, trips),
         NodeOp::Loop {
             lo, hi, step, body, ..
-        } => match pipeline_runs(prog, body, tag) {
+        } => match pipeline_runs(prog, body, tag, trips) {
             0 => 0,
+            inner if !trips => inner,
             inner => {
                 assert!(lo.terms.is_empty() && hi.terms.is_empty(), "loop bounds");
                 inner * ((hi.cst - lo.cst) / step + 1).max(0) as u64
             }
         },
         NodeOp::If { arms } => {
-            assert!(arms.iter().all(|(_, b)| pipeline_runs(prog, b, tag) == 0));
+            assert!(arms
+                .iter()
+                .all(|(_, b)| pipeline_runs(prog, b, tag, trips) == 0));
             0
         }
         _ => 0,
@@ -334,69 +340,87 @@ fn pipeline_runs(prog: &NodeProgram, ops: &[NodeOp], tag: u64) -> u64 {
     ops.iter().map(runs).sum()
 }
 
-/// The `ProtoOp::Pipeline`s of a protocol, in loops and branches too.
-fn proto_pipelines<'p>(ops: &'p [ProtoOp], out: &mut Vec<&'p ProtoOp>) {
+/// Messages and bytes per `(tag, from, to)` of the protocol's sends, in
+/// loops and branches too, each counted once.
+fn proto_sends(ops: &[ProtoOp], out: &mut BTreeMap<(u64, usize, usize), (u64, u64)>) {
     for op in ops {
         match op {
-            ProtoOp::Pipeline { .. } => out.push(op),
-            ProtoOp::Loop { body, .. } => proto_pipelines(body, out),
-            ProtoOp::Branch { arms, .. } => arms.iter().for_each(|a| proto_pipelines(a, out)),
+            ProtoOp::Send { tag, xfer, .. } => {
+                let sent = out.entry((*tag, xfer.from, xfer.to)).or_default();
+                *sent = (sent.0 + 1, sent.1 + 8 * xfer.elems() as u64);
+            }
+            ProtoOp::Loop { body, .. } => proto_sends(body, out),
+            ProtoOp::Branch { arms, .. } => arms.iter().for_each(|a| proto_sends(a, out)),
             _ => {}
         }
     }
 }
 
-/// The interpreter and the protocol extractor count a pipeline's strip
-/// chunks with one rule (`codegen::strip_chunks`): on every link `(s, r)`
-/// of every pipeline, rank `s` sends `chunks[s] × groups` messages each
-/// time the op runs.
+/// The interpreter and the protocol extractor cut a pipeline's hops to
+/// strip chunks with one rule (`codegen::Strip`): on every link of
+/// every pipeline, the extracted sends of one run of the op, times its
+/// runs, are the traced sends — in messages and in bytes.
 #[test]
 fn pipeline_chunks_agree_statically_and_dynamically() {
+    use dhpf::core::codegen::ProvKind;
     use dhpf::nas::Kernel::{Bt, Sp};
-    use std::collections::BTreeMap;
     let mut links = 0;
-    for (kernel, nprocs) in [(Sp, 4), (Bt, 1), (Bt, 2), (Bt, 4), (Sp, 6), (Bt, 6)] {
+    let geometries = [
+        (Sp, 4),
+        (Bt, 1),
+        (Bt, 2),
+        (Bt, 4),
+        (Sp, 6),
+        (Bt, 6),
+        (Sp, 16),
+        (Bt, 16),
+    ];
+    for (kernel, nprocs) in geometries {
         let compiled = kernel.compile_dhpf(Class::S, nprocs, None);
         let prog = &compiled.program;
         let machine = MachineConfig::sp2(nprocs).with_trace();
         let result = run_node_program(prog, machine).expect("run");
-        let mut sent: BTreeMap<(u64, usize, usize), u64> = BTreeMap::new();
+        let mut traced: BTreeMap<(u64, usize, usize), (u64, u64)> = BTreeMap::new();
         for t in &result.run.traces {
             for e in &t.events {
-                if let (EventKind::Send { to, .. }, Some(plan)) = (&e.kind, e.nest) {
-                    let tag = prog.provenance[plan as usize].tag;
-                    *sent.entry((tag, t.rank, *to)).or_default() += 1;
+                if let (EventKind::Send { to, bytes }, Some(plan)) = (&e.kind, e.nest) {
+                    let prov = &prog.provenance[plan as usize];
+                    if prov.kind == ProvKind::Pipeline {
+                        let sent = traced.entry((prov.tag, t.rank, *to)).or_default();
+                        *sent = (sent.0 + 1, sent.1 + bytes);
+                    }
                 }
             }
         }
-        let proto = extract_protocol(prog);
-        let mut pipelines = Vec::new();
-        proto_pipelines(&proto.ops, &mut pipelines);
-        for op in pipelines {
-            let ProtoOp::Pipeline {
-                tag,
-                groups,
-                links: pairs,
-                chunks,
-                ..
-            } = op
-            else {
-                unreachable!()
+        let mut extracted = BTreeMap::new();
+        proto_sends(&extract_protocol(prog).ops, &mut extracted);
+        let main = &prog.units[prog.main].ops;
+        let pipelines = prog
+            .provenance
+            .iter()
+            .filter(|p| p.kind == ProvKind::Pipeline);
+        for tag in pipelines.map(|p| p.tag) {
+            let (runs, sites) = (
+                pipeline_runs(prog, main, tag, true),
+                pipeline_runs(prog, main, tag, false),
+            );
+            let of_tag = |m: &BTreeMap<(u64, usize, usize), (u64, u64)>| -> Vec<_> {
+                m.range((tag, 0, 0)..(tag + 1, 0, 0))
+                    .map(|(k, v)| (*k, *v))
+                    .collect()
             };
-            let runs = pipeline_runs(prog, &prog.units[prog.main].ops, *tag);
-            for &(s, r) in pairs {
-                let expected = runs * (chunks[s] * groups) as u64;
-                let traced = sent.get(&(*tag, s, r)).copied().unwrap_or(0);
-                assert_eq!(
-                    traced,
-                    expected,
-                    "{} S @ {nprocs}: tag {tag} link {s} -> {r}: {runs} run(s) x {} chunk(s) \
-                     x {groups} group(s)",
-                    kernel.name(),
-                    chunks[s]
-                );
-                links += 1;
-            }
+            let expected: Vec<_> = of_tag(&extracted)
+                .into_iter()
+                .map(|(k, (n, b))| (k, (n / sites * runs, b / sites * runs)))
+                .collect();
+            assert_eq!(
+                of_tag(&traced),
+                expected,
+                "{} S @ {nprocs}: tag {tag}, {runs} run(s) at {sites} site(s): \
+                 ((tag, from, to), (messages, bytes))",
+                kernel.name()
+            );
+            links += expected.len();
         }
     }
     assert!(links > 0, "no pipeline link was checked");
