@@ -10,10 +10,8 @@
 use crate::codegen::NodeProgram;
 use crate::exec::serial::ArrayValue;
 pub use crate::exec::tape::LowerStats;
-use crate::exec::tape::{
-    lower_program, unbound_dummy, Comm, Ins, Pipe, Site, Tape, NO_BASE, UNBOUND,
-};
-use crate::transfer::Transfer;
+use crate::exec::tape::{lower_program, unbound_dummy, Comm, Ins, Pipe, Site, Tape, UNBOUND};
+use crate::transfer::{Seg, Transfer};
 use dhpf_spmd::array::LocalArray;
 use dhpf_spmd::machine::{Machine, MachineConfig, Proc, RunResult};
 use std::collections::BTreeMap;
@@ -289,52 +287,65 @@ impl<'p> ProcState<'p> {
     /// rank does not allocate were lowered to `Fail`, never to a site.
     #[inline]
     fn local(&self, s: &Site) -> &LocalArray {
-        self.storage[s.arr]
+        self.storage[s.arr as usize]
             .as_ref()
             .expect("access sites name allocated arrays")
     }
 
     /// Debug builds re-check every subscript of an access against the
     /// allocated window — a folded offset can stay inside the data slice
-    /// while a subscript is outside its dimension — and the base of a
-    /// based access against its whole offset.
-    #[inline]
-    fn check_window(&self, t: &Tape, s: &Site, ints: &[i64], verb: &str) {
-        if !cfg!(debug_assertions) {
-            return;
-        }
-        if s.base != NO_BASE {
+    /// while a subscript is outside its dimension — at the values the
+    /// variables of unrolled loops are pinned to in the site, and the
+    /// base of a based access against its whole offset.
+    #[cfg(debug_assertions)]
+    fn check_window(&self, t: &Tape, site: u32, ints: &[i64], verb: &str) {
+        use crate::codegen::CIdx;
+        let s = &t.sites[site as usize];
+        if s.base != super::tape::NO_BASE {
             let whole = t.eval(s.off, ints) as usize;
             assert_eq!(s.at(ints), whole, "rank {}: base of a site", self.rank);
         }
+        let (subs, (first, end)) = t.unfolded[site as usize];
+        let pins = &t.pins[first as usize..end as usize];
+        let value = |slot: usize| match pins.iter().find(|(pin, _)| *pin as usize == slot) {
+            Some((_, v)) => *v,
+            None => ints[slot],
+        };
+        let at =
+            |sub: &CIdx| (sub.terms.iter()).fold(sub.cst, |acc, &(slot, c)| acc + c * value(slot));
         let local = self.local(s);
-        let inside = s.subs.len() == local.rank()
-            && (s.subs.iter().enumerate()).all(|(d, sub)| local.dim_in_window(d, sub.eval(ints)));
+        let inside = subs.len() == local.rank()
+            && (subs.iter().enumerate()).all(|(d, sub)| local.dim_in_window(d, at(sub)));
         assert!(
             inside,
             "rank {} {verb} {}{:?} outside window [{:?}..{:?}]",
             self.rank,
-            self.prog.arrays[s.arr].name,
-            s.subs.iter().map(|sub| sub.eval(ints)).collect::<Vec<_>>(),
+            self.prog.arrays[s.arr as usize].name,
+            subs.iter().map(at).collect::<Vec<_>>(),
             local.alloc_lo(),
             local.alloc_hi()
         );
     }
 
+    /// Release builds check nothing, and keep nothing to check with.
+    #[cfg(not(debug_assertions))]
+    #[inline(always)]
+    fn check_window(&self, _: &Tape, _: u32, _: &[i64], _: &str) {}
+
     /// Read based site `site`.
     #[inline]
     fn read(&self, t: &Tape, site: u32, ints: &[i64]) -> f64 {
+        self.check_window(t, site, ints, "reads");
         let s = &t.sites[site as usize];
-        self.check_window(t, s, ints, "reads");
         self.local(s).data()[s.at(ints)]
     }
 
     /// Write based site `site`.
     #[inline]
     fn write(&mut self, t: &Tape, site: u32, ints: &[i64], v: f64) {
+        self.check_window(t, site, ints, "writes");
         let s = &t.sites[site as usize];
-        self.check_window(t, s, ints, "writes");
-        let local = self.storage[s.arr]
+        let local = self.storage[s.arr as usize]
             .as_mut()
             .expect("access sites name allocated arrays");
         local.data_mut()[s.at(ints)] = v;
@@ -401,14 +412,14 @@ impl<'p> ProcState<'p> {
                 }
                 Ins::IntToF { d, aff } => r!(d) = t.eval(aff, ints) as f64,
                 Ins::Load { d, site } => {
+                    self.check_window(t, site, ints, "reads");
                     let s = &t.sites[site as usize];
-                    self.check_window(t, s, ints, "reads");
                     r!(d) = self.local(s).data()[t.eval(s.off, ints) as usize];
                 }
                 Ins::Store { site, src, flops } => {
+                    self.check_window(t, site, ints, "writes");
                     let s = &t.sites[site as usize];
-                    self.check_window(t, s, ints, "writes");
-                    let local = self.storage[s.arr]
+                    let local = self.storage[s.arr as usize]
                         .as_mut()
                         .expect("access sites name allocated arrays");
                     local.data_mut()[t.eval(s.off, ints) as usize] = r!(src);
@@ -479,7 +490,8 @@ impl<'p> ProcState<'p> {
                         for b in &t.bases[lp.bases.0..lp.bases.1] {
                             ints[b.slot as usize] = t.eval_wrapping(b.form, ints);
                         }
-                        self.counts.loop_trips += more_trips(lo, hi, lp.step) as u64 + 1;
+                        let trips = more_trips(lo, hi, lp.step) as u64 + 1;
+                        self.counts.loop_trips += trips * (1 + lp.unrolled);
                     } else {
                         pc = to as usize;
                     }
@@ -591,6 +603,7 @@ impl<'p> ProcState<'p> {
         for s in &x.segs {
             let g = self.global_of(binding, s.arr);
             if let Some(local) = &self.storage[g] {
+                self.check_section(local, g, s, "sends");
                 local.pack_into(&s.lo, &s.hi, &mut buf);
             }
         }
@@ -631,6 +644,9 @@ impl<'p> ProcState<'p> {
                 );
                 mismatch(self, detail);
             }
+            if let Some(local) = &self.storage[g] {
+                self.check_section(local, g, s, "receives into");
+            }
             if let Some(local) = self.storage[g].as_mut() {
                 local.unpack(&s.lo, &s.hi, &buf[off..off + need]);
             }
@@ -640,6 +656,28 @@ impl<'p> ProcState<'p> {
             let detail = format!("unpacked {off} of {} packed elements", buf.len());
             mismatch(self, detail);
         }
+    }
+
+    /// Fail with an [`ExecError`] unless the section of segment `s` of
+    /// global array `g` is empty or inside the window `local` allocates:
+    /// packing or unpacking a section outside it would index past the
+    /// data.
+    fn check_section(&self, local: &LocalArray, g: usize, s: &Seg<usize>, verb: &str) {
+        let empty = s.lo.iter().zip(&s.hi).any(|(lo, hi)| lo > hi);
+        if empty || (local.in_window(&s.lo) && local.in_window(&s.hi)) {
+            return;
+        }
+        exec_fail(format!(
+            "rank {} (coords {:?}) {verb} array {} region {:?}..{:?} outside its window \
+             {:?}..{:?}",
+            self.rank,
+            self.coords,
+            self.prog.arrays[g].name,
+            s.lo,
+            s.hi,
+            local.alloc_lo(),
+            local.alloc_hi()
+        ))
     }
 
     /// Execute an overlapped halo exchange: send, post receives, run the
@@ -889,12 +927,12 @@ mod tests {
         }
     }
 
-    /// Rank 1's state with every array cell holding a distinct value,
+    /// A rank's state with every array cell holding a distinct value,
     /// a NaN, an infinity and a negative zero among them. The finite
     /// values are inexact (tenths), so that a product of two rounds and
     /// `x − y·z` with one rounding differs from it with two.
-    fn filled_state(prog: &NodeProgram) -> ProcState<'_> {
-        let mut st = ProcState::new(prog, 1);
+    fn filled_state(prog: &NodeProgram, rank: usize) -> ProcState<'_> {
+        let mut st = ProcState::new(prog, rank);
         for local in st.storage.iter_mut().flatten() {
             for (i, v) in local.data_mut().iter_mut().enumerate() {
                 *v = match i % 7 {
@@ -1062,7 +1100,7 @@ mod tests {
             ]);
 
             // the reference, statement by statement
-            let mut want = filled_state(&prog);
+            let mut want = filled_state(&prog, 1);
             let binding = [0, 1, UNBOUND, 2];
             let (mut want_ints, mut want_floats) = (ints.clone(), floats.clone());
             let tree = |st: &ProcState, ints: &[i64], floats: &[f64], guard: &Option<Guard>| {
@@ -1327,7 +1365,8 @@ mod tests {
 
     /// A loop at nest level `level`: steps 1, -1, 2 and -3; bounds that
     /// are constants or an outer loop's variable plus a constant; now and
-    /// then no trip at all; inner loops down to level 2, some under `if`.
+    /// then no trip at all, or, below level 0, a short constant range;
+    /// inner loops down to level 2, some under `if`.
     fn arb_loop(level: usize) -> BoxedStrategy<NodeOp> {
         let bound = |cst: std::ops::RangeInclusive<i64>| {
             let cst = cst.prop_map(CIdx::cst).boxed();
@@ -1363,8 +1402,17 @@ mod tests {
         );
         let arms = prop::collection::vec(branch, 1..=2).prop_map(|arms| NodeOp::If { arms });
         let body = prop::collection::vec(prop_oneof![item(), item(), item(), arms], 1..=3);
-        (bound(0..=4), bound(4..=9), step, 0usize..8, body)
-            .prop_map(move |(lo, hi, step, empty, body)| {
+        // an inner loop now and then gets a short constant range, of one
+        // to five trips at step 1: a loop the lowering unrolls
+        let wide = (bound(0..=4), bound(4..=9)).boxed();
+        let short = (0i64..=4, 0i64..=4).prop_map(|(lo, k)| (CIdx::cst(lo), CIdx::cst(lo + k)));
+        let bounds = if level == 0 {
+            wide
+        } else {
+            prop_oneof![wide.clone(), wide, short].boxed()
+        };
+        (bounds, step, 0usize..8, body)
+            .prop_map(move |((lo, hi), step, empty, body)| {
                 // the range runs from the low bound to the high one, in the
                 // direction of the step, except when it is to be empty
                 let (lo, hi) = if (step < 0) != (empty == 0) {
@@ -1392,9 +1440,20 @@ mod tests {
         ints: &[i64],
         floats: &[f64],
     ) -> (Vec<Option<LocalArray>>, Frame, f64) {
+        run_lowered_on(prog, 1, opt, ints, floats)
+    }
+
+    /// [`run_lowered`] for any rank of the two.
+    fn run_lowered_on(
+        prog: &NodeProgram,
+        rank: usize,
+        opt: bool,
+        ints: &[i64],
+        floats: &[f64],
+    ) -> (Vec<Option<LocalArray>>, Frame, f64) {
         let got = Mutex::new(None);
         let run = Machine::run(MachineConfig::sp2(1), |proc| {
-            let mut st = filled_state(prog);
+            let mut st = filled_state(prog, rank);
             let tapes = if opt {
                 lower_program(&st).0
             } else {
@@ -1457,7 +1516,8 @@ mod tests {
             // The variable of an inner loop that nothing reads outside a
             // loop binding it has no value a program can see: iterations
             // of the enclosing loops that run no statement, and are not
-            // visited, would still have set it.
+            // visited, would still have set it, and an unrolled loop
+            // never sets it.
             let uses = SlotUse::of(&prog.units[0]);
             for (slot, (g, w)) in frame.ints.iter().zip(&want.ints).enumerate() {
                 let unseen = (1..=2).contains(&slot) && !uses.escapes[slot];
@@ -1473,6 +1533,208 @@ mod tests {
             }
             prop_assert_eq!(clock.to_bits(), want_clock.to_bits());
         }
+    }
+
+    // ---- unrolled loops ---------------------------------------------------
+
+    fn var(slot: usize, cst: i64) -> CIdx {
+        CIdx {
+            terms: vec![(slot, 1)],
+            cst,
+        }
+    }
+
+    fn do_loop(var: usize, lo: CIdx, hi: CIdx, body: Vec<NodeOp>) -> NodeOp {
+        NodeOp::Loop {
+            var,
+            lo,
+            hi,
+            step: 1,
+            body,
+        }
+    }
+
+    fn load(arr: usize, subs: Vec<CIdx>) -> Box<CExpr> {
+        Box::new(CExpr::Load { arr, subs })
+    }
+
+    /// `guard: arr(subs) = arr(subs) − y·z`, the statement the lowering
+    /// fuses.
+    fn update(
+        guard: Option<Guard>,
+        arr: usize,
+        subs: Vec<CIdx>,
+        y: Box<CExpr>,
+        z: Box<CExpr>,
+    ) -> NodeOp {
+        let yz = Box::new(CExpr::Bin(BinOp::Mul, y, z));
+        NodeOp::Assign {
+            guard,
+            arr,
+            value: CExpr::Bin(BinOp::Sub, load(arr, subs.clone()), yz),
+            subs,
+            flops: 2,
+        }
+    }
+
+    /// The guard that `sub` lies in what the rank owns of `b`.
+    fn owns_b(sub: CIdx) -> Option<Guard> {
+        Some(Guard {
+            terms: vec![vec![GuardAtom::In {
+                arr: B,
+                dim: 0,
+                sub,
+            }]],
+        })
+    }
+
+    /// Run `ops` on `rank` lowered both ways from one frame: every array
+    /// cell, the clock and every int slot but the variables in `unseen`
+    /// match the plain lowering's. Returns what the full lowering
+    /// decided and its int slots.
+    fn matches_plain(ops: Vec<NodeOp>, rank: usize, unseen: &[usize]) -> (LowerStats, Vec<i64>) {
+        let prog = program(ops);
+        let (ints, floats) = ([0; N_INTS], [0.5, 1.5, -2.0]);
+        let (want_storage, want, want_clock) = run_lowered_on(&prog, rank, false, &ints, &floats);
+        let (storage, got, clock) = run_lowered_on(&prog, rank, true, &ints, &floats);
+        for (slot, (g, w)) in got.ints.iter().zip(&want.ints).enumerate() {
+            assert!(
+                unseen.contains(&slot) || g == w,
+                "int slot {slot}: {g}, reference {w}"
+            );
+        }
+        for (g, w) in storage.iter().flatten().zip(want_storage.iter().flatten()) {
+            for (g, w) in g.data().iter().zip(w.data()) {
+                assert_eq!(
+                    g.to_bits(),
+                    w.to_bits(),
+                    "array cell: {g:e}, reference {w:e}"
+                );
+            }
+        }
+        assert_eq!(clock.to_bits(), want_clock.to_bits());
+        let (_, stats) = lower_program(&ProcState::new(&prog, rank));
+        (stats, got.ints)
+    }
+
+    /// `do i = 1, 8; do m = 0, 3: b(i) = b(i) − a(m, 1)·a(1, m)` under a
+    /// guard on `i`: on each rank the `i` loop shrinks to what it owns of
+    /// `b`, and its body is four fused statements on its bases.
+    #[test]
+    fn unrolled_loop_inside_a_clamped_loop() {
+        let (i, m) = (0, 1);
+        let body = update(
+            owns_b(var(i, 0)),
+            B,
+            vec![var(i, 0)],
+            load(A, vec![var(m, 0), CIdx::cst(1)]),
+            load(A, vec![CIdx::cst(1), var(m, 0)]),
+        );
+        let nest = do_loop(
+            i,
+            CIdx::cst(1),
+            CIdx::cst(8),
+            vec![do_loop(m, CIdx::cst(0), CIdx::cst(3), vec![body])],
+        );
+        for rank in 0..2 {
+            let (stats, _) = matches_plain(vec![nest.clone()], rank, &[m]);
+            assert_eq!(
+                (stats.loops, stats.loops_clamped, stats.loops_unrolled),
+                (1, 1, 1),
+                "rank {rank}"
+            );
+            assert_eq!(
+                (stats.stmts_fused, stats.sites_in_loops, stats.sites_based),
+                (4, 16, 16)
+            );
+        }
+    }
+
+    /// A guard on the unrolled variable is decided per copy: the copies
+    /// of the values the rank does not own are dropped, and no test is
+    /// left on the tape.
+    #[test]
+    fn guard_on_the_unrolled_variable_is_decided() {
+        let (i, m) = (0, 1);
+        let body = NodeOp::Assign {
+            guard: owns_b(var(m, 0)),
+            arr: B,
+            subs: vec![var(m, 0)],
+            value: CExpr::Bin(
+                BinOp::Add,
+                load(B, vec![var(m, 0)]),
+                Box::new(CExpr::Int(var(i, 0))),
+            ),
+            flops: 1,
+        };
+        let nest = do_loop(
+            i,
+            CIdx::cst(1),
+            CIdx::cst(2),
+            vec![do_loop(m, CIdx::cst(3), CIdx::cst(7), vec![body])],
+        );
+        for (rank, owned) in [(0, 2), (1, 3)] {
+            let (stats, _) = matches_plain(vec![nest.clone()], rank, &[m]);
+            assert_eq!(
+                (stats.loops_unrolled, stats.tests_kept),
+                (1, 0),
+                "rank {rank}"
+            );
+            assert_eq!(
+                stats.tests_true, owned,
+                "rank {rank}: one test per copy kept"
+            );
+        }
+    }
+
+    /// `do p1 = 0, 3; do n = p1 + 1, 3`: the inner bounds are constants
+    /// only once `p1` is pinned, and the triangle unrolls whole, the last
+    /// copy of the inner loop empty.
+    #[test]
+    fn triangular_loop_inside_an_unrolled_loop() {
+        let (i, p1, n) = (0, 1, 2);
+        let body = update(
+            owns_b(var(i, 0)),
+            A,
+            vec![var(p1, 0), var(n, 0)],
+            load(A, vec![var(n, 0), var(p1, 0)]),
+            load(B, vec![var(i, 0)]),
+        );
+        let inner = do_loop(n, var(p1, 1), CIdx::cst(3), vec![body]);
+        let nest = do_loop(
+            i,
+            CIdx::cst(5),
+            CIdx::cst(8),
+            vec![do_loop(p1, CIdx::cst(0), CIdx::cst(3), vec![inner])],
+        );
+        let (stats, _) = matches_plain(vec![nest], 1, &[p1, n]);
+        assert_eq!((stats.loops, stats.loops_unrolled), (1, 5));
+        assert_eq!(stats.stmts_fused, 3 + 2 + 1);
+    }
+
+    /// A loop whose variable is read after it is not unrolled: it stays
+    /// a loop and leaves its last value.
+    #[test]
+    fn loop_whose_variable_escapes_stays_a_loop() {
+        let (i, m) = (0, 1);
+        let body = update(
+            owns_b(var(i, 0)),
+            B,
+            vec![var(m, 5)],
+            load(B, vec![var(i, 0)]),
+            load(A, vec![CIdx::cst(2), CIdx::cst(3)]),
+        );
+        let after = NodeOp::AssignI {
+            guard: None,
+            slot: 3,
+            value: CExpr::Int(var(m, 0)),
+            flops: 1,
+        };
+        let inner = do_loop(m, CIdx::cst(0), CIdx::cst(4), vec![body]);
+        let nest = do_loop(i, CIdx::cst(1), CIdx::cst(8), vec![inner, after]);
+        let (stats, ints) = matches_plain(vec![nest], 1, &[]);
+        assert_eq!((stats.loops, stats.loops_unrolled), (2, 0));
+        assert_eq!((ints[m], ints[3]), (4, 4));
     }
 
     /// One callee reached with two different bindings of its array

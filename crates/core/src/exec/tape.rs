@@ -23,6 +23,11 @@
 //! A statement `x − y·z` over three based loads and a based store
 //! becomes one instruction ([`Lower::fuse`]).
 //!
+//! A loop of a few constant trips inside an interpreted loop — BT's 5×5
+//! block updates — is lowered as one copy of its body per value of its
+//! variable, the variable *pinned*: folded into every form's constant
+//! and known as a singleton to the facts ([`Lower::unrolled`]).
+//!
 //! The lowering borrows the [`NodeProgram`](crate::codegen::NodeProgram):
 //! message lists, pipeline levels and subscripts are referenced, not
 //! copied.
@@ -39,6 +44,12 @@ use std::collections::BTreeMap;
 
 /// Binding of an array dummy no actual argument was bound to.
 pub(super) const UNBOUND: usize = usize::MAX;
+
+/// Most trips of a loop lowered as copies of its body.
+const UNROLL_TRIPS: i64 = 5;
+
+/// Most statements one unrolled nest lowers to: one 5×5×5 block.
+const UNROLL_STMTS: u64 = 125;
 
 /// One tape instruction. `d`, `a`, `b` and `src` are float registers —
 /// the arithmetic instructions are `(d, a, b)`: `d = a op b`, or
@@ -206,7 +217,7 @@ pub(super) struct Aff {
     terms: (u32, u32),
 }
 
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 struct Term {
     slot: u32,
     coef: i64,
@@ -216,17 +227,15 @@ struct Term {
 pub(super) const NO_BASE: u32 = u32::MAX;
 
 /// One array access: flat offset into the data of global array `arr`.
-pub(super) struct Site<'p> {
-    pub arr: usize,
+pub(super) struct Site {
+    pub arr: u32,
     pub off: Aff,
     /// Hidden int slot that holds `off` less its constant while the
     /// site's innermost loop runs, or [`NO_BASE`].
     pub base: u32,
-    /// The unfolded subscripts, for the debug-build window check.
-    pub subs: &'p [CIdx],
 }
 
-impl Site<'_> {
+impl Site {
     /// The flat offset of a based site: its base plus its constant.
     #[inline]
     pub fn at(&self, ints: &[i64]) -> usize {
@@ -281,6 +290,9 @@ pub(super) struct LoopDesc {
     /// (`inc ≠ 0`) first, up to `moving`.
     pub bases: (usize, usize),
     pub moving: usize,
+    /// Trips of the loops unrolled in the body, per trip of this loop:
+    /// they count as started with it.
+    pub unrolled: u64,
 }
 
 impl LoopDesc {
@@ -305,7 +317,7 @@ impl LoopDesc {
 /// What one rank's lowering decided, summed over its tapes.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LowerStats {
-    /// Loops lowered.
+    /// Loops lowered as loops.
     pub loops: u64,
     /// Loops shrunk to a hull (an empty hull included).
     pub loops_clamped: u64,
@@ -324,11 +336,13 @@ pub struct LowerStats {
     pub sites_based: u64,
     /// Statements `x − y·z` lowered to one [`Ins::MulSub`].
     pub stmts_fused: u64,
+    /// Loops lowered as copies of their body, one per trip.
+    pub loops_unrolled: u64,
 }
 
 impl LowerStats {
     /// The counts by name, for reports.
-    pub fn named(&self) -> [(&'static str, u64); 9] {
+    pub fn named(&self) -> [(&'static str, u64); 10] {
         [
             ("loops", self.loops),
             ("loops_clamped", self.loops_clamped),
@@ -339,6 +353,7 @@ impl LowerStats {
             ("sites_in_loops", self.sites_in_loops),
             ("sites_based", self.sites_based),
             ("stmts_fused", self.stmts_fused),
+            ("loops_unrolled", self.loops_unrolled),
         ]
     }
 
@@ -354,6 +369,7 @@ impl LowerStats {
             sites_in_loops: self.sites_in_loops + o.sites_in_loops,
             sites_based: self.sites_based + o.sites_based,
             stmts_fused: self.stmts_fused + o.stmts_fused,
+            loops_unrolled: self.loops_unrolled + o.loops_unrolled,
         }
     }
 }
@@ -412,8 +428,17 @@ pub(super) struct Tape<'p> {
     /// actual was passed for).
     pub binding: Vec<usize>,
     pub code: Vec<Ins>,
+    /// The term runs of every affine form, each distinct run once.
     terms: Vec<Term>,
-    pub sites: Vec<Site<'p>>,
+    pub sites: Vec<Site>,
+    /// For the window check of debug builds, per site: its unfolded
+    /// subscripts, and the range of `pins` holding the values of the
+    /// unrolled loop variables folded into its offset.
+    #[cfg(debug_assertions)]
+    pub unfolded: Vec<(&'p [CIdx], (u32, u32))>,
+    /// `(slot, value)` of the pinned variables of unrolled copies.
+    #[cfg(debug_assertions)]
+    pub pins: Vec<(u32, i64)>,
     pub bases: Vec<Base>,
     pub fused: Vec<Fused>,
     pub tests: Vec<RangeTest>,
@@ -568,6 +593,10 @@ struct Open {
     /// Where the bases of the sites lowered so far directly in the body
     /// start in [`Lower::pending`].
     bases: usize,
+    /// Trips of the loops unrolled so far in the body, per trip.
+    unrolled: u64,
+    /// [`Lower::charged`] outside the loop.
+    charged: bool,
 }
 
 struct Lower<'a, 'p> {
@@ -591,6 +620,16 @@ struct Lower<'a, 'p> {
     /// site of its binding) and a range never outlives its loop.
     facts: Vec<Range>,
     slots: SlotUse,
+    /// Each distinct run of terms, and where it lies in the term pool.
+    interned: BTreeMap<Vec<Term>, (u32, u32)>,
+    /// The variables of the unrolled copies around the point being
+    /// lowered and their values, innermost last.
+    pinned: Vec<(usize, i64)>,
+    /// The point being lowered runs once per trip of the innermost open
+    /// loop: no `if` arm that may not run, and no interior/boundary
+    /// split, lies between. Only there is a loop unrolled, so that its
+    /// trips count as a constant per trip of that loop.
+    charged: bool,
 }
 
 impl<'a, 'p> Lower<'a, 'p> {
@@ -615,6 +654,9 @@ impl<'a, 'p> Lower<'a, 'p> {
             pending: Vec::new(),
             facts: vec![ALL; unit.n_ints],
             slots: SlotUse::of(unit),
+            interned: BTreeMap::new(),
+            pinned: Vec::new(),
+            charged: false,
             tmp0: idx(tmp0),
             tape: Tape {
                 unit,
@@ -622,6 +664,10 @@ impl<'a, 'p> Lower<'a, 'p> {
                 code: Vec::new(),
                 terms: Vec::new(),
                 sites: Vec::new(),
+                #[cfg(debug_assertions)]
+                unfolded: Vec::new(),
+                #[cfg(debug_assertions)]
+                pins: Vec::new(),
                 bases: Vec::new(),
                 fused: Vec::new(),
                 tests: Vec::new(),
@@ -686,22 +732,38 @@ impl<'a, 'p> Lower<'a, 'p> {
         idx(self.tape.unit.n_floats + at)
     }
 
-    /// `c0 + Σ coef·slot` with like terms merged and zero terms dropped.
-    fn aff(&mut self, c0: i64, terms: impl IntoIterator<Item = (usize, i64)>) -> Aff {
+    /// `c0 + Σ coef·slot` with like terms merged, zero terms dropped and
+    /// the terms of pinned variables folded into the constant. Equal
+    /// runs of terms share one run of the pool.
+    fn aff(&mut self, mut c0: i64, terms: impl IntoIterator<Item = (usize, i64)>) -> Aff {
         let mut merged: BTreeMap<usize, i64> = BTreeMap::new();
         for (slot, coef) in terms {
-            *merged.entry(slot).or_insert(0) += coef;
+            match self.pinned.iter().find(|(pin, _)| *pin == slot) {
+                Some((_, v)) => c0 += coef * v,
+                None => *merged.entry(slot).or_insert(0) += coef,
+            }
         }
-        let first = idx(self.tape.terms.len());
+        // the run goes to the end of the pool, and back out if the pool
+        // holds it already
+        let pool = &mut self.tape.terms;
+        let first = pool.len();
         let merged = merged.into_iter().filter(|(_, coef)| *coef != 0);
-        self.tape.terms.extend(merged.map(|(slot, coef)| Term {
+        pool.extend(merged.map(|(slot, coef)| Term {
             slot: idx(slot),
             coef,
         }));
-        Aff {
-            c0,
-            terms: (first, idx(self.tape.terms.len())),
-        }
+        let terms = match self.interned.get(&pool[first..]) {
+            Some(&seen) => {
+                pool.truncate(first);
+                seen
+            }
+            None => {
+                let run = (idx(first), idx(pool.len()));
+                self.interned.insert(pool[first..].to_vec(), run);
+                run
+            }
+        };
+        Aff { c0, terms }
     }
 
     fn cidx(&mut self, c: &CIdx) -> Aff {
@@ -740,16 +802,24 @@ impl<'a, 'p> Lower<'a, 'p> {
         let off = self.aff(c0, terms);
         let base = self.base(off);
         self.tape.sites.push(Site {
-            arr: g,
+            arr: idx(g),
             off,
             base,
-            subs,
         });
+        #[cfg(debug_assertions)]
+        {
+            let first = idx(self.tape.pins.len());
+            let pins = self.pinned.iter().map(|&(slot, v)| (idx(slot), v));
+            self.tape.pins.extend(pins);
+            let pins = (first, idx(self.tape.pins.len()));
+            self.tape.unfolded.push((subs, pins));
+        }
         Ok(idx(self.tape.sites.len() - 1))
     }
 
     /// The base the innermost open loop maintains for an access at `off`
-    /// — one hidden int slot per distinct run of terms — or [`NO_BASE`]
+    /// — one hidden int slot per distinct run of terms, shared by the
+    /// unrolled copies in its body — or [`NO_BASE`]
     /// outside every loop, and where a slot of `off` other than the
     /// loop's variable may change while the loop runs.
     fn base(&mut self, off: Aff) -> u32 {
@@ -767,7 +837,8 @@ impl<'a, 'p> Lower<'a, 'p> {
             return NO_BASE;
         }
         stats.sites_based += 1;
-        let same = |b: &&Base| pool[b.form.terms.0 as usize..b.form.terms.1 as usize] == *terms;
+        // the pool is interned: equal runs are one run
+        let same = |b: &&Base| b.form.terms == off.terms;
         if let Some(b) = self.pending[open.bases..].iter().find(same) {
             return b.slot;
         }
@@ -1188,6 +1259,7 @@ impl<'a, 'p> Lower<'a, 'p> {
             hull,
             bases: (0, 0),
             moving: 0,
+            unrolled: 0,
         };
         self.tape.loops.push(desc);
         let l = idx(self.tape.loops.len() - 1);
@@ -1204,6 +1276,8 @@ impl<'a, 'p> Lower<'a, 'p> {
             basing,
             written: self.written.len(),
             bases: self.pending.len(),
+            unrolled: 0,
+            charged: std::mem::replace(&mut self.charged, true),
         });
         if basing {
             written(body, &mut self.written);
@@ -1218,6 +1292,7 @@ impl<'a, 'p> Lower<'a, 'p> {
         self.land([enter]);
         self.facts[var] = outer;
         let open = self.open.pop().expect("loop_begin opened it");
+        self.charged = open.charged;
         self.written.truncate(open.written);
         let mine = &mut self.pending[open.bases..];
         mine.sort_by_key(|b| b.inc == 0);
@@ -1227,6 +1302,133 @@ impl<'a, 'p> Lower<'a, 'p> {
         let desc = &mut self.tape.loops[l as usize];
         desc.bases = (first, self.tape.bases.len());
         desc.moving = first + moving;
+        desc.unrolled = open.unrolled;
+    }
+
+    /// The value of `c` when the facts decide it.
+    fn constant(&self, c: &CIdx) -> Option<i64> {
+        let (lo, hi) = self.interval(c, None);
+        (lo == hi && !unbounded(lo)).then_some(lo)
+    }
+
+    /// Pin `var` to `v`; returns its outer facts, for [`Self::unpin`].
+    fn pin(&mut self, var: usize, v: i64) -> Range {
+        self.pinned.push((var, v));
+        std::mem::replace(&mut self.facts[var], (v, v))
+    }
+
+    fn unpin(&mut self, var: usize, outer: Range) {
+        self.pinned.pop();
+        self.facts[var] = outer;
+    }
+
+    /// The values a loop is unrolled for — one copy of the body each,
+    /// those of its range inside the hull of its body, in order — or
+    /// `None` when it is interpreted. A loop is unrolled when it runs once
+    /// per trip of the innermost open loop ([`Lower::charged`]), its
+    /// variable follows its range and is read nowhere else
+    /// ([`SlotUse`]), its bounds are constants under the facts and it has
+    /// at most [`UNROLL_TRIPS`] trips; and, checked at the outermost loop
+    /// of an unrolled nest (nothing is pinned yet), when the whole nest
+    /// lowers to straight-line code of at most [`UNROLL_STMTS`]
+    /// statements ([`Self::fits`]).
+    fn unrolled(
+        &mut self,
+        var: usize,
+        (lo, hi, step): (&CIdx, &CIdx, i64),
+        body: &'p [NodeOp],
+    ) -> Option<Vec<i64>> {
+        let slots = &self.slots;
+        if !self.opt || !self.charged || slots.unstable[var] || slots.escapes[var] {
+            return None;
+        }
+        let (first, last) = (self.constant(lo)?, self.constant(hi)?);
+        let trips = if (step > 0 && first > last) || (step < 0 && first < last) {
+            0
+        } else {
+            last.checked_sub(first)? / step + 1
+        };
+        if trips > UNROLL_TRIPS {
+            return None;
+        }
+        // the iterations the interpreted loop would visit
+        let span = self.span(lo, hi, step);
+        let outer = std::mem::replace(&mut self.facts[var], span);
+        let (hlo, hhi) = intersect(span, self.hull(var, Body::of(body)));
+        self.facts[var] = outer;
+        let values: Vec<i64> = (0..trips)
+            .map(|k| first + k * step)
+            .filter(|v| hlo <= *v && *v <= hhi)
+            .collect();
+        let mut budget = UNROLL_STMTS;
+        let outermost = self.pinned.is_empty();
+        if outermost && !self.fits(var, &values, body, &mut budget) {
+            return None;
+        }
+        Some(values)
+    }
+
+    /// Whether the copies of `body` for `values` of `var` lower to
+    /// straight-line code — assignments and `if`s, every loop in them
+    /// unrolled — of no more statements than `budget`, which they use
+    /// up.
+    fn fits(&mut self, var: usize, values: &[i64], body: &'p [NodeOp], budget: &mut u64) -> bool {
+        values.iter().all(|&v| {
+            let outer = self.pin(var, v);
+            let fits = self.fits_ops(body, budget);
+            self.unpin(var, outer);
+            fits
+        })
+    }
+
+    fn fits_ops(&mut self, ops: &'p [NodeOp], budget: &mut u64) -> bool {
+        ops.iter().all(|op| match op {
+            NodeOp::Loop {
+                var,
+                lo,
+                hi,
+                step,
+                body,
+            } => match self.unrolled(*var, (lo, hi, *step), body) {
+                Some(values) => self.fits(*var, &values, body, budget),
+                None => false,
+            },
+            NodeOp::If { arms } => {
+                let charged = self.charged;
+                let fits = arms.iter().enumerate().all(|(i, (cond, body))| {
+                    self.charged = charged && i == 0 && cond.is_none();
+                    self.fits_ops(body, budget)
+                });
+                self.charged = charged;
+                fits
+            }
+            NodeOp::Assign { .. } | NodeOp::AssignF { .. } | NodeOp::AssignI { .. } => {
+                budget.checked_sub(1).map(|left| *budget = left).is_some()
+            }
+            NodeOp::Call { .. }
+            | NodeOp::Exchange { .. }
+            | NodeOp::OverlapNest { .. }
+            | NodeOp::Pipeline { .. } => false,
+        })
+    }
+
+    /// Lower the copies of an unrolled loop's body, one per value of its
+    /// variable in `values`.
+    fn unroll(&mut self, var: usize, values: Vec<i64>, body: &'p [NodeOp]) {
+        self.tape.stats.loops_unrolled += 1;
+        let open = self
+            .open
+            .last_mut()
+            .expect("an unrolled loop is inside an open one");
+        open.unrolled += values.len() as u64;
+        if values.is_empty() {
+            self.tape.stats.stmts_dropped += statements(body);
+        }
+        for v in values {
+            let outer = self.pin(var, v);
+            self.ops(body);
+            self.unpin(var, outer);
+        }
     }
 
     /// Lower a single-chain nest inline; returns its tape range.
@@ -1252,6 +1454,9 @@ impl<'a, 'p> Lower<'a, 'p> {
         }
         if open.len() == levels.len() {
             let skip = split.map(|split| self.emit(Ins::Interior { split, to: 0 }));
+            // each iteration of a split nest runs its body in one of the
+            // two passes, and starts its loops in both
+            self.charged &= split.is_none();
             self.ops(ops);
             self.land(skip);
         }
@@ -1277,7 +1482,10 @@ impl<'a, 'p> Lower<'a, 'p> {
                 step,
                 body,
             } => {
-                if let Some(h) = self.loop_begin(*var, (lo, hi, *step), None, Body::of(body)) {
+                if let Some(values) = self.unrolled(*var, (lo, hi, *step), body) {
+                    self.unroll(*var, values, body);
+                } else if let Some(h) = self.loop_begin(*var, (lo, hi, *step), None, Body::of(body))
+                {
                     self.ops(body);
                     self.loop_end(*var, h);
                 }
@@ -1336,11 +1544,14 @@ impl<'a, 'p> Lower<'a, 'p> {
             }
             NodeOp::If { arms } => {
                 let mut done = Vec::new();
-                for (cond, body) in arms {
+                let charged = self.charged;
+                for (i, (cond, body)) in arms.iter().enumerate() {
                     let next = cond.as_ref().map(|c| {
                         let a = self.expr(c, t);
                         self.emit(Ins::JumpIfZero { a, to: 0 })
                     });
+                    // only an unconditional first arm runs on every trip
+                    self.charged = charged && i == 0 && cond.is_none();
                     self.ops(body);
                     done.push(self.emit(Ins::Jump { to: 0 }));
                     self.land(next);
@@ -1348,6 +1559,7 @@ impl<'a, 'p> Lower<'a, 'p> {
                         break; // arms after an `else` never run
                     }
                 }
+                self.charged = charged;
                 self.land(done);
             }
             NodeOp::Call {

@@ -34,7 +34,8 @@
 #                      seeded example in examples/hpf/ produces its
 #                      expected finding
 #  11. observability — `dhpf compile --run` writes all three documents,
-#                      the metrics with the `exec.lower.*` gauges
+#                      the metrics with the `exec.lower.*` gauges, the
+#                      count of unrolled loops among them
 #  12. aggregation   — the protocol verifier with per-peer packing on
 #                      and off (every transfer then carries one
 #                      segment) at every fuzz geometry's rank count and
@@ -143,6 +144,8 @@ done
 # what each rank's lowering decided must stay in the metrics document
 grep -q '"exec\.lower\.' "$OBS_DIR/sp_s_metrics.json" \
     || { echo "FAIL: no exec.lower.* gauges in the metrics document"; exit 1; }
+grep -q '"exec\.lower\.loops_unrolled"' "$OBS_DIR/sp_s_metrics.json" \
+    || { echo "FAIL: no exec.lower.loops_unrolled gauge in the metrics document"; exit 1; }
 
 echo "== message aggregation"
 # the static protocol checks must hold with packing both on and off at

@@ -48,13 +48,16 @@ fn var(slot: usize, cst: i64) -> CIdx {
     }
 }
 
-/// `do it = 1, trips; do j = 1, 8; do i = 1, 8` around
+/// `nt = trips; do it = 1, nt; do j = 1, 8; do i = 1, 8` around
 /// a float-scalar assignment, `a(i, j) = min(a(i, j), 1, it) + s * i`
-/// under a guard that holds for `i <= 7`, an integer-scalar assignment
-/// and `a(j, i) = a(j, i) - a(i, j) * a(1, i)`, which the lowering fuses.
-/// Every access addresses by a base the inner loop maintains.
+/// under a guard that holds for `i <= 7`, an integer-scalar assignment,
+/// `a(j, i) = a(j, i) - a(i, j) * a(1, i)`, which the lowering fuses,
+/// and `do m = 1, 5: a(m, i) = a(m, i) - a(i, j) * a(1, m)`, which it
+/// unrolls to five fused statements. Every access addresses by a base
+/// the `i` loop maintains. The trip count is a scalar's value, not a
+/// constant of the program, so both counts lower the same tape.
 fn guarded_triple_nest(trips: i64) -> NodeProgram {
-    let (it, j, i) = (0, 1, 2);
+    let (it, j, i, nt, m) = (0, 1, 2, 4, 5);
     let a_ij = || vec![var(i, 0), var(j, 0)];
     let a_ji = || vec![var(j, 0), var(i, 0)];
     let load = |subs| Box::new(CExpr::Load { arr: 0, subs });
@@ -131,22 +134,56 @@ fn guarded_triple_nest(trips: i64) -> NodeProgram {
             ),
             flops: 2,
         },
+        NodeOp::Loop {
+            var: m,
+            lo: CIdx::cst(1),
+            hi: CIdx::cst(5),
+            step: 1,
+            body: vec![NodeOp::Assign {
+                guard: None,
+                arr: 0,
+                subs: vec![var(m, 0), var(i, 0)],
+                value: CExpr::Bin(
+                    BinOp::Sub,
+                    load(vec![var(m, 0), var(i, 0)]),
+                    Box::new(CExpr::Bin(
+                        BinOp::Mul,
+                        load(a_ij()),
+                        load(vec![CIdx::cst(1), var(m, 0)]),
+                    )),
+                ),
+                flops: 2,
+            }],
+        },
     ];
-    let nest = |slot: usize, hi: i64, body: Vec<NodeOp>| NodeOp::Loop {
+    let nest = |slot: usize, hi: CIdx, body: Vec<NodeOp>| NodeOp::Loop {
         var: slot,
         lo: CIdx::cst(1),
-        hi: CIdx::cst(hi),
+        hi,
         step: 1,
         body,
     };
+    let eight = || CIdx::cst(8);
     let unit = CompiledUnit {
         name: "main".into(),
-        n_ints: 4,
+        n_ints: 6,
         n_floats: 1,
         n_arrays: 1,
         array_global: vec![Some(0)],
         array_names: vec!["a".into()],
-        ops: vec![nest(it, trips, vec![nest(j, 8, vec![nest(i, 8, body)])])],
+        ops: vec![
+            NodeOp::AssignI {
+                guard: None,
+                slot: nt,
+                value: CExpr::Int(CIdx::cst(trips)),
+                flops: 0,
+            },
+            nest(
+                it,
+                var(nt, 0),
+                vec![nest(j, eight(), vec![nest(i, eight(), body)])],
+            ),
+        ],
         ..Default::default()
     };
     NodeProgram {
@@ -180,13 +217,19 @@ fn count_one_run(trips: i64) -> u64 {
     let result = run_node_program(&prog, MachineConfig::sp2(1)).expect("runs");
     let count = ALLOCATIONS.load(Ordering::Relaxed) - before;
     // per trip: 56 guarded stores of 3 flops, 64 scalar stores of 1, 64
-    // fused statements of 2
-    let flops = (trips * (56 * 3 + 64 + 64 * 2)) as f64;
+    // fused statements of 2 and 64 × 5 unrolled ones of 2
+    let flops = (trips * (56 * 3 + 64 + 64 * 2 + 64 * 5 * 2)) as f64;
     let per_flop = MachineConfig::sp2(1).seconds_per_flop;
     assert!((result.run.virtual_time / (flops * per_flop) - 1.0).abs() < 1e-9);
     let lower = result.ranks[0].lower;
-    assert_eq!(lower.stmts_fused, 1);
-    assert_eq!((lower.sites_in_loops, lower.sites_based), (6, 6));
+    assert_eq!((lower.loops, lower.loops_unrolled), (3, 1));
+    assert_eq!(lower.stmts_fused, 1 + 5);
+    assert_eq!((lower.sites_in_loops, lower.sites_based), (26, 26));
+    // the unrolled trips count as started with the `i` loop's
+    assert_eq!(
+        result.ranks[0].loop_trips as i64,
+        trips * (1 + 8 + 64 + 64 * 5)
+    );
     count
 }
 

@@ -282,3 +282,44 @@ fn machine_size_mismatch_is_a_structured_error() {
     let err = run_node_program(&prog, MachineConfig::sp2(3)).expect_err("size mismatch");
     assert!(err.0.contains("compiled for 2"), "got: {}", err.0);
 }
+
+/// An array passed to a callee whose stencil reads past the caller's
+/// overlap area: the callee's exchange names a section outside the
+/// window the caller allocated. The run returns an `ExecError` naming
+/// the rank, the array and the region; it does not panic in the unpack.
+#[test]
+fn section_outside_the_window_is_a_structured_error() {
+    let src = "
+      program t
+      integer i
+      double precision a(16), b(16)
+!hpf$ processors p(2)
+!hpf$ distribute (block) onto p :: a, b
+      do i = 1, 16
+         a(i) = 1.0d0 * i
+         b(i) = 0.0d0
+      enddo
+      call smooth(a, b)
+      end
+
+      subroutine smooth(x, y)
+      integer i
+      double precision x(16), y(16)
+!hpf$ processors p(2)
+!hpf$ distribute (block) onto p :: x, y
+      do i = 2, 15
+         y(i) = 0.5d0*(x(i-1) + x(i+1))
+      enddo
+      end
+";
+    let compiled = compile(&parse(src).expect("parses"), &CompileOptions::new()).expect("compiles");
+    let err = run_node_program(&compiled.program, MachineConfig::sp2(2))
+        .expect_err("a section outside the window must not be unpacked");
+    assert!(
+        err.0.contains("rank ")
+            && err.0.contains("array t::a region")
+            && err.0.contains("outside its window"),
+        "unexpected message: {}",
+        err.0
+    );
+}

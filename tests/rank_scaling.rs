@@ -11,6 +11,10 @@
 //!
 //! The same lowering counts, per unit, gate the inner-loop normal form:
 //! every access in a loop addresses by a base, at 1 rank and at 2×2.
+//!
+//! Unrolled loops start their trips with the loop around them, so the
+//! per-rank counts are those of the lowering that ran every short loop
+//! as a loop; they are pinned here.
 
 use dhpf::core::exec::node::{lower_census, ExecResult};
 use dhpf::nas::Kernel;
@@ -60,10 +64,31 @@ fn bt_loop_trips_do_not_grow_with_ranks() {
     });
 }
 
+/// The loop trips each rank starts, on SP and BT class S at 1, 4 and 6
+/// ranks: the counts of the lowering that interpreted every loop, which
+/// the unrolled ones must keep.
+#[test]
+fn loop_trips_per_rank_are_pinned() {
+    let pinned: [(Kernel, usize, &[u64]); 6] = [
+        (Kernel::Sp, 1, &[27692]),
+        (Kernel::Sp, 4, &[8594, 8372, 8372, 8150]),
+        (Kernel::Sp, 6, &[5961, 5813, 8397, 8175, 3100, 3026]),
+        (Kernel::Bt, 1, &[552548]),
+        (Kernel::Bt, 4, &[134078, 139616, 139616, 145154]),
+        (Kernel::Bt, 6, &[87397, 91089, 140541, 146079, 46248, 48094]),
+    ];
+    for (kernel, nprocs, want) in pinned {
+        let run = kernel.run_dhpf(Class::S, nprocs, MachineConfig::sp2(nprocs));
+        let trips: Vec<u64> = run.ranks.iter().map(|c| c.loop_trips).collect();
+        assert_eq!(trips, want, "{} class S at {nprocs} ranks", kernel.name());
+    }
+}
+
 /// Inside a loop every access of SP and BT addresses by a base its loop
 /// maintains (DESIGN §7.2, "What is folded per rank"), at 1 rank and on
-/// every rank of 2×2, and each of BT's three block solves lowers its
-/// `x − y·z` updates to fused statements.
+/// every rank of 2×2, and each of BT's three block solves unrolls its
+/// 5×5 block loops and lowers their `x − y·z` updates to fused
+/// statements.
 #[test]
 fn inner_loop_accesses_take_bases() {
     for kernel in [Kernel::Sp, Kernel::Bt] {
@@ -83,13 +108,15 @@ fn inner_loop_accesses_take_bases() {
                     continue;
                 }
                 for solve in ["x_solve", "y_solve", "z_solve"] {
-                    let fused: u64 = (census.iter())
+                    let (fused, unrolled) = (census.iter())
                         .filter(|(unit, _)| unit == solve)
-                        .map(|(_, l)| l.stmts_fused)
-                        .sum();
+                        .fold((0, 0), |(f, u), (_, l)| {
+                            (f + l.stmts_fused, u + l.loops_unrolled)
+                        });
                     assert!(
-                        fused > 0,
-                        "{name} at {nprocs} ranks, rank {rank}: no fused statement in {solve}"
+                        fused > 0 && unrolled > 0,
+                        "{name} at {nprocs} ranks, rank {rank}: {fused} fused statements and \
+                         {unrolled} unrolled loops in {solve}"
                     );
                 }
             }
