@@ -125,28 +125,19 @@ fn emit_ops(ops: &[NodeOp], u: &CompiledUnit, depth: usize, out: &mut String) {
                 tag,
                 levels,
                 body,
-                halo,
+                interior,
                 plan: _,
             } => {
                 ind(depth, out);
                 let vol: usize = msgs.iter().map(|m| m.elems()).sum();
                 let segs: usize = msgs.iter().map(|m| m.segs.len()).sum();
-                let checks: Vec<String> = halo
-                    .iter()
-                    .map(|h| {
-                        format!(
-                            "{}[{}]∋i{}{:+}",
-                            u.array_names[h.arr], h.dim, h.var, h.shift
-                        )
-                    })
-                    .collect();
                 let _ = writeln!(
                     out,
                     "overlap exchange tag {tag}: {} messages ({segs} segments), \
                      {vol} elements, {} levels, interior [{}]",
                     msgs.len(),
                     levels.len(),
-                    checks.join(" ∧ ")
+                    render_term(interior, u)
                 );
                 emit_msgs(msgs, u, depth + 1, out);
                 emit_ops(body, u, depth + 1, out);
@@ -194,24 +185,19 @@ fn emit_msgs(
 }
 
 fn render_guard(g: &super::Guard, u: &CompiledUnit) -> String {
-    g.terms
-        .iter()
-        .map(|atoms| {
-            atoms
-                .iter()
-                .map(|a| match a {
-                    GuardAtom::In { arr, dim, sub } => {
-                        format!("{}[{dim}]∋{sub:?}", u.array_names[*arr])
-                    }
-                    GuardAtom::Overlap { arr, dim, lo, hi } => {
-                        format!("{}[{dim}]∩[{lo:?},{hi:?}]", u.array_names[*arr])
-                    }
-                })
-                .collect::<Vec<_>>()
-                .join("∧")
-        })
-        .collect::<Vec<_>>()
-        .join(" ∨ ")
+    let terms = g.terms.iter().map(|atoms| render_term(atoms, u));
+    terms.collect::<Vec<_>>().join(" ∨ ")
+}
+
+/// One AND-term of a guard.
+fn render_term(atoms: &[GuardAtom], u: &CompiledUnit) -> String {
+    let atom = |a: &GuardAtom| match a {
+        GuardAtom::In { arr, dim, sub } => format!("{}[{dim}]∋{sub:?}", u.array_names[*arr]),
+        GuardAtom::Overlap { arr, dim, lo, hi } => {
+            format!("{}[{dim}]∩[{lo:?},{hi:?}]", u.array_names[*arr])
+        }
+    };
+    atoms.iter().map(atom).collect::<Vec<_>>().join("∧")
 }
 
 /// Plan statistics for one compiled program.
@@ -302,6 +288,21 @@ mod tests {
         assert!(text.contains("exchange tag"), "{text}");
         assert!(text.contains("guard["), "{text}");
         assert!(text.contains("t::a"), "{text}");
+    }
+
+    /// An overlapped nest lists its interior as a guard term, one atom
+    /// per halo read: the read's subscript lies in what the rank owns.
+    #[test]
+    fn listing_renders_the_interior_as_a_guard_term() {
+        let prog = compile_stencil();
+        let text = listing(&prog);
+        let line = (text.lines())
+            .find(|l| l.contains("overlap exchange tag"))
+            .unwrap_or_else(|| panic!("an overlapped nest:\n{text}"));
+        let (i, j) = ("CIdx { terms: [(1, 1)]", "CIdx { terms: [(0, 1)]");
+        let interior =
+            format!("interior [a[0]∋{i}, cst: -1 }}∧a[1]∋{j}, cst: 0 }}∧a[0]∋{i}, cst: 1 }}]");
+        assert!(line.ends_with(&interior), "{line}");
     }
 
     #[test]

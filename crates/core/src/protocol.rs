@@ -461,7 +461,10 @@ impl<'p> Extract<'p> {
                 });
                 let chunks: Vec<Vec<Option<(i64, i64)>>> = (0..self.prog.grid.nprocs() as usize)
                     .map(|r| match cut {
-                        Some((s, range)) => s.chunks(range, r).map(Some).collect(),
+                        Some((s, range)) => (s.chunks(range, levels[s.level].step, r))
+                            .into_iter()
+                            .map(Some)
+                            .collect(),
                         None => vec![None],
                     })
                     .collect();

@@ -157,6 +157,10 @@ pub struct ProgramSpec {
     /// planned one by one, their exchanges inside the time loop. Off in
     /// [`generate`] and on in the campaign, as above.
     pub statement_in_time_loop: bool,
+    /// Put a sweep's other distributed loop outside the swept one, a
+    /// strip running forward, backward or by stride 3 by the seed. Off
+    /// in [`generate`] and on in the campaign, as above.
+    pub strip_outside_sweep: bool,
 }
 
 /// Generation tuning.
@@ -317,6 +321,7 @@ pub fn generate(seed: u64, opts: &GenOptions) -> ProgramSpec {
         use_common,
         reads_loop_vars_at_end: false,
         statement_in_time_loop: false,
+        strip_outside_sweep: false,
     };
 
     // subroutines (stencil/axpy/sweep bodies over the COMMON arrays)
@@ -761,7 +766,7 @@ impl ProgramSpec {
                 coef20,
             } => {
                 // swept loop outermost (the NAS y_solve shape), other
-                // distributed dims inside it
+                // distributed dims inside it — or outside it, as strips
                 let a = &self.arrays[*arr].name;
                 let s = &self.arrays[*src].name;
                 let mut depth = ind;
@@ -770,13 +775,15 @@ impl ProgramSpec {
                 } else {
                     format!("do {} = n - 1, 1, -1", lv(*dim))
                 };
-                push_line(out, depth, &sweep_hdr);
-                depth += 3;
-                for d in (0..self.grid_rank).rev() {
-                    if d == *dim {
-                        continue;
-                    }
-                    push_line(out, depth, &format!("do {} = 1, n", lv(d)));
+                let strip = self.strip_outside_sweep;
+                let ranges = ["1, n", "n, 1, -1", "1, n, 3"];
+                let range = ranges[if strip { self.seed as usize % 3 } else { 0 }];
+                let others = (0..self.grid_rank).rev().filter(|d| d != dim);
+                let mut headers: Vec<_> =
+                    others.map(|d| format!("do {} = {range}", lv(d))).collect();
+                headers.insert(if strip { headers.len() } else { 0 }, sweep_hdr);
+                for header in headers {
+                    push_line(out, depth, &header);
                     depth += 3;
                 }
                 let mut offs = vec![0i64; self.grid_rank];
@@ -1150,6 +1157,46 @@ mod tests {
                 ..spec.clone()
             });
             assert_eq!(in_loop, stmt);
+        }
+        // the strip switch changes only the order of a 2-D sweep's two
+        // loops and, by the seed, the range of the strip loop
+        let opts = GenOptions::default();
+        let spec = (0..).map(|s| generate(s, &opts)).find(|s| s.grid_rank == 2);
+        let spec = spec.expect("a 2-D program");
+        assert!(!spec.strip_outside_sweep, "generate leaves it off");
+        let fields = spec.plain_doubles();
+        let (arr, src) = (fields[0], fields[1]);
+        let sweep = ProgramSpec {
+            body: vec![Kernel::Sweep {
+                arr,
+                src,
+                dim: 0,
+                forward: true,
+                coef20: 2,
+            }],
+            ..spec
+        };
+        for (seed, strip) in [(3, "1, n"), (4, "n, 1, -1"), (5, "1, n, 3")] {
+            let plain = ProgramSpec {
+                seed,
+                ..sweep.clone()
+            };
+            let probed = ProgramSpec {
+                strip_outside_sweep: true,
+                ..plain.clone()
+            };
+            let (plain, probed) = (plain.render(), probed.render());
+            dhpf_fortran::parse(&probed).expect("parses");
+            let changed: Vec<(&str, &str)> = (plain.lines().zip(probed.lines()))
+                .filter(|(a, b)| a != b)
+                .map(|(a, b)| (a.trim(), b.trim()))
+                .collect();
+            let strip = format!("do j = {strip}");
+            let loops = [
+                ("do i = 2, n", strip.as_str()),
+                ("do j = 1, n", "do i = 2, n"),
+            ];
+            assert_eq!(changed, loops, "{probed}");
         }
     }
 

@@ -67,12 +67,14 @@ pub fn program_seed(seed: u64, k: usize) -> u64 {
 }
 
 /// The program the campaign checks for `pseed`: the generated one, ending
-/// with a read of its loop variables after every loop, and with a
-/// statement beside the kernels of its time loop.
+/// with a read of its loop variables after every loop, with a statement
+/// beside the kernels of its time loop, and with the other distributed
+/// loop of each 2-D sweep outside the swept one.
 fn campaign_spec(pseed: u64, opts: &GenOptions) -> ProgramSpec {
     ProgramSpec {
         reads_loop_vars_at_end: true,
         statement_in_time_loop: true,
+        strip_outside_sweep: true,
         ..generate(pseed, opts)
     }
 }

@@ -20,7 +20,8 @@
 #   5. properties    — the iset algebra battery under a pinned seed
 #   6. exec props    — the node interpreter's property tests (tape vs tree
 #                      evaluator; the lowering with ranges, address bases
-#                      and fused statements vs the plain one) under the
+#                      and fused statements vs the plain one, overlapped
+#                      and strip-mined nests among its shapes) under the
 #                      same pinned seed
 #   7. spmd release  — dhpf-spmd's tests again in release: the mailbox's
 #                      yield and park windows differ under optimisation,
@@ -51,7 +52,8 @@
 #                      mutant two oracles must catch) under a hard
 #                      timeout; the command fails unless it is clean.
 #                      Then 20 programs at 5, 2x5 and 3x3 ranks, which
-#                      do not divide the extents
+#                      do not divide the extents. 2-D sweeps put a strip
+#                      loop outside, forward, backward or by stride 3
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -355,6 +355,71 @@ fn loop_variable_after_a_shrunk_loop_matches_serial() {
     }
 }
 
+/// The (block, block) wavefront of `examples/hpf/sweep.f`, its strip
+/// loop `j` outside the swept `i`: run backward, strided by 2 and by 3,
+/// and read after the nest. Each strip chunk holds `granularity` trips
+/// of the loop as it runs, and the strip variable ends where the whole
+/// loop does. Strip chunks used to count values, ascending: a backward
+/// or strided strip ran iterations in the wrong chunk or twice, and `j`
+/// was left at the last value of the rank's own strip.
+#[test]
+fn strip_loops_of_any_step_match_serial() {
+    let src = "
+      program sweep
+      parameter (n = 32)
+      integer np1, np2, i, j
+      double precision a(n, n)
+!hpf$ processors p(np1, np2)
+!hpf$ distribute (block, block) onto p :: a
+      do j = 1, n
+         do i = 1, n
+            a(i, j) = i + j * 0.5d0
+         enddo
+      enddo
+      do j = 1, n
+         do i = 2, n
+            a(i, j) = a(i, j) + 0.5d0 * a(i - 1, j)
+         enddo
+      enddo
+      end
+";
+    let strip = "      do j = 1, n\n         do i = 2, n";
+    let swept = |header: &str| src.replace(strip, &strip.replace("do j = 1, n", header));
+    let read_after = src.replace("      end\n", "      a(1, 1) = j\n      end\n");
+    let programs = [
+        swept("do j = n, 1, -1"),
+        swept("do j = 1, n, 2"),
+        swept("do j = 1, n, 3"),
+        read_after,
+    ];
+    for src in &programs {
+        let program = parse(src).unwrap();
+        let serial = run_serial(&program, &Default::default()).unwrap();
+        let bits = |a: &dhpf::core::exec::serial::ArrayValue| -> Vec<u64> {
+            a.data.iter().map(|v| v.to_bits()).collect()
+        };
+        for (np1, np2) in [(1, 1), (2, 2), (3, 2)] {
+            for granularity in [1, 3, 4] {
+                let mut opts = CompileOptions::new().bind("np1", np1).bind("np2", np2);
+                opts.granularity = granularity;
+                let compiled = compile(&program, &opts).unwrap();
+                let ranks = (np1 * np2) as usize;
+                let r = run_node_program(&compiled.program, MachineConfig::sp2(ranks)).unwrap();
+                let (s, p) = (&serial.arrays["a"], &r.arrays["a"]);
+                let differ = bits(s)
+                    .iter()
+                    .zip(bits(p))
+                    .filter(|(s, p)| **s != *p)
+                    .count();
+                assert_eq!(
+                    differ, 0,
+                    "{np1}x{np2} ranks, granularity {granularity}: {differ} cells differ\n{src}"
+                );
+            }
+        }
+    }
+}
+
 /// A `do` step that is not a compile-time constant used to be read as 0
 /// by the planned-nest, overlapped-nest and pipeline forms — the nest
 /// then ran no iteration, silently — while the plain form rejected it.

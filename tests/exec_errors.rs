@@ -245,7 +245,7 @@ fn short_exchange_payload_is_a_readable_structured_error() {
                 step: 1,
             }],
             body: vec![],
-            halo: vec![],
+            interior: vec![],
             plan: 0,
         };
         for (op, name) in [(blocking, "exchange"), (overlapped, "overlap")] {
