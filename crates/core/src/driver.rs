@@ -262,7 +262,7 @@ impl IdAlloc {
 /// is already final.
 pub fn compile(program: &Program, opts: &CompileOptions) -> Result<Compiled, CompileError> {
     let epoch = Instant::now();
-    let cache0 = dhpf_iset::cache_stats();
+    let (cache0, dep0) = (dhpf_iset::cache_stats(), dhpf_depend::dep_stats());
     let driver_guard = opts.observe.then(|| obs::install("driver", epoch));
     let mut program = program.clone();
 
@@ -346,7 +346,7 @@ pub fn compile(program: &Program, opts: &CompileOptions) -> Result<Compiled, Com
     // driver scope first, then the units in compile order
     let scopes = driver_guard.map(|g| g.finish()).into_iter();
     let scopes = scopes.chain(unit_scopes).collect();
-    compiled.obs = assemble_obs(opts, scopes, &compiled, &cache0);
+    compiled.obs = assemble_obs(opts, scopes, &compiled, &cache0, &dep0);
     Ok(compiled)
 }
 
@@ -381,6 +381,7 @@ fn assemble_obs(
     scopes: Vec<obs::ScopeObs>,
     compiled: &Compiled,
     cache0: &dhpf_iset::CacheStats,
+    dep0: &dhpf_depend::DepStats,
 ) -> ObsReport {
     let mut m = obs::Metrics::default();
     let r = &compiled.report;
@@ -410,6 +411,12 @@ fn assemble_obs(
     m.gauge("iset.lookups", lookups as f64);
     m.gauge("iset.hit_rate", hits as f64 / lookups.max(1) as f64);
     m.gauge("iset.interned_nodes", cache1.interned_nodes() as f64);
+    // the dependence tests' traffic, on the same scheme
+    let dep = dhpf_depend::dep_stats().since(dep0);
+    m.gauge("depend.pairs", dep.pairs as f64);
+    m.gauge("depend.systems", dep.systems as f64);
+    m.gauge("depend.memo_hits", dep.memo_hits as f64);
+    m.gauge("depend.fallbacks", dep.fallbacks as f64);
 
     for s in &scopes {
         for sp in &s.spans {

@@ -33,7 +33,7 @@ pub fn build(loop_id: StmtId, loops: &UnitLoops, refs: &UnitRefs) -> UseDef {
     let mut reads: Vec<&RefInfo> = Vec::new();
     for sid in &body {
         for r in refs.of_stmt(*sid) {
-            if r.is_scalar && loops.loop_vars(r.stmt).contains(&r.array.as_str()) {
+            if r.is_scalar && loops.is_loop_var(r.stmt, &r.array) {
                 continue; // induction variable
             }
             if r.is_write {

@@ -17,7 +17,11 @@
 #                      tests/profile.rs; lint schema:
 #                      crates/analysis/tests/lint_schema.rs; fuzz report:
 #                      crates/fuzz/tests/campaign_smoke.rs)
-#   5. properties    — the iset algebra battery under a pinned seed
+#   5. properties    — the iset algebra battery under a pinned seed, and
+#                      dhpf-depend's tests: the dense dependence test
+#                      against its named-set reference on generated
+#                      nests, NAS SP/BT, the fuzz corpus and generated
+#                      programs
 #   6. exec props    — the node interpreter's property tests (tape vs tree
 #                      evaluator; the lowering with ranges, address bases
 #                      and fused statements vs the plain one, overlapped
@@ -84,6 +88,7 @@ echo "== property suite (pinned seed)"
 # the vendored proptest shim mixes PROPTEST_SEED into every test's RNG
 # seed; pinning it makes the property battery bit-reproducible in CI
 PROPTEST_SEED=20260806 cargo test -q -p dhpf-iset --test algebra_props
+PROPTEST_SEED=20260806 cargo test -q -p dhpf-depend
 
 echo "== exec property tests (pinned seed)"
 # the tape against the tree evaluator, and the lowering that learns

@@ -111,6 +111,13 @@ fn metrics_document_is_consistent_with_comm_report() {
     let json = m.render_json();
     assert!(json.contains("\"schema\": \"dhpf-metrics-v1\""));
     assert!(json.contains("\"iset.lookups\""));
+    for gauge in ["pairs", "systems", "memo_hits", "fallbacks"] {
+        assert!(
+            json.contains(&format!("\"depend.{gauge}\"")),
+            "depend.{gauge}"
+        );
+    }
+    assert!((m.cache.iter()).any(|(n, v)| n == "depend.systems" && *v > 0.0));
     for key in [
         "unit",
         "stmt",
