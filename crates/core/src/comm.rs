@@ -725,7 +725,8 @@ impl Planner<'_> {
     }
 
     /// Detect a wavefront sweep: the outermost loop level carrying a flow
-    /// dependence whose loop variable subscripts a distributed dimension.
+    /// dependence whose loop variable subscripts a dimension distributed
+    /// over more than one processor.
     /// Levels index the chain (level 0 = `loop_id`); a `loop_id` that is
     /// not a loop has an empty chain and nothing can sweep.
     fn sweep(&self) -> Option<PipeSchedule> {
@@ -749,6 +750,11 @@ impl Planner<'_> {
                 let DimMap::Block { pdim, .. } = m else {
                     continue;
                 };
+                // along a grid dimension of extent 1 there is no link to
+                // pipeline across: the dependence stays on each rank
+                if self.grid.extents[*pdim] == 1 {
+                    continue;
+                }
                 let Some(Some(sub)) = src.subs.get(dim) else {
                     continue;
                 };

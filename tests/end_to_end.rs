@@ -723,3 +723,45 @@ fn strip_dimension_comes_from_the_swept_nest() {
         max_delta(s, p)
     );
 }
+
+/// The pipeline ops of a node program, by their provenance records.
+fn pipelines(compiled: &dhpf::core::Compiled) -> usize {
+    let provs = compiled.program.provenance.iter();
+    provs
+        .filter(|p| p.kind == dhpf::core::codegen::ProvKind::Pipeline)
+        .count()
+}
+
+/// A sweep along a grid dimension of extent 1 crosses no link: on
+/// `p(1, 1)`, and on `p(1, 4)`, where `examples/hpf/sweep.f`'s `i` sweeps
+/// the extent-1 dimension, the nest is planned as a parallel nest (no
+/// `Pipeline` op, no strip chunks) and runs bit for bit as the serial
+/// interpreter does. On `p(4, 1)` the same sweep crosses three links and
+/// stays pipelined. SP and BT at one rank hold no `Pipeline` either.
+#[test]
+fn no_pipeline_without_a_link() {
+    let src = include_str!("../examples/hpf/sweep.f")
+        .replace("processors p(2, 2)", "processors p(np1, np2)")
+        .replace("integer i, j", "integer np1, np2, i, j");
+    let program = parse(&src).unwrap();
+    let serial = run_serial(&program, &Default::default()).unwrap();
+    let bits = |a: &dhpf::core::exec::serial::ArrayValue| -> Vec<u64> {
+        a.data.iter().map(|v| v.to_bits()).collect()
+    };
+    for (np1, np2, pipelined) in [(1, 1, false), (1, 4, false), (4, 1, true)] {
+        let opts = CompileOptions::new().bind("np1", np1).bind("np2", np2);
+        let compiled = compile(&program, &opts).unwrap();
+        assert_eq!(pipelines(&compiled) > 0, pipelined, "{np1}x{np2}");
+        assert!(verify_compiled(&compiled).is_clean(), "{np1}x{np2}");
+        let ranks = (np1 * np2) as usize;
+        let r = run_node_program(&compiled.program, MachineConfig::sp2(ranks)).unwrap();
+        assert!(
+            bits(&serial.arrays["a"]) == bits(&r.arrays["a"]),
+            "{np1}x{np2}"
+        );
+    }
+    for kernel in [dhpf::nas::Kernel::Sp, dhpf::nas::Kernel::Bt] {
+        let compiled = kernel.compile_dhpf(Class::S, 1, None);
+        assert_eq!(pipelines(&compiled), 0, "{} at one rank", kernel.name());
+    }
+}
