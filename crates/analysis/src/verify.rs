@@ -2,8 +2,8 @@
 //!
 //! The planner in `dhpf_core::comm` *derives* each nest's exchanges; this
 //! module *re-derives* every statement's non-local data set from first
-//! principles — `Cp::iteration_set` images through the subscript maps
-//! (`avail::accessed_set`), per processor — and proves each one is
+//! principles — `Cp::iteration_set` images through the subscript maps,
+//! per processor (`avail::accessed_row`) — and proves each one is
 //! covered by the union of
 //!
 //! 1. the nest's scheduled pre-exchanges delivered to that processor,
@@ -30,7 +30,7 @@
 //! dropped or mis-addressed message cannot hide.
 
 use crate::diag::{Finding, Report, Severity};
-use dhpf_core::avail::{accessed_set, nest_bounds};
+use dhpf_core::avail::{accessed_row, nest_bounds};
 use dhpf_core::comm::NestPlan;
 use dhpf_core::distrib::{ArrayDist, ProcGrid};
 use dhpf_core::driver::{Compiled, UnitAnalysis};
@@ -104,17 +104,19 @@ pub fn verify_unit(
             images: BTreeMap::new(),
             owned: BTreeMap::new(),
             any_owned: BTreeMap::new(),
-            into: BTreeMap::new(),
-            out_of: BTreeMap::new(),
+            // a hop delivers to its receiver what a pre-exchange would, and
+            // forwards the sender's writes as a write-back would
+            into: delivered(
+                segments(plan.pre())
+                    .chain(segments(plan.hops()))
+                    .map(|(_, to, s)| (to, s)),
+            ),
+            out_of: delivered(
+                segments(plan.post())
+                    .chain(segments(plan.hops()))
+                    .map(|(from, to, s)| ((from, to), s)),
+            ),
         };
-        // a hop delivers to its receiver what a pre-exchange would, and
-        // forwards the sender's writes as a write-back would
-        for (_, to, s) in segments(plan.pre()).chain(segments(plan.hops())) {
-            cx.into.entry(to).or_default().push(s);
-        }
-        for (from, to, s) in segments(plan.post()).chain(segments(plan.hops())) {
-            cx.out_of.entry((from, to)).or_default().push(s);
-        }
         cx.check_reads(out);
         cx.check_placement(out);
         cx.check_writebacks(out);
@@ -123,6 +125,27 @@ pub fn verify_unit(
 
 /// One set per processor, indexed by rank.
 type PerRank = Rc<Vec<Set>>;
+
+/// A section's inclusive bounds per dimension.
+type Bounds = Vec<(i64, i64)>;
+
+/// The segments of each key as one set per array: `(key, array, rank of
+/// the array)` → the union of their sections.
+fn delivered<'a, K: Ord>(
+    segs: impl Iterator<Item = (K, &'a Seg<String>)>,
+) -> BTreeMap<(K, &'a str, usize), Set> {
+    let mut boxes: BTreeMap<(K, &str, usize), Vec<Bounds>> = BTreeMap::new();
+    for (k, s) in segs {
+        let b = s.lo.iter().zip(&s.hi).map(|(&lo, &hi)| (lo, hi)).collect();
+        boxes.entry((k, &s.arr, s.lo.len())).or_default().push(b);
+    }
+    (boxes.into_iter())
+        .map(|(key, b)| {
+            let set = Set::from_boxes(&elem_space(key.2), b);
+            (key, set)
+        })
+        .collect()
+}
 
 struct NestCx<'a> {
     unit_name: &'a str,
@@ -138,14 +161,15 @@ struct NestCx<'a> {
     plan: &'a NestPlan,
     // The verifier's own per-rank table of the nest, rows derived on first
     // use: what each processor accesses through a reference, what it owns
-    // of an array, what any owns; the segments delivered before the
-    // nest or during it by destination (pre-exchanges and hops), and those
-    // leaving a processor for another (write-backs and hops).
+    // of an array, what any owns; the sections delivered before the nest
+    // or during it by destination (pre-exchanges and hops), and those
+    // leaving a processor for another (write-backs and hops), one set per
+    // array.
     images: BTreeMap<RefId, Option<PerRank>>,
     owned: BTreeMap<&'a str, PerRank>,
     any_owned: BTreeMap<&'a str, Rc<Set>>,
-    into: BTreeMap<usize, Vec<&'a Seg<String>>>,
-    out_of: BTreeMap<(usize, usize), Vec<&'a Seg<String>>>,
+    into: BTreeMap<(usize, &'a str, usize), Set>,
+    out_of: BTreeMap<((usize, usize), &'a str, usize), Set>,
 }
 
 impl<'a> NestCx<'a> {
@@ -154,14 +178,11 @@ impl<'a> NestCx<'a> {
     /// subscripts inside affine loop bounds.
     fn images(&mut self, x: &RefInfo) -> Option<PerRank> {
         if !self.images.contains_key(&x.id) {
-            let (env, grid) = (&self.ua.env, self.grid);
+            let env = &self.ua.env;
             let cp = self.ua.cps.get(&x.stmt).cloned().unwrap_or_default();
             let row = (env.dist_of(&x.array).filter(|d| d.is_distributed()))
                 .and(nest_bounds(x.stmt, self.loops))
-                .and_then(|b| {
-                    let image = |p| accessed_set(x, &cp, &b, env, &grid.coords(p));
-                    grid.ranks().map(image).collect()
-                });
+                .and_then(|b| accessed_row(x, &cp, &b, env, self.grid));
             self.images.insert(x.id, row.map(Rc::new));
         }
         self.images[&x.id].clone()
@@ -176,14 +197,17 @@ impl<'a> NestCx<'a> {
             .clone()
     }
 
-    /// Every element some processor owns of `array` (of rank `ndims`).
+    /// Every element some processor owns of `array` (of rank `ndims`):
+    /// the hull of the owned tiles, which tile it.
     fn any_owned(&mut self, array: &'a str, dist: &ArrayDist, ndims: usize) -> Rc<Set> {
-        if !self.any_owned.contains_key(array) {
-            let owned = self.owned(array, dist);
-            let any = (owned.iter()).fold(Set::empty(&elem_space(ndims)), |acc, s| acc.union(s));
-            self.any_owned.insert(array, Rc::new(any));
-        }
-        self.any_owned[array].clone()
+        let grid = self.grid;
+        let any = self.any_owned.entry(array).or_insert_with(|| {
+            Rc::new(Set::from_boxes(
+                &elem_space(ndims),
+                Vec::from_iter(owned_hull(dist, grid)),
+            ))
+        });
+        any.clone()
     }
 
     /// The reads (or writes) of the nest's statements with a CP that go to
@@ -228,7 +252,6 @@ impl<'a> NestCx<'a> {
                         .iter()
                         .any(|d| d.kind == DepKind::Flow && d.src_ref == w.id && d.dst_ref == r.id)
                 });
-            let space = elem_space(r.subs.len());
             let owned = self.owned(&r.array, dist);
             let anyowned = self.any_owned(&r.array, dist, r.subs.len());
             let mut bad_ranks: Vec<(usize, String)> = Vec::new();
@@ -240,10 +263,8 @@ impl<'a> NestCx<'a> {
                 if let Some(written) = pred.and_then(|w| self.images(w)) {
                     uncovered = uncovered.subtract(&written[rank]);
                 }
-                for s in self.into.get(&rank).into_iter().flatten() {
-                    if s.arr == r.array && s.lo.len() == r.subs.len() {
-                        uncovered = uncovered.subtract(&Set::rect(&space, &s.lo, &s.hi));
-                    }
+                if let Some(delivered) = self.into.get(&(rank, &r.array, r.subs.len())) {
+                    uncovered = uncovered.subtract(delivered);
                 }
                 if !uncovered.is_empty() {
                     bad_ranks.push((rank, describe(&uncovered)));
@@ -366,7 +387,6 @@ impl<'a> NestCx<'a> {
                 continue; // non-affine loop bounds
             };
             let owned = self.owned(&w.array, dist);
-            let space = elem_space(w.subs.len());
             let mut bad: Vec<(usize, usize, String)> = Vec::new();
             for (rank, mine) in written.iter().enumerate() {
                 let nonowned = mine.subtract(&owned[rank]);
@@ -382,10 +402,9 @@ impl<'a> NestCx<'a> {
                         continue;
                     }
                     piece = piece.subtract(&theirs.intersect(oowned));
-                    for s in self.out_of.get(&(rank, orank)).into_iter().flatten() {
-                        if s.arr == w.array && s.lo.len() == w.subs.len() {
-                            piece = piece.subtract(&Set::rect(&space, &s.lo, &s.hi));
-                        }
+                    let key = ((rank, orank), w.array.as_str(), w.subs.len());
+                    if let Some(returned) = self.out_of.get(&key) {
+                        piece = piece.subtract(returned);
                     }
                     if !piece.is_empty() {
                         bad.push((rank, orank, describe(&piece)));
@@ -415,9 +434,19 @@ impl<'a> NestCx<'a> {
     }
 }
 
-/// The element space an `accessed_set` image lives in: `e0 .. e{n-1}`.
+/// The element space an `accessed_row` image lives in: `e0 .. e{n-1}`.
 fn elem_space(ndims: usize) -> Vec<String> {
     (0..ndims).map(|d| format!("e{d}")).collect()
+}
+
+/// The box hull of what the processors of `grid` own of `dist`, if any
+/// owns something.
+fn owned_hull(dist: &ArrayDist, grid: &ProcGrid) -> Option<Vec<(i64, i64)>> {
+    let tiles = grid.ranks().filter_map(|p| dist.owned_box(&grid.coords(p)));
+    tiles.reduce(|hull, tile| {
+        let dims = hull.iter().zip(&tile);
+        dims.map(|(h, t)| (h.0.min(t.0), h.1.max(t.1))).collect()
+    })
 }
 
 /// Human description of an uncovered element set (its bounding box).
@@ -477,6 +506,50 @@ mod tests {
     fn compile_stencil() -> Compiled {
         let p = parse(STENCIL).unwrap();
         compile(&p, &CompileOptions::new()).unwrap()
+    }
+
+    /// The hull `any_owned` stands for equals the union of the owned
+    /// tiles: blocks tile each distributed dimension, whatever the block
+    /// size, alignment or empty last blocks.
+    #[test]
+    fn owned_hull_is_the_union_of_the_tiles() {
+        use dhpf_core::distrib::DimMap;
+        for (extents, nproc, block, align_offset) in [
+            (vec![4], 4, 4, 0),
+            (vec![5], 5, 3, 0),
+            (vec![5], 5, 2, 1),
+            (vec![2, 3], 3, 5, -1),
+            (vec![3, 3], 3, 4, 2),
+        ] {
+            let grid = ProcGrid {
+                name: "p".into(),
+                extents: extents.clone(),
+            };
+            let mut dims = vec![DimMap::Block {
+                pdim: extents.len() - 1,
+                block,
+                align_offset,
+                nproc,
+            }];
+            if extents.len() == 2 {
+                dims.insert(0, DimMap::Serial);
+            }
+            let bounds = vec![(-1, 11); dims.len()];
+            let dist = ArrayDist {
+                array: "a".into(),
+                bounds,
+                dims,
+            };
+            let space = elem_space(dist.rank());
+            let union = (grid.ranks())
+                .map(|p| dist.owned_set(&grid.coords(p)))
+                .fold(Set::empty(&space), |acc, s| acc.union(&s));
+            let hull = Set::from_boxes(&space, Vec::from_iter(owned_hull(&dist, &grid)));
+            assert!(
+                hull.set_eq(&union),
+                "{extents:?} block {block}: {hull:?} vs {union:?}"
+            );
+        }
     }
 
     #[test]

@@ -37,7 +37,8 @@ pub struct Timing {
     pub cold_ms: f64,
     pub warm_ms: f64,
     pub traced_cold_ms: f64,
-    pub cache_hit_rate: f64,
+    /// `None` when the compiles made no interner lookup.
+    pub cache_hit_rate: Option<f64>,
     pub peak_interned_nodes: usize,
     /// Per-phase milliseconds of one traced compile, in pipeline order.
     pub phases: Vec<(&'static str, f64)>,
@@ -121,7 +122,7 @@ pub fn study(quick: bool) -> Vec<Measurement> {
             let t = measure(kernel, class, cold_reps, warm_reps);
             eprintln!(
                 "{} class {}: cold {:.2} ms, warm {:.2} ms ({:.2}x), \
-                 traced cold {:.2} ms ({:+.1}%), hit-rate {:.1}%, {} interned nodes",
+                 traced cold {:.2} ms ({:+.1}%), hit-rate {}, {} interned nodes",
                 kernel.name(),
                 class.name(),
                 t.cold_ms,
@@ -129,7 +130,8 @@ pub fn study(quick: bool) -> Vec<Measurement> {
                 t.cold_ms / t.warm_ms,
                 t.traced_cold_ms,
                 t.trace_overhead() * 1e2,
-                t.cache_hit_rate * 1e2,
+                t.cache_hit_rate
+                    .map_or("n/a".to_string(), |r| format!("{:.1}%", r * 1e2)),
                 t.peak_interned_nodes,
             );
             rows.push(Measurement {
@@ -154,7 +156,10 @@ mod tests {
     fn quick_timing_is_complete_and_in_range() {
         let t = measure(Kernel::Sp, Class::S, 1, 1);
         assert!(t.cold_ms > 0.0 && t.warm_ms > 0.0 && t.traced_cold_ms > 0.0);
-        assert!((0.0..=1.0).contains(&t.cache_hit_rate));
+        assert!(t.cache_hit_rate.is_none_or(|r| (0.0..=1.0).contains(&r)));
+        let rate = t
+            .cache_hit_rate
+            .map_or("null".to_string(), |r| format!("{r:.4}"));
         // SP's compile may intern nothing: its only Fourier–Motzkin-backed
         // set operations were dependence tests, which no longer enter the
         // interner. BT's compile still makes some.
@@ -175,10 +180,10 @@ mod tests {
         );
         for key in [
             "\"schema\": \"dhpf-bench-v1\",\n  \"study\": \"compile\"",
+            &format!(", \"cache_hit_rate\": {rate}, "),
             "{ \"kernel\": \"sp\", \"class\": \"S\", \"nprocs\": 4, \"config\": \"dhpf\", \"cold_ms\": ",
             ", \"warm_ms\": ",
             ", \"traced_cold_ms\": ",
-            ", \"cache_hit_rate\": 0.",
             ", \"peak_interned_nodes\": ",
             "\"phases\": { \"semantic\": ",
             ", \"comm-plan\": ",

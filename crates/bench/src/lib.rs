@@ -222,8 +222,13 @@ pub fn render(study: &str, rows: &[Measurement]) -> String {
                 let _ = write!(
                     out,
                     "\"cold_ms\": {:.3}, \"warm_ms\": {:.3}, \"traced_cold_ms\": {:.3}, \
-                     \"cache_hit_rate\": {:.4}, \"peak_interned_nodes\": {},\n      \"phases\": {{ ",
-                    t.cold_ms, t.warm_ms, t.traced_cold_ms, t.cache_hit_rate, t.peak_interned_nodes,
+                     \"cache_hit_rate\": {}, \"peak_interned_nodes\": {},\n      \"phases\": {{ ",
+                    t.cold_ms,
+                    t.warm_ms,
+                    t.traced_cold_ms,
+                    t.cache_hit_rate
+                        .map_or("null".to_string(), |r| format!("{r:.4}")),
+                    t.peak_interned_nodes,
                 );
                 for (j, (phase, ms)) in t.phases.iter().enumerate() {
                     let sep = if j > 0 { ", " } else { "" };

@@ -25,9 +25,9 @@
 //! iterations (those reading only owned data), waits, and finishes the
 //! boundary — hiding message flight time behind interior compute (§3).
 
-use crate::avail::{accessed_set, nest_bounds};
+use crate::avail::{self, accessed_row, nest_bounds};
 use crate::cp::{Cp, CpTerm, SubTerm};
-use crate::distrib::{DimMap, DistEnv, ProcGrid};
+use crate::distrib::{ArrayDist, DimMap, DistEnv, ProcGrid};
 use crate::driver::OptFlags;
 use crate::select::CpAssignment;
 use crate::transfer::{pack_per_peer, segments, Region, Seg, Transfer};
@@ -370,9 +370,7 @@ impl Planner<'_> {
             .ok_or_else(|| CommError("non-affine loop bounds".into()))?;
         let replicated = Cp::default();
         let cp = self.cps.get(&r.stmt).unwrap_or(&replicated);
-        let row: Option<Vec<Set>> = (self.coords.iter())
-            .map(|c| accessed_set(r, cp, &nest, self.env, c))
-            .collect();
+        let row = accessed_row(r, cp, &nest, self.env, self.grid);
         let row = Rc::new(row.ok_or_else(|| {
             let access = if r.is_write { "write" } else { "read" };
             CommError(format!("non-affine {access} subscripts"))
@@ -432,6 +430,7 @@ impl Planner<'_> {
                     })
                     .and_then(|w| self.touched(w).ok());
                 let touched = self.touched(r)?;
+                let dist = &self.env.arrays[&r.array];
                 let pre_before = pre.len();
                 let (mut any_nonlocal, mut available) = (false, wrote.is_some());
                 for rank in 0..self.coords.len() {
@@ -448,7 +447,7 @@ impl Planner<'_> {
                         continue;
                     }
                     available = false;
-                    for (owner, piece) in foreign_pieces(&residual, &owned, rank) {
+                    for (owner, piece) in foreign_pieces(&residual, &owned, dist, self.grid, rank) {
                         for region in regions_of(&piece) {
                             pre.push((owner, rank, Seg::new(r.array.clone(), region)));
                         }
@@ -628,6 +627,7 @@ impl Planner<'_> {
                     continue;
                 }
                 let written = self.touched(w)?;
+                let dist = &self.env.arrays[&w.array];
                 let post_before = post.len();
                 let suppressed_before = self.report.writebacks_suppressed_by_replication;
                 for rank in 0..self.coords.len() {
@@ -635,7 +635,7 @@ impl Planner<'_> {
                     if nonowned.is_empty() {
                         continue;
                     }
-                    for (owner, piece) in foreign_pieces(&nonowned, &owned, rank) {
+                    for (owner, piece) in foreign_pieces(&nonowned, &owned, dist, self.grid, rank) {
                         // owner computes these itself? then no write-back
                         let theirs = written[owner].intersect(&owned[owner]);
                         let piece = piece.subtract(&theirs);
@@ -915,16 +915,52 @@ fn against(forward: bool, shift: i64) -> i64 {
 }
 
 /// The non-empty parts of `set` that ranks other than `me` own, as
-/// `(owner, part)`.
+/// `(owner, part)` in ascending rank order. `owned` is `dist`'s row: only
+/// the owners whose block meets `set`'s box hull are intersected (all of
+/// them if `set` has none).
 fn foreign_pieces<'s>(
     set: &'s Set,
     owned: &'s [Set],
+    dist: &ArrayDist,
+    grid: &ProcGrid,
     me: usize,
 ) -> impl Iterator<Item = (usize, Set)> + 's {
-    (owned.iter().enumerate())
-        .filter(move |(owner, _)| *owner != me)
-        .map(|(owner, theirs)| (owner, set.intersect(theirs)))
+    let mut owners = match set.box_hull() {
+        Some(hull) if hull.len() == dist.rank() => owners_meeting(dist, grid, &hull),
+        _ => (0..owned.len()).collect(),
+    };
+    owners.retain(|o| *o != me);
+    avail::owner_search(owners.len() as u64);
+    (owners.into_iter())
+        .map(|owner| (owner, set.intersect(&owned[owner])))
         .filter(|(_, part)| !part.is_empty())
+}
+
+/// The ranks whose block of `dist` meets the box `hull`, ascending: per
+/// grid dimension the coordinates whose owned ranges meet it on every
+/// block dimension mapped there, by block arithmetic.
+fn owners_meeting(dist: &ArrayDist, grid: &ProcGrid, hull: &[(i64, i64)]) -> Vec<usize> {
+    let mut coords = vec![0; grid.extents.len()];
+    let mut ranks = vec![0usize];
+    // the last grid dimension varies slowest in a rank, so it goes first
+    for p in (0..grid.extents.len()).rev() {
+        let stride: i64 = grid.extents[..p].iter().product();
+        let meets: Vec<i64> = (0..grid.extents[p])
+            .filter(|&c| {
+                coords[p] = c;
+                dist.dims.iter().enumerate().all(|(d, m)| match m {
+                    DimMap::Block { pdim, .. } if *pdim == p => dist
+                        .owned_range(d, &coords)
+                        .is_some_and(|(lo, hi)| lo <= hull[d].1 && hull[d].0 <= hi),
+                    _ => true,
+                })
+            })
+            .collect();
+        ranks = (ranks.iter())
+            .flat_map(|r| meets.iter().map(move |c| r + (c * stride) as usize))
+            .collect();
+    }
+    ranks
 }
 
 /// Emit the deferred `CommRetained` decisions for one phase with

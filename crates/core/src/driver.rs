@@ -263,6 +263,7 @@ impl IdAlloc {
 pub fn compile(program: &Program, opts: &CompileOptions) -> Result<Compiled, CompileError> {
     let epoch = Instant::now();
     let (cache0, dep0) = (dhpf_iset::cache_stats(), dhpf_depend::dep_stats());
+    let rows0 = crate::avail::row_stats();
     let driver_guard = opts.observe.then(|| obs::install("driver", epoch));
     let mut program = program.clone();
 
@@ -346,7 +347,7 @@ pub fn compile(program: &Program, opts: &CompileOptions) -> Result<Compiled, Com
     // driver scope first, then the units in compile order
     let scopes = driver_guard.map(|g| g.finish()).into_iter();
     let scopes = scopes.chain(unit_scopes).collect();
-    compiled.obs = assemble_obs(opts, scopes, &compiled, &cache0, &dep0);
+    compiled.obs = assemble_obs(opts, scopes, &compiled, &cache0, &dep0, &rows0);
     Ok(compiled)
 }
 
@@ -382,6 +383,7 @@ fn assemble_obs(
     compiled: &Compiled,
     cache0: &dhpf_iset::CacheStats,
     dep0: &dhpf_depend::DepStats,
+    rows0: &crate::avail::RowStats,
 ) -> ObsReport {
     let mut m = obs::Metrics::default();
     let r = &compiled.report;
@@ -404,12 +406,15 @@ fn assemble_obs(
 
     // iset cache activity attributable to this compile (delta against the
     // snapshot taken at compile start; sizes are absolute). Timing- and
-    // sharing-dependent, so gauges, not counters.
+    // sharing-dependent, so gauges, not counters. No lookup has no hit
+    // rate: `iset.lookups` = 0 says why the rate is missing.
     let cache1 = dhpf_iset::cache_stats();
     let hits = cache1.hits().saturating_sub(cache0.hits());
     let lookups = hits + cache1.misses().saturating_sub(cache0.misses());
     m.gauge("iset.lookups", lookups as f64);
-    m.gauge("iset.hit_rate", hits as f64 / lookups.max(1) as f64);
+    if lookups > 0 {
+        m.gauge("iset.hit_rate", hits as f64 / lookups as f64);
+    }
     m.gauge("iset.interned_nodes", cache1.interned_nodes() as f64);
     // the dependence tests' traffic, on the same scheme
     let dep = dhpf_depend::dep_stats().since(dep0);
@@ -417,6 +422,13 @@ fn assemble_obs(
     m.gauge("depend.systems", dep.systems as f64);
     m.gauge("depend.memo_hits", dep.memo_hits as f64);
     m.gauge("depend.fallbacks", dep.fallbacks as f64);
+    // and the image-row builder's
+    let rows = crate::avail::row_stats().since(rows0);
+    m.gauge("avail.rows", rows.rows as f64);
+    m.gauge("avail.bounds_rows", rows.bounds_rows as f64);
+    m.gauge("avail.constraint_rows", rows.constraint_rows as f64);
+    m.gauge("avail.owner_sets", rows.owner_sets as f64);
+    m.gauge("avail.owner_probes", rows.owner_probes as f64);
 
     for s in &scopes {
         for sp in &s.spans {

@@ -128,8 +128,8 @@ fn is_empty(b: &[Range]) -> bool {
 }
 
 /// The set of the non-empty `boxes`, each once, in order, in canonical
-/// form.
-fn to_set(space: &[String], boxes: Vec<Bounds>) -> Set {
+/// form: [`Set::from_boxes`].
+pub(crate) fn to_set(space: &[String], boxes: Vec<Bounds>) -> Set {
     let names: Vec<Arc<str>> = space.iter().map(|v| Arc::from(v.as_str())).collect();
     let mut kept: Vec<Bounds> = Vec::with_capacity(boxes.len());
     for b in boxes {

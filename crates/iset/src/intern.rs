@@ -57,13 +57,11 @@ impl OpStats {
         self.hits + self.misses
     }
 
-    /// Fraction of lookups answered from cache (0.0 when never queried).
-    pub fn hit_rate(&self) -> f64 {
-        if self.lookups() == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.lookups() as f64
-        }
+    /// Fraction of lookups answered from cache; `None` when there was
+    /// no lookup, which has no rate.
+    pub fn hit_rate(&self) -> Option<f64> {
+        let lookups = self.lookups();
+        (lookups > 0).then(|| self.hits as f64 / lookups as f64)
     }
 }
 
@@ -117,14 +115,11 @@ impl CacheStats {
         self.ops().iter().map(|o| o.misses).sum()
     }
 
-    /// Overall hit rate across all operations (0.0 when never queried).
-    pub fn hit_rate(&self) -> f64 {
+    /// Overall hit rate across all operations; `None` when there was no
+    /// lookup.
+    pub fn hit_rate(&self) -> Option<f64> {
         let total = self.hits() + self.misses();
-        if total == 0 {
-            0.0
-        } else {
-            self.hits() as f64 / total as f64
-        }
+        (total > 0).then(|| self.hits() as f64 / total as f64)
     }
 
     /// Total interned nodes (exprs + constraints + polys + sets). Tables
@@ -434,7 +429,8 @@ mod tests {
     fn stats_report_rates() {
         let s = OpStats { hits: 3, misses: 1 };
         assert_eq!(s.lookups(), 4);
-        assert!((s.hit_rate() - 0.75).abs() < 1e-12);
-        assert_eq!(OpStats::default().hit_rate(), 0.0);
+        assert_eq!(s.hit_rate(), Some(0.75));
+        assert_eq!(OpStats::default().hit_rate(), None);
+        assert_eq!(CacheStats::default().hit_rate(), None);
     }
 }

@@ -66,6 +66,28 @@ impl Set {
         Set::from_constraints(space, cons)
     }
 
+    /// The union of `boxes`, each the per-dimension inclusive `(lo, hi)`
+    /// bounds of one disjunct in space order (`i64::MIN` / `i64::MAX` for
+    /// an open end), in the box kernel's canonical form: the empty boxes
+    /// dropped, each box once, in order. This is the set every box-kernel
+    /// operation returns for the same boxes, so a caller that computes
+    /// boxes on its own bounds gets the operation's very result (`==`).
+    pub fn from_boxes(space: &[String], boxes: Vec<Vec<(i64, i64)>>) -> Set {
+        assert!(
+            boxes.iter().all(|b| b.len() == space.len()),
+            "box of wrong arity"
+        );
+        boxes::to_set(space, boxes)
+    }
+
+    /// The per-dimension `(min, max)` over the non-empty disjuncts, if the
+    /// set is a union of parameter-free boxes with a bounded non-empty
+    /// hull, decided on their bounds; `None` otherwise (for any other set,
+    /// [`crate::enumerate::bounding_box`] projects).
+    pub fn box_hull(&self) -> Option<Vec<(i64, i64)>> {
+        boxes::bounding_box(self).flatten()
+    }
+
     /// The tuple space variable names.
     pub fn space(&self) -> &[String] {
         &self.space

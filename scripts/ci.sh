@@ -17,11 +17,13 @@
 #                      tests/profile.rs; lint schema:
 #                      crates/analysis/tests/lint_schema.rs; fuzz report:
 #                      crates/fuzz/tests/campaign_smoke.rs)
-#   5. properties    — the iset algebra battery under a pinned seed, and
+#   5. properties    — the iset algebra battery under a pinned seed;
 #                      dhpf-depend's tests: the dense dependence test
 #                      against its named-set reference on generated
 #                      nests, NAS SP/BT, the fuzz corpus and generated
-#                      programs
+#                      programs; and the image-row builder's bounds
+#                      path against the constraint path on random
+#                      nests, CPs and distributions (dhpf-core avail::)
 #   6. exec props    — the node interpreter's property tests (tape vs tree
 #                      evaluator; the lowering with ranges, address bases
 #                      and fused statements vs the plain one, overlapped
@@ -58,6 +60,9 @@
 #                      Then 20 programs at 5, 2x5 and 3x3 ranks, which
 #                      do not divide the extents. 2-D sweeps put a strip
 #                      loop outside, forward, backward or by stride 3
+#  17. line counts   — scripts/loc.sh's counting rule on fixtures of
+#                      known counts (a gate), then the counts ROADMAP.md
+#                      tracks (information)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -89,6 +94,7 @@ echo "== property suite (pinned seed)"
 # seed; pinning it makes the property battery bit-reproducible in CI
 PROPTEST_SEED=20260806 cargo test -q -p dhpf-iset --test algebra_props
 PROPTEST_SEED=20260806 cargo test -q -p dhpf-depend
+PROPTEST_SEED=20260806 cargo test -q -p dhpf-core --lib avail::
 
 echo "== exec property tests (pinned seed)"
 # the tape against the tree evaluator, and the lowering that learns
@@ -230,6 +236,9 @@ timeout 240 "$DHPF" fuzz --seed 20260806 --count 50 --geometries 1,4,2x3 \
 timeout 240 "$DHPF" fuzz --seed 20260806 --count 20 --geometries 5,2x5,3x3 \
     --out target/FUZZ_smoke_odd.json \
     || { echo "FAIL: fuzz smoke campaign at odd geometries not clean (or timed out)"; exit 1; }
+
+echo "== line counts"
+scripts/loc.sh --self-check || { echo "FAIL: scripts/loc.sh miscounts its fixtures"; exit 1; }
 
 echo "CI OK"
 # information, not a gate: the line counts ROADMAP.md tracks

@@ -118,6 +118,18 @@ fn metrics_document_is_consistent_with_comm_report() {
         );
     }
     assert!((m.cache.iter()).any(|(n, v)| n == "depend.systems" && *v > 0.0));
+    for gauge in [
+        "rows",
+        "bounds_rows",
+        "constraint_rows",
+        "owner_sets",
+        "owner_probes",
+    ] {
+        assert!(
+            json.contains(&format!("\"avail.{gauge}\"")),
+            "avail.{gauge}"
+        );
+    }
     for key in [
         "unit",
         "stmt",
@@ -130,6 +142,42 @@ fn metrics_document_is_consistent_with_comm_report() {
     ] {
         assert!(json.contains(&format!("\"{key}\":")), "per-nest {key}");
     }
+}
+
+/// The image-row builder's counts, from a compile in a process of its
+/// own (the counters are process-wide, and this binary's other tests
+/// compile concurrently): SP class S at 4 ranks builds every row on
+/// bounds, and the owner search probes fewer blocks than one per other
+/// rank for each non-local set.
+#[test]
+fn sp_rows_are_built_on_bounds() {
+    let out = std::env::temp_dir().join(format!("dhpf-avail-{}.json", std::process::id()));
+    let run = std::process::Command::new(env!("CARGO_BIN_EXE_dhpf"))
+        .args(["compile", "--nas", "sp", "--class", "S", "--nprocs", "4"])
+        .arg("--metrics-out")
+        .arg(&out)
+        .output()
+        .expect("spawn dhpf");
+    assert!(run.status.success(), "{run:?}");
+    let json = std::fs::read_to_string(&out).expect("metrics document");
+    let _ = std::fs::remove_file(&out);
+    let gauge = |name: &str| -> f64 {
+        let key = format!("\"avail.{name}\": ");
+        let at = json.find(&key).unwrap_or_else(|| panic!("no avail.{name}")) + key.len();
+        let end = json[at..].find([',', '\n']).expect("value end");
+        json[at..at + end].trim().parse().expect("a number")
+    };
+    assert!(gauge("rows") > 100.0);
+    assert_eq!(gauge("bounds_rows"), gauge("rows"));
+    assert_eq!(gauge("constraint_rows"), 0.0);
+    let ranks = 4.0;
+    assert!(gauge("owner_sets") > 0.0);
+    assert!(
+        gauge("owner_probes") < (ranks - 1.0) * gauge("owner_sets"),
+        "owner probes {} for {} sets",
+        gauge("owner_probes"),
+        gauge("owner_sets")
+    );
 }
 
 /// Event-level validity of a Chrome trace as `perfetto::render` lays it
