@@ -216,24 +216,19 @@ impl<'a> BoundsRow<'a> {
     /// The non-empty boxes of rank `coords`'s iteration set, one per CP
     /// term at most, in term order.
     fn iterations(&self, coords: &[i64]) -> Vec<Vec<Range>> {
-        let whole = || {
-            if empty(&self.nest) {
-                vec![]
-            } else {
-                vec![self.nest.clone()]
-            }
-        };
         let Runs::Terms(terms) = &self.runs else {
-            return whole();
+            let whole = (!empty(&self.nest)).then(|| self.nest.clone());
+            return whole.into_iter().collect();
         };
         let mut boxes = Vec::with_capacity(terms.len());
         for cuts in terms {
             let (mut b, mut inside) = (self.nest.clone(), true);
             for cut in cuts {
-                // a rank owning nothing of the term's array runs the whole
-                // nest, as `proc_constraints` has it
+                // a rank owning nothing of the term's array runs none of
+                // it, as `proc_constraints` has it
                 let Some((lo, hi)) = cut.dist.owned_range(cut.dim, coords) else {
-                    return whole();
+                    inside = false;
+                    break;
                 };
                 let c = cut.sub.c;
                 let (x, (lo, hi)) = match cut.sub.var {
@@ -569,6 +564,21 @@ mod tests {
         }
     }
 
+    /// Whether the rank at `coords` owns nothing of a block dimension of
+    /// every term of `c`'s CP, each term on a distributed array with a
+    /// subscript for every dimension: such a rank runs none of the nest.
+    fn owns_nothing(c: &Case, coords: &[i64]) -> bool {
+        let empty_block = |t: &CpTerm| {
+            let Some(dist) = c.env.dist_of(&t.array).filter(|d| d.is_distributed()) else {
+                return false;
+            };
+            let block = |d: &usize| matches!(dist.dims[*d], DimMap::Block { .. });
+            let mut blocks = (0..dist.dims.len()).filter(block);
+            t.subs.len() == dist.dims.len() && blocks.any(|d| dist.owned_range(d, coords).is_none())
+        };
+        !c.cp.is_replicated() && c.cp.terms.iter().all(empty_block)
+    }
+
     /// The path `c` takes: `true` for bounds.
     fn on_bounds(c: &Case) -> bool {
         let map = subscript_map(&c.r, &c.nest).expect("affine subscripts");
@@ -588,6 +598,11 @@ mod tests {
                     *image == want,
                     "rank {k} of {:?}, cp {}:\n{image:?}\n!=\n{want:?}",
                     c.grid.extents,
+                    c.cp
+                );
+                prop_assert!(
+                    !owns_nothing(&c, &coords) || image.is_empty(),
+                    "rank {k} owns nothing of cp {} and accesses {image:?}",
                     c.cp
                 );
             }

@@ -68,26 +68,37 @@ impl CpTerm {
 
     /// Constraints on the loop variables for "processor `coords`
     /// participates in this term" — `None` if the array is not
-    /// distributed (term imposes no constraint → everyone).
+    /// distributed or the term has no subscript for one of its block
+    /// dimensions (term imposes no constraint → everyone). A processor
+    /// that owns nothing of a block dimension gets one constraint no
+    /// iteration meets: it runs none of the term, as [`Cp::executes`]
+    /// has it.
     pub fn proc_constraints(&self, env: &DistEnv, coords: &[i64]) -> Option<Vec<Constraint>> {
         let dist = env.dist_of(&self.array)?;
         if !dist.is_distributed() {
             return None;
         }
+        let block = |d: &usize| matches!(dist.dims[*d], DimMap::Block { .. });
+        if (0..dist.dims.len())
+            .filter(block)
+            .any(|d| d >= self.subs.len())
+        {
+            return None;
+        }
         let mut cons = Vec::new();
-        for (d, m) in dist.dims.iter().enumerate() {
-            if let DimMap::Block { .. } = m {
-                let (lo, hi) = dist.owned_range(d, coords)?;
-                match self.subs.get(d)? {
-                    SubTerm::Affine(e) => {
-                        cons.push(Constraint::ge(e.clone(), LinExpr::cst(lo)));
-                        cons.push(Constraint::le(e.clone(), LinExpr::cst(hi)));
-                    }
-                    SubTerm::Range(a, b) => {
-                        // overlap: b >= lo and a <= hi
-                        cons.push(Constraint::ge(b.clone(), LinExpr::cst(lo)));
-                        cons.push(Constraint::le(a.clone(), LinExpr::cst(hi)));
-                    }
+        for d in (0..dist.dims.len()).filter(block) {
+            let Some((lo, hi)) = dist.owned_range(d, coords) else {
+                return Some(vec![Constraint::ge0(LinExpr::cst(-1))]);
+            };
+            match &self.subs[d] {
+                SubTerm::Affine(e) => {
+                    cons.push(Constraint::ge(e.clone(), LinExpr::cst(lo)));
+                    cons.push(Constraint::le(e.clone(), LinExpr::cst(hi)));
+                }
+                SubTerm::Range(a, b) => {
+                    // overlap: b >= lo and a <= hi
+                    cons.push(Constraint::ge(b.clone(), LinExpr::cst(lo)));
+                    cons.push(Constraint::le(a.clone(), LinExpr::cst(hi)));
                 }
             }
         }
@@ -405,6 +416,60 @@ mod tests {
             "range spans both row blocks"
         );
         assert!(!cp.executes(&env, &[0, 1], &ivals), "j=3 not owned by pk=1");
+    }
+
+    /// A processor that owns nothing of a term's array runs none of the
+    /// term: its iteration set holds exactly the iterations it executes.
+    #[test]
+    fn iteration_set_is_what_executes() {
+        // `w(1:9)` and `x(1:12)` in blocks of 3 over 4 processors:
+        // processor 3 owns no element of `w`
+        let block = |array: &str, n: i64| ArrayDist {
+            array: array.into(),
+            bounds: vec![(1, n)],
+            dims: vec![DimMap::Block {
+                pdim: 0,
+                block: 3,
+                align_offset: 0,
+                nproc: 4,
+            }],
+        };
+        let mut env = DistEnv {
+            grid: Some(crate::distrib::ProcGrid {
+                name: "p".into(),
+                extents: vec![4],
+            }),
+            ..DistEnv::default()
+        };
+        env.arrays.insert("w".into(), block("w", 9));
+        env.arrays.insert("x".into(), block("x", 12));
+        let i = || LinExpr::var("i");
+        let cps = [
+            Cp::single(CpTerm::on_home("w", vec![i()])),
+            Cp::single(CpTerm::on_home("w", vec![i() - 2])),
+            Cp {
+                terms: vec![
+                    CpTerm::on_home("w", vec![i()]),
+                    CpTerm::on_home("x", vec![i() + 1]),
+                ],
+            },
+        ];
+        let nest = [("i".to_string(), LinExpr::cst(0), LinExpr::cst(13))];
+        let owned = env.dist_of("w").unwrap().owned_range(0, &[3]);
+        assert_eq!(owned, None, "processor 3 owns nothing of w");
+        for cp in &cps {
+            for k in 0..4 {
+                let set = cp.iteration_set(&nest, &env, &[k]);
+                for v in 0..=13 {
+                    let ivals = |n: &str| (n == "i").then_some(v);
+                    assert_eq!(
+                        set.contains(&[v], &|_| None),
+                        cp.executes(&env, &[k], &ivals),
+                        "{cp} on processor {k} at i = {v}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -442,6 +442,15 @@ impl<'p> ProcState<'p> {
                     self.write(t, f.d, ints, x - y * z);
                     proc.work(f.flops);
                 }
+                Ins::MulSubReg { stmt } => {
+                    let f = &t.fused[stmt as usize];
+                    let x = self.read(t, f.a, ints);
+                    let s = r!(f.b);
+                    let z = self.read(t, f.c, ints);
+                    // `s·z` in the order of the unfused `Mul(y, s, y)`
+                    self.write(t, f.d, ints, x - s * z);
+                    proc.work(f.flops);
+                }
                 Ins::StoreF { slot, src, flops } => {
                     r!(slot) = r!(src);
                     proc.work(flops);
@@ -1159,8 +1168,8 @@ mod tests {
     /// A value over loads subscripted by constants inside the windows
     /// and, when `vary`, by forms, which stay inside the windows under
     /// the atoms [`inside`] adds to the statement's guard. Among its
-    /// shapes is `x − y·z` over three loads, the statement the lowering
-    /// fuses.
+    /// shapes are `x − y·z` over three loads and `x − s·z` over two, `s`
+    /// a float slot or a constant: the statements the lowering fuses.
     fn arb_value(form: &BoxedStrategy<CIdx>, vary: bool) -> BoxedStrategy<CExpr> {
         let sub = |lo: i64, hi: i64| {
             let cst = (lo..=hi).prop_map(CIdx::cst).boxed();
@@ -1189,6 +1198,10 @@ mod tests {
             load.clone(),
         ]
         .boxed();
+        let scalar = prop_oneof![
+            special_f64().prop_map(CExpr::Const),
+            (0usize..3).prop_map(CExpr::LoadF),
+        ];
         let op = prop_oneof![
             Just(BinOp::Add),
             Just(BinOp::Sub),
@@ -1199,10 +1212,15 @@ mod tests {
         prop_oneof![
             leaf.clone(),
             (op, leaf.clone(), leaf).prop_map(move |(op, a, b)| bin(op, a, b)),
-            (load.clone(), load.clone(), load).prop_map(move |(x, y, z)| bin(
+            (load.clone(), load.clone(), load.clone()).prop_map(move |(x, y, z)| bin(
                 BinOp::Sub,
                 x,
                 bin(BinOp::Mul, y, z)
+            )),
+            (load.clone(), scalar, load).prop_map(move |(x, s, z)| bin(
+                BinOp::Sub,
+                x,
+                bin(BinOp::Mul, s, z)
             )),
         ]
         .boxed()
@@ -1361,7 +1379,9 @@ mod tests {
     /// A loop at nest level `level`: steps 1, -1, 2 and -3; bounds that
     /// are constants or an outer loop's variable plus a constant; now and
     /// then no trip at all, or, below level 0, a short constant range;
-    /// inner loops down to level 2, some under `if`.
+    /// inner loops down to level 2, some under `if`. An `if` tests values
+    /// or compares integer forms, which the lowering decides where they
+    /// are over the pinned variables of unrolled copies.
     fn arb_loop(level: usize) -> BoxedStrategy<NodeOp> {
         let step = prop_oneof![Just(1i64), Just(1), Just(-1), Just(2), Just(-3)];
         let stmt = arb_stmt(level);
@@ -1371,15 +1391,21 @@ mod tests {
             prop_oneof![stmt.clone(), stmt, arb_loop(level + 1)].boxed()
         };
         let item = || item.clone();
-        let value = arb_value(&arb_form(level), false);
+        let form = arb_form(level);
+        let value = arb_value(&form, false);
+        let int = prop_oneof![
+            form.clone().prop_map(CExpr::Int),
+            form.prop_map(CExpr::Int),
+            (-1i64..=5).prop_map(|v| CExpr::Const(v as f64)),
+        ]
+        .boxed();
+        let cmp = prop_oneof![Just(BinOp::Ne), Just(BinOp::Eq), Just(BinOp::Le)];
+        let cond = |(op, a, b)| Some(CExpr::Bin(op, Box::new(a), Box::new(b)));
         let branch = (
             prop_oneof![
                 Just(None),
-                (value.clone(), value).prop_map(|(a, b)| Some(CExpr::Bin(
-                    BinOp::Lt,
-                    Box::new(a),
-                    Box::new(b)
-                ))),
+                (Just(BinOp::Lt), value.clone(), value).prop_map(cond),
+                (cmp, int.clone(), int).prop_map(cond),
             ],
             prop::collection::vec(item(), 0..=2),
         );
@@ -1796,6 +1822,170 @@ mod tests {
         let (stats, ints) = matches_plain(vec![nest], 1, &[]);
         assert_eq!((stats.loops, stats.loops_unrolled), (2, 0));
         assert_eq!((ints[m], ints[3]), (4, 4));
+    }
+
+    // ---- decided `if`s and `x − s·z` ---------------------------------------
+
+    fn cmp(op: BinOp, x: CExpr, y: CExpr) -> Option<CExpr> {
+        Some(CExpr::Bin(op, Box::new(x), Box::new(y)))
+    }
+
+    /// The instructions of the main unit lowered for `rank`.
+    fn main_code(ops: Vec<NodeOp>, rank: usize) -> Vec<Ins> {
+        let prog = program(ops);
+        let (tapes, _) = lower_program(&ProcState::new(&prog, rank));
+        tapes[0].code.clone()
+    }
+
+    /// `binvc`'s Gauss–Jordan nest on a 3×3 block of `a`, once per point
+    /// `i` of `b` the rank owns:
+    ///
+    /// ```text
+    /// do i = 1, 8
+    ///   do p1 = 1, 3
+    ///     do q1 = 1, 3
+    ///       if (q1 .ne. p1) then
+    ///         coef = a(q1, p1)
+    ///         do n = p1 + 1, 3
+    ///           a(q1, n) = a(q1, n) − coef·a(p1, n)
+    ///         b(i) = b(i) − coef·a(p1, 0)     ! where the rank owns b(i)
+    /// ```
+    ///
+    /// Pinned `p1` and `q1` decide every `if`: the nest lowers to one
+    /// interpreted loop of straight-line code, each update one fused
+    /// instruction with `coef` a register.
+    #[test]
+    fn gauss_jordan_nest_lowers_straight() {
+        let (i, p1, q1, n, coef) = (0, 1, 2, 3, 0);
+        let update_n = update(
+            None,
+            A,
+            vec![var(q1, 0), var(n, 0)],
+            Box::new(CExpr::LoadF(coef)),
+            load(A, vec![var(p1, 0), var(n, 0)]),
+        );
+        let update_i = update(
+            owns_b(var(i, 0)),
+            B,
+            vec![var(i, 0)],
+            Box::new(CExpr::LoadF(coef)),
+            load(A, vec![var(p1, 0), CIdx::cst(0)]),
+        );
+        let arm = vec![
+            NodeOp::AssignF {
+                guard: None,
+                slot: coef,
+                value: *load(A, vec![var(q1, 0), var(p1, 0)]),
+                flops: 0,
+            },
+            do_loop(n, var(p1, 1), CIdx::cst(3), vec![update_n]),
+            update_i,
+        ];
+        let differ = cmp(BinOp::Ne, CExpr::Int(var(q1, 0)), CExpr::Int(var(p1, 0)));
+        let gj = NodeOp::If {
+            arms: vec![(differ, arm)],
+        };
+        let rows = do_loop(q1, CIdx::cst(1), CIdx::cst(3), vec![gj]);
+        let nest = do_loop(
+            i,
+            CIdx::cst(1),
+            CIdx::cst(8),
+            vec![do_loop(p1, CIdx::cst(1), CIdx::cst(3), vec![rows])],
+        );
+        for rank in 0..2 {
+            let (stats, _) = matches_plain(vec![nest.clone()], rank, &[p1, q1, n]);
+            // `p1`, three `q1` and six `n` loops unrolled; nine `if`s decided
+            assert_eq!(
+                (stats.loops, stats.loops_unrolled, stats.ifs_decided),
+                (1, 1 + 3 + 6, 9),
+                "rank {rank}"
+            );
+            // the three statements of each `p1 = q1` arm, and the update
+            // in each `n` loop of no trip (`p1 = 3`)
+            assert_eq!(stats.stmts_dropped, 3 * 3 + 2, "rank {rank}");
+            // per pair `p1 ≠ q1`, two for each `p1`: `3 − p1` updates of
+            // `a` and one of `b`
+            assert_eq!(stats.stmts_fused, 2 * (3 + 2 + 1), "rank {rank}");
+            assert_eq!(stats.sites_based, stats.sites_in_loops);
+            let code = main_code(vec![nest.clone()], rank);
+            assert!(!code.iter().any(|c| matches!(c, Ins::JumpIfZero { .. })));
+            let reg = code.iter().filter(|c| matches!(c, Ins::MulSubReg { .. }));
+            assert_eq!(reg.count(), 12);
+        }
+    }
+
+    /// What the facts do not decide stays as it is: an `if` on the
+    /// variable of an interpreted loop, one whose first condition is
+    /// undecided and second decided, and one on a float keep their tests;
+    /// a loop in their arms is not unrolled, nor, then, the loop around
+    /// the second; `x − (s + 1)·z` is not fused, its factor a temporary.
+    #[test]
+    fn undecided_ifs_and_computed_factors_stay() {
+        let (i, m, p1, s) = (0, 1, 2, 1);
+        let body = || {
+            let each = update(
+                owns_b(var(i, 0)),
+                B,
+                vec![var(i, 0)],
+                load(A, vec![var(m, 0), CIdx::cst(1)]),
+                load(A, vec![CIdx::cst(1), var(m, 0)]),
+            );
+            vec![do_loop(m, CIdx::cst(0), CIdx::cst(3), vec![each])]
+        };
+        let on_i = NodeOp::If {
+            arms: vec![(
+                cmp(BinOp::Ne, CExpr::Int(var(i, 0)), CExpr::Const(6.0)),
+                body(),
+            )],
+        };
+        let later_arm = NodeOp::If {
+            arms: vec![
+                (
+                    cmp(BinOp::Eq, CExpr::Int(var(i, 0)), CExpr::Int(CIdx::cst(6))),
+                    vec![],
+                ),
+                (
+                    cmp(BinOp::Le, CExpr::Int(var(p1, 0)), CExpr::Const(2.0)),
+                    body(),
+                ),
+            ],
+        };
+        let on_float = NodeOp::If {
+            arms: vec![(cmp(BinOp::Lt, CExpr::LoadF(s), CExpr::Const(1.0)), body())],
+        };
+        let computed = NodeOp::Assign {
+            guard: owns_b(var(i, 0)),
+            arr: B,
+            subs: vec![var(i, 0)],
+            value: CExpr::Bin(
+                BinOp::Sub,
+                load(B, vec![var(i, 0)]),
+                Box::new(CExpr::Bin(
+                    BinOp::Mul,
+                    Box::new(CExpr::Bin(
+                        BinOp::Add,
+                        Box::new(CExpr::LoadF(s)),
+                        Box::new(CExpr::Const(1.0)),
+                    )),
+                    load(A, vec![CIdx::cst(2), CIdx::cst(3)]),
+                )),
+            ),
+            flops: 3,
+        };
+        let pinned = do_loop(p1, CIdx::cst(1), CIdx::cst(2), vec![later_arm]);
+        let ops = vec![on_i, pinned, on_float, computed];
+        let nest = do_loop(i, CIdx::cst(1), CIdx::cst(8), ops);
+        let (stats, _) = matches_plain(vec![nest.clone()], 1, &[m, p1]);
+        // the `i` and `p1` loops, and the `m` loop in each `if`
+        assert_eq!(
+            (stats.loops, stats.loops_unrolled, stats.ifs_decided),
+            (2 + 3, 0, 0)
+        );
+        assert_eq!(stats.stmts_fused, 3);
+        let code = main_code(vec![nest], 1);
+        let tests = code.iter().filter(|c| matches!(c, Ins::JumpIfZero { .. }));
+        assert_eq!(tests.count(), 1 + 2 + 1);
+        assert!(!code.iter().any(|c| matches!(c, Ins::MulSubReg { .. })));
     }
 
     /// One callee reached with two different bindings of its array

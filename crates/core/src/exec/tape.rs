@@ -20,13 +20,16 @@
 //! Inside a loop an access addresses by a *base* the loop maintains: a
 //! hidden int slot holding the non-constant part of its offset, set when
 //! the loop starts and stepped by a constant per trip ([`Lower::base`]).
-//! A statement `x − y·z` over three based loads and a based store
-//! becomes one instruction ([`Lower::fuse`]).
+//! A statement `x − y·z` over three based loads and a based store, or
+//! `x − s·z` with `s` a scalar slot or a constant, becomes one
+//! instruction ([`Lower::fuse`]).
 //!
 //! A loop of a few constant trips inside an interpreted loop — BT's 5×5
-//! block updates — is lowered as one copy of its body per value of its
-//! variable, the variable *pinned*: folded into every form's constant
-//! and known as a singleton to the facts ([`Lower::unrolled`]).
+//! block updates and `binvc`'s Gauss–Jordan nest — is lowered as one
+//! copy of its body per value of its variable, the variable *pinned*:
+//! folded into every form's constant and known as a singleton to the
+//! facts ([`Lower::unrolled`]). An `if` whose conditions the facts
+//! decide is lowered as the one arm that runs ([`Lower::arm`]).
 //!
 //! The lowering borrows the [`NodeProgram`](crate::codegen::NodeProgram):
 //! message lists, pipeline levels and subscripts are referenced, not
@@ -48,8 +51,9 @@ pub(super) const UNBOUND: usize = usize::MAX;
 /// Most trips of a loop lowered as copies of its body.
 const UNROLL_TRIPS: i64 = 5;
 
-/// Most statements one unrolled nest lowers to: one 5×5×5 block.
-const UNROLL_STMTS: u64 = 125;
+/// Most statements one unrolled nest lowers to: `binvc`'s Gauss–Jordan
+/// nest on a 5×5 block, 225 statements once its `if`s are decided.
+const UNROLL_STMTS: u64 = 256;
 
 /// One tape instruction. `d`, `a`, `b` and `src` are float registers —
 /// the arithmetic instructions are `(d, a, b)`: `d = a op b`, or
@@ -129,6 +133,12 @@ pub(super) enum Ins {
     /// over four based sites, rounded after the product and after the
     /// difference, then charge its flops.
     MulSub {
+        stmt: u32,
+    },
+    /// The statement `fused[stmt]` with `b` a register, a scalar slot or
+    /// a constant: `data[d] = data[a] − b·data[c]`, rounded as
+    /// [`Ins::MulSub`].
+    MulSubReg {
         stmt: u32,
     },
     /// Float scalar slot (a register) `= src`, then charge `flops`.
@@ -235,7 +245,8 @@ impl Site {
     }
 }
 
-/// A statement `data[d] = data[a] − data[b]·data[c]` over based sites.
+/// A statement `data[d] = data[a] − data[b]·data[c]` over based sites;
+/// of an [`Ins::MulSubReg`], `b` is a register.
 pub(super) struct Fused {
     pub a: u32,
     pub b: u32,
@@ -328,15 +339,19 @@ pub struct LowerStats {
     pub sites_in_loops: u64,
     /// Of those, the sites that address by a base their loop maintains.
     pub sites_based: u64,
-    /// Statements `x − y·z` lowered to one [`Ins::MulSub`].
+    /// Statements `x − y·z` lowered to one [`Ins::MulSub`], and `x − s·z`
+    /// to one [`Ins::MulSubReg`].
     pub stmts_fused: u64,
     /// Loops lowered as copies of their body, one per trip.
     pub loops_unrolled: u64,
+    /// `if`s the facts decide: lowered as the arm that runs, if any, and
+    /// no test.
+    pub ifs_decided: u64,
 }
 
 impl LowerStats {
     /// The counts by name, for reports.
-    pub fn named(&self) -> [(&'static str, u64); 10] {
+    pub fn named(&self) -> [(&'static str, u64); 11] {
         [
             ("loops", self.loops),
             ("loops_clamped", self.loops_clamped),
@@ -348,6 +363,7 @@ impl LowerStats {
             ("sites_based", self.sites_based),
             ("stmts_fused", self.stmts_fused),
             ("loops_unrolled", self.loops_unrolled),
+            ("ifs_decided", self.ifs_decided),
         ]
     }
 
@@ -364,6 +380,7 @@ impl LowerStats {
             sites_based: self.sites_based + o.sites_based,
             stmts_fused: self.stmts_fused + o.stmts_fused,
             loops_unrolled: self.loops_unrolled + o.loops_unrolled,
+            ifs_decided: self.ifs_decided + o.ifs_decided,
         }
     }
 }
@@ -620,8 +637,9 @@ struct Lower<'a, 'p> {
     pinned: Vec<(usize, i64)>,
     /// The point being lowered runs once per trip of the innermost open
     /// loop: no `if` arm that may not run, and no kept test of a nest's
-    /// term, lies between. Only there is a loop unrolled, so that its
-    /// trips count as a constant per trip of that loop.
+    /// term, lies between; the arm of a decided `if` runs. Only there is
+    /// a loop unrolled, so that its trips count as a constant per trip of
+    /// that loop.
     charged: bool,
 }
 
@@ -849,45 +867,27 @@ impl<'a, 'p> Lower<'a, 'p> {
         self.tape.sites[site as usize].base != NO_BASE
     }
 
-    /// Replace the statement emitted from `start` on by one
-    /// [`Ins::MulSub`] when it is the run the expression lowering emits
-    /// for `x − y·z` over three based loads, stored to a based site.
+    /// Replace the statement emitted from `start` on by one fused
+    /// instruction when it is `x − y·z` over three based loads or `x − s·z`
+    /// over two, stored to a based site ([`mul_sub`], [`mul_sub_reg`]).
     fn fuse(&mut self, start: usize) {
-        let run = &self.tape.code[start..];
-        let &[load_x, load_y, load_z, _, _, store] = run else {
-            return;
-        };
-        let (
-            Ins::LoadBased { d: x, site: a },
-            Ins::LoadBased { site: b, .. },
-            Ins::LoadBased { site: c, .. },
-            Ins::StoreBased { site: d, flops, .. },
-        ) = (load_x, load_y, load_z, store)
-        else {
-            return;
-        };
-        // the registers the expression lowering gives `x − y·z` from
-        // temporary `x` on
-        let (y, z) = (x + 1, x + 2);
-        let shape = [
-            Ins::LoadBased { d: x, site: a },
-            Ins::LoadBased { d: y, site: b },
-            Ins::LoadBased { d: z, site: c },
-            Ins::Mul(y, y, z),
-            Ins::Sub(x, x, y),
-            Ins::StoreBased {
-                site: d,
-                src: x,
-                flops,
-            },
-        ];
-        if !self.opt || run != shape {
+        if !self.opt {
             return;
         }
+        let run = &self.tape.code[start..];
+        let found = (mul_sub(run).map(|f| (f, false)))
+            .or_else(|| Some((mul_sub_reg(run, self.tmp0)?, true)));
+        let Some((fused, reg)) = found else {
+            return;
+        };
         self.tape.code.truncate(start);
-        self.tape.fused.push(Fused { a, b, c, d, flops });
+        self.tape.fused.push(fused);
         let stmt = idx(self.tape.fused.len() - 1);
-        self.emit(Ins::MulSub { stmt });
+        self.emit(if reg {
+            Ins::MulSubReg { stmt }
+        } else {
+            Ins::MulSub { stmt }
+        });
         self.tape.stats.stmts_fused += 1;
     }
 
@@ -1417,15 +1417,18 @@ impl<'a, 'p> Lower<'a, 'p> {
                 Some(values) => self.fits(*var, &values, body, budget),
                 None => false,
             },
-            NodeOp::If { arms } => {
-                let charged = self.charged;
-                let fits = arms.iter().enumerate().all(|(i, (cond, body))| {
-                    self.charged = charged && i == 0 && cond.is_none();
-                    self.fits_ops(body, budget)
-                });
-                self.charged = charged;
-                fits
-            }
+            NodeOp::If { arms } => match self.arm(arms) {
+                Some(taken) => taken.is_none_or(|i| self.fits_ops(&arms[i].1, budget)),
+                None => {
+                    let charged = self.charged;
+                    let fits = arms.iter().enumerate().all(|(i, (cond, body))| {
+                        self.charged = charged && i == 0 && cond.is_none();
+                        self.fits_ops(body, budget)
+                    });
+                    self.charged = charged;
+                    fits
+                }
+            },
             NodeOp::Assign { .. } | NodeOp::AssignF { .. } | NodeOp::AssignI { .. } => {
                 budget.checked_sub(1).map(|left| *budget = left).is_some()
             }
@@ -1433,6 +1436,46 @@ impl<'a, 'p> Lower<'a, 'p> {
             | NodeOp::Exchange { .. }
             | NodeOp::OverlapNest { .. }
             | NodeOp::Pipeline { .. } => false,
+        })
+    }
+
+    /// The arm of an `if` that runs, when the facts decide the condition
+    /// of every arm up to it — `Some(None)` when they decide that none
+    /// runs — or `None` when they do not.
+    fn arm(&self, arms: &'p [(Option<CExpr>, Vec<NodeOp>)]) -> Option<Option<usize>> {
+        if !self.opt {
+            return None;
+        }
+        for (i, (cond, _)) in arms.iter().enumerate() {
+            match cond {
+                None => return Some(Some(i)),
+                Some(c) if self.truth(c)? => return Some(Some(i)),
+                Some(_) => {}
+            }
+        }
+        Some(None)
+    }
+
+    /// The value of a comparison of integer forms and constants when the
+    /// facts decide it, compared as the tape compares it: in floats.
+    fn truth(&self, c: &CExpr) -> Option<bool> {
+        let CExpr::Bin(op, x, y) = c else {
+            return None;
+        };
+        let value = |e: &CExpr| match e {
+            CExpr::Int(ci) => self.constant(ci).map(|v| v as f64),
+            CExpr::Const(v) => Some(*v),
+            _ => None,
+        };
+        let (x, y) = (value(x)?, value(y)?);
+        Some(match op {
+            BinOp::Lt => x < y,
+            BinOp::Le => x <= y,
+            BinOp::Gt => x > y,
+            BinOp::Ge => x >= y,
+            BinOp::Eq => x == y,
+            BinOp::Ne => x != y,
+            _ => return None,
         })
     }
 
@@ -1595,6 +1638,18 @@ impl<'a, 'p> Lower<'a, 'p> {
                 self.land(skip);
             }
             NodeOp::If { arms } => {
+                if let Some(taken) = self.arm(arms) {
+                    // the arm runs whenever the `if` does: `charged` holds
+                    self.tape.stats.ifs_decided += 1;
+                    for (i, (_, body)) in arms.iter().enumerate() {
+                        if taken == Some(i) {
+                            self.ops(body);
+                        } else {
+                            self.tape.stats.stmts_dropped += statements(body);
+                        }
+                    }
+                    return;
+                }
                 let mut done = Vec::new();
                 let charged = self.charged;
                 for (i, (cond, body)) in arms.iter().enumerate() {
@@ -1857,6 +1912,70 @@ impl SlotUse {
             }
         }
     }
+}
+
+/// The statement `run` is, when it is the run the expression lowering
+/// emits for `x − y·z` from temporary `x` on: `LoadBased x; LoadBased y;
+/// LoadBased z; Mul(y, y, z); Sub(x, x, y); StoreBased`.
+fn mul_sub(run: &[Ins]) -> Option<Fused> {
+    let &[Ins::LoadBased { d: x, site: a }, load_y, load_z, _, _, store] = run else {
+        return None;
+    };
+    let (
+        Ins::LoadBased { site: b, .. },
+        Ins::LoadBased { site: c, .. },
+        Ins::StoreBased { site: d, flops, .. },
+    ) = (load_y, load_z, store)
+    else {
+        return None;
+    };
+    let (y, z) = (x + 1, x + 2);
+    let shape = [
+        Ins::LoadBased { d: x, site: a },
+        Ins::LoadBased { d: y, site: b },
+        Ins::LoadBased { d: z, site: c },
+        Ins::Mul(y, y, z),
+        Ins::Sub(x, x, y),
+        Ins::StoreBased {
+            site: d,
+            src: x,
+            flops,
+        },
+    ];
+    (run == shape).then_some(Fused { a, b, c, d, flops })
+}
+
+/// [`mul_sub`] for `x − r·z`: `LoadBased x; LoadBased z; Mul(z, r, z);
+/// Sub(x, x, z); StoreBased`, `r` a register below the temporaries at
+/// `tmp0` — a scalar slot or a constant, which no instruction of the
+/// statement writes. The statement's `b` is `r`.
+fn mul_sub_reg(run: &[Ins], tmp0: u32) -> Option<Fused> {
+    let &[Ins::LoadBased { d: x, site: a }, load_z, Ins::Mul(_, r, _), _, store] = run else {
+        return None;
+    };
+    let (Ins::LoadBased { site: c, .. }, Ins::StoreBased { site: d, flops, .. }) = (load_z, store)
+    else {
+        return None;
+    };
+    let z = x + 1;
+    let shape = [
+        Ins::LoadBased { d: x, site: a },
+        Ins::LoadBased { d: z, site: c },
+        Ins::Mul(z, r, z),
+        Ins::Sub(x, x, z),
+        Ins::StoreBased {
+            site: d,
+            src: x,
+            flops,
+        },
+    ];
+    (r < tmp0 && run == shape).then_some(Fused {
+        a,
+        b: r,
+        c,
+        d,
+        flops,
+    })
 }
 
 /// The int slots `body` writes: the targets of its integer assignments

@@ -25,10 +25,12 @@
 #                      path against the constraint path on random
 #                      nests, CPs and distributions (dhpf-core avail::)
 #   6. exec props    — the node interpreter's property tests (tape vs tree
-#                      evaluator; the lowering with ranges, address bases
-#                      and fused statements vs the plain one, overlapped
-#                      and strip-mined nests among its shapes) under the
-#                      same pinned seed
+#                      evaluator; the lowering with ranges, address bases,
+#                      unrolled loops, decided `if`s and fused statements
+#                      — `x − y·z` over three loads and `x − s·z` with `s`
+#                      a register — vs the plain one, overlapped and
+#                      strip-mined nests among its shapes) under the same
+#                      pinned seed
 #   7. spmd release  — dhpf-spmd's tests again in release: the mailbox's
 #                      yield and park windows differ under optimisation,
 #                      and stage 4 runs in debug only
@@ -42,7 +44,8 @@
 #                      expected finding
 #  11. observability — `dhpf compile --run` writes all three documents,
 #                      the metrics with the `exec.lower.*` gauges, the
-#                      count of unrolled loops among them
+#                      counts of unrolled loops and decided `if`s among
+#                      them
 #  12. aggregation   — the protocol verifier with per-peer packing on
 #                      and off (every transfer then carries one
 #                      segment) at every fuzz geometry's rank count and
@@ -98,7 +101,8 @@ PROPTEST_SEED=20260806 cargo test -q -p dhpf-core --lib avail::
 
 echo "== exec property tests (pinned seed)"
 # the tape against the tree evaluator, and the lowering that learns
-# ranges, bases accesses and fuses statements against the plain one
+# ranges, bases accesses, unrolls loops, decides `if`s and fuses
+# statements (`MulSub`, `MulSubReg`) against the plain one
 PROPTEST_SEED=20260806 cargo test -q -p dhpf-core --lib exec::node
 
 echo "== dhpf-spmd tests (release)"
@@ -159,6 +163,8 @@ grep -q '"exec\.lower\.' "$OBS_DIR/sp_s_metrics.json" \
     || { echo "FAIL: no exec.lower.* gauges in the metrics document"; exit 1; }
 grep -q '"exec\.lower\.loops_unrolled"' "$OBS_DIR/sp_s_metrics.json" \
     || { echo "FAIL: no exec.lower.loops_unrolled gauge in the metrics document"; exit 1; }
+grep -q '"exec\.lower\.ifs_decided"' "$OBS_DIR/sp_s_metrics.json" \
+    || { echo "FAIL: no exec.lower.ifs_decided gauge in the metrics document"; exit 1; }
 
 echo "== message aggregation"
 # the static protocol checks must hold with packing both on and off at

@@ -110,11 +110,21 @@ fn loop_trips_per_rank_are_pinned() {
     }
 }
 
+/// The loops each rank of BT class S interpreted in `x_solve`, `y_solve`
+/// and `z_solve` while `binvc`'s Gauss–Jordan nest stayed a loop nest, at
+/// 1 rank and on each rank of 2×2.
+const SOLVE_LOOPS_BEFORE_BINVC: [(usize, &[[u64; 3]]); 2] = [
+    (1, &[[22, 22, 22]]),
+    (4, &[[22, 24, 24], [22, 18, 24], [22, 24, 18], [22, 18, 18]]),
+];
+
 /// Inside a loop every access of SP and BT addresses by a base its loop
 /// maintains (DESIGN §7.2, "What is folded per rank"), at 1 rank and on
 /// every rank of 2×2, and each of BT's three block solves unrolls its
 /// 5×5 block loops and lowers their `x − y·z` updates to fused
-/// statements.
+/// statements. `binvc`'s nest is straight-line code too: each copy of it
+/// decides its 25 `if (q1 .ne. p1)` tests, one per pinned `(p1, q1)`,
+/// and takes its five interpreted loops along.
 #[test]
 fn inner_loop_accesses_take_bases() {
     for kernel in [Kernel::Sp, Kernel::Bt] {
@@ -133,16 +143,28 @@ fn inner_loop_accesses_take_bases() {
                 if kernel != Kernel::Bt {
                     continue;
                 }
-                for solve in ["x_solve", "y_solve", "z_solve"] {
-                    let (fused, unrolled) = (census.iter())
-                        .filter(|(unit, _)| unit == solve)
-                        .fold((0, 0), |(f, u), (_, l)| {
-                            (f + l.stmts_fused, u + l.loops_unrolled)
+                let before = SOLVE_LOOPS_BEFORE_BINVC.iter().find(|(n, _)| *n == nprocs);
+                let before = before.expect("pinned for 1 and 4 ranks").1[rank];
+                for (solve, before) in ["x_solve", "y_solve", "z_solve"].into_iter().zip(before) {
+                    let solve_stats = census.iter().filter(|(unit, _)| unit == solve);
+                    let (fused, unrolled, loops, decided) =
+                        solve_stats.fold((0, 0, 0, 0), |(f, u, n, d), (_, l)| {
+                            let (f, u) = (f + l.stmts_fused, u + l.loops_unrolled);
+                            (f, u, n + l.loops, d + l.ifs_decided)
                         });
+                    let at = format!("{name} at {nprocs} ranks, rank {rank}, {solve}");
                     assert!(
                         fused > 0 && unrolled > 0,
-                        "{name} at {nprocs} ranks, rank {rank}: {fused} fused statements and \
-                         {unrolled} unrolled loops in {solve}"
+                        "{at}: {fused} fused statements and {unrolled} unrolled loops"
+                    );
+                    assert!(
+                        decided > 0 && decided % 25 == 0,
+                        "{at}: {decided} decided ifs"
+                    );
+                    assert_eq!(
+                        loops,
+                        before - 5 * (decided / 25),
+                        "{at}: interpreted loops"
                     );
                 }
             }
