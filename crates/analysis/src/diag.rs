@@ -5,8 +5,10 @@
 //! checker, the lints) reports through [`Report`] so `dhpf-lint` and the
 //! test suite consume one uniform shape.
 
-use dhpf_fortran::ast::StmtId;
+use dhpf_fortran::ast::{ProgramUnit, StmtId};
 use dhpf_fortran::span::Span;
+use dhpf_obs::json;
+use std::collections::BTreeMap;
 
 /// How bad a finding is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -162,7 +164,7 @@ impl Report {
         format!(
             "{{\"schema\":\"{}\",\"file\":\"{}\",\"errors\":{},\"findings\":{}}}",
             LINT_SCHEMA,
-            json_escape(file),
+            json::escape(file),
             self.error_count(),
             self.render_json()
         )
@@ -176,13 +178,13 @@ impl Report {
                 out.push(',');
             }
             out.push_str("{\"code\":\"");
-            out.push_str(&json_escape(f.code));
+            out.push_str(&json::escape(f.code));
             out.push_str("\",\"severity\":\"");
             out.push_str(f.severity.as_str());
             out.push_str("\",\"unit\":\"");
-            out.push_str(&json_escape(&f.unit));
+            out.push_str(&json::escape(&f.unit));
             out.push_str("\",\"message\":\"");
-            out.push_str(&json_escape(&f.message));
+            out.push_str(&json::escape(&f.message));
             out.push('"');
             if let Some(s) = f.stmt {
                 out.push_str(&format!(",\"stmt\":{}", s.0));
@@ -197,7 +199,7 @@ impl Report {
                         out.push(',');
                     }
                     out.push('"');
-                    out.push_str(&json_escape(n));
+                    out.push_str(&json::escape(n));
                     out.push('"');
                 }
                 out.push(']');
@@ -209,19 +211,12 @@ impl Report {
     }
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+/// Statement id to source span, over every statement of `unit`.
+pub(crate) fn span_map(unit: &ProgramUnit) -> BTreeMap<StmtId, Span> {
+    let mut out = BTreeMap::new();
+    unit.for_each_stmt(&mut |s| {
+        out.insert(s.id, s.span);
+    });
     out
 }
 

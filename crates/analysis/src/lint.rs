@@ -14,7 +14,7 @@
 //!   that had to vectorize a non-invertible subscript mapping, or gave up
 //!   and replicated the definition.
 
-use crate::diag::{Finding, Report, Severity};
+use crate::diag::{span_map, Finding, Report, Severity};
 use dhpf_core::cp::SubTerm;
 use dhpf_core::distrib::resolve as resolve_dist;
 use dhpf_core::driver::Compiled;
@@ -318,14 +318,6 @@ fn lint_translations(
             }
         }
     }
-}
-
-fn span_map(unit: &ProgramUnit) -> BTreeMap<StmtId, Span> {
-    let mut out = BTreeMap::new();
-    unit.for_each_stmt(&mut |s| {
-        out.insert(s.id, s.span);
-    });
-    out
 }
 
 #[cfg(test)]

@@ -29,8 +29,8 @@
 //! subtraction against the plan the compiler actually emitted, so a
 //! dropped or mis-addressed message cannot hide.
 
-use crate::diag::{Finding, Report, Severity};
-use dhpf_core::avail::{accessed_row, nest_bounds};
+use crate::diag::{span_map, Finding, Report, Severity};
+use dhpf_core::avail::{accessed_row, elem_space, nest_bounds};
 use dhpf_core::comm::NestPlan;
 use dhpf_core::distrib::{ArrayDist, ProcGrid};
 use dhpf_core::driver::{Compiled, UnitAnalysis};
@@ -434,11 +434,6 @@ impl<'a> NestCx<'a> {
     }
 }
 
-/// The element space an `accessed_row` image lives in: `e0 .. e{n-1}`.
-fn elem_space(ndims: usize) -> Vec<String> {
-    (0..ndims).map(|d| format!("e{d}")).collect()
-}
-
 /// The box hull of what the processors of `grid` own of `dist`, if any
 /// owns something.
 fn owned_hull(dist: &ArrayDist, grid: &ProcGrid) -> Option<Vec<(i64, i64)>> {
@@ -458,14 +453,6 @@ fn describe(s: &Set) -> String {
         }
         None => "elements (unbounded set)".to_string(),
     }
-}
-
-fn span_map(unit: &ProgramUnit) -> BTreeMap<StmtId, Span> {
-    let mut out = BTreeMap::new();
-    unit.for_each_stmt(&mut |s| {
-        out.insert(s.id, s.span);
-    });
-    out
 }
 
 /// Convenience for tests: verify (coverage + static protocol) and

@@ -27,8 +27,8 @@
 //! Every other reference takes [`accessed_set`], rank by rank. The
 //! inputs alone decide the path; [`row_stats`] counts both.
 
-use crate::cp::{Cp, SubTerm};
-use crate::distrib::{ArrayDist, DimMap, DistEnv, ProcGrid};
+use crate::cp::{Cp, Cut, SubTerm};
+use crate::distrib::{ArrayDist, DistEnv, ProcGrid};
 use dhpf_depend::loops::UnitLoops;
 use dhpf_depend::refs::RefInfo;
 use dhpf_fortran::ast::StmtId;
@@ -71,7 +71,9 @@ fn subscript_map(r: &RefInfo, nest: &[(String, LinExpr, LinExpr)]) -> Option<Map
     Some(Map::new(&in_space, &elem_space(outputs.len()), outputs))
 }
 
-fn elem_space(ndims: usize) -> Vec<String> {
+/// The element space `e0 .. e{n-1}` of an `n`-dimensional array, which
+/// [`accessed_row`]'s images live in.
+pub fn elem_space(ndims: usize) -> Vec<String> {
     (0..ndims).map(|d| format!("e{d}")).collect()
 }
 
@@ -144,9 +146,9 @@ impl Unit {
     }
 }
 
-/// A CP term's cut of block dimension `dim` of `dist`: the iterations
-/// whose subscript `sub` lands in the rank's owned range.
-struct Cut<'a> {
+/// A [`Cut`] whose subscript is a [`Unit`]: the iterations whose
+/// subscript lands in the rank's owned range of dimension `dim`.
+struct UnitCut<'a> {
     dist: &'a ArrayDist,
     dim: usize,
     sub: Unit,
@@ -155,10 +157,10 @@ struct Cut<'a> {
 /// Who runs which iterations, as [`Cp::iteration_set`] decides it.
 enum Runs<'a> {
     /// Every rank runs the whole nest: a replicated CP, or a term
-    /// [`crate::cp::CpTerm::proc_constraints`] places on everyone.
+    /// [`crate::cp::CpTerm::cuts`] places on everyone.
     All,
     /// Per CP term, in order, its cuts.
-    Terms(Vec<Vec<Cut<'a>>>),
+    Terms(Vec<Vec<UnitCut<'a>>>),
 }
 
 /// The rank-independent part of a reference's row on bounds.
@@ -176,7 +178,7 @@ impl<'a> BoundsRow<'a> {
     /// call for the constraint path.
     fn new(
         map: &'a Map,
-        cp: &Cp,
+        cp: &'a Cp,
         nest: &[(String, LinExpr, LinExpr)],
         env: &'a DistEnv,
     ) -> Option<Self> {
@@ -224,8 +226,7 @@ impl<'a> BoundsRow<'a> {
         for cuts in terms {
             let (mut b, mut inside) = (self.nest.clone(), true);
             for cut in cuts {
-                // a rank owning nothing of the term's array runs none of
-                // it, as `proc_constraints` has it
+                // a rank owning nothing of a cut runs none of the term
                 let Some((lo, hi)) = cut.dist.owned_range(cut.dim, coords) else {
                     inside = false;
                     break;
@@ -256,29 +257,24 @@ fn empty(b: &[Range]) -> bool {
 /// Who runs which iterations under `cp`, or `None` if a term cuts a
 /// block dimension through anything but a constant or `±v + c` of a
 /// loop of `vars`, or on an array of bounds beyond `±2^40`.
-fn runs<'a>(cp: &Cp, env: &'a DistEnv, vars: &[&str]) -> Option<Runs<'a>> {
+fn runs<'a>(cp: &'a Cp, env: &'a DistEnv, vars: &[&str]) -> Option<Runs<'a>> {
     let mut terms = Vec::with_capacity(cp.terms.len());
     for t in &cp.terms {
-        let Some(dist) = env.dist_of(&t.array).filter(|d| d.is_distributed()) else {
+        let Some(cuts) = t.cuts(env) else {
             return Some(Runs::All);
         };
-        let mut cuts = Vec::new();
-        for (dim, m) in dist.dims.iter().enumerate() {
-            if !matches!(m, DimMap::Block { .. }) {
-                continue;
-            }
-            let (lb, ub) = dist.bounds[dim];
-            match t.subs.get(dim) {
-                None => return Some(Runs::All),
-                Some(SubTerm::Affine(e)) if small(lb) && small(ub) => cuts.push(Cut {
-                    dist,
-                    dim,
+        let unit = |cut: Cut<'a>| {
+            let (lb, ub) = cut.dist.bounds[cut.dim];
+            match cut.sub {
+                SubTerm::Affine(e) if small(lb) && small(ub) => Some(UnitCut {
+                    dist: cut.dist,
+                    dim: cut.dim,
                     sub: Unit::of(e, vars)?,
                 }),
-                Some(_) => return None,
+                _ => None,
             }
-        }
-        terms.push(cuts);
+        };
+        terms.push(cuts.into_iter().map(unit).collect::<Option<_>>()?);
     }
     Some(if terms.is_empty() {
         Runs::All
@@ -343,9 +339,10 @@ pub fn row_stats() -> RowStats {
 /// distributions: every rank's image `==`, and the path the inputs call
 /// for taken.
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::cp::CpTerm;
+    use crate::distrib::DimMap;
     use dhpf_fortran::ast::RefId;
     use proptest::prelude::*;
 
@@ -483,11 +480,8 @@ mod tests {
                     _ => "a",
                 };
                 let dist = env.arrays.get(array);
-                // a term short of a subscript leaves that dimension
-                // unconstrained, or (a block dimension) places on everyone
-                let short = g.one_in(15) as usize;
                 let mut subs = Vec::new();
-                for d in 0..rank_of(&env, array) - short {
+                for d in 0..rank_of(&env, array) {
                     let block = dist.is_some_and(|x| matches!(x.dims[d], DimMap::Block { .. }));
                     let counts = t == 0 && array == "a" && block;
                     let sub = match g.below(16) {
@@ -565,18 +559,32 @@ mod tests {
     }
 
     /// Whether the rank at `coords` owns nothing of a block dimension of
-    /// every term of `c`'s CP, each term on a distributed array with a
-    /// subscript for every dimension: such a rank runs none of the nest.
+    /// every term of `c`'s CP, each term on a distributed array: such a
+    /// rank runs none of the nest.
     fn owns_nothing(c: &Case, coords: &[i64]) -> bool {
         let empty_block = |t: &CpTerm| {
-            let Some(dist) = c.env.dist_of(&t.array).filter(|d| d.is_distributed()) else {
-                return false;
-            };
-            let block = |d: &usize| matches!(dist.dims[*d], DimMap::Block { .. });
-            let mut blocks = (0..dist.dims.len()).filter(block);
-            t.subs.len() == dist.dims.len() && blocks.any(|d| dist.owned_range(d, coords).is_none())
+            let cuts = t.cuts(&c.env).unwrap_or_default();
+            cuts.iter()
+                .any(|cut| cut.dist.owned_range(cut.dim, coords).is_none())
         };
         !c.cp.is_replicated() && c.cp.terms.iter().all(empty_block)
+    }
+
+    /// Rank `coords`'s iteration boxes on bounds under `cp`, or `None`
+    /// where the inputs call for the constraint path.
+    pub(crate) fn bounds_iterations(
+        cp: &Cp,
+        nest: &[(String, LinExpr, LinExpr)],
+        env: &DistEnv,
+        coords: &[i64],
+    ) -> Option<Vec<Vec<Range>>> {
+        let vars: Vec<&str> = nest.iter().map(|(v, _, _)| v.as_str()).collect();
+        let map = Map::new(
+            &vars,
+            &elem_space(vars.len()),
+            vars.iter().map(|v| LinExpr::var(v)).collect(),
+        );
+        Some(BoundsRow::new(&map, cp, nest, env)?.iterations(coords))
     }
 
     /// The path `c` takes: `true` for bounds.

@@ -13,7 +13,7 @@
 pub mod emit;
 
 use crate::comm::{HaloRead, NestPlan, PipeSchedule};
-use crate::cp::{Cp, SubTerm};
+use crate::cp::{Cp, Cut, SubTerm};
 use crate::distrib::{ArrayDist, DistEnv, ProcGrid};
 use crate::exec::serial::is_integer_name;
 use crate::select::CpAssignment;
@@ -613,44 +613,33 @@ impl<'a> UnitCx<'a> {
     }
 
     /// Compile a CP into a guard. Replicated → `None`.
-    fn guard_of(&mut self, cp: &Cp) -> CgResult<Option<Guard>> {
+    pub(crate) fn guard_of(&mut self, cp: &Cp) -> CgResult<Option<Guard>> {
         if cp.is_replicated() {
             return Ok(None);
         }
+        let env = self.env;
         let mut terms = Vec::with_capacity(cp.terms.len());
         for t in &cp.terms {
-            let Some(dist) = self.env.dist_of(&t.array) else {
-                // unknown array: treat term as "everyone" — whole CP is
-                // effectively replicated
+            // a term everyone runs makes the whole CP replicated
+            let Some(cuts) = t.cuts(env) else {
                 return Ok(None);
             };
-            if !dist.is_distributed() {
-                return Ok(None);
-            }
             let arr = self.array_slot(&t.array);
-            let mut atoms = Vec::new();
-            for (dim, m) in dist.dims.iter().enumerate() {
-                if !matches!(m, crate::distrib::DimMap::Block { .. }) {
-                    continue;
-                }
-                match t.subs.get(dim) {
-                    Some(SubTerm::Affine(e)) => {
-                        atoms.push(GuardAtom::In {
-                            arr,
-                            dim,
-                            sub: self.cidx_of_lin(e)?,
-                        });
-                    }
-                    Some(SubTerm::Range(a, b)) => {
-                        atoms.push(GuardAtom::Overlap {
-                            arr,
-                            dim,
-                            lo: self.cidx_of_lin(a)?,
-                            hi: self.cidx_of_lin(b)?,
-                        });
-                    }
-                    None => return err(format!("CP term rank mismatch for {}", t.array)),
-                }
+            let mut atoms = Vec::with_capacity(cuts.len());
+            for Cut { dim, sub, .. } in cuts {
+                atoms.push(match sub {
+                    SubTerm::Affine(e) => GuardAtom::In {
+                        arr,
+                        dim,
+                        sub: self.cidx_of_lin(e)?,
+                    },
+                    SubTerm::Range(a, b) => GuardAtom::Overlap {
+                        arr,
+                        dim,
+                        lo: self.cidx_of_lin(a)?,
+                        hi: self.cidx_of_lin(b)?,
+                    },
+                });
             }
             terms.push(atoms);
         }
@@ -987,7 +976,8 @@ impl<'a> UnitCx<'a> {
     /// variable, and (b) partial replication — the CP's union terms place
     /// the writer up to |lhs_sub − term_sub| cells across the boundary.
     fn widen_for_write(&mut self, lhs: &ast::ArrayRef, cp: Option<&Cp>) -> CgResult<()> {
-        let Some(dist) = self.env.dist_of(&lhs.name).cloned() else {
+        let env = self.env;
+        let Some(dist) = env.dist_of(&lhs.name) else {
             return Ok(());
         };
         if !dist.is_distributed() {
@@ -1010,28 +1000,19 @@ impl<'a> UnitCx<'a> {
                     self.globals.need_ghost(g, dim, shift);
                 }
             }
-            // (b) CP union terms shifted relative to the LHS subscript
-            if let Some(cp) = cp {
-                for t in &cp.terms {
-                    let Some(tdist) = self.env.dist_of(&t.array) else {
-                        continue;
-                    };
-                    // match the term's dimension by processor-grid dim
-                    for (td, tm) in tdist.dims.iter().enumerate() {
-                        let crate::distrib::DimMap::Block { pdim: tp, .. } = tm else {
-                            continue;
-                        };
-                        if tp != pdim {
-                            continue;
-                        }
-                        if let Some(SubTerm::Affine(te)) = t.subs.get(td) {
-                            let diff = lhs_lin.clone() - te.clone();
-                            if diff.is_constant() {
-                                let w = diff.constant().unsigned_abs() as usize;
-                                if w > 0 {
-                                    self.globals.need_ghost(g, dim, w);
-                                }
-                            }
+            // (b) CP union terms shifted relative to the LHS subscript,
+            // matched to it by processor-grid dimension
+            let cuts = cp
+                .iter()
+                .flat_map(|cp| &cp.terms)
+                .filter_map(|t| t.cuts(env));
+            for cut in cuts.flatten().filter(|cut| cut.block().0 == *pdim) {
+                if let SubTerm::Affine(te) = cut.sub {
+                    let diff = lhs_lin.clone() - te.clone();
+                    if diff.is_constant() {
+                        let w = diff.constant().unsigned_abs() as usize;
+                        if w > 0 {
+                            self.globals.need_ghost(g, dim, w);
                         }
                     }
                 }

@@ -66,78 +66,93 @@ impl CpTerm {
         }
     }
 
-    /// Constraints on the loop variables for "processor `coords`
-    /// participates in this term" — `None` if the array is not
-    /// distributed or the term has no subscript for one of its block
-    /// dimensions (term imposes no constraint → everyone). A processor
-    /// that owns nothing of a block dimension gets one constraint no
-    /// iteration meets: it runs none of the term, as [`Cp::executes`]
-    /// has it.
-    pub fn proc_constraints(&self, env: &DistEnv, coords: &[i64]) -> Option<Vec<Constraint>> {
-        let dist = env.dist_of(&self.array)?;
-        if !dist.is_distributed() {
-            return None;
-        }
-        let block = |d: &usize| matches!(dist.dims[*d], DimMap::Block { .. });
-        if (0..dist.dims.len())
-            .filter(block)
-            .any(|d| d >= self.subs.len())
-        {
-            return None;
-        }
-        let mut cons = Vec::new();
-        for d in (0..dist.dims.len()).filter(block) {
-            let Some((lo, hi)) = dist.owned_range(d, coords) else {
-                return Some(vec![Constraint::ge0(LinExpr::cst(-1))]);
-            };
-            match &self.subs[d] {
-                SubTerm::Affine(e) => {
-                    cons.push(Constraint::ge(e.clone(), LinExpr::cst(lo)));
-                    cons.push(Constraint::le(e.clone(), LinExpr::cst(hi)));
-                }
-                SubTerm::Range(a, b) => {
-                    // overlap: b >= lo and a <= hi
-                    cons.push(Constraint::ge(b.clone(), LinExpr::cst(lo)));
-                    cons.push(Constraint::le(a.clone(), LinExpr::cst(hi)));
-                }
-            }
-        }
-        Some(cons)
+    /// The term resolved against the distribution, the one rule every
+    /// consumer of a CP reads: `None` if the array is unknown or not
+    /// distributed (every processor runs the term), else one [`Cut`] per
+    /// block dimension, in order. A processor runs an instance of the
+    /// term when it owns, on every cut, the element (`Affine`) or some
+    /// of the range (`Range`) the cut's subscript names; one that owns
+    /// nothing of a cut's dimension runs none of the term.
+    ///
+    /// # Panics
+    ///
+    /// If the term has not one subscript per dimension of its array.
+    /// Source cannot produce such a term: the semantic check rejects a
+    /// reference of the wrong rank, and the inliner an array actual of
+    /// another rank than its formal.
+    pub fn cuts<'a>(&'a self, env: &'a DistEnv) -> Option<Vec<Cut<'a>>> {
+        let dist = env.dist_of(&self.array).filter(|d| d.is_distributed())?;
+        assert!(
+            self.subs.len() == dist.rank(),
+            "CP term rank mismatch for {}",
+            self.array
+        );
+        let block = |(_, m): &(usize, &DimMap)| matches!(m, DimMap::Block { .. });
+        let dims = dist.dims.iter().enumerate().filter(block);
+        Some(
+            dims.map(|(dim, _)| Cut {
+                dist,
+                dim,
+                sub: &self.subs[dim],
+            })
+            .collect(),
+        )
     }
 
     /// The canonical partition signature of this term under `env` (§5:
     /// "different array references with the same data partition will be
-    /// considered identical"): for every distributed dimension, the tuple
-    /// `(grid dim, block size, aligned subscript)`. `None` if the term's
-    /// array is not distributed.
+    /// considered identical"): for every cut, `(grid dim, block size,
+    /// aligned subscript)`. `None` if every processor runs the term.
     pub fn partition_key(&self, env: &DistEnv) -> Option<String> {
-        let dist = env.dist_of(&self.array)?;
-        if !dist.is_distributed() {
-            return None;
-        }
-        let mut parts = Vec::new();
-        for (d, m) in dist.dims.iter().enumerate() {
-            if let DimMap::Block {
+        let parts: Vec<String> = (self.cuts(env)?.iter())
+            .map(|cut| {
+                let (pdim, block, align) = cut.block();
+                let sub = match cut.sub {
+                    SubTerm::Affine(e) => (e.clone() + align).to_string(),
+                    SubTerm::Range(a, b) => format!("{}:{}", a.clone() + align, b.clone() + align),
+                };
+                format!("p{pdim}b{block}@{sub}")
+            })
+            .collect();
+        Some(parts.join(";"))
+    }
+}
+
+/// One block dimension a CP term cuts: the processors owning subscript
+/// `sub` of dimension `dim` of `dist` run the instance.
+#[derive(Clone, Copy, Debug)]
+pub struct Cut<'a> {
+    pub dist: &'a ArrayDist,
+    pub dim: usize,
+    pub sub: &'a SubTerm,
+}
+
+impl Cut<'_> {
+    /// The grid dimension, block size and alignment offset of the cut
+    /// dimension.
+    pub fn block(&self) -> (usize, i64, i64) {
+        match self.dist.dims[self.dim] {
+            DimMap::Block {
                 pdim,
                 block,
                 align_offset,
                 ..
-            } = m
-            {
-                let sub = match self.subs.get(d)? {
-                    SubTerm::Affine(e) => (e.clone() + *align_offset).to_string(),
-                    SubTerm::Range(a, b) => {
-                        format!(
-                            "{}:{}",
-                            a.clone() + *align_offset,
-                            b.clone() + *align_offset
-                        )
-                    }
-                };
-                parts.push(format!("p{pdim}b{block}@{sub}"));
-            }
+            } => (pdim, block, align_offset),
+            DimMap::Serial => unreachable!("a cut is on a block dimension"),
         }
-        Some(parts.join(";"))
+    }
+
+    /// Constraints on the loop variables for "processor `coords` owns
+    /// what the subscript names"; `None` if it owns nothing of the
+    /// dimension.
+    fn constraints(&self, coords: &[i64]) -> Option<[Constraint; 2]> {
+        let (lo, hi) = self.dist.owned_range(self.dim, coords)?;
+        let (lo, hi) = (LinExpr::cst(lo), LinExpr::cst(hi));
+        Some(match self.sub {
+            SubTerm::Affine(e) => [Constraint::ge(e.clone(), lo), Constraint::le(e.clone(), hi)],
+            // overlap: b >= lo and a <= hi
+            SubTerm::Range(a, b) => [Constraint::ge(b.clone(), lo), Constraint::le(a.clone(), hi)],
+        })
     }
 }
 
@@ -217,39 +232,22 @@ impl Cp {
         }
         let mut out = Set::empty(&space);
         for term in &self.terms {
+            let Some(cuts) = term.cuts(env) else {
+                return Set::from_constraints(&space, bounds);
+            };
             let mut cons = bounds.clone();
-            match term.proc_constraints(env, coords) {
-                None => {
-                    // non-distributed term: everyone participates
-                    return Set::from_constraints(&space, bounds);
-                }
-                Some(extra) => cons.extend(extra),
+            match cuts
+                .iter()
+                .map(|cut| cut.constraints(coords))
+                .collect::<Option<Vec<_>>>()
+            {
+                Some(extra) => cons.extend(extra.into_iter().flatten()),
+                // a processor owning nothing of a cut runs none of the term
+                None => cons.push(Constraint::ge0(LinExpr::cst(-1))),
             }
             out = out.union(&Set::from_constraints(&space, cons));
         }
         out
-    }
-
-    /// Concrete participation test: does `coords` execute the instance
-    /// whose loop variables are given by `ivals`?
-    pub fn executes(
-        &self,
-        env: &DistEnv,
-        coords: &[i64],
-        ivals: &dyn Fn(&str) -> Option<i64>,
-    ) -> bool {
-        if self.is_replicated() {
-            return true;
-        }
-        self.terms.iter().any(|t| {
-            let Some(dist) = env.dist_of(&t.array) else {
-                return true;
-            };
-            if !dist.is_distributed() {
-                return true;
-            }
-            term_owned(t, dist, coords, ivals)
-        })
     }
 
     /// Canonical partition key (for §5 grouping): sorted keys of the
@@ -269,38 +267,6 @@ impl Cp {
     }
 }
 
-fn term_owned(
-    t: &CpTerm,
-    dist: &ArrayDist,
-    coords: &[i64],
-    ivals: &dyn Fn(&str) -> Option<i64>,
-) -> bool {
-    for (d, m) in dist.dims.iter().enumerate() {
-        if let DimMap::Block { .. } = m {
-            let Some((lo, hi)) = dist.owned_range(d, coords) else {
-                return false;
-            };
-            let Some(sub) = t.subs.get(d) else {
-                return false;
-            };
-            let ok = match sub {
-                SubTerm::Affine(e) => match e.eval(ivals) {
-                    Some(v) => v >= lo && v <= hi,
-                    None => return false,
-                },
-                SubTerm::Range(a, b) => match (a.eval(ivals), b.eval(ivals)) {
-                    (Some(a), Some(b)) => b >= lo && a <= hi,
-                    _ => return false,
-                },
-            };
-            if !ok {
-                return false;
-            }
-        }
-    }
-    true
-}
-
 impl fmt::Display for Cp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.is_replicated() {
@@ -312,11 +278,24 @@ impl fmt::Display for Cp {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::distrib::resolve;
+    use crate::avail::tests::bounds_iterations;
+    use crate::codegen::{GlobalRegistry, GuardAtom, UnitCx};
+    use crate::distrib::{resolve, ProcGrid};
     use dhpf_fortran::parse;
     use std::collections::BTreeMap;
+
+    /// Whether processor `coords` runs the instance of `cp` at `point`:
+    /// the point is in its iteration set over the one-point nest.
+    pub(crate) fn runs_at(cp: &Cp, env: &DistEnv, coords: &[i64], point: &[(&str, i64)]) -> bool {
+        let nest: Vec<(String, LinExpr, LinExpr)> = (point.iter())
+            .map(|&(v, x)| (v.to_string(), LinExpr::cst(x), LinExpr::cst(x)))
+            .collect();
+        let values: Vec<i64> = point.iter().map(|&(_, x)| x).collect();
+        cp.iteration_set(&nest, env, coords)
+            .contains(&values, &|_| None)
+    }
 
     fn env() -> DistEnv {
         let p = parse(
@@ -382,20 +361,11 @@ mod tests {
         };
         // iteration i=8 writes u(8): owned by (0,*) but u(9) owned by (1,*)
         // → both execute i=8
-        let ivals8 = |v: &str| match v {
-            "i" => Some(8),
-            "j" => Some(1),
-            _ => None,
-        };
-        assert!(cp.executes(&env, &[0, 0], &ivals8));
-        assert!(cp.executes(&env, &[1, 0], &ivals8));
-        let ivals5 = |v: &str| match v {
-            "i" => Some(5),
-            "j" => Some(1),
-            _ => None,
-        };
-        assert!(cp.executes(&env, &[0, 0], &ivals5));
-        assert!(!cp.executes(&env, &[1, 0], &ivals5));
+        let at = |i: i64, coords: &[i64]| runs_at(&cp, &env, coords, &[("i", i), ("j", 1)]);
+        assert!(at(8, &[0, 0]));
+        assert!(at(8, &[1, 0]));
+        assert!(at(5, &[0, 0]));
+        assert!(!at(5, &[1, 0]));
     }
 
     #[test]
@@ -409,21 +379,15 @@ mod tests {
                 SubTerm::Affine(LinExpr::var("j")),
             ],
         });
-        let ivals = |v: &str| if v == "j" { Some(3) } else { None };
-        assert!(cp.executes(&env, &[0, 0], &ivals));
-        assert!(
-            cp.executes(&env, &[1, 0], &ivals),
-            "range spans both row blocks"
-        );
-        assert!(!cp.executes(&env, &[0, 1], &ivals), "j=3 not owned by pk=1");
+        let at = |coords: &[i64]| runs_at(&cp, &env, coords, &[("j", 3)]);
+        assert!(at(&[0, 0]));
+        assert!(at(&[1, 0]), "range spans both row blocks");
+        assert!(!at(&[0, 1]), "j=3 not owned by pk=1");
     }
 
-    /// A processor that owns nothing of a term's array runs none of the
-    /// term: its iteration set holds exactly the iterations it executes.
-    #[test]
-    fn iteration_set_is_what_executes() {
-        // `w(1:9)` and `x(1:12)` in blocks of 3 over 4 processors:
-        // processor 3 owns no element of `w`
+    /// `w(1:9)` and `x(1:12)` in blocks of 3 over 4 processors, whose
+    /// processor 3 owns no element of `w`; `s(1:12)` not distributed.
+    fn blocks_of_3() -> DistEnv {
         let block = |array: &str, n: i64| ArrayDist {
             array: array.into(),
             bounds: vec![(1, n)],
@@ -435,7 +399,7 @@ mod tests {
             }],
         };
         let mut env = DistEnv {
-            grid: Some(crate::distrib::ProcGrid {
+            grid: Some(ProcGrid {
                 name: "p".into(),
                 extents: vec![4],
             }),
@@ -443,6 +407,21 @@ mod tests {
         };
         env.arrays.insert("w".into(), block("w", 9));
         env.arrays.insert("x".into(), block("x", 12));
+        let serial = ArrayDist {
+            array: "s".into(),
+            bounds: vec![(1, 12)],
+            dims: vec![DimMap::Serial],
+        };
+        env.arrays.insert("s".into(), serial);
+        env
+    }
+
+    /// A processor that owns nothing of a term's array runs none of the
+    /// term: its iteration set holds exactly the iterations at which it
+    /// owns the element of some term.
+    #[test]
+    fn iteration_set_is_what_executes() {
+        let env = blocks_of_3();
         let i = || LinExpr::var("i");
         let cps = [
             Cp::single(CpTerm::on_home("w", vec![i()])),
@@ -461,22 +440,135 @@ mod tests {
             for k in 0..4 {
                 let set = cp.iteration_set(&nest, &env, &[k]);
                 for v in 0..=13 {
-                    let ivals = |n: &str| (n == "i").then_some(v);
-                    assert_eq!(
-                        set.contains(&[v], &|_| None),
-                        cp.executes(&env, &[k], &ivals),
-                        "{cp} on processor {k} at i = {v}"
-                    );
+                    let owns = |t: &CpTerm| {
+                        let SubTerm::Affine(e) = &t.subs[0] else {
+                            unreachable!()
+                        };
+                        let at = e.eval(&|_| Some(v)).unwrap();
+                        let range = env.dist_of(&t.array).unwrap().owned_range(0, &[k]);
+                        range.is_some_and(|(lo, hi)| (lo..=hi).contains(&at))
+                    };
+                    let want = cp.terms.iter().any(owns);
+                    let got = set.contains(&[v], &|_| None);
+                    assert_eq!(got, want, "{cp} on processor {k} at i = {v}");
+                    assert_eq!(runs_at(cp, &env, &[k], &[("i", v)]), want);
                 }
             }
         }
+    }
+
+    /// Every consumer of a term reads its cuts: an unknown or undistributed
+    /// array places the term on everyone, an `Affine` or `Range` cut narrows
+    /// it, and a processor owning nothing of a cut runs none of it.
+    #[test]
+    fn one_rule_for_every_consumer() {
+        let env = blocks_of_3();
+        let unit = parse(
+            "
+      program t
+      integer i
+      double precision w(9), x(12), s(12), q(12)
+      end
+",
+        )
+        .unwrap()
+        .units
+        .remove(0);
+        let (cps, plans, bindings) = (Default::default(), BTreeMap::new(), BTreeMap::new());
+        let (mut globals, mut provs) = (GlobalRegistry::default(), Vec::new());
+        let mut cx = UnitCx::new(
+            &unit,
+            &env,
+            &cps,
+            &plans,
+            &bindings,
+            &mut globals,
+            0,
+            &mut provs,
+        );
+        let i = || LinExpr::var("i");
+        let nest = [("i".to_string(), LinExpr::cst(0), LinExpr::cst(13))];
+        let range = CpTerm {
+            array: "x".into(),
+            subs: vec![SubTerm::Range(i(), i() + 2)],
+        };
+        // the term on a processor: the iterations it runs, the term's
+        // partition key, the bounds path's boxes and the term's guard
+        let table = [
+            (
+                CpTerm::on_home("q", vec![i()]),
+                1,
+                "runs 0..=13; key *; bounds [0..=13]; guard none",
+            ),
+            (
+                CpTerm::on_home("s", vec![i()]),
+                1,
+                "runs 0..=13; key *; bounds [0..=13]; guard none",
+            ),
+            (
+                CpTerm::on_home("x", vec![i() + 1]),
+                1,
+                "runs 3..=5; key p0b3@i + 1; bounds [3..=5]; guard in 0",
+            ),
+            (
+                range,
+                1,
+                "runs 2..=6; key p0b3@i:i + 2; bounds constraints; guard overlap 0",
+            ),
+            (
+                CpTerm::on_home("w", vec![i()]),
+                3,
+                "runs none; key p0b3@i; bounds []; guard in 0",
+            ),
+        ];
+        let span = |lo: i64, hi: i64| format!("{lo}..={hi}");
+        for (term, k, want) in table {
+            let cp = Cp::single(term);
+            let set = cp.iteration_set(&nest, &env, &[k]);
+            let points: Vec<i64> = (0..=13)
+                .filter(|&v| set.contains(&[v], &|_| None))
+                .collect();
+            let runs = match (points.first(), points.last()) {
+                (Some(&lo), Some(&hi)) if points.len() as i64 == hi - lo + 1 => span(lo, hi),
+                (None, _) => "none".to_string(),
+                _ => format!("{points:?}"),
+            };
+            let bounds = match bounds_iterations(&cp, &nest, &env, &[k]) {
+                None => "constraints".to_string(),
+                Some(boxes) => {
+                    let boxes: Vec<String> = boxes.iter().map(|b| span(b[0].0, b[0].1)).collect();
+                    format!("[{}]", boxes.join(", "))
+                }
+            };
+            let guard = match cx.guard_of(&cp).unwrap() {
+                None => "none".to_string(),
+                Some(g) => {
+                    let atoms = (g.terms.iter().flatten()).map(|atom| match atom {
+                        GuardAtom::In { dim, .. } => format!("in {dim}"),
+                        GuardAtom::Overlap { dim, .. } => format!("overlap {dim}"),
+                    });
+                    atoms.collect::<Vec<_>>().join(", ")
+                }
+            };
+            let key = cp.partition_key(&env);
+            let got = format!("runs {runs}; key {key}; bounds {bounds}; guard {guard}");
+            assert_eq!(got, want, "{cp} on processor {k}");
+        }
+    }
+
+    /// A term has a subscript for every dimension of its array.
+    #[test]
+    #[should_panic(expected = "CP term rank mismatch for u")]
+    fn short_term_is_rejected() {
+        let cp = Cp::single(CpTerm::on_home("u", vec![LinExpr::var("i")]));
+        cp.iteration_set(&nest(4), &env(), &[0, 0]);
     }
 
     #[test]
     fn replicated_runs_everywhere() {
         let env = env();
         let cp = Cp::replicated();
-        assert!(cp.executes(&env, &[1, 1], &|_| None));
+        assert!(runs_at(&cp, &env, &[1, 1], &[("i", 4), ("j", 4)]));
         let s = cp.iteration_set(&nest(4), &env, &[0, 1]);
         assert!(s.contains(&[4, 4], &|_| None));
     }

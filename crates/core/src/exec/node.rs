@@ -1832,8 +1832,12 @@ mod tests {
 
     /// The instructions of the main unit lowered for `rank`.
     fn main_code(ops: Vec<NodeOp>, rank: usize) -> Vec<Ins> {
-        let prog = program(ops);
-        let (tapes, _) = lower_program(&ProcState::new(&prog, rank));
+        main_code_of(&program(ops), rank)
+    }
+
+    /// [`main_code`] of any program.
+    fn main_code_of(prog: &NodeProgram, rank: usize) -> Vec<Ins> {
+        let (tapes, _) = lower_program(&ProcState::new(prog, rank));
         tapes[0].code.clone()
     }
 
@@ -1986,6 +1990,64 @@ mod tests {
         let tests = code.iter().filter(|c| matches!(c, Ins::JumpIfZero { .. }));
         assert_eq!(tests.count(), 1 + 2 + 1);
         assert!(!code.iter().any(|c| matches!(c, Ins::MulSubReg { .. })));
+    }
+
+    /// A product of two NaNs returns the payload of one of them, picked
+    /// by the operand order of the machine instruction. `Mul`, `MulSub`
+    /// and `MulSubReg` keep the payload the serial interpreter's `x * y`
+    /// keeps, under both lowerings (DESIGN §7.2, invariant 1). `a` and
+    /// `b` hold NaNs that differ in their sign bit, as does `s` from `a`.
+    #[test]
+    fn nan_products_keep_the_serial_payload() {
+        let src = "
+      program nan
+      parameter (n = 4)
+      integer i
+      double precision a(n), b(n), c(n), d(n), e(n), f(n), zero, s
+!hpf$ processors p(1)
+!hpf$ distribute (block) onto p :: a, b, c, d, e, f
+      zero = 0.0d0
+      s = -(zero / zero)
+      do i = 1, n
+         a(i) = zero / zero
+         b(i) = -a(i)
+         c(i) = 1.5d0
+      enddo
+      do i = 1, n
+         d(i) = a(i) * b(i)
+         e(i) = b(i) * a(i)
+         f(i) = c(i) - a(i) * b(i)
+         c(i) = c(i) - s * a(i)
+      enddo
+      end
+";
+        let program = dhpf_fortran::parse(src).expect("parses");
+        let compiled = compile(&program, &CompileOptions::new()).expect("compiles");
+        let prog = &compiled.program;
+        let serial = run_serial(&program, &Default::default()).expect("serial run");
+        let (a, b) = (serial.arrays["a"].get(&[1]), serial.arrays["b"].get(&[1]));
+        assert!(a.is_nan() && b.is_nan() && a.to_bits() != b.to_bits());
+
+        let code = main_code_of(prog, 0);
+        assert!(code.iter().any(|c| matches!(c, Ins::Mul(..))));
+        assert!(code.iter().any(|c| matches!(c, Ins::MulSub { .. })));
+        assert!(code.iter().any(|c| matches!(c, Ins::MulSubReg { .. })));
+        for opt in [true, false] {
+            let (storage, ..) = run_lowered_on(prog, 0, opt, &[], &[]);
+            for (g, global) in prog.arrays.iter().enumerate() {
+                let name = global.name.rsplit("::").next().unwrap();
+                let local = storage[g].as_ref().expect("allocated");
+                for i in 1..=4 {
+                    let (got, want) = (local.get(&[i]), serial.arrays[name].get(&[i]));
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "{name}({i}) under the {} lowering: {got:e}, serial {want:e}",
+                        if opt { "full" } else { "plain" }
+                    );
+                }
+            }
+        }
     }
 
     /// One callee reached with two different bindings of its array

@@ -59,8 +59,9 @@ pub fn entry_cp(
 /// to actual array names; formal scalar names appearing in subscripts
 /// map to the (affine) actual argument expressions. Returns `None` when
 /// the translation fails (non-affine actual, expression actual for an
-/// array formal, rank mismatch) — the caller then falls back to local
-/// selection for the call statement.
+/// array formal, arity mismatch) — the caller then falls back to local
+/// selection for the call statement. Ranks are not compared here: the
+/// inliner refuses an array actual of another rank than its formal.
 pub fn translate_to_callsite(
     callee_cp: &Cp,
     callee: &ProgramUnit,
@@ -220,6 +221,15 @@ impl Inliner<'_> {
                         callee.name
                     )));
                 };
+                // the renamed references keep the formal's subscripts
+                let rank = |u: &ProgramUnit, n: &str| u.decls.var(n).map_or(0, |d| d.rank());
+                let (want, got) = (rank(callee, f), rank(self.caller, &r.name));
+                if want != got {
+                    return Err(CompileError::Other(format!(
+                        "cannot inline {}: array formal `{f}` of rank {want} bound to `{}` of rank {got}",
+                        callee.name, r.name
+                    )));
+                }
                 rename.insert(f.clone(), r.name.clone());
             } else {
                 subst.insert(f.clone(), a.clone());
@@ -578,6 +588,45 @@ mod tests {
         assert!(
             translate_to_callsite(&cp, callee, &call_args.unwrap(), &p2.units[0]).is_none(),
             "array-element actual for array formal must fail translation"
+        );
+    }
+
+    /// An array actual of another rank than its formal is refused: the
+    /// inlined references would keep the formal's subscripts.
+    #[test]
+    fn rank_mismatched_array_actual_is_refused() {
+        let src = "
+      program mism
+      parameter (n = 8)
+      integer k
+      double precision b(n, n)
+!hpf$ processors p(2)
+!hpf$ distribute (*, block) onto p :: b
+      do k = 1, n
+         call fill(b, k)
+      enddo
+      end
+
+      subroutine fill(a, k)
+      parameter (n = 8)
+      integer i, k
+      double precision a(n)
+!hpf$ processors p(2)
+!hpf$ distribute (block) onto p :: a
+      do i = 1, n
+         a(i) = 1.0d0 * k
+      enddo
+      end
+";
+        let p = parse(src).unwrap();
+        let options = crate::driver::CompileOptions::new();
+        let Err(err) = crate::driver::compile(&p, &options) else {
+            panic!("compiled");
+        };
+        let err = err.to_string();
+        assert!(
+            err.contains("array formal `a` of rank 1 bound to `b` of rank 2"),
+            "{err}"
         );
     }
 }

@@ -80,6 +80,7 @@ pub fn apply_localize(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cp::tests::runs_at;
     use crate::distrib::{resolve, DistEnv};
     use crate::select::{assignments_in, select_for_loop};
     use dhpf_depend::refs::analyze_unit;
@@ -191,13 +192,7 @@ mod tests {
         // j=8: owner p0; consumer rhsv(7,·) reads rho_i(8) (j+1 of 7)? No:
         // reads of rho_i(j±1) with rhsv(j) CP — def rho_i(8) needed by
         // rhsv(9) (its j−1 = 8) whose owner is p1 → p1 also computes j=8.
-        let at = |j: i64, proc: i64| {
-            cp.executes(&env, &[proc], &|v| match v {
-                "j" => Some(j),
-                "i" => Some(1),
-                _ => None,
-            })
-        };
+        let at = |j: i64, proc: i64| runs_at(cp, &env, &[proc], &[("j", j), ("i", 1)]);
         assert!(at(8, 0), "owner computes");
         assert!(at(8, 1), "right neighbor replicates boundary");
         assert!(at(9, 0), "left neighbor replicates boundary");

@@ -225,6 +225,7 @@ pub fn propagate_new_cps(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cp::tests::runs_at;
     use crate::distrib::{resolve, DistEnv};
     use crate::select::{assignments_in, select_for_loop};
     use dhpf_depend::refs::analyze_unit;
@@ -329,13 +330,8 @@ mod tests {
         // n = 64, 2×2 grid, block 32 on dim j: boundary j = 32/33.
         // Writing cv(32): needed by lhs(33,·) owner (pj=1) via cv(j-1)
         // and by lhs(31,·) owner (pj=0) via cv(j+1) → both execute j=32.
-        let at = |j: i64, k: i64, pj: i64, pk: i64| {
-            cp.executes(&env, &[pj, pk], &|v| match v {
-                "j" => Some(j),
-                "k" => Some(k),
-                _ => None,
-            })
-        };
+        let at =
+            |j: i64, k: i64, pj: i64, pk: i64| runs_at(cp, &env, &[pj, pk], &[("j", j), ("k", k)]);
         assert!(at(32, 1, 0, 0));
         assert!(
             at(32, 1, 1, 0),

@@ -6,7 +6,7 @@
 //! estimated communication cost. Statements that reference no distributed
 //! data are replicated.
 
-use crate::cp::{Cp, CpTerm, SubTerm};
+use crate::cp::{Cp, CpTerm, Cut, SubTerm};
 use crate::distrib::{DimMap, DistEnv};
 use dhpf_depend::loops::UnitLoops;
 use dhpf_depend::refs::{RefInfo, UnitRefs};
@@ -153,43 +153,26 @@ fn shift_against(r: &RefInfo, cp: &Cp, env: &DistEnv) -> Shift {
         // replicated execution: every processor reads the whole reference
         return Shift::General;
     }
-    let Some(dist) = env.dist_of(&r.array) else {
+    if env.dist_of(&r.array).is_none() {
         return Shift::Aligned;
-    };
+    }
     let mut best: Option<Shift> = None;
     for term in &cp.terms {
-        let Some(tdist) = env.dist_of(&term.array) else {
-            continue;
-        };
+        // a term of the reference's partition cuts its block dimensions
         if !env.same_partition(&r.array, &term.array) {
             continue;
         }
-        let _ = tdist;
-        let mut shifts = Vec::new();
-        let mut general = false;
-        for (d, m) in dist.dims.iter().enumerate() {
-            if !matches!(m, DimMap::Block { .. }) {
-                continue;
-            }
-            let (Some(Some(rsub)), Some(tsub)) = (r.subs.get(d), term.subs.get(d)) else {
-                general = true;
-                break;
-            };
-            let SubTerm::Affine(tsub) = tsub else {
-                general = true;
-                break;
+        let shift = |cut: &Cut| {
+            let (Some(Some(rsub)), SubTerm::Affine(tsub)) = (r.subs.get(cut.dim), cut.sub) else {
+                return None;
             };
             let diff = rsub.clone() - tsub.clone();
-            if diff.is_constant() {
-                shifts.push((d, diff.constant()));
-            } else {
-                general = true;
-                break;
-            }
-        }
-        if general {
+            diff.is_constant().then(|| (cut.dim, diff.constant()))
+        };
+        let cuts = term.cuts(env).unwrap_or_default();
+        let Some(shifts) = cuts.iter().map(shift).collect::<Option<Vec<_>>>() else {
             continue;
-        }
+        };
         if shifts.iter().all(|(_, s)| *s == 0) {
             return Shift::Aligned;
         }

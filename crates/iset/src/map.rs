@@ -1,9 +1,8 @@
 //! Affine maps between tuple spaces: `[i,j] → [i+1, 2j]`.
 //!
-//! Maps drive the computation-partition translation of §4 of the paper:
-//! translating a CP from a use site to a definition site applies the
-//! *inverse* of the 1-1 linear subscript mapping, and applying a CP to a
-//! data distribution is an image computation.
+//! A map carries a reference's subscripts from a loop nest's iteration
+//! space to the array's element space: what a processor accesses is the
+//! image of its iteration set.
 
 use crate::constraint::Constraint;
 use crate::expr::LinExpr;
@@ -103,97 +102,6 @@ impl Map {
         out
     }
 
-    /// Preimage of a set: `{ x : f(x) ∈ s }` — substitution, exact.
-    pub fn preimage(&self, s: &Set) -> Set {
-        assert_eq!(s.space(), self.out_space, "preimage of set of wrong space");
-        // Rename out vars to fresh, substitute fresh := f_d(x), land in in_space.
-        let mut out = Set::empty(&self.in_space);
-        for poly in s.polys() {
-            let mut p = poly.clone();
-            // two-phase rename to avoid capture
-            let fresh: Vec<String> = self.out_space.iter().map(|v| format!("{v}__out")).collect();
-            for (v, f) in self.out_space.iter().zip(&fresh) {
-                p = p.rename(v, f);
-            }
-            for (f, expr) in fresh.iter().zip(&self.outputs) {
-                p = p.substitute(f, expr);
-            }
-            if !p.is_trivially_empty() {
-                out = out.union(&Set::from_poly(&self.in_space, p));
-            }
-        }
-        out
-    }
-
-    /// Invert a 1-1 map whose outputs each have the form `±v + e` for a
-    /// distinct input variable `v` (unit coefficient) where `e` mentions no
-    /// input variable. Returns `None` otherwise.
-    ///
-    /// This is exactly the invertibility condition §4.1 of the paper uses
-    /// for translating CPs from uses to definitions ("establish a
-    /// one-to-one linear mapping … if it is not possible … this step is
-    /// simply skipped").
-    pub fn inverse(&self) -> Option<Map> {
-        if self.in_space.len() != self.out_space.len() {
-            return None;
-        }
-        let mut inv_outputs: Vec<Option<LinExpr>> = vec![None; self.in_space.len()];
-        let mut used = vec![false; self.in_space.len()];
-        for (d, expr) in self.outputs.iter().enumerate() {
-            // find the single input var with nonzero coeff
-            let mut in_var: Option<(usize, i64)> = None;
-            for (v, c) in expr.terms() {
-                if let Some(pos) = self.in_space.iter().position(|iv| iv == v) {
-                    if in_var.is_some() {
-                        return None; // more than one input var in this output
-                    }
-                    in_var = Some((pos, c));
-                }
-            }
-            let (pos, coeff) = in_var?;
-            if coeff.abs() != 1 || used[pos] {
-                return None;
-            }
-            used[pos] = true;
-            // out_d = a·x_pos + e  =>  x_pos = a·(out_d - e)
-            let mut e = expr.clone();
-            e.add_term(&self.in_space[pos], -coeff);
-            let rhs = (LinExpr::var(&self.out_space[d]) - e).scaled(coeff);
-            inv_outputs[pos] = Some(rhs);
-        }
-        if !used.iter().all(|&u| u) {
-            return None;
-        }
-        Some(Map::new(
-            &self.out_space,
-            &self.in_space,
-            inv_outputs.into_iter().map(|o| o.unwrap()).collect(),
-        ))
-    }
-
-    /// Compose: `self ∘ other` (apply `other` first).
-    pub fn compose(&self, other: &Map) -> Map {
-        assert_eq!(other.out_space, self.in_space, "compose space mismatch");
-        let outputs = self
-            .outputs
-            .iter()
-            .map(|e| {
-                let mut acc = e.clone();
-                // substitute each of self's input vars by other's output expr;
-                // rename first to avoid capture
-                let fresh: Vec<String> = self.in_space.iter().map(|v| format!("{v}__c")).collect();
-                for (v, f) in self.in_space.iter().zip(&fresh) {
-                    acc = acc.rename(v, f);
-                }
-                for (f, oexpr) in fresh.iter().zip(&other.outputs) {
-                    acc = acc.substitute(f, oexpr);
-                }
-                acc
-            })
-            .collect();
-        Map::new(&other.in_space, &self.out_space, outputs)
-    }
-
     /// Evaluate at a concrete point (parameters via `params`).
     pub fn eval(&self, point: &[i64], params: &dyn Fn(&str) -> Option<i64>) -> Option<Vec<i64>> {
         assert_eq!(point.len(), self.in_space.len());
@@ -273,67 +181,11 @@ mod tests {
     }
 
     #[test]
-    fn shift_map_image_and_preimage() {
+    fn shift_map_image() {
         // f(j) = j - 1 over {1..5} → image {0..4}
         let m = Map::new(&["j"], &["j"], vec![var("j") - 1]);
-        let s = Set::rect(&["j"], &[1], &[5]);
-        let img = m.apply(&s);
+        let img = m.apply(&Set::rect(&["j"], &[1], &[5]));
         assert!(img.set_eq(&Set::rect(&["j"], &[0], &[4])));
-        let pre = m.preimage(&Set::rect(&["j"], &[0], &[4]));
-        assert!(pre.set_eq(&s));
-    }
-
-    #[test]
-    fn inverse_of_unit_map() {
-        // The paper's lhsy example: [j]def -> [j-1]use, inverse maps back.
-        let m = Map::new(&["j"], &["u"], vec![var("j") - 1]);
-        let inv = m.inverse().expect("invertible");
-        assert_eq!(inv.eval(&[4], &no_params), Some(vec![5]));
-        let roundtrip = inv.compose(&m);
-        assert_eq!(roundtrip.eval(&[7], &no_params), Some(vec![7]));
-    }
-
-    #[test]
-    fn inverse_rejects_non_unit_and_aliased() {
-        let m = Map::new(&["j"], &["u"], vec![var("j") * 2]);
-        assert!(m.inverse().is_none());
-        let m = Map::new(
-            &["i", "j"],
-            &["a", "b"],
-            vec![var("i") + var("j"), var("j")],
-        );
-        assert!(
-            m.inverse().is_none(),
-            "first output mentions two input vars"
-        );
-        // constant output not invertible
-        let m = Map::new(&["i"], &["a"], vec![crate::cst(3)]);
-        assert!(m.inverse().is_none());
-    }
-
-    #[test]
-    fn inverse_negative_unit() {
-        // out = -i + N  =>  i = N - out
-        let m = Map::new(&["i"], &["o"], vec![var("N") - var("i")]);
-        let inv = m.inverse().unwrap();
-        let params = |v: &str| if v == "N" { Some(10) } else { None };
-        assert_eq!(inv.eval(&[3], &params), Some(vec![7]));
-    }
-
-    #[test]
-    fn multidim_permutation_inverse() {
-        let m = Map::new(&["i", "j"], &["a", "b"], vec![var("j") + 2, var("i") - 1]);
-        let inv = m.inverse().unwrap();
-        assert_eq!(m.eval(&[10, 20], &no_params), Some(vec![22, 9]));
-        assert_eq!(inv.eval(&[22, 9], &no_params), Some(vec![10, 20]));
-    }
-
-    #[test]
-    fn compose_order() {
-        let f = Map::new(&["x"], &["y"], vec![var("x") + 1]); // y = x+1
-        let g = Map::new(&["y"], &["z"], vec![var("y") * 2]); // z = 2y
-        let gf = g.compose(&f); // z = 2(x+1)
-        assert_eq!(gf.eval(&[3], &no_params), Some(vec![8]));
     }
 
     #[test]

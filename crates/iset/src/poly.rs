@@ -100,11 +100,6 @@ impl Polyhedron {
         s
     }
 
-    /// Substitute `name := replacement` in every constraint.
-    pub fn substitute(&self, name: &str, replacement: &LinExpr) -> Polyhedron {
-        Polyhedron::new(self.cons.iter().map(|c| c.substitute(name, replacement)))
-    }
-
     /// Rename a variable in every constraint.
     pub fn rename(&self, from: &str, to: &str) -> Polyhedron {
         Polyhedron::new(self.cons.iter().map(|c| c.rename(from, to)))

@@ -103,20 +103,6 @@ impl Set {
         &self.polys
     }
 
-    /// Free parameters: variables mentioned in constraints but not in the
-    /// tuple space.
-    pub fn params(&self) -> BTreeSet<String> {
-        let mut s = BTreeSet::new();
-        for p in &self.polys {
-            for v in p.vars() {
-                if !self.space.contains(&v) {
-                    s.insert(v);
-                }
-            }
-        }
-        s
-    }
-
     /// True iff every disjunct is an interval polyhedron (see
     /// [`crate::intern`] for why that decides what is memoized).
     pub(crate) fn is_interval(&self) -> bool {
@@ -343,22 +329,6 @@ impl Set {
         Set { space, polys }
     }
 
-    /// Substitute a *parameter* by an expression in every disjunct.
-    pub fn substitute_param(&self, name: &str, replacement: &LinExpr) -> Set {
-        assert!(
-            !self.space.iter().any(|v| v == name),
-            "substitute_param: {name} is a tuple variable"
-        );
-        let mut out = Set::empty(&self.space);
-        for p in &self.polys {
-            let q = p.substitute(name, replacement);
-            if !q.is_trivially_empty() {
-                out.push(q);
-            }
-        }
-        out
-    }
-
     /// Membership test for a concrete point with concrete parameters.
     pub fn contains(&self, point: &[i64], params: &dyn Fn(&str) -> Option<i64>) -> bool {
         assert_eq!(point.len(), self.space.len());
@@ -496,21 +466,6 @@ mod tests {
         assert!(p.contains(&[1], &params));
         assert!(p.contains(&[5], &params));
         assert!(!p.contains(&[6], &params));
-    }
-
-    #[test]
-    fn bind_params_concretizes() {
-        let s = Set::from_constraints(
-            &["i"],
-            [
-                Constraint::ge(var("i"), crate::cst(1)),
-                Constraint::le(var("i"), var("N")),
-            ],
-        );
-        let c = s.substitute_param("N", &crate::cst(3));
-        assert!(c.params().is_empty());
-        assert!(c.contains(&[3], &no_params));
-        assert!(!c.contains(&[4], &no_params));
     }
 
     #[test]

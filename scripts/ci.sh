@@ -31,9 +31,13 @@
 #                      a register — vs the plain one, overlapped and
 #                      strip-mined nests among its shapes) under the same
 #                      pinned seed
-#   7. spmd release  — dhpf-spmd's tests again in release: the mailbox's
+#   7. release       — dhpf-spmd's tests again in release: the mailbox's
 #                      yield and park windows differ under optimisation,
-#                      and stage 4 runs in debug only
+#                      and stage 4 runs in debug only; and the NaN-payload
+#                      test of the node interpreter (a product of two NaNs
+#                      through `Mul`, `MulSub` and `MulSubReg` keeps the
+#                      serial interpreter's payload), since the operand
+#                      order of the machine instruction is release codegen's
 #   8. compile bench — `dhpf bench compile --quick`, a smoke run: the
 #                      command runs and writes its document
 #   9. benchmark     — the repo benchmark harness (benchmark/) still
@@ -105,10 +109,13 @@ echo "== exec property tests (pinned seed)"
 # statements (`MulSub`, `MulSubReg`) against the plain one
 PROPTEST_SEED=20260806 cargo test -q -p dhpf-core --lib exec::node
 
-echo "== dhpf-spmd tests (release)"
+echo "== dhpf-spmd tests and NaN payloads (release)"
 # the mailbox's wait path (one yield, then park) and the poison tests
 # race differently once optimised
 cargo test --release -q -p dhpf-spmd
+# which NaN a product of two NaNs returns follows the operand order the
+# compiler gives the machine instruction, which Rust does not promise
+cargo test --release -q -p dhpf-core --lib exec::node::tests::nan_products_keep_the_serial_payload
 
 echo "== compile bench smoke"
 # one cold+warm+traced timing pass (class S only); nothing is gated on
