@@ -193,7 +193,8 @@ fn copy_box(src: &LocalArray, dst: &mut ArrayValue, lo: &[i64], hi: &[i64]) {
 struct Frame {
     /// Integer scalar slots, then the tape's hidden slots.
     ints: Vec<i64>,
-    /// Float scalar slots, then the tape's constants, then temporaries.
+    /// Float scalar slots, then the tape's constants, then the values of
+    /// the block being run.
     regs: Vec<f64>,
 }
 
@@ -1349,6 +1350,71 @@ mod tests {
         .boxed()
     }
 
+    /// Statements that compute one value twice, into cells of `b` inside
+    /// rank 1's window, the lowering's value numbering free to reuse it
+    /// unless what lies between changes it: a store to the array of a
+    /// load (mostly to its very cell), an assignment to a float scalar
+    /// the value reads, one to an int scalar its form reads, or nothing
+    /// but the product in the other order, over NaNs of two payloads.
+    fn arb_hazard(level: usize) -> BoxedStrategy<Vec<NodeOp>> {
+        let cell = || (0i64..=3, 0i64..=3).prop_map(|(i, j)| vec![CIdx::cst(i), CIdx::cst(j)]);
+        let nan = prop_oneof![
+            Just(f64::from_bits(0x7ff8_0000_0000_0001)),
+            Just(f64::from_bits(0xfff8_0000_0000_0002)),
+            Just(f64::NAN),
+        ];
+        let factor = prop_oneof![
+            nan.prop_map(CExpr::Const),
+            (0usize..3).prop_map(CExpr::LoadF),
+            cell().prop_map(|subs| *load(A, subs)),
+            arb_form(level).prop_map(CExpr::Int),
+        ]
+        .boxed();
+        let factor = || factor.clone();
+        let b = || (4i64..=9).prop_map(|c| vec![CIdx::cst(c)]);
+        let cells = || (b(), b());
+        let twice = |value: CExpr, between: NodeOp, (c1, c2)| {
+            vec![set(B, c1, value.clone()), between, set(B, c2, value)]
+        };
+        let store = (cells(), cell(), cell(), 0usize..2, factor(), factor()).prop_map(
+            move |(cells, q, other, same, e, v)| {
+                let value = bin(BinOp::Mul, *load(A, q.clone()), e);
+                let to = if same == 0 { q } else { other };
+                twice(value, set(A, to, v), cells)
+            },
+        );
+        let assign_f =
+            (cells(), 0usize..3, factor(), factor()).prop_map(move |(cells, slot, e, value)| {
+                let between = NodeOp::AssignF {
+                    guard: None,
+                    slot,
+                    value,
+                    flops: 1,
+                };
+                twice(bin(BinOp::Add, CExpr::LoadF(slot), e), between, cells)
+            });
+        let assign_i = (cells(), 3usize..=4, -2i64..=2, factor(), 0i64..=9).prop_map(
+            move |(cells, slot, cst, e, v)| {
+                let between = NodeOp::AssignI {
+                    guard: None,
+                    slot,
+                    value: CExpr::Int(CIdx::cst(v)),
+                    flops: 1,
+                };
+                twice(
+                    bin(BinOp::Mul, CExpr::Int(var(slot, cst)), e),
+                    between,
+                    cells,
+                )
+            },
+        );
+        let swapped = (cells(), factor(), factor()).prop_map(|((c1, c2), x, y)| {
+            let (xy, yx) = (bin(BinOp::Mul, x.clone(), y.clone()), bin(BinOp::Mul, y, x));
+            vec![set(B, c1, xy), set(B, c2, yx)]
+        });
+        prop_oneof![store, assign_f, assign_i, swapped].boxed()
+    }
+
     /// A bound of a loop at nest level `level`: a constant in `cst` or,
     /// below level 0, now and then an outer loop's variable plus a
     /// constant.
@@ -1379,7 +1445,9 @@ mod tests {
     /// A loop at nest level `level`: steps 1, -1, 2 and -3; bounds that
     /// are constants or an outer loop's variable plus a constant; now and
     /// then no trip at all, or, below level 0, a short constant range;
-    /// inner loops down to level 2, some under `if`. An `if` tests values
+    /// inner loops down to level 2, some under `if`; and [`arb_hazard`]'s
+    /// runs of statements, which an unrolled body lowers into one block
+    /// with its other copies. An `if` tests values
     /// or compares integer forms, which the lowering decides where they
     /// are over the pinned variables of unrolled copies.
     fn arb_loop(level: usize) -> BoxedStrategy<NodeOp> {
@@ -1410,7 +1478,11 @@ mod tests {
             prop::collection::vec(item(), 0..=2),
         );
         let arms = prop::collection::vec(branch, 1..=2).prop_map(|arms| NodeOp::If { arms });
-        let body = prop::collection::vec(prop_oneof![item(), item(), item(), arms], 1..=3);
+        let one = prop_oneof![item(), item(), item(), arms]
+            .prop_map(|op| vec![op])
+            .boxed();
+        let body = prop::collection::vec(prop_oneof![one.clone(), one, arb_hazard(level)], 1..=3)
+            .prop_map(|runs| runs.into_iter().flatten().collect::<Vec<_>>());
         // an inner loop now and then gets a short constant range, of one
         // to five trips at step 1: a loop the lowering unrolls
         let wide = (arb_bound(level, 0..=4), arb_bound(level, 4..=9)).boxed();
@@ -1922,7 +1994,8 @@ mod tests {
     /// variable of an interpreted loop, one whose first condition is
     /// undecided and second decided, and one on a float keep their tests;
     /// a loop in their arms is not unrolled, nor, then, the loop around
-    /// the second; `x − (s + 1)·z` is not fused, its factor a temporary.
+    /// the second; `x − (s + 1)·z` is not fused, its factor a computed
+    /// value.
     #[test]
     fn undecided_ifs_and_computed_factors_stay() {
         let (i, m, p1, s) = (0, 1, 2, 1);
@@ -2047,6 +2120,189 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    // ---- value numbering ---------------------------------------------------
+
+    /// `do i = 0, 3` over `body`: an interpreted loop, its body one
+    /// straight-line block.
+    fn block(body: Vec<NodeOp>) -> NodeOp {
+        do_loop(0, CIdx::cst(0), CIdx::cst(3), body)
+    }
+
+    fn bin(op: BinOp, x: CExpr, y: CExpr) -> CExpr {
+        CExpr::Bin(op, Box::new(x), Box::new(y))
+    }
+
+    /// `arr(subs) = value`, unguarded.
+    fn set(arr: usize, subs: Vec<CIdx>, value: CExpr) -> NodeOp {
+        NodeOp::Assign {
+            guard: None,
+            arr,
+            subs,
+            value,
+            flops: 1,
+        }
+    }
+
+    /// `i` of [`block`], as a float.
+    fn i_f() -> CExpr {
+        CExpr::Int(var(0, 0))
+    }
+
+    /// `b(i + 5) = a(1, 1)·i; a(1, 1) = a(i, 2) + 1.5; a(i, 3) = a(1, 1)·i`:
+    /// the load of `a(1, 1)` after the store to `a` reads what was stored,
+    /// and only `i` is reused.
+    #[test]
+    fn a_load_after_a_store_to_its_array_is_not_reused() {
+        let a11 = || *load(A, vec![CIdx::cst(1), CIdx::cst(1)]);
+        let ops = vec![block(vec![
+            set(B, vec![var(0, 5)], bin(BinOp::Mul, a11(), i_f())),
+            set(
+                A,
+                vec![CIdx::cst(1), CIdx::cst(1)],
+                bin(
+                    BinOp::Add,
+                    *load(A, vec![var(0, 0), CIdx::cst(2)]),
+                    CExpr::Const(1.5),
+                ),
+            ),
+            set(
+                A,
+                vec![var(0, 0), CIdx::cst(3)],
+                bin(BinOp::Mul, a11(), i_f()),
+            ),
+        ])];
+        let (stats, _) = matches_plain(ops, 1, &[]);
+        assert_eq!(stats.values_reused, 1);
+    }
+
+    /// `b(i + 5) = s + i; s = a(i, 1); a(i, 0) = s + i`: the sum after the
+    /// float scalar's assignment is computed again.
+    #[test]
+    fn a_float_scalar_read_after_its_assignment_is_not_reused() {
+        let s = 0;
+        let sum = || bin(BinOp::Add, CExpr::LoadF(s), i_f());
+        let ops = vec![block(vec![
+            set(B, vec![var(0, 5)], sum()),
+            NodeOp::AssignF {
+                guard: None,
+                slot: s,
+                value: *load(A, vec![var(0, 0), CIdx::cst(1)]),
+                flops: 1,
+            },
+            set(A, vec![var(0, 0), CIdx::cst(0)], sum()),
+        ])];
+        let (stats, _) = matches_plain(ops, 1, &[]);
+        assert_eq!(stats.values_reused, 1);
+    }
+
+    /// `a(i, 0) = (b(k + 5) + k)·i; k = i; a(i, 1) = (b(k + 5) + k)·i`: the
+    /// load and the form over `k` are taken again after `k` is assigned;
+    /// `k = i` and the second product reuse `i`.
+    #[test]
+    fn a_form_read_after_an_integer_assignment_is_not_reused() {
+        let k = 3;
+        let value = || {
+            let sum = bin(BinOp::Add, *load(B, vec![var(k, 5)]), CExpr::Int(var(k, 0)));
+            bin(BinOp::Mul, sum, i_f())
+        };
+        let ops = vec![block(vec![
+            set(A, vec![var(0, 0), CIdx::cst(0)], value()),
+            NodeOp::AssignI {
+                guard: None,
+                slot: k,
+                value: CExpr::Int(var(0, 0)),
+                flops: 1,
+            },
+            set(A, vec![var(0, 0), CIdx::cst(1)], value()),
+        ])];
+        let (stats, _) = matches_plain(ops, 1, &[]);
+        assert_eq!(stats.values_reused, 2);
+    }
+
+    /// `a(i, 0) = x·y; a(i, 1) = y·x; a(i, 2) = x·y` over NaNs of two
+    /// payloads: the two products are two values, each the payload of its
+    /// first operand; the third statement reuses the first's.
+    #[test]
+    fn products_in_both_orders_are_two_values() {
+        let x = CExpr::Const(f64::from_bits(0x7ff8_0000_0000_0001));
+        let y = CExpr::Const(f64::from_bits(0xfff8_0000_0000_0002));
+        let cell = |j| vec![var(0, 0), CIdx::cst(j)];
+        let ops = vec![block(vec![
+            set(A, cell(0), bin(BinOp::Mul, x.clone(), y.clone())),
+            set(A, cell(1), bin(BinOp::Mul, y.clone(), x.clone())),
+            set(A, cell(2), bin(BinOp::Mul, x, y)),
+        ])];
+        let (stats, _) = matches_plain(ops.clone(), 1, &[]);
+        assert_eq!(stats.values_reused, 1);
+        let (storage, ..) = run_lowered(&program(ops), true, &[], &[]);
+        let a = storage[A].as_ref().expect("allocated");
+        let (xy, yx) = (a.get(&[2, 0]), a.get(&[2, 1]));
+        assert_ne!(xy.to_bits(), yx.to_bits(), "{xy:e}, {yx:e}");
+    }
+
+    /// `if (i .ne. 2) a(i, 0) = s·i; a(i, 1) = s·i`: the arm may not have
+    /// run, so the product after it is computed again; `i` from the
+    /// condition is reused in the arm, which falls through into it.
+    #[test]
+    fn a_value_computed_in_an_arm_is_not_reused_after_it() {
+        let product = || bin(BinOp::Mul, CExpr::LoadF(1), i_f());
+        let arm = NodeOp::If {
+            arms: vec![(
+                cmp(BinOp::Ne, i_f(), CExpr::Const(2.0)),
+                vec![set(A, vec![var(0, 0), CIdx::cst(0)], product())],
+            )],
+        };
+        let after = set(A, vec![var(0, 0), CIdx::cst(1)], product());
+        let (stats, _) = matches_plain(vec![block(vec![arm, after])], 1, &[]);
+        assert_eq!(stats.values_reused, 1);
+    }
+
+    /// `-c` of a constant is a constant register holding `-c`, bit for
+    /// bit: `-0.0` and the sign-flipped payload of a NaN.
+    #[test]
+    fn negated_constants_fold_bitwise() {
+        let cases: [(u64, u64); 4] = [
+            (0x0000_0000_0000_0000, 0x8000_0000_0000_0000),
+            (0x8000_0000_0000_0000, 0x0000_0000_0000_0000),
+            (0x7ff8_0000_0000_1234, 0xfff8_0000_0000_1234),
+            (0xfff4_0000_0000_0001, 0x7ff4_0000_0000_0001),
+        ];
+        let ops: Vec<NodeOp> = (cases.iter().enumerate())
+            .map(|(j, &(c, _))| {
+                let value = CExpr::Neg(Box::new(CExpr::Const(f64::from_bits(c))));
+                set(A, vec![CIdx::cst(0), CIdx::cst(j as i64)], value)
+            })
+            .collect();
+        let code = main_code(ops.clone(), 1);
+        assert!(!code.iter().any(|c| matches!(c, Ins::Neg(..))), "{code:?}");
+        for opt in [true, false] {
+            let (storage, ..) = run_lowered(&program(ops.clone()), opt, &[], &[]);
+            let a = storage[A].as_ref().expect("allocated");
+            for (j, &(_, want)) in cases.iter().enumerate() {
+                assert_eq!(a.get(&[0, j as i64]).to_bits(), want, "case {j}, opt {opt}");
+            }
+        }
+    }
+
+    /// No tape of BT negates a constant at run time: `-0.01d0` of its
+    /// block assembly is a constant register.
+    #[test]
+    fn bt_negates_no_constant() {
+        use dhpf_nas::{Class, Kernel};
+        let mut opts = CompileOptions::new();
+        opts.bindings = Kernel::Bt.bindings(Class::S, 1);
+        let compiled = compile(&Kernel::Bt.parse(), &opts).expect("BT compiles");
+        let (tapes, _) = lower_program(&ProcState::new(&compiled.program, 0));
+        for t in &tapes {
+            let consts = t.unit.n_floats..t.unit.n_floats + t.consts.len();
+            let negated = t.code.iter().filter(|c| match c {
+                Ins::Neg(_, a) => consts.contains(&(*a as usize)),
+                _ => false,
+            });
+            assert_eq!(negated.count(), 0, "{}", t.unit.name);
         }
     }
 

@@ -4,8 +4,8 @@
 //! every unit reachable from the main program — once per distinct
 //! binding of its array dummies — into a [`Tape`]: expressions become
 //! three-address code over a float register file (float scalar slots,
-//! then the unit's constants, then temporaries), `.and.`/`.or.` become
-//! jumps, every array access becomes one affine form
+//! then the unit's constants, then the values of the block being run),
+//! `.and.`/`.or.` become jumps, every array access becomes one affine form
 //! `c0 + Σ cₖ·ints[k]` that indexes the rank's local data slice
 //! directly, and every CP guard atom becomes a range test against
 //! constants of this rank. What an access or a guard needs to know about
@@ -31,6 +31,9 @@
 //! facts ([`Lower::unrolled`]). An `if` whose conditions the facts
 //! decide is lowered as the one arm that runs ([`Lower::arm`]).
 //!
+//! Inside a straight-line block a value the block already computed is
+//! not computed again: its register is reused ([`Lower::value`]).
+//!
 //! The lowering borrows the [`NodeProgram`](crate::codegen::NodeProgram):
 //! message lists, pipeline levels and subscripts are referenced, not
 //! copied.
@@ -43,7 +46,9 @@ use crate::codegen::{
 };
 use crate::transfer::Transfer;
 use dhpf_fortran::ast::BinOp;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
+use std::mem::Discriminant;
 
 /// Binding of an array dummy no actual argument was bound to.
 pub(super) const UNBOUND: usize = usize::MAX;
@@ -212,8 +217,9 @@ impl Ins {
 }
 
 /// Affine integer form `c0 + Σ coef·ints[slot]` over a run of the
-/// tape's term pool, like terms merged.
-#[derive(Clone, Copy, Debug, PartialEq)]
+/// tape's term pool, like terms merged. The pool is interned: two equal
+/// forms are two equal `Aff`s.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub(super) struct Aff {
     c0: i64,
     terms: (u32, u32),
@@ -347,11 +353,14 @@ pub struct LowerStats {
     /// `if`s the facts decide: lowered as the arm that runs, if any, and
     /// no test.
     pub ifs_decided: u64,
+    /// Values a straight-line block had computed already: not computed
+    /// again, their register reused.
+    pub values_reused: u64,
 }
 
 impl LowerStats {
     /// The counts by name, for reports.
-    pub fn named(&self) -> [(&'static str, u64); 11] {
+    pub fn named(&self) -> [(&'static str, u64); 12] {
         [
             ("loops", self.loops),
             ("loops_clamped", self.loops_clamped),
@@ -364,6 +373,7 @@ impl LowerStats {
             ("stmts_fused", self.stmts_fused),
             ("loops_unrolled", self.loops_unrolled),
             ("ifs_decided", self.ifs_decided),
+            ("values_reused", self.values_reused),
         ]
     }
 
@@ -381,6 +391,7 @@ impl LowerStats {
             stmts_fused: self.stmts_fused + o.stmts_fused,
             loops_unrolled: self.loops_unrolled + o.loops_unrolled,
             ifs_decided: self.ifs_decided + o.ifs_decided,
+            values_reused: self.values_reused + o.values_reused,
         }
     }
 }
@@ -455,7 +466,7 @@ pub(super) struct Tape<'p> {
     pub consts: Vec<f64>,
     /// Int slots including the hidden ones.
     pub n_ints: usize,
-    /// Float registers: scalar slots, constants, temporaries.
+    /// Float registers: scalar slots, constants, values.
     pub n_regs: usize,
     /// What the lowering of this tape decided.
     pub stats: LowerStats,
@@ -609,14 +620,72 @@ struct Open {
     charged: bool,
 }
 
+/// A value a block computes, by what it is computed from: the key of
+/// [`Lower::memo`].
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum Value {
+    /// A load of global array `arr` at an offset (pinned variables
+    /// folded into its constant).
+    Load(u32, Aff),
+    /// An integer form as a float.
+    Int(Aff),
+    /// A pure operation on its operand registers, in order (the second
+    /// [`NO_REG`] for a unary one): `a·b` and `b·a` are two values, since
+    /// a product of two NaNs keeps the payload of the first.
+    Op(Discriminant<Ins>, u32, u32),
+}
+
+/// The missing second operand of a unary [`Value::Op`].
+const NO_REG: u32 = u32::MAX;
+
+/// The hasher of [`Lower::memo`], FxHash's step: a [`Value`] is a few
+/// integers the program under lowering chooses, not an adversary, and
+/// SipHash took a third of the time a small unit's lowering took.
+#[derive(Default)]
+struct ValueHasher(u64);
+
+impl Hasher for ValueHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(u64::from(b)));
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_u32(&mut self, x: u32) {
+        self.write_u64(u64::from(x));
+    }
+
+    fn write_i64(&mut self, x: i64) {
+        self.write_u64(x as u64);
+    }
+
+    fn write_isize(&mut self, x: isize) {
+        self.write_u64(x as u64);
+    }
+}
+
 struct Lower<'a, 'p> {
     st: &'a ProcState<'p>,
     specs: &'a mut Vec<(usize, Vec<usize>)>,
     tape: Tape<'p>,
-    /// First temporary register.
-    tmp0: u32,
-    /// Learn ranges, base accesses, fuse statements; off only for the
-    /// reference lowering of the tests.
+    /// The first register of the values of a block, and the next one no
+    /// value holds.
+    vals0: u32,
+    next: u32,
+    /// Value numbering: the values the straight-line block being lowered
+    /// has computed, and the register holding each. Emptied where control
+    /// can enter other than by falling through ([`Self::land`], the body
+    /// of a loop, the ends of a nest run on its own) and after a call or
+    /// communication; a store drops what it may change.
+    memo: HashMap<Value, u32, BuildHasherDefault<ValueHasher>>,
+    /// Learn ranges, base accesses, fuse statements, reuse values; off
+    /// only for the reference lowering of the tests.
     opt: bool,
     /// The loops around the point being lowered, innermost last, and the
     /// slots their bodies write and the bases of their sites, the
@@ -651,14 +720,17 @@ impl<'a, 'p> Lower<'a, 'p> {
         binding: Vec<usize>,
         opt: bool,
     ) -> Tape<'p> {
-        // register numbers of temporaries depend on the constant count,
-        // so constants are collected before any code is emitted
+        // the registers of values follow the constants, so constants
+        // are collected before any code is emitted
         let mut consts = Vec::new();
         collect_consts(&unit.ops, &mut consts);
-        let tmp0 = unit.n_floats + consts.len();
+        let vals0 = unit.n_floats + consts.len();
         let mut lw = Lower {
             st,
             specs,
+            vals0: idx(vals0),
+            next: idx(vals0),
+            memo: HashMap::default(),
             opt,
             open: Vec::new(),
             written: Vec::new(),
@@ -668,7 +740,6 @@ impl<'a, 'p> Lower<'a, 'p> {
             interned: BTreeMap::new(),
             pinned: Vec::new(),
             charged: false,
-            tmp0: idx(tmp0),
             tape: Tape {
                 unit,
                 binding,
@@ -688,7 +759,7 @@ impl<'a, 'p> Lower<'a, 'p> {
                 fails: Vec::new(),
                 consts,
                 n_ints: unit.n_ints,
-                n_regs: tmp0,
+                n_regs: vals0,
                 stats: LowerStats::default(),
             },
         };
@@ -706,11 +777,14 @@ impl<'a, 'p> Lower<'a, 'p> {
         self.tape.code.len() - 1
     }
 
-    /// Point the branches at `at` to the current position.
+    /// Point the branches at `at` to the current position: control can
+    /// enter here from elsewhere, so the block's values are forgotten
+    /// when one does.
     fn land(&mut self, at: impl IntoIterator<Item = usize>) {
         let here = self.pc();
         for i in at {
             *self.tape.code[i].target_mut() = here;
+            self.memo.clear();
         }
     }
 
@@ -726,10 +800,66 @@ impl<'a, 'p> Lower<'a, 'p> {
         first
     }
 
-    /// Claim temporary register `t` as a destination.
-    fn tmp(&mut self, t: u32) -> u32 {
-        self.tape.n_regs = self.tape.n_regs.max(t as usize + 1);
-        t
+    /// A register no value of the block holds.
+    fn fresh(&mut self) -> u32 {
+        let d = self.next;
+        self.next += 1;
+        self.tape.n_regs = self.tape.n_regs.max(self.next as usize);
+        d
+    }
+
+    /// The register holding `key`'s value: the one the block computed it
+    /// in already, or a fresh one the instruction `make(d)` computes it
+    /// in.
+    fn value(&mut self, key: Value, make: impl FnOnce(u32) -> Ins) -> u32 {
+        if let Some(&r) = self.memo.get(&key) {
+            self.tape.stats.values_reused += 1;
+            return r;
+        }
+        let d = self.fresh();
+        self.emit(make(d));
+        if self.opt {
+            self.memo.insert(key, d);
+        }
+        d
+    }
+
+    /// `d = a op b`, a pure operation.
+    fn op2(&mut self, op: fn(u32, u32, u32) -> Ins, a: u32, b: u32) -> u32 {
+        let key = Value::Op(std::mem::discriminant(&op(0, a, b)), a, b);
+        self.value(key, |d| op(d, a, b))
+    }
+
+    /// `d = op a`, a pure operation.
+    fn op1(&mut self, op: fn(u32, u32) -> Ins, a: u32) -> u32 {
+        let key = Value::Op(std::mem::discriminant(&op(0, a)), a, NO_REG);
+        self.value(key, |d| op(d, a))
+    }
+
+    /// Forget the loads of global array `g`: a store to it.
+    fn forget_loads(&mut self, g: u32) {
+        self.memo
+            .retain(|k, _| !matches!(k, Value::Load(arr, _) if *arr == g));
+    }
+
+    /// Forget the values read from int slot `slot`: a store to it.
+    fn forget_int(&mut self, slot: u32) {
+        let pool = &self.tape.terms;
+        let reads = |a: &Aff| {
+            pool[a.terms.0 as usize..a.terms.1 as usize]
+                .iter()
+                .any(|t| t.slot == slot)
+        };
+        self.memo.retain(|k, _| match k {
+            Value::Load(_, a) | Value::Int(a) => !reads(a),
+            Value::Op(..) => true,
+        });
+    }
+
+    /// Forget the operations on float slot `slot`: a store to it.
+    fn forget_float(&mut self, slot: u32) {
+        self.memo
+            .retain(|k, _| !matches!(k, Value::Op(_, a, b) if *a == slot || *b == slot));
     }
 
     fn const_reg(&self, v: f64) -> u32 {
@@ -780,9 +910,10 @@ impl<'a, 'p> Lower<'a, 'p> {
         self.aff(c.cst, c.terms.iter().copied())
     }
 
-    /// Fold an access to local array slot `arr` into one offset form, or
-    /// return the error the access raises when executed.
-    fn site(&mut self, arr: usize, subs: &'p [CIdx], write: bool) -> Result<u32, String> {
+    /// Fold an access to local array slot `arr` into one offset form
+    /// into its global array, or return the error the access raises when
+    /// executed.
+    fn offset(&mut self, arr: usize, subs: &[CIdx], write: bool) -> Result<(u32, Aff), String> {
         let rank = self.st.rank;
         let g = self.tape.binding[arr];
         if g == UNBOUND {
@@ -809,13 +940,22 @@ impl<'a, 'p> Lower<'a, 'p> {
                     .map(move |(slot, coef)| (*slot, *stride as i64 * coef))
             })
             .collect();
-        let off = self.aff(c0, terms);
+        Ok((idx(g), self.aff(c0, terms)))
+    }
+
+    /// The access site of an access to local array slot `arr`, or the
+    /// error the access raises when executed.
+    fn site(&mut self, arr: usize, subs: &'p [CIdx], write: bool) -> Result<u32, String> {
+        let (g, off) = self.offset(arr, subs, write)?;
+        Ok(self.site_at(g, off, subs))
+    }
+
+    /// The access site of global array `g` at `off`; `subs` are for the
+    /// window check of debug builds.
+    #[cfg_attr(not(debug_assertions), allow(unused_variables))]
+    fn site_at(&mut self, g: u32, off: Aff, subs: &'p [CIdx]) -> u32 {
         let base = self.base(off);
-        self.tape.sites.push(Site {
-            arr: idx(g),
-            off,
-            base,
-        });
+        self.tape.sites.push(Site { arr: g, off, base });
         #[cfg(debug_assertions)]
         {
             let first = idx(self.tape.pins.len());
@@ -824,7 +964,7 @@ impl<'a, 'p> Lower<'a, 'p> {
             let pins = (first, idx(self.tape.pins.len()));
             self.tape.unfolded.push((subs, pins));
         }
-        Ok(idx(self.tape.sites.len() - 1))
+        idx(self.tape.sites.len() - 1)
     }
 
     /// The base the innermost open loop maintains for an access at `off`
@@ -836,17 +976,13 @@ impl<'a, 'p> Lower<'a, 'p> {
         let Some(open) = self.open.last() else {
             return NO_BASE;
         };
-        let stats = &mut self.tape.stats;
-        stats.sites_in_loops += 1;
-        let pool = &self.tape.terms;
-        let terms = &pool[off.terms.0 as usize..off.terms.1 as usize];
-        let written = &self.written[open.written..];
-        let changes =
-            |t: &Term| t.slot as usize != open.var && written.contains(&(t.slot as usize));
-        if !open.basing || terms.iter().any(changes) {
+        self.tape.stats.sites_in_loops += 1;
+        if !self.basable(off) {
             return NO_BASE;
         }
-        stats.sites_based += 1;
+        self.tape.stats.sites_based += 1;
+        let pool = &self.tape.terms;
+        let terms = &pool[off.terms.0 as usize..off.terms.1 as usize];
         // the pool is interned: equal runs are one run
         let same = |b: &&Base| b.form.terms == off.terms;
         if let Some(b) = self.pending[open.bases..].iter().find(same) {
@@ -863,116 +999,176 @@ impl<'a, 'p> Lower<'a, 'p> {
         slot
     }
 
-    fn based(&self, site: u32) -> bool {
-        self.tape.sites[site as usize].base != NO_BASE
-    }
-
-    /// Replace the statement emitted from `start` on by one fused
-    /// instruction when it is `x − y·z` over three based loads or `x − s·z`
-    /// over two, stored to a based site ([`mul_sub`], [`mul_sub_reg`]).
-    fn fuse(&mut self, start: usize) {
-        if !self.opt {
-            return;
-        }
-        let run = &self.tape.code[start..];
-        let found = (mul_sub(run).map(|f| (f, false)))
-            .or_else(|| Some((mul_sub_reg(run, self.tmp0)?, true)));
-        let Some((fused, reg)) = found else {
-            return;
+    /// Whether the innermost open loop can maintain a base for an access
+    /// at `off`: the lowering is not the plain one and no slot of `off`
+    /// but the loop's variable changes while the loop runs.
+    fn basable(&self, off: Aff) -> bool {
+        let Some(open) = self.open.last() else {
+            return false;
         };
-        self.tape.code.truncate(start);
-        self.tape.fused.push(fused);
-        let stmt = idx(self.tape.fused.len() - 1);
-        self.emit(if reg {
-            Ins::MulSubReg { stmt }
-        } else {
-            Ins::MulSub { stmt }
-        });
-        self.tape.stats.stmts_fused += 1;
+        let terms = &self.tape.terms[off.terms.0 as usize..off.terms.1 as usize];
+        let written = &self.written[open.written..];
+        let changes =
+            |t: &Term| t.slot as usize != open.var && written.contains(&(t.slot as usize));
+        open.basing && !terms.iter().any(changes)
     }
 
-    /// Lower `e`; `t` is the first free temporary. Returns the register
-    /// holding the value: `t`, a scalar slot or a constant.
-    fn expr(&mut self, e: &'p CExpr, t: u32) -> u32 {
+    /// The register `e` is in without an instruction: a scalar slot, a
+    /// constant or a negated one (as `dble` of one, too).
+    fn plain(&self, e: &CExpr) -> Option<u32> {
         match e {
-            CExpr::Const(v) => self.const_reg(*v),
-            CExpr::LoadF(slot) => idx(*slot),
+            CExpr::Const(v) => Some(self.const_reg(*v)),
+            CExpr::LoadF(slot) => Some(idx(*slot)),
+            CExpr::Neg(x) => match **x {
+                CExpr::Const(v) => Some(self.const_reg(-v)),
+                _ => None,
+            },
+            CExpr::Intr(i, args) if INTRINSIC_NAMES.get(*i) == Some(&"dble") && args.len() == 1 => {
+                self.plain(&args[0])
+            }
+            _ => None,
+        }
+    }
+
+    /// Lower `arr(subs) = value` as one fused instruction when `value` is
+    /// `x − y·z` over three loads, or `x − s·z` over two with `s` a
+    /// [`Self::plain`] register, and the loads and the store all address
+    /// by bases; returns whether it did. The fused instruction reads its
+    /// operands from memory, not from the block's values.
+    fn fuse(&mut self, arr: usize, subs: &'p [CIdx], value: &'p CExpr, flops: f64) -> bool {
+        let CExpr::Bin(BinOp::Sub, x, yz) = value else {
+            return false;
+        };
+        let CExpr::Bin(BinOp::Mul, y, z) = &**yz else {
+            return false;
+        };
+        let (CExpr::Load { arr: xa, subs: xs }, CExpr::Load { arr: za, subs: zs }) = (&**x, &**z)
+        else {
+            return false;
+        };
+        let s = match &**y {
+            CExpr::Load { .. } => None,
+            y => Some(self.plain(y)),
+        };
+        if !self.opt || s == Some(None) {
+            return false;
+        }
+        // the accesses in the order the unfused statement makes them
+        let mut accesses = vec![(*xa, &xs[..], false)];
+        if let CExpr::Load { arr, subs } = &**y {
+            accesses.push((*arr, subs, false));
+        }
+        accesses.extend([(*za, &zs[..], false), (arr, subs, true)]);
+        let mut at = Vec::with_capacity(4);
+        for &(arr, subs, write) in &accesses {
+            match self.offset(arr, subs, write) {
+                Ok((g, off)) if self.basable(off) => at.push((g, off, subs)),
+                _ => return false,
+            }
+        }
+        let sites: Vec<u32> = (at.iter())
+            .map(|&(g, off, subs)| self.site_at(g, off, subs))
+            .collect();
+        let (a, c, d) = (sites[0], sites[sites.len() - 2], sites[sites.len() - 1]);
+        let b = s.flatten().unwrap_or(sites[1]);
+        self.tape.fused.push(Fused { a, b, c, d, flops });
+        let stmt = idx(self.tape.fused.len() - 1);
+        self.emit(match s {
+            Some(_) => Ins::MulSubReg { stmt },
+            None => Ins::MulSub { stmt },
+        });
+        self.forget_loads(at[at.len() - 1].0);
+        self.tape.stats.stmts_fused += 1;
+        true
+    }
+
+    /// Lower `e`. Returns the register holding the value: a scalar slot,
+    /// a constant or a value of the block.
+    fn expr(&mut self, e: &'p CExpr) -> u32 {
+        if let Some(r) = self.plain(e) {
+            return r;
+        }
+        match e {
+            CExpr::Const(_) | CExpr::LoadF(_) => unreachable!("plain registers"),
             CExpr::Int(ci) => {
                 let aff = self.cidx(ci);
-                let d = self.tmp(t);
-                self.emit(Ins::IntToF { d, aff });
-                d
+                self.value(Value::Int(aff), |d| Ins::IntToF { d, aff })
             }
-            CExpr::Load { arr, subs } => {
-                let d = self.tmp(t);
-                match self.site(*arr, subs, false) {
-                    Ok(site) => {
-                        self.emit(if self.based(site) {
+            CExpr::Load { arr, subs } => match self.offset(*arr, subs, false) {
+                Ok((g, off)) => {
+                    if let Some(&r) = self.memo.get(&Value::Load(g, off)) {
+                        // a reused load is an access of its loop all the same
+                        self.base(off);
+                        self.tape.stats.values_reused += 1;
+                        return r;
+                    }
+                    let site = self.site_at(g, off, subs);
+                    let based = self.tape.sites[site as usize].base != NO_BASE;
+                    self.value(Value::Load(g, off), |d| {
+                        if based {
                             Ins::LoadBased { d, site }
                         } else {
                             Ins::Load { d, site }
-                        });
-                    }
-                    Err(msg) => self.fail(msg),
+                        }
+                    })
                 }
-                d
-            }
+                Err(msg) => {
+                    self.fail(msg);
+                    self.fresh()
+                }
+            },
             CExpr::Bin(op @ (BinOp::And | BinOp::Or), x, y) => {
-                let a = self.expr(x, t);
-                let d = self.tmp(t);
+                let a = self.expr(x);
+                let d = self.fresh();
                 let skip = self.emit(match op {
                     BinOp::And => Ins::AndSkip { d, a, to: 0 },
                     _ => Ins::OrSkip { d, a, to: 0 },
                 });
-                let a = self.expr(y, t);
+                let a = self.expr(y);
                 self.emit(Ins::Truth { d, a });
                 self.land([skip]);
                 d
             }
             CExpr::Bin(op, x, y) => {
-                let a = self.expr(x, t);
-                let b = self.expr(y, if a == t { t + 1 } else { t });
-                let d = self.tmp(t);
-                self.emit(match op {
-                    BinOp::Add => Ins::Add(d, a, b),
-                    BinOp::Sub => Ins::Sub(d, a, b),
-                    BinOp::Mul => Ins::Mul(d, a, b),
-                    BinOp::Div => Ins::Div(d, a, b),
-                    BinOp::Pow => Ins::Pow(d, a, b),
-                    BinOp::Lt => Ins::Lt(d, a, b),
-                    BinOp::Le => Ins::Le(d, a, b),
-                    BinOp::Gt => Ins::Gt(d, a, b),
-                    BinOp::Ge => Ins::Ge(d, a, b),
-                    BinOp::Eq => Ins::Eq(d, a, b),
-                    BinOp::Ne => Ins::Ne(d, a, b),
+                let a = self.expr(x);
+                let b = self.expr(y);
+                let op: fn(u32, u32, u32) -> Ins = match op {
+                    BinOp::Add => Ins::Add,
+                    BinOp::Sub => Ins::Sub,
+                    BinOp::Mul => Ins::Mul,
+                    BinOp::Div => Ins::Div,
+                    BinOp::Pow => Ins::Pow,
+                    BinOp::Lt => Ins::Lt,
+                    BinOp::Le => Ins::Le,
+                    BinOp::Gt => Ins::Gt,
+                    BinOp::Ge => Ins::Ge,
+                    BinOp::Eq => Ins::Eq,
+                    BinOp::Ne => Ins::Ne,
                     BinOp::And | BinOp::Or => unreachable!("lowered to jumps above"),
-                });
-                d
+                };
+                self.op2(op, a, b)
             }
             CExpr::Neg(x) => {
-                let a = self.expr(x, t);
-                let d = self.tmp(t);
-                self.emit(Ins::Neg(d, a));
-                d
+                let a = self.expr(x);
+                self.op1(Ins::Neg, a)
             }
-            CExpr::Intr(i, args) => self.intrinsic(*i, args, t),
+            CExpr::Intr(i, args) => self.intrinsic(*i, args),
         }
     }
 
-    /// An intrinsic call: every argument is evaluated, in order, into a
-    /// register of its own; then the function is applied.
-    fn intrinsic(&mut self, i: usize, args: &'p [CExpr], t: u32) -> u32 {
-        let regs: Vec<u32> = (t..).zip(args).map(|(t, a)| self.expr(a, t)).collect();
+    /// An intrinsic call: every argument is evaluated, in order; then the
+    /// function is applied.
+    fn intrinsic(&mut self, i: usize, args: &'p [CExpr]) -> u32 {
+        let regs: Vec<u32> = args.iter().map(|a| self.expr(a)).collect();
         let name = INTRINSIC_NAMES.get(i).copied().unwrap_or("?");
-        let d = self.tmp(t);
         // the serial interpreter's evaluator is the authority on which
         // names exist and how many arguments each needs
         if let Err(e) = eval_intrinsic(name, &vec![0.0; args.len()]) {
             self.fail(format!("rank {}: {e}", self.st.rank));
-            return d;
+            return self.fresh();
         }
         let a = regs[0];
-        let ins = match name {
+        let op: fn(u32, u32) -> Ins = match name {
             // a left fold from ±∞ over all arguments, as `eval_intrinsic`
             "min" | "max" => {
                 let (start, fold): (f64, fn(u32, u32, u32) -> Ins) = if name == "min" {
@@ -980,26 +1176,23 @@ impl<'a, 'p> Lower<'a, 'p> {
                 } else {
                     (f64::NEG_INFINITY, Ins::Max)
                 };
-                let mut acc = self.const_reg(start);
-                for b in regs {
-                    self.emit(fold(d, acc, b));
-                    acc = d;
-                }
-                return d;
+                let start = self.const_reg(start);
+                return regs
+                    .into_iter()
+                    .fold(start, |acc, b| self.op2(fold, acc, b));
             }
             "dble" => return a,
-            "mod" => Ins::Mod(d, a, regs[1]),
-            "sign" => Ins::Sign(d, a, regs[1]),
-            "abs" => Ins::Abs(d, a),
-            "sqrt" => Ins::Sqrt(d, a),
-            "exp" => Ins::Exp(d, a),
-            "int" => Ins::Trunc(d, a),
-            "sin" => Ins::Sin(d, a),
-            "cos" => Ins::Cos(d, a),
+            "mod" => return self.op2(Ins::Mod, a, regs[1]),
+            "sign" => return self.op2(Ins::Sign, a, regs[1]),
+            "abs" => Ins::Abs,
+            "sqrt" => Ins::Sqrt,
+            "exp" => Ins::Exp,
+            "int" => Ins::Trunc,
+            "sin" => Ins::Sin,
+            "cos" => Ins::Cos,
             other => unreachable!("intrinsic `{other}` has no lowering"),
         };
-        self.emit(ins);
-        d
+        self.op1(op, a)
     }
 
     /// The range of `c`, less its terms in `except`, under the facts.
@@ -1307,6 +1500,8 @@ impl<'a, 'p> Lower<'a, 'p> {
             written(body, &mut self.written);
         }
         let outer = std::mem::replace(&mut self.facts[var], inside);
+        // each trip but the first enters the body from `LoopNext`
+        self.memo.clear();
         Some((l, enter, outer))
     }
 
@@ -1508,6 +1703,9 @@ impl<'a, 'p> Lower<'a, 'p> {
         term: Option<(&'p [GuardAtom], bool)>,
         ops: &'p [NodeOp],
     ) -> (usize, usize) {
+        // the nest runs on its own, after messages wrote arrays, and what
+        // follows it runs after more did
+        self.memo.clear();
         let start = self.tape.code.len();
         let within = term
             .filter(|(_, holds)| *holds)
@@ -1534,6 +1732,7 @@ impl<'a, 'p> Lower<'a, 'p> {
         for (var, h) in open.into_iter().rev() {
             self.loop_end(var, h);
         }
+        self.memo.clear();
         (start, self.tape.code.len())
     }
 
@@ -1568,7 +1767,11 @@ impl<'a, 'p> Lower<'a, 'p> {
     }
 
     fn op(&mut self, op: &'p NodeOp) {
-        let t = self.tmp0;
+        // no value is in flight between statements: with none left to
+        // reuse, the block's registers are free again
+        if self.memo.is_empty() {
+            self.next = self.vals0;
+        }
         match op {
             NodeOp::Loop {
                 var,
@@ -1596,19 +1799,22 @@ impl<'a, 'p> Lower<'a, 'p> {
                     self.tape.stats.stmts_dropped += 1;
                     return;
                 };
-                let start = self.tape.code.len();
-                let src = self.expr(value, t);
-                match self.site(*arr, subs, true) {
-                    Ok(site) => {
-                        let flops = *flops as f64;
-                        self.emit(if self.based(site) {
-                            Ins::StoreBased { site, src, flops }
-                        } else {
-                            Ins::Store { site, src, flops }
-                        });
-                        self.fuse(start);
+                let flops = *flops as f64;
+                if !self.fuse(*arr, subs, value, flops) {
+                    let src = self.expr(value);
+                    match self.site(*arr, subs, true) {
+                        Ok(site) => {
+                            let s = &self.tape.sites[site as usize];
+                            let (g, based) = (s.arr, s.base != NO_BASE);
+                            self.emit(if based {
+                                Ins::StoreBased { site, src, flops }
+                            } else {
+                                Ins::Store { site, src, flops }
+                            });
+                            self.forget_loads(g);
+                        }
+                        Err(msg) => self.fail(msg),
                     }
-                    Err(msg) => self.fail(msg),
                 }
                 self.land(skip);
             }
@@ -1628,13 +1834,15 @@ impl<'a, 'p> Lower<'a, 'p> {
                     self.tape.stats.stmts_dropped += 1;
                     return;
                 };
-                let src = self.expr(value, t);
+                let src = self.expr(value);
                 let (slot, flops) = (idx(*slot), *flops as f64);
-                self.emit(if matches!(op, NodeOp::AssignF { .. }) {
-                    Ins::StoreF { slot, src, flops }
+                if matches!(op, NodeOp::AssignF { .. }) {
+                    self.emit(Ins::StoreF { slot, src, flops });
+                    self.forget_float(slot);
                 } else {
-                    Ins::StoreI { slot, src, flops }
-                });
+                    self.emit(Ins::StoreI { slot, src, flops });
+                    self.forget_int(slot);
+                }
                 self.land(skip);
             }
             NodeOp::If { arms } => {
@@ -1654,7 +1862,7 @@ impl<'a, 'p> Lower<'a, 'p> {
                 let charged = self.charged;
                 for (i, (cond, body)) in arms.iter().enumerate() {
                     let next = cond.as_ref().map(|c| {
-                        let a = self.expr(c, t);
+                        let a = self.expr(c);
                         self.emit(Ins::JumpIfZero { a, to: 0 })
                     });
                     // only an unconditional first arm runs on every trip
@@ -1683,6 +1891,8 @@ impl<'a, 'p> Lower<'a, 'p> {
                 });
                 let comm = idx(self.tape.comms.len() - 1);
                 self.emit(Ins::Comm { comm });
+                // the exchange writes the arrays it receives into
+                self.memo.clear();
             }
             NodeOp::OverlapNest {
                 msgs,
@@ -1756,20 +1966,12 @@ impl<'a, 'p> Lower<'a, 'p> {
                 self.specs.push(spec);
                 self.specs.len() - 1
             });
-        // scalar actuals: each into a register of its own, ints first
-        let mut t = self.tmp0;
-        let mut actual = |lw: &mut Self, e: &'p CExpr| {
-            let r = lw.expr(e, t);
-            if r == t {
-                t += 1;
-            }
-            r
-        };
+        // scalar actuals, ints first
         let mut ints = Vec::new();
         for (pos, e) in int_args {
             if let FormalSlot::Int(slot) = callee.formals[*pos] {
                 if slot != usize::MAX {
-                    ints.push((idx(slot), actual(self, e)));
+                    ints.push((idx(slot), self.expr(e)));
                 }
             }
         }
@@ -1777,13 +1979,15 @@ impl<'a, 'p> Lower<'a, 'p> {
         for (pos, e) in float_args {
             if let FormalSlot::Float(slot) = callee.formals[*pos] {
                 if slot != usize::MAX {
-                    floats.push((idx(slot), actual(self, e)));
+                    floats.push((idx(slot), self.expr(e)));
                 }
             }
         }
         self.tape.calls.push(CallSite { tape, ints, floats });
         let call = idx(self.tape.calls.len() - 1);
         self.emit(Ins::Call { call });
+        // the callee writes arrays
+        self.memo.clear();
     }
 }
 
@@ -1914,70 +2118,6 @@ impl SlotUse {
     }
 }
 
-/// The statement `run` is, when it is the run the expression lowering
-/// emits for `x − y·z` from temporary `x` on: `LoadBased x; LoadBased y;
-/// LoadBased z; Mul(y, y, z); Sub(x, x, y); StoreBased`.
-fn mul_sub(run: &[Ins]) -> Option<Fused> {
-    let &[Ins::LoadBased { d: x, site: a }, load_y, load_z, _, _, store] = run else {
-        return None;
-    };
-    let (
-        Ins::LoadBased { site: b, .. },
-        Ins::LoadBased { site: c, .. },
-        Ins::StoreBased { site: d, flops, .. },
-    ) = (load_y, load_z, store)
-    else {
-        return None;
-    };
-    let (y, z) = (x + 1, x + 2);
-    let shape = [
-        Ins::LoadBased { d: x, site: a },
-        Ins::LoadBased { d: y, site: b },
-        Ins::LoadBased { d: z, site: c },
-        Ins::Mul(y, y, z),
-        Ins::Sub(x, x, y),
-        Ins::StoreBased {
-            site: d,
-            src: x,
-            flops,
-        },
-    ];
-    (run == shape).then_some(Fused { a, b, c, d, flops })
-}
-
-/// [`mul_sub`] for `x − r·z`: `LoadBased x; LoadBased z; Mul(z, r, z);
-/// Sub(x, x, z); StoreBased`, `r` a register below the temporaries at
-/// `tmp0` — a scalar slot or a constant, which no instruction of the
-/// statement writes. The statement's `b` is `r`.
-fn mul_sub_reg(run: &[Ins], tmp0: u32) -> Option<Fused> {
-    let &[Ins::LoadBased { d: x, site: a }, load_z, Ins::Mul(_, r, _), _, store] = run else {
-        return None;
-    };
-    let (Ins::LoadBased { site: c, .. }, Ins::StoreBased { site: d, flops, .. }) = (load_z, store)
-    else {
-        return None;
-    };
-    let z = x + 1;
-    let shape = [
-        Ins::LoadBased { d: x, site: a },
-        Ins::LoadBased { d: z, site: c },
-        Ins::Mul(z, r, z),
-        Ins::Sub(x, x, z),
-        Ins::StoreBased {
-            site: d,
-            src: x,
-            flops,
-        },
-    ];
-    (r < tmp0 && run == shape).then_some(Fused {
-        a,
-        b: r,
-        c,
-        d,
-        flops,
-    })
-}
-
 /// The int slots `body` writes: the targets of its integer assignments
 /// and the variables of its loops and nest levels, at any depth.
 fn written(body: Body, out: &mut Vec<usize>) {
@@ -2043,7 +2183,11 @@ fn collect_consts(ops: &[NodeOp], out: &mut Vec<f64>) {
                 expr(a, out);
                 expr(b, out);
             }
-            CExpr::Neg(a) => expr(a, out),
+            // a negated constant is a constant
+            CExpr::Neg(a) => match **a {
+                CExpr::Const(v) => add(-v),
+                _ => expr(a, out),
+            },
             CExpr::Intr(i, args) => {
                 match INTRINSIC_NAMES.get(*i) {
                     Some(&"min") => add(f64::INFINITY),

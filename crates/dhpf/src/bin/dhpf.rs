@@ -31,6 +31,7 @@
 //! with `--bind name=value` for its symbolic sizes.
 
 use dhpf_core::driver::{compile, CompileOptions, Compiled};
+use dhpf_core::exec::node::ExecError;
 use dhpf_nas::{Class, Kernel};
 use dhpf_spmd::machine::MachineConfig;
 use dhpf_spmd::trace::Trace;
@@ -479,7 +480,22 @@ fn run_bench(a: &BenchArgs) -> Result<(), CliError> {
     }
 }
 
+/// Keep quiet about the panics a failing run unwinds with: a rank's
+/// [`ExecError`], which `run_node_program` returns and `main` reports in
+/// one line, and the machine's teardown of the ranks blocked on it.
+/// Every other panic is a bug and gets the previous hook's report.
+fn quiet_exec_panics() {
+    let previous = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let payload = info.payload();
+        if !payload.is::<ExecError>() && !dhpf_spmd::machine::is_teardown(payload) {
+            previous(info);
+        }
+    }));
+}
+
 fn main() -> ExitCode {
+    quiet_exec_panics();
     // `fuzz` and `bench` have disjoint flag sets; route them before the
     // generic parser
     let mut raw = std::env::args().skip(1);

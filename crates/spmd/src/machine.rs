@@ -39,6 +39,13 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 /// *originating* rank's payload and discards these.
 struct PeerPanic;
 
+/// Whether `payload` is the panic a rank unwinds with when the machine
+/// tears it down after another rank panicked: never the cause of a
+/// failed run, so a panic hook may keep quiet about it.
+pub fn is_teardown(payload: &(dyn Any + Send)) -> bool {
+    payload.is::<PeerPanic>()
+}
+
 /// Lock a mutex, ignoring std's poison flag: a rank unwinding out of a
 /// wait loop leaves the guard mid-drop, but never with the queues or
 /// barrier bookkeeping in an inconsistent state.

@@ -33,11 +33,15 @@
 #                      pinned seed
 #   7. release       — dhpf-spmd's tests again in release: the mailbox's
 #                      yield and park windows differ under optimisation,
-#                      and stage 4 runs in debug only; and the NaN-payload
+#                      and stage 4 runs in debug only; the NaN-payload
 #                      test of the node interpreter (a product of two NaNs
 #                      through `Mul`, `MulSub` and `MulSubReg` keeps the
 #                      serial interpreter's payload), since the operand
-#                      order of the machine instruction is release codegen's
+#                      order of the machine instruction is release codegen's;
+#                      and the value-numbering hazard tests (a load after
+#                      a store to its array, a scalar read after its
+#                      assignment, a value after a landed branch, NaN
+#                      products in both orders are two values)
 #   8. compile bench — `dhpf bench compile --quick`, a smoke run: the
 #                      command runs and writes its document
 #   9. benchmark     — the repo benchmark harness (benchmark/) still
@@ -48,8 +52,8 @@
 #                      expected finding
 #  11. observability — `dhpf compile --run` writes all three documents,
 #                      the metrics with the `exec.lower.*` gauges, the
-#                      counts of unrolled loops and decided `if`s among
-#                      them
+#                      counts of unrolled loops, decided `if`s and reused
+#                      values among them
 #  12. aggregation   — the protocol verifier with per-peer packing on
 #                      and off (every transfer then carries one
 #                      segment) at every fuzz geometry's rank count and
@@ -109,13 +113,21 @@ echo "== exec property tests (pinned seed)"
 # statements (`MulSub`, `MulSubReg`) against the plain one
 PROPTEST_SEED=20260806 cargo test -q -p dhpf-core --lib exec::node
 
-echo "== dhpf-spmd tests and NaN payloads (release)"
+echo "== dhpf-spmd tests, NaN payloads and value-numbering hazards (release)"
 # the mailbox's wait path (one yield, then park) and the poison tests
 # race differently once optimised
 cargo test --release -q -p dhpf-spmd
 # which NaN a product of two NaNs returns follows the operand order the
 # compiler gives the machine instruction, which Rust does not promise
 cargo test --release -q -p dhpf-core --lib exec::node::tests::nan_products_keep_the_serial_payload
+# a reused value must be the one the block would compute again, in the
+# code release builds run too
+cargo test --release -q -p dhpf-core --lib -- \
+    exec::node::tests::a_load_after_a_store_to_its_array_is_not_reused \
+    exec::node::tests::a_float_scalar_read_after_its_assignment_is_not_reused \
+    exec::node::tests::a_form_read_after_an_integer_assignment_is_not_reused \
+    exec::node::tests::a_value_computed_in_an_arm_is_not_reused_after_it \
+    exec::node::tests::products_in_both_orders_are_two_values
 
 echo "== compile bench smoke"
 # one cold+warm+traced timing pass (class S only); nothing is gated on
@@ -172,6 +184,8 @@ grep -q '"exec\.lower\.loops_unrolled"' "$OBS_DIR/sp_s_metrics.json" \
     || { echo "FAIL: no exec.lower.loops_unrolled gauge in the metrics document"; exit 1; }
 grep -q '"exec\.lower\.ifs_decided"' "$OBS_DIR/sp_s_metrics.json" \
     || { echo "FAIL: no exec.lower.ifs_decided gauge in the metrics document"; exit 1; }
+grep -q '"exec\.lower\.values_reused"' "$OBS_DIR/sp_s_metrics.json" \
+    || { echo "FAIL: no exec.lower.values_reused gauge in the metrics document"; exit 1; }
 
 echo "== message aggregation"
 # the static protocol checks must hold with packing both on and off at

@@ -135,3 +135,50 @@ fn nas_compile_succeeds_with_and_without_overlap() {
         assert_eq!(out.status.code(), Some(0), "{args:?}: {out:?}");
     }
 }
+
+/// A run that fails on a rank reports its `ExecError` in one line and
+/// exits 1: no panic banner or backtrace per failing rank, even with
+/// backtraces asked for (the program is
+/// `exec_errors.rs::section_outside_the_window_is_a_structured_error`'s).
+#[test]
+fn failed_run_is_one_line_without_panic_banners() {
+    let src = "
+      program t
+      integer i
+      double precision a(16), b(16)
+!hpf$ processors p(2)
+!hpf$ distribute (block) onto p :: a, b
+      do i = 1, 16
+         a(i) = 1.0d0 * i
+         b(i) = 0.0d0
+      enddo
+      call smooth(a, b)
+      end
+
+      subroutine smooth(x, y)
+      integer i
+      double precision x(16), y(16)
+!hpf$ processors p(2)
+!hpf$ distribute (block) onto p :: x, y
+      do i = 2, 15
+         y(i) = 0.5d0*(x(i-1) + x(i+1))
+      enddo
+      end
+";
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("outside_window.f");
+    std::fs::write(&path, src).expect("writes the program");
+    let out = Command::new(env!("CARGO_BIN_EXE_dhpf"))
+        .args(["compile", path.to_str().unwrap(), "--nprocs", "2", "--run"])
+        .env("RUST_BACKTRACE", "1")
+        .output()
+        .expect("spawn dhpf");
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    let lines: Vec<&str> = err.lines().collect();
+    assert_eq!(lines.len(), 1, "stderr: {err}");
+    assert!(
+        lines[0].starts_with("dhpf: execution failed: exec: rank ")
+            && lines[0].contains("outside its window"),
+        "stderr: {err}"
+    );
+}

@@ -118,13 +118,22 @@ const SOLVE_LOOPS_BEFORE_BINVC: [(usize, &[[u64; 3]]); 2] = [
     (4, &[[22, 24, 24], [22, 18, 24], [22, 24, 18], [22, 18, 18]]),
 ];
 
+/// The values each rank of BT class S reuses in each of `x_solve`,
+/// `y_solve` and `z_solve`, at 1 rank and on each rank of 2×2 (DESIGN
+/// §7.2, "value numbering"): in the 5×5 block assembly, 24 copies of the
+/// unrolled body reuse the load, product and sum of each of its three
+/// statements, 216, and the five of the diagonal statement its load and
+/// the four after the first its product and sum, 13.
+const SOLVE_VALUES_REUSED: u64 = 24 * 3 * 3 + 5 + 4 * 2;
+
 /// Inside a loop every access of SP and BT addresses by a base its loop
 /// maintains (DESIGN §7.2, "What is folded per rank"), at 1 rank and on
 /// every rank of 2×2, and each of BT's three block solves unrolls its
 /// 5×5 block loops and lowers their `x − y·z` updates to fused
 /// statements. `binvc`'s nest is straight-line code too: each copy of it
 /// decides its 25 `if (q1 .ne. p1)` tests, one per pinned `(p1, q1)`,
-/// and takes its five interpreted loops along.
+/// and takes its five interpreted loops along. Each solve reuses
+/// [`SOLVE_VALUES_REUSED`] values.
 #[test]
 fn inner_loop_accesses_take_bases() {
     for kernel in [Kernel::Sp, Kernel::Bt] {
@@ -147,10 +156,10 @@ fn inner_loop_accesses_take_bases() {
                 let before = before.expect("pinned for 1 and 4 ranks").1[rank];
                 for (solve, before) in ["x_solve", "y_solve", "z_solve"].into_iter().zip(before) {
                     let solve_stats = census.iter().filter(|(unit, _)| unit == solve);
-                    let (fused, unrolled, loops, decided) =
-                        solve_stats.fold((0, 0, 0, 0), |(f, u, n, d), (_, l)| {
+                    let (fused, unrolled, loops, decided, values) =
+                        solve_stats.fold((0, 0, 0, 0, 0), |(f, u, n, d, v), (_, l)| {
                             let (f, u) = (f + l.stmts_fused, u + l.loops_unrolled);
-                            (f, u, n + l.loops, d + l.ifs_decided)
+                            (f, u, n + l.loops, d + l.ifs_decided, v + l.values_reused)
                         });
                     let at = format!("{name} at {nprocs} ranks, rank {rank}, {solve}");
                     assert!(
@@ -166,6 +175,7 @@ fn inner_loop_accesses_take_bases() {
                         before - 5 * (decided / 25),
                         "{at}: interpreted loops"
                     );
+                    assert_eq!(values, SOLVE_VALUES_REUSED, "{at}: values reused");
                 }
             }
         }
