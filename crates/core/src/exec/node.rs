@@ -1101,7 +1101,7 @@ mod tests {
             want_clock += 1.0 * per_flop;
 
             // the tape, on a one-processor machine standing in for rank 1
-            let (storage, frame, clock) = run_lowered(&prog, true, &ints, &floats);
+            let (storage, frame, clock, _) = run_lowered(&prog, true, &ints, &floats);
 
             prop_assert_eq!(&frame.ints[..3], &want_ints[..]);
             for (g, w) in frame.regs.iter().zip(&want_floats) {
@@ -1507,10 +1507,18 @@ mod tests {
     }
 
     /// A single-chain nest of one to three levels over the int slots
-    /// `0..=2`, by `steps`, and its innermost body.
+    /// `0..=2`, by `steps`, and its innermost body. An inner level gets a
+    /// short constant range, of one to five trips, half the time: a level
+    /// the lowering unrolls inside an interpreted one.
     fn arb_chain(steps: BoxedStrategy<i64>) -> BoxedStrategy<(Vec<PipeLevel>, Vec<NodeOp>)> {
         let level = |var: usize| {
-            let bounds = (arb_bound(var, 0..=4), arb_bound(var, 4..=9));
+            let wide = (arb_bound(var, 0..=4), arb_bound(var, 4..=9)).boxed();
+            let short = (0i64..=4, 0i64..=4).prop_map(|(lo, k)| (CIdx::cst(lo), CIdx::cst(lo + k)));
+            let bounds = if var == 0 {
+                wide
+            } else {
+                prop_oneof![wide, short].boxed()
+            };
             (bounds, steps.clone(), 0usize..8).prop_map(move |(bounds, step, empty)| {
                 let (lo, hi) = directed(bounds, step, empty == 0);
                 PipeLevel { var, lo, hi, step }
@@ -1527,18 +1535,18 @@ mod tests {
     }
 
     /// An overlapped nest with no message, its interior term one to three
-    /// atoms on the variables of its levels.
+    /// atoms on the variables of its levels, the innermost's most often.
     fn arb_overlap() -> BoxedStrategy<NodeOp> {
         let steps = prop_oneof![Just(1i64), Just(1), Just(-1), Just(2), Just(-3)].boxed();
         let arr = prop_oneof![Just(A), Just(B), Just(B), Just(D), Just(E)];
-        let atom = (0usize..3, arr, 0usize..2, -2i64..=2);
+        let atom = (0usize..4, arr, 0usize..2, -2i64..=2);
         (arb_chain(steps), prop::collection::vec(atom, 1..=3))
             .prop_map(|((levels, body), atoms)| {
                 let interior = (atoms.into_iter())
                     .map(|(level, arr, dim, shift)| GuardAtom::In {
                         arr,
                         dim: if arr == A { dim } else { 0 },
-                        sub: var(levels[level % levels.len()].var, shift),
+                        sub: var(levels[level.min(levels.len() - 1)].var, shift),
                     })
                     .collect();
                 NodeOp::OverlapNest {
@@ -1595,7 +1603,7 @@ mod tests {
         opt: bool,
         ints: &[i64],
         floats: &[f64],
-    ) -> (Vec<Option<LocalArray>>, Frame, f64) {
+    ) -> (Vec<Option<LocalArray>>, Frame, f64, u64) {
         run_lowered_on(prog, 1, opt, ints, floats)
     }
 
@@ -1606,7 +1614,7 @@ mod tests {
         opt: bool,
         ints: &[i64],
         floats: &[f64],
-    ) -> (Vec<Option<LocalArray>>, Frame, f64) {
+    ) -> (Vec<Option<LocalArray>>, Frame, f64, u64) {
         let got = Mutex::new(None);
         let run = Machine::run(MachineConfig::sp2(1), |proc| {
             let mut st = filled_state(prog, rank);
@@ -1629,10 +1637,10 @@ mod tests {
             );
             frame.ints.truncate(N_INTS);
             frame.regs.truncate(3);
-            *got.lock().unwrap() = Some((st.storage, frame));
+            *got.lock().unwrap() = Some((st.storage, frame, st.counts.loop_trips));
         });
-        let (storage, frame) = got.into_inner().unwrap().unwrap();
-        (storage, frame, run.virtual_time)
+        let (storage, frame, trips) = got.into_inner().unwrap().unwrap();
+        (storage, frame, run.virtual_time, trips)
     }
 
     proptest! {
@@ -1669,8 +1677,8 @@ mod tests {
             });
             let prog = program(nests.into_iter().chain(copies).collect());
 
-            let (want_storage, want, want_clock) = run_lowered(&prog, false, &ints, &floats);
-            let (storage, frame, clock) = run_lowered(&prog, true, &ints, &floats);
+            let (want_storage, want, want_clock, _) = run_lowered(&prog, false, &ints, &floats);
+            let (storage, frame, clock, _) = run_lowered(&prog, true, &ints, &floats);
 
             // The variable of an inner loop that nothing reads outside a
             // loop binding it has no value a program can see: iterations
@@ -1750,12 +1758,17 @@ mod tests {
     /// Run `ops` on `rank` lowered both ways from one frame: every array
     /// cell, the clock and every int slot but the variables in `unseen`
     /// match the plain lowering's. Returns what the full lowering
-    /// decided and its int slots.
-    fn matches_plain(ops: Vec<NodeOp>, rank: usize, unseen: &[usize]) -> (LowerStats, Vec<i64>) {
+    /// decided, its int slots and the loop trips its run started.
+    fn matches_plain(
+        ops: Vec<NodeOp>,
+        rank: usize,
+        unseen: &[usize],
+    ) -> (LowerStats, Vec<i64>, u64) {
         let prog = program(ops);
         let (ints, floats) = ([0; N_INTS], [0.5, 1.5, -2.0]);
-        let (want_storage, want, want_clock) = run_lowered_on(&prog, rank, false, &ints, &floats);
-        let (storage, got, clock) = run_lowered_on(&prog, rank, true, &ints, &floats);
+        let (want_storage, want, want_clock, _) =
+            run_lowered_on(&prog, rank, false, &ints, &floats);
+        let (storage, got, clock, trips) = run_lowered_on(&prog, rank, true, &ints, &floats);
         for (slot, (g, w)) in got.ints.iter().zip(&want.ints).enumerate() {
             assert!(
                 unseen.contains(&slot) || g == w,
@@ -1773,7 +1786,7 @@ mod tests {
         }
         assert_eq!(clock.to_bits(), want_clock.to_bits());
         let (_, stats) = lower_program(&ProcState::new(&prog, rank));
-        (stats, got.ints)
+        (stats, got.ints, trips)
     }
 
     /// `do i = 1, 8; do m = 0, 3: b(i) = b(i) − a(m, 1)·a(1, m)` under a
@@ -1796,7 +1809,7 @@ mod tests {
             vec![do_loop(m, CIdx::cst(0), CIdx::cst(3), vec![body])],
         );
         for rank in 0..2 {
-            let (stats, _) = matches_plain(vec![nest.clone()], rank, &[m]);
+            let (stats, ..) = matches_plain(vec![nest.clone()], rank, &[m]);
             assert_eq!(
                 (stats.loops, stats.loops_clamped, stats.loops_unrolled),
                 (1, 1, 1),
@@ -1833,7 +1846,7 @@ mod tests {
             vec![do_loop(m, CIdx::cst(3), CIdx::cst(7), vec![body])],
         );
         for (rank, owned) in [(0, 2), (1, 3)] {
-            let (stats, _) = matches_plain(vec![nest.clone()], rank, &[m]);
+            let (stats, ..) = matches_plain(vec![nest.clone()], rank, &[m]);
             assert_eq!(
                 (stats.loops_unrolled, stats.tests_kept),
                 (1, 0),
@@ -1866,7 +1879,7 @@ mod tests {
             CIdx::cst(8),
             vec![do_loop(p1, CIdx::cst(0), CIdx::cst(3), vec![inner])],
         );
-        let (stats, _) = matches_plain(vec![nest], 1, &[p1, n]);
+        let (stats, ..) = matches_plain(vec![nest], 1, &[p1, n]);
         assert_eq!((stats.loops, stats.loops_unrolled), (1, 5));
         assert_eq!(stats.stmts_fused, 3 + 2 + 1);
     }
@@ -1891,9 +1904,151 @@ mod tests {
         };
         let inner = do_loop(m, CIdx::cst(0), CIdx::cst(4), vec![body]);
         let nest = do_loop(i, CIdx::cst(1), CIdx::cst(8), vec![inner, after]);
-        let (stats, ints) = matches_plain(vec![nest], 1, &[]);
+        let (stats, ints, _) = matches_plain(vec![nest], 1, &[]);
         assert_eq!((stats.loops, stats.loops_unrolled), (2, 0));
         assert_eq!((ints[m], ints[3]), (4, 4));
+    }
+
+    // ---- unrolled nest levels ----------------------------------------------
+
+    /// `b(i) = b(i) − a(m, 1)·a(1, m)` where the rank owns `b(i)`.
+    fn block_update(i: usize, m: usize) -> NodeOp {
+        update(
+            owns_b(var(i, 0)),
+            B,
+            vec![var(i, 0)],
+            load(A, vec![var(m, 0), CIdx::cst(1)]),
+            load(A, vec![CIdx::cst(1), var(m, 0)]),
+        )
+    }
+
+    fn level(var: usize, lo: i64, hi: i64) -> PipeLevel {
+        PipeLevel {
+            var,
+            lo: CIdx::cst(lo),
+            hi: CIdx::cst(hi),
+            step: 1,
+        }
+    }
+
+    fn overlap(levels: Vec<PipeLevel>, body: Vec<NodeOp>, interior: Vec<GuardAtom>) -> NodeOp {
+        NodeOp::OverlapNest {
+            msgs: vec![],
+            tag: 0,
+            levels,
+            body,
+            interior,
+            plan: 0,
+        }
+    }
+
+    fn count(code: &[Ins], what: fn(&Ins) -> bool) -> usize {
+        code.iter().filter(|ins| what(ins)).count()
+    }
+
+    /// An overlapped nest `i = 1, 8; m = 0, 3` whose interior term reads
+    /// `i` and a free scalar: in each pass the `m` level lowers to four
+    /// copies under one test of the term per trip of `i`, and its trips
+    /// start with `i`'s — 3 and 4 trips of `i` on rank 1, the interior
+    /// box and what the rank owns of `b`, each five trips.
+    #[test]
+    fn overlapped_inner_level_unrolls_under_one_test() {
+        let (i, m, s) = (0, 1, 3);
+        let interior = [var(i, 1), var(s, 0)].map(|sub| GuardAtom::In {
+            arr: B,
+            dim: 0,
+            sub,
+        });
+        let ops = vec![
+            NodeOp::AssignI {
+                guard: None,
+                slot: s,
+                value: CExpr::Int(CIdx::cst(6)),
+                flops: 1,
+            },
+            overlap(
+                vec![level(i, 1, 8), level(m, 0, 3)],
+                vec![block_update(i, m)],
+                interior.to_vec(),
+            ),
+        ];
+        let (stats, _, trips) = matches_plain(ops.clone(), 1, &[m]);
+        assert_eq!((stats.loops, stats.loops_unrolled), (2, 2));
+        assert_eq!(stats.stmts_fused, 2 * 4);
+        assert_eq!(trips, 3 * (1 + 4) + 4 * (1 + 4));
+        let code = main_code(ops.clone(), 1);
+        let tests = count(&code, |ins| matches!(ins, Ins::Test { .. }));
+        let loops = count(&code, |ins| matches!(ins, Ins::LoopEnter { .. }));
+        assert_eq!((tests, loops), (2, 2), "one test and one loop per pass");
+        matches_plain(ops, 0, &[m]);
+    }
+
+    /// A term that reads an inner level's variable is tested inside that
+    /// level, which stays a loop: `b(i) = m` where `m + 3` is in what the
+    /// rank owns of `b` runs `m = 2, 3` in the interior pass and `m = 0,
+    /// 1` after them, so the last write is `m = 1`'s.
+    #[test]
+    fn term_on_an_inner_level_keeps_it_a_loop() {
+        let (i, m) = (0, 1);
+        let body = NodeOp::Assign {
+            guard: owns_b(var(i, 0)),
+            arr: B,
+            subs: vec![var(i, 0)],
+            value: CExpr::Int(var(m, 0)),
+            flops: 1,
+        };
+        let interior = vec![GuardAtom::In {
+            arr: B,
+            dim: 0,
+            sub: var(m, 3),
+        }];
+        let nest = overlap(vec![level(i, 1, 8), level(m, 0, 3)], vec![body], interior);
+        let (stats, _, trips) = matches_plain(vec![nest], 1, &[m]);
+        assert_eq!((stats.loops, stats.loops_unrolled), (4, 0));
+        // `i` over what rank 1 owns, `m` over 2..=3 and then 0..=3
+        assert_eq!(trips, 4 + 4 * 2 + 4 + 4 * 4);
+    }
+
+    /// A pipelined nest `k = 1, 2; j = 0, 3; i = 0, 2` strip-mined at `j`
+    /// in chunks of one trip, inside a loop: every level is short and
+    /// constant, but `j` runs once per chunk and `k` around it, so only
+    /// `i` is lowered as copies.
+    #[test]
+    fn strip_level_and_the_levels_outside_it_stay_loops() {
+        let (k, j, i, t) = (0, 1, 2, 3);
+        let body = NodeOp::Assign {
+            guard: None,
+            arr: A,
+            subs: vec![var(j, 0), var(i, 0)],
+            value: CExpr::Bin(
+                BinOp::Add,
+                load(A, vec![var(j, 0), var(i, 0)]),
+                Box::new(CExpr::Int(var(k, 0))),
+            ),
+            flops: 1,
+        };
+        let strip = Strip {
+            level: 1,
+            granularity: 1,
+            owned: None,
+            dims: vec![],
+        };
+        let pipe = NodeOp::Pipeline {
+            levels: vec![level(k, 1, 2), level(j, 0, 3), level(i, 0, 2)],
+            body: vec![body],
+            strip: Some(strip),
+            hops: vec![],
+            tag: 0,
+            plan: 0,
+        };
+        let time = do_loop(t, CIdx::cst(1), CIdx::cst(2), vec![pipe]);
+        for rank in 0..2 {
+            let (stats, _, trips) = matches_plain(vec![time.clone()], rank, &[i]);
+            assert_eq!((stats.loops, stats.loops_unrolled), (3, 1), "rank {rank}");
+            // per trip of `t`, four chunks: two trips of `k`, each one of
+            // `j` that starts the three of `i`
+            assert_eq!(trips, 2 + 2 * 4 * (2 + 2 * (1 + 3)), "rank {rank}");
+        }
     }
 
     // ---- decided `if`s and `x − s·z` ---------------------------------------
@@ -1969,7 +2124,7 @@ mod tests {
             vec![do_loop(p1, CIdx::cst(1), CIdx::cst(3), vec![rows])],
         );
         for rank in 0..2 {
-            let (stats, _) = matches_plain(vec![nest.clone()], rank, &[p1, q1, n]);
+            let (stats, ..) = matches_plain(vec![nest.clone()], rank, &[p1, q1, n]);
             // `p1`, three `q1` and six `n` loops unrolled; nine `if`s decided
             assert_eq!(
                 (stats.loops, stats.loops_unrolled, stats.ifs_decided),
@@ -2052,7 +2207,7 @@ mod tests {
         let pinned = do_loop(p1, CIdx::cst(1), CIdx::cst(2), vec![later_arm]);
         let ops = vec![on_i, pinned, on_float, computed];
         let nest = do_loop(i, CIdx::cst(1), CIdx::cst(8), ops);
-        let (stats, _) = matches_plain(vec![nest.clone()], 1, &[m, p1]);
+        let (stats, ..) = matches_plain(vec![nest.clone()], 1, &[m, p1]);
         // the `i` and `p1` loops, and the `m` loop in each `if`
         assert_eq!(
             (stats.loops, stats.loops_unrolled, stats.ifs_decided),
@@ -2174,7 +2329,7 @@ mod tests {
                 bin(BinOp::Mul, a11(), i_f()),
             ),
         ])];
-        let (stats, _) = matches_plain(ops, 1, &[]);
+        let (stats, ..) = matches_plain(ops, 1, &[]);
         assert_eq!(stats.values_reused, 1);
     }
 
@@ -2194,7 +2349,7 @@ mod tests {
             },
             set(A, vec![var(0, 0), CIdx::cst(0)], sum()),
         ])];
-        let (stats, _) = matches_plain(ops, 1, &[]);
+        let (stats, ..) = matches_plain(ops, 1, &[]);
         assert_eq!(stats.values_reused, 1);
     }
 
@@ -2218,7 +2373,7 @@ mod tests {
             },
             set(A, vec![var(0, 0), CIdx::cst(1)], value()),
         ])];
-        let (stats, _) = matches_plain(ops, 1, &[]);
+        let (stats, ..) = matches_plain(ops, 1, &[]);
         assert_eq!(stats.values_reused, 2);
     }
 
@@ -2235,7 +2390,7 @@ mod tests {
             set(A, cell(1), bin(BinOp::Mul, y.clone(), x.clone())),
             set(A, cell(2), bin(BinOp::Mul, x, y)),
         ])];
-        let (stats, _) = matches_plain(ops.clone(), 1, &[]);
+        let (stats, ..) = matches_plain(ops.clone(), 1, &[]);
         assert_eq!(stats.values_reused, 1);
         let (storage, ..) = run_lowered(&program(ops), true, &[], &[]);
         let a = storage[A].as_ref().expect("allocated");
@@ -2256,7 +2411,7 @@ mod tests {
             )],
         };
         let after = set(A, vec![var(0, 0), CIdx::cst(1)], product());
-        let (stats, _) = matches_plain(vec![block(vec![arm, after])], 1, &[]);
+        let (stats, ..) = matches_plain(vec![block(vec![arm, after])], 1, &[]);
         assert_eq!(stats.values_reused, 1);
     }
 

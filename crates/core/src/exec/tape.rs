@@ -28,8 +28,12 @@
 //! block updates and `binvc`'s Gauss–Jordan nest — is lowered as one
 //! copy of its body per value of its variable, the variable *pinned*:
 //! folded into every form's constant and known as a singleton to the
-//! facts ([`Lower::unrolled`]). An `if` whose conditions the facts
-//! decide is lowered as the one arm that runs ([`Lower::arm`]).
+//! facts ([`Lower::unrolled`]). So is such a level of an overlapped or
+//! pipelined nest inside its strip level and below its interior term's
+//! test — the stencil's `m = 1, 5` of SP's and BT's `compute_rhs`, BT's
+//! pipelined 5×5 back-substitution ([`Lower::nest`]). An `if` whose
+//! conditions the facts decide is lowered as the one arm that runs
+//! ([`Lower::arm`]).
 //!
 //! Inside a straight-line block a value the block already computed is
 //! not computed again: its register is reused ([`Lower::value`]).
@@ -601,6 +605,19 @@ impl<'p> Body<'p> {
     }
 }
 
+/// Where the ops of an unrolled body run, per trip of the innermost
+/// open loop.
+#[derive(Clone, Copy)]
+enum Runs {
+    /// On every trip.
+    Always,
+    /// Where a test kept on the tape before the copies lets them.
+    Tested,
+    /// Nowhere: the facts decide the nest's term against them. The
+    /// copies still count their trips.
+    Never,
+}
+
 /// A loop whose body is being lowered, innermost last in [`Lower::open`].
 struct Open {
     var: usize,
@@ -708,7 +725,8 @@ struct Lower<'a, 'p> {
     /// loop: no `if` arm that may not run, and no kept test of a nest's
     /// term, lies between; the arm of a decided `if` runs. Only there is
     /// a loop unrolled, so that its trips count as a constant per trip of
-    /// that loop.
+    /// that loop. The unrolled levels of a nest count so below its term's
+    /// test: interpreted, they ran on every trip, the test inside them.
     charged: bool,
 }
 
@@ -1550,12 +1568,13 @@ impl<'a, 'p> Lower<'a, 'p> {
     /// at most [`UNROLL_TRIPS`] trips; and, checked at the outermost loop
     /// of an unrolled nest (nothing is pinned yet), when the whole nest
     /// lowers to straight-line code of at most [`UNROLL_STMTS`]
-    /// statements ([`Self::fits`]).
+    /// statements ([`Self::fits`]). A level of a single-chain nest is
+    /// such a loop, its body the levels inside it and the ops.
     fn unrolled(
         &mut self,
         var: usize,
         (lo, hi, step): (&CIdx, &CIdx, i64),
-        body: &'p [NodeOp],
+        body: Body<'p>,
     ) -> Option<Vec<i64>> {
         let slots = &self.slots;
         if !self.opt || !self.charged || slots.unstable[var] || slots.escapes[var] {
@@ -1573,7 +1592,7 @@ impl<'a, 'p> Lower<'a, 'p> {
         // the iterations the interpreted loop would visit
         let span = self.span(lo, hi, step);
         let outer = std::mem::replace(&mut self.facts[var], span);
-        let (hlo, hhi) = intersect(span, self.hull(var, Body::of(body)));
+        let (hlo, hhi) = intersect(span, self.hull(var, body));
         self.facts[var] = outer;
         let values: Vec<i64> = (0..trips)
             .map(|k| first + k * step)
@@ -1588,16 +1607,36 @@ impl<'a, 'p> Lower<'a, 'p> {
     }
 
     /// Whether the copies of `body` for `values` of `var` lower to
-    /// straight-line code — assignments and `if`s, every loop in them
-    /// unrolled — of no more statements than `budget`, which they use
-    /// up.
-    fn fits(&mut self, var: usize, values: &[i64], body: &'p [NodeOp], budget: &mut u64) -> bool {
+    /// straight-line code — its levels unrolled, then assignments and
+    /// `if`s, every loop in them unrolled — of no more statements than
+    /// `budget`, which they use up.
+    fn fits(&mut self, var: usize, values: &[i64], body: Body<'p>, budget: &mut u64) -> bool {
         values.iter().all(|&v| {
             let outer = self.pin(var, v);
-            let fits = self.fits_ops(body, budget);
+            let fits = match body.levels.split_first() {
+                Some((lv, levels)) => {
+                    let inner = Body { levels, ..body };
+                    self.fits_loop(lv.var, (&lv.lo, &lv.hi, lv.step), inner, budget)
+                }
+                None => self.fits_ops(body.ops, budget),
+            };
             self.unpin(var, outer);
             fits
         })
+    }
+
+    /// Whether a loop over `var` unrolls and its copies fit `budget`.
+    fn fits_loop(
+        &mut self,
+        var: usize,
+        bounds: (&CIdx, &CIdx, i64),
+        body: Body<'p>,
+        budget: &mut u64,
+    ) -> bool {
+        match self.unrolled(var, bounds, body) {
+            Some(values) => self.fits(var, &values, body, budget),
+            None => false,
+        }
     }
 
     fn fits_ops(&mut self, ops: &'p [NodeOp], budget: &mut u64) -> bool {
@@ -1608,10 +1647,7 @@ impl<'a, 'p> Lower<'a, 'p> {
                 hi,
                 step,
                 body,
-            } => match self.unrolled(*var, (lo, hi, *step), body) {
-                Some(values) => self.fits(*var, &values, body, budget),
-                None => false,
-            },
+            } => self.fits_loop(*var, (lo, hi, *step), Body::of(body), budget),
             NodeOp::If { arms } => match self.arm(arms) {
                 Some(taken) => taken.is_none_or(|i| self.fits_ops(&arms[i].1, budget)),
                 None => {
@@ -1675,8 +1711,8 @@ impl<'a, 'p> Lower<'a, 'p> {
     }
 
     /// Lower the copies of an unrolled loop's body, one per value of its
-    /// variable in `values`.
-    fn unroll(&mut self, var: usize, values: Vec<i64>, body: &'p [NodeOp]) {
+    /// variable in `values`; the ops inside them run as `runs` says.
+    fn unroll(&mut self, var: usize, values: Vec<i64>, body: Body<'p>, runs: Runs) {
         self.tape.stats.loops_unrolled += 1;
         let open = self
             .open
@@ -1684,18 +1720,46 @@ impl<'a, 'p> Lower<'a, 'p> {
             .expect("an unrolled loop is inside an open one");
         open.unrolled += values.len() as u64;
         if values.is_empty() {
-            self.tape.stats.stmts_dropped += statements(body);
+            self.tape.stats.stmts_dropped += statements(body.ops);
         }
         for v in values {
             let outer = self.pin(var, v);
-            self.ops(body);
+            self.straight(body, runs);
             self.unpin(var, outer);
+        }
+    }
+
+    /// Lower `body`: its levels as copies — [`Self::fits`] found, at the
+    /// outermost unrolled loop, that each of them unrolls — and inside
+    /// them its ops, which run as `runs` says.
+    fn straight(&mut self, body: Body<'p>, runs: Runs) {
+        if let Some((lv, levels)) = body.levels.split_first() {
+            let inner = Body { levels, ..body };
+            let values = self.unrolled(lv.var, (&lv.lo, &lv.hi, lv.step), inner);
+            let values = values.expect("the levels inside an unrolled one unroll");
+            return self.unroll(lv.var, values, inner, runs);
+        }
+        match runs {
+            Runs::Always => self.ops(body.ops),
+            Runs::Tested => {
+                let charged = std::mem::replace(&mut self.charged, false);
+                self.ops(body.ops);
+                self.charged = charged;
+            }
+            Runs::Never => self.tape.stats.stmts_dropped += statements(body.ops),
         }
     }
 
     /// Lower a single-chain nest inline; returns its tape range. With a
     /// `term`, its innermost body runs where the AND-term holds (`true`),
     /// which narrows the loops like a guard, or where it fails.
+    ///
+    /// A level unrolls by the rule of a loop ([`Self::unrolled`]), and
+    /// with it every level inside it, unless it is the strip level or
+    /// outside it — the nest runs once per chunk, not once per trip of
+    /// the loop around it — or it or a level inside it binds a variable
+    /// the term reads: the term is tested once per trip of the innermost
+    /// interpreted level, before the copies.
     fn nest(
         &mut self,
         levels: &'p [PipeLevel],
@@ -1710,23 +1774,42 @@ impl<'a, 'p> Lower<'a, 'p> {
         let within = term
             .filter(|(_, holds)| *holds)
             .map_or(&[][..], |(atoms, _)| atoms);
+        let tests = term.map_or(Vec::new(), |(atoms, _)| self.term_tests(atoms));
+        let reads = |lv: &PipeLevel| {
+            tests
+                .iter()
+                .any(|(sub, ..)| sub.terms.iter().any(|t| t.0 == lv.var))
+        };
+        let read = levels.iter().rposition(reads);
+        let looped = read.max(strip.map(|(level, _)| level)).map_or(0, |d| d + 1);
         let mut open = Vec::new();
+        let mut unrolled = levels.len();
         for (depth, lv) in levels.iter().enumerate() {
-            let chunk = strip.and_then(|(level, slots)| (level == depth).then_some(slots));
             let body = Body {
                 levels: &levels[depth + 1..],
                 within,
                 ops,
             };
-            match self.loop_begin(lv.var, (&lv.lo, &lv.hi, lv.step), chunk, body) {
+            let bounds = (&lv.lo, &lv.hi, lv.step);
+            if depth >= looped && self.unrolled(lv.var, bounds, body).is_some() {
+                unrolled = depth;
+                break;
+            }
+            let chunk = strip.and_then(|(level, slots)| (level == depth).then_some(slots));
+            match self.loop_begin(lv.var, bounds, chunk, body) {
                 Some(h) => open.push((lv.var, h)),
                 None => break,
             }
         }
-        if open.len() == levels.len() {
+        if open.len() == unrolled {
+            let body = Body {
+                levels: &levels[unrolled..],
+                within,
+                ops,
+            };
             match term {
-                Some((atoms, holds)) => self.under(atoms, holds, ops),
-                None => self.ops(ops),
+                Some((atoms, holds)) => self.under(atoms, holds, body),
+                None => self.straight(body, Runs::Always),
             }
         }
         for (var, h) in open.into_iter().rev() {
@@ -1736,28 +1819,27 @@ impl<'a, 'p> Lower<'a, 'p> {
         (start, self.tape.code.len())
     }
 
-    /// Lower `ops` to run where the AND-term `atoms` holds, or, when not
+    /// Lower `body` to run where the AND-term `atoms` holds, or, when not
     /// `holds`, where it fails: under one [`Ins::Test`] of the tests the
     /// facts leave, and then not on every trip ([`Lower::charged`]).
-    fn under(&mut self, atoms: &'p [GuardAtom], holds: bool, ops: &'p [NodeOp]) {
+    fn under(&mut self, atoms: &'p [GuardAtom], holds: bool, body: Body<'p>) {
         let always = match self.term(atoms) {
             Some(tests) if !tests.is_empty() => {
                 let test = self.test(tests);
                 // negated: a failing test enters the ops, a holding one skips them
                 let skip = (!holds).then(|| self.emit(Ins::Jump { to: 0 }));
                 self.land(skip.map(|_| test));
-                let charged = std::mem::replace(&mut self.charged, false);
-                self.ops(ops);
-                self.charged = charged;
+                self.straight(body, Runs::Tested);
                 return self.land(skip.into_iter().chain(holds.then_some(test)));
             }
             decided => decided.is_some(),
         };
-        if always == holds {
-            self.ops(ops);
+        let runs = if always == holds {
+            Runs::Always
         } else {
-            self.tape.stats.stmts_dropped += statements(ops);
-        }
+            Runs::Never
+        };
+        self.straight(body, runs);
     }
 
     fn ops(&mut self, ops: &'p [NodeOp]) {
@@ -1780,8 +1862,8 @@ impl<'a, 'p> Lower<'a, 'p> {
                 step,
                 body,
             } => {
-                if let Some(values) = self.unrolled(*var, (lo, hi, *step), body) {
-                    self.unroll(*var, values, body);
+                if let Some(values) = self.unrolled(*var, (lo, hi, *step), Body::of(body)) {
+                    self.unroll(*var, values, Body::of(body), Runs::Always);
                 } else if let Some(h) = self.loop_begin(*var, (lo, hi, *step), None, Body::of(body))
                 {
                     self.ops(body);

@@ -35,7 +35,16 @@ use dhpf_core::exec::node::ExecError;
 use dhpf_nas::{Class, Kernel};
 use dhpf_spmd::machine::MachineConfig;
 use dhpf_spmd::trace::Trace;
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
+
+/// `eprintln!` that cannot panic: with standard error closed the note is
+/// lost, and the exit code still tells how the command ended.
+macro_rules! note {
+    ($($arg:tt)*) => {
+        let _ = writeln!(std::io::stderr(), $($arg)*);
+    };
+}
 
 const USAGE: &str = "\
 usage: dhpf <explain|compile|verify-protocol|profile|fuzz|bench> [input] [options]
@@ -267,10 +276,22 @@ fn build_with_overlap(a: &Args, overlap: bool) -> Result<Compiled, CliError> {
 
 fn write_out(path: &str, content: &str) -> Result<(), String> {
     if path == "-" {
-        print!("{content}");
-        return Ok(());
+        return print_out(content);
     }
     std::fs::write(path, content).map_err(|e| format!("cannot write {path}: {e}"))
+}
+
+/// Write `content` to standard output. A reader that stops reading
+/// (`dhpf explain … | head`) closes the pipe: the rest is not written,
+/// and the command runs on to its own exit code.
+fn print_out(content: &str) -> Result<(), String> {
+    let mut out = std::io::stdout().lock();
+    match out.write_all(content.as_bytes()).and_then(|()| out.flush()) {
+        Err(e) if e.kind() != ErrorKind::BrokenPipe => {
+            Err(format!("cannot write to standard output: {e}"))
+        }
+        _ => Ok(()),
+    }
 }
 
 /// `dhpf fuzz` arguments (disjoint from the compile-style commands:
@@ -328,7 +349,7 @@ fn run_fuzz(args: &FuzzArgs) -> Result<(), CliError> {
     if let Some(path) = &args.out {
         write_out(path, &report.to_json())?;
         if path != "-" {
-            eprintln!("report written to {path}");
+            note!("report written to {path}");
         }
     }
     if let Some(dir) = &args.corpus_out {
@@ -336,7 +357,7 @@ fn run_fuzz(args: &FuzzArgs) -> Result<(), CliError> {
         for f in &report.failures {
             let name = format!("{dir}/seed_{}_{}.f", f.program_seed, f.oracle);
             std::fs::write(&name, &f.minimized).map_err(|e| format!("cannot write {name}: {e}"))?;
-            eprintln!("minimized repro written to {name}");
+            note!("minimized repro written to {name}");
         }
     }
     let mutation = report
@@ -344,7 +365,7 @@ fn run_fuzz(args: &FuzzArgs) -> Result<(), CliError> {
         .as_ref()
         .map(|m| format!(", mutation {}/{} caught twice", m.caught_twice, m.planted))
         .unwrap_or_default();
-    eprintln!(
+    note!(
         "fuzz: {} program(s) x {} geometr(ies) x flag lattice: {} compile(s), {} run(s), \
          {} message(s), {} failure(s){mutation} in {:.1}s",
         report.programs,
@@ -440,7 +461,7 @@ fn run_bench(a: &BenchArgs) -> Result<(), CliError> {
     let write_doc = |default: &str, study: &str, rows: &[dhpf_bench::Measurement]| {
         let path = a.out.as_deref().unwrap_or(default);
         write_out(path, &dhpf_bench::render(study, rows))?;
-        eprintln!("wrote {path}");
+        note!("wrote {path}");
         Ok(())
     };
     match a.sub.as_str() {
@@ -508,11 +529,11 @@ fn main() -> ExitCode {
         return match parsed {
             Ok(Ok(())) => ExitCode::SUCCESS,
             Ok(Err(e)) => {
-                eprintln!("dhpf: {}", e.msg);
+                note!("dhpf: {}", e.msg);
                 ExitCode::from(e.code)
             }
             Err(msg) => {
-                eprintln!("{msg}");
+                note!("{msg}");
                 ExitCode::from(2)
             }
         };
@@ -520,14 +541,14 @@ fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
         Err(msg) => {
-            eprintln!("{msg}");
+            note!("{msg}");
             return ExitCode::from(2);
         }
     };
     match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            eprintln!("dhpf: {}", e.msg);
+            note!("dhpf: {}", e.msg);
             ExitCode::from(e.code)
         }
     }
@@ -538,10 +559,10 @@ fn run(args: &Args) -> Result<(), CliError> {
         "explain" => {
             let compiled = build(args)?;
             if args.json {
-                print!("{}", compiled.obs.decision_json(&compiled.transformed));
+                print_out(&compiled.obs.decision_json(&compiled.transformed))?;
             } else {
-                print!("{}", compiled.obs.decision_log(&compiled.transformed));
-                eprintln!(
+                print_out(&compiled.obs.decision_log(&compiled.transformed))?;
+                note!(
                     "{} decision(s); {} message(s) pre, {} post",
                     compiled.obs.decision_count(),
                     compiled.report.pre_messages,
@@ -556,9 +577,11 @@ fn run(args: &Args) -> Result<(), CliError> {
                 let machine = MachineConfig::sp2(args.nprocs).with_trace();
                 let result = dhpf_core::exec::node::run_node_program(&compiled.program, machine)
                     .map_err(|e| format!("execution failed: {e}"))?;
-                eprintln!(
+                note!(
                     "ran on {} procs: virtual time {:.6}s, {} message(s)",
-                    args.nprocs, result.run.virtual_time, result.run.stats.messages
+                    args.nprocs,
+                    result.run.virtual_time,
+                    result.run.stats.messages
                 );
                 Some(result)
             } else {
@@ -568,7 +591,7 @@ fn run(args: &Args) -> Result<(), CliError> {
                 let traces: Option<&[Trace]> = exec.as_ref().map(|r| &r.run.traces[..]);
                 let json = dhpf_obs::perfetto::render(Some(&compiled.obs), traces);
                 write_out(path, &json)?;
-                eprintln!("trace written to {path} (open in ui.perfetto.dev)");
+                note!("trace written to {path} (open in ui.perfetto.dev)");
             }
             if let Some(path) = &args.metrics_out {
                 let mut metrics = compiled.obs.metrics.clone();
@@ -577,17 +600,17 @@ fn run(args: &Args) -> Result<(), CliError> {
                     dhpf_profile::record_rank_gauges(&mut metrics, &result.ranks);
                 }
                 write_out(path, &metrics.render_json())?;
-                eprintln!("metrics written to {path}");
+                note!("metrics written to {path}");
             }
             if let Some(path) = &args.decisions_out {
                 write_out(path, &compiled.obs.decision_json(&compiled.transformed))?;
-                eprintln!("decisions written to {path}");
+                note!("decisions written to {path}");
             }
             if args.trace_out.is_none()
                 && args.metrics_out.is_none()
                 && args.decisions_out.is_none()
             {
-                eprintln!(
+                note!(
                     "compiled: {} unit(s), {} decision(s) recorded (use --trace-out/--metrics-out/--decisions-out)",
                     compiled.program.units.len(),
                     compiled.obs.decision_count()
@@ -613,19 +636,19 @@ fn run(args: &Args) -> Result<(), CliError> {
             });
             if let Some(path) = &args.decisions_out {
                 write_out(path, &compiled.obs.decision_json(&compiled.transformed))?;
-                eprintln!("decisions written to {path}");
+                note!("decisions written to {path}");
             }
             if args.json {
-                println!("{}", report.render_json_document(&input));
+                print_out(&format!("{}\n", report.render_json_document(&input)))?;
             } else if report.is_clean() {
-                println!(
+                print_out(&format!(
                     "protocol OK: {} communication atom(s) verified for all {} rank(s) \
-                     (matching, congruence, wait coverage, deadlock-freedom)",
+                     (matching, congruence, wait coverage, deadlock-freedom)\n",
                     dhpf_analysis::protocol::atom_count(&proto),
                     proto.nprocs
-                );
+                ))?;
             } else {
-                print!("{}", report.render_human(None));
+                print_out(&report.render_human(None))?;
             }
             if report.is_clean() {
                 Ok(())
@@ -674,16 +697,16 @@ fn run(args: &Args) -> Result<(), CliError> {
                     &flows,
                 );
                 write_out(path, &json)?;
-                eprintln!("trace with critical-path flows written to {path}");
+                note!("trace with critical-path flows written to {path}");
             }
             if let Some(path) = &args.metrics_out {
                 let mut metrics = compiled.obs.metrics.clone();
                 dhpf_profile::record_exec_gauges(&mut metrics, &result.run.traces);
                 dhpf_profile::record_rank_gauges(&mut metrics, &result.ranks);
                 write_out(path, &metrics.render_json())?;
-                eprintln!("metrics written to {path}");
+                note!("metrics written to {path}");
             }
-            eprintln!(
+            note!(
                 "profiled {} rank(s): makespan {:.6}s, {:.1}% of stall attributed, {} what-if scenario(s)",
                 prof.nprocs,
                 prof.makespan,

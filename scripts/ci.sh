@@ -29,8 +29,8 @@
 #                      unrolled loops, decided `if`s and fused statements
 #                      — `x − y·z` over three loads and `x − s·z` with `s`
 #                      a register — vs the plain one, overlapped and
-#                      strip-mined nests among its shapes) under the same
-#                      pinned seed
+#                      strip-mined nests with short constant inner levels
+#                      among its shapes) under the same pinned seed
 #   7. release       — dhpf-spmd's tests again in release: the mailbox's
 #                      yield and park windows differ under optimisation,
 #                      and stage 4 runs in debug only; the NaN-payload
@@ -38,10 +38,14 @@
 #                      through `Mul`, `MulSub` and `MulSubReg` keeps the
 #                      serial interpreter's payload), since the operand
 #                      order of the machine instruction is release codegen's;
-#                      and the value-numbering hazard tests (a load after
+#                      the value-numbering hazard tests (a load after
 #                      a store to its array, a scalar read after its
 #                      assignment, a value after a landed branch, NaN
-#                      products in both orders are two values)
+#                      products in both orders are two values); and the
+#                      nest-unrolling tests (an overlapped nest's inner
+#                      level unrolls under one test of its term, a level
+#                      the term reads stays a loop, and so do a strip
+#                      level and the levels outside it)
 #   8. compile bench — `dhpf bench compile --quick`, a smoke run: the
 #                      command runs and writes its document
 #   9. benchmark     — the repo benchmark harness (benchmark/) still
@@ -113,7 +117,7 @@ echo "== exec property tests (pinned seed)"
 # statements (`MulSub`, `MulSubReg`) against the plain one
 PROPTEST_SEED=20260806 cargo test -q -p dhpf-core --lib exec::node
 
-echo "== dhpf-spmd tests, NaN payloads and value-numbering hazards (release)"
+echo "== dhpf-spmd tests, NaN payloads, value-numbering hazards and nest unrolling (release)"
 # the mailbox's wait path (one yield, then park) and the poison tests
 # race differently once optimised
 cargo test --release -q -p dhpf-spmd
@@ -128,6 +132,12 @@ cargo test --release -q -p dhpf-core --lib -- \
     exec::node::tests::a_form_read_after_an_integer_assignment_is_not_reused \
     exec::node::tests::a_value_computed_in_an_arm_is_not_reused_after_it \
     exec::node::tests::products_in_both_orders_are_two_values
+# a nest level unrolled where its trips, its term's test or its chunks
+# would change is wrong in release code as in debug
+cargo test --release -q -p dhpf-core --lib -- \
+    exec::node::tests::overlapped_inner_level_unrolls_under_one_test \
+    exec::node::tests::term_on_an_inner_level_keeps_it_a_loop \
+    exec::node::tests::strip_level_and_the_levels_outside_it_stay_loops
 
 echo "== compile bench smoke"
 # one cold+warm+traced timing pass (class S only); nothing is gated on

@@ -1,8 +1,9 @@
 //! Exit-code contract for the `dhpf` binary: **0** success, **1**
 //! parse/compile/IO failure, **2** usage error — the same convention
-//! `dhpf-lint` documents in the README.
+//! `dhpf-lint` documents in the README. A reader that closes standard
+//! output early, or standard error, changes none of them.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn dhpf(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_dhpf"))
@@ -181,4 +182,56 @@ fn failed_run_is_one_line_without_panic_banners() {
             && lines[0].contains("outside its window"),
         "stderr: {err}"
     );
+}
+
+/// Run `dhpf args` with the read end of its standard output (`stdout`)
+/// or of its standard error closed before it writes anything, as
+/// `dhpf … | head -0` leaves it.
+fn dhpf_closed(args: &[&str], stdout: bool) -> std::process::Output {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_dhpf"))
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn dhpf");
+    if stdout {
+        drop(child.stdout.take());
+    } else {
+        drop(child.stderr.take());
+    }
+    child.wait_with_output().expect("dhpf ends")
+}
+
+/// A reader that stops reading ends the command quietly and
+/// successfully: no panic on the broken pipe, exit 0.
+#[test]
+fn closed_stdout_ends_quietly() {
+    for args in [
+        &["explain", "--nas", "sp", "--class", "S", "--nprocs", "4"][..],
+        &[
+            "explain", "--nas", "sp", "--class", "S", "--nprocs", "4", "--json",
+        ][..],
+    ] {
+        let out = dhpf_closed(args, true);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            !err.contains("panicked") && !err.contains("Broken pipe"),
+            "{err}"
+        );
+    }
+}
+
+/// With standard error closed, a failure still exits with its own code:
+/// 1 for an unreadable input, 2 for a usage error — not a panic's 101.
+#[test]
+fn closed_stderr_keeps_the_failure_code() {
+    for (args, code) in [
+        (&["compile", "/nonexistent/input.f"][..], 1),
+        (&["compile", "--nas", "lu"][..], 2),
+        (&["bench", "frobnicate"][..], 2),
+    ] {
+        let out = dhpf_closed(args, false);
+        assert_eq!(out.status.code(), Some(code), "{args:?}: {out:?}");
+    }
 }

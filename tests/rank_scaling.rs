@@ -16,6 +16,7 @@
 //! per-rank counts are those of the lowering that ran every short loop
 //! as a loop; they are pinned here.
 
+use dhpf::core::codegen::{GuardAtom, NodeOp, PipeLevel};
 use dhpf::core::exec::node::{lower_census, ExecResult};
 use dhpf::nas::Kernel;
 use dhpf::prelude::*;
@@ -112,10 +113,12 @@ fn loop_trips_per_rank_are_pinned() {
 
 /// The loops each rank of BT class S interpreted in `x_solve`, `y_solve`
 /// and `z_solve` while `binvc`'s Gauss–Jordan nest stayed a loop nest, at
-/// 1 rank and on each rank of 2×2.
+/// 1 rank and on each rank of 2×2. At 2×2 the pipelined back-substitution
+/// of `y_solve` and `z_solve` lowers its 5×5 `(m, n)` levels as copies:
+/// two loops fewer than the 24 and 18 of a lowering that looped them.
 const SOLVE_LOOPS_BEFORE_BINVC: [(usize, &[[u64; 3]]); 2] = [
     (1, &[[22, 22, 22]]),
-    (4, &[[22, 24, 24], [22, 18, 24], [22, 24, 18], [22, 18, 18]]),
+    (4, &[[22, 22, 22], [22, 16, 22], [22, 22, 16], [22, 16, 16]]),
 ];
 
 /// The values each rank of BT class S reuses in each of `x_solve`,
@@ -177,6 +180,86 @@ fn inner_loop_accesses_take_bases() {
                     );
                     assert_eq!(values, SOLVE_VALUES_REUSED, "{at}: values reused");
                 }
+            }
+        }
+    }
+}
+
+/// Whether an overlapped or pipelined nest in `ops` has a constant level
+/// of at most five trips inside its strip level and bound to no variable
+/// its interior term reads.
+fn has_short_nest_level(ops: &[NodeOp]) -> bool {
+    let short = |lv: &PipeLevel| {
+        let trips = (lv.hi.cst - lv.lo.cst) / lv.step + 1;
+        lv.lo.terms.is_empty() && lv.hi.terms.is_empty() && trips <= 5
+    };
+    ops.iter().any(|op| match op {
+        NodeOp::Loop { body, .. } => has_short_nest_level(body),
+        NodeOp::If { arms } => arms.iter().any(|(_, ops)| has_short_nest_level(ops)),
+        NodeOp::OverlapNest {
+            levels, interior, ..
+        } => {
+            let reads = |var: usize| {
+                interior.iter().any(|a| match a {
+                    GuardAtom::In { sub, .. } => sub.terms.iter().any(|t| t.0 == var),
+                    GuardAtom::Overlap { lo, hi, .. } => {
+                        (lo.terms.iter().chain(&hi.terms)).any(|t| t.0 == var)
+                    }
+                })
+            };
+            levels.iter().any(|lv| short(lv) && !reads(lv.var))
+        }
+        NodeOp::Pipeline { levels, strip, .. } => {
+            let inside = strip.as_ref().map_or(0, |s| s.level + 1);
+            levels.iter().skip(inside).any(short)
+        }
+        _ => false,
+    })
+}
+
+/// The loops each rank of 2×2 interprets in the units of SP and BT class
+/// S whose overlapped or pipelined nests have short constant levels
+/// ([`has_short_nest_level`]), those levels lowered as copies: `compute_rhs`
+/// keeps 13 of 15 (its stencil's `m = 1, 5` in both passes); `y_solve`
+/// and `z_solve` lose their pipelined `m` levels, and BT's its pipelined
+/// back-substitution's `(m, n)`.
+const NEST_UNIT_LOOPS: [(Kernel, &str, [u64; 4]); 6] = [
+    (Kernel::Sp, "compute_rhs", [13, 13, 13, 13]),
+    (Kernel::Sp, "y_solve", [12, 11, 12, 11]),
+    (Kernel::Sp, "z_solve", [12, 12, 11, 11]),
+    (Kernel::Bt, "compute_rhs", [13, 13, 13, 13]),
+    (Kernel::Bt, "y_solve", [12, 11, 12, 11]),
+    (Kernel::Bt, "z_solve", [12, 12, 11, 11]),
+];
+
+/// On SP and BT class S at 2×2 no constant level of at most five trips
+/// inside an overlapped or pipelined nest stays a loop (DESIGN §7.2,
+/// "unrolled loops"): every unit that has such levels unrolls at least
+/// one loop on every rank, and interprets the loops [`NEST_UNIT_LOOPS`]
+/// pins.
+#[test]
+fn short_nest_levels_unroll() {
+    for kernel in [Kernel::Sp, Kernel::Bt] {
+        let compiled = kernel.compile_dhpf(Class::S, 4, None);
+        let name = kernel.name();
+        for rank in 0..4 {
+            let census = lower_census(&compiled.program, rank);
+            for unit in &compiled.program.units {
+                if !has_short_nest_level(&unit.ops) {
+                    continue;
+                }
+                let stats = census.iter().filter(|(u, _)| *u == unit.name);
+                let (loops, unrolled) =
+                    stats.fold((0, 0), |(n, u), (_, l)| (n + l.loops, u + l.loops_unrolled));
+                let at = format!("{name} at 4 ranks, rank {rank}, {}", unit.name);
+                assert!(unrolled > 0, "{at}: no loop unrolled");
+                let pinned = NEST_UNIT_LOOPS
+                    .iter()
+                    .find(|(k, u, _)| *k == kernel && *u == unit.name);
+                let want = pinned
+                    .unwrap_or_else(|| panic!("{at}: no pinned loop count"))
+                    .2;
+                assert_eq!(loops, want[rank], "{at}: interpreted loops");
             }
         }
     }
